@@ -14,7 +14,6 @@
 //! * `GINJA_BENCH_MINUTES` — simulated minutes per TPC-C run (default
 //!   1; the paper used 5).
 
-pub mod mutex_queue;
 pub mod rig;
 pub mod sysres;
 pub mod table;

@@ -249,11 +249,6 @@ pub struct GinjaConfig {
     pub codec: CodecConfig,
     /// Optional point-in-time-recovery retention.
     pub pitr: Option<PitrConfig>,
-    /// Whether batched writes are coalesced into contiguous ranges
-    /// before upload (Algorithm 2's `aggregateUpdates`). Always leave
-    /// enabled in production; the `false` setting exists for the
-    /// ablation study quantifying what aggregation saves.
-    pub coalesce: bool,
     /// Cloud-path resilience policy: retry with backoff, circuit
     /// breaking, and optional hedged `put`s. Every cloud operation
     /// Ginja issues (boot uploads, batch uploads, checkpoint merges,
@@ -362,7 +357,6 @@ impl GinjaConfigBuilder {
                 dump_threshold: 1.5,
                 codec: CodecConfig::new(),
                 pitr: None,
-                coalesce: true,
                 retry: RetryConfig::default(),
                 sentinel: SentinelConfig::default(),
                 budget: None,
@@ -440,13 +434,6 @@ impl GinjaConfigBuilder {
     #[must_use]
     pub fn pitr(mut self, pitr: PitrConfig) -> Self {
         self.config.pitr = Some(pitr);
-        self
-    }
-
-    /// Disables write aggregation (ablation studies only).
-    #[must_use]
-    pub fn coalesce(mut self, enabled: bool) -> Self {
-        self.config.coalesce = enabled;
         self
     }
 

@@ -2,38 +2,42 @@
 //! 2), checkpoint processing and garbage collection (Algorithm 3), and
 //! the Boot/Reboot initialization modes (Algorithm 1).
 //!
-//! The thread architecture mirrors §6 / Figure 3 of the paper:
+//! The thread architecture mirrors §6 / Figure 3 of the paper —
+//! `uploaders + 3` threads per instance (DESIGN.md §2, "Thread model"):
 //!
 //! ```text
 //! DBMS → InterceptFs → Ginja::on_write ─ WAL writes → CommitQueue
 //!                                      └ checkpoint writes → accumulator
-//! Aggregator:  CommitQueue --(B at a time, no removal)--> objects
-//! Uploader×n:  seal + PUT in parallel → acks
-//! Unlocker:    in-batch-order acks → CommitQueue.ack_front (unblocks DBMS)
+//! Aggregator:   CommitQueue --(B at a time, no removal)--> objects
+//! Uploader×n:   seal + PUT in parallel (ring, then spill backlog); the
+//!               one closing the oldest open batch acks, in batch order,
+//!               through the AckLedger → CommitQueue.ack_front
 //! Checkpointer: DB objects (dump | incremental) → PUT → garbage collection
+//! Control:      outage policy, then cost governor, on one timer thread
 //! ```
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
-use ginja_cloud::{BreakerState, ObjectStore, ResilientStore, UsageLedger, UsageMeter};
+use ginja_cloud::{BreakerState, ObjectStore, ResilientStore, StoreError, UsageLedger, UsageMeter};
 use ginja_codec::Codec;
 use ginja_cost::governor::{self, GovernorAction, GovernorPolicy, KnobBounds, Knobs};
 use ginja_vfs::{DbmsProcessor, FileSystem, IoClass, IoProcessor, SpillQueue, WriteEvent};
 use parking_lot::Mutex;
 
-use crate::agg::{self, AggregatedRange};
+use crate::ack::AckLedger;
+use crate::agg;
 use crate::bundle::{self, FileRange};
 use crate::config::GinjaConfig;
 use crate::fanout::FanoutHandle;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
 use crate::outage::{
     decode_spill_record, encode_spill_record, CkptJob, CkptPush, CkptQueue, OutageObservation,
-    OutagePolicy, OutageState, UploadJob, UploadRing,
+    OutagePolicy, OutageState, Popped, UploadJob, UploadRing,
 };
+use crate::periodic::{PeriodicTask, StopSignal};
 use crate::queue::{CommitQueue, WalWrite};
 use crate::stats::{GinjaStats, GinjaStatsSnapshot, GovernorSnapshot, SentinelStats, StandbyStats};
 use crate::view::CloudView;
@@ -45,19 +49,6 @@ use ginja_codec::bufpool;
 /// in `gc_backlog_dropped`). A dropped name is a bounded cost leak, not
 /// a correctness problem — the sentinel's orphan sweep deletes it later.
 const GC_BACKLOG_CAP: usize = 4096;
-
-/// Messages feeding the Unlocker.
-enum UnlockMsg {
-    /// A batch was formed: `items` queue entries produce `objects`
-    /// cloud objects.
-    Manifest {
-        batch_id: u64,
-        items: usize,
-        objects: usize,
-    },
-    /// One object of `batch_id` is durable.
-    Ack { batch_id: u64 },
-}
 
 /// A point-in-time measurement of how much a disaster would cost —
 /// see [`Ginja::exposure`].
@@ -125,6 +116,9 @@ struct Shared {
     processor: Arc<dyn DbmsProcessor>,
     view: Mutex<CloudView>,
     queue: CommitQueue,
+    /// Orders batch acknowledgements into `queue` (the Unlocker's job,
+    /// done by whichever uploader closes the oldest open batch).
+    acks: AckLedger,
     stats: GinjaStats,
     /// Lane-scoped handle to the fan-out executor for bulk transfer
     /// waves (checkpoint part uploads, reboot resync, sentinel repair)
@@ -132,6 +126,11 @@ struct Shared {
     /// PUT. Solo (width = `config.recovery_fanout`) unless an executor
     /// was injected via [`Ginja::boot_with`]/[`Ginja::reboot_with`].
     fanout: FanoutHandle,
+    /// The gate for spill-drain PUTs: on a fair shared executor a lane
+    /// of its own (weight `outage.catchup_weight`), so a tenant catching
+    /// up after an outage cannot crowd out its neighbors' commit
+    /// traffic; on a solo executor the instance's own permits.
+    catchup: FanoutHandle,
     accum: Mutex<CkptAccum>,
     /// Bounded, coalescing checkpoint queue (replaces the old unbounded
     /// channel, whose jobs each carry up to a whole database of pages).
@@ -144,13 +143,20 @@ struct Shared {
     /// entries are still un-acked, so spilling never touches the
     /// at-most-S contract.
     spill: SpillQueue,
+    /// The spill drain token: `SpillQueue::front`/`ack` are
+    /// single-consumer, so the uploader holding this drains one record
+    /// while the others keep serving the ring.
+    spill_drain: Mutex<()>,
     /// The outage policy's current state, published lock-free
-    /// (`OutageState::as_u64` encoding) by the outage thread.
+    /// (`OutageState::as_u64` encoding) by the control thread.
     outage_state_bits: AtomicU64,
     pending_ckpt_jobs: AtomicUsize,
     batch_counter: AtomicU64,
-    shutdown: AtomicBool,
+    /// Latched by [`Ginja::shutdown`]; every back-off and the control
+    /// thread's timer wait on it, so shutdown interrupts them at once.
+    stop: Arc<StopSignal>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    control: Mutex<Option<PeriodicTask>>,
     /// Garbage objects whose delete exhausted its retry budget; retried
     /// at the next checkpoint's GC pass instead of leaking forever.
     /// Deduplicated and capped at [`GC_BACKLOG_CAP`] — overflow is
@@ -174,7 +180,7 @@ struct Shared {
     governor: Option<GovernorState>,
 }
 
-/// Runtime state of the cost-governor thread.
+/// Published state of the cost governor (driven by the control thread).
 struct GovernorState {
     policy: GovernorPolicy,
     decisions: AtomicU64,
@@ -387,7 +393,7 @@ impl Ginja {
         let cloud = Arc::new(ResilientStore::new(cloud, config.retry.clone()));
         let codec = Codec::new(config.codec.clone());
         let stats = GinjaStats::default();
-        let mut view = CloudView::from_listing(cloud.list("")?)?;
+        let view = Mutex::new(CloudView::from_listing(cloud.list("")?)?);
 
         // Recover the spill queue a previous incarnation left behind and
         // upload its records *before* the resync pass: spilled WAL is
@@ -401,31 +407,23 @@ impl Ginja {
         // against the cloud image and uploads a fresher object that
         // wins at recovery.
         let spill = SpillQueue::open(fs.clone(), &config.outage.spill_dir)?;
+        let direct_put = |name: &str, sealed: &[u8]| -> Result<(), GinjaError> {
+            cloud.put(name, sealed).map_err(GinjaError::from)
+        };
         while let Some((seq, payload)) = spill.front()? {
-            if let Some(job) = decode_spill_record(&payload) {
-                let ts = view.alloc_wal_ts();
-                let name = WalObjectName {
-                    ts,
-                    file: job.name.file,
-                    offset: job.name.offset,
-                    len: job.name.len,
-                };
-                let wire = name.to_name();
-                let mut sealed = bufpool::take();
-                codec.seal_into(&wire, &job.raw, &mut sealed)?;
-                cloud.put(&wire, &sealed)?;
-                bufpool::recycle(sealed);
-                view.add_wal(name);
+            if let Some(mut job) = decode_spill_record(&payload) {
+                job.name.ts = view.lock().alloc_wal_ts();
+                let bytes = job.name.len;
+                upload_wal_job(&codec, &stats, &view, &direct_put, job)?;
                 stats.wal_resync_objects.fetch_add(1, Ordering::Relaxed);
-                stats
-                    .wal_resync_bytes
-                    .fetch_add(job.raw.len() as u64, Ordering::Relaxed);
+                stats.wal_resync_bytes.fetch_add(bytes, Ordering::Relaxed);
             }
             // An undecodable record (external tampering — the queue's
             // checksum already rejects torn writes) is dropped: the
             // resync pass re-uploads the range from the local WAL file.
             spill.ack(seq)?;
         }
+        let mut view = view.into_inner();
 
         let (resync_objects, resync_bytes) = resync_local_wal(
             fs.as_ref(),
@@ -483,11 +481,6 @@ impl Ginja {
             projected_microusd: AtomicU64::new(0),
         });
         let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
-        // The catch-up lane: on a fair shared executor the spill drain
-        // competes through its own scheduler lane (weight
-        // `outage.catchup_weight`), so a tenant catching up after an
-        // outage cannot crowd out its neighbors' commit traffic. On a
-        // solo executor it shares the instance's own permits.
         let catchup = if fanout.executor().is_fair() {
             FanoutHandle::shared(fanout.executor().clone(), config.outage.catchup_weight)
         } else {
@@ -497,6 +490,7 @@ impl Ginja {
             ckpt_queue: CkptQueue::new(config.outage.ckpt_capacity),
             upload_ring: UploadRing::new(config.outage.ring_capacity),
             spill,
+            spill_drain: Mutex::new(()),
             outage_state_bits: AtomicU64::new(OutageState::Healthy.as_u64()),
             config,
             codec,
@@ -505,13 +499,16 @@ impl Ginja {
             processor,
             view: Mutex::new(view),
             queue,
+            acks: AckLedger::default(),
             stats,
             fanout,
+            catchup,
             accum: Mutex::new(CkptAccum::default()),
             pending_ckpt_jobs: AtomicUsize::new(0),
             batch_counter: AtomicU64::new(0),
-            shutdown: AtomicBool::new(false),
+            stop: Arc::new(StopSignal::default()),
             threads: Mutex::new(Vec::new()),
+            control: Mutex::new(None),
             gc_backlog: Mutex::new(BTreeSet::new()),
             sentinel: Mutex::new(None),
             standby: Mutex::new(None),
@@ -520,76 +517,25 @@ impl Ginja {
             governor,
         });
 
-        let (unlock_tx, unlock_rx) = unbounded::<UnlockMsg>();
-
-        let mut threads = Vec::new();
-        {
+        let spawn = |name: String, stage: fn(&Shared)| {
             let shared = shared.clone();
-            let unlock_tx = unlock_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ginja-aggregator".into())
-                    .spawn(move || aggregator_loop(&shared, unlock_tx))
-                    .expect("spawn aggregator"),
-            );
-        }
+            std::thread::Builder::new()
+                .name(name)
+                .spawn(move || stage(&shared))
+                .expect("spawn pipeline thread")
+        };
+        let mut threads = vec![spawn("ginja-aggregator".into(), aggregator_loop)];
         for i in 0..shared.config.uploaders {
-            let shared = shared.clone();
-            let unlock_tx = unlock_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name(format!("ginja-uploader-{i}"))
-                    .spawn(move || uploader_loop(&shared, unlock_tx))
-                    .expect("spawn uploader"),
-            );
+            threads.push(spawn(format!("ginja-uploader-{i}"), uploader_loop));
         }
-        {
-            let shared = shared.clone();
-            let unlock_tx = unlock_tx.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ginja-catchup".into())
-                    .spawn(move || catchup_loop(&shared, &catchup, unlock_tx))
-                    .expect("spawn catchup"),
-            );
-        }
-        drop(unlock_tx);
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ginja-unlocker".into())
-                    .spawn(move || unlocker_loop(&shared, unlock_rx))
-                    .expect("spawn unlocker"),
-            );
-        }
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ginja-checkpointer".into())
-                    .spawn(move || checkpointer_loop(&shared))
-                    .expect("spawn checkpointer"),
-            );
-        }
-        {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ginja-outage".into())
-                    .spawn(move || outage_loop(&shared))
-                    .expect("spawn outage"),
-            );
-        }
-        if shared.governor.is_some() {
-            let shared = shared.clone();
-            threads.push(
-                std::thread::Builder::new()
-                    .name("ginja-governor".into())
-                    .spawn(move || governor_loop(&shared))
-                    .expect("spawn governor"),
-            );
-        }
+        threads.push(spawn("ginja-checkpointer".into(), checkpointer_loop));
+        let mut control = Control::new(&shared.config);
+        let ticked = shared.clone();
+        *shared.control.lock() = Some(PeriodicTask::spawn_on(
+            shared.stop.clone(),
+            "ginja-control",
+            move || Some(control.tick(&ticked)),
+        ));
         *shared.threads.lock() = threads;
         Ginja { shared }
     }
@@ -616,13 +562,16 @@ impl Ginja {
     /// blocked — protection ends), pending work drains, and all threads
     /// join. Idempotent.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shared.stop.stop();
         self.shared.queue.close();
         self.shared.ckpt_queue.close();
         self.shared.upload_ring.close();
         let threads = std::mem::take(&mut *self.shared.threads.lock());
         for handle in threads {
             let _ = handle.join();
+        }
+        if let Some(control) = self.shared.control.lock().take() {
+            control.shutdown();
         }
     }
 
@@ -666,7 +615,7 @@ impl Ginja {
         snap
     }
 
-    /// The outage policy's current state (published by the outage
+    /// The outage policy's current state (published by the control
     /// thread, refreshed every `outage.poll_interval`).
     pub fn outage_state(&self) -> OutageState {
         OutageState::from_u64(self.shared.outage_state_bits.load(Ordering::Relaxed))
@@ -861,7 +810,7 @@ impl Ginja {
     /// [`GinjaError::ShutDown`] if the pipeline has stopped; file-system
     /// errors reading the database files propagate.
     pub fn request_dump(&self) -> Result<(), GinjaError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        if self.shared.stop.is_stopped() {
             return Err(GinjaError::ShutDown);
         }
         let entries = read_db_files(self.shared.fs.as_ref(), self.shared.processor.as_ref())?;
@@ -1007,7 +956,7 @@ impl Ginja {
 
 impl IoProcessor for Ginja {
     fn on_write(&self, event: &WriteEvent) {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
+        if self.shared.stop.is_stopped() {
             return;
         }
         match self.shared.processor.classify(event) {
@@ -1094,6 +1043,25 @@ struct SealPut {
 /// the uploader's retrying variant.
 type PutFn<'a> = &'a (dyn Fn(&str, &[u8]) -> Result<(), GinjaError> + Sync);
 
+/// Seals `raw` under `name` into a pooled buffer, timed into
+/// `stats.seal_histo` and `stats.seal_micros`.
+fn seal_timed(
+    codec: &Codec,
+    stats: &GinjaStats,
+    name: &str,
+    raw: &[u8],
+) -> Result<Vec<u8>, GinjaError> {
+    let mut sealed = bufpool::take();
+    let seal_start = Instant::now();
+    codec.seal_into(name, raw, &mut sealed)?;
+    let seal_elapsed = seal_start.elapsed();
+    stats.seal_histo.record(seal_elapsed);
+    stats
+        .seal_micros
+        .fetch_add(seal_elapsed.as_micros() as u64, Ordering::Relaxed);
+    Ok(sealed)
+}
+
 /// Seals and PUTs a wave of objects through the fan-out executor — the
 /// one implementation of the seal+put loop that Boot (WAL segments and
 /// the initial dump), Reboot resync and the checkpointer all share.
@@ -1116,14 +1084,7 @@ fn seal_put_wave(
         jobs,
         |_, job| {
             let raw_len = job.raw.len() as u64;
-            let mut sealed = bufpool::take();
-            let seal_start = Instant::now();
-            codec.seal_into(&job.name, &job.raw, &mut sealed)?;
-            let seal_elapsed = seal_start.elapsed();
-            stats.seal_histo.record(seal_elapsed);
-            stats
-                .seal_micros
-                .fetch_add(seal_elapsed.as_micros() as u64, Ordering::Relaxed);
+            let sealed = seal_timed(codec, stats, &job.name, &job.raw)?;
             let put_start = Instant::now();
             put(&job.name, &sealed)?;
             stats.put_histo.record(put_start.elapsed());
@@ -1267,7 +1228,7 @@ fn read_db_files(
 }
 
 /// Uploads with unbounded retry (exponential backoff); gives up only on
-/// shutdown. Returns whether the object is durable.
+/// shutdown ([`GinjaError::ShutDown`] — the object is not durable).
 ///
 /// This is the outer *safety* loop: the [`ResilientStore`] underneath
 /// already retries transient faults with jittered backoff and a circuit
@@ -1279,11 +1240,16 @@ fn read_db_files(
 /// `retry_after` hint the cloud attached to the error.
 ///
 /// When `gate` is given, each PUT *attempt* runs under one of its
-/// permits, released across the backoff sleep — a caller stuck in a
+/// permits, released across the backoff wait — a caller stuck in a
 /// long outage never camps on shared executor capacity. Callers already
 /// inside a gated wave job pass `None` (a nested acquire could deadlock
 /// the gate).
-fn put_with_retry(shared: &Shared, gate: Option<&FanoutHandle>, name: &str, sealed: &[u8]) -> bool {
+fn put_with_retry(
+    shared: &Shared,
+    gate: Option<&FanoutHandle>,
+    name: &str,
+    sealed: &[u8],
+) -> Result<(), GinjaError> {
     let mut delay = Duration::from_millis(10);
     let start = Instant::now();
     loop {
@@ -1297,17 +1263,16 @@ fn put_with_retry(shared: &Shared, gate: Option<&FanoutHandle>, name: &str, seal
                 // Time-to-durable including retries: that is what the
                 // queue (and so the DBMS) actually waits on.
                 shared.stats.put_histo.record(start.elapsed());
-                return true;
+                return Ok(());
             }
             Err(err) => err,
         };
         shared.stats.upload_retries.fetch_add(1, Ordering::Relaxed);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return false;
-        }
         // A throttling cloud told us when to come back: honor it as a
         // floor so we never hammer a provider that asked for pacing.
-        std::thread::sleep(delay.max(err.retry_after().unwrap_or(Duration::ZERO)));
+        if shared.stop.wait(backoff(delay, &err)) {
+            return Err(GinjaError::ShutDown);
+        }
         delay = (delay * 2).min(Duration::from_secs(1));
     }
 }
@@ -1324,12 +1289,12 @@ enum PartFetch {
     Shutdown,
 }
 
-/// Fetches one DB-object part with unbounded retry on *retryable*
-/// errors, exactly as stubborn as [`put_with_retry`]. Giving up on a
-/// transient error here is not an option: a skipped collision merge
-/// uploads a non-superset object at the same timestamp, which can
-/// outrank the old generation at recovery while lacking the only image
-/// of some of its pages (silent data loss).
+/// Fetches one DB-object part with unbounded retry, exactly as
+/// stubborn as [`put_with_retry`]. Giving up on a transient error here
+/// is not an option: a skipped collision merge uploads a non-superset
+/// object at the same timestamp, which can outrank the old generation
+/// at recovery while lacking the only image of some of its pages
+/// (silent data loss).
 fn get_part_with_retry(shared: &Shared, name: &str) -> PartFetch {
     let mut delay = Duration::from_millis(10);
     let start = Instant::now();
@@ -1345,13 +1310,17 @@ fn get_part_with_retry(shared: &Shared, name: &str) -> PartFetch {
             }
             Err(err) => err,
         };
-        if !err.is_retryable() {
+        // Only proof that the part is gone or damaged makes the old
+        // generation unusable. Everything else is retried — including
+        // errors classified non-retryable, such as the resilience
+        // layer's "circuit breaker open" fast-fail, which says nothing
+        // about the object (`put_with_retry` retries those too).
+        if matches!(err, StoreError::NotFound(_) | StoreError::Corrupt(_)) {
             return PartFetch::Unusable;
         }
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.stop.wait(backoff(delay, &err)) {
             return PartFetch::Shutdown;
         }
-        std::thread::sleep(delay.max(err.retry_after().unwrap_or(Duration::ZERO)));
         delay = (delay * 2).min(Duration::from_secs(1));
     }
 }
@@ -1371,7 +1340,7 @@ fn delete_with_retry(shared: &Shared, name: &str) -> bool {
             }
             Err(err) => err,
         };
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shared.stop.is_stopped() {
             // Shutting down: never a correctness problem (the object is
             // garbage), and the backlog would never drain anyway.
             return true;
@@ -1383,38 +1352,132 @@ fn delete_with_retry(shared: &Shared, name: &str) -> bool {
         if attempt == 2 {
             return false;
         }
-        std::thread::sleep(
-            Duration::from_millis(20).max(err.retry_after().unwrap_or(Duration::ZERO)),
-        );
+        if shared.stop.wait(backoff(Duration::from_millis(20), &err)) {
+            return true;
+        }
     }
     false
 }
 
-/// The cost-governor loop: every `budget.poll_interval`, price the
-/// usage ledger, project month-end spend, and — when the projection
-/// escapes the dead band — retune the pipeline through the runtime
-/// knobs. The queue's own clamp (`CommitQueue::set_batch` caps at S)
-/// backstops the policy's `KnobBounds`, so even a buggy policy cannot
-/// push B past the safety bound.
-fn governor_loop(shared: &Shared) {
-    let Some(gov) = shared.governor.as_ref() else {
-        return;
-    };
-    let ledger = shared.cloud.ledger().clone();
-    let poll = gov.policy.budget.poll_interval;
-    let mut next_poll = Instant::now() + poll;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        if Instant::now() < next_poll {
-            // Short sleeps keep shutdown responsive under long polls.
-            std::thread::sleep(poll.min(Duration::from_millis(2)));
-            continue;
-        }
-        next_poll = Instant::now() + poll;
+/// A retry back-off: `delay`, stretched to any pacing hint the cloud
+/// attached to `err`.
+fn backoff(delay: Duration, err: &StoreError) -> Duration {
+    delay.max(err.retry_after().unwrap_or(Duration::ZERO))
+}
 
-        let usage = ledger.usage();
-        let rates = ledger.observe_rates(poll);
+/// The per-instance control thread's state: the outage policy and the
+/// cost governor share one timer and run in a fixed order — outage
+/// first — so the instance's own two knob writers never race.
+struct Control {
+    policy: OutagePolicy,
+    /// The knobs in force when the outage began. `Some` exactly while
+    /// the outage policy holds the knobs at the envelope maxima.
+    baseline: Option<Knobs>,
+    last_outage_tick: Instant,
+    next_outage: Instant,
+    next_governor: Instant,
+}
+
+impl Control {
+    fn new(config: &GinjaConfig) -> Self {
+        let now = Instant::now();
+        let budget_poll = config.budget.as_ref().map(|b| b.poll_interval);
+        Control {
+            policy: OutagePolicy::new(config.outage.enduring_after, config.outage.spill_ceiling),
+            baseline: None,
+            last_outage_tick: now,
+            next_outage: now + config.outage.poll_interval,
+            next_governor: now + budget_poll.unwrap_or_default(),
+        }
+    }
+
+    /// Runs whichever step is due and returns the wait until the next
+    /// deadline.
+    fn tick(&mut self, shared: &Shared) -> Duration {
+        let now = Instant::now();
+        if now >= self.next_outage {
+            self.next_outage = now + shared.config.outage.poll_interval;
+            self.outage_step(shared, now);
+        }
+        let mut next = self.next_outage;
+        if let Some(gov) = &shared.governor {
+            if now >= self.next_governor {
+                self.next_governor = now + gov.policy.budget.poll_interval;
+                self.governor_step(shared, gov);
+            }
+            next = next.min(self.next_governor);
+        }
+        next.saturating_duration_since(Instant::now())
+    }
+
+    /// Feeds the breaker state and spill gauges to the [`OutagePolicy`]
+    /// state machine, publishes the state for `exposure()`/`stats()`,
+    /// counts outages/sheds/outage time, and applies adaptive
+    /// backpressure through the one-knob path.
+    fn outage_step(&mut self, shared: &Shared, now: Instant) {
+        let obs = OutageObservation {
+            breaker_open: shared.cloud.snapshot().breaker_state == BreakerState::Open,
+            spill_records: shared.spill.len(),
+            spill_bytes: shared.spill.bytes(),
+        };
+        let prev = self.policy.state();
+        let state = self.policy.tick(&obs, now);
+        shared
+            .outage_state_bits
+            .store(state.as_u64(), Ordering::Relaxed);
+
+        let was_outage = matches!(prev, OutageState::Enduring | OutageState::Shedding);
+        let is_outage = matches!(state, OutageState::Enduring | OutageState::Shedding);
+        if is_outage && !was_outage {
+            shared.stats.outages.fetch_add(1, Ordering::Relaxed);
+        }
+        if state == OutageState::Shedding && prev != OutageState::Shedding {
+            shared.stats.outage_sheds.fetch_add(1, Ordering::Relaxed);
+        }
+        let dt = now.duration_since(self.last_outage_tick);
+        self.last_outage_tick = now;
+        if is_outage {
+            shared
+                .stats
+                .outage_micros
+                .fetch_add(dt.as_micros() as u64, Ordering::Relaxed);
+            if self.baseline.is_none() {
+                self.baseline = Some(current_knobs_of(shared));
+            }
+            // Escalate to the tuning envelope's maxima — B/TB widened
+            // toward S (fewer, fuller PUTs once the cloud answers),
+            // dumps deferred, scrub paced down. S/TS are never touched:
+            // the RPO bound holds through the outage. Re-applied every
+            // poll so an outside `Ginja::apply_knobs` caller (a fleet
+            // arbiter) cannot unwind it while the outage lasts.
+            let bounds = knob_bounds_for(&shared.config);
+            apply_knobs_to(
+                shared,
+                &Knobs {
+                    batch: bounds.max_batch,
+                    batch_timeout: bounds.max_batch_timeout,
+                    dump_threshold: bounds.max_dump_threshold,
+                    sentinel_pace: bounds.max_sentinel_pace,
+                },
+            );
+        } else if let Some(knobs) = self.baseline.take() {
+            // Outage over: hand the pipeline back its pre-outage tuning.
+            apply_knobs_to(shared, &knobs);
+        }
+    }
+
+    /// Prices the usage ledger, publishes the month-end projection and
+    /// — when it escapes the dead band — retunes the pipeline through
+    /// the runtime knobs. The queue's own clamp
+    /// (`CommitQueue::set_batch` caps at S) backstops the policy's
+    /// `KnobBounds`, so even a buggy policy cannot push B past the
+    /// safety bound.
+    fn governor_step(&self, shared: &Shared, gov: &GovernorState) {
+        let ledger = shared.cloud.ledger();
+        let budget = &gov.policy.budget;
+        let rates = ledger.observe_rates(budget.poll_interval);
         let projection =
-            governor::project_spend(&usage, Some(&rates), ledger.elapsed(), &gov.policy.budget);
+            governor::project_spend(&ledger.usage(), Some(&rates), ledger.elapsed(), budget);
         gov.spent_microusd.store(
             governor::to_microusd(projection.spent_usd),
             Ordering::Relaxed,
@@ -1423,7 +1486,13 @@ fn governor_loop(shared: &Shared) {
             governor::to_microusd(projection.projected_usd),
             Ordering::Relaxed,
         );
-
+        // Precedence: while the outage policy holds the knobs the
+        // governor only reports. A decision made from the forced maxima
+        // would be overwritten at the next outage poll and discarded
+        // with the baseline restore — and must not be counted.
+        if self.baseline.is_some() {
+            return;
+        }
         let current = current_knobs_of(shared);
         if let Some((next, action)) = gov.policy.decide(&current, &projection) {
             apply_knobs_to(shared, &next);
@@ -1437,17 +1506,17 @@ fn governor_loop(shared: &Shared) {
 }
 
 /// Hands one upload job to the uploader pool: the bounded ring first;
-/// on overflow, the durable spill queue (the catch-up thread drains it
-/// back); at the spill ceiling or on a spill write failure, a blocking
-/// ring push — which saturates the aggregator, then the commit queue,
-/// then the DBMS at the Safety limit. RAM stays bounded in every case.
+/// on overflow, the durable spill queue (an uploader drains it back);
+/// at the spill ceiling or on a spill write failure, a blocking ring
+/// push — which saturates the aggregator, then the commit queue, then
+/// the DBMS at the Safety limit. RAM stays bounded in every case.
 /// Returns `false` only on shutdown.
 fn push_or_spill(shared: &Shared, job: UploadJob) -> bool {
     let bytes = job.raw.len();
     let Err(job) = shared.upload_ring.try_push(job, bytes) else {
         return true;
     };
-    if !shared.shutdown.load(Ordering::SeqCst)
+    if !shared.stop.is_stopped()
         && shared.spill.bytes() < shared.config.outage.spill_ceiling
         && shared.spill.push(&encode_spill_record(&job)).is_ok()
     {
@@ -1459,6 +1528,9 @@ fn push_or_spill(shared: &Shared, job: UploadJob) -> bool {
         // The payload is durable in the spill file now; its heap buffer
         // goes back to the pool for the next aggregated range.
         bufpool::recycle(job.raw);
+        // An uploader asleep on the ring must not leave the record
+        // waiting for a busy one to come round.
+        shared.upload_ring.nudge();
         return true;
     }
     // At the spill ceiling, on a spill write failure (local disk
@@ -1467,41 +1539,26 @@ fn push_or_spill(shared: &Shared, job: UploadJob) -> bool {
     shared.upload_ring.push(job, bytes)
 }
 
-fn aggregator_loop(shared: &Shared, unlock_tx: Sender<UnlockMsg>) {
+/// Acknowledges `batch_id`'s durable object; the caller that closes the
+/// oldest open batch releases the DBMS, in batch order.
+fn complete_object(shared: &Shared, batch_id: u64) {
+    shared
+        .acks
+        .complete(batch_id, |items| shared.queue.ack_front(items));
+}
+
+fn aggregator_loop(shared: &Shared) {
     while let Some(batch) = shared.queue.take_batch() {
-        let items = batch.len();
-        let ranges: Vec<AggregatedRange> = if shared.config.coalesce {
-            agg::aggregate(&batch, shared.config.max_object_size)
-        } else {
-            // Ablation mode: one object per intercepted write. Pooled
-            // buffers instead of fresh `to_vec` allocations — the same
-            // thread recycles them in `push_or_spill`/the uploader.
-            batch
-                .iter()
-                .map(|w| {
-                    let mut data = bufpool::take();
-                    data.extend_from_slice(&w.data);
-                    AggregatedRange {
-                        file: w.file.to_string(),
-                        offset: w.offset,
-                        data,
-                    }
-                })
-                .collect()
-        };
+        let ranges = agg::aggregate(&batch, shared.config.max_object_size);
         let batch_id = shared.batch_counter.fetch_add(1, Ordering::SeqCst);
         shared.stats.batches_formed.fetch_add(1, Ordering::Relaxed);
-
-        if unlock_tx
-            .send(UnlockMsg::Manifest {
-                batch_id,
-                items,
-                objects: ranges.len(),
-            })
-            .is_err()
-        {
-            return;
-        }
+        // Manifest before the first job leaves: a completion can then
+        // never find its batch unknown.
+        shared
+            .acks
+            .manifest(batch_id, batch.len(), ranges.len(), |items| {
+                shared.queue.ack_front(items)
+            });
         for range in ranges {
             let ts = shared.view.lock().alloc_wal_ts();
             let name = WalObjectName {
@@ -1525,294 +1582,135 @@ fn aggregator_loop(shared: &Shared, unlock_tx: Sender<UnlockMsg>) {
     // Queue closed: the ring closes at shutdown, letting downstream drain.
 }
 
-fn uploader_loop(shared: &Shared, unlock_tx: Sender<UnlockMsg>) {
-    while let Some(mut job) = shared.upload_ring.pop(|j| j.raw.len()) {
-        let name = job.name.to_name();
-        let mut sealed = bufpool::take();
-        let seal_start = Instant::now();
-        if shared
-            .codec
-            .seal_into(&name, &job.raw, &mut sealed)
-            .is_err()
-        {
-            // A seal failure is a data-path corruption we must not paper
-            // over: skipping the object (the old behavior) would ack a
-            // batch whose bytes never reached the cloud. Stop this
-            // uploader and leave the batch un-acked — the DBMS blocks at
-            // the Safety limit, and the fault surfaces via
-            // `Exposure::fatal` instead of as silent data loss.
+/// The one WAL-object upload: seal, PUT through `put`, account, recycle
+/// both buffers (they feed this thread's next `bufpool::take`, so the
+/// steady-state upload path stops allocating per object), and only then
+/// register the object in the view — so the view, and through it GC and
+/// recovery, never names an object that is not durable. Ring jobs,
+/// spilled jobs and Reboot's spill drain differ only in `put`.
+fn upload_wal_job(
+    codec: &Codec,
+    stats: &GinjaStats,
+    view: &Mutex<CloudView>,
+    put: PutFn<'_>,
+    job: UploadJob,
+) -> Result<(), GinjaError> {
+    let name = job.name.to_name();
+    let sealed = seal_timed(codec, stats, &name, &job.raw)?;
+    put(&name, &sealed)?;
+    stats.wal_objects_uploaded.fetch_add(1, Ordering::Relaxed);
+    stats
+        .wal_bytes_raw
+        .fetch_add(job.raw.len() as u64, Ordering::Relaxed);
+    stats
+        .wal_bytes_sealed
+        .fetch_add(sealed.len() as u64, Ordering::Relaxed);
+    bufpool::recycle(sealed);
+    bufpool::recycle(job.raw);
+    view.lock().add_wal(job.name);
+    Ok(())
+}
+
+/// [`upload_wal_job`] for the running pipeline: the PUT retries until
+/// durable, one fair-scheduled attempt at a time through `gate`.
+/// Returns `false` when this uploader must stop — on shutdown, or on a
+/// seal failure. A seal failure is a data-path corruption we must not
+/// paper over: skipping the object would ack a batch whose bytes never
+/// reached the cloud. The batch stays un-acked — the DBMS blocks at the
+/// Safety limit — and the fault surfaces via `Exposure::fatal` instead
+/// of as silent data loss.
+fn upload_until_durable(shared: &Shared, gate: &FanoutHandle, job: UploadJob) -> bool {
+    // On a shared executor the PUT competes through the tenant's lane
+    // against other tenants' waves, so a neighbor's bulk dump cannot
+    // crowd out this commit. The permit is acquired *per attempt*
+    // inside `put_with_retry` — a tenant whose prefix is down must not
+    // camp on shared permits across its backoff waits, or its outage
+    // would starve healthy neighbors of executor capacity.
+    let put = |name: &str, sealed: &[u8]| put_with_retry(shared, Some(gate), name, sealed);
+    match upload_wal_job(&shared.codec, &shared.stats, &shared.view, &put, job) {
+        Ok(()) => true,
+        Err(GinjaError::ShutDown) => false,
+        Err(_) => {
             shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let seal_elapsed = seal_start.elapsed();
-        shared.stats.seal_histo.record(seal_elapsed);
-        shared
-            .stats
-            .seal_micros
-            .fetch_add(seal_elapsed.as_micros() as u64, Ordering::Relaxed);
-
-        // The commit-path PUT is one fair-scheduled job: on a shared
-        // executor it competes through the tenant's lane against other
-        // tenants' waves, so a neighbor's bulk dump cannot crowd out
-        // this commit. (Solo executors pass through unchanged.) The
-        // permit is acquired *per attempt* inside `put_with_retry` —
-        // a tenant whose prefix is down must not camp on shared permits
-        // across its backoff sleeps, or its outage would starve healthy
-        // neighbors of executor capacity. The checkpointer instead
-        // passes no gate: it calls from inside an already-gated wave
-        // job, and a nested acquire there could deadlock the gate.
-        if !put_with_retry(shared, Some(&shared.fanout), &name, &sealed) {
-            return; // shutdown while retrying
-        }
-        shared
-            .stats
-            .wal_objects_uploaded
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .wal_bytes_raw
-            .fetch_add(job.raw.len() as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .wal_bytes_sealed
-            .fetch_add(sealed.len() as u64, Ordering::Relaxed);
-        bufpool::recycle(sealed);
-        // The raw payload was sealed and uploaded; recycling it here
-        // feeds this thread's next `bufpool::take` in `seal_into`, so
-        // the steady-state upload path stops allocating per object.
-        bufpool::recycle(std::mem::take(&mut job.raw));
-        shared.view.lock().add_wal(job.name.clone());
-        if unlock_tx
-            .send(UnlockMsg::Ack {
-                batch_id: job.batch_id,
-            })
-            .is_err()
-        {
-            return;
+            false
         }
     }
 }
 
-fn unlocker_loop(shared: &Shared, unlock_rx: Receiver<UnlockMsg>) {
-    use std::collections::HashMap;
-    struct BatchState {
-        items: usize,
-        objects: usize,
-        acked: usize,
-        manifest_seen: bool,
-    }
-    let mut batches: HashMap<u64, BatchState> = HashMap::new();
-    let mut next_expected = 0u64;
-
-    for msg in unlock_rx.iter() {
-        match msg {
-            UnlockMsg::Manifest {
-                batch_id,
-                items,
-                objects,
-            } => {
-                let entry = batches.entry(batch_id).or_insert(BatchState {
-                    items: 0,
-                    objects: 0,
-                    acked: 0,
-                    manifest_seen: false,
-                });
-                entry.items = items;
-                entry.objects = objects;
-                entry.manifest_seen = true;
-            }
-            UnlockMsg::Ack { batch_id } => {
-                let entry = batches.entry(batch_id).or_insert(BatchState {
-                    items: 0,
-                    objects: 0,
-                    acked: 0,
-                    manifest_seen: false,
-                });
-                entry.acked += 1;
-            }
+/// An uploader serves two sources. The spill backlog comes first: when
+/// it holds records and this uploader wins the drain token, it replays
+/// the oldest record — strictly FIFO, through the catch-up lane — and
+/// comes round again. Otherwise it takes the next job off the ring. The
+/// aggregator nudges the ring after every spill, so an idle uploader
+/// picks the record up at once and the backlog never waits for a poll;
+/// during the outage itself `put_with_retry` simply blocks here, so the
+/// drain starts the moment the cloud answers again.
+fn uploader_loop(shared: &Shared) {
+    let claim_spill = || {
+        if shared.stop.is_stopped() || shared.spill.is_empty() {
+            return None;
         }
-        // Acknowledge strictly in batch order: this is what guarantees
-        // the queue only unblocks when every WAL object with a smaller
-        // timestamp is durable (the contiguity rule of §5.3).
-        while let Some(state) = batches.get(&next_expected) {
-            if !(state.manifest_seen && state.acked >= state.objects) {
-                break;
+        shared.spill_drain.try_lock()
+    };
+    loop {
+        match shared.upload_ring.pop(|j| j.raw.len(), claim_spill) {
+            Popped::Elsewhere(_token) => {
+                if !drain_spilled_job(shared) {
+                    return;
+                }
             }
-            shared.queue.ack_front(state.items);
-            batches.remove(&next_expected);
-            next_expected += 1;
+            Popped::Item(job) => {
+                let batch_id = job.batch_id;
+                if !upload_until_durable(shared, &shared.fanout, job) {
+                    return;
+                }
+                complete_object(shared, batch_id);
+            }
+            Popped::Closed => return,
         }
     }
 }
 
-/// The catch-up resync drain: replays the durable spill queue into the
-/// cloud, strictly FIFO, whenever it holds records. During the outage
-/// itself `put_with_retry` simply blocks here (backing off, permits
-/// released between attempts), so the drain starts the moment the cloud
-/// answers again. Each record only leaves the spill — and its commit
-/// queue entry only acks — after its object is durable in the cloud,
-/// exactly the uploader's contract; a crash mid-drain re-drains at the
-/// next Reboot.
-///
-/// `catchup` is the drain's fan-out gate: a dedicated fair-share lane
-/// (weight `outage.catchup_weight`) on a shared executor, so a tenant
-/// catching up cannot crowd out its neighbors' commit traffic.
-fn catchup_loop(shared: &Shared, catchup: &FanoutHandle, unlock_tx: Sender<UnlockMsg>) {
+/// Uploads the spill queue's front record (caller holds the drain
+/// token). The record only leaves the spill — and its commit-queue
+/// entries only ack — after its object is durable in the cloud, exactly
+/// a ring job's contract; a crash mid-drain re-drains at the next
+/// Reboot. Returns `false` when this uploader must stop.
+fn drain_spilled_job(shared: &Shared) -> bool {
     let poll = shared.config.outage.poll_interval;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        let front = match shared.spill.front() {
-            Ok(Some(front)) => front,
-            Ok(None) => {
-                std::thread::sleep(poll);
-                continue;
-            }
-            Err(_) => {
-                // Local-disk read trouble: the record stays queued;
-                // retry at the next poll rather than losing it.
-                std::thread::sleep(poll);
-                continue;
-            }
-        };
-        let (seq, payload) = front;
-        let Some(mut job) = decode_spill_record(&payload) else {
-            // The spill queue's checksum already rejects torn writes, so
-            // an undecodable record means external tampering. Its queue
-            // entry can never ack: stop loudly instead of spinning.
-            shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
-            return;
-        };
-        let name = job.name.to_name();
-        let mut sealed = bufpool::take();
-        let seal_start = Instant::now();
-        if shared
-            .codec
-            .seal_into(&name, &job.raw, &mut sealed)
-            .is_err()
-        {
-            // Same stance as the uploader: a seal failure must surface
-            // as a stopped stage, never as a silently dropped object.
-            shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let seal_elapsed = seal_start.elapsed();
-        shared.stats.seal_histo.record(seal_elapsed);
-        shared
-            .stats
-            .seal_micros
-            .fetch_add(seal_elapsed.as_micros() as u64, Ordering::Relaxed);
-        if !put_with_retry(shared, Some(catchup), &name, &sealed) {
-            return; // shutdown while retrying
-        }
-        shared
-            .stats
-            .wal_objects_uploaded
-            .fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .wal_bytes_raw
-            .fetch_add(job.raw.len() as u64, Ordering::Relaxed);
-        shared
-            .stats
-            .wal_bytes_sealed
-            .fetch_add(sealed.len() as u64, Ordering::Relaxed);
-        shared.stats.catchup_drained.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .catchup_drained_bytes
-            .fetch_add(job.raw.len() as u64, Ordering::Relaxed);
-        bufpool::recycle(sealed);
-        bufpool::recycle(std::mem::take(&mut job.raw));
-        shared.view.lock().add_wal(job.name.clone());
-        if shared.spill.ack(seq).is_err() {
-            // Ack (delete) failed: the record re-drains next iteration —
-            // a duplicate PUT of the same name and bytes, idempotent.
-            // Pace the retry so a dying disk doesn't spin this loop.
-            std::thread::sleep(poll);
-        }
-        let _ = unlock_tx.send(UnlockMsg::Ack {
-            batch_id: job.batch_id,
-        });
+    let (seq, payload) = match shared.spill.front() {
+        Ok(Some(front)) => front,
+        // Another uploader drained the last record first.
+        Ok(None) => return true,
+        // Local-disk read trouble: the record stays queued; pace the
+        // retry rather than losing it.
+        Err(_) => return !shared.stop.wait(poll),
+    };
+    let Some(job) = decode_spill_record(&payload) else {
+        // The spill queue's checksum already rejects torn writes, so
+        // an undecodable record means external tampering. Its queue
+        // entry can never ack: stop loudly instead of spinning.
+        shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
+        return false;
+    };
+    let (batch_id, bytes) = (job.batch_id, job.name.len);
+    if !upload_until_durable(shared, &shared.catchup, job) {
+        return false;
     }
-}
-
-/// The outage policy thread: every `outage.poll_interval` it feeds the
-/// breaker state and spill gauges to the [`OutagePolicy`] state machine,
-/// publishes the state for `exposure()`/`stats()`, counts
-/// outages/sheds/outage time, and applies adaptive backpressure through
-/// the one-knob path — B/TB widened to the envelope's maxima (never past
-/// S/TS), dumps deferred, sentinel scrub paced down. The pre-outage
-/// knobs are restored when the policy returns to Healthy.
-fn outage_loop(shared: &Shared) {
-    let mut policy = OutagePolicy::new(
-        shared.config.outage.enduring_after,
-        shared.config.outage.spill_ceiling,
-    );
-    let poll = shared.config.outage.poll_interval;
-    let mut baseline: Option<Knobs> = None;
-    let mut last_tick = Instant::now();
-    let mut next_poll = Instant::now() + poll;
-    while !shared.shutdown.load(Ordering::SeqCst) {
-        if Instant::now() < next_poll {
-            // Short sleeps keep shutdown responsive under long polls.
-            std::thread::sleep(poll.min(Duration::from_millis(2)));
-            continue;
-        }
-        next_poll = Instant::now() + poll;
-
-        let now = Instant::now();
-        let obs = OutageObservation {
-            breaker_open: shared.cloud.snapshot().breaker_state == BreakerState::Open,
-            spill_records: shared.spill.len(),
-            spill_bytes: shared.spill.bytes(),
-        };
-        let prev = policy.state();
-        let state = policy.tick(&obs, now);
-        shared
-            .outage_state_bits
-            .store(state.as_u64(), Ordering::Relaxed);
-
-        let was_outage = matches!(prev, OutageState::Enduring | OutageState::Shedding);
-        let is_outage = matches!(state, OutageState::Enduring | OutageState::Shedding);
-        if is_outage && !was_outage {
-            shared.stats.outages.fetch_add(1, Ordering::Relaxed);
-        }
-        if state == OutageState::Shedding && prev != OutageState::Shedding {
-            shared.stats.outage_sheds.fetch_add(1, Ordering::Relaxed);
-        }
-        let dt = now.duration_since(last_tick);
-        last_tick = now;
-        if is_outage {
-            shared
-                .stats
-                .outage_micros
-                .fetch_add(dt.as_micros() as u64, Ordering::Relaxed);
-        }
-
-        if is_outage {
-            if baseline.is_none() {
-                baseline = Some(current_knobs_of(shared));
-            }
-            // Escalate to the tuning envelope's maxima — B/TB widened
-            // toward S (fewer, fuller PUTs once the cloud answers),
-            // dumps deferred, scrub paced down. S/TS are never touched:
-            // the RPO bound holds through the outage. Re-applied every
-            // poll so a concurrent governor decision cannot quietly
-            // unwind it while the outage lasts.
-            let bounds = knob_bounds_for(&shared.config);
-            apply_knobs_to(
-                shared,
-                &Knobs {
-                    batch: bounds.max_batch,
-                    batch_timeout: bounds.max_batch_timeout,
-                    dump_threshold: bounds.max_dump_threshold,
-                    sentinel_pace: bounds.max_sentinel_pace,
-                },
-            );
-        } else if let Some(knobs) = baseline.take() {
-            // Outage over: hand the pipeline back its pre-outage tuning.
-            apply_knobs_to(shared, &knobs);
-        }
+    if shared.spill.ack(seq).is_err() {
+        // Ack (delete) failed: the record re-drains next round — a
+        // duplicate PUT of the same name and bytes, idempotent — and
+        // completes its batch once, when the delete succeeds. Pace the
+        // retry so a dying disk doesn't spin this loop.
+        return !shared.stop.wait(poll);
     }
+    shared.stats.catchup_drained.fetch_add(1, Ordering::Relaxed);
+    shared
+        .stats
+        .catchup_drained_bytes
+        .fetch_add(bytes, Ordering::Relaxed);
+    complete_object(shared, batch_id);
+    true
 }
 
 fn checkpointer_loop(shared: &Shared) {
@@ -1903,13 +1801,7 @@ fn checkpointer_loop(shared: &Shared) {
             });
             names.push(name);
         }
-        let retry_put = |name: &str, sealed: &[u8]| -> Result<(), GinjaError> {
-            if put_with_retry(shared, None, name, sealed) {
-                Ok(())
-            } else {
-                Err(GinjaError::ShutDown)
-            }
-        };
+        let retry_put = |name: &str, sealed: &[u8]| put_with_retry(shared, None, name, sealed);
         let mut uploaded = Vec::new();
         let wave = seal_put_wave(
             &shared.fanout,

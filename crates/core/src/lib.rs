@@ -63,10 +63,12 @@ pub mod recovery;
 pub mod verify;
 pub mod view;
 
+mod ack;
 mod config;
 mod error;
 mod ginja;
 mod outage;
+mod periodic;
 mod stats;
 
 pub use agg::{rollup, SnapshotTotals};
@@ -83,6 +85,7 @@ pub use ginja_cloud::{
 pub use ginja_cost::{BudgetConfig, KnobBounds, Knobs};
 pub use names::{DbObjectKind, DbObjectName, WalObjectName, DB_PREFIX, WAL_PREFIX};
 pub use outage::{OutageObservation, OutagePolicy, OutageState};
+pub use periodic::PeriodicTask;
 pub use recovery::{
     list_restore_points, recover_into, recover_to_point, RecoveryReport, RestorePoint,
     RestorePointKind,

@@ -217,6 +217,17 @@ struct RingInner<T> {
     closed: bool,
 }
 
+/// What [`UploadRing::pop`] came back with.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Popped<T, W> {
+    /// The oldest item of the ring.
+    Item(T),
+    /// The caller's claim on work outside the ring.
+    Elsewhere(W),
+    /// The ring is closed and drained.
+    Closed,
+}
+
 /// A bounded MPMC ring between the aggregator and the uploader pool —
 /// the replacement for the old unbounded upload channel. Capacity is in
 /// items; a parallel byte gauge tracks payload RAM for observability.
@@ -275,22 +286,40 @@ impl<T> UploadRing<T> {
         true
     }
 
-    /// Blocking pop: `None` only once the ring is closed *and* drained,
-    /// so shutdown never strands queued work.
-    pub(crate) fn pop(&self, bytes_of: impl Fn(&T) -> usize) -> Option<T> {
+    /// Blocking pop for a consumer with a second source of work.
+    /// `elsewhere` claims that other work (the spill backlog) and is
+    /// tried first, then the ring; `Closed` comes only once the ring is
+    /// closed *and* drained, so shutdown never strands queued work.
+    /// `elsewhere` runs under the ring lock, so whoever publishes such
+    /// work and then calls [`UploadRing::nudge`] cannot slip between a
+    /// consumer's check and its wait.
+    pub(crate) fn pop<W>(
+        &self,
+        bytes_of: impl Fn(&T) -> usize,
+        elsewhere: impl Fn() -> Option<W>,
+    ) -> Popped<T, W> {
         let mut inner = self.inner.lock();
         loop {
+            if let Some(claim) = elsewhere() {
+                return Popped::Elsewhere(claim);
+            }
             if let Some(item) = inner.items.pop_front() {
                 self.bytes
                     .fetch_sub(bytes_of(&item) as u64, Ordering::Relaxed);
                 self.not_full.notify_one();
-                return Some(item);
+                return Popped::Item(item);
             }
             if inner.closed {
-                return None;
+                return Popped::Closed;
             }
             self.not_empty.wait(&mut inner);
         }
+    }
+
+    /// Wakes one waiting consumer to re-run its `elsewhere` check.
+    pub(crate) fn nudge(&self) {
+        let _inner = self.inner.lock();
+        self.not_empty.notify_one();
     }
 
     pub(crate) fn close(&self) {
@@ -446,6 +475,11 @@ pub(crate) fn decode_spill_record(payload: &[u8]) -> Option<UploadJob> {
 mod tests {
     use super::*;
 
+    /// A consumer with no second source of work.
+    fn ring_only() -> Option<()> {
+        None
+    }
+
     fn obs(breaker_open: bool, spill_records: u64, spill_bytes: u64) -> OutageObservation {
         OutageObservation {
             breaker_open,
@@ -593,7 +627,7 @@ mod tests {
         assert_eq!(ring.try_push(3, 30), Err(3));
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.bytes(), 30);
-        assert_eq!(ring.pop(|_| 10), Some(1));
+        assert_eq!(ring.pop(|_| 10, ring_only), Popped::Item(1));
         assert_eq!(ring.bytes(), 20);
         assert!(ring.try_push(3, 30).is_ok());
     }
@@ -606,9 +640,9 @@ mod tests {
         let pusher = std::thread::spawn(move || r.push(2, 0));
         std::thread::sleep(Duration::from_millis(20));
         assert!(!pusher.is_finished(), "push must block on a full ring");
-        assert_eq!(ring.pop(|_| 0), Some(1));
+        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(1));
         assert!(pusher.join().unwrap());
-        assert_eq!(ring.pop(|_| 0), Some(2));
+        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(2));
     }
 
     #[test]
@@ -618,9 +652,32 @@ mod tests {
         ring.try_push(2, 0).unwrap();
         ring.close();
         assert!(!ring.push(3, 0), "push after close is refused");
-        assert_eq!(ring.pop(|_| 0), Some(1));
-        assert_eq!(ring.pop(|_| 0), Some(2));
-        assert_eq!(ring.pop(|_| 0), None);
+        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(1));
+        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(2));
+        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Closed);
+    }
+
+    #[test]
+    fn ring_pop_prefers_work_elsewhere_and_a_nudge_wakes_a_waiter() {
+        let ring: std::sync::Arc<UploadRing<u32>> = std::sync::Arc::new(UploadRing::new(2));
+        ring.try_push(1, 0).unwrap();
+        assert_eq!(
+            ring.pop(|_| 0, || Some("spill")),
+            Popped::Elsewhere("spill")
+        );
+        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(1));
+
+        // A consumer asleep on the empty ring: work published elsewhere
+        // plus a nudge brings it back with the claim.
+        let published = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (r, flag) = (ring.clone(), published.clone());
+        let consumer =
+            std::thread::spawn(move || r.pop(|_| 0, || flag.load(Ordering::SeqCst).then_some(7u8)));
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "pop must wait on an empty ring");
+        published.store(true, Ordering::SeqCst);
+        ring.nudge();
+        assert_eq!(consumer.join().unwrap(), Popped::Elsewhere(7));
     }
 
     fn ckpt(ts: u64, kind: DbObjectKind, tag: u8) -> CkptJob {

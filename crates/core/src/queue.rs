@@ -140,7 +140,8 @@ pub struct CommitQueue {
     /// Serializes `take_batch` callers (the pipeline has one aggregator,
     /// but the old queue tolerated concurrent takes, so this must too).
     take_gate: Mutex<()>,
-    /// Serializes `ack_front` callers (one Unlocker in the pipeline).
+    /// Serializes `ack_front` callers (in the pipeline any uploader may
+    /// be one; the `AckLedger` decides their order).
     ack_gate: Mutex<()>,
     put_histo: LatencyHisto,
     blocked_histo: LatencyHisto,

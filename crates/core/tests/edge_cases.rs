@@ -1,5 +1,5 @@
 //! Edge-case integration tests for the middleware: degraded cloud
-//! states, ablation modes, and recovery fallbacks.
+//! states and recovery fallbacks.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -35,44 +35,6 @@ fn protect(config: GinjaConfig) -> (Database, Ginja, Arc<MemStore>) {
     let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
     let db = Database::open(fs, DbProfile::postgres_small()).unwrap();
     (db, ginja, cloud)
-}
-
-#[test]
-fn recovery_without_coalescing_matches() {
-    // Ablation mode must stay crash-correct: one object per write.
-    let config = GinjaConfig::builder()
-        .batch(4)
-        .safety(64)
-        .batch_timeout(Duration::from_millis(20))
-        .coalesce(false)
-        .build()
-        .unwrap();
-    let (db, ginja, cloud) = protect(config.clone());
-    for i in 0..50u64 {
-        db.put(1, i % 20, format!("v{i}").into_bytes()).unwrap();
-    }
-    assert!(ginja.sync(Duration::from_secs(20)));
-    // Without coalescing, objects ≈ intercepted updates.
-    let stats = ginja.stats();
-    assert!(
-        stats.wal_objects_uploaded >= stats.updates_intercepted,
-        "{} objects for {} updates",
-        stats.wal_objects_uploaded,
-        stats.updates_intercepted
-    );
-    ginja.shutdown();
-    drop(db);
-
-    let rebuilt = Arc::new(MemFs::new());
-    recover_into(rebuilt.as_ref(), cloud.as_ref(), &config).unwrap();
-    let db = Database::open(rebuilt, DbProfile::postgres_small()).unwrap();
-    for k in 0..20u64 {
-        let last = (0..50).filter(|i| i % 20 == k).max().unwrap();
-        assert_eq!(
-            db.get(1, k).unwrap().unwrap(),
-            format!("v{last}").into_bytes()
-        );
-    }
 }
 
 #[test]
@@ -301,4 +263,94 @@ fn empty_database_boot_and_recover() {
         db.get(99, 0),
         Err(ginja_db::DbError::TableMissing(99))
     ));
+}
+
+/// A bucket whose first GET of a DB object fails the way the resilience
+/// layer's open circuit breaker does: classified non-retryable, though
+/// the object itself is intact.
+struct BreakerBlip {
+    inner: MemStore,
+    blipped: std::sync::atomic::AtomicBool,
+}
+
+impl ObjectStore for BreakerBlip {
+    fn put(&self, name: &str, data: &[u8]) -> Result<(), ginja_cloud::StoreError> {
+        self.inner.put(name, data)
+    }
+
+    fn get(&self, name: &str) -> Result<Vec<u8>, ginja_cloud::StoreError> {
+        let first = !self.blipped.swap(true, std::sync::atomic::Ordering::SeqCst);
+        if first && name.starts_with("DB/") {
+            return Err(ginja_cloud::StoreError::fatal("circuit breaker open"));
+        }
+        self.inner.get(name)
+    }
+
+    fn delete(&self, name: &str) -> Result<(), ginja_cloud::StoreError> {
+        self.inner.delete(name)
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>, ginja_cloud::StoreError> {
+        self.inner.list(prefix)
+    }
+}
+
+#[test]
+fn collision_merge_survives_a_non_retryable_get_failure() {
+    // Nothing uploads until `sync` forces a flush, so the second
+    // checkpoint starts at the first one's watermark and must merge.
+    let config = GinjaConfig::builder()
+        .batch(1000)
+        .safety(2000)
+        .batch_timeout(Duration::from_secs(60))
+        .safety_timeout(Duration::from_secs(60))
+        .build()
+        .unwrap();
+    let local = Arc::new(MemFs::new());
+    let profile = DbProfile::postgres_small();
+    let db = Database::create(local.clone(), profile.clone()).unwrap();
+    db.create_table(1, 64).unwrap();
+    drop(db);
+    let cloud = Arc::new(BreakerBlip {
+        inner: MemStore::new(),
+        blipped: std::sync::atomic::AtomicBool::new(false),
+    });
+    let ginja = Ginja::boot(
+        local.clone(),
+        cloud.clone(),
+        Arc::new(PostgresProcessor::new()),
+        config.clone(),
+    )
+    .unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    let db = Database::open(fs, profile.clone()).unwrap();
+    let row = |key: u64| format!("row-{key:04}-{}", "x".repeat(40)).into_bytes();
+
+    // First checkpoint: the only page images of rows 0..300; its GC
+    // deletes the WAL that carried them.
+    for key in 0..300u64 {
+        db.put(1, key, row(key)).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(20)));
+    db.checkpoint().unwrap();
+    assert!(ginja.sync(Duration::from_secs(20)));
+
+    // Second checkpoint, same timestamp, other pages. Its merge GET of
+    // the first generation hits the blip. Giving the old generation up
+    // as unusable would replace it with a non-superset.
+    for key in 300..600u64 {
+        db.put(1, key, row(key)).unwrap();
+    }
+    db.checkpoint().unwrap();
+    assert!(ginja.sync(Duration::from_secs(20)));
+    assert_eq!(ginja.view().db_count(), 2, "dump + one merged checkpoint");
+    ginja.shutdown();
+    drop(db);
+
+    let rebuilt = Arc::new(MemFs::new());
+    recover_into(rebuilt.as_ref(), &cloud.inner, &config).unwrap();
+    let db = Database::open(rebuilt, profile).unwrap();
+    for key in 0..600u64 {
+        assert_eq!(db.get(1, key).unwrap(), Some(row(key)), "row {key}");
+    }
 }

@@ -8,9 +8,7 @@
 //!
 //! The API is the [`Budget`] type: construct one from a monthly dollar
 //! figure and a price sheet, then ask it for costs, affordable sizes,
-//! and the frontier series. The old free functions remain as deprecated
-//! `#[doc(hidden)]` shims for one release; nothing in the workspace
-//! calls them anymore.
+//! and the frontier series.
 
 use crate::pricing::S3Pricing;
 
@@ -76,32 +74,6 @@ impl Budget {
             .map(|rate| (rate, self.max_db_size_gb(rate)))
             .collect()
     }
-}
-
-/// Monthly cost of the simple Figure 1 setup.
-#[doc(hidden)]
-#[deprecated(since = "0.1.0", note = "use Budget::monthly_cost_simple instead")]
-pub fn monthly_cost_simple(db_size_gb: f64, syncs_per_hour: f64, pricing: &S3Pricing) -> f64 {
-    Budget::with_pricing(0.0, *pricing).monthly_cost_simple(db_size_gb, syncs_per_hour)
-}
-
-/// Largest database size affordable at `syncs_per_hour` under `budget`
-/// dollars per month.
-#[doc(hidden)]
-#[deprecated(since = "0.1.0", note = "use Budget::max_db_size_gb instead")]
-pub fn max_db_size_gb(syncs_per_hour: f64, budget: f64, pricing: &S3Pricing) -> f64 {
-    Budget::with_pricing(budget, *pricing).max_db_size_gb(syncs_per_hour)
-}
-
-/// Samples the frontier at each of `syncs_per_hour`.
-#[doc(hidden)]
-#[deprecated(since = "0.1.0", note = "use Budget::frontier instead")]
-pub fn budget_frontier(
-    syncs_per_hour: impl IntoIterator<Item = f64>,
-    budget: f64,
-    pricing: &S3Pricing,
-) -> Vec<(f64, f64)> {
-    Budget::with_pricing(budget, *pricing).frontier(syncs_per_hour)
 }
 
 #[cfg(test)]

@@ -36,11 +36,6 @@ mod pricing;
 pub mod scenarios;
 
 pub use frontier::Budget;
-// Deprecated free-function shims, kept re-exported (hidden) for one
-// release; every internal caller now goes through `Budget` methods.
-#[doc(hidden)]
-#[allow(deprecated)]
-pub use frontier::{budget_frontier, max_db_size_gb, monthly_cost_simple};
 pub use governor::{BudgetConfig, GovernorPolicy, KnobBounds, Knobs, SpendProjection};
 pub use model::{GinjaCostModel, SyncRate, MINUTES_PER_MONTH};
 pub use pricing::{Ec2Pricing, S3Pricing};

@@ -2,13 +2,12 @@
 //! [`Ginja`] instance.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ginja_cloud::{DeltaLister, ObjectStore, StoreError};
 use ginja_codec::Codec;
-use ginja_core::{Ginja, GinjaError, SentinelSnapshot, SentinelStats, WalObjectName};
+use ginja_core::{Ginja, GinjaError, PeriodicTask, SentinelSnapshot, SentinelStats, WalObjectName};
 use parking_lot::Mutex;
 
 use crate::rehearse::{rehearse_bucket, RehearsalReport};
@@ -66,8 +65,7 @@ pub struct Sentinel {
     stats: Arc<SentinelStats>,
     codec: Codec,
     state: Mutex<ScrubState>,
-    shutdown: AtomicBool,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    task: Mutex<Option<PeriodicTask>>,
 }
 
 impl std::fmt::Debug for Sentinel {
@@ -91,8 +89,7 @@ impl Sentinel {
             stats,
             codec,
             state: Mutex::new(ScrubState::default()),
-            shutdown: AtomicBool::new(false),
-            thread: Mutex::new(None),
+            task: Mutex::new(None),
         })
     }
 
@@ -107,48 +104,43 @@ impl Sentinel {
     /// re-verification cost, never durability), rehearse every
     /// `sentinel.rehearsal_interval`. Idempotent.
     pub fn spawn(self: &Arc<Self>) {
-        let mut slot = self.thread.lock();
+        let mut slot = self.task.lock();
         if slot.is_some() {
             return;
         }
         let sentinel = self.clone();
-        *slot = Some(
-            std::thread::Builder::new()
-                .name("ginja-sentinel".into())
-                .spawn(move || {
-                    let cfg = sentinel.ginja.config().sentinel;
-                    let mut next_scrub = Instant::now() + sentinel.ginja.governed_scrub_interval();
-                    let mut next_rehearsal = Instant::now() + cfg.rehearsal_interval;
-                    while !sentinel.shutdown.load(Ordering::SeqCst) {
-                        let now = Instant::now();
-                        if now >= next_scrub {
-                            // A failed cycle (e.g. breaker open) is not
-                            // fatal to the loop: the next interval
-                            // retries against a hopefully-healthier
-                            // cloud. The interval is re-read each cycle
-                            // so a governor retune takes effect at the
-                            // next scheduling decision.
-                            let _ = sentinel.run_cycle();
-                            next_scrub = Instant::now() + sentinel.ginja.governed_scrub_interval();
-                        }
-                        if now >= next_rehearsal {
-                            let _ = sentinel.rehearse();
-                            next_rehearsal = Instant::now() + cfg.rehearsal_interval;
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                })
-                .expect("spawn sentinel"),
-        );
+        let rehearsal_interval = self.ginja.config().sentinel.rehearsal_interval;
+        let mut next_scrub = Instant::now() + self.ginja.governed_scrub_interval();
+        let mut next_rehearsal = Instant::now() + rehearsal_interval;
+        *slot = Some(PeriodicTask::spawn("ginja-sentinel", move || {
+            let now = Instant::now();
+            if now >= next_scrub {
+                // A failed cycle (e.g. breaker open) is not fatal to
+                // the loop: the next interval retries against a
+                // hopefully-healthier cloud. The interval is re-read
+                // each cycle so a governor retune takes effect at the
+                // next scheduling decision.
+                let _ = sentinel.run_cycle();
+                next_scrub = Instant::now() + sentinel.ginja.governed_scrub_interval();
+            }
+            if now >= next_rehearsal {
+                let _ = sentinel.rehearse();
+                next_rehearsal = Instant::now() + rehearsal_interval;
+            }
+            Some(
+                next_scrub
+                    .min(next_rehearsal)
+                    .saturating_duration_since(Instant::now()),
+            )
+        }));
     }
 
     /// Stops the background thread (if running) and joins it.
     /// Idempotent; direct calls to `run_cycle`/`rehearse` still work
     /// afterwards.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.lock().take() {
-            let _ = handle.join();
+        if let Some(task) = self.task.lock().take() {
+            task.shutdown();
         }
     }
 

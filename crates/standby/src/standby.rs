@@ -8,8 +8,8 @@ use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, UsageLedger, UsageMe
 use ginja_codec::Codec;
 use ginja_core::{
     ApplyEngine, ApplyProgress, CloudView, DbObjectKind, DbObjectName, FanoutHandle, Ginja,
-    GinjaConfig, GinjaError, RecoveryReport, StandbySnapshot, StandbyStats, WalObjectName,
-    DB_PREFIX, WAL_PREFIX,
+    GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, StandbySnapshot, StandbyStats,
+    WalObjectName, DB_PREFIX, WAL_PREFIX,
 };
 use ginja_cost::governor::project_spend;
 use ginja_cost::BudgetConfig;
@@ -143,8 +143,7 @@ pub struct Standby {
     pace_bits: AtomicU64,
     fenced: AtomicBool,
     state: Mutex<TailState>,
-    shutdown: AtomicBool,
-    thread: Mutex<Option<std::thread::JoinHandle<()>>>,
+    task: Mutex<Option<PeriodicTask>>,
 }
 
 impl std::fmt::Debug for Standby {
@@ -246,8 +245,7 @@ impl Standby {
                 applied_ckpts: std::collections::BTreeSet::new(),
                 drained_at: Instant::now(),
             }),
-            shutdown: AtomicBool::new(false),
-            thread: Mutex::new(None),
+            task: Mutex::new(None),
         })
     }
 
@@ -361,35 +359,26 @@ impl Standby {
     /// failed cycle (outage, open breaker) is counted and retried at
     /// the next interval.
     pub fn spawn(self: &Arc<Self>) {
-        let mut slot = self.thread.lock();
+        let mut slot = self.task.lock();
         if slot.is_some() {
             return;
         }
         let standby = self.clone();
-        *slot = Some(
-            std::thread::Builder::new()
-                .name("ginja-standby".into())
-                .spawn(move || {
-                    let mut next = Instant::now();
-                    while !standby.shutdown.load(Ordering::SeqCst) && !standby.is_fenced() {
-                        if Instant::now() >= next {
-                            let _ = standby.run_cycle();
-                            next = Instant::now() + standby.poll_interval();
-                        }
-                        std::thread::sleep(Duration::from_millis(2));
-                    }
-                })
-                .expect("spawn standby"),
-        );
+        *slot = Some(PeriodicTask::spawn("ginja-standby", move || {
+            if standby.is_fenced() {
+                return None;
+            }
+            let _ = standby.run_cycle();
+            Some(standby.poll_interval())
+        }));
     }
 
     /// Stops the background thread (if running) and joins it.
     /// Idempotent; direct calls to `run_cycle`/`promote` still work
     /// afterwards.
     pub fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.thread.lock().take() {
-            let _ = handle.join();
+        if let Some(task) = self.task.lock().take() {
+            task.shutdown();
         }
     }
 

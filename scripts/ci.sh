@@ -5,6 +5,8 @@ cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# `default-members` makes this the whole workspace: the facade's
+# integration tests plus every crate's unit tests and proptests.
 cargo test -q
 # The DR-sentinel acceptance scenario, run on its own so a chaos
 # regression is unmissable in the log.
@@ -49,15 +51,6 @@ cargo run -q --release --bin ginja-cli -- outage --rows 120 --ring 4 | grep -q "
 GINJA_BENCH_SCALE=0.02 BENCH_PR8_OUT="$PWD/BENCH_PR8.json" \
     cargo bench -q -p ginja-bench --bench ablation_outage
 test -s BENCH_PR8.json
-# Ingest fast-path smoke (DESIGN.md §16): the N-producer commit-queue
-# property test (FIFO acks, never >S unacked, no lost/duplicated
-# writes), then the old-vs-new queue ablation, which asserts the
-# width-16 win (>=1.5x throughput or >=2x lower p99 put latency) with
-# single-producer blocked p99 no worse.
-cargo test -q -p ginja-core --test queue_prop
-GINJA_BENCH_SCALE=0.02 BENCH_PR9_OUT="$PWD/BENCH_PR9.json" \
-    cargo bench -q -p ginja-bench --bench ablation_ingest
-test -s BENCH_PR9.json
 # Warm-standby smoke (DESIGN.md §17): the chaos acceptance suite
 # (outage-riding tail, mid-outage promotion bounded by S, promoted
 # shadow byte-equal to cold recovery), the operator drill, and the
@@ -68,3 +61,8 @@ cargo run -q --release --bin ginja-cli -- standby --rows 80 --waves 4 --promote 
 GINJA_BENCH_SCALE=0.02 BENCH_PR10_OUT="$PWD/BENCH_PR10.json" \
     cargo bench -q -p ginja-bench --bench ablation_standby
 test -s BENCH_PR10.json
+# The benchmark is a package of its own outside the workspace: keep it
+# compiling against core and passing its own checks, so an internal
+# rename fails here and not at the next benchmark run.
+cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
+cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke > /dev/null

@@ -1,0 +1,254 @@
+//! The thread model of DESIGN.md §2, pinned from the outside: an
+//! instance runs exactly `uploaders + 3` threads with or without a
+//! budget; the outage policy outranks the cost governor on the knobs;
+//! and `shutdown()` interrupts every timer and retry back-off instead of
+//! waiting it out.
+
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
+use ginja::core::{
+    BudgetConfig, Ginja, GinjaConfig, GinjaConfigBuilder, Knobs, OutageConfig, OutageState,
+    SentinelConfig,
+};
+use ginja::db::{Database, DbProfile};
+use ginja::sentinel::Sentinel;
+use ginja::standby::{Standby, StandbyConfig};
+use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
+
+/// `ginja-*` thread names are process-wide state: the tests of this
+/// file take turns so the census counts only its own instance.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+const TABLE: u32 = 5;
+const LONG: Duration = Duration::from_secs(60);
+
+/// Polls `probe` until it returns true or `timeout` elapses.
+fn wait_for(timeout: Duration, mut probe: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + timeout;
+    while Instant::now() < deadline {
+        if probe() {
+            return true;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    probe()
+}
+
+/// A retry policy whose breaker opens within a few failures.
+fn fast_breaker() -> RetryConfig {
+    RetryConfig {
+        max_attempts: 2,
+        base_delay: Duration::from_millis(1),
+        max_delay: Duration::from_millis(2),
+        breaker_threshold: 2,
+        breaker_cooldown: Duration::from_millis(50),
+        breaker_probes: 1,
+        ..RetryConfig::default()
+    }
+}
+
+fn builder() -> GinjaConfigBuilder {
+    GinjaConfig::builder()
+        .batch(2)
+        .safety(64)
+        .batch_timeout(Duration::from_millis(5))
+        .safety_timeout(LONG)
+        .uploaders(3)
+        .retry(fast_breaker())
+}
+
+/// A protected database over a cloud whose faults `plan` controls.
+fn protect(config: GinjaConfig) -> (Database, Ginja, Arc<FaultPlan>, Arc<MemStore>) {
+    let profile = DbProfile::postgres_small();
+    let local = Arc::new(MemFs::new());
+    let db = Database::create(local.clone(), profile.clone()).unwrap();
+    db.create_table(TABLE, 64).unwrap();
+    drop(db);
+    let bucket = Arc::new(MemStore::new());
+    let plan = Arc::new(FaultPlan::new());
+    let cloud = Arc::new(FaultStore::new(bucket.clone(), plan.clone()));
+    let ginja = Ginja::boot(
+        local.clone(),
+        cloud,
+        Arc::new(PostgresProcessor::new()),
+        config,
+    )
+    .unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    (Database::open(fs, profile).unwrap(), ginja, plan, bucket)
+}
+
+/// Names of this process's live threads that start with `ginja-`.
+#[cfg(target_os = "linux")]
+fn ginja_threads() -> Vec<String> {
+    let mut names: Vec<String> = std::fs::read_dir("/proc/self/task")
+        .unwrap()
+        .filter_map(|task| std::fs::read_to_string(task.ok()?.path().join("comm")).ok())
+        .map(|comm| comm.trim().to_string())
+        .filter(|comm| comm.starts_with("ginja-"))
+        .collect();
+    names.sort();
+    names
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn an_instance_runs_uploaders_plus_three_threads_with_or_without_a_budget() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    for budget in [None, Some(BudgetConfig::new(1.0))] {
+        let mut config = builder();
+        if let Some(budget) = budget.clone() {
+            config = config.budget(budget);
+        }
+        let (db, ginja, _plan, _bucket) = protect(config.build().unwrap());
+        db.put(TABLE, 1, b"row".to_vec()).unwrap();
+        assert!(ginja.sync(Duration::from_secs(10)));
+        // Aggregator, three uploaders, checkpointer, control.
+        let running = ginja_threads();
+        assert_eq!(running.len(), 6, "budget {budget:?}: {running:?}");
+        ginja.shutdown();
+        // `join` returns when a thread has finished; the kernel unlinks
+        // its `/proc` entry a moment later.
+        assert!(
+            wait_for(Duration::from_secs(5), || ginja_threads().is_empty()),
+            "left running: {:?}",
+            ginja_threads()
+        );
+    }
+}
+
+#[test]
+fn outage_policy_outranks_the_governor_on_the_knobs() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A budget no burst can project past, so the governor never
+    // escalates and wants to *relax* any knob it finds above the
+    // baseline — which, left to itself, it would do to the maxima the
+    // outage policy forces.
+    let mut budget = BudgetConfig::new(1e9);
+    budget.poll_interval = Duration::from_millis(3);
+    let config = builder()
+        .budget(budget)
+        .outage(OutageConfig {
+            ring_capacity: 2,
+            enduring_after: Duration::from_millis(20),
+            poll_interval: Duration::from_millis(3),
+            ..OutageConfig::default()
+        })
+        .build()
+        .unwrap();
+    let (db, ginja, plan, _bucket) = protect(config);
+    let baseline = ginja.current_knobs();
+    let bounds = ginja.knob_bounds();
+    let maxima = Knobs {
+        batch: bounds.max_batch,
+        batch_timeout: bounds.max_batch_timeout,
+        dump_threshold: bounds.max_dump_threshold,
+        sentinel_pace: bounds.max_sentinel_pace,
+    };
+    assert_ne!(baseline, maxima);
+
+    db.put(TABLE, 0, b"healthy".to_vec()).unwrap();
+    assert!(ginja.sync(Duration::from_secs(10)));
+
+    plan.outage();
+    for key in 1..=20u64 {
+        db.put(TABLE, key, b"during the outage".to_vec()).unwrap();
+    }
+    assert!(
+        wait_for(Duration::from_secs(20), || ginja.current_knobs() == maxima),
+        "outage never took the knobs: {:?} in {:?}",
+        ginja.current_knobs(),
+        ginja.outage_state()
+    );
+    // Dozens of governor polls pass; none may move or count anything.
+    let hold = Instant::now() + Duration::from_millis(150);
+    while Instant::now() < hold {
+        assert_eq!(ginja.current_knobs(), maxima, "knobs moved mid-outage");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(matches!(
+        ginja.outage_state(),
+        OutageState::Enduring | OutageState::Shedding
+    ));
+
+    plan.restore();
+    assert!(ginja.sync(Duration::from_secs(30)), "catch-up must drain");
+    assert!(
+        wait_for(Duration::from_secs(10), || ginja.current_knobs()
+            == baseline),
+        "baseline not restored: {:?}",
+        ginja.current_knobs()
+    );
+    let governor = ginja.stats().governor;
+    assert!(governor.enabled && governor.spent_microusd > 0);
+    assert_eq!(
+        (
+            governor.decisions,
+            governor.escalations,
+            governor.relaxations
+        ),
+        (0, 0, 0),
+        "the governor counted decisions the outage policy overrode"
+    );
+    ginja.shutdown();
+}
+
+#[test]
+fn shutdown_interrupts_long_timers_and_retry_backoffs() {
+    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let prompt = Duration::from_millis(250);
+    let mut budget = BudgetConfig::new(1.0);
+    budget.poll_interval = LONG;
+    let config = builder()
+        .uploaders(1)
+        .budget(budget)
+        .outage(OutageConfig {
+            poll_interval: LONG,
+            ..OutageConfig::default()
+        })
+        .sentinel(SentinelConfig {
+            scrub_interval: LONG,
+            rehearsal_interval: LONG,
+            ..SentinelConfig::default()
+        })
+        .build()
+        .unwrap();
+    let (db, ginja, plan, bucket) = protect(config.clone());
+    let sentinel = Sentinel::new(&ginja);
+    sentinel.spawn();
+    let standby = Standby::attach(
+        Arc::new(FaultStore::new(bucket, plan.clone())),
+        Arc::new(MemFs::new()),
+        config,
+        StandbyConfig {
+            poll_interval: LONG,
+            ..StandbyConfig::default()
+        },
+    )
+    .unwrap();
+    standby.spawn();
+
+    // Every PUT fails from here on; let the uploader's back-off grow
+    // to its longest waits (10 ms doubling: seven failures in, the next
+    // wait is 640 ms, then the 1 s cap).
+    plan.outage();
+    for key in 0..6u64 {
+        db.put(TABLE, key, b"stuck".to_vec()).unwrap();
+    }
+    assert!(wait_for(Duration::from_secs(20), || {
+        ginja.stats().upload_retries >= 7
+    }));
+
+    for (what, stop) in [
+        ("standby", &(|| standby.shutdown()) as &dyn Fn()),
+        ("sentinel", &|| sentinel.shutdown()),
+        ("ginja", &|| ginja.shutdown()),
+    ] {
+        let start = Instant::now();
+        stop();
+        let took = start.elapsed();
+        assert!(took < prompt, "{what} shutdown took {took:?}");
+    }
+}
