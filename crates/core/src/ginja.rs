@@ -50,6 +50,17 @@ use ginja_codec::bufpool;
 /// a correctness problem — the sentinel's orphan sweep deletes it later.
 const GC_BACKLOG_CAP: usize = 4096;
 
+/// Largest WAL object Boot and Reboot's resync cut a local log file
+/// into (or `max_object_size`, if smaller). An object is collectable
+/// only whole, and a region the DBMS never rewrites — InnoDB's 2 kB
+/// log file headers — pins the object that holds it for good; with one
+/// object per segment that was the whole log, twice the database on the
+/// benchmark's MySQL profile. At 1 MiB a header pins at most one chunk
+/// per file, and Boot pays `segment_bytes / 1 MiB` PUTs once (16 on
+/// that profile; 4 on the PostgreSQL one, whose first checkpoint
+/// deletes them by timestamp anyway).
+const BOOT_WAL_CHUNK: usize = 1 << 20;
+
 /// A point-in-time measurement of how much a disaster would cost —
 /// see [`Ginja::exposure`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -265,21 +276,22 @@ impl Ginja {
             cloud.put(name, sealed).map_err(GinjaError::from)
         };
 
-        // One WAL object per local segment (chunked at the object cap),
-        // sealed and PUT as one concurrent wave per file. In-order
-        // completion keeps `view` registration in timestamp order.
+        // Every local WAL segment in chunks of `BOOT_WAL_CHUNK`, sealed
+        // and PUT as one concurrent wave per file. In-order completion
+        // keeps `view` registration in timestamp order.
+        let chunk_size = config.max_object_size.min(BOOT_WAL_CHUNK);
         let mut wal_files = fs.list(processor.wal_prefix())?;
         wal_files.sort();
         for file in wal_files {
             let content = fs.read_all(&file)?;
             let mut names = Vec::new();
             let mut jobs = Vec::new();
-            for (i, chunk) in content.chunks(config.max_object_size.max(1)).enumerate() {
+            for (i, chunk) in content.chunks(chunk_size).enumerate() {
                 let ts = view.alloc_wal_ts();
                 let name = WalObjectName {
                     ts,
                     file: file.clone(),
-                    offset: (i * config.max_object_size) as u64,
+                    offset: (i * chunk_size) as u64,
                     len: chunk.len() as u64,
                 };
                 jobs.push(SealPut {
@@ -1125,6 +1137,7 @@ fn resync_local_wal(
     stats: &GinjaStats,
     view: &mut CloudView,
 ) -> Result<(u64, u64), GinjaError> {
+    let chunk_size = config.max_object_size.min(BOOT_WAL_CHUNK);
     let mut wal_files = fs.list(processor.wal_prefix())?;
     wal_files.sort();
     let mut objects = 0u64;
@@ -1168,8 +1181,8 @@ fn resync_local_wal(
         }
         let skip_below = names.iter().map(|n| n.offset as usize).min().unwrap_or(0);
 
-        // Collect every maximal differing run, chunked at the object
-        // cap, then seal + PUT them as one wave.
+        // Collect every maximal differing run, chunked like Boot's
+        // images, then seal + PUT them as one wave.
         let mut run_names = Vec::new();
         let mut jobs = Vec::new();
         let mut pos = skip_below;
@@ -1179,10 +1192,7 @@ fn resync_local_wal(
                 continue;
             }
             let start = pos;
-            while pos < local.len()
-                && image[pos] != Some(local[pos])
-                && pos - start < config.max_object_size.max(1)
-            {
+            while pos < local.len() && image[pos] != Some(local[pos]) && pos - start < chunk_size {
                 pos += 1;
             }
             let chunk = &local[start..pos];
@@ -1326,11 +1336,15 @@ fn get_part_with_retry(shared: &Shared, name: &str) -> PartFetch {
 }
 
 /// Deletes a garbage object with a small bounded retry budget. Returns
-/// `false` only when the budget ran out on a *retryable* error — the
-/// object probably still exists and the delete is worth re-issuing
-/// later. `NotFound`/fatal errors return `true`: re-issuing cannot
-/// help, and a fatally undeletable object is the sentinel orphan
-/// sweep's problem, not the checkpointer's.
+/// `true` only on proof that the object is gone (deleted, or
+/// [`StoreError::NotFound`]) or at shutdown, when the backlog would
+/// never drain anyway. Everything else defers the delete to the next
+/// checkpoint's GC pass: a retryable error that outlasts the budget,
+/// and at once an error classified non-retryable — such as the
+/// resilience layer's "circuit breaker open" fast-fail, which says
+/// nothing about the object (the rule of [`get_part_with_retry`]) and
+/// which re-issuing now cannot get past. The object has already left
+/// the view, so treating such an error as "done" would orphan it.
 fn delete_with_retry(shared: &Shared, name: &str) -> bool {
     for attempt in 0..3 {
         let err = match shared.cloud.delete(name) {
@@ -1340,16 +1354,10 @@ fn delete_with_retry(shared: &Shared, name: &str) -> bool {
             }
             Err(err) => err,
         };
-        if shared.stop.is_stopped() {
-            // Shutting down: never a correctness problem (the object is
-            // garbage), and the backlog would never drain anyway.
+        if matches!(err, StoreError::NotFound(_)) || shared.stop.is_stopped() {
             return true;
         }
-        if !err.is_retryable() {
-            // NotFound / fatal: re-issuing the delete cannot help.
-            return true;
-        }
-        if attempt == 2 {
+        if !err.is_retryable() || attempt == 2 {
             return false;
         }
         if shared.stop.wait(backoff(Duration::from_millis(20), &err)) {
@@ -1853,51 +1861,34 @@ fn checkpointer_loop(shared: &Shared) {
 
             // Point-in-time retention: keep the newest (keep_snapshots
             // + 1) dump chains and all WAL since the oldest retained
-            // dump; without PITR, standard Algorithm 3 GC applies.
-            let wal_cutoff = match shared.config.pitr {
-                None => job.ts,
-                Some(pitr) => {
-                    let dumps = view.dump_timestamps();
-                    let keep = pitr.keep_snapshots + 1;
-                    let floor = if dumps.len() > keep {
-                        dumps[dumps.len() - keep]
-                    } else {
-                        *dumps.first().unwrap_or(&0)
-                    };
-                    job.ts.min(floor)
+            // dump — the floor, the oldest restorable point; without
+            // PITR, standard Algorithm 3 GC applies.
+            let pitr_floor = shared.config.pitr.map(|pitr| {
+                let dumps = view.dump_timestamps();
+                let keep = pitr.keep_snapshots + 1;
+                if dumps.len() > keep {
+                    dumps[dumps.len() - keep]
+                } else {
+                    *dumps.first().unwrap_or(&0)
                 }
-            };
+            });
+            let wal_cutoff = pitr_floor.map_or(job.ts, |floor| job.ts.min(floor));
             // Algorithm 3's rule (delete everything up to the
             // checkpoint's timestamp) is only sound when checkpoints
             // flush every dirty page; for fuzzy checkpointers only WAL
-            // the DBMS demonstrably rewrote may go (see
+            // the DBMS demonstrably rewrote may go, and under PITR only
+            // when every restorable point applies the rewrite (see
             // CloudView::remove_covered_wal).
-            let wal_garbage: Vec<String> = if shared.processor.checkpoints_flush_all_dirty_pages() {
+            let wal_garbage = if shared.processor.checkpoints_flush_all_dirty_pages() {
                 view.remove_wal_up_to(wal_cutoff)
-                    .iter()
-                    .map(|w| w.to_name())
-                    .collect()
             } else {
-                view.remove_covered_wal(wal_cutoff)
-                    .iter()
-                    .map(|w| w.to_name())
-                    .collect()
+                view.remove_covered_wal(wal_cutoff, pitr_floor.unwrap_or(u64::MAX))
             };
+            let wal_garbage: Vec<String> = wal_garbage.iter().map(|w| w.to_name()).collect();
 
             let mut db_garbage: Vec<String> = replaced_parts;
             if job.kind == DbObjectKind::Dump {
-                let cutoff = match shared.config.pitr {
-                    None => job.ts,
-                    Some(pitr) => {
-                        let dumps = view.dump_timestamps();
-                        let keep = pitr.keep_snapshots + 1;
-                        if dumps.len() > keep {
-                            dumps[dumps.len() - keep]
-                        } else {
-                            *dumps.first().unwrap_or(&0)
-                        }
-                    }
-                };
+                let cutoff = pitr_floor.unwrap_or(job.ts);
                 db_garbage.extend(view.remove_db_before(cutoff).iter().map(|d| d.to_name()));
             }
             (wal_garbage, db_garbage)

@@ -539,8 +539,10 @@ pub struct GinjaStatsSnapshot {
     pub dumps_uploaded: u64,
     /// Cloud DELETE operations issued by garbage collection.
     pub gc_deletes: u64,
-    /// GC DELETEs that exhausted their retry budget and were deferred
-    /// to the next checkpoint's garbage-collection pass.
+    /// GC DELETEs that exhausted their retry budget, or failed with an
+    /// error that says nothing about the object (an open breaker's
+    /// fast-fail), and were deferred to the next checkpoint's
+    /// garbage-collection pass.
     pub gc_deletes_deferred: u64,
     /// Deferred GC DELETEs currently waiting for the next checkpoint
     /// (a gauge, not a counter).

@@ -281,10 +281,10 @@ impl CloudView {
         removed.into_values().collect()
     }
 
-    /// Removes (and returns) every WAL object with `ts <= upto` whose
-    /// byte range is fully covered by the union of objects with
-    /// `ts > upto` — the safe garbage collection for DBMSs with *fuzzy*
-    /// checkpoints.
+    /// Removes (and returns, ascending by `ts`) every WAL object with
+    /// `ts <= upto` whose byte range lies inside the union of the ranges
+    /// of *newer* objects of the same file — the garbage collection for
+    /// DBMSs with *fuzzy* checkpoints.
     ///
     /// Algorithm 3 deletes WAL objects up to the checkpoint's timestamp,
     /// which is only sound when a checkpoint flushes **every** dirty
@@ -292,50 +292,45 @@ impl CloudView {
     /// so records on still-dirty pages live *only* in WAL objects the
     /// paper's rule would delete. The file-system-level signal that log
     /// space is truly reclaimable is the DBMS **rewriting** it (circular
-    /// log reuse, tail-page rewrites): an object whose entire range was
-    /// rewritten by surviving newer objects contributes nothing to the
-    /// rebuild (recovery applies objects in timestamp order, so the
-    /// survivors' bytes win anyway). Never-rewritten regions — the log
-    /// file headers uploaded at Boot — are retained, as they must be.
-    pub fn remove_covered_wal(&mut self, upto: u64) -> Vec<WalObjectName> {
-        // Union of survivor ranges, per file: sorted, merged intervals.
-        let mut survivors: BTreeMap<&str, Vec<(u64, u64)>> = BTreeMap::new();
-        for name in self.wal.range(upto + 1..).map(|(_, n)| n) {
-            survivors
-                .entry(name.file.as_str())
-                .or_default()
-                .push((name.offset, name.end()));
-        }
-        for intervals in survivors.values_mut() {
-            intervals.sort_unstable();
-            let mut merged: Vec<(u64, u64)> = Vec::with_capacity(intervals.len());
-            for &(start, end) in intervals.iter() {
-                match merged.last_mut() {
-                    Some(last) if start <= last.1 => last.1 = last.1.max(end),
-                    _ => merged.push((start, end)),
-                }
+    /// log reuse, tail-block rewrites), and every object name carries
+    /// its `(file, offset, len)`, so the view alone can tell.
+    ///
+    /// **Invariant:** for every byte of every WAL file, the newest
+    /// durable object that contains it survives. Recovery applies WAL
+    /// objects in `ts` order, so the image rebuilt from the survivors
+    /// equals the image rebuilt from every object ever registered, byte
+    /// for byte and for every disaster cut: a victim leaves the bucket
+    /// only after all its coverers are in the view, i.e. durable
+    /// (`add_wal` runs after the PUT). The sweep runs newest to oldest
+    /// over the whole view, so a coverer may itself be older than
+    /// `upto`; coverage is transitive (a coverer that dies later lay
+    /// inside the union of still newer survivors), so the view is all
+    /// the bookkeeping there is, and garbage whose DELETE was lost in a
+    /// crash is found again from a listing. Never-rewritten regions —
+    /// the log file headers uploaded at Boot — pin the object that holds
+    /// them, as they must.
+    ///
+    /// `upto` bounds the victims (the checkpoint's watermark, so the
+    /// timestamp chain above the newest DB object stays gap-free for the
+    /// offline scrubber). `coverers_upto` bounds the coverers: objects
+    /// above it are ignored. It is `u64::MAX` unless point-in-time
+    /// retention is on, where it is the oldest restorable point — a
+    /// restore to `p` applies objects with `ts <= p` only, so a coverer
+    /// every restorable point applies must not be newer than the oldest.
+    pub fn remove_covered_wal(&mut self, upto: u64, coverers_upto: u64) -> Vec<WalObjectName> {
+        let mut newer: BTreeMap<&str, RangeUnion> = BTreeMap::new();
+        let mut dead = Vec::new();
+        for (ts, name) in self.wal.range(..=coverers_upto).rev() {
+            let union = newer.entry(name.file.as_str()).or_default();
+            if *ts <= upto && union.contains(name.offset, name.end()) {
+                dead.push(*ts);
+            } else {
+                union.insert(name.offset, name.end());
             }
-            *intervals = merged;
         }
-        let covered = |name: &WalObjectName| -> bool {
-            let Some(intervals) = survivors.get(name.file.as_str()) else {
-                return false;
-            };
-            // Merged intervals: containment must be within a single one.
-            intervals
-                .iter()
-                .any(|&(start, end)| start <= name.offset && end >= name.end())
-        };
-
-        let victims: Vec<u64> = self
-            .wal
-            .range(..=upto)
-            .filter(|(_, name)| covered(name))
-            .map(|(ts, _)| *ts)
-            .collect();
-        victims
-            .into_iter()
-            .filter_map(|ts| self.wal.remove(&ts))
+        dead.iter()
+            .rev()
+            .filter_map(|ts| self.wal.remove(ts))
             .collect()
     }
 
@@ -406,6 +401,35 @@ impl CloudView {
     /// All WAL object names, ascending by ts.
     pub fn wal_entries(&self) -> impl Iterator<Item = &WalObjectName> {
         self.wal.values()
+    }
+}
+
+/// A union of half-open byte ranges, kept as disjoint, non-adjacent
+/// intervals `start -> end` (touching ranges merge, so containment is
+/// always within a single interval).
+#[derive(Default)]
+struct RangeUnion(BTreeMap<u64, u64>);
+
+impl RangeUnion {
+    fn contains(&self, start: u64, end: u64) -> bool {
+        self.0
+            .range(..=start)
+            .next_back()
+            .is_some_and(|(_, &e)| e >= end)
+    }
+
+    fn insert(&mut self, mut start: u64, mut end: u64) {
+        if let Some((&s, &e)) = self.0.range(..=start).next_back() {
+            if e >= start {
+                start = s;
+                end = end.max(e);
+            }
+        }
+        while let Some((&s, &e)) = self.0.range(start..=end).next() {
+            self.0.remove(&s);
+            end = end.max(e);
+        }
+        self.0.insert(start, end);
     }
 }
 
@@ -642,7 +666,7 @@ mod tests {
         v.add_wal(wal_range(1, "log", 0, 100));
         v.add_wal(wal_range(2, "log", 100, 100));
         assert!(
-            v.remove_covered_wal(2).is_empty(),
+            v.remove_covered_wal(2, u64::MAX).is_empty(),
             "disjoint ranges cover nothing"
         );
         assert_eq!(v.wal_count(), 2);
@@ -655,7 +679,7 @@ mod tests {
         v.add_wal(wal_range(1, "log", 0, 100));
         v.add_wal(wal_range(2, "log", 0, 200));
         v.add_wal(wal_range(3, "log", 0, 300));
-        let removed = v.remove_covered_wal(2);
+        let removed = v.remove_covered_wal(2, u64::MAX);
         let ts: Vec<u64> = removed.iter().map(|w| w.ts).collect();
         assert_eq!(ts, vec![1, 2]);
         assert_eq!(v.wal_count(), 1);
@@ -669,7 +693,7 @@ mod tests {
         v.add_wal(wal_range(1, "log", 0, 200));
         v.add_wal(wal_range(2, "log", 0, 100));
         v.add_wal(wal_range(3, "log", 100, 100));
-        let removed = v.remove_covered_wal(1);
+        let removed = v.remove_covered_wal(1, u64::MAX);
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].ts, 1);
     }
@@ -680,7 +704,7 @@ mod tests {
         v.add_wal(wal_range(1, "log", 0, 200));
         v.add_wal(wal_range(2, "log", 0, 90));
         v.add_wal(wal_range(3, "log", 110, 90)); // hole [90,110)
-        assert!(v.remove_covered_wal(1).is_empty());
+        assert!(v.remove_covered_wal(1, u64::MAX).is_empty());
     }
 
     #[test]
@@ -690,8 +714,8 @@ mod tests {
         v.add_wal(wal_range(2, "log1", 0, 100)); // other file: no cover
         v.add_wal(wal_range(3, "log0", 0, 100));
         // upto = 0: nothing is a candidate even though 1 is covered.
-        assert!(v.remove_covered_wal(0).is_empty());
-        let removed = v.remove_covered_wal(2);
+        assert!(v.remove_covered_wal(0, u64::MAX).is_empty());
+        let removed = v.remove_covered_wal(2, u64::MAX);
         assert_eq!(removed.len(), 1);
         assert_eq!(removed[0].ts, 1);
         // Object 2 survives: nothing newer covers log1.
@@ -708,7 +732,7 @@ mod tests {
         v.add_wal(wal_range(3, "ib_logfile1", 2048, 1024));
         v.add_wal(wal_range(4, "ib_logfile0", 2048, 1024));
         v.add_wal(wal_range(5, "ib_logfile1", 2048, 1024));
-        let removed = v.remove_covered_wal(3);
+        let removed = v.remove_covered_wal(3, u64::MAX);
         let ts: Vec<u64> = removed.iter().map(|w| w.ts).collect();
         assert_eq!(
             ts,
@@ -716,6 +740,79 @@ mod tests {
             "the first cycle is reclaimable, the header is not"
         );
         assert!(v.wal_entries().any(|w| w.ts == 1));
+    }
+
+    #[test]
+    fn range_union_merges_touching_and_overlapping_ranges() {
+        let mut u = RangeUnion::default();
+        assert!(!u.contains(0, 1));
+        u.insert(100, 200);
+        u.insert(0, 100); // touches from below
+        u.insert(200, 300); // touches from above
+        assert!(u.contains(0, 300));
+        assert!(!u.contains(0, 301));
+        u.insert(400, 500);
+        assert!(!u.contains(250, 450), "hole [300, 400)");
+        u.insert(250, 450); // bridges both
+        assert!(u.contains(0, 500));
+        assert_eq!(u.0.len(), 1);
+    }
+
+    #[test]
+    fn covered_gc_counts_coverers_at_or_below_upto() {
+        let mut v = CloudView::new();
+        // 1 is overwritten by 2, both older than the checkpoint; 3 is
+        // elsewhere. The coverer need not be newer than `upto`.
+        v.add_wal(wal_range(1, "log", 0, 100));
+        v.add_wal(wal_range(2, "log", 0, 100));
+        v.add_wal(wal_range(3, "log", 100, 100));
+        let removed = v.remove_covered_wal(3, u64::MAX);
+        let ts: Vec<u64> = removed.iter().map(|w| w.ts).collect();
+        assert_eq!(ts, vec![1]);
+        assert!(v.remove_covered_wal(3, u64::MAX).is_empty(), "idempotent");
+    }
+
+    #[test]
+    fn covered_gc_header_chunk_pins_only_itself() {
+        const MIB: u64 = 1 << 20;
+        let mut v = CloudView::new();
+        // Boot image of a 4 MiB circular log file in 1 MiB chunks; the
+        // first 2 048 bytes are a header the DBMS never rewrites.
+        for i in 0..4 {
+            v.add_wal(wal_range(i + 1, "ib_logfile0", i * MIB, MIB));
+        }
+        // One wrap: the record region rewritten in 64 KiB objects.
+        let mut ts = 4;
+        let mut offset = 2048;
+        while offset < 4 * MIB {
+            ts += 1;
+            let len = (64 * 1024).min(4 * MIB - offset);
+            v.add_wal(wal_range(ts, "ib_logfile0", offset, len));
+            offset += len;
+        }
+        let removed = v.remove_covered_wal(ts, u64::MAX);
+        let gone: Vec<u64> = removed.iter().map(|w| w.ts).collect();
+        assert_eq!(gone, vec![2, 3, 4], "sibling chunks die after one wrap");
+        assert!(v.wal_entries().any(|w| w.ts == 1), "header chunk retained");
+    }
+
+    #[test]
+    fn covered_gc_pitr_ignores_coverers_above_the_floor() {
+        let mut v = CloudView::new();
+        v.add_wal(wal_range(1, "log", 0, 100));
+        v.add_wal(wal_range(2, "log", 100, 100));
+        v.add_wal(wal_range(3, "log", 100, 100)); // covers 2, at the floor
+        v.add_wal(wal_range(4, "log", 0, 100)); // covers 1, above the floor
+
+        // Oldest restorable point 3: a restore to 3 applies 1..=3, so 1
+        // must stay (its only coverer is 4) while 2 may go.
+        let removed = v.remove_covered_wal(3, 3);
+        let ts: Vec<u64> = removed.iter().map(|w| w.ts).collect();
+        assert_eq!(ts, vec![2]);
+        // Without retention the same view gives 1 up as well.
+        let removed = v.remove_covered_wal(3, u64::MAX);
+        assert_eq!(removed.len(), 1);
+        assert_eq!(removed[0].ts, 1);
     }
 
     #[test]

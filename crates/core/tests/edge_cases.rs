@@ -354,3 +354,92 @@ fn collision_merge_survives_a_non_retryable_get_failure() {
         assert_eq!(db.get(1, key).unwrap(), Some(row(key)), "row {key}");
     }
 }
+
+#[test]
+fn gc_deletes_under_an_open_breaker_are_deferred_not_dropped() {
+    use ginja_cloud::{FaultPlan, FaultStore, OpKind, RetryConfig};
+
+    // DELETEs start failing; the breaker trips on them and fast-fails
+    // the rest of the GC pass with a non-retryable error. Each of those
+    // objects has already left the view, so "done" would orphan it.
+    let config = GinjaConfig::builder()
+        .batch(4)
+        .safety(64)
+        .batch_timeout(Duration::from_millis(20))
+        .retry(RetryConfig {
+            max_attempts: 2,
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            breaker_threshold: 3,
+            breaker_cooldown: Duration::from_millis(300),
+            breaker_probes: 1,
+            ..RetryConfig::default()
+        })
+        .build()
+        .unwrap();
+    let local = Arc::new(MemFs::new());
+    let profile = DbProfile::postgres_small();
+    let db = Database::create(local.clone(), profile.clone()).unwrap();
+    db.create_table(1, 64).unwrap();
+    drop(db);
+    let plan = Arc::new(FaultPlan::new());
+    let cloud = Arc::new(FaultStore::new(MemStore::new(), plan.clone()));
+    let ginja = Ginja::boot(
+        local.clone(),
+        cloud.clone(),
+        Arc::new(PostgresProcessor::new()),
+        config,
+    )
+    .unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    let db = Database::open(fs, profile).unwrap();
+
+    // Every object in the bucket the view no longer tracks.
+    let untracked = |ginja: &Ginja| -> usize {
+        let view = ginja.view();
+        let tracked: std::collections::BTreeSet<String> = view
+            .wal_entries()
+            .map(|w| w.to_name())
+            .chain(
+                view.db_entries()
+                    .flat_map(|(_, e)| e.parts.iter().map(|p| p.to_name())),
+            )
+            .collect();
+        let listed = cloud.inner().list("").unwrap();
+        listed.iter().filter(|n| !tracked.contains(*n)).count()
+    };
+
+    for key in 0..200u64 {
+        db.put(1, key, vec![key as u8; 48]).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(20)));
+    plan.fail_matching(OpKind::Delete, "WAL/", usize::MAX);
+    db.checkpoint().unwrap();
+    assert!(ginja.sync(Duration::from_secs(20)));
+
+    let stats = ginja.stats();
+    assert!(
+        stats.breaker_trips >= 1,
+        "the DELETE failures open the breaker"
+    );
+    assert!(stats.breaker_fast_fails > 0);
+    assert_eq!(stats.gc_deletes, 0);
+    assert!(stats.gc_deletes_deferred > 1);
+    assert_eq!(
+        stats.gc_backlog as usize,
+        untracked(&ginja),
+        "every object GC failed to delete waits in the backlog"
+    );
+
+    // The cloud heals; the next checkpoint's GC pass drains the backlog.
+    plan.clear();
+    for key in 200..260u64 {
+        db.put(1, key, vec![key as u8; 48]).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(20)));
+    db.checkpoint().unwrap();
+    assert!(ginja.sync(Duration::from_secs(20)));
+    assert_eq!(ginja.stats().gc_backlog, 0);
+    assert_eq!(untracked(&ginja), 0, "no orphan is left in the bucket");
+    ginja.shutdown();
+}

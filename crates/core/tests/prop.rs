@@ -151,7 +151,7 @@ proptest! {
             names.push(name);
         }
         let upto = (names.len() as f64 * upto_frac) as u64;
-        let removed = view.remove_covered_wal(upto);
+        let removed = view.remove_covered_wal(upto, u64::MAX);
         let survivors: Vec<&WalObjectName> = view.wal_entries().collect();
         // Invariant 1: only candidates (ts <= upto) were removed.
         prop_assert!(removed.iter().all(|w| w.ts <= upto));

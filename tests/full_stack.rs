@@ -5,7 +5,9 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja::cloud::{MemStore, MeteredStore, ObjectStore};
+use ginja::cloud::{
+    FaultPlan, FaultStore, MemStore, MeteredStore, ObjectStore, OpKind, RetryConfig, StoreError,
+};
 use ginja::core::{recover_into, verify_backup_in_memory, Ginja, GinjaConfig};
 use ginja::db::{Database, DbProfile, ProfileKind};
 use ginja::vfs::{
@@ -233,4 +235,226 @@ fn compressed_encrypted_full_stack() {
     recover_into(rebuilt.as_ref(), cloud.as_ref(), &config).unwrap();
     let db = Database::open(rebuilt, profile).unwrap();
     assert_eq!(db.dump_table(tables::DISTRICT).unwrap(), reference);
+}
+
+/// A `MemStore` whose mutations and copies exclude each other, so
+/// [`CutStore::cut`] sees the bucket as of one instant: a PUT or DELETE
+/// is either wholly in the copy or wholly lost, as in a real disaster.
+#[derive(Default)]
+struct CutStore {
+    mem: MemStore,
+    gate: std::sync::RwLock<()>,
+}
+
+impl CutStore {
+    fn cut(&self) -> MemStore {
+        let _gate = self.gate.write().unwrap();
+        let copy = MemStore::new();
+        for name in self.mem.list("").unwrap() {
+            copy.put(&name, &self.mem.get(&name).unwrap()).unwrap();
+        }
+        copy
+    }
+}
+
+impl ObjectStore for CutStore {
+    fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+        let _gate = self.gate.read().unwrap();
+        self.mem.put(name, data)
+    }
+    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+        self.mem.get(name)
+    }
+    fn delete(&self, name: &str) -> Result<(), StoreError> {
+        let _gate = self.gate.read().unwrap();
+        self.mem.delete(name)
+    }
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+        self.mem.list(prefix)
+    }
+}
+
+#[test]
+fn mysql_bucket_stays_bounded_by_the_log_across_wraps() {
+    const MARKERS: u32 = 100;
+    const FILLER: u32 = 101;
+    const SAFETY: usize = 60;
+    // 1.5 MiB log files: Boot cuts each into a 1 MiB and a 0.5 MiB
+    // chunk, and only the first — it holds the 2 kB header InnoDB
+    // never rewrites — can outlive the first wrap.
+    const SEGMENT: u64 = 1536 * 1024;
+    const BOOT_CHUNK: u64 = 1 << 20;
+    let capacity = 2 * (SEGMENT - 2048);
+    // Live WAL: the log itself, the pinned boot chunk of each file, and
+    // what was rewritten since the last checkpoint's sweep (a few dozen
+    // commits; an eighth of the log is several times that).
+    let bound = capacity + 2 * BOOT_CHUNK + capacity / 8;
+
+    let profile = DbProfile {
+        wal_segment_size: SEGMENT,
+        ..DbProfile::mysql_default()
+    }
+    .with_checkpoint_every(25);
+    let config = GinjaConfig::builder()
+        .batch(10)
+        .safety(SAFETY)
+        .batch_timeout(Duration::from_millis(20))
+        .safety_timeout(Duration::from_secs(30))
+        // One attempt per cloud call, no breaker: the DELETE faults
+        // below then cost the checkpointer no back-off time.
+        .retry(RetryConfig::disabled())
+        .build()
+        .unwrap();
+
+    let local = Arc::new(MemFs::new());
+    let db = Database::create(local.clone(), profile.clone()).unwrap();
+    let mut tpcc = Tpcc::new(1, 31, TpccScale::tiny());
+    tpcc.create_schema(&db).unwrap();
+    db.create_table(MARKERS, 32).unwrap();
+    db.create_table(FILLER, 4096).unwrap();
+    tpcc.load(&db).unwrap();
+    db.checkpoint().unwrap();
+    drop(db);
+
+    let plan = Arc::new(FaultPlan::new());
+    let cloud = Arc::new(FaultStore::new(CutStore::default(), plan.clone()));
+    let processor = processor_for(ProfileKind::MySql);
+    let ginja = Ginja::boot(
+        local.clone(),
+        cloud.clone(),
+        processor.clone(),
+        config.clone(),
+    )
+    .unwrap();
+    assert_eq!(ginja.view().wal_count(), 4, "two boot chunks per log file");
+    let protected: Arc<dyn FileSystem> =
+        Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
+    let db = Database::open(protected, profile.clone()).unwrap();
+
+    // One TPC-C transaction plus a 4 kB row per step: ~5 kB of log.
+    let steps = std::cell::Cell::new(0u64);
+    let mut step = |db: &Database| {
+        tpcc.run_transaction(db).unwrap();
+        let n = steps.replace(steps.get() + 1);
+        db.put(FILLER, n % 40, vec![n as u8; 3900]).unwrap();
+    };
+    // Where the log's write position is, in bytes of the circular
+    // record space, read off the newest durable WAL object.
+    let log_position = |ginja: &Ginja| -> u64 {
+        let view = ginja.view();
+        let newest = view.wal_entries().last().unwrap().clone();
+        let file = u64::from(newest.file.ends_with('1'));
+        file * (SEGMENT - 2048) + newest.end() - 2048
+    };
+    // The bench_e2e drill: S + 20 sequential marker commits, the bucket
+    // cut at one instant without sync(), then the recovered database
+    // opens, probes consistent, and holds a contiguous prefix of the
+    // markers that is at most S short.
+    let mut next_marker = 0u64;
+    let mut drill = |db: &Database| {
+        for _ in 0..SAFETY + 20 {
+            db.put(MARKERS, next_marker, next_marker.to_le_bytes().to_vec())
+                .unwrap();
+            next_marker += 1;
+        }
+        let survivor = cloud.inner().cut();
+        let rebuilt = Arc::new(MemFs::new());
+        recover_into(rebuilt.as_ref(), &survivor, &config).unwrap();
+        let recovered = Database::open(rebuilt, profile.clone()).unwrap();
+        assert!(probe_tpcc(&recovered).unwrap().is_consistent());
+        let keys: Vec<u64> = recovered
+            .dump_table(MARKERS)
+            .unwrap()
+            .into_iter()
+            .map(|(key, _)| key)
+            .collect();
+        assert!(
+            keys.iter().copied().eq(0..keys.len() as u64),
+            "recovered markers are not a contiguous prefix: {keys:?}"
+        );
+        let lost = next_marker - keys.len() as u64;
+        assert!(lost <= SAFETY as u64, "lost {lost} markers > S");
+    };
+
+    // Four wraps of the log; after each, the live WAL is within the
+    // bound, and after the first three a drill.
+    let mut advanced = 0u64;
+    let mut position = log_position(&ginja);
+    let mut per_wrap: Vec<(u64, usize)> = Vec::new();
+    while per_wrap.len() < 4 {
+        assert!(steps.get() < 8000, "the log never wrapped: {advanced} B");
+        for _ in 0..50 {
+            step(&db);
+        }
+        assert!(ginja.sync(Duration::from_secs(30)));
+        let now = log_position(&ginja);
+        advanced += (now + capacity - position) % capacity;
+        position = now;
+        if advanced / capacity > per_wrap.len() as u64 {
+            let view = ginja.view();
+            assert!(
+                view.total_wal_bytes() <= bound,
+                "wrap {}: {} live WAL bytes > {bound}",
+                per_wrap.len() + 1,
+                view.total_wal_bytes()
+            );
+            per_wrap.push((view.total_wal_bytes(), view.wal_count()));
+            if per_wrap.len() < 4 {
+                drill(&db);
+            }
+        }
+    }
+    // The object count has stopped growing: the wraps after the first
+    // each leave about what the first left.
+    let (_, first_count) = per_wrap[0];
+    for (wrap, (_, count)) in per_wrap.iter().enumerate().skip(1) {
+        assert!(
+            *count <= first_count + first_count / 2,
+            "wrap {}: {count} WAL objects against {first_count} after the first ({per_wrap:?})",
+            wrap + 1
+        );
+    }
+    assert_eq!(ginja.stats().gc_backlog, 0);
+
+    // DELETEs now fail. GC keeps deciding what is dead, the deletes
+    // pile up in the in-memory backlog, and a crash loses the backlog.
+    plan.fail_fatally(OpKind::Delete, usize::MAX);
+    for _ in 0..300 {
+        step(&db);
+    }
+    assert!(ginja.sync(Duration::from_secs(30)));
+    let orphaned = ginja.stats().gc_backlog;
+    assert!(orphaned > 100, "only {orphaned} deletes were deferred");
+    ginja.shutdown();
+    drop(db);
+    plan.clear();
+    let wal_in_bucket =
+        |cloud: &FaultStore<CutStore>| cloud.list("WAL/").map(|names| names.len()).unwrap();
+    let before = wal_in_bucket(&cloud);
+
+    // Reboot lists the garbage back into its view; the first
+    // checkpoint's sweep finds it dead again and deletes it.
+    let ginja = Ginja::reboot(local.clone(), cloud.clone(), processor, config.clone()).unwrap();
+    // (Plus a few objects of its own: resync re-uploads the header
+    // bytes the checkpoints rewrote, which reach the cloud in DB objects.)
+    assert!(ginja.view().wal_count() >= before);
+    let protected: Arc<dyn FileSystem> =
+        Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
+    let db = Database::open(protected, profile.clone()).unwrap();
+    for _ in 0..30 {
+        step(&db);
+    }
+    assert!(ginja.sync(Duration::from_secs(30)));
+    let stats = ginja.stats();
+    assert!(stats.checkpoints_seen > 0);
+    assert!(
+        stats.gc_deletes >= orphaned,
+        "{} deletes after reboot, {orphaned} orphans",
+        stats.gc_deletes
+    );
+    let view = ginja.view();
+    assert_eq!(wal_in_bucket(&cloud), view.wal_count(), "no orphan left");
+    assert!(view.total_wal_bytes() <= bound);
+    drill(&db);
+    ginja.shutdown();
 }
