@@ -112,8 +112,9 @@ fn main() {
         // Backstop only: this bucket's bytes concentrate in a few large
         // dump parts whose decode is CPU-bound, so on a single-core runner
         // fan-out can come out modestly slower than serial (the sleeps of
-        // the latency model end in a spin tail that contends). The real
-        // >=2x acceptance runs in ablation_fanout on a GET-bound bucket.
+        // the latency model end in a spin tail that contends). What
+        // fan-out buys on a GET-bound bucket is `recover_s` and
+        // `core.recover_fetch_wall_ms` on bench_e2e's `recover` workload.
         assert!(
             ec2_fanout <= ec2 * 1.5,
             "parallel recovery must not be pathologically slower than serial \
@@ -126,7 +127,7 @@ fn main() {
     println!(
         "\nshape check: recovery time grows with warehouses; EC2-local recovery is much \
          faster (paper: ~4 min vs ~1 min at 10 warehouses); recovery_fanout=8 cuts the \
-         same-region time further (see ablation_fanout for the width sweep)"
+         same-region time further (bench_e2e `recover`: recover_s, core.recover_fetch_wall_ms)"
     );
 }
 

@@ -7,7 +7,7 @@
 //! archiver and the sentinel repair path can all share it instead of each
 //! growing a private thread pool.
 //!
-//! Two guarantees matter to every caller:
+//! Three guarantees matter to every caller:
 //!
 //! * **In-order delivery.** `run_ordered` hands results to the consumer in
 //!   exactly the input order, no matter how workers interleave. Completed
@@ -20,6 +20,18 @@
 //!   jobs finish and are discarded, and the earliest error in input order is
 //!   returned. Callers therefore never observe a "later" success after a
 //!   reported failure.
+//! * **A bounded reorder buffer.** Workers claim no job more than
+//!   [`REORDER_WINDOW`] × width past the next index to deliver, so one
+//!   stalled head-of-line job cannot pull the rest of a bucket into memory.
+//!   The bound covers results *parked* for the consumer; what the consumer
+//!   does with a delivered result is its own business — recovery stashes
+//!   checkpoint parts on arrival until the WAL pass is over, and those do
+//!   not count against the window.
+//!
+//! `run_staged` is the read path's variant: each job is a gated `fetch`
+//! (the GET — at most `width` in flight, under the fair permit) followed by
+//! an ungated `work` (MAC, decrypt, decompress) on the same worker, with a
+//! few extra workers so that a long decode never keeps a GET slot idle.
 //!
 //! Workers are spawned per wave with `std::thread::scope`, so job closures
 //! may borrow non-`'static` state (`&dyn ObjectStore`, `&Codec`, local
@@ -43,16 +55,21 @@
 //! the starvation bound the tests assert.
 //!
 //! [`FanoutHandle`] is the per-tenant view: a cheap clone of
-//! `(executor, lane)` with the same `run_ordered`/`run_collect` surface, plus
-//! [`FanoutHandle::with_permit`] for gating individual operations (the
-//! uploaders' commit PUTs). [`FanoutHandle::solo`] wraps a private ungated
-//! executor so single-tenant pipelines pay nothing for the feature.
+//! `(executor, lane)` with the same `run_ordered`/`run_collect`/`run_staged`
+//! surface, plus [`FanoutHandle::with_permit`] for gating individual
+//! operations (the uploaders' commit PUTs). [`FanoutHandle::solo`] wraps a
+//! private ungated executor so single-tenant pipelines pay nothing for the
+//! feature.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Condvar, Mutex};
+
+/// Workers claim no job at or beyond `delivered + REORDER_WINDOW × width`:
+/// the reorder buffer of a wave holds fewer results than that.
+pub const REORDER_WINDOW: usize = 4;
 
 /// Weights below this are clamped up: a zero quantum would never accrue
 /// credit and the lane would starve by construction.
@@ -255,6 +272,72 @@ impl Drop for Permit<'_> {
     }
 }
 
+/// Claim state of one wave, shared by its workers and the consumer.
+#[derive(Debug, Default)]
+struct WaveState {
+    /// Next unclaimed job index.
+    next: usize,
+    /// Results handed to the consumer so far.
+    delivered: usize,
+    /// Workers inside the gated stage.
+    fetching: usize,
+    abort: bool,
+}
+
+#[derive(Debug)]
+struct Wave {
+    state: Mutex<WaveState>,
+    changed: Condvar,
+    jobs: usize,
+    width: usize,
+}
+
+impl Wave {
+    fn new(jobs: usize, width: usize) -> Self {
+        Wave {
+            state: Mutex::new(WaveState::default()),
+            changed: Condvar::new(),
+            jobs,
+            width,
+        }
+    }
+
+    /// Claims the next job together with a slot of the gated stage, waiting
+    /// while all `width` slots are taken or the job lies beyond the reorder
+    /// window. `None` once the jobs are exhausted or the wave aborted.
+    fn claim(&self) -> Option<usize> {
+        let mut state = self.state.lock();
+        loop {
+            if state.abort || state.next >= self.jobs {
+                return None;
+            }
+            if state.fetching < self.width
+                && state.next < state.delivered + REORDER_WINDOW * self.width
+            {
+                state.next += 1;
+                state.fetching += 1;
+                return Some(state.next - 1);
+            }
+            self.changed.wait(&mut state);
+        }
+    }
+
+    fn update(&self, f: impl FnOnce(&mut WaveState)) {
+        f(&mut self.state.lock());
+        self.changed.notify_all();
+    }
+}
+
+struct AbortOnPanic<'a>(&'a Wave);
+
+impl Drop for AbortOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.update(|s| s.abort = true);
+        }
+    }
+}
+
 /// Shared, bounded fan-out executor. Cheap to keep around for the lifetime
 /// of a pipeline: it holds no threads while idle, only the configured width
 /// and a pair of usage counters (plus, for [fair](Self::fair) executors,
@@ -408,6 +491,45 @@ impl FanoutExecutor {
         lane: usize,
         jobs: Vec<T>,
         work: impl Fn(usize, T) -> Result<R, E> + Sync,
+        consume: impl FnMut(usize, R) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        T: Send,
+        R: Send,
+        E: Send,
+    {
+        self.run_wave(lane, 0, jobs, work, |_, r| Ok(r), consume)
+    }
+
+    /// [`run_ordered_on`](Self::run_ordered_on) with each job split in two:
+    /// `fetch` holds a slot (at most `width` in flight, each under the fair
+    /// permit of `lane`), `work` runs on the same worker after the slot is
+    /// released. Up to `min(width, cores)` extra workers keep the slots
+    /// busy while others are inside `work`.
+    pub fn run_staged_on<T, S, R, E>(
+        &self,
+        lane: usize,
+        jobs: Vec<T>,
+        fetch: impl Fn(usize, T) -> Result<S, E> + Sync,
+        work: impl Fn(usize, S) -> Result<R, E> + Sync,
+        consume: impl FnMut(usize, R) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        T: Send,
+        R: Send,
+        E: Send,
+    {
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        self.run_wave(lane, cores.min(self.width), jobs, fetch, work, consume)
+    }
+
+    fn run_wave<T, S, R, E>(
+        &self,
+        lane: usize,
+        extra_workers: usize,
+        jobs: Vec<T>,
+        fetch: impl Fn(usize, T) -> Result<S, E> + Sync,
+        work: impl Fn(usize, S) -> Result<R, E> + Sync,
         mut consume: impl FnMut(usize, R) -> Result<(), E>,
     ) -> Result<(), E>
     where
@@ -419,13 +541,13 @@ impl FanoutExecutor {
         self.waves.fetch_add(1, Ordering::Relaxed);
         self.jobs.fetch_add(n as u64, Ordering::Relaxed);
         self.count_lane(lane, 1, n as u64);
-        let work = |idx: usize, job: T| self.with_permit_on(lane, || work(idx, job));
+        let fetch = |idx: usize, job: T| self.with_permit_on(lane, || fetch(idx, job));
 
         // Serial fast path: nothing to overlap, so skip thread setup and run
         // on the caller's thread. Semantics are identical by construction.
         if self.width == 1 || n <= 1 {
             for (idx, job) in jobs.into_iter().enumerate() {
-                consume(idx, work(idx, job)?)?;
+                consume(idx, work(idx, fetch(idx, job)?)?)?;
             }
             return Ok(());
         }
@@ -434,33 +556,27 @@ impl FanoutExecutor {
             .into_iter()
             .map(|j| parking_lot::Mutex::new(Some(j)))
             .collect();
-        let next = AtomicUsize::new(0);
-        let abort = AtomicBool::new(false);
+        let wave = Wave::new(n, self.width);
         let (tx, rx) = crossbeam::channel::unbounded::<(usize, Result<R, E>)>();
-        let workers = self.width.min(n);
+        let workers = (self.width + extra_workers).min(n);
 
         std::thread::scope(|scope| {
             for _ in 0..workers {
                 let tx = tx.clone();
-                let slots = &slots;
-                let next = &next;
-                let abort = &abort;
-                let work = &work;
+                let (slots, wave, fetch, work) = (&slots, &wave, &fetch, &work);
                 scope.spawn(move || {
-                    loop {
-                        if abort.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let idx = next.fetch_add(1, Ordering::Relaxed);
-                        if idx >= slots.len() {
-                            return;
-                        }
+                    // A worker that unwinds never sends its claimed index:
+                    // without the abort its peers would wait on the window.
+                    let _abort_on_panic = AbortOnPanic(wave);
+                    while let Some(idx) = wave.claim() {
                         // The claim above is the only writer of this slot,
                         // so the job is always present.
                         let job = slots[idx].lock().take().expect("job claimed twice");
-                        let result = work(idx, job);
+                        let fetched = fetch(idx, job);
+                        wave.update(|s| s.fetching -= 1);
+                        let result = fetched.and_then(|s| work(idx, s));
                         if result.is_err() {
-                            abort.store(true, Ordering::Release);
+                            wave.update(|s| s.abort = true);
                         }
                         if tx.send((idx, result)).is_err() {
                             // Consumer bailed; nothing left to report to.
@@ -494,13 +610,14 @@ impl FanoutExecutor {
                     continue;
                 }
                 expect += 1;
+                wave.update(|s| s.delivered += 1);
                 match result {
                     Ok(value) => {
                         if first_err.is_some() {
                             continue; // discard successes after a failure
                         }
                         if let Err(e) = consume(idx, value) {
-                            abort.store(true, Ordering::Release);
+                            wave.update(|s| s.abort = true);
                             first_err = Some((idx, e));
                         }
                     }
@@ -642,6 +759,23 @@ impl FanoutHandle {
         self.exec.run_ordered_on(self.lane, jobs, work, consume)
     }
 
+    /// [`FanoutExecutor::run_staged_on`] on this handle's lane.
+    pub fn run_staged<T, S, R, E>(
+        &self,
+        jobs: Vec<T>,
+        fetch: impl Fn(usize, T) -> Result<S, E> + Sync,
+        work: impl Fn(usize, S) -> Result<R, E> + Sync,
+        consume: impl FnMut(usize, R) -> Result<(), E>,
+    ) -> Result<(), E>
+    where
+        T: Send,
+        R: Send,
+        E: Send,
+    {
+        self.exec
+            .run_staged_on(self.lane, jobs, fetch, work, consume)
+    }
+
     /// [`FanoutExecutor::run_collect`] on this handle's lane.
     pub fn run_collect<T, R, E>(
         &self,
@@ -665,7 +799,7 @@ impl FanoutHandle {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
     use std::time::Duration;
 
     #[test]
@@ -789,6 +923,86 @@ mod tests {
             })
             .unwrap();
         assert_eq!(out, vec![20, 40, 60, 80]);
+    }
+
+    #[test]
+    fn stalled_head_of_line_job_stops_claims_at_the_window() {
+        // Job 0 blocks until every other job the window admits has
+        // started; no job beyond the window may start before job 0 is
+        // delivered, or the reorder buffer would be unbounded.
+        let width = 4;
+        let window = REORDER_WINDOW * width;
+        let exec = FanoutExecutor::new(width);
+        let (started_tx, started_rx) = crossbeam::channel::unbounded::<usize>();
+        let released = AtomicBool::new(false);
+        let beyond_window = AtomicUsize::new(0);
+        let mut delivered = 0;
+        exec.run_ordered(
+            (0..window * 8).collect::<Vec<usize>>(),
+            |idx, v| {
+                if idx == 0 {
+                    for _ in 1..window {
+                        started_rx.recv().expect("the window's jobs all start");
+                    }
+                    released.store(true, Ordering::SeqCst);
+                } else {
+                    if !released.load(Ordering::SeqCst) && idx >= window {
+                        beyond_window.fetch_add(1, Ordering::SeqCst);
+                    }
+                    started_tx.send(idx).expect("receiver outlives the wave");
+                }
+                Ok::<usize, ()>(v)
+            },
+            |idx, v| {
+                assert_eq!(idx, v);
+                delivered += 1;
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(delivered, window * 8);
+        assert_eq!(beyond_window.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn staged_wave_gates_fetch_but_not_work() {
+        // Every fetch slot is taken by a job whose `work` blocks until a
+        // job beyond the width has been fetched: that only terminates if
+        // a worker inside `work` holds no fetch slot.
+        let width = 2;
+        let exec = FanoutExecutor::new(width);
+        let fetching = AtomicUsize::new(0);
+        let max_fetching = AtomicUsize::new(0);
+        let (late_tx, late_rx) = crossbeam::channel::unbounded::<()>();
+        let mut seen = Vec::new();
+        exec.run_staged_on(
+            0,
+            (0..8).collect::<Vec<usize>>(),
+            |idx, v| {
+                let now = fetching.fetch_add(1, Ordering::SeqCst) + 1;
+                max_fetching.fetch_max(now, Ordering::SeqCst);
+                if idx == width {
+                    late_tx.send(()).expect("receiver outlives the wave");
+                }
+                fetching.fetch_sub(1, Ordering::SeqCst);
+                Ok::<usize, ()>(v)
+            },
+            |idx, v| {
+                if idx == 0 {
+                    late_rx.recv().expect("a later job is fetched meanwhile");
+                }
+                Ok(v * 10)
+            },
+            |idx, v| {
+                assert_eq!(v, idx * 10);
+                seen.push(idx);
+                Ok(())
+            },
+        )
+        .unwrap();
+        assert_eq!(seen, (0..8).collect::<Vec<usize>>());
+        assert!(max_fetching.load(Ordering::SeqCst) <= width);
+        assert_eq!(exec.waves(), 1);
     }
 
     // ---- deterministic DRR core ------------------------------------

@@ -1,16 +1,19 @@
 //! Recovery mode of Algorithm 1: rebuild the database files from the
 //! objects stored in the cloud.
 //!
-//! Steps (lines 23–40 of the paper's Algorithm 1, with one correction):
+//! One LIST rebuilds the `cloudView`; everything after it is one pass of
+//! the [`crate::apply`] pipeline, which *issues* the GETs large objects
+//! first (dump parts, checkpoint parts, then WAL ascending, at most
+//! `recovery_fanout` in flight) and *applies* what they return in the
+//! order DESIGN.md §7 argues for:
 //!
-//! 1. LIST the cloud and rebuild the `cloudView`;
-//! 2. restore every file of the most recent **dump**;
-//! 3. apply every surviving **WAL object** newer than the dump, in
-//!    timestamp order;
-//! 4. apply every **incremental checkpoint** newer than the dump, in
-//!    timestamp order.
+//! 1. every file of the most recent **dump**;
+//! 2. every surviving **WAL object**, in timestamp order;
+//! 3. the dump's ranges that lie inside WAL files, once more;
+//! 4. every **incremental checkpoint** newer than the dump, in timestamp
+//!    order.
 //!
-//! Two deliberate deviations from the paper's Algorithm 1:
+//! Two deliberate deviations from the paper's Algorithm 1 (lines 23–40):
 //!
 //! * The paper applies WAL only *after the last checkpoint's timestamp*.
 //!   That is correct for full-coverage checkpoints (PostgreSQL), but for
@@ -47,7 +50,8 @@ pub struct RecoveryReport {
     pub dump_ts: u64,
     /// Incremental checkpoints applied on top of the dump.
     pub checkpoints_applied: u64,
-    /// WAL objects applied after the last checkpoint.
+    /// WAL objects applied: every surviving one up to the recovery
+    /// point, on either side of the dump and the checkpoints.
     pub wal_objects_applied: u64,
     /// Timestamp of the newest WAL object applied (0 if none).
     pub max_wal_ts: u64,
@@ -86,15 +90,12 @@ pub fn recover_to_point(
     point: u64,
 ) -> Result<RecoveryReport, GinjaError> {
     let codec = Codec::new(config.codec.clone());
-    // Recovery is GET-latency bound (the paper's Figure 7): fan the
-    // fetches out `recovery_fanout` wide while keeping every *apply*
-    // strictly in timestamp order through the executor's reorder buffer.
+    // Recovery is GET-latency bound (the paper's Figure 7): the apply
+    // engine, shared with the continuous standby (`ginja-standby`),
+    // keeps `recovery_fanout` GETs in flight while it applies.
     let fanout = FanoutHandle::solo(config.recovery_fanout);
     let names = cloud.list("")?;
     let view = CloudView::from_listing(&names)?;
-    // Steps 2–5 live in the apply engine, shared with the continuous
-    // standby (`ginja-standby`), which drives the same methods one
-    // bucket delta at a time instead of in one cold pass.
     let engine = ApplyEngine::new(fs, cloud, &codec, &fanout);
     let mut progress = ApplyProgress::new();
     engine.cold_apply(&view, point, &mut progress)?;

@@ -7,8 +7,8 @@ use std::time::{Duration, Instant};
 use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, UsageLedger, UsageMeter};
 use ginja_codec::Codec;
 use ginja_core::{
-    ApplyEngine, ApplyProgress, CloudView, DbObjectKind, DbObjectName, FanoutHandle, Ginja,
-    GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, StandbySnapshot, StandbyStats,
+    ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutHandle,
+    Ginja, GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, StandbySnapshot, StandbyStats,
     WalObjectName, DB_PREFIX, WAL_PREFIX,
 };
 use ginja_cost::governor::project_spend;
@@ -402,7 +402,10 @@ impl Standby {
                 for name in &delta.added {
                     if name.starts_with(WAL_PREFIX) {
                         if let Ok(wal) = WalObjectName::parse(name) {
-                            if state.based && wal.ts <= state.progress.max_wal_ts() {
+                            // Cold order puts it before objects already
+                            // applied: older WAL, or the dump's re-apply.
+                            let applied = state.progress.max_wal_ts().max(state.progress.dump_ts());
+                            if state.based && wal.ts <= applied {
                                 straggler = true;
                             }
                             state.view.add_wal(wal);
@@ -481,47 +484,35 @@ impl Standby {
             return self.rebase(state, report);
         }
 
-        // Incremental: new WAL in timestamp order...
+        // Incremental, as one pipeline pass: new WAL in timestamp order,
+        // then newly complete checkpoints ascending — the same order a
+        // cold recovery of this bucket would use.
         let frontier = state.progress.max_wal_ts();
-        let wal_jobs: Vec<WalObjectName> = state
+        let wal: Vec<&WalObjectName> = state
             .view
             .wal_entries()
             .filter(|w| w.ts > frontier)
-            .cloned()
             .collect();
-        if !wal_jobs.is_empty() {
-            let engine = self.engine();
-            let n = wal_jobs.len() as u64;
-            let before = state.progress.report().bytes_downloaded;
-            engine.apply_wal_objects(wal_jobs, &mut state.progress)?;
-            report.wal_applied += n;
-            report.gets += n;
-            report.bytes_fetched += state.progress.report().bytes_downloaded - before;
-        }
-
-        // ...then newly complete checkpoints, ascending — the same
-        // order a cold recovery of this bucket would use.
-        let new_ckpts: Vec<u64> = state
+        let (ckpt_ts, ckpts): (Vec<u64>, Vec<&DbEntry>) = state
             .view
             .checkpoints_after(state.progress.dump_ts())
-            .iter()
-            .map(|(ts, _)| *ts)
-            .filter(|ts| !state.applied_ckpts.contains(ts))
-            .collect();
-        for ts in new_ckpts {
-            let before = state.progress.report().bytes_downloaded;
-            let entry = state
-                .view
-                .db_entry(ts)
-                .ok_or_else(|| GinjaError::Recovery("checkpoint vanished mid-cycle".into()))?
-                .clone();
-            self.engine()
-                .apply_checkpoints(&[(ts, &entry)], &mut state.progress)?;
-            state.applied_ckpts.insert(ts);
-            report.checkpoints_applied += 1;
-            report.gets += entry.parts.len() as u64;
-            report.bytes_fetched += state.progress.report().bytes_downloaded - before;
+            .into_iter()
+            .filter(|(ts, _)| !state.applied_ckpts.contains(ts))
+            .unzip();
+        if wal.is_empty() && ckpts.is_empty() {
+            return Ok(());
         }
+        let (wal_gets, ckpt_gets) = (
+            wal.len(),
+            ckpts.iter().map(|e| e.parts.len()).sum::<usize>(),
+        );
+        let before = state.progress.report().bytes_downloaded;
+        self.engine().apply_delta(wal, ckpts, &mut state.progress)?;
+        report.wal_applied += wal_gets as u64;
+        report.checkpoints_applied += ckpt_ts.len() as u64;
+        report.gets += (wal_gets + ckpt_gets) as u64;
+        report.bytes_fetched += state.progress.report().bytes_downloaded - before;
+        state.applied_ckpts.extend(ckpt_ts);
         Ok(())
     }
 
@@ -816,6 +807,28 @@ mod tests {
         assert_eq!(standby.snapshot().resets, 1);
         assert_matches_cold(&bucket, &shadow, &config);
         assert_eq!(shadow.read_all("base/1").unwrap(), b"newer");
+    }
+
+    #[test]
+    fn wal_older_than_the_dump_arriving_late_rebases() {
+        // A boot-time image of the log file (ts 3) covers bytes the dump
+        // (ts 5) owns; listed only after the shadow was based on the
+        // dump, it must not be applied on top of it.
+        let config = config();
+        let codec = Codec::new(config.codec.clone());
+        let bucket = Arc::new(MemStore::new());
+        let (store, log) = (bucket.as_ref(), "pg_xlog/0001");
+        seal_db(store, &codec, 5, DbObjectKind::Dump, log, b"HEAD");
+        let shadow = Arc::new(MemFs::new());
+        let tail = StandbyConfig::default();
+        let standby =
+            Standby::attach(bucket.clone(), shadow.clone(), config.clone(), tail).unwrap();
+        standby.run_cycle().unwrap();
+
+        seal_wal(store, &codec, 3, 0, b"boot-image");
+        assert!(standby.run_cycle().unwrap().rebased);
+        assert_eq!(shadow.read_all(log).unwrap(), b"HEAD-image");
+        assert_matches_cold(&bucket, &shadow, &config);
     }
 
     #[test]

@@ -16,19 +16,13 @@ cargo test -q --test sentinel_chaos -- --nocapture
 # each survivor must recover locally, from the cloud, and via reboot.
 cargo run -q --release --bin ginja-cli -- crashtest --profile postgres --ops 6 --stride 3
 cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 6 --stride 3 --seed 7
-# Bench smoke (small time scale): the codec hot-path micro-bench plus
-# the fan-out ablation, which asserts the >=2x recovery cut at width 8
-# and a warm, allocation-free bufpool, and archives its headline
-# numbers (objects/s sealed, recovery wall-clock at fan-out 1/4/8).
+# Bench smoke (small time scale): the codec hot-path micro-bench.
 GINJA_BENCH_SCALE=0.02 cargo bench -q -p ginja-bench --bench codec_micro
-# Output paths are absolute: cargo runs bench binaries with the
-# package directory (crates/bench) as cwd, not the repo root.
-GINJA_BENCH_SCALE=0.02 BENCH_PR4_OUT="$PWD/BENCH_PR4.json" \
-    cargo bench -q -p ginja-bench --bench ablation_fanout
-test -s BENCH_PR4.json
 # Budget-governor smoke: fixed B vs. governed under bursty TPC-C — the
 # governed run must land under its budget without touching the safety
 # bound, and its bucket must still recover (DESIGN.md §13).
+# Output paths are absolute: cargo runs bench binaries with the
+# package directory (crates/bench) as cwd, not the repo root.
 GINJA_BENCH_SCALE=0.02 BENCH_PR6_OUT="$PWD/BENCH_PR6.json" \
     cargo bench -q -p ginja-bench --bench ablation_budget
 test -s BENCH_PR6.json
