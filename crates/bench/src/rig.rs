@@ -24,9 +24,7 @@ use ginja_cloud::{
 };
 use ginja_core::{Ginja, GinjaConfig, GinjaStatsSnapshot};
 use ginja_db::{Database, DbProfile, IoDelay, ProfileKind};
-use ginja_vfs::{
-    DelayFs, FileSystem, InterceptFs, MemFs, MySqlProcessor, NullProcessor, PostgresProcessor,
-};
+use ginja_vfs::{DelayFs, FileSystem, InterceptFs, MemFs, NullProcessor};
 use ginja_workload::{run_tpcc, RunReport, Tpcc, TpccScale};
 
 use crate::timescale::time_scale;
@@ -215,10 +213,7 @@ impl ProtectedRig {
                 None,
             ),
             BaselineKind::Ginja => {
-                let processor: Arc<dyn ginja_vfs::DbmsProcessor> = match options.kind {
-                    ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-                    ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
-                };
+                let processor = options.kind.processor();
                 let cloud: Arc<dyn ObjectStore> = store.clone();
                 let ginja = Ginja::boot(local.clone(), cloud, processor, options.config.clone())
                     .expect("ginja boot");

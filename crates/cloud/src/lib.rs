@@ -39,10 +39,8 @@
 
 mod delta;
 mod dir;
-mod erasure;
 mod error;
 mod fault;
-pub mod gf256;
 mod latency;
 mod mem;
 mod metered;
@@ -54,7 +52,6 @@ mod usage;
 
 pub use delta::{DeltaLister, ListingDelta};
 pub use dir::DirStore;
-pub use erasure::{decode as erasure_decode, encode as erasure_encode, ErasureStore};
 pub use error::StoreError;
 pub use fault::{FaultKind, FaultPlan, FaultStore, OpKind};
 pub use latency::{LatencyModel, LatencyStore};

@@ -67,11 +67,6 @@ impl ReplicatedStore {
         }
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// The configured write quorum.
     pub fn write_quorum(&self) -> usize {
         self.write_quorum

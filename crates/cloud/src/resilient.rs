@@ -1,11 +1,11 @@
-//! Retry, circuit-breaking, and hedging for the cloud upload path.
+//! Retry and circuit-breaking for the cloud upload path.
 //!
 //! Ginja's safety guarantee (paper §4, Algorithm 2) only holds if
 //! uploads eventually complete: when the cloud stalls, the DBMS blocks
 //! at the Safety limit, so every transient `put` failure that is not
 //! absorbed here becomes application downtime. [`ResilientStore`]
-//! wraps any [`ObjectStore`] with three standard availability
-//! techniques, all driven by a [`RetryConfig`]:
+//! wraps any [`ObjectStore`] with two standard availability
+//! techniques, both driven by a [`RetryConfig`]:
 //!
 //! * **Retry with exponential backoff and full jitter** — each
 //!   [retryable](StoreError::is_retryable) failure is retried up to
@@ -21,19 +21,12 @@
 //!   after `breaker_probes` consecutive successes. Fast-failing keeps
 //!   uploader threads from piling onto a dead provider and gives
 //!   `Ginja::exposure` a crisp "cloud is down" signal.
-//! * **Hedged puts** — optionally, when a `put` has not completed
-//!   within the observed `hedge_percentile` latency, a second identical
-//!   `put` is issued and the first acknowledgement wins. Safe because
-//!   Ginja `put`s are idempotent whole-object replaces; effective
-//!   because object-store tail latency is long (BtrLog/Taurus make the
-//!   same observation for cloud log appends).
 //!
 //! Everything the layer does is observable through
 //! [`ResilientStore::snapshot`], which Ginja merges into its
 //! `GinjaStats`.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -52,9 +45,6 @@ pub struct RetryConfig {
     pub base_delay: Duration,
     /// Cap on the backoff delay. Must be ≥ `base_delay`.
     pub max_delay: Duration,
-    /// Full jitter: sleep uniform-random in `[0, delay]` instead of
-    /// exactly `delay`, decorrelating the uploader pool's retries.
-    pub jitter: bool,
     /// Consecutive retryable failures that open the breaker;
     /// 0 disables circuit breaking.
     pub breaker_threshold: u32,
@@ -63,11 +53,6 @@ pub struct RetryConfig {
     /// Consecutive half-open successes required to close the breaker.
     /// Must be ≥ 1 when the breaker is enabled.
     pub breaker_probes: u32,
-    /// Enable hedged `put`s.
-    pub hedge: bool,
-    /// Latency percentile of recent `put`s that triggers a hedge.
-    /// Must be in (0, 1).
-    pub hedge_percentile: f64,
 }
 
 impl Default for RetryConfig {
@@ -76,24 +61,20 @@ impl Default for RetryConfig {
             max_attempts: 6,
             base_delay: Duration::from_millis(10),
             max_delay: Duration::from_secs(2),
-            jitter: true,
             breaker_threshold: 8,
             breaker_cooldown: Duration::from_secs(5),
             breaker_probes: 2,
-            hedge: false,
-            hedge_percentile: 0.95,
         }
     }
 }
 
 impl RetryConfig {
-    /// No retries, no breaker, no hedging: the wrapper becomes a
+    /// No retries, no breaker: the wrapper becomes a
     /// pass-through (used as the ablation baseline).
     pub fn disabled() -> Self {
         RetryConfig {
             max_attempts: 1,
             breaker_threshold: 0,
-            hedge: false,
             ..RetryConfig::default()
         }
     }
@@ -112,12 +93,6 @@ impl RetryConfig {
         }
         if self.breaker_threshold > 0 && self.breaker_probes < 1 {
             return Err("retry.breaker_probes must be >= 1 when the breaker is enabled".into());
-        }
-        if self.hedge && !(self.hedge_percentile > 0.0 && self.hedge_percentile < 1.0) {
-            return Err(format!(
-                "retry.hedge_percentile ({}) must be in (0, 1)",
-                self.hedge_percentile
-            ));
         }
         Ok(())
     }
@@ -139,14 +114,6 @@ pub enum BreakerState {
 pub struct ResilienceSnapshot {
     /// Retry attempts issued (beyond each operation's first attempt).
     pub retries: u64,
-    /// Hedged second attempts launched.
-    pub hedges_launched: u64,
-    /// Hedges where the second attempt acknowledged first.
-    pub hedges_won: u64,
-    /// Hedges that did not win: the primary acknowledged first anyway,
-    /// or the operation failed. Every launched hedge resolves as
-    /// exactly one of won or lost.
-    pub hedges_lost: u64,
     /// Closed → open transitions.
     pub breaker_trips: u64,
     /// Operations rejected without reaching the backend while open.
@@ -288,58 +255,8 @@ impl Breaker {
     }
 }
 
-/// Ring buffer of recent `put` latencies for the hedge trigger.
-#[derive(Debug)]
-struct LatencyWindow {
-    samples: Mutex<Vec<Duration>>,
-    cursor: AtomicU64,
-}
-
-const LATENCY_WINDOW: usize = 256;
-/// Hedging waits for at least this many observations before trusting
-/// the percentile estimate.
-const HEDGE_MIN_SAMPLES: usize = 16;
-
-impl LatencyWindow {
-    fn new() -> Self {
-        LatencyWindow {
-            samples: Mutex::new(Vec::new()),
-            cursor: AtomicU64::new(0),
-        }
-    }
-
-    fn record(&self, sample: Duration) {
-        let mut samples = self.samples.lock();
-        if samples.len() < LATENCY_WINDOW {
-            samples.push(sample);
-        } else {
-            let at = self.cursor.fetch_add(1, Ordering::Relaxed) as usize % LATENCY_WINDOW;
-            samples[at] = sample;
-        }
-    }
-
-    fn percentile(&self, p: f64) -> Option<Duration> {
-        let samples = self.samples.lock();
-        if samples.len() < HEDGE_MIN_SAMPLES {
-            return None;
-        }
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        let rank = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-        Some(sorted[rank.min(sorted.len() - 1)])
-    }
-}
-
-#[derive(Debug, Default)]
-struct Counters {
-    retries: AtomicU64,
-    hedges_launched: AtomicU64,
-    hedges_won: AtomicU64,
-    hedges_lost: AtomicU64,
-}
-
-/// An [`ObjectStore`] decorator adding retry, circuit breaking, and
-/// hedged `put`s (see the module docs for the policy details).
+/// An [`ObjectStore`] decorator adding retry and circuit breaking
+/// (see the module docs for the policy details).
 ///
 /// Cloning is cheap and shares all state, so one wrapper can serve
 /// Ginja's whole uploader pool and report pooled statistics.
@@ -348,8 +265,7 @@ pub struct ResilientStore {
     inner: Arc<dyn ObjectStore>,
     config: Arc<RetryConfig>,
     breaker: Arc<Breaker>,
-    latencies: Arc<LatencyWindow>,
-    counters: Arc<Counters>,
+    retries: Arc<AtomicU64>,
     /// Usage accounting shared with every layer that issues cloud ops
     /// through this wrapper (the governor reads it).
     ledger: Arc<UsageLedger>,
@@ -397,8 +313,7 @@ impl ResilientStore {
             inner,
             config: Arc::new(config),
             breaker,
-            latencies: Arc::new(LatencyWindow::new()),
-            counters: Arc::new(Counters::default()),
+            retries: Arc::new(AtomicU64::new(0)),
             ledger,
             jitter_state: Arc::new(AtomicU64::new(0x5DEE_CE66_D1CE_4E5B)),
         }
@@ -427,10 +342,7 @@ impl ResilientStore {
     /// Point-in-time counters (cheap; safe to poll).
     pub fn snapshot(&self) -> ResilienceSnapshot {
         ResilienceSnapshot {
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            hedges_launched: self.counters.hedges_launched.load(Ordering::Relaxed),
-            hedges_won: self.counters.hedges_won.load(Ordering::Relaxed),
-            hedges_lost: self.counters.hedges_lost.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
             breaker_trips: self.breaker.trips.load(Ordering::Relaxed),
             breaker_fast_fails: self.breaker.fast_fails.load(Ordering::Relaxed),
             breaker_open_time: self.breaker.open_time(),
@@ -459,12 +371,8 @@ impl ResilientStore {
             .base_delay
             .saturating_mul(1u32 << attempt.min(20))
             .min(self.config.max_delay);
-        let slept = if self.config.jitter {
-            exp.mul_f64(self.jitter_unit())
-        } else {
-            exp
-        };
-        slept.max(hint.unwrap_or(Duration::ZERO))
+        exp.mul_f64(self.jitter_unit())
+            .max(hint.unwrap_or(Duration::ZERO))
     }
 
     /// The retry + breaker loop shared by all four operations.
@@ -497,7 +405,7 @@ impl ResilientStore {
             match result {
                 Ok(value) => return Ok(value),
                 Err(e) if e.is_retryable() && attempt + 1 < self.config.max_attempts => {
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
+                    self.retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(self.backoff_delay(attempt, e.retry_after()));
                     attempt += 1;
                 }
@@ -505,113 +413,12 @@ impl ResilientStore {
             }
         }
     }
-
-    /// One `put` attempt: plain, or hedged when the policy and the
-    /// latency window call for it.
-    fn put_attempt(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-        let started = Instant::now();
-        let threshold = if self.config.hedge {
-            self.latencies.percentile(self.config.hedge_percentile)
-        } else {
-            None
-        };
-        let result = match threshold {
-            Some(threshold) => self.hedged_put(name, data, threshold),
-            None => self.inner.put(name, data),
-        };
-        if result.is_ok() {
-            self.latencies.record(started.elapsed());
-        }
-        result
-    }
-
-    /// Issues the primary `put` on a worker thread; if it has not
-    /// acknowledged within `threshold`, issues an identical secondary
-    /// and takes the first acknowledgement. Idempotent whole-object
-    /// `put`s make the duplicate harmless; the slower attempt is left
-    /// to finish (or fail) in the background.
-    fn hedged_put(&self, name: &str, data: &[u8], threshold: Duration) -> Result<(), StoreError> {
-        let (tx, rx) = mpsc::channel::<(bool, Result<(), StoreError>)>();
-        let spawn_attempt = |tx: mpsc::Sender<(bool, Result<(), StoreError>)>, secondary: bool| {
-            let inner = self.inner.clone();
-            let name = name.to_string();
-            let data = data.to_vec();
-            std::thread::spawn(move || {
-                // The receiver may be gone if the other attempt won.
-                let _ = tx.send((secondary, inner.put(&name, &data)));
-            });
-        };
-        spawn_attempt(tx.clone(), false);
-        // Whether *this call* launched a secondary. Outcomes are
-        // attributed per call, never inferred from the shared counters
-        // (concurrent puts would race), and a blocking recv() is only
-        // ever issued while a worker still holds a sender.
-        let mut hedged = false;
-        let first = match rx.recv_timeout(threshold) {
-            Ok(message) => {
-                drop(tx);
-                message
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                self.counters
-                    .hedges_launched
-                    .fetch_add(1, Ordering::Relaxed);
-                hedged = true;
-                // Moves the last local sender into the worker, so once
-                // both workers finish the channel disconnects and no
-                // recv() below can block forever.
-                spawn_attempt(tx, true);
-                match rx.recv() {
-                    Ok(message) => message,
-                    // Both workers died without reporting.
-                    Err(_) => {
-                        self.counters.hedges_lost.fetch_add(1, Ordering::Relaxed);
-                        return Err(StoreError::unavailable("hedged put lost both attempts"));
-                    }
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                return Err(StoreError::unavailable("hedged put worker vanished"));
-            }
-        };
-        let (result, won_by_secondary) = match first {
-            (secondary, Ok(())) => (Ok(()), secondary),
-            (_, Err(first_err)) if !hedged => {
-                // The primary failed before the hedge threshold: no
-                // secondary is in flight, so its error is the
-                // operation's error. Waiting on the channel here would
-                // block forever — nothing else will ever send.
-                (Err(first_err), false)
-            }
-            (_, Err(first_err)) => {
-                // First reply failed but the other attempt is still in
-                // flight; its answer decides.
-                match rx.recv() {
-                    Ok((secondary, Ok(()))) => (Ok(()), secondary),
-                    Ok((_, Err(second_err))) => (Err(second_err), false),
-                    // The other worker died without reporting.
-                    Err(_) => (Err(first_err), false),
-                }
-            }
-        };
-        if hedged {
-            // Every launched hedge resolves exactly once: won when the
-            // secondary's ack was the one accepted, lost otherwise
-            // (primary acked first, or the whole put failed).
-            if won_by_secondary && result.is_ok() {
-                self.counters.hedges_won.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.counters.hedges_lost.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        result
-    }
 }
 
 impl ObjectStore for ResilientStore {
     fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
         let started = Instant::now();
-        match self.run(|| self.put_attempt(name, data)) {
+        match self.run(|| self.inner.put(name, data)) {
             Ok(()) => {
                 self.ledger
                     .record_put(name, data.len() as u64, started.elapsed());
@@ -690,7 +497,7 @@ impl crate::usage::UsageMeter for ResilientStore {
 mod tests {
     use super::*;
     use crate::usage::UsageMeter;
-    use crate::{FaultPlan, FaultStore, LatencyModel, LatencyStore, MemStore, OpKind};
+    use crate::{FaultPlan, FaultStore, MemStore, OpKind};
 
     /// Fast test policy: microsecond-scale delays, breaker off.
     fn fast_config(max_attempts: u32) -> RetryConfig {
@@ -977,110 +784,10 @@ mod tests {
     }
 
     #[test]
-    fn hedged_put_fires_and_wins_on_slow_primary() {
-        // Deterministic 20 ms puts (no jitter), so every put dwarfs the
-        // seeded 1 ms percentile and must trigger a hedge.
-        let model = LatencyModel {
-            put_base: Duration::from_millis(20),
-            upload_bandwidth: f64::INFINITY,
-            get_base: Duration::ZERO,
-            download_bandwidth: f64::INFINITY,
-            list_base: Duration::ZERO,
-            delete_base: Duration::ZERO,
-            jitter: 0.0,
-            time_scale: 1.0,
-        };
-        let slow = LatencyStore::new(MemStore::new(), model);
-        let config = RetryConfig {
-            hedge: true,
-            hedge_percentile: 0.5,
-            ..fast_config(1)
-        };
-        let store = ResilientStore::new(Arc::new(slow), config);
-        for _ in 0..HEDGE_MIN_SAMPLES {
-            store.latencies.record(Duration::from_millis(1));
-        }
-        for i in 0..4 {
-            store.put(&format!("hot{i}"), b"x").unwrap();
-        }
-        let snapshot = store.snapshot();
-        assert_eq!(snapshot.hedges_launched, 4);
-        assert_eq!(
-            snapshot.hedges_won + snapshot.hedges_lost,
-            snapshot.hedges_launched
-        );
-    }
-
-    #[test]
-    fn hedge_with_fast_failing_primary_returns_without_hanging() {
-        // Regression: a primary failing *before* the hedge threshold
-        // used to leave hedged_put blocked on recv() forever (no
-        // secondary in flight, and the local sender kept the channel
-        // connected), wedging the uploader thread.
-        let (store, plan) = faulty_store(RetryConfig {
-            hedge: true,
-            hedge_percentile: 0.5,
-            ..fast_config(1)
-        });
-        for _ in 0..HEDGE_MIN_SAMPLES {
-            store.latencies.record(Duration::from_millis(500));
-        }
-        plan.fail_next(OpKind::Put, 1);
-        let started = Instant::now();
-        let err = store.put("a", b"1").unwrap_err();
-        assert!(err.is_retryable());
-        assert!(
-            started.elapsed() < Duration::from_millis(400),
-            "fast primary failure must surface before the hedge threshold"
-        );
-        assert_eq!(store.snapshot().hedges_launched, 0);
-        // The wrapper is still usable afterwards.
-        store.put("a", b"1").unwrap();
-    }
-
-    #[test]
-    fn hedged_put_failure_counts_as_lost() {
-        // Both attempts slow (20 ms) and failing: the hedge fires, both
-        // report errors, and the accounting still balances per call
-        // (won + lost == launched) instead of being inferred from the
-        // shared counters.
-        let model = LatencyModel {
-            put_base: Duration::from_millis(20),
-            upload_bandwidth: f64::INFINITY,
-            get_base: Duration::ZERO,
-            download_bandwidth: f64::INFINITY,
-            list_base: Duration::ZERO,
-            delete_base: Duration::ZERO,
-            jitter: 0.0,
-            time_scale: 1.0,
-        };
-        let plan = Arc::new(FaultPlan::new());
-        let slow_faulty = LatencyStore::new(FaultStore::new(MemStore::new(), plan.clone()), model);
-        let store = ResilientStore::new(
-            Arc::new(slow_faulty),
-            RetryConfig {
-                hedge: true,
-                hedge_percentile: 0.5,
-                ..fast_config(1)
-            },
-        );
-        for _ in 0..HEDGE_MIN_SAMPLES {
-            store.latencies.record(Duration::from_millis(1));
-        }
-        plan.fail_next(OpKind::Put, usize::MAX);
-        assert!(store.put("a", b"1").is_err());
-        let snapshot = store.snapshot();
-        assert_eq!(snapshot.hedges_launched, 1);
-        assert_eq!(snapshot.hedges_won, 0);
-        assert_eq!(snapshot.hedges_lost, 1);
-    }
-
-    #[test]
     fn backoff_is_capped_and_jittered() {
         let (store, _plan) = faulty_store(RetryConfig {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(4),
-            jitter: true,
             ..fast_config(3)
         });
         for attempt in 0..32 {
@@ -1103,13 +810,6 @@ mod tests {
         let bad = RetryConfig {
             base_delay: Duration::from_secs(10),
             max_delay: Duration::from_secs(1),
-            ..RetryConfig::default()
-        };
-        assert!(bad.validate().is_err());
-
-        let bad = RetryConfig {
-            hedge: true,
-            hedge_percentile: 1.5,
             ..RetryConfig::default()
         };
         assert!(bad.validate().is_err());

@@ -10,14 +10,16 @@ use crate::hmac::HmacSha1;
 use crate::kdf::DerivedKeys;
 use crate::{ctr, CodecError};
 
+/// The string the MAC key is derived from when no password is
+/// configured (§5.4).
+const MAC_DEFAULT: &str = "ginja-default-mac-key";
+
 /// Configuration for a [`Codec`], mirroring Ginja's object-protection
-/// options (§5.4 / §6): compression, password-derived encryption, and the
-/// default MAC-key string used when encryption is off.
+/// options (§5.4 / §6): compression and password-derived encryption.
 #[derive(Debug, Clone)]
 pub struct CodecConfig {
     compression: Option<Level>,
     password: Option<String>,
-    mac_default: String,
     kdf_iterations: u32,
 }
 
@@ -28,13 +30,11 @@ impl Default for CodecConfig {
 }
 
 impl CodecConfig {
-    /// A configuration with no compression, no encryption, and the
-    /// default MAC-key string.
+    /// A configuration with no compression and no encryption.
     pub fn new() -> Self {
         CodecConfig {
             compression: None,
             password: None,
-            mac_default: "ginja-default-mac-key".to_string(),
             kdf_iterations: crate::kdf::DEFAULT_ITERATIONS,
         }
     }
@@ -47,25 +47,10 @@ impl CodecConfig {
         self
     }
 
-    /// Enables compression at an explicit level.
-    #[must_use]
-    pub fn compression_level(mut self, level: Level) -> Self {
-        self.compression = Some(level);
-        self
-    }
-
     /// Enables AES-128-CTR encryption with keys derived from `password`.
     #[must_use]
     pub fn password(mut self, password: impl Into<String>) -> Self {
         self.password = Some(password.into());
-        self
-    }
-
-    /// Sets the default string used to derive the MAC key when no
-    /// password is configured (a deployment parameter in the paper).
-    #[must_use]
-    pub fn mac_default(mut self, s: impl Into<String>) -> Self {
-        self.mac_default = s.into();
         self
     }
 
@@ -74,16 +59,6 @@ impl CodecConfig {
     pub fn kdf_iterations(mut self, iterations: u32) -> Self {
         self.kdf_iterations = iterations;
         self
-    }
-
-    /// Whether compression is enabled.
-    pub fn is_compression_enabled(&self) -> bool {
-        self.compression.is_some()
-    }
-
-    /// Whether encryption is enabled.
-    pub fn is_encryption_enabled(&self) -> bool {
-        self.password.is_some()
     }
 }
 
@@ -115,7 +90,7 @@ impl Codec {
                 let keys = DerivedKeys::from_password_iterations(pw, config.kdf_iterations);
                 (Some(Aes128::new(&keys.enc_key)), keys.mac_key)
             }
-            None => (None, DerivedKeys::mac_only(&config.mac_default)),
+            None => (None, DerivedKeys::mac_only(MAC_DEFAULT)),
         };
         Codec {
             compression: config.compression,
@@ -495,7 +470,7 @@ mod tests {
         let retagged = envelope::assemble(
             // Re-MAC the encrypted body under the plain codec's key to
             // isolate the KeyMissing path from MacMismatch.
-            &DerivedKeys::mac_only("ginja-default-mac-key"),
+            &DerivedKeys::mac_only(MAC_DEFAULT),
             "o",
             env.flags,
             &env.nonce,

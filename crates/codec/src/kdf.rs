@@ -79,11 +79,6 @@ impl Drop for DerivedKeys {
 }
 
 impl DerivedKeys {
-    /// Derives both keys from `password` with the default iteration count.
-    pub fn from_password(password: &str) -> Self {
-        Self::from_password_iterations(password, DEFAULT_ITERATIONS)
-    }
-
     /// Derives both keys with an explicit iteration count (tests use a
     /// small count to stay fast).
     pub fn from_password_iterations(password: &str, iterations: u32) -> Self {

@@ -37,14 +37,6 @@ pub struct SentinelConfig {
     /// How often a restore rehearsal runs (full recovery into a scratch
     /// file system, measuring achieved RTO and RPO).
     pub rehearsal_interval: Duration,
-    /// Whether the repair loop re-uploads missing/corrupt objects from
-    /// local state and re-dumps on unhealable DB objects.
-    pub repair: bool,
-    /// Whether confirmed orphans (objects in the bucket that the live
-    /// view does not track — e.g. garbage left by a failed GC DELETE)
-    /// are deleted. Orphans are quarantined for one full scrub cycle
-    /// before deletion, so an in-flight upload can never be swept.
-    pub delete_orphans: bool,
 }
 
 impl Default for SentinelConfig {
@@ -53,8 +45,6 @@ impl Default for SentinelConfig {
             scrub_interval: Duration::from_secs(60),
             scrub_sample: 64,
             rehearsal_interval: Duration::from_secs(3600),
-            repair: true,
-            delete_orphans: true,
         }
     }
 }
@@ -99,9 +89,6 @@ pub struct OutageConfig {
     /// bounded at `ckpt_capacity` jobs no matter how long the cloud is
     /// gone.
     pub ckpt_capacity: usize,
-    /// Directory (on the DBMS's local file system) holding the spill
-    /// queue's records.
-    pub spill_dir: String,
     /// Spill-queue disk ceiling in payload bytes. At the ceiling the
     /// policy enters Shedding: the aggregator blocks on the ring (the
     /// DBMS saturates at S as usual) and `Exposure::fatal` turns on.
@@ -111,10 +98,6 @@ pub struct OutageConfig {
     pub enduring_after: Duration,
     /// Outage-policy poll interval.
     pub poll_interval: Duration,
-    /// Fair-share weight of the catch-up drain lane on a shared fan-out
-    /// executor (fleet deployments): relative to tenant lane weights,
-    /// so catch-up cannot starve live commit traffic.
-    pub catchup_weight: f64,
 }
 
 impl Default for OutageConfig {
@@ -122,11 +105,9 @@ impl Default for OutageConfig {
         OutageConfig {
             ring_capacity: 256,
             ckpt_capacity: 8,
-            spill_dir: ".ginja_spill".into(),
             spill_ceiling: 1 << 30,
             enduring_after: Duration::from_secs(30),
             poll_interval: Duration::from_millis(50),
-            catchup_weight: 1.0,
         }
     }
 }
@@ -145,17 +126,11 @@ impl OutageConfig {
         if self.ckpt_capacity == 0 {
             return Err("outage.ckpt_capacity must be at least 1".into());
         }
-        if self.spill_dir.is_empty() {
-            return Err("outage.spill_dir must be nonempty".into());
-        }
         if self.spill_ceiling == 0 {
             return Err("outage.spill_ceiling must be nonzero".into());
         }
         if self.poll_interval.is_zero() {
             return Err("outage.poll_interval must be nonzero".into());
-        }
-        if !self.catchup_weight.is_finite() || self.catchup_weight <= 0.0 {
-            return Err("outage.catchup_weight must be positive and finite".into());
         }
         Ok(())
     }
@@ -249,8 +224,8 @@ pub struct GinjaConfig {
     pub codec: CodecConfig,
     /// Optional point-in-time-recovery retention.
     pub pitr: Option<PitrConfig>,
-    /// Cloud-path resilience policy: retry with backoff, circuit
-    /// breaking, and optional hedged `put`s. Every cloud operation
+    /// Cloud-path resilience policy: retry with backoff and circuit
+    /// breaking. Every cloud operation
     /// Ginja issues (boot uploads, batch uploads, checkpoint merges,
     /// garbage collection) goes through this policy.
     pub retry: RetryConfig,
@@ -438,19 +413,11 @@ impl GinjaConfigBuilder {
     }
 
     /// Sets the cloud-path resilience policy (retry/backoff, circuit
-    /// breaker, hedging). Use [`RetryConfig::disabled`] to make every
+    /// breaker). Use [`RetryConfig::disabled`] to make every
     /// cloud failure surface immediately (ablation studies only).
     #[must_use]
     pub fn retry(mut self, retry: RetryConfig) -> Self {
         self.config.retry = retry;
-        self
-    }
-
-    /// Enables or disables hedged `put`s without replacing the rest of
-    /// the retry policy.
-    #[must_use]
-    pub fn hedging(mut self, enabled: bool) -> Self {
-        self.config.retry.hedge = enabled;
         self
     }
 
@@ -499,6 +466,57 @@ impl GinjaConfigBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The option surface, pinned at compile time. The rule (DESIGN.md
+    /// §4): an option exists only if something outside its own
+    /// validation test sets it. Every pattern below is exhaustive — no
+    /// `..` — so adding a field to any of the five structs breaks this
+    /// test, and the fix is to name, next to the new binding, the caller
+    /// that sets it.
+    #[test]
+    fn option_surface_is_pinned() {
+        let GinjaConfig {
+            batch: _,           // bench_e2e rig, every example
+            batch_timeout: _,   // bench_e2e rig
+            safety: _,          // bench_e2e rig, every example
+            safety_timeout: _,  // bench_e2e rig, `ginja-cli outage`
+            uploaders: _,       // bench_e2e rig, crashpoint sweep
+            recovery_fanout: _, // bench_e2e rig, fig7, crashpoint sweep
+            max_object_size: _, // the paper's §5.2 parameter; no caller yet
+            dump_threshold: _,  // crashpoint sweep, the governor's knob
+            codec: _,           // bench_e2e rig, `ginja-cli`
+            pitr: _,            // examples/point_in_time.rs
+            retry,
+            sentinel,
+            budget: _, // ablation_budget
+            outage,
+            ingest,
+        } = GinjaConfig::builder().build().unwrap();
+        let RetryConfig {
+            max_attempts: _,      // `ginja-cli outage`, ablation_outage
+            base_delay: _,        // `ginja-cli outage`, ablation_outage
+            max_delay: _,         // `ginja-cli outage`, ablation_outage
+            breaker_threshold: _, // `ginja-cli outage`, ablation_outage
+            breaker_cooldown: _,  // `ginja-cli outage`, ablation_outage
+            breaker_probes: _,    // `ginja-cli outage`, ablation_outage
+        } = retry;
+        let SentinelConfig {
+            scrub_interval: _,     // sentinel/tests/live.rs, tests/thread_model.rs
+            scrub_sample: _,       // `ginja-cli outage`, examples/dr_drill.rs
+            rehearsal_interval: _, // sentinel/tests/live.rs, tests/thread_model.rs
+        } = sentinel;
+        let OutageConfig {
+            ring_capacity: _,  // `ginja-cli outage --ring`, ablation_outage
+            ckpt_capacity: _,  // `ginja-cli outage`, ablation_outage
+            spill_ceiling: _,  // `ginja-cli outage --spill-ceiling`
+            enduring_after: _, // `ginja-cli outage`, ablation_outage
+            poll_interval: _,  // `ginja-cli outage`, ablation_outage
+        } = outage;
+        let IngestConfig {
+            spin: _,          // queue.rs parking tests
+            adaptive_seal: _, // bench_e2e rig (`recover` turns it off)
+        } = ingest;
+    }
 
     #[test]
     fn defaults_are_valid() {
@@ -557,7 +575,6 @@ mod tests {
         let c = GinjaConfig::builder().build().unwrap();
         assert_eq!(c.outage.ring_capacity, 256, "default ring capacity");
         assert_eq!(c.outage.ckpt_capacity, 8);
-        assert_eq!(c.outage.spill_dir, ".ginja_spill");
 
         let c = GinjaConfig::builder()
             .outage(OutageConfig {
@@ -580,23 +597,11 @@ mod tests {
                 ..OutageConfig::default()
             },
             OutageConfig {
-                spill_dir: String::new(),
-                ..OutageConfig::default()
-            },
-            OutageConfig {
                 spill_ceiling: 0,
                 ..OutageConfig::default()
             },
             OutageConfig {
                 poll_interval: Duration::ZERO,
-                ..OutageConfig::default()
-            },
-            OutageConfig {
-                catchup_weight: 0.0,
-                ..OutageConfig::default()
-            },
-            OutageConfig {
-                catchup_weight: f64::NAN,
                 ..OutageConfig::default()
             },
         ] {
@@ -655,21 +660,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.retry.max_attempts, 9);
-        assert!(!c.retry.hedge, "hedging defaults off");
-    }
-
-    #[test]
-    fn hedging_toggle_preserves_rest_of_policy() {
-        let c = GinjaConfig::builder()
-            .retry(RetryConfig {
-                max_attempts: 9,
-                ..RetryConfig::default()
-            })
-            .hedging(true)
-            .build()
-            .unwrap();
-        assert!(c.retry.hedge);
-        assert_eq!(c.retry.max_attempts, 9);
     }
 
     #[test]
@@ -684,7 +674,6 @@ mod tests {
             .unwrap();
         assert_eq!(c.sentinel.scrub_interval, Duration::from_secs(5));
         assert_eq!(c.sentinel.scrub_sample, 0);
-        assert!(c.sentinel.repair && c.sentinel.delete_orphans);
 
         let zero_scrub = SentinelConfig {
             scrub_interval: Duration::ZERO,
@@ -741,16 +730,6 @@ mod tests {
         };
         assert!(GinjaConfig::builder()
             .retry(inverted_delays)
-            .build()
-            .is_err());
-
-        let bad_percentile = RetryConfig {
-            hedge_percentile: 2.0,
-            ..RetryConfig::default()
-        };
-        assert!(GinjaConfig::builder()
-            .retry(bad_percentile)
-            .hedging(true)
             .build()
             .is_err());
 

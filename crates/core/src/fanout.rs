@@ -102,6 +102,20 @@ struct Lane {
     jobs: u64,
 }
 
+impl Lane {
+    fn snapshot(&self, lane: usize) -> LaneSnapshot {
+        LaneSnapshot {
+            lane,
+            weight: self.quantum,
+            waves: self.waves,
+            jobs: self.jobs,
+            granted: self.granted,
+            preemptions: self.preemptions,
+            deficit_carry: self.deficit,
+        }
+    }
+}
+
 /// Deterministic weighted deficit round-robin core. Pure state machine —
 /// no threads, no clocks — so the fairness and starvation properties are
 /// unit-testable exactly.
@@ -385,7 +399,8 @@ impl FanoutExecutor {
         self.width
     }
 
-    /// Number of waves (calls to `run_ordered`/`run_collect`) executed.
+    /// Number of waves (calls to `run_ordered`/`run_staged`/`run_collect`,
+    /// on any lane) executed.
     pub fn waves(&self) -> u64 {
         self.waves.load(Ordering::Relaxed)
     }
@@ -414,19 +429,18 @@ impl FanoutExecutor {
                     .lanes
                     .iter()
                     .enumerate()
-                    .map(|(lane, l)| LaneSnapshot {
-                        lane,
-                        weight: l.quantum,
-                        waves: l.waves,
-                        jobs: l.jobs,
-                        granted: l.granted,
-                        preemptions: l.preemptions,
-                        deficit_carry: l.deficit,
-                    })
+                    .map(|(lane, l)| l.snapshot(lane))
                     .collect()
             }
             None => Vec::new(),
         }
+    }
+
+    /// Scheduler counters for one lane (`None` on a non-fair executor),
+    /// read under the gate lock without cloning its neighbours.
+    fn lane_snapshot(&self, lane: usize) -> Option<LaneSnapshot> {
+        let state = self.gate.as_ref()?.state.lock();
+        state.lanes.get(lane).map(|l| l.snapshot(lane))
     }
 
     /// High-water mark of concurrently admitted jobs — on a fair executor
@@ -730,7 +744,7 @@ impl FanoutHandle {
 
     /// This lane's scheduler counters, if the executor is fair.
     pub fn lane_snapshot(&self) -> Option<LaneSnapshot> {
-        self.exec.lane_snapshots().into_iter().nth(self.lane)
+        self.exec.lane_snapshot(self.lane)
     }
 
     /// Runs `f` as one fair-scheduled job on this lane: acquires an

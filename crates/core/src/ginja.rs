@@ -50,6 +50,14 @@ use ginja_codec::bufpool;
 /// a correctness problem — the sentinel's orphan sweep deletes it later.
 const GC_BACKLOG_CAP: usize = 4096;
 
+/// Directory on the DBMS's local file system holding the spill queue's
+/// records: the same durable tier as the WAL (DESIGN.md §15).
+const SPILL_DIR: &str = ".ginja_spill";
+
+/// Fair-share weight of the spill-drain lane on a shared executor,
+/// relative to tenant lane weights.
+const CATCHUP_WEIGHT: f64 = 1.0;
+
 /// Largest WAL object Boot and Reboot's resync cut a local log file
 /// into (or `max_object_size`, if smaller). An object is collectable
 /// only whole, and a region the DBMS never rewrites — InnoDB's 2 kB
@@ -120,7 +128,7 @@ struct Shared {
     config: GinjaConfig,
     codec: Codec,
     /// The cloud behind the resilience layer (retry/backoff, circuit
-    /// breaker, optional hedging). Every pipeline thread goes through
+    /// breaker). Every pipeline thread goes through
     /// this handle, so `config.retry` governs all cloud traffic.
     cloud: Arc<ResilientStore>,
     fs: Arc<dyn FileSystem>,
@@ -138,7 +146,7 @@ struct Shared {
     /// was injected via [`Ginja::boot_with`]/[`Ginja::reboot_with`].
     fanout: FanoutHandle,
     /// The gate for spill-drain PUTs: on a fair shared executor a lane
-    /// of its own (weight `outage.catchup_weight`), so a tenant catching
+    /// of its own (weight [`CATCHUP_WEIGHT`]), so a tenant catching
     /// up after an outage cannot crowd out its neighbors' commit
     /// traffic; on a solo executor the instance's own permits.
     catchup: FanoutHandle,
@@ -351,7 +359,7 @@ impl Ginja {
 
         // Boot starts a fresh protection history: records spilled under
         // a previous history must not leak into the new bucket.
-        let spill = SpillQueue::open(fs.clone(), &config.outage.spill_dir)?;
+        let spill = SpillQueue::open(fs.clone(), SPILL_DIR)?;
         spill.clear()?;
 
         let ginja = Self::assemble(
@@ -418,7 +426,7 @@ impl Ginja {
         // the resync pass below compares the *current* local bytes
         // against the cloud image and uploads a fresher object that
         // wins at recovery.
-        let spill = SpillQueue::open(fs.clone(), &config.outage.spill_dir)?;
+        let spill = SpillQueue::open(fs.clone(), SPILL_DIR)?;
         let direct_put = |name: &str, sealed: &[u8]| -> Result<(), GinjaError> {
             cloud.put(name, sealed).map_err(GinjaError::from)
         };
@@ -494,7 +502,7 @@ impl Ginja {
         });
         let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
         let catchup = if fanout.executor().is_fair() {
-            FanoutHandle::shared(fanout.executor().clone(), config.outage.catchup_weight)
+            FanoutHandle::shared(fanout.executor().clone(), CATCHUP_WEIGHT)
         } else {
             fanout.clone()
         };
@@ -588,16 +596,13 @@ impl Ginja {
     }
 
     /// Statistics snapshot, with the resilience-layer counters (cloud
-    /// retries, hedges, breaker activity) and the cost-governor state
+    /// retries, breaker activity) and the cost-governor state
     /// merged in.
     pub fn stats(&self) -> GinjaStatsSnapshot {
         let mut snap = self.shared.stats.snapshot();
         snap.governor = self.governor_snapshot();
         let resilience = self.shared.cloud.snapshot();
         snap.cloud_retries = resilience.retries;
-        snap.hedges_launched = resilience.hedges_launched;
-        snap.hedges_won = resilience.hedges_won;
-        snap.hedges_lost = resilience.hedges_lost;
         snap.breaker_trips = resilience.breaker_trips;
         snap.breaker_fast_fails = resilience.breaker_fast_fails;
         snap.breaker_open_time = resilience.breaker_open_time;
@@ -1261,7 +1266,6 @@ fn put_with_retry(
     sealed: &[u8],
 ) -> Result<(), GinjaError> {
     let mut delay = Duration::from_millis(10);
-    let start = Instant::now();
     loop {
         let attempt = || shared.cloud.put(name, sealed);
         let result = match gate {
@@ -1269,12 +1273,7 @@ fn put_with_retry(
             None => attempt(),
         };
         let err = match result {
-            Ok(()) => {
-                // Time-to-durable including retries: that is what the
-                // queue (and so the DBMS) actually waits on.
-                shared.stats.put_histo.record(start.elapsed());
-                return Ok(());
-            }
+            Ok(()) => return Ok(()),
             Err(err) => err,
         };
         shared.stats.upload_retries.fetch_add(1, Ordering::Relaxed);
@@ -1605,7 +1604,13 @@ fn upload_wal_job(
 ) -> Result<(), GinjaError> {
     let name = job.name.to_name();
     let sealed = seal_timed(codec, stats, &name, &job.raw)?;
+    // Time-to-durable including `put`'s retries: that is what the queue
+    // (and so the DBMS) actually waits on. `put` itself records nothing,
+    // so every object lands in the histogram once — here or in
+    // `seal_put_wave`.
+    let put_start = Instant::now();
     put(&name, &sealed)?;
+    stats.put_histo.record(put_start.elapsed());
     stats.wal_objects_uploaded.fetch_add(1, Ordering::Relaxed);
     stats
         .wal_bytes_raw

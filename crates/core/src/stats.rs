@@ -214,9 +214,6 @@ impl GinjaStats {
             fanout_waves: 0,
             fanout_jobs: 0,
             cloud_retries: 0,
-            hedges_launched: 0,
-            hedges_won: 0,
-            hedges_lost: 0,
             breaker_trips: 0,
             breaker_fast_fails: 0,
             breaker_open_time: Duration::ZERO,
@@ -570,7 +567,7 @@ pub struct GinjaStatsSnapshot {
     /// Seal-stage latency (compress + encrypt + MAC per object).
     pub seal_latency: LatencySnapshot,
     /// Cloud PUT latency as observed by the pipeline (through the
-    /// resilience layer, so retries/hedges are included).
+    /// resilience layer, so retries are included).
     pub put_latency: LatencySnapshot,
     /// Cloud GET latency as observed by checkpoint merges and resync.
     pub get_latency: LatencySnapshot,
@@ -582,13 +579,6 @@ pub struct GinjaStatsSnapshot {
     /// Retries issued *inside* the resilience layer (backoff + jitter),
     /// across every cloud operation. Zero with retries disabled.
     pub cloud_retries: u64,
-    /// Hedged second `put` attempts launched by the resilience layer.
-    pub hedges_launched: u64,
-    /// Hedges where the second attempt acknowledged first.
-    pub hedges_won: u64,
-    /// Hedges that did not win: the primary acknowledged first anyway,
-    /// or the operation failed.
-    pub hedges_lost: u64,
     /// Circuit-breaker closed → open transitions.
     pub breaker_trips: u64,
     /// Operations the open breaker rejected without reaching the cloud.

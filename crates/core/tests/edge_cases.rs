@@ -143,68 +143,6 @@ fn shutdown_is_idempotent_and_disables_protection() {
 }
 
 #[test]
-fn erasure_coded_protection_survives_provider_loss() {
-    // DepSky-CA style: three providers, any two rebuild — 1.5× storage
-    // instead of replication's 3×.
-    let providers: Vec<Arc<MemStore>> = (0..3).map(|_| Arc::new(MemStore::new())).collect();
-    let cloud = Arc::new(ginja_cloud::ErasureStore::new(
-        providers
-            .iter()
-            .map(|p| p.clone() as Arc<dyn ginja_cloud::ObjectStore>)
-            .collect(),
-        2,
-    ));
-
-    let local = Arc::new(MemFs::new());
-    let db = Database::create(local.clone(), DbProfile::postgres_small()).unwrap();
-    db.create_table(1, 64).unwrap();
-    drop(db);
-    let ginja = Ginja::boot(
-        local.clone(),
-        cloud.clone(),
-        Arc::new(PostgresProcessor::new()),
-        config(),
-    )
-    .unwrap();
-    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
-    let db = Database::open(fs, DbProfile::postgres_small()).unwrap();
-    for i in 0..40u64 {
-        db.put(1, i, format!("shard-row-{i}").into_bytes()).unwrap();
-    }
-    assert!(ginja.sync(Duration::from_secs(20)));
-    ginja.shutdown();
-    drop(db);
-
-    // One provider is wiped entirely; recovery still works through the
-    // erasure layer.
-    providers[0].clear();
-    let rebuilt = Arc::new(MemFs::new());
-    recover_into(rebuilt.as_ref(), cloud.as_ref(), &config()).unwrap();
-    let db = Database::open(rebuilt, DbProfile::postgres_small()).unwrap();
-    for i in 0..40u64 {
-        assert_eq!(
-            db.get(1, i).unwrap().unwrap(),
-            format!("shard-row-{i}").into_bytes()
-        );
-    }
-
-    // Storage check: the three providers together hold ~1.5× the
-    // logical bytes, not 3×.
-    let logical: u64 = {
-        let names = cloud.list("").unwrap();
-        names
-            .iter()
-            .map(|n| cloud.get(n).unwrap().len() as u64)
-            .sum()
-    };
-    let physical: u64 = providers.iter().map(|p| p.total_bytes()).sum();
-    assert!(
-        physical < logical * 2,
-        "physical {physical} vs logical {logical}"
-    );
-}
-
-#[test]
 fn exposure_reports_pending_risk() {
     let local = Arc::new(MemFs::new());
     let db = Database::create(local.clone(), DbProfile::postgres_small()).unwrap();
@@ -373,7 +311,6 @@ fn gc_deletes_under_an_open_breaker_are_deferred_not_dropped() {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(300),
             breaker_probes: 1,
-            ..RetryConfig::default()
         })
         .build()
         .unwrap();

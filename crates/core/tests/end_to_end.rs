@@ -5,17 +5,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind};
+use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, UsageMeter};
 use ginja_core::{recover_into, recover_to_point, Ginja, GinjaConfig, PitrConfig};
-use ginja_db::{Database, DbProfile, ProfileKind};
-use ginja_vfs::{FileSystem, InterceptFs, MemFs, MySqlProcessor, PostgresProcessor};
-
-fn processor_for(profile: &DbProfile) -> Arc<dyn ginja_vfs::DbmsProcessor> {
-    match profile.kind {
-        ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-        ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
-    }
-}
+use ginja_db::{Database, DbProfile};
+use ginja_vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
 fn fast_config() -> GinjaConfig {
     GinjaConfig::builder()
@@ -40,7 +33,7 @@ fn protect(
     db.create_table(1, 64).unwrap();
     drop(db);
 
-    let ginja = Ginja::boot(local.clone(), cloud, processor_for(profile), config).unwrap();
+    let ginja = Ginja::boot(local.clone(), cloud, profile.kind.processor(), config).unwrap();
     let intercepted: Arc<dyn FileSystem> =
         Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
     let db = Database::open(intercepted, profile.clone()).unwrap();
@@ -117,6 +110,23 @@ fn recovery_after_checkpoints_and_gc() {
             );
         }
     }
+}
+
+/// Boot, WAL, checkpoint and dump PUTs each land in `put_latency` once:
+/// on a fault-free store the histogram counts exactly the PUTs the
+/// resilience layer's ledger billed.
+#[test]
+fn put_latency_counts_every_put_once() {
+    let profile = DbProfile::postgres_small().with_checkpoint_every(25);
+    let (db, ginja, _local) = protect(&profile, Arc::new(MemStore::new()), fast_config());
+    for i in 0..200 {
+        db.put(1, i % 80, val(i)).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(10)));
+    let stats = ginja.stats();
+    assert!(stats.db_objects_uploaded > 0, "no checkpoint was uploaded");
+    assert_eq!(stats.put_latency.count, ginja.usage_ledger().usage().puts);
+    ginja.shutdown();
 }
 
 #[test]

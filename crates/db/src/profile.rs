@@ -1,4 +1,7 @@
+use std::sync::Arc;
 use std::time::Duration;
+
+use ginja_vfs::{DbmsProcessor, MySqlProcessor, PostgresProcessor};
 
 /// Which real DBMS's on-disk behaviour a [`crate::Database`] reproduces.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -12,6 +15,16 @@ pub enum ProfileKind {
     /// batches of dirty pages, checkpoint headers at offsets 512/1536 of
     /// `ib_logfile0`).
     MySql,
+}
+
+impl ProfileKind {
+    /// The Ginja I/O classifier that understands this profile's files.
+    pub fn processor(self) -> Arc<dyn DbmsProcessor> {
+        match self {
+            ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
+            ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
+        }
+    }
 }
 
 /// A model of local storage latency, so simulated runs reproduce the
@@ -168,23 +181,6 @@ impl DbProfile {
     pub fn with_io_delay(mut self, delay: IoDelay) -> Self {
         self.io_delay = delay;
         self
-    }
-
-    /// Sets the default slot size for new tables.
-    #[must_use]
-    pub fn with_default_slot_size(mut self, slot: usize) -> Self {
-        assert!(slot > crate::table::SLOT_OVERHEAD, "slot too small");
-        assert!(
-            slot <= self.page_size - crate::page::PAGE_HEADER,
-            "slot exceeds page"
-        );
-        self.default_slot_size = slot;
-        self
-    }
-
-    /// Number of WAL blocks per segment.
-    pub fn blocks_per_segment(&self) -> u64 {
-        self.wal_segment_size / self.wal_block_size as u64
     }
 }
 

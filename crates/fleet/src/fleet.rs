@@ -14,10 +14,10 @@ use ginja_core::{
 };
 use ginja_cost::governor::{project_spend, to_microusd, GovernorAction, GovernorPolicy};
 use ginja_cost::BudgetConfig;
-use ginja_db::{Database, DbError, DbProfile, ProfileKind};
+use ginja_db::{Database, DbError, DbProfile};
 use ginja_sentinel::{scrub_bucket, AnomalyKind, ScrubReport};
 use ginja_standby::{Standby, StandbyConfig};
-use ginja_vfs::{DbmsProcessor, FileSystem, InterceptFs, MemFs, MySqlProcessor, PostgresProcessor};
+use ginja_vfs::{FileSystem, InterceptFs, MemFs};
 
 use crate::snapshot::{FleetSnapshot, TenantSnapshot};
 
@@ -84,6 +84,9 @@ impl From<StoreError> for FleetError {
     }
 }
 
+/// Window for the rate observations feeding spend projections.
+const RATE_WINDOW: Duration = Duration::from_secs(60);
+
 /// Fleet-level configuration: the shared resources every tenant
 /// multiplexes over.
 #[derive(Debug, Clone)]
@@ -100,8 +103,6 @@ pub struct FleetConfig {
     /// derives per-tenant sub-budgets from fair-share weights and
     /// steers each tenant's B/TB/dump/sentinel knobs — never its S.
     pub budget: Option<BudgetConfig>,
-    /// Window for the rate observations feeding spend projections.
-    pub rate_window: Duration,
 }
 
 impl Default for FleetConfig {
@@ -110,7 +111,6 @@ impl Default for FleetConfig {
             width: 8,
             retry: RetryConfig::default(),
             budget: None,
-            rate_window: Duration::from_secs(60),
         }
     }
 }
@@ -242,13 +242,6 @@ impl Tenant {
     }
 }
 
-fn processor_for(kind: ProfileKind) -> Arc<dyn DbmsProcessor> {
-    match kind {
-        ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-        ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
-    }
-}
-
 /// A multi-tenant fleet of Ginja deployments over one bucket, one
 /// fair-share executor and one budget.
 ///
@@ -321,11 +314,6 @@ impl Fleet {
         &self.ledger
     }
 
-    /// The shared resilient store around the base bucket.
-    pub fn shared_store(&self) -> &Arc<ResilientStore> {
-        &self.shared
-    }
-
     /// The fleet configuration.
     pub fn config(&self) -> &FleetConfig {
         &self.config
@@ -375,7 +363,7 @@ impl Fleet {
         let ginja = Ginja::boot_with(
             local.clone(),
             Arc::new(store.clone()) as Arc<dyn ObjectStore>,
-            processor_for(spec.profile.kind),
+            spec.profile.kind.processor(),
             config,
             fanout,
         )?;
@@ -556,7 +544,7 @@ impl Fleet {
             };
             let ledger = tenant.ginja.usage_ledger();
             let usage = ledger.usage();
-            let rates = ledger.observe_rates(self.config.rate_window);
+            let rates = ledger.observe_rates(RATE_WINDOW);
             let projection = project_spend(&usage, Some(&rates), elapsed, &sub);
             let policy = GovernorPolicy::new(sub, tenant.ginja.knob_bounds());
             if let Some((knobs, action)) = policy.decide(&tenant.ginja.current_knobs(), &projection)

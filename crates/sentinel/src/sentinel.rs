@@ -3,7 +3,7 @@
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use ginja_cloud::{DeltaLister, ObjectStore, StoreError};
 use ginja_codec::Codec;
@@ -169,8 +169,8 @@ impl Sentinel {
     /// checkpoint deltas are long gone from local state), so one fresh
     /// full dump is requested instead — it supersedes every DB object
     /// and its garbage collection removes the remains. Confirmed
-    /// orphans (quarantined for one full cycle) are deleted when
-    /// `sentinel.delete_orphans` allows.
+    /// orphans (quarantined for one full cycle, so an in-flight upload
+    /// can never be swept) are deleted.
     ///
     /// Any anomaly left unrepaired raises the degraded flag in
     /// [`Ginja::exposure`]; a later cycle that heals or finds a clean
@@ -270,27 +270,11 @@ impl Sentinel {
         for anomaly in &scrub.anomalies {
             match anomaly.kind {
                 AnomalyKind::Orphan => {} // swept below, after quarantine
-                AnomalyKind::MissingWal => {
-                    if cfg.repair {
-                        wal_repairs.push(anomaly.name.clone());
-                    } else {
-                        unrepaired += 1;
-                    }
-                }
+                AnomalyKind::MissingWal => wal_repairs.push(anomaly.name.clone()),
                 AnomalyKind::Corrupt if anomaly.name.starts_with("WAL/") => {
-                    if cfg.repair {
-                        wal_repairs.push(anomaly.name.clone());
-                    } else {
-                        unrepaired += 1;
-                    }
+                    wal_repairs.push(anomaly.name.clone())
                 }
-                AnomalyKind::MissingDb | AnomalyKind::Corrupt => {
-                    if cfg.repair {
-                        dump_needed = true;
-                    } else {
-                        unrepaired += 1;
-                    }
-                }
+                AnomalyKind::MissingDb | AnomalyKind::Corrupt => dump_needed = true,
             }
         }
         // Re-seal + re-upload the damaged WAL objects as one concurrent
@@ -336,22 +320,20 @@ impl Sentinel {
             .filter(|a| a.kind == AnomalyKind::Orphan)
             .map(|a| a.name.clone())
             .collect();
-        if cfg.delete_orphans {
-            let confirmed: Vec<String> = state
-                .quarantine
-                .intersection(&orphans_now)
-                .cloned()
-                .collect();
-            for name in confirmed {
-                match cloud.delete(&name) {
-                    Ok(()) | Err(StoreError::NotFound(_)) => {
-                        state.lister.note_delete(&name);
-                        repair.orphans_deleted.push(name);
-                    }
-                    Err(_) => {
-                        repair.failed.push(name);
-                        unrepaired += 1;
-                    }
+        let confirmed: Vec<String> = state
+            .quarantine
+            .intersection(&orphans_now)
+            .cloned()
+            .collect();
+        for name in confirmed {
+            match cloud.delete(&name) {
+                Ok(()) | Err(StoreError::NotFound(_)) => {
+                    state.lister.note_delete(&name);
+                    repair.orphans_deleted.push(name);
+                }
+                Err(_) => {
+                    repair.failed.push(name);
+                    unrepaired += 1;
                 }
             }
         }
@@ -406,23 +388,6 @@ impl Sentinel {
         self.stats
             .record_rehearsal(report.rto, rpo as u64, within, report.restorable());
         Ok(report)
-    }
-
-    /// Records a rehearsal performed outside this sentinel's own loop
-    /// — e.g. a warm-standby promotion drill (`ginja-standby`), which
-    /// proves restorability with the standby's residual RTO instead of
-    /// a full cold rebuild — into the same counters, so
-    /// [`Ginja::stats`] carries one rehearsal history no matter who
-    /// rehearsed.
-    pub fn record_external_rehearsal(
-        &self,
-        rto: Duration,
-        rpo_updates: u64,
-        within_bound: bool,
-        ok: bool,
-    ) {
-        self.stats
-            .record_rehearsal(rto, rpo_updates, within_bound, ok);
     }
 }
 

@@ -219,7 +219,6 @@ fn background_thread_runs_cycles_and_stops() {
             scrub_interval: Duration::from_millis(5),
             rehearsal_interval: Duration::from_millis(20),
             scrub_sample: 0,
-            ..SentinelConfig::default()
         })
         .build()
         .unwrap();

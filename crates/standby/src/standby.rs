@@ -16,6 +16,12 @@ use ginja_cost::BudgetConfig;
 use ginja_vfs::FileSystem;
 use parking_lot::Mutex;
 
+/// Upper clamp on the budget-pressure pace multiplier.
+const MAX_PACE: f64 = 16.0;
+
+/// Window for the spend-rate observation fed to the projection.
+const SPEND_WINDOW: Duration = Duration::from_secs(60);
+
 /// Tuning for the standby tail. Validated by [`StandbyConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StandbyConfig {
@@ -29,10 +35,6 @@ pub struct StandbyConfig {
     /// ([`Standby::for_instance`]) — relative to the pipeline's upload
     /// lanes, so catch-up GETs cannot starve live commit traffic.
     pub lane_weight: f64,
-    /// Upper clamp on the budget-pressure pace multiplier.
-    pub max_pace: f64,
-    /// Window for the spend-rate observation fed to the projection.
-    pub spend_window: Duration,
 }
 
 impl Default for StandbyConfig {
@@ -41,8 +43,6 @@ impl Default for StandbyConfig {
             poll_interval: Duration::from_millis(500),
             fanout: 8,
             lane_weight: 1.0,
-            max_pace: 16.0,
-            spend_window: Duration::from_secs(60),
         }
     }
 }
@@ -63,9 +63,6 @@ impl StandbyConfig {
         }
         if !self.lane_weight.is_finite() || self.lane_weight <= 0.0 {
             return Err("standby.lane_weight must be positive".into());
-        }
-        if !self.max_pace.is_finite() || self.max_pace < 1.0 {
-            return Err("standby.max_pace must be at least 1.0".into());
         }
         Ok(())
     }
@@ -591,12 +588,12 @@ impl Standby {
         let Some(budget) = &self.budget else { return };
         let ledger = self.cloud.ledger();
         let usage = ledger.usage();
-        let rates = ledger.observe_rates(self.tail.spend_window);
+        let rates = ledger.observe_rates(SPEND_WINDOW);
         let projection = project_spend(&usage, Some(&rates), self.started.elapsed(), budget);
         let target = budget.target_usd();
         let mut pace = self.pace();
         if projection.projected_usd > target {
-            pace = (pace * 1.5).min(self.tail.max_pace);
+            pace = (pace * 1.5).min(MAX_PACE);
         } else if projection.projected_usd < target * 0.7 {
             pace = (pace / 1.5).max(1.0);
         }
@@ -891,7 +888,7 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         assert!(StandbyConfig {
-            max_pace: 0.5,
+            fanout: 0,
             ..StandbyConfig::default()
         }
         .validate()

@@ -112,11 +112,6 @@ impl<F: FileSystem> InterceptFs<F> {
     pub fn inner(&self) -> &F {
         &self.inner
     }
-
-    /// Swaps the processor (used when re-wiring after recovery).
-    pub fn set_processor(&mut self, processor: Arc<dyn IoProcessor>) {
-        self.processor = processor;
-    }
 }
 
 impl<F: FileSystem> FileSystem for InterceptFs<F> {

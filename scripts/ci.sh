@@ -60,3 +60,5 @@ test -s BENCH_PR10.json
 # rename fails here and not at the next benchmark run.
 cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
 cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke > /dev/null
+# Size and option-surface figures, printed for the log (nothing gated).
+scripts/loc.sh

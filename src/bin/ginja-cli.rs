@@ -794,7 +794,6 @@ fn outage(args: &[String]) -> Result<(), String> {
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_millis(50),
             breaker_probes: 1,
-            ..RetryConfig::default()
         })
         .sentinel(SentinelConfig {
             scrub_sample: 0, // verify every payload
@@ -806,7 +805,6 @@ fn outage(args: &[String]) -> Result<(), String> {
             spill_ceiling: ceiling,
             enduring_after: Duration::from_millis(50),
             poll_interval: Duration::from_millis(5),
-            ..OutageConfig::default()
         })
         .build()
         .map_err(|e| e.to_string())?;

@@ -41,8 +41,6 @@ use ginja_db::{Database, DbError, DbProfile, ProfileKind};
 use ginja_sentinel::scrub_bucket;
 use ginja_vfs::{FaultFs, FileSystem, FsFaultKind, InterceptFs, JournaledFs, VfsFaultPlan};
 
-use crate::harness::processor_for;
-
 /// The table every explorer workload runs against.
 const TABLE: u32 = 1;
 
@@ -335,7 +333,7 @@ fn build_stack(cfg: &ExplorerConfig) -> Stack {
     let ginja = Ginja::boot(
         journal.clone() as Arc<dyn FileSystem>,
         cloud,
-        processor_for(cfg.profile),
+        cfg.profile.processor(),
         config.clone(),
     )
     .expect("boot over healthy stores");
@@ -563,7 +561,7 @@ fn run_crash_point(
     let ginja2 = match Ginja::reboot(
         stack.journal.clone() as Arc<dyn FileSystem>,
         stack.view.clone(),
-        processor_for(cfg.profile),
+        cfg.profile.processor(),
         stack.config.clone(),
     ) {
         Ok(g) => g,

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use ginja_cloud::ObjectStore;
 use ginja_core::{recover_into, Ginja, GinjaConfig, GinjaError, GinjaStatsSnapshot};
-use ginja_db::{Database, DbError, DbProfile, ProfileKind};
-use ginja_vfs::{DbmsProcessor, FileSystem, InterceptFs, MemFs, MySqlProcessor, PostgresProcessor};
+use ginja_db::{Database, DbError, DbProfile};
+use ginja_vfs::{FileSystem, InterceptFs, MemFs};
 
 /// Errors from the [`ProtectedDb`] harness.
 #[derive(Debug)]
@@ -47,14 +47,6 @@ impl From<GinjaError> for HarnessError {
 impl From<DbError> for HarnessError {
     fn from(e: DbError) -> Self {
         HarnessError::Db(e)
-    }
-}
-
-/// The processor matching a database profile.
-pub fn processor_for(kind: ProfileKind) -> Arc<dyn DbmsProcessor> {
-    match kind {
-        ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-        ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
     }
 }
 
@@ -106,7 +98,7 @@ impl ProtectedDb {
         let ginja = Ginja::boot(
             local.clone(),
             cloud.clone(),
-            processor_for(profile.kind),
+            profile.kind.processor(),
             config.clone(),
         )?;
         let intercepted: Arc<dyn FileSystem> =

@@ -10,9 +10,7 @@ use ginja::core::{
     recover_into, BreakerState, Ginja, GinjaConfig, GinjaStatsSnapshot, RetryConfig,
 };
 use ginja::db::{Database, DbProfile, ProfileKind};
-use ginja::vfs::{
-    DbmsProcessor, FileSystem, InterceptFs, MemFs, MySqlProcessor, PostgresProcessor,
-};
+use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 use ginja::workload::{probe_tpcc, Tpcc, TpccScale};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -22,10 +20,7 @@ fn run_chaos(kind: ProfileKind, seed: u64, rounds: usize) {
         ProfileKind::Postgres => DbProfile::postgres_small().with_checkpoint_every(30),
         ProfileKind::MySql => DbProfile::mysql_small().with_checkpoint_every(30),
     };
-    let processor: Arc<dyn DbmsProcessor> = match kind {
-        ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-        ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
-    };
+    let processor = kind.processor();
     let local = Arc::new(MemFs::new());
     let db = Database::create(local.clone(), profile.clone()).unwrap();
     let mut tpcc = Tpcc::new(1, seed, TpccScale::tiny());
@@ -503,7 +498,6 @@ fn chaos_outage_trips_breaker_and_blocks_dbms() {
             breaker_threshold: 3,
             breaker_cooldown: Duration::from_millis(100),
             breaker_probes: 1,
-            ..RetryConfig::default()
         })
         .build()
         .unwrap();

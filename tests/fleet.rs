@@ -60,7 +60,6 @@ fn fleet_of_eight_tpcc_tenants_survives_detach_and_disaster() {
                 month: Duration::from_secs(60),
                 ..BudgetConfig::new(TENANTS as f64)
             }),
-            ..FleetConfig::default()
         },
     );
     let config = tenant_config();

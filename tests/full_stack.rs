@@ -10,17 +10,8 @@ use ginja::cloud::{
 };
 use ginja::core::{recover_into, verify_backup_in_memory, Ginja, GinjaConfig};
 use ginja::db::{Database, DbProfile, ProfileKind};
-use ginja::vfs::{
-    DbmsProcessor, FileSystem, InterceptFs, MemFs, MySqlProcessor, PostgresProcessor,
-};
+use ginja::vfs::{FileSystem, InterceptFs, MemFs};
 use ginja::workload::{probe_tpcc, tables, Tpcc, TpccScale};
-
-fn processor_for(kind: ProfileKind) -> Arc<dyn DbmsProcessor> {
-    match kind {
-        ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-        ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
-    }
-}
 
 fn profile_for(kind: ProfileKind) -> DbProfile {
     match kind {
@@ -51,8 +42,7 @@ fn tpcc_disaster_recovery_both_profiles() {
         drop(db);
 
         let cloud = Arc::new(MeteredStore::new(MemStore::new()));
-        let ginja =
-            Ginja::boot(local.clone(), cloud.clone(), processor_for(kind), config()).unwrap();
+        let ginja = Ginja::boot(local.clone(), cloud.clone(), kind.processor(), config()).unwrap();
         let protected: Arc<dyn FileSystem> =
             Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
         let db = Database::open(protected, profile.clone()).unwrap();
@@ -110,7 +100,7 @@ fn tpcc_order_lines_consistent_after_recovery() {
     let ginja = Ginja::boot(
         local.clone(),
         cloud.clone(),
-        processor_for(ProfileKind::Postgres),
+        ProfileKind::Postgres.processor(),
         config(),
     )
     .unwrap();
@@ -161,7 +151,7 @@ fn backup_verification_catches_cloud_corruption() {
     let ginja = Ginja::boot(
         local.clone(),
         cloud.clone(),
-        processor_for(ProfileKind::Postgres),
+        ProfileKind::Postgres.processor(),
         config(),
     )
     .unwrap();
@@ -216,7 +206,7 @@ fn compressed_encrypted_full_stack() {
     let ginja = Ginja::boot(
         local.clone(),
         cloud.clone(),
-        processor_for(ProfileKind::MySql),
+        ProfileKind::MySql.processor(),
         config.clone(),
     )
     .unwrap();
@@ -318,7 +308,7 @@ fn mysql_bucket_stays_bounded_by_the_log_across_wraps() {
 
     let plan = Arc::new(FaultPlan::new());
     let cloud = Arc::new(FaultStore::new(CutStore::default(), plan.clone()));
-    let processor = processor_for(ProfileKind::MySql);
+    let processor = ProfileKind::MySql.processor();
     let ginja = Ginja::boot(
         local.clone(),
         cloud.clone(),

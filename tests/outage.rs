@@ -43,7 +43,6 @@ fn fast_breaker() -> RetryConfig {
         breaker_threshold: 2,
         breaker_cooldown: Duration::from_millis(50),
         breaker_probes: 1,
-        ..RetryConfig::default()
     }
 }
 

@@ -9,17 +9,8 @@ use std::time::Duration;
 use ginja::cloud::{FaultPlan, FaultStore, MemStore};
 use ginja::core::{recover_into, Ginja, GinjaConfig};
 use ginja::db::{Database, DbProfile, ProfileKind};
-use ginja::vfs::{
-    DbmsProcessor, FileSystem, InterceptFs, MemFs, MySqlProcessor, PostgresProcessor,
-};
+use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 use proptest::prelude::*;
-
-fn processor_for(kind: ProfileKind) -> Arc<dyn DbmsProcessor> {
-    match kind {
-        ProfileKind::Postgres => Arc::new(PostgresProcessor::new()),
-        ProfileKind::MySql => Arc::new(MySqlProcessor::new()),
-    }
-}
 
 fn profile_for(kind: ProfileKind) -> DbProfile {
     match kind {
@@ -64,7 +55,7 @@ fn run_case(kind: ProfileKind, steps: Vec<Step>, batch: usize, safety: usize) {
     let mem = Arc::new(MemStore::new());
     let plan = Arc::new(FaultPlan::new());
     let cloud = Arc::new(FaultStore::new(mem.clone(), plan.clone()));
-    let ginja = Ginja::boot(local.clone(), cloud, processor_for(kind), config.clone()).unwrap();
+    let ginja = Ginja::boot(local.clone(), cloud, kind.processor(), config.clone()).unwrap();
     let protected: Arc<dyn FileSystem> =
         Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
     let db = Database::open(protected, profile.clone()).unwrap();
