@@ -198,13 +198,6 @@ pub struct SnapshotTotals {
     pub governor_decisions: u128,
     /// Sum of `outage.outages` (outage episodes entered).
     pub outages: u128,
-    /// Sum of `outage.sheds` (spill-ceiling shed events).
-    pub outage_sheds: u128,
-    /// Sum of `outage.spill_records` (a gauge per tenant; the sum is
-    /// the fleet's outstanding spilled-but-unuploaded backlog).
-    pub spill_records: u128,
-    /// Sum of `outage.spill_bytes` (gauge, like `spill_records`).
-    pub spill_bytes: u128,
     /// Sum of `gc_backlog_dropped`.
     pub gc_backlog_dropped: u128,
     /// Sum of `ingest.put_parks` (producers that exhausted their spin
@@ -232,10 +225,8 @@ pub struct SnapshotTotals {
     pub standby_promotions: u128,
     /// Tenants whose sentinel flags the backup as degraded.
     pub degraded_tenants: u64,
-    /// Tenants currently enduring an outage (`Enduring` or `Shedding`).
+    /// Tenants currently enduring an outage (`Enduring`).
     pub enduring_tenants: u64,
-    /// Tenants currently shedding (spill backlog at the disk ceiling).
-    pub shedding_tenants: u64,
 }
 
 impl SnapshotTotals {
@@ -275,9 +266,6 @@ impl SnapshotTotals {
         self.projected_microusd += u128::from(snap.governor.projected_microusd);
         self.governor_decisions += u128::from(snap.governor.decisions);
         self.outages += u128::from(snap.outage.outages);
-        self.outage_sheds += u128::from(snap.outage.sheds);
-        self.spill_records += u128::from(snap.outage.spill_records);
-        self.spill_bytes += u128::from(snap.outage.spill_bytes);
         self.gc_backlog_dropped += u128::from(snap.gc_backlog_dropped);
         self.ingest_put_parks += u128::from(snap.ingest.put_parks);
         self.ingest_credit_retries += u128::from(snap.ingest.credit_retries);
@@ -289,11 +277,7 @@ impl SnapshotTotals {
         self.standby_lag_bytes += u128::from(snap.standby.lag_bytes);
         self.standby_promotions += u128::from(snap.standby.promotions);
         self.degraded_tenants += u64::from(snap.sentinel.degraded);
-        self.enduring_tenants += u64::from(matches!(
-            snap.outage.state,
-            OutageState::Enduring | OutageState::Shedding
-        ));
-        self.shedding_tenants += u64::from(snap.outage.state == OutageState::Shedding);
+        self.enduring_tenants += u64::from(snap.outage.state == OutageState::Enduring);
     }
 
     /// Whether the fleet looks healthy in aggregate: no pipeline stage

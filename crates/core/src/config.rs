@@ -67,34 +67,25 @@ impl SentinelConfig {
     }
 }
 
-/// Outage-endurance policy: the bounded upload ring, the spill-to-disk
-/// overflow queue, and the Healthy → Degraded → Enduring → Shedding
-/// state machine (see `DESIGN.md` §15).
+/// Outage-endurance policy: the coalescing checkpoint queue and the
+/// Healthy → Degraded → Enduring state machine (see `DESIGN.md` §15).
 ///
-/// The paper's pipeline implicitly assumes the cloud returns before
-/// local state overwhelms the host. These knobs make a prolonged outage
-/// a bounded, observable mode instead: RAM backlog is capped at
-/// `ring_capacity` jobs, overflow goes to a durable on-disk queue up to
-/// `spill_ceiling` bytes, and the state machine widens B/TB toward S
-/// (and pauses dumps and scrub) while the outage lasts.
+/// The un-acked WAL backlog needs no knob here: it lives in the commit
+/// queue, bounded by `safety`, with the DBMS blocked at the bound.
+/// These knobs cover the rest of a prolonged outage: checkpoint jobs
+/// (not bounded by S) coalesce past `ckpt_capacity`, and the state
+/// machine widens B/TB toward S (and pauses dumps and scrub) once
+/// upload pressure has lasted `enduring_after`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutageConfig {
-    /// In-memory upload ring capacity, in WAL objects. The old behavior
-    /// (an unbounded channel) does not exist any more: beyond this many
-    /// queued uploads, jobs spill to disk.
-    pub ring_capacity: usize,
     /// Checkpoint queue capacity, in jobs. Beyond it, an incoming
     /// checkpoint *coalesces* into the newest queued one (checkpoint
     /// jobs are mergeable by construction), so checkpoint RAM stays
     /// bounded at `ckpt_capacity` jobs no matter how long the cloud is
     /// gone.
     pub ckpt_capacity: usize,
-    /// Spill-queue disk ceiling in payload bytes. At the ceiling the
-    /// policy enters Shedding: the aggregator blocks on the ring (the
-    /// DBMS saturates at S as usual) and `Exposure::fatal` turns on.
-    pub spill_ceiling: u64,
-    /// How long sustained pressure (breaker open) lasts before Degraded
-    /// escalates to Enduring even without any spill.
+    /// How long sustained pressure (breaker not closed, or an upload
+    /// retrying) lasts before Degraded escalates to Enduring.
     pub enduring_after: Duration,
     /// Outage-policy poll interval.
     pub poll_interval: Duration,
@@ -103,9 +94,7 @@ pub struct OutageConfig {
 impl Default for OutageConfig {
     fn default() -> Self {
         OutageConfig {
-            ring_capacity: 256,
             ckpt_capacity: 8,
-            spill_ceiling: 1 << 30,
             enduring_after: Duration::from_secs(30),
             poll_interval: Duration::from_millis(50),
         }
@@ -120,14 +109,8 @@ impl OutageConfig {
     ///
     /// A human-readable description of the violated constraint.
     pub fn validate(&self) -> Result<(), String> {
-        if self.ring_capacity == 0 {
-            return Err("outage.ring_capacity must be at least 1".into());
-        }
         if self.ckpt_capacity == 0 {
             return Err("outage.ckpt_capacity must be at least 1".into());
-        }
-        if self.spill_ceiling == 0 {
-            return Err("outage.spill_ceiling must be nonzero".into());
         }
         if self.poll_interval.is_zero() {
             return Err("outage.poll_interval must be nonzero".into());
@@ -242,8 +225,8 @@ pub struct GinjaConfig {
     /// hard ceiling the governor can never exceed (the RPO bound is
     /// never loosened). `None` disables governing entirely.
     pub budget: Option<BudgetConfig>,
-    /// Outage endurance: bounded in-memory backlog, spill-to-disk
-    /// overflow, adaptive backpressure and catch-up resync.
+    /// Outage endurance: coalescing checkpoint queue and adaptive
+    /// backpressure while the cloud is away.
     pub outage: OutageConfig,
     /// Ingest fast-path tuning: producer spin budget and adaptive
     /// partial-batch sealing.
@@ -436,7 +419,7 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Sets the outage-endurance policy (ring capacity, spill ceiling,
+    /// Sets the outage-endurance policy (checkpoint-queue capacity,
     /// state-machine thresholds).
     #[must_use]
     pub fn outage(mut self, outage: OutageConfig) -> Self {
@@ -493,12 +476,12 @@ mod tests {
             ingest,
         } = GinjaConfig::builder().build().unwrap();
         let RetryConfig {
-            max_attempts: _,      // `ginja-cli outage`, ablation_outage
-            base_delay: _,        // `ginja-cli outage`, ablation_outage
-            max_delay: _,         // `ginja-cli outage`, ablation_outage
-            breaker_threshold: _, // `ginja-cli outage`, ablation_outage
-            breaker_cooldown: _,  // `ginja-cli outage`, ablation_outage
-            breaker_probes: _,    // `ginja-cli outage`, ablation_outage
+            max_attempts: _,      // `ginja-cli outage`, tests/outage.rs
+            base_delay: _,        // `ginja-cli outage`, tests/outage.rs
+            max_delay: _,         // `ginja-cli outage`, tests/outage.rs
+            breaker_threshold: _, // `ginja-cli outage`, tests/outage.rs
+            breaker_cooldown: _,  // `ginja-cli outage`, tests/outage.rs
+            breaker_probes: _,    // `ginja-cli outage`, tests/outage.rs
         } = retry;
         let SentinelConfig {
             scrub_interval: _,     // sentinel/tests/live.rs, tests/thread_model.rs
@@ -506,11 +489,9 @@ mod tests {
             rehearsal_interval: _, // sentinel/tests/live.rs, tests/thread_model.rs
         } = sentinel;
         let OutageConfig {
-            ring_capacity: _,  // `ginja-cli outage --ring`, ablation_outage
-            ckpt_capacity: _,  // `ginja-cli outage`, ablation_outage
-            spill_ceiling: _,  // `ginja-cli outage --spill-ceiling`
-            enduring_after: _, // `ginja-cli outage`, ablation_outage
-            poll_interval: _,  // `ginja-cli outage`, ablation_outage
+            ckpt_capacity: _,  // `ginja-cli outage`, tests/outage.rs
+            enduring_after: _, // `ginja-cli outage`, tests/outage.rs
+            poll_interval: _,  // `ginja-cli outage`, tests/outage.rs
         } = outage;
         let IngestConfig {
             spin: _,          // queue.rs parking tests
@@ -573,31 +554,22 @@ mod tests {
     #[test]
     fn outage_carried_through_and_validated() {
         let c = GinjaConfig::builder().build().unwrap();
-        assert_eq!(c.outage.ring_capacity, 256, "default ring capacity");
-        assert_eq!(c.outage.ckpt_capacity, 8);
+        assert_eq!(c.outage.ckpt_capacity, 8, "default checkpoint capacity");
 
         let c = GinjaConfig::builder()
             .outage(OutageConfig {
-                ring_capacity: 8,
-                spill_ceiling: 4096,
+                ckpt_capacity: 2,
+                enduring_after: Duration::from_millis(50),
                 ..OutageConfig::default()
             })
             .build()
             .unwrap();
-        assert_eq!(c.outage.ring_capacity, 8);
-        assert_eq!(c.outage.spill_ceiling, 4096);
+        assert_eq!(c.outage.ckpt_capacity, 2);
+        assert_eq!(c.outage.enduring_after, Duration::from_millis(50));
 
         for bad in [
             OutageConfig {
-                ring_capacity: 0,
-                ..OutageConfig::default()
-            },
-            OutageConfig {
                 ckpt_capacity: 0,
-                ..OutageConfig::default()
-            },
-            OutageConfig {
-                spill_ceiling: 0,
                 ..OutageConfig::default()
             },
             OutageConfig {

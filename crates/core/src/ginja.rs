@@ -9,8 +9,8 @@
 //! DBMS → InterceptFs → Ginja::on_write ─ WAL writes → CommitQueue
 //!                                      └ checkpoint writes → accumulator
 //! Aggregator:   CommitQueue --(B at a time, no removal)--> objects
-//! Uploader×n:   seal + PUT in parallel (ring, then spill backlog); the
-//!               one closing the oldest open batch acks, in batch order,
+//! Uploader×n:   seal + PUT in parallel off the bounded ring; the one
+//!               closing the oldest open batch acks, in batch order,
 //!               through the AckLedger → CommitQueue.ack_front
 //! Checkpointer: DB objects (dump | incremental) → PUT → garbage collection
 //! Control:      outage policy, then cost governor, on one timer thread
@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use ginja_cloud::{BreakerState, ObjectStore, ResilientStore, StoreError, UsageLedger, UsageMeter};
 use ginja_codec::Codec;
 use ginja_cost::governor::{self, GovernorAction, GovernorPolicy, KnobBounds, Knobs};
-use ginja_vfs::{DbmsProcessor, FileSystem, IoClass, IoProcessor, SpillQueue, WriteEvent};
+use ginja_vfs::{DbmsProcessor, FileSystem, IoClass, IoProcessor, WriteEvent};
 use parking_lot::Mutex;
 
 use crate::ack::AckLedger;
@@ -34,8 +34,8 @@ use crate::config::GinjaConfig;
 use crate::fanout::FanoutHandle;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
 use crate::outage::{
-    decode_spill_record, encode_spill_record, CkptJob, CkptPush, CkptQueue, OutageObservation,
-    OutagePolicy, OutageState, Popped, UploadJob, UploadRing,
+    CkptJob, CkptPush, CkptQueue, OutageObservation, OutagePolicy, OutageState, UploadJob,
+    UploadRing, UPLOAD_RING_JOBS,
 };
 use crate::periodic::{PeriodicTask, StopSignal};
 use crate::queue::{CommitQueue, WalWrite};
@@ -49,14 +49,6 @@ use ginja_codec::bufpool;
 /// in `gc_backlog_dropped`). A dropped name is a bounded cost leak, not
 /// a correctness problem — the sentinel's orphan sweep deletes it later.
 const GC_BACKLOG_CAP: usize = 4096;
-
-/// Directory on the DBMS's local file system holding the spill queue's
-/// records: the same durable tier as the WAL (DESIGN.md §15).
-const SPILL_DIR: &str = ".ginja_spill";
-
-/// Fair-share weight of the spill-drain lane on a shared executor,
-/// relative to tenant lane weights.
-const CATCHUP_WEIGHT: f64 = 1.0;
 
 /// Largest WAL object Boot and Reboot's resync cut a local log file
 /// into (or `max_object_size`, if smaller). An object is collectable
@@ -89,21 +81,15 @@ pub struct Exposure {
     /// no sentinel is attached.
     pub degraded: bool,
     /// Set when a pipeline stage hit a fatal data-path error (e.g. a
-    /// seal failure) and stopped, or when the outage policy is
-    /// [`OutageState::Shedding`]. The queue will no longer drain: the
-    /// DBMS blocks at the Safety limit until the operator intervenes
-    /// (or, for shedding, until catch-up drains the spill backlog below
-    /// the disk ceiling).
+    /// seal failure) and stopped. The queue will no longer drain: the
+    /// DBMS blocks at the Safety limit until the operator intervenes.
+    /// An outage is *not* fatal — the same block lifts by itself when
+    /// the cloud answers again.
     pub fatal: bool,
     /// Where the pipeline stands relative to a cloud outage: `Healthy`,
-    /// `Degraded` (pressure seen, not yet an outage), `Enduring` (spill
-    /// backlog on disk or sustained pressure — knobs escalated), or
-    /// `Shedding` (spill at the configured disk ceiling — also raises
-    /// `fatal`).
+    /// `Degraded` (pressure seen, not yet an outage) or `Enduring`
+    /// (sustained pressure — knobs escalated).
     pub outage: OutageState,
-    /// Times the outage policy entered `Shedding` — each one a loud,
-    /// operator-visible event (never a silent drop).
-    pub outage_sheds: u64,
     /// Month-end spend projection from the live cost governor, in
     /// integer micro-dollars; zero when no budget is configured. The
     /// cost dimension of exposure: what this month's protection is on
@@ -145,27 +131,18 @@ struct Shared {
     /// PUT. Solo (width = `config.recovery_fanout`) unless an executor
     /// was injected via [`Ginja::boot_with`]/[`Ginja::reboot_with`].
     fanout: FanoutHandle,
-    /// The gate for spill-drain PUTs: on a fair shared executor a lane
-    /// of its own (weight [`CATCHUP_WEIGHT`]), so a tenant catching
-    /// up after an outage cannot crowd out its neighbors' commit
-    /// traffic; on a solo executor the instance's own permits.
-    catchup: FanoutHandle,
     accum: Mutex<CkptAccum>,
     /// Bounded, coalescing checkpoint queue (replaces the old unbounded
     /// channel, whose jobs each carry up to a whole database of pages).
     ckpt_queue: CkptQueue,
     /// Bounded in-memory ring between the aggregator and the uploader
-    /// pool; overflow spills to `spill` instead of growing RAM.
+    /// pool; a full ring blocks the aggregator, and through the commit
+    /// queue the DBMS at S.
     upload_ring: UploadRing<UploadJob>,
-    /// The durable spill-to-disk overflow queue (journaled, crash-safe;
-    /// recovered at Reboot). Records hold WAL upload jobs whose queue
-    /// entries are still un-acked, so spilling never touches the
-    /// at-most-S contract.
-    spill: SpillQueue,
-    /// The spill drain token: `SpillQueue::front`/`ack` are
-    /// single-consumer, so the uploader holding this drains one record
-    /// while the others keep serving the ring.
-    spill_drain: Mutex<()>,
+    /// Uploads currently retrying: inside [`put_with_retry`] past their
+    /// first failed attempt. The outage policy's pressure signal when
+    /// the breaker is disabled.
+    stalled_uploads: AtomicU64,
     /// The outage policy's current state, published lock-free
     /// (`OutageState::as_u64` encoding) by the control thread.
     outage_state_bits: AtomicU64,
@@ -357,14 +334,7 @@ impl Ginja {
             Ok(())
         })?;
 
-        // Boot starts a fresh protection history: records spilled under
-        // a previous history must not leak into the new bucket.
-        let spill = SpillQueue::open(fs.clone(), SPILL_DIR)?;
-        spill.clear()?;
-
-        let ginja = Self::assemble(
-            fs, cloud, processor, config, codec, view, stats, fanout, spill,
-        );
+        let ginja = Self::assemble(fs, cloud, processor, config, codec, view, stats, fanout);
         ginja
             .shared
             .stats
@@ -413,37 +383,7 @@ impl Ginja {
         let cloud = Arc::new(ResilientStore::new(cloud, config.retry.clone()));
         let codec = Codec::new(config.codec.clone());
         let stats = GinjaStats::default();
-        let view = Mutex::new(CloudView::from_listing(cloud.list("")?)?);
-
-        // Recover the spill queue a previous incarnation left behind and
-        // upload its records *before* the resync pass: spilled WAL is
-        // un-acked commit content the cloud never received, and when the
-        // DBMS has since recycled the segment it is the only copy left.
-        // Records are re-timestamped from the rebuilt view (their
-        // original allocations died with the old process); FIFO drain
-        // order keeps them ascending. A spilled tail block the DBMS
-        // later rewrote is re-introduced stale here — harmless, because
-        // the resync pass below compares the *current* local bytes
-        // against the cloud image and uploads a fresher object that
-        // wins at recovery.
-        let spill = SpillQueue::open(fs.clone(), SPILL_DIR)?;
-        let direct_put = |name: &str, sealed: &[u8]| -> Result<(), GinjaError> {
-            cloud.put(name, sealed).map_err(GinjaError::from)
-        };
-        while let Some((seq, payload)) = spill.front()? {
-            if let Some(mut job) = decode_spill_record(&payload) {
-                job.name.ts = view.lock().alloc_wal_ts();
-                let bytes = job.name.len;
-                upload_wal_job(&codec, &stats, &view, &direct_put, job)?;
-                stats.wal_resync_objects.fetch_add(1, Ordering::Relaxed);
-                stats.wal_resync_bytes.fetch_add(bytes, Ordering::Relaxed);
-            }
-            // An undecodable record (external tampering — the queue's
-            // checksum already rejects torn writes) is dropped: the
-            // resync pass re-uploads the range from the local WAL file.
-            spill.ack(seq)?;
-        }
-        let mut view = view.into_inner();
+        let mut view = CloudView::from_listing(cloud.list("")?)?;
 
         let (resync_objects, resync_bytes) = resync_local_wal(
             fs.as_ref(),
@@ -462,7 +402,7 @@ impl Ginja {
             .wal_resync_bytes
             .fetch_add(resync_bytes, Ordering::Relaxed);
         Ok(Self::assemble(
-            fs, cloud, processor, config, codec, view, stats, fanout, spill,
+            fs, cloud, processor, config, codec, view, stats, fanout,
         ))
     }
 
@@ -476,7 +416,6 @@ impl Ginja {
         view: CloudView,
         stats: GinjaStats,
         fanout: FanoutHandle,
-        spill: SpillQueue,
     ) -> Self {
         let queue = CommitQueue::with_ingest(
             config.batch,
@@ -501,16 +440,10 @@ impl Ginja {
             projected_microusd: AtomicU64::new(0),
         });
         let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
-        let catchup = if fanout.executor().is_fair() {
-            FanoutHandle::shared(fanout.executor().clone(), CATCHUP_WEIGHT)
-        } else {
-            fanout.clone()
-        };
         let shared = Arc::new(Shared {
             ckpt_queue: CkptQueue::new(config.outage.ckpt_capacity),
-            upload_ring: UploadRing::new(config.outage.ring_capacity),
-            spill,
-            spill_drain: Mutex::new(()),
+            upload_ring: UploadRing::new(UPLOAD_RING_JOBS),
+            stalled_uploads: AtomicU64::new(0),
             outage_state_bits: AtomicU64::new(OutageState::Healthy.as_u64()),
             config,
             codec,
@@ -522,7 +455,6 @@ impl Ginja {
             acks: AckLedger::default(),
             stats,
             fanout,
-            catchup,
             accum: Mutex::new(CkptAccum::default()),
             pending_ckpt_jobs: AtomicUsize::new(0),
             batch_counter: AtomicU64::new(0),
@@ -609,17 +541,12 @@ impl Ginja {
         snap.gc_backlog = self.shared.gc_backlog.lock().len() as u64;
         snap.fanout_waves = self.shared.fanout.waves();
         snap.fanout_jobs = self.shared.fanout.jobs();
-        // Outage gauges live on the ring/spill structures; the counters
-        // were already filled from `GinjaStats` by `snapshot()`.
+        // Outage gauges live on the ring; the counters were already
+        // filled from `GinjaStats` by `snapshot()`.
         snap.outage.state = self.outage_state();
         snap.outage.ring_len = self.shared.upload_ring.len() as u64;
         snap.outage.ring_capacity = self.shared.upload_ring.capacity() as u64;
         snap.outage.ring_bytes = self.shared.upload_ring.bytes();
-        snap.outage.spill_records = self.shared.spill.len();
-        snap.outage.spill_bytes = self.shared.spill.bytes();
-        snap.outage.spill_pushed = self.shared.spill.pushed();
-        snap.outage.spill_acked = self.shared.spill.acked();
-        snap.outage.spill_torn_discarded = self.shared.spill.torn_discarded();
         if let Some(sentinel) = self.shared.sentinel.lock().as_ref() {
             snap.sentinel = sentinel.snapshot();
         }
@@ -656,25 +583,19 @@ impl Ginja {
             }
             None => (0, false),
         };
-        let outage = self.outage_state();
         Exposure {
             updates: self.shared.queue.len(),
             pending_checkpoints: self.shared.pending_ckpt_jobs.load(Ordering::SeqCst),
             oldest_age: self.shared.queue.oldest_pending_age(),
-            breaker: self.shared.cloud.snapshot().breaker_state,
+            breaker: self.shared.cloud.breaker_state(),
             degraded: self
                 .shared
                 .sentinel
                 .lock()
                 .as_ref()
                 .is_some_and(|s| s.is_degraded()),
-            // Shedding is fatal-loud by design: the spill backlog hit
-            // its disk ceiling and the pipeline is holding the line in
-            // RAM — the operator must see it, never infer it.
-            fatal: self.shared.stats.pipeline_fatals.load(Ordering::Relaxed) > 0
-                || outage == OutageState::Shedding,
-            outage,
-            outage_sheds: self.shared.stats.outage_sheds.load(Ordering::Relaxed),
+            fatal: self.shared.stats.pipeline_fatals.load(Ordering::Relaxed) > 0,
+            outage: self.outage_state(),
             projected_spend_microusd,
             over_budget,
         }
@@ -1259,6 +1180,10 @@ fn read_db_files(
 /// long outage never camps on shared executor capacity. Callers already
 /// inside a gated wave job pass `None` (a nested acquire could deadlock
 /// the gate).
+///
+/// From its first failure until it returns, the call counts in
+/// `shared.stalled_uploads` — the outage policy's view of "this
+/// instance's uploads are not getting through".
 fn put_with_retry(
     shared: &Shared,
     gate: Option<&FanoutHandle>,
@@ -1266,24 +1191,33 @@ fn put_with_retry(
     sealed: &[u8],
 ) -> Result<(), GinjaError> {
     let mut delay = Duration::from_millis(10);
-    loop {
+    let mut stalled = false;
+    let outcome = loop {
         let attempt = || shared.cloud.put(name, sealed);
         let result = match gate {
             Some(gate) => gate.with_permit(attempt),
             None => attempt(),
         };
         let err = match result {
-            Ok(()) => return Ok(()),
+            Ok(()) => break Ok(()),
             Err(err) => err,
         };
         shared.stats.upload_retries.fetch_add(1, Ordering::Relaxed);
+        if !stalled {
+            stalled = true;
+            shared.stalled_uploads.fetch_add(1, Ordering::Relaxed);
+        }
         // A throttling cloud told us when to come back: honor it as a
         // floor so we never hammer a provider that asked for pacing.
         if shared.stop.wait(backoff(delay, &err)) {
-            return Err(GinjaError::ShutDown);
+            break Err(GinjaError::ShutDown);
         }
         delay = (delay * 2).min(Duration::from_secs(1));
+    };
+    if stalled {
+        shared.stalled_uploads.fetch_sub(1, Ordering::Relaxed);
     }
+    outcome
 }
 
 /// Outcome of fetching one part of an existing DB object for a
@@ -1390,7 +1324,7 @@ impl Control {
         let now = Instant::now();
         let budget_poll = config.budget.as_ref().map(|b| b.poll_interval);
         Control {
-            policy: OutagePolicy::new(config.outage.enduring_after, config.outage.spill_ceiling),
+            policy: OutagePolicy::new(config.outage.enduring_after),
             baseline: None,
             last_outage_tick: now,
             next_outage: now + config.outage.poll_interval,
@@ -1417,15 +1351,14 @@ impl Control {
         next.saturating_duration_since(Instant::now())
     }
 
-    /// Feeds the breaker state and spill gauges to the [`OutagePolicy`]
-    /// state machine, publishes the state for `exposure()`/`stats()`,
-    /// counts outages/sheds/outage time, and applies adaptive
-    /// backpressure through the one-knob path.
+    /// Feeds the breaker position and the retrying-uploads gauge to the
+    /// [`OutagePolicy`] state machine, publishes the state for
+    /// `exposure()`/`stats()`, counts outages and outage time, and
+    /// applies adaptive backpressure through the one-knob path.
     fn outage_step(&mut self, shared: &Shared, now: Instant) {
         let obs = OutageObservation {
-            breaker_open: shared.cloud.snapshot().breaker_state == BreakerState::Open,
-            spill_records: shared.spill.len(),
-            spill_bytes: shared.spill.bytes(),
+            breaker: shared.cloud.breaker_state(),
+            stalled_uploads: shared.stalled_uploads.load(Ordering::Relaxed),
         };
         let prev = self.policy.state();
         let state = self.policy.tick(&obs, now);
@@ -1433,13 +1366,9 @@ impl Control {
             .outage_state_bits
             .store(state.as_u64(), Ordering::Relaxed);
 
-        let was_outage = matches!(prev, OutageState::Enduring | OutageState::Shedding);
-        let is_outage = matches!(state, OutageState::Enduring | OutageState::Shedding);
-        if is_outage && !was_outage {
+        let is_outage = state == OutageState::Enduring;
+        if is_outage && prev != OutageState::Enduring {
             shared.stats.outages.fetch_add(1, Ordering::Relaxed);
-        }
-        if state == OutageState::Shedding && prev != OutageState::Shedding {
-            shared.stats.outage_sheds.fetch_add(1, Ordering::Relaxed);
         }
         let dt = now.duration_since(self.last_outage_tick);
         self.last_outage_tick = now;
@@ -1512,40 +1441,6 @@ impl Control {
     }
 }
 
-/// Hands one upload job to the uploader pool: the bounded ring first;
-/// on overflow, the durable spill queue (an uploader drains it back);
-/// at the spill ceiling or on a spill write failure, a blocking ring
-/// push — which saturates the aggregator, then the commit queue, then
-/// the DBMS at the Safety limit. RAM stays bounded in every case.
-/// Returns `false` only on shutdown.
-fn push_or_spill(shared: &Shared, job: UploadJob) -> bool {
-    let bytes = job.raw.len();
-    let Err(job) = shared.upload_ring.try_push(job, bytes) else {
-        return true;
-    };
-    if !shared.stop.is_stopped()
-        && shared.spill.bytes() < shared.config.outage.spill_ceiling
-        && shared.spill.push(&encode_spill_record(&job)).is_ok()
-    {
-        shared.stats.upload_spilled.fetch_add(1, Ordering::Relaxed);
-        shared
-            .stats
-            .upload_spilled_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        // The payload is durable in the spill file now; its heap buffer
-        // goes back to the pool for the next aggregated range.
-        bufpool::recycle(job.raw);
-        // An uploader asleep on the ring must not leave the record
-        // waiting for a busy one to come round.
-        shared.upload_ring.nudge();
-        return true;
-    }
-    // At the spill ceiling, on a spill write failure (local disk
-    // trouble), or during shutdown: hold the line in RAM rather than
-    // drop the job.
-    shared.upload_ring.push(job, bytes)
-}
-
 /// Acknowledges `batch_id`'s durable object; the caller that closes the
 /// oldest open batch releases the DBMS, in batch order.
 fn complete_object(shared: &Shared, batch_id: u64) {
@@ -1574,14 +1469,15 @@ fn aggregator_loop(shared: &Shared) {
                 offset: range.offset,
                 len: range.data.len() as u64,
             };
-            if !push_or_spill(
-                shared,
-                UploadJob {
-                    batch_id,
-                    name,
-                    raw: range.data,
-                },
-            ) {
+            // A full ring blocks here: the commit queue then fills to S
+            // and the DBMS blocks — the paper's one backlog bound.
+            let bytes = range.data.len();
+            let job = UploadJob {
+                batch_id,
+                name,
+                raw: range.data,
+            };
+            if !shared.upload_ring.push(job, bytes) {
                 return;
             }
         }
@@ -1589,27 +1485,28 @@ fn aggregator_loop(shared: &Shared) {
     // Queue closed: the ring closes at shutdown, letting downstream drain.
 }
 
-/// The one WAL-object upload: seal, PUT through `put`, account, recycle
+/// The one WAL-object upload: seal, PUT until durable, account, recycle
 /// both buffers (they feed this thread's next `bufpool::take`, so the
 /// steady-state upload path stops allocating per object), and only then
 /// register the object in the view — so the view, and through it GC and
-/// recovery, never names an object that is not durable. Ring jobs,
-/// spilled jobs and Reboot's spill drain differ only in `put`.
-fn upload_wal_job(
-    codec: &Codec,
-    stats: &GinjaStats,
-    view: &Mutex<CloudView>,
-    put: PutFn<'_>,
-    job: UploadJob,
-) -> Result<(), GinjaError> {
+/// recovery, never names an object that is not durable.
+fn upload_wal_job(shared: &Shared, job: UploadJob) -> Result<(), GinjaError> {
+    let stats = &shared.stats;
     let name = job.name.to_name();
-    let sealed = seal_timed(codec, stats, &name, &job.raw)?;
-    // Time-to-durable including `put`'s retries: that is what the queue
-    // (and so the DBMS) actually waits on. `put` itself records nothing,
-    // so every object lands in the histogram once — here or in
-    // `seal_put_wave`.
+    let sealed = seal_timed(&shared.codec, stats, &name, &job.raw)?;
+    // Time-to-durable including the retries: that is what the queue
+    // (and so the DBMS) actually waits on. `put_with_retry` itself
+    // records nothing, so every object lands in the histogram once —
+    // here or in `seal_put_wave`.
+    //
+    // On a shared executor the PUT competes through the tenant's lane
+    // against other tenants' waves, so a neighbor's bulk dump cannot
+    // crowd out this commit. The permit is acquired *per attempt*
+    // inside `put_with_retry` — a tenant whose prefix is down must not
+    // camp on shared permits across its backoff waits, or its outage
+    // would starve healthy neighbors of executor capacity.
     let put_start = Instant::now();
-    put(&name, &sealed)?;
+    put_with_retry(shared, Some(&shared.fanout), &name, &sealed)?;
     stats.put_histo.record(put_start.elapsed());
     stats.wal_objects_uploaded.fetch_add(1, Ordering::Relaxed);
     stats
@@ -1620,27 +1517,19 @@ fn upload_wal_job(
         .fetch_add(sealed.len() as u64, Ordering::Relaxed);
     bufpool::recycle(sealed);
     bufpool::recycle(job.raw);
-    view.lock().add_wal(job.name);
+    shared.view.lock().add_wal(job.name);
     Ok(())
 }
 
-/// [`upload_wal_job`] for the running pipeline: the PUT retries until
-/// durable, one fair-scheduled attempt at a time through `gate`.
-/// Returns `false` when this uploader must stop — on shutdown, or on a
-/// seal failure. A seal failure is a data-path corruption we must not
-/// paper over: skipping the object would ack a batch whose bytes never
-/// reached the cloud. The batch stays un-acked — the DBMS blocks at the
-/// Safety limit — and the fault surfaces via `Exposure::fatal` instead
-/// of as silent data loss.
-fn upload_until_durable(shared: &Shared, gate: &FanoutHandle, job: UploadJob) -> bool {
-    // On a shared executor the PUT competes through the tenant's lane
-    // against other tenants' waves, so a neighbor's bulk dump cannot
-    // crowd out this commit. The permit is acquired *per attempt*
-    // inside `put_with_retry` — a tenant whose prefix is down must not
-    // camp on shared permits across its backoff waits, or its outage
-    // would starve healthy neighbors of executor capacity.
-    let put = |name: &str, sealed: &[u8]| put_with_retry(shared, Some(gate), name, sealed);
-    match upload_wal_job(&shared.codec, &shared.stats, &shared.view, &put, job) {
+/// [`upload_wal_job`] as the uploader loop sees it. Returns `false`
+/// when this uploader must stop — on shutdown, or on a seal failure. A
+/// seal failure is a data-path corruption we must not paper over:
+/// skipping the object would ack a batch whose bytes never reached the
+/// cloud. The batch stays un-acked — the DBMS blocks at the Safety
+/// limit — and the fault surfaces via `Exposure::fatal` instead of as
+/// silent data loss.
+fn upload_until_durable(shared: &Shared, job: UploadJob) -> bool {
+    match upload_wal_job(shared, job) {
         Ok(()) => true,
         Err(GinjaError::ShutDown) => false,
         Err(_) => {
@@ -1650,80 +1539,17 @@ fn upload_until_durable(shared: &Shared, gate: &FanoutHandle, job: UploadJob) ->
     }
 }
 
-/// An uploader serves two sources. The spill backlog comes first: when
-/// it holds records and this uploader wins the drain token, it replays
-/// the oldest record — strictly FIFO, through the catch-up lane — and
-/// comes round again. Otherwise it takes the next job off the ring. The
-/// aggregator nudges the ring after every spill, so an idle uploader
-/// picks the record up at once and the backlog never waits for a poll;
-/// during the outage itself `put_with_retry` simply blocks here, so the
-/// drain starts the moment the cloud answers again.
+/// Figure 3's uploader: take the next job off the ring, upload it until
+/// durable, acknowledge. During an outage `put_with_retry` simply blocks
+/// here, so the backlog starts moving the moment the cloud answers.
 fn uploader_loop(shared: &Shared) {
-    let claim_spill = || {
-        if shared.stop.is_stopped() || shared.spill.is_empty() {
-            return None;
+    while let Some(job) = shared.upload_ring.pop(|j| j.raw.len()) {
+        let batch_id = job.batch_id;
+        if !upload_until_durable(shared, job) {
+            return;
         }
-        shared.spill_drain.try_lock()
-    };
-    loop {
-        match shared.upload_ring.pop(|j| j.raw.len(), claim_spill) {
-            Popped::Elsewhere(_token) => {
-                if !drain_spilled_job(shared) {
-                    return;
-                }
-            }
-            Popped::Item(job) => {
-                let batch_id = job.batch_id;
-                if !upload_until_durable(shared, &shared.fanout, job) {
-                    return;
-                }
-                complete_object(shared, batch_id);
-            }
-            Popped::Closed => return,
-        }
+        complete_object(shared, batch_id);
     }
-}
-
-/// Uploads the spill queue's front record (caller holds the drain
-/// token). The record only leaves the spill — and its commit-queue
-/// entries only ack — after its object is durable in the cloud, exactly
-/// a ring job's contract; a crash mid-drain re-drains at the next
-/// Reboot. Returns `false` when this uploader must stop.
-fn drain_spilled_job(shared: &Shared) -> bool {
-    let poll = shared.config.outage.poll_interval;
-    let (seq, payload) = match shared.spill.front() {
-        Ok(Some(front)) => front,
-        // Another uploader drained the last record first.
-        Ok(None) => return true,
-        // Local-disk read trouble: the record stays queued; pace the
-        // retry rather than losing it.
-        Err(_) => return !shared.stop.wait(poll),
-    };
-    let Some(job) = decode_spill_record(&payload) else {
-        // The spill queue's checksum already rejects torn writes, so
-        // an undecodable record means external tampering. Its queue
-        // entry can never ack: stop loudly instead of spinning.
-        shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
-        return false;
-    };
-    let (batch_id, bytes) = (job.batch_id, job.name.len);
-    if !upload_until_durable(shared, &shared.catchup, job) {
-        return false;
-    }
-    if shared.spill.ack(seq).is_err() {
-        // Ack (delete) failed: the record re-drains next round — a
-        // duplicate PUT of the same name and bytes, idempotent — and
-        // completes its batch once, when the delete succeeds. Pace the
-        // retry so a dying disk doesn't spin this loop.
-        return !shared.stop.wait(poll);
-    }
-    shared.stats.catchup_drained.fetch_add(1, Ordering::Relaxed);
-    shared
-        .stats
-        .catchup_drained_bytes
-        .fetch_add(bytes, Ordering::Relaxed);
-    complete_object(shared, batch_id);
-    true
 }
 
 fn checkpointer_loop(shared: &Shared) {

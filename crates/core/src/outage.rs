@@ -1,37 +1,32 @@
 //! Outage endurance: the bounded upload ring, the coalescing checkpoint
-//! queue, the spill-record codec, and the Healthy → Degraded → Enduring
-//! → Shedding policy state machine.
+//! queue, and the Healthy → Degraded → Enduring policy state machine.
 //!
-//! The paper's safety argument ("lose at most S acked updates") quietly
-//! assumes the cloud returns before local state overwhelms the host.
-//! Before this module, every pipeline stage rode an unbounded channel:
-//! a multi-hour outage grew RAM without bound — checkpoint jobs are the
-//! worst offenders, each carrying whole-database dumps — until the OOM
-//! killer delivered a worse disaster than the one being insured
-//! against. The pieces here bound every stage:
+//! The paper bounds what a cloud outage can pile up with one mechanism:
+//! "any attempt to put an element into a full CommitQueue will block"
+//! (§6), capacity S. A commit-queue slot is released only by
+//! `CommitQueue::ack_front`, after its object is durable, so everything
+//! downstream of the queue holds at most S un-acked updates' worth of
+//! WAL — and the DBMS's own WAL file is the durable copy, healed into
+//! the cloud by Reboot's resync pass (DESIGN.md §11, §15). The pieces
+//! here keep the stages behind the queue inside that bound:
 //!
 //! * [`UploadRing`] — a bounded in-memory ring between the aggregator
-//!   and the uploaders. When full, the aggregator spills overflow jobs
-//!   to a durable [`ginja_vfs::SpillQueue`] instead of blocking or
-//!   growing.
+//!   and the uploaders. A full ring blocks the aggregator; the commit
+//!   queue then fills to S and the DBMS blocks (Figure 3's hand-off).
 //! * [`CkptQueue`] — a bounded checkpoint queue that *coalesces* under
-//!   pressure: checkpoint jobs are mergeable by construction (the
-//!   checkpointer already merges timestamp collisions), so at capacity
-//!   the newest queued job absorbs the incoming one.
+//!   pressure. Checkpoint jobs carry page images and are not bounded by
+//!   S, but they are mergeable by construction (the checkpointer
+//!   already merges timestamp collisions), so at capacity the newest
+//!   queued job absorbs the incoming one.
 //! * [`OutagePolicy`] — the pure state machine deciding when the
-//!   pipeline is merely degraded, enduring a real outage (escalated
-//!   knobs: B/TB widened toward S, dumps and scrub paused), or — at the
-//!   configured spill ceiling — shedding, surfaced loudly through
-//!   `Exposure::fatal`.
-//!
-//! Spilled-but-unuploaded WAL never leaves the commit queue (the DBMS
-//! is never acked for it), so the at-most-S contract is untouched; the
-//! spill merely moves the *waiting room* from RAM to disk.
+//!   pipeline is merely degraded or enduring a real outage (escalated
+//!   knobs: B/TB widened toward S, dumps and scrub paused).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
+use ginja_cloud::BreakerState;
 use parking_lot::{Condvar, Mutex};
 
 use crate::bundle::FileRange;
@@ -52,24 +47,19 @@ pub(crate) struct CkptJob {
 }
 
 /// Where the pipeline stands relative to a cloud outage — the
-/// operator-facing summary of backlog pressure.
+/// operator-facing summary of upload pressure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum OutageState {
-    /// The cloud is reachable and nothing has spilled.
+    /// The cloud is reachable and no upload is stuck retrying.
     #[default]
     Healthy,
-    /// Pressure detected (breaker open or a spill backlog exists) but
-    /// not yet long or deep enough to call an outage.
+    /// Pressure detected (breaker not closed, or an upload retrying)
+    /// but not yet sustained long enough to call an outage.
     Degraded,
-    /// A real outage: backlog has reached disk, or pressure has
-    /// persisted past the configured threshold. Knobs are escalated —
-    /// B/TB widened toward S, dumps deferred, sentinel scrub paused.
+    /// A real outage: pressure has persisted past the configured
+    /// threshold. Knobs are escalated — B/TB widened toward S, dumps
+    /// deferred, sentinel scrub paused.
     Enduring,
-    /// The spill backlog reached the configured disk ceiling. Incoming
-    /// batches now block behind the ring (the DBMS saturates at the
-    /// Safety limit), and the condition is surfaced through
-    /// `Exposure::fatal` — loud, never silent.
-    Shedding,
 }
 
 impl OutageState {
@@ -79,7 +69,6 @@ impl OutageState {
             OutageState::Healthy => 0,
             OutageState::Degraded => 1,
             OutageState::Enduring => 2,
-            OutageState::Shedding => 3,
         }
     }
 
@@ -88,21 +77,19 @@ impl OutageState {
         match v {
             1 => OutageState::Degraded,
             2 => OutageState::Enduring,
-            3 => OutageState::Shedding,
             _ => OutageState::Healthy,
         }
     }
 }
 
 /// One observation fed to [`OutagePolicy::tick`].
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct OutageObservation {
-    /// Whether the resilience layer's circuit breaker is open.
-    pub breaker_open: bool,
-    /// Live records in the spill queue.
-    pub spill_records: u64,
-    /// Live payload bytes in the spill queue.
-    pub spill_bytes: u64,
+    /// Position of the resilience layer's circuit breaker.
+    pub breaker: BreakerState,
+    /// Uploads of this instance currently retrying: inside the outer
+    /// safety loop past their first failed attempt.
+    pub stalled_uploads: u64,
 }
 
 /// The outage state machine, pure and clock-injected for testability:
@@ -114,18 +101,15 @@ pub struct OutagePolicy {
     pressured_since: Option<Instant>,
     /// Sustained-pressure threshold for Degraded → Enduring.
     enduring_after: Duration,
-    /// Spill-bytes ceiling for Enduring → Shedding.
-    spill_ceiling: u64,
 }
 
 impl OutagePolicy {
     /// A policy in the Healthy state.
-    pub fn new(enduring_after: Duration, spill_ceiling: u64) -> Self {
+    pub fn new(enduring_after: Duration) -> Self {
         OutagePolicy {
             state: OutageState::Healthy,
             pressured_since: None,
             enduring_after,
-            spill_ceiling,
         }
     }
 
@@ -137,75 +121,29 @@ impl OutagePolicy {
     /// Advances the machine with one observation at time `now`;
     /// returns the (possibly unchanged) state.
     ///
-    /// Pressure is `breaker_open || spill_records > 0`. A full ring
-    /// alone is deliberately *not* pressure: a healthy burst can fill
-    /// the ring momentarily, and when it does the aggregator spills
-    /// immediately, so any sustained condition shows up as spill
-    /// records within one batch. Spill with a *closed* breaker is only
-    /// Degraded at first — a CPU- or width-bound burst on a healthy
-    /// cloud overflows the ring too, and treating every such burst as
-    /// an outage would thrash the knobs (and the outage counters) on
-    /// busy fleets. It escalates to Enduring when the breaker opens as
-    /// well, or when the pressure simply persists past
-    /// `enduring_after`.
+    /// Pressure is "the breaker is not `Closed`, or an upload is
+    /// retrying". A *half-open* breaker is still pressure: the cloud
+    /// has not answered a probe yet, and reading it as recovery would
+    /// restart the episode at every cooldown, so an outage shorter on
+    /// each leg than `enduring_after` could never be called one. The
+    /// retry gauge covers instances whose breaker is disabled (fleet
+    /// tenants share the fleet store's). A full ring alone is
+    /// deliberately *not* pressure: a CPU- or width-bound burst on a
+    /// healthy cloud fills it too, and treating every such burst as an
+    /// outage would thrash the knobs on busy fleets. Pressure is
+    /// `Degraded` until it has lasted `enduring_after`, `Enduring`
+    /// from then on, and `Healthy` the moment it is gone.
     pub fn tick(&mut self, obs: &OutageObservation, now: Instant) -> OutageState {
-        let pressure = obs.breaker_open || obs.spill_records > 0;
-        let outage = obs.breaker_open && obs.spill_records > 0;
-        self.state = match self.state {
-            OutageState::Healthy => {
-                if pressure {
-                    self.pressured_since = Some(now);
-                    // Backlog on disk with the cloud failing: an
-                    // outage, not a blip — skip straight past Degraded.
-                    if obs.spill_bytes >= self.spill_ceiling {
-                        OutageState::Shedding
-                    } else if outage {
-                        OutageState::Enduring
-                    } else {
-                        OutageState::Degraded
-                    }
-                } else {
-                    OutageState::Healthy
-                }
-            }
-            OutageState::Degraded => {
-                if !pressure {
-                    self.pressured_since = None;
-                    OutageState::Healthy
-                } else if obs.spill_bytes >= self.spill_ceiling {
-                    OutageState::Shedding
-                } else if outage
-                    || self
-                        .pressured_since
-                        .is_some_and(|since| now.duration_since(since) >= self.enduring_after)
-                {
-                    OutageState::Enduring
-                } else {
-                    OutageState::Degraded
-                }
-            }
-            OutageState::Enduring => {
-                if obs.spill_records == 0 && !obs.breaker_open {
-                    // Catch-up finished and the cloud answers again.
-                    self.pressured_since = None;
-                    OutageState::Healthy
-                } else if obs.spill_bytes >= self.spill_ceiling {
-                    OutageState::Shedding
-                } else {
-                    OutageState::Enduring
-                }
-            }
-            OutageState::Shedding => {
-                if obs.spill_bytes < self.spill_ceiling {
-                    if obs.spill_records == 0 && !obs.breaker_open {
-                        self.pressured_since = None;
-                        OutageState::Healthy
-                    } else {
-                        OutageState::Enduring
-                    }
-                } else {
-                    OutageState::Shedding
-                }
+        let pressure = obs.breaker != BreakerState::Closed || obs.stalled_uploads > 0;
+        self.state = if !pressure {
+            self.pressured_since = None;
+            OutageState::Healthy
+        } else {
+            let since = *self.pressured_since.get_or_insert(now);
+            if now.duration_since(since) >= self.enduring_after {
+                OutageState::Enduring
+            } else {
+                OutageState::Degraded
             }
         };
         self.state
@@ -217,16 +155,11 @@ struct RingInner<T> {
     closed: bool,
 }
 
-/// What [`UploadRing::pop`] came back with.
-#[derive(Debug, PartialEq, Eq)]
-pub(crate) enum Popped<T, W> {
-    /// The oldest item of the ring.
-    Item(T),
-    /// The caller's claim on work outside the ring.
-    Elsewhere(W),
-    /// The ring is closed and drained.
-    Closed,
-}
+/// Capacity of the pipeline's [`UploadRing`], in jobs. A burst buffer,
+/// not a backlog: what bounds an outage is S (each job pins commit-queue
+/// slots until its object is durable), so this only has to keep the
+/// uploader pool fed.
+pub(crate) const UPLOAD_RING_JOBS: usize = 256;
 
 /// A bounded MPMC ring between the aggregator and the uploader pool —
 /// the replacement for the old unbounded upload channel. Capacity is in
@@ -255,20 +188,6 @@ impl<T> UploadRing<T> {
         }
     }
 
-    /// Non-blocking push; hands the item back when the ring is full so
-    /// the caller can spill it instead. `Err` with the item also means
-    /// closed (the caller is draining down anyway).
-    pub(crate) fn try_push(&self, item: T, bytes: usize) -> Result<(), T> {
-        let mut inner = self.inner.lock();
-        if inner.closed || inner.items.len() >= self.capacity {
-            return Err(item);
-        }
-        inner.items.push_back(item);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.not_empty.notify_one();
-        Ok(())
-    }
-
     /// Blocking push: waits for space. Returns `false` when the ring
     /// closed before the item could be enqueued (the item is dropped —
     /// only ever on shutdown, when protection has ended).
@@ -286,40 +205,22 @@ impl<T> UploadRing<T> {
         true
     }
 
-    /// Blocking pop for a consumer with a second source of work.
-    /// `elsewhere` claims that other work (the spill backlog) and is
-    /// tried first, then the ring; `Closed` comes only once the ring is
-    /// closed *and* drained, so shutdown never strands queued work.
-    /// `elsewhere` runs under the ring lock, so whoever publishes such
-    /// work and then calls [`UploadRing::nudge`] cannot slip between a
-    /// consumer's check and its wait.
-    pub(crate) fn pop<W>(
-        &self,
-        bytes_of: impl Fn(&T) -> usize,
-        elsewhere: impl Fn() -> Option<W>,
-    ) -> Popped<T, W> {
+    /// Blocking pop: `None` only once the ring is closed *and*
+    /// drained, so shutdown never strands queued work.
+    pub(crate) fn pop(&self, bytes_of: impl Fn(&T) -> usize) -> Option<T> {
         let mut inner = self.inner.lock();
         loop {
-            if let Some(claim) = elsewhere() {
-                return Popped::Elsewhere(claim);
-            }
             if let Some(item) = inner.items.pop_front() {
                 self.bytes
                     .fetch_sub(bytes_of(&item) as u64, Ordering::Relaxed);
                 self.not_full.notify_one();
-                return Popped::Item(item);
+                return Some(item);
             }
             if inner.closed {
-                return Popped::Closed;
+                return None;
             }
             self.not_empty.wait(&mut inner);
         }
-    }
-
-    /// Wakes one waiting consumer to re-run its `elsewhere` check.
-    pub(crate) fn nudge(&self) {
-        let _inner = self.inner.lock();
-        self.not_empty.notify_one();
     }
 
     pub(crate) fn close(&self) {
@@ -426,210 +327,126 @@ impl CkptQueue {
     }
 }
 
-/// Serializes an [`UploadJob`] into a spill-queue payload. The payload
-/// rides inside a `SpillQueue` record, which already carries a length
-/// and checksum; this layer only needs an unambiguous field layout.
-pub(crate) fn encode_spill_record(job: &UploadJob) -> Vec<u8> {
-    let file = job.name.file.as_bytes();
-    let mut out = Vec::with_capacity(32 + file.len() + job.raw.len());
-    out.extend_from_slice(&job.batch_id.to_le_bytes());
-    out.extend_from_slice(&job.name.ts.to_le_bytes());
-    out.extend_from_slice(&job.name.offset.to_le_bytes());
-    out.extend_from_slice(&(file.len() as u32).to_le_bytes());
-    out.extend_from_slice(file);
-    out.extend_from_slice(&job.raw);
-    out
-}
-
-/// Inverse of [`encode_spill_record`]. `None` on a malformed payload —
-/// possible only through external tampering, since the spill queue's
-/// checksum already rejects torn records.
-pub(crate) fn decode_spill_record(payload: &[u8]) -> Option<UploadJob> {
-    if payload.len() < 28 {
-        return None;
-    }
-    let batch_id = u64::from_le_bytes(payload[0..8].try_into().ok()?);
-    let ts = u64::from_le_bytes(payload[8..16].try_into().ok()?);
-    let offset = u64::from_le_bytes(payload[16..24].try_into().ok()?);
-    let file_len = u32::from_le_bytes(payload[24..28].try_into().ok()?) as usize;
-    let raw_start = 28usize.checked_add(file_len)?;
-    if payload.len() < raw_start {
-        return None;
-    }
-    let file = String::from_utf8(payload[28..raw_start].to_vec()).ok()?;
-    let raw = payload[raw_start..].to_vec();
-    let len = raw.len() as u64;
-    Some(UploadJob {
-        batch_id,
-        name: WalObjectName {
-            ts,
-            file,
-            offset,
-            len,
-        },
-        raw,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use BreakerState::{Closed, HalfOpen, Open};
+    use OutageState::{Degraded, Enduring, Healthy};
 
-    /// A consumer with no second source of work.
-    fn ring_only() -> Option<()> {
-        None
-    }
+    const ENDURING_AFTER: Duration = Duration::from_secs(30);
 
-    fn obs(breaker_open: bool, spill_records: u64, spill_bytes: u64) -> OutageObservation {
-        OutageObservation {
-            breaker_open,
-            spill_records,
-            spill_bytes,
+    /// Runs `(seconds, breaker, stalled uploads, expected state)` rows
+    /// through a fresh policy; returns how often it entered `Enduring`
+    /// (what the control thread counts as `outages`).
+    fn run(rows: &[(u64, BreakerState, u64, OutageState)]) -> u64 {
+        let mut p = OutagePolicy::new(ENDURING_AFTER);
+        let t0 = Instant::now();
+        let mut outages = 0;
+        for &(secs, breaker, stalled_uploads, want) in rows {
+            let prev = p.state();
+            let obs = OutageObservation {
+                breaker,
+                stalled_uploads,
+            };
+            let got = p.tick(&obs, t0 + Duration::from_secs(secs));
+            assert_eq!(got, want, "at t={secs}s, {obs:?}");
+            outages += u64::from(got == Enduring && prev != Enduring);
         }
+        outages
     }
 
     #[test]
     fn healthy_stays_healthy_without_pressure() {
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        let t0 = Instant::now();
-        assert_eq!(p.tick(&obs(false, 0, 0), t0), OutageState::Healthy);
         assert_eq!(
-            p.tick(&obs(false, 0, 0), t0 + Duration::from_secs(3600)),
-            OutageState::Healthy
+            run(&[(0, Closed, 0, Healthy), (3600, Closed, 0, Healthy)]),
+            0
         );
     }
 
     #[test]
     fn breaker_blip_degrades_then_recovers() {
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        let t0 = Instant::now();
-        assert_eq!(p.tick(&obs(true, 0, 0), t0), OutageState::Degraded);
-        assert_eq!(
-            p.tick(&obs(false, 0, 0), t0 + Duration::from_secs(1)),
-            OutageState::Healthy
-        );
+        assert_eq!(run(&[(0, Open, 0, Degraded), (1, Closed, 0, Healthy)]), 0);
     }
 
     #[test]
     fn sustained_breaker_pressure_becomes_enduring() {
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        let t0 = Instant::now();
-        p.tick(&obs(true, 0, 0), t0);
-        assert_eq!(
-            p.tick(&obs(true, 0, 0), t0 + Duration::from_secs(29)),
-            OutageState::Degraded
-        );
-        assert_eq!(
-            p.tick(&obs(true, 0, 0), t0 + Duration::from_secs(30)),
-            OutageState::Enduring
-        );
+        let outages = run(&[
+            (0, Open, 0, Degraded),
+            (29, Open, 0, Degraded),
+            (30, Open, 0, Enduring),
+            (31, Closed, 0, Healthy),
+        ]);
+        assert_eq!(outages, 1);
     }
 
+    /// A total outage with the default timings (`breaker_cooldown` 5 s <
+    /// `enduring_after` 30 s): the breaker half-opens at every cooldown
+    /// and the probe fails. Half-open is not recovery — the episode
+    /// must run on and reach Enduring.
     #[test]
-    fn spill_under_open_breaker_escalates_immediately() {
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        let t0 = Instant::now();
-        p.tick(&obs(true, 0, 0), t0);
-        assert_eq!(
-            p.tick(&obs(true, 3, 300), t0 + Duration::from_millis(1)),
-            OutageState::Enduring
-        );
-        // Straight from Healthy too: breaker open with backlog on disk
-        // on the very first tick.
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        assert_eq!(p.tick(&obs(true, 1, 10), t0), OutageState::Enduring);
+    fn half_open_probes_do_not_restart_the_episode() {
+        let outages = run(&[
+            (0, Open, 0, Degraded),
+            (5, HalfOpen, 0, Degraded),
+            (6, Open, 0, Degraded),
+            (11, HalfOpen, 0, Degraded),
+            (12, Open, 0, Degraded),
+            (29, HalfOpen, 0, Degraded),
+            (30, Open, 0, Enduring),
+            (35, HalfOpen, 0, Enduring),
+            (36, Closed, 0, Healthy),
+        ]);
+        assert_eq!(outages, 1);
     }
 
+    /// Breaker disabled (a fleet tenant): uploads stuck retrying are
+    /// the only signal, and must be enough.
     #[test]
-    fn healthy_cloud_burst_spill_is_only_degraded_until_sustained() {
-        // Ring overflow on a *healthy* cloud (closed breaker) is a
-        // burst, not an outage: Degraded, and back to Healthy the
-        // moment catch-up empties the spill...
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        let t0 = Instant::now();
-        assert_eq!(p.tick(&obs(false, 4, 400), t0), OutageState::Degraded);
-        assert_eq!(
-            p.tick(&obs(false, 0, 0), t0 + Duration::from_secs(1)),
-            OutageState::Healthy
-        );
-        // ...but sustained past `enduring_after`, it is endurance even
-        // with the breaker closed (the cloud answers, too slowly).
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        p.tick(&obs(false, 4, 400), t0);
-        assert_eq!(
-            p.tick(&obs(false, 4, 400), t0 + Duration::from_secs(29)),
-            OutageState::Degraded
-        );
-        assert_eq!(
-            p.tick(&obs(false, 4, 400), t0 + Duration::from_secs(30)),
-            OutageState::Enduring
-        );
+    fn stalled_uploads_alone_reach_enduring() {
+        let outages = run(&[
+            (0, Closed, 2, Degraded),
+            (29, Closed, 5, Degraded),
+            (30, Closed, 5, Enduring),
+            // Draining: the last retrying upload still counts.
+            (40, Closed, 1, Enduring),
+            (41, Closed, 0, Healthy),
+        ]);
+        assert_eq!(outages, 1);
     }
 
+    /// One PUT that failed once and then succeeded is a blip: Degraded
+    /// and back, never an outage — and a later blip starts a fresh
+    /// episode rather than inheriting the first one's clock.
     #[test]
-    fn ceiling_sheds_and_draining_unsheds() {
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1000);
-        let t0 = Instant::now();
-        p.tick(&obs(true, 5, 500), t0);
-        assert_eq!(p.state(), OutageState::Enduring);
-        assert_eq!(
-            p.tick(&obs(true, 10, 1000), t0 + Duration::from_secs(1)),
-            OutageState::Shedding
-        );
-        // Catch-up drains below the ceiling: back to Enduring...
-        assert_eq!(
-            p.tick(&obs(false, 4, 400), t0 + Duration::from_secs(2)),
-            OutageState::Enduring
-        );
-        // ...and fully drained with a closed breaker: Healthy.
-        assert_eq!(
-            p.tick(&obs(false, 0, 0), t0 + Duration::from_secs(3)),
-            OutageState::Healthy
-        );
-    }
-
-    #[test]
-    fn enduring_holds_while_spill_drains_breaker_closed() {
-        // Cloud is back (breaker closed) but the spill still has
-        // records: stay Enduring until catch-up finishes.
-        let mut p = OutagePolicy::new(Duration::from_secs(30), 1 << 30);
-        let t0 = Instant::now();
-        p.tick(&obs(true, 8, 800), t0);
-        assert_eq!(p.state(), OutageState::Enduring);
-        assert_eq!(
-            p.tick(&obs(false, 2, 200), t0 + Duration::from_secs(1)),
-            OutageState::Enduring
-        );
-        assert_eq!(
-            p.tick(&obs(false, 0, 0), t0 + Duration::from_secs(2)),
-            OutageState::Healthy
-        );
+    fn a_single_retried_put_is_a_blip_not_an_outage() {
+        let outages = run(&[
+            (0, Closed, 1, Degraded),
+            (1, Closed, 0, Healthy),
+            (40, Closed, 1, Degraded),
+            (41, Closed, 0, Healthy),
+        ]);
+        assert_eq!(outages, 0);
     }
 
     #[test]
     fn state_u64_roundtrip() {
-        for s in [
-            OutageState::Healthy,
-            OutageState::Degraded,
-            OutageState::Enduring,
-            OutageState::Shedding,
-        ] {
+        for s in [Healthy, Degraded, Enduring] {
             assert_eq!(OutageState::from_u64(s.as_u64()), s);
         }
-        assert_eq!(OutageState::from_u64(99), OutageState::Healthy);
+        assert_eq!(OutageState::from_u64(99), Healthy);
     }
 
     #[test]
-    fn ring_try_push_hands_back_on_full() {
+    fn ring_tracks_length_and_payload_bytes() {
         let ring: UploadRing<u32> = UploadRing::new(2);
-        assert!(ring.try_push(1, 10).is_ok());
-        assert!(ring.try_push(2, 20).is_ok());
-        assert_eq!(ring.try_push(3, 30), Err(3));
+        assert!(ring.push(1, 10));
+        assert!(ring.push(2, 20));
         assert_eq!(ring.len(), 2);
         assert_eq!(ring.bytes(), 30);
-        assert_eq!(ring.pop(|_| 10, ring_only), Popped::Item(1));
+        assert_eq!(ring.pop(|_| 10), Some(1));
         assert_eq!(ring.bytes(), 20);
-        assert!(ring.try_push(3, 30).is_ok());
+        assert!(ring.push(3, 30));
+        assert_eq!(ring.len(), 2);
     }
 
     #[test]
@@ -640,44 +457,21 @@ mod tests {
         let pusher = std::thread::spawn(move || r.push(2, 0));
         std::thread::sleep(Duration::from_millis(20));
         assert!(!pusher.is_finished(), "push must block on a full ring");
-        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(1));
+        assert_eq!(ring.pop(|_| 0), Some(1));
         assert!(pusher.join().unwrap());
-        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(2));
+        assert_eq!(ring.pop(|_| 0), Some(2));
     }
 
     #[test]
     fn ring_close_drains_then_ends() {
         let ring: UploadRing<u32> = UploadRing::new(4);
-        ring.try_push(1, 0).unwrap();
-        ring.try_push(2, 0).unwrap();
+        assert!(ring.push(1, 0));
+        assert!(ring.push(2, 0));
         ring.close();
         assert!(!ring.push(3, 0), "push after close is refused");
-        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(1));
-        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(2));
-        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Closed);
-    }
-
-    #[test]
-    fn ring_pop_prefers_work_elsewhere_and_a_nudge_wakes_a_waiter() {
-        let ring: std::sync::Arc<UploadRing<u32>> = std::sync::Arc::new(UploadRing::new(2));
-        ring.try_push(1, 0).unwrap();
-        assert_eq!(
-            ring.pop(|_| 0, || Some("spill")),
-            Popped::Elsewhere("spill")
-        );
-        assert_eq!(ring.pop(|_| 0, ring_only), Popped::Item(1));
-
-        // A consumer asleep on the empty ring: work published elsewhere
-        // plus a nudge brings it back with the claim.
-        let published = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
-        let (r, flag) = (ring.clone(), published.clone());
-        let consumer =
-            std::thread::spawn(move || r.pop(|_| 0, || flag.load(Ordering::SeqCst).then_some(7u8)));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!consumer.is_finished(), "pop must wait on an empty ring");
-        published.store(true, Ordering::SeqCst);
-        ring.nudge();
-        assert_eq!(consumer.join().unwrap(), Popped::Elsewhere(7));
+        assert_eq!(ring.pop(|_| 0), Some(1));
+        assert_eq!(ring.pop(|_| 0), Some(2));
+        assert_eq!(ring.pop(|_| 0), None);
     }
 
     fn ckpt(ts: u64, kind: DbObjectKind, tag: u8) -> CkptJob {
@@ -734,59 +528,5 @@ mod tests {
         );
         assert_eq!(q.pop().unwrap().ts, 1);
         assert!(q.pop().is_none());
-    }
-
-    #[test]
-    fn spill_record_roundtrip() {
-        let job = UploadJob {
-            batch_id: 42,
-            name: WalObjectName {
-                ts: 7,
-                file: "pg_xlog/000000000000000A".into(),
-                offset: 8192,
-                len: 5,
-            },
-            raw: b"hello".to_vec(),
-        };
-        let decoded = decode_spill_record(&encode_spill_record(&job)).unwrap();
-        assert_eq!(decoded.batch_id, 42);
-        assert_eq!(decoded.name, job.name);
-        assert_eq!(decoded.raw, b"hello");
-    }
-
-    #[test]
-    fn spill_record_rejects_malformed() {
-        assert!(decode_spill_record(b"short").is_none());
-        let job = UploadJob {
-            batch_id: 1,
-            name: WalObjectName {
-                ts: 1,
-                file: "f".into(),
-                offset: 0,
-                len: 0,
-            },
-            raw: Vec::new(),
-        };
-        let mut bytes = encode_spill_record(&job);
-        // Claim a file length past the end of the payload.
-        bytes[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_spill_record(&bytes).is_none());
-    }
-
-    #[test]
-    fn spill_record_empty_raw_roundtrip() {
-        let job = UploadJob {
-            batch_id: 0,
-            name: WalObjectName {
-                ts: 1,
-                file: "wal".into(),
-                offset: 100,
-                len: 0,
-            },
-            raw: Vec::new(),
-        };
-        let decoded = decode_spill_record(&encode_spill_record(&job)).unwrap();
-        assert_eq!(decoded.name.offset, 100);
-        assert!(decoded.raw.is_empty());
     }
 }

@@ -149,13 +149,8 @@ pub struct GinjaStats {
     pub(crate) wal_resync_bytes: AtomicU64,
     pub(crate) pipeline_fatals: AtomicU64,
     pub(crate) gc_backlog_dropped: AtomicU64,
-    pub(crate) upload_spilled: AtomicU64,
-    pub(crate) upload_spilled_bytes: AtomicU64,
-    pub(crate) catchup_drained: AtomicU64,
-    pub(crate) catchup_drained_bytes: AtomicU64,
     pub(crate) ckpt_coalesced: AtomicU64,
     pub(crate) outages: AtomicU64,
-    pub(crate) outage_sheds: AtomicU64,
     pub(crate) outage_micros: AtomicU64,
     pub(crate) seal_histo: LatencyHisto,
     pub(crate) put_histo: LatencyHisto,
@@ -195,16 +190,11 @@ impl GinjaStats {
             wal_resync_bytes: self.wal_resync_bytes.load(Ordering::Relaxed),
             pipeline_fatals: self.pipeline_fatals.load(Ordering::Relaxed),
             gc_backlog_dropped: self.gc_backlog_dropped.load(Ordering::Relaxed),
-            // Outage counters come from these atomics; the ring/spill
-            // gauges and the live state are merged in by `Ginja::stats`.
+            // Outage counters come from these atomics; the ring gauges
+            // and the live state are merged in by `Ginja::stats`.
             outage: OutageSnapshot {
-                spilled: self.upload_spilled.load(Ordering::Relaxed),
-                spilled_bytes: self.upload_spilled_bytes.load(Ordering::Relaxed),
-                drained: self.catchup_drained.load(Ordering::Relaxed),
-                drained_bytes: self.catchup_drained_bytes.load(Ordering::Relaxed),
                 ckpt_coalesced: self.ckpt_coalesced.load(Ordering::Relaxed),
                 outages: self.outages.load(Ordering::Relaxed),
-                sheds: self.outage_sheds.load(Ordering::Relaxed),
                 outage_time: Duration::from_micros(self.outage_micros.load(Ordering::Relaxed)),
                 ..OutageSnapshot::default()
             },
@@ -602,8 +592,8 @@ pub struct GinjaStatsSnapshot {
     /// Live cost-governor state (budget, spend projection, governed
     /// knobs), merged in by `Ginja::stats`; default otherwise.
     pub governor: GovernorSnapshot,
-    /// Outage-endurance state: policy state, backlog depth in RAM and
-    /// on disk, spill/drain counters, outage count and duration.
+    /// Outage-endurance state: policy state, upload-ring depth, outage
+    /// count and duration.
     pub outage: OutageSnapshot,
     /// Ingest fast-path state: put/blocked latency histograms and
     /// staging-ring contention counters, merged in by `Ginja::stats`.
@@ -615,44 +605,23 @@ pub struct GinjaStatsSnapshot {
 }
 
 /// A point-in-time view of the outage-endurance subsystem, embedded in
-/// [`GinjaStatsSnapshot`]: where the backlog stands (RAM ring vs disk
-/// spill), how much has spilled and drained over the run, and how long
-/// the pipeline has spent enduring outages.
+/// [`GinjaStatsSnapshot`]: the policy state, how deep the upload ring
+/// stands, and how long the pipeline has spent enduring outages. (The
+/// backlog itself is the commit queue: `Ginja::pending_updates`, ≤ S.)
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutageSnapshot {
     /// The outage policy's current state.
     pub state: OutageState,
-    /// Outage episodes entered (transitions into `Enduring`/`Shedding`).
+    /// Outage episodes entered (transitions into `Enduring`).
     pub outages: u64,
-    /// Times the spill backlog hit the disk ceiling (`Shedding`).
-    pub sheds: u64,
-    /// Cumulative time spent in `Enduring`/`Shedding`.
+    /// Cumulative time spent in `Enduring`.
     pub outage_time: Duration,
     /// Upload jobs currently queued in the in-memory ring (gauge).
     pub ring_len: u64,
-    /// The ring's configured capacity, in jobs.
+    /// The ring's capacity, in jobs.
     pub ring_capacity: u64,
     /// Payload bytes currently held by the ring (gauge).
     pub ring_bytes: u64,
-    /// Records currently in the durable spill queue (gauge).
-    pub spill_records: u64,
-    /// Payload bytes currently in the spill queue (gauge).
-    pub spill_bytes: u64,
-    /// Records the spill queue accepted over this instance's lifetime.
-    pub spill_pushed: u64,
-    /// Records acked (drained and deleted) over this instance's
-    /// lifetime.
-    pub spill_acked: u64,
-    /// Torn records discarded when the spill queue was recovered.
-    pub spill_torn_discarded: u64,
-    /// Upload jobs the aggregator spilled to disk (ring overflow).
-    pub spilled: u64,
-    /// Raw payload bytes those spilled jobs carried.
-    pub spilled_bytes: u64,
-    /// Spilled jobs the catch-up drain uploaded to the cloud.
-    pub drained: u64,
-    /// Raw payload bytes the catch-up drain uploaded.
-    pub drained_bytes: u64,
     /// Checkpoint jobs absorbed into a queued one because the bounded
     /// checkpoint queue was at capacity.
     pub ckpt_coalesced: u64,

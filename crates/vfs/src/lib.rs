@@ -36,7 +36,6 @@ mod journal;
 mod mem;
 mod mysql;
 mod postgres;
-mod spill;
 
 pub use delay::{precise_sleep, DelayFs};
 pub use dir::DirFs;
@@ -49,4 +48,3 @@ pub use journal::{JournaledFs, DEFAULT_SECTOR_SIZE};
 pub use mem::MemFs;
 pub use mysql::MySqlProcessor;
 pub use postgres::PostgresProcessor;
-pub use spill::SpillQueue;

@@ -31,3 +31,12 @@ for spec in core/src/config.rs:GinjaConfig core/src/config.rs:OutageConfig \
     total=$((total + n))
 done
 printf '%-48s %7d\n' "pub config fields:" "$total"
+
+# `pub` fields of the metrics surface (ROADMAP item 8): the stats
+# snapshot, each snapshot nested in it, the fleet roll-up and `Exposure`.
+for spec in stats.rs:GinjaStatsSnapshot stats.rs:OutageSnapshot \
+    stats.rs:IngestSnapshot stats.rs:SentinelSnapshot stats.rs:StandbySnapshot \
+    stats.rs:GovernorSnapshot stats.rs:CrashFsSnapshot stats.rs:LatencySnapshot \
+    agg.rs:SnapshotTotals ginja.rs:Exposure; do
+    printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/core/src/${spec%%:*}" "${spec##*:}")"
+done

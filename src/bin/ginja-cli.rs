@@ -13,7 +13,7 @@
 //! ginja-cli budget <monthly-usd> <db-gb> <updates-per-min> [--batch <B>] [--safety <S>] [--headroom <f>] [--steps <n>]
 //! ginja-cli crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn] [--prefix <p>]
 //! ginja-cli fleet [--tenants <n>] [--txns <n>] [--width <w>] [--budget <usd>] [--month-secs <s>]
-//! ginja-cli outage [--rows <n>] [--ring <n>] [--spill-ceiling <bytes>]
+//! ginja-cli outage [--rows <n>]
 //! ginja-cli standby [--rows <n>] [--waves <n>] [--promote]
 //! ```
 //!
@@ -35,9 +35,9 @@
 //! `outage` is the outage endurance drill (`DESIGN.md` §15), also
 //! in-process: it cuts the cloud out from under a live pipeline, shows
 //! the outage policy escalating (Healthy → Degraded → Enduring) while
-//! the RAM backlog stays bounded and the overflow spills to disk, then
-//! restores the cloud and proves catch-up drains to a scrub-clean
-//! bucket with zero acknowledged loss — exiting non-zero otherwise.
+//! the un-acked backlog stays within the Safety bound S, then restores
+//! the cloud and proves catch-up drains to a scrub-clean bucket with
+//! zero acknowledged loss — exiting non-zero otherwise.
 //!
 //! `standby` is the warm-standby drill (`DESIGN.md` §17), in-process
 //! too: it protects a database, attaches a continuous cloud-tail
@@ -95,7 +95,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "  fleet [--tenants <n>] [--txns <n>] [--width <w>] [--budget <usd>] [--month-secs <s>]"
             );
-            eprintln!("  outage [--rows <n>] [--ring <n>] [--spill-ceiling <bytes>]");
+            eprintln!("  outage [--rows <n>]");
             eprintln!("  standby [--rows <n>] [--waves <n>] [--promote]");
             return ExitCode::from(2);
         }
@@ -730,10 +730,9 @@ fn fleet(args: &[String]) -> Result<(), String> {
 /// The outage endurance drill: boots a solo pipeline over an
 /// in-process bucket, takes the cloud away mid-traffic, and narrates
 /// the outage subsystem doing its job — the policy escalating to
-/// `Enduring`, the RAM ring holding its bound while the overflow
-/// spills to disk, checkpoints coalescing, B widening toward S — then
-/// restores the cloud and verifies the catch-up drain ends with an
-/// empty spill, a scrub-clean bucket, and a lossless recovery. Exits
+/// `Enduring`, the backlog holding within S, checkpoints coalescing,
+/// B widening toward S — then restores the cloud and verifies catch-up
+/// ends with a scrub-clean bucket and a lossless recovery. Exits
 /// non-zero if any of that fails. CI smoke-tests the outage subsystem
 /// through this command.
 fn outage(args: &[String]) -> Result<(), String> {
@@ -756,8 +755,6 @@ fn outage(args: &[String]) -> Result<(), String> {
         }
     };
     let rows = parse_num("--rows", 200)?.max(8);
-    let ring = parse_num("--ring", 8)?.max(1) as usize;
-    let ceiling = parse_num("--spill-ceiling", 1 << 30)?;
 
     let wait_for = |timeout: Duration, mut probe: Box<dyn FnMut() -> bool + '_>| -> bool {
         let deadline = Instant::now() + timeout;
@@ -800,9 +797,7 @@ fn outage(args: &[String]) -> Result<(), String> {
             ..SentinelConfig::default()
         })
         .outage(OutageConfig {
-            ring_capacity: ring,
             ckpt_capacity: 2,
-            spill_ceiling: ceiling,
             enduring_after: Duration::from_millis(50),
             poll_interval: Duration::from_millis(5),
         })
@@ -827,12 +822,6 @@ fn outage(args: &[String]) -> Result<(), String> {
     if !ginja.sync(Duration::from_secs(30)) {
         return Err("healthy phase failed to drain".into());
     }
-    // A burst can transiently spill even with a healthy cloud; give
-    // the policy a tick to walk back before reporting.
-    wait_for(
-        Duration::from_secs(5),
-        Box::new(|| ginja.stats().outage.state == OutageState::Healthy),
-    );
     println!(
         "healthy phase:     {healthy_rows} row(s) uploaded, state {:?}",
         ginja.stats().outage.state
@@ -851,24 +840,24 @@ fn outage(args: &[String]) -> Result<(), String> {
         db.checkpoint().map_err(|e| e.to_string())?;
     }
 
-    let mut ring_bound_held = true;
+    let mut backlog_bound_held = true;
     let escalated = wait_for(
         Duration::from_secs(30),
         Box::new(|| {
-            let snap = ginja.stats().outage;
-            ring_bound_held &= snap.ring_len <= ring as u64;
-            matches!(snap.state, OutageState::Enduring | OutageState::Shedding)
+            backlog_bound_held &= ginja.pending_updates() <= config.safety;
+            ginja.stats().outage.state == OutageState::Enduring
         }),
     );
     let mid = ginja.stats();
     println!("under outage:      state {:?}", mid.outage.state);
     println!(
-        "  ring:            {} / {} slot(s) (bound held: {ring_bound_held})",
-        mid.outage.ring_len, mid.outage.ring_capacity
+        "  backlog:         {} un-acked update(s) of S = {} (bound held: {backlog_bound_held})",
+        ginja.pending_updates(),
+        config.safety
     );
     println!(
-        "  spill:           {} record(s), {} byte(s) on disk",
-        mid.outage.spill_records, mid.outage.spill_bytes
+        "  ring:            {} / {} slot(s)",
+        mid.outage.ring_len, mid.outage.ring_capacity
     );
     println!("  ckpt coalesced:  {}", mid.outage.ckpt_coalesced);
     println!(
@@ -880,15 +869,12 @@ fn outage(args: &[String]) -> Result<(), String> {
     if !escalated {
         return Err(format!("policy never escalated: {:?}", mid.outage));
     }
-    if !ring_bound_held {
-        return Err("RAM ring exceeded its capacity during the outage".into());
-    }
-    if mid.outage.spill_records == 0 {
-        return Err("backlog never spilled to disk".into());
+    if !backlog_bound_held {
+        return Err("un-acked backlog exceeded S during the outage".into());
     }
 
-    // The cloud returns: the catch-up lane drains the spill in order,
-    // the policy walks back to Healthy, and the knobs restore.
+    // The cloud returns: the uploaders' retries get through, the queue
+    // drains, the policy walks back to Healthy, and the knobs restore.
     plan.restore();
     println!("cloud restored:    catch-up draining...");
     if !ginja.sync(Duration::from_secs(120)) {
@@ -902,10 +888,6 @@ fn outage(args: &[String]) -> Result<(), String> {
     }
     let fin = ginja.stats();
     println!("after catch-up:    state {:?}", fin.outage.state);
-    println!(
-        "  drained:         {} record(s), {} byte(s)",
-        fin.outage.drained, fin.outage.drained_bytes
-    );
     println!(
         "  outage time:     {:.1?} across {} outage(s)",
         fin.outage.outage_time, fin.outage.outages
@@ -929,9 +911,6 @@ fn outage(args: &[String]) -> Result<(), String> {
         "  ingest seals:    {} adaptive, {} by TB expiry ({} credit retry(ies))",
         fin.ingest.adaptive_seals, fin.ingest.timeout_seals, fin.ingest.credit_retries
     );
-    if fin.outage.spill_records != 0 || fin.outage.spill_bytes != 0 {
-        return Err(format!("spill not empty after catch-up: {:?}", fin.outage));
-    }
     if ginja.exposure().fatal {
         return Err("exposure still fatal after recovery".into());
     }

@@ -26,6 +26,12 @@
 //!    never saw live only in the local WAL), and a subsequent disaster
 //!    loses *nothing* that survived locally.
 //!
+//! By default the cloud goes dark at the crash instant. With
+//! [`ExplorerConfig::dark_steps`] it goes dark that many workload steps
+//! *earlier*, so the crash lands on a pipeline holding a full un-acked
+//! window in RAM — the case where invariant 4 rests on the local WAL
+//! alone.
+//!
 //! Optionally one survivable I/O fault ([`ginja_vfs::FsFaultKind`]) is
 //! injected at a chosen op index before the crash, so the sweep also
 //! covers "error, keep running, then die" histories — the schedule
@@ -43,6 +49,10 @@ use ginja_vfs::{FaultFs, FileSystem, FsFaultKind, InterceptFs, JournaledFs, VfsF
 
 /// The table every explorer workload runs against.
 const TABLE: u32 = 1;
+
+/// The most WAL writes one workload step issues on either profile (a
+/// commit record plus, on a checkpoint step, the checkpoint's own).
+const MAX_WAL_WRITES_PER_STEP: usize = 2;
 
 /// How the simulated power failure lands relative to the page cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -94,6 +104,13 @@ pub struct ExplorerConfig {
     /// test (`GinjaConfig::recovery_fanout`). 1 = serial; larger widths
     /// exercise the reorder buffer under out-of-order fetch completion.
     pub recovery_fanout: usize,
+    /// How many workload steps before the step containing the crash
+    /// point the cloud goes dark (0 = at the crash instant). Every
+    /// update committed in the dark stays un-acked in the commit queue,
+    /// and a workload that fills the queue blocks for good, as the DBMS
+    /// would — so [`explore`] insists that the dark steps plus the
+    /// crashing one fit in `safety` at two WAL writes each.
+    pub dark_steps: usize,
     /// Tenant prefix the sweep runs under (empty = the whole bucket).
     /// When set, the middleware, every recovery, and every scrub go
     /// through a [`PrefixStore`] view — the sweep then also proves the
@@ -115,6 +132,7 @@ impl ExplorerConfig {
             sector_size: 128,
             fault: None,
             recovery_fanout: 1,
+            dark_steps: 0,
             prefix: String::new(),
         }
     }
@@ -363,11 +381,17 @@ fn run_step(db: &Database, step: &Step, version: usize) -> Result<(), DbError> {
 }
 
 /// Runs the workload until it finishes or the first step error (an
-/// injected fault or the crash halt). Returns the acknowledged effects
-/// and, if a step failed, its maybe-applied effect.
-fn run_workload(db: &Database, steps: &[Step]) -> (Vec<Effect>, Option<Effect>) {
+/// injected fault or the crash halt), calling `before_step` with each
+/// step's index first. Returns the acknowledged effects and, if a step
+/// failed, its maybe-applied effect.
+fn run_workload(
+    db: &Database,
+    steps: &[Step],
+    mut before_step: impl FnMut(usize),
+) -> (Vec<Effect>, Option<Effect>) {
     let mut acked = Vec::new();
     for (version, step) in steps.iter().enumerate() {
+        before_step(version);
         match run_step(db, step, version) {
             Ok(()) => acked.push(effect_of(step, version)),
             Err(_) => return (acked, Some(effect_of(step, version))),
@@ -376,19 +400,43 @@ fn run_workload(db: &Database, steps: &[Step]) -> (Vec<Effect>, Option<Effect>) 
     (acked, None)
 }
 
+/// The crash-point space of a workload, sized by the fault-free census.
+struct Census {
+    /// Mutating ops the whole run performed.
+    crash_points: u64,
+    /// Mutating ops performed before each step began.
+    step_starts: Vec<u64>,
+}
+
+impl Census {
+    /// The step during which crash point `point` occurs; `None` when it
+    /// strikes during DBMS startup, before any step.
+    fn step_of(&self, point: u64) -> Option<usize> {
+        self.step_starts
+            .partition_point(|&start| start <= point)
+            .checked_sub(1)
+    }
+}
+
 /// The fault-free census: one full run counting the mutating ops — the
 /// crash-point space the sweep then enumerates.
-fn census(cfg: &ExplorerConfig, steps: &[Step]) -> u64 {
+fn census(cfg: &ExplorerConfig, steps: &[Step]) -> Census {
     let stack = build_stack(cfg);
     if let Some((idx, kind)) = cfg.fault {
         stack.vplan.fail_at_op(idx, kind);
     }
+    let mut step_starts = Vec::with_capacity(steps.len());
     if let Ok(db) = Database::open(stack.db_fs.clone(), stack.profile.clone()) {
-        let _ = run_workload(&db, steps);
+        let _ = run_workload(&db, steps, |_| {
+            step_starts.push(stack.vplan.mutating_ops_seen())
+        });
     }
     stack.ginja.sync(Duration::from_secs(30));
     stack.ginja.shutdown();
-    stack.vplan.mutating_ops_seen()
+    Census {
+        crash_points: stack.vplan.mutating_ops_seen(),
+        step_starts,
+    }
 }
 
 fn recovered_rows(
@@ -416,9 +464,12 @@ fn rows_summary(rows: &Rows) -> String {
 
 /// Replays the run, crashes at `point` in `mode`, and checks all four
 /// invariants, recording violations and counters into `report`.
+/// `dark_from` is the step before which the cloud goes dark, if it does
+/// so ahead of the crash.
 fn run_crash_point(
     cfg: &ExplorerConfig,
     steps: &[Step],
+    dark_from: Option<usize>,
     point: u64,
     mode: CrashMode,
     report: &mut CrashReport,
@@ -435,13 +486,22 @@ fn run_crash_point(
     // The doomed run: open the DBMS over the faulted stack, apply the
     // workload, stop at the first error (fault or halt).
     let (acked, inflight) = match Database::open(stack.db_fs.clone(), stack.profile.clone()) {
-        Ok(db) => run_workload(&db, steps),
+        Ok(db) => run_workload(&db, steps, |step| {
+            if dark_from == Some(step) {
+                // Drain first: the un-acked window at the crash is then
+                // exactly the dark steps' updates, whatever the uploader
+                // was behind on — which `explore` checked fits in S.
+                stack.ginja.sync(Duration::from_secs(30));
+                stack.cplan.outage();
+            }
+        }),
         // The crash (or fault) struck during DBMS startup.
         Err(_) => (Vec::new(), None),
     };
 
-    // The crash: cloud traffic stops at the same instant the local
-    // process dies, then the power failure hits the page cache.
+    // The crash: cloud traffic stops (if it had not already) at the
+    // same instant the local process dies, then the power failure hits
+    // the page cache.
     stack.cplan.outage();
     stack.ginja.shutdown();
     match mode {
@@ -639,19 +699,29 @@ fn run_crash_point(
 /// Runs the sweep: a census to size the crash-point space, then one
 /// replay per (point, mode) at the configured stride.
 pub fn explore(cfg: &ExplorerConfig) -> CrashReport {
+    assert!(
+        cfg.dark_steps == 0 || (cfg.dark_steps + 1) * MAX_WAL_WRITES_PER_STEP <= cfg.safety,
+        "dark_steps {} would block the workload at S = {}",
+        cfg.dark_steps,
+        cfg.safety
+    );
     let steps = steps_for(cfg.seed, cfg.steps);
-    let crash_points = census(cfg, &steps);
+    let census = census(cfg, &steps);
     let mut report = CrashReport {
-        crash_points,
+        crash_points: census.crash_points,
         ..CrashReport::default()
     };
     let stride = cfg.stride.max(1) as u64;
     let mut point = 0u64;
-    while point < crash_points {
-        run_crash_point(cfg, &steps, point, CrashMode::Clean, &mut report);
+    while point < census.crash_points {
+        let dark_from = match cfg.dark_steps {
+            0 => None,
+            k => census.step_of(point).map(|step| step.saturating_sub(k)),
+        };
+        run_crash_point(cfg, &steps, dark_from, point, CrashMode::Clean, &mut report);
         report.explored += 1;
         if cfg.torn {
-            run_crash_point(cfg, &steps, point, CrashMode::Torn, &mut report);
+            run_crash_point(cfg, &steps, dark_from, point, CrashMode::Torn, &mut report);
             report.explored += 1;
         }
         point += stride;
@@ -696,9 +766,17 @@ mod tests {
             ..ExplorerConfig::new(ProfileKind::Postgres)
         };
         let steps = steps_for(cfg.seed, cfg.steps);
-        let points = census(&cfg, &steps);
+        let census = census(&cfg, &steps);
         // Every workload step performs at least one mutating fs op.
+        let points = census.crash_points;
         assert!(points >= cfg.steps as u64, "{points} crash points");
+        // ...so the step boundaries rise strictly and partition the
+        // space: each point maps to the step that performs it.
+        assert_eq!(census.step_starts.len(), cfg.steps);
+        assert!(census.step_starts.windows(2).all(|w| w[0] < w[1]));
+        assert_eq!(census.step_of(census.step_starts[0]), Some(0));
+        assert_eq!(census.step_of(census.step_starts[2] - 1), Some(1));
+        assert_eq!(census.step_of(points - 1), Some(cfg.steps - 1));
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //! both DBMS profiles, in both crash modes, with and without an extra
 //! injected I/O fault. Zero violations is the bar.
 
-use ginja::crashpoint::{explore, ExplorerConfig};
+use ginja::crashpoint::{explore, CrashReport, ExplorerConfig};
 use ginja::db::ProfileKind;
 use ginja::vfs::FsFaultKind;
 
-fn assert_clean(cfg: &ExplorerConfig) {
+fn assert_clean(cfg: &ExplorerConfig) -> CrashReport {
     let report = explore(cfg);
     assert!(
         report.crash_points > cfg.steps as u64,
@@ -24,6 +24,7 @@ fn assert_clean(cfg: &ExplorerConfig) {
         report.explored,
         violations.join("\n")
     );
+    report
 }
 
 #[test]
@@ -121,6 +122,33 @@ fn sweep_with_parallel_recovery_mysql_stays_clean() {
         ..ExplorerConfig::new(ProfileKind::MySql)
     };
     assert_clean(&cfg);
+}
+
+#[test]
+fn sweep_with_cloud_dark_before_the_crash_stays_clean() {
+    // The cloud goes dark two steps before the step that crashes, so
+    // every kill lands on a pipeline whose un-acked window lives only
+    // in RAM and in the local WAL. Reboot's resync must heal the cloud
+    // from the WAL alone (invariant 4), the bucket the outage froze
+    // must still be a scrub-clean prefix (2, 3) — clean and torn, on
+    // both profiles.
+    for (profile, seed) in [
+        (ProfileKind::Postgres, 0x6a17_9a5c_3fd1_e208),
+        (ProfileKind::MySql, 0x51ed_c0de),
+    ] {
+        let cfg = ExplorerConfig {
+            steps: 8,
+            stride: 3,
+            seed,
+            dark_steps: 2,
+            ..ExplorerConfig::new(profile)
+        };
+        let report = assert_clean(&cfg);
+        assert!(
+            report.wal_resync_objects > 0,
+            "{profile:?}: reboot never had to resync"
+        );
+    }
 }
 
 #[test]

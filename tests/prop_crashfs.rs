@@ -44,11 +44,15 @@ proptest! {
         seed in any::<u64>(),
         steps in 3usize..8,
         stride in 2usize..6,
+        // 0 = the cloud darkens at the crash instant; 1–2 = that many
+        // steps earlier, so the kill finds an un-acked window.
+        dark_steps in 0usize..3,
     ) {
         let cfg = ExplorerConfig {
             seed,
             steps,
             stride,
+            dark_steps,
             ..ExplorerConfig::new(profile)
         };
         sweep(&cfg);
