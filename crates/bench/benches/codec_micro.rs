@@ -2,7 +2,7 @@
 //! regression tracking; not a paper experiment).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ginja_codec::{aes, bufpool, ctr, glz, sha1, Codec, CodecConfig};
+use ginja_codec::{aes, bufpool, ctr, glz, hmac, sha1, Codec, CodecConfig};
 
 fn page_like_data(len: usize) -> Vec<u8> {
     let mut data = Vec::with_capacity(len);
@@ -42,12 +42,34 @@ fn bench_crypto(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(data.len() as u64));
     group.bench_function("sha1_64k", |b| b.iter(|| sha1::digest(&data)));
     let aes = aes::Aes128::new(b"0123456789abcdef");
+    // CTR is its own inverse, so applying it in place to one buffer
+    // times the keystream alone, not a 64 KiB copy per iteration.
+    let mut buf = data.clone();
     group.bench_function("aes_ctr_64k", |b| {
         b.iter(|| {
-            let mut buf = data.clone();
             ctr::apply_keystream(&aes, &[7u8; 16], &mut buf);
-            buf
+            buf[0]
         })
+    });
+    // One-shot HMAC (keying included) at the MAC-only object sizes of a
+    // MySQL-profile workload: a 512 B log block and a ~5 KiB group.
+    let mac_key = [0x5au8; 20];
+    for size in [512usize, 5 * 1024] {
+        let msg = page_like_data(size);
+        group.throughput(Throughput::Bytes(size as u64));
+        group.bench_with_input(BenchmarkId::new("hmac_sha1", size), &msg, |b, msg| {
+            b.iter(|| hmac::hmac_sha1(&mac_key, msg))
+        });
+    }
+    group.finish();
+}
+
+/// Key derivation at the default PBKDF2 count: what every recovery,
+/// standby attach and sentinel rehearsal pays before its first open.
+fn bench_kdf(c: &mut Criterion) {
+    let mut group = c.benchmark_group("kdf");
+    group.bench_function("codec_new_pbkdf2_4096", |b| {
+        b.iter(|| Codec::new(CodecConfig::new().compression(true).password("bench")))
     });
     group.finish();
 }
@@ -108,6 +130,6 @@ fn bench_seal_open(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_glz, bench_crypto, bench_seal_open
+    targets = bench_glz, bench_crypto, bench_kdf, bench_seal_open
 }
 criterion_main!(benches);

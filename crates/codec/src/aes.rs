@@ -5,11 +5,26 @@
 //! stream mode used by this crate is CTR (see [`crate::ctr`]), which
 //! encrypts the counter in both directions.
 //!
-//! This is a portable table-free implementation: the S-box is a constant
-//! table, but rounds are computed with plain byte operations. It is not
-//! hardened against cache-timing side channels; Ginja's threat model
-//! (§5.4) is confidentiality of data at rest in the cloud, not a local
-//! attacker sharing caches with the uploader.
+//! ## T-table rounds
+//!
+//! The state is four big-endian 32-bit column words. One full round
+//! (SubBytes, ShiftRows, MixColumns, AddRoundKey) is, per output column,
+//! four table lookups XORed with a round-key word: `TE[r][x]` is the
+//! MixColumns image of `SBOX[x]` sitting in row `r` of a column, so the
+//! lookup does the S-box and the column mix at once, and picking the
+//! source byte of row `r` from column `c + r` does ShiftRows. The four
+//! 1 KiB tables are byte rotations of one another and are computed at
+//! compile time from the S-box by a `const fn`; the last round, which has
+//! no MixColumns, reads the S-box directly. This is the classic 32-bit
+//! software AES; it costs ~16 lookups per round instead of the byte-wise
+//! round's 16 S-box lookups plus 4 column mixes of shifts and XORs.
+//!
+//! Table lookups are indexed by key-dependent state, so this code is not
+//! constant-time: an attacker who shares the uploader's CPU caches could
+//! in principle learn key bits from access timing. Ginja's threat model
+//! (§5.4) is confidentiality of data at rest in the cloud against the
+//! provider, not a local attacker on the database host, who could read
+//! the plaintext database anyway.
 
 /// AES-128 key length in bytes.
 pub const KEY_LEN: usize = 16;
@@ -44,20 +59,47 @@ const RCON: [u8; 11] = [
 ];
 
 /// Multiply by 2 in GF(2^8) with the AES reduction polynomial.
-#[inline]
-fn xtime(b: u8) -> u8 {
-    let hi = b & 0x80;
-    let mut r = b << 1;
-    if hi != 0 {
-        r ^= 0x1b;
+const fn xtime(b: u8) -> u8 {
+    (b << 1) ^ if b & 0x80 != 0 { 0x1b } else { 0 }
+}
+
+/// `TE[0][x]` is the column word `(2·s, s, s, 3·s)` for `s = SBOX[x]`:
+/// SubBytes then MixColumns of a byte in row 0. `TE[r]` is it rotated
+/// right by `8·r` bits, the same byte's contribution from row `r`.
+const fn te_tables() -> [[u32; 256]; 4] {
+    let mut te = [[0u32; 256]; 4];
+    let mut x = 0;
+    while x < 256 {
+        let s = SBOX[x];
+        let word = u32::from_be_bytes([xtime(s), s, s, xtime(s) ^ s]);
+        te[0][x] = word;
+        te[1][x] = word.rotate_right(8);
+        te[2][x] = word.rotate_right(16);
+        te[3][x] = word.rotate_right(24);
+        x += 1;
     }
-    r
+    te
+}
+
+static TE: [[u32; 256]; 4] = te_tables();
+
+/// SubWord: the S-box applied to each byte of a word.
+#[inline(always)]
+fn sub_word(w: u32) -> u32 {
+    let [a, b, c, d] = w.to_be_bytes();
+    u32::from_be_bytes([
+        SBOX[a as usize],
+        SBOX[b as usize],
+        SBOX[c as usize],
+        SBOX[d as usize],
+    ])
 }
 
 /// An expanded AES-128 key, ready to encrypt blocks.
 #[derive(Clone)]
 pub struct Aes128 {
-    round_keys: [[u8; 16]; NR + 1],
+    /// The 44 big-endian key-schedule words, four per round.
+    round_keys: [u32; 4 * (NR + 1)],
 }
 
 impl std::fmt::Debug for Aes128 {
@@ -72,6 +114,105 @@ impl std::fmt::Debug for Aes128 {
 impl Aes128 {
     /// Expands `key` into the 11 round keys of AES-128.
     pub fn new(key: &[u8; KEY_LEN]) -> Self {
+        let mut w = [0u32; 4 * (NR + 1)];
+        for (i, word) in key.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes(word.try_into().expect("4-byte chunk"));
+        }
+        for i in 4..w.len() {
+            let mut temp = w[i - 1];
+            if i % 4 == 0 {
+                temp = sub_word(temp.rotate_left(8)) ^ (u32::from(RCON[i / 4]) << 24);
+            }
+            w[i] = w[i - 4] ^ temp;
+        }
+        Aes128 { round_keys: w }
+    }
+
+    /// Encrypts one 16-byte block in place.
+    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
+        *block = self.encrypt_u128(u128::from_be_bytes(*block)).to_be_bytes();
+    }
+
+    /// Encrypts one block held as a big-endian `u128` — the form the CTR
+    /// counter and keystream take in [`crate::ctr`].
+    #[inline]
+    pub(crate) fn encrypt_u128(&self, block: u128) -> u128 {
+        let rk = &self.round_keys;
+        let mut s = [
+            (block >> 96) as u32 ^ rk[0],
+            (block >> 64) as u32 ^ rk[1],
+            (block >> 32) as u32 ^ rk[2],
+            block as u32 ^ rk[3],
+        ];
+        for round in 1..NR {
+            let k = &rk[4 * round..4 * round + 4];
+            s = [
+                table_column(&s, 0) ^ k[0],
+                table_column(&s, 1) ^ k[1],
+                table_column(&s, 2) ^ k[2],
+                table_column(&s, 3) ^ k[3],
+            ];
+        }
+        let k = &rk[4 * NR..];
+        let out = [
+            final_column(&s, 0) ^ k[0],
+            final_column(&s, 1) ^ k[1],
+            final_column(&s, 2) ^ k[2],
+            final_column(&s, 3) ^ k[3],
+        ];
+        (u128::from(out[0]) << 96)
+            | (u128::from(out[1]) << 64)
+            | (u128::from(out[2]) << 32)
+            | u128::from(out[3])
+    }
+}
+
+/// Output column `c` of SubBytes + ShiftRows + MixColumns: row `r`'s
+/// byte comes from column `c + r` (ShiftRows), through `TE[r]`.
+#[inline(always)]
+fn table_column(s: &[u32; 4], c: usize) -> u32 {
+    TE[0][(s[c] >> 24) as usize]
+        ^ TE[1][(s[(c + 1) % 4] >> 16) as u8 as usize]
+        ^ TE[2][(s[(c + 2) % 4] >> 8) as u8 as usize]
+        ^ TE[3][s[(c + 3) % 4] as u8 as usize]
+}
+
+/// Output column `c` of the last round: SubBytes + ShiftRows only.
+#[inline(always)]
+fn final_column(s: &[u32; 4], c: usize) -> u32 {
+    u32::from_be_bytes([
+        SBOX[(s[c] >> 24) as usize],
+        SBOX[(s[(c + 1) % 4] >> 16) as u8 as usize],
+        SBOX[(s[(c + 2) % 4] >> 8) as u8 as usize],
+        SBOX[s[(c + 3) % 4] as u8 as usize],
+    ])
+}
+
+/// The byte-wise FIPS-197 cipher, kept as the oracle the table rounds
+/// are tested against: its own key expansion and rounds over `[u8; 16]`
+/// (state column-major, `state[c*4 + r]` is row `r`, column `c`).
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::{xtime, BLOCK_LEN, KEY_LEN, NR, RCON, SBOX};
+
+    /// Encrypts `block` under `key`, one byte operation at a time.
+    pub(crate) fn encrypt(key: &[u8; KEY_LEN], block: &[u8; BLOCK_LEN]) -> [u8; BLOCK_LEN] {
+        let round_keys = expand_key(key);
+        let mut state = *block;
+        add_round_key(&mut state, &round_keys[0]);
+        for rk in &round_keys[1..NR] {
+            sub_bytes(&mut state);
+            shift_rows(&mut state);
+            mix_columns(&mut state);
+            add_round_key(&mut state, rk);
+        }
+        sub_bytes(&mut state);
+        shift_rows(&mut state);
+        add_round_key(&mut state, &round_keys[NR]);
+        state
+    }
+
+    fn expand_key(key: &[u8; KEY_LEN]) -> [[u8; 16]; NR + 1] {
         let mut w = [[0u8; 4]; 4 * (NR + 1)];
         for i in 0..4 {
             w[i].copy_from_slice(&key[i * 4..i * 4 + 4]);
@@ -95,78 +236,60 @@ impl Aes128 {
                 rk[c * 4..c * 4 + 4].copy_from_slice(&w[r * 4 + c]);
             }
         }
-        Aes128 { round_keys }
+        round_keys
     }
 
-    /// Encrypts one 16-byte block in place.
-    pub fn encrypt_block(&self, block: &mut [u8; BLOCK_LEN]) {
-        add_round_key(block, &self.round_keys[0]);
-        for round in 1..NR {
-            sub_bytes(block);
-            shift_rows(block);
-            mix_columns(block);
-            add_round_key(block, &self.round_keys[round]);
+    fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
+        for i in 0..16 {
+            state[i] ^= rk[i];
         }
-        sub_bytes(block);
-        shift_rows(block);
-        add_round_key(block, &self.round_keys[NR]);
     }
-}
 
-#[inline]
-fn add_round_key(state: &mut [u8; 16], rk: &[u8; 16]) {
-    for i in 0..16 {
-        state[i] ^= rk[i];
+    fn sub_bytes(state: &mut [u8; 16]) {
+        for b in state.iter_mut() {
+            *b = SBOX[*b as usize];
+        }
     }
-}
 
-#[inline]
-fn sub_bytes(state: &mut [u8; 16]) {
-    for b in state.iter_mut() {
-        *b = SBOX[*b as usize];
+    fn shift_rows(state: &mut [u8; 16]) {
+        // Row 1: shift left by 1.
+        let t = state[1];
+        state[1] = state[5];
+        state[5] = state[9];
+        state[9] = state[13];
+        state[13] = t;
+        // Row 2: shift left by 2.
+        state.swap(2, 10);
+        state.swap(6, 14);
+        // Row 3: shift left by 3 (= right by 1).
+        let t = state[15];
+        state[15] = state[11];
+        state[11] = state[7];
+        state[7] = state[3];
+        state[3] = t;
     }
-}
 
-/// State is column-major: state[c*4 + r] is row r, column c (FIPS-197 §3.4).
-#[inline]
-fn shift_rows(state: &mut [u8; 16]) {
-    // Row 1: shift left by 1.
-    let t = state[1];
-    state[1] = state[5];
-    state[5] = state[9];
-    state[9] = state[13];
-    state[13] = t;
-    // Row 2: shift left by 2.
-    state.swap(2, 10);
-    state.swap(6, 14);
-    // Row 3: shift left by 3 (= right by 1).
-    let t = state[15];
-    state[15] = state[11];
-    state[11] = state[7];
-    state[7] = state[3];
-    state[3] = t;
-}
-
-#[inline]
-fn mix_columns(state: &mut [u8; 16]) {
-    for c in 0..4 {
-        let col = [
-            state[c * 4],
-            state[c * 4 + 1],
-            state[c * 4 + 2],
-            state[c * 4 + 3],
-        ];
-        let all = col[0] ^ col[1] ^ col[2] ^ col[3];
-        state[c * 4] = col[0] ^ all ^ xtime(col[0] ^ col[1]);
-        state[c * 4 + 1] = col[1] ^ all ^ xtime(col[1] ^ col[2]);
-        state[c * 4 + 2] = col[2] ^ all ^ xtime(col[2] ^ col[3]);
-        state[c * 4 + 3] = col[3] ^ all ^ xtime(col[3] ^ col[0]);
+    fn mix_columns(state: &mut [u8; 16]) {
+        for c in 0..4 {
+            let col = [
+                state[c * 4],
+                state[c * 4 + 1],
+                state[c * 4 + 2],
+                state[c * 4 + 3],
+            ];
+            let all = col[0] ^ col[1] ^ col[2] ^ col[3];
+            state[c * 4] = col[0] ^ all ^ xtime(col[0] ^ col[1]);
+            state[c * 4 + 1] = col[1] ^ all ^ xtime(col[1] ^ col[2]);
+            state[c * 4 + 2] = col[2] ^ all ^ xtime(col[2] ^ col[3]);
+            state[c * 4 + 3] = col[3] ^ all ^ xtime(col[3] ^ col[0]);
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn from_hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -224,6 +347,36 @@ mod tests {
             .unwrap();
         aes.encrypt_block(&mut b2);
         assert_eq!(hex(&b2), "f5d3d58503b9699de785895a96fdbaaf");
+    }
+
+    #[test]
+    fn oracle_meets_fips197_appendix_c1() {
+        let key: [u8; 16] = from_hex("000102030405060708090a0b0c0d0e0f")
+            .try_into()
+            .unwrap();
+        let block: [u8; 16] = from_hex("00112233445566778899aabbccddeeff")
+            .try_into()
+            .unwrap();
+        assert_eq!(
+            hex(&oracle::encrypt(&key, &block)),
+            "69c4e0d86a7b0430d8cdb78070b4c55a"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn table_rounds_match_bytewise_oracle(
+            key in proptest::collection::vec(any::<u8>(), 16),
+            block in proptest::collection::vec(any::<u8>(), 16),
+        ) {
+            let key: [u8; 16] = key.try_into().unwrap();
+            let block: [u8; 16] = block.try_into().unwrap();
+            let mut fast = block;
+            Aes128::new(&key).encrypt_block(&mut fast);
+            prop_assert_eq!(fast, oracle::encrypt(&key, &block));
+        }
     }
 
     #[test]

@@ -69,7 +69,8 @@ impl CodecConfig {
 pub struct Codec {
     compression: Option<Level>,
     aes: Option<Aes128>,
-    mac_key: [u8; 20],
+    /// HMAC-SHA1 keyed with the MAC key, cloned per tag and per nonce.
+    mac: HmacSha1,
     nonce_counter: AtomicU64,
 }
 
@@ -95,7 +96,7 @@ impl Codec {
         Codec {
             compression: config.compression,
             aes,
-            mac_key,
+            mac: HmacSha1::new(&mac_key),
             nonce_counter: AtomicU64::new(1),
         }
     }
@@ -108,50 +109,22 @@ impl Codec {
     /// Seals `plaintext` for the object named `name`.
     ///
     /// Applies compression (skipped when it does not help), then
-    /// encryption, then appends the MAC. Infallible in practice but kept
-    /// fallible for forward compatibility.
+    /// encryption, then appends the MAC. The allocating form of
+    /// [`Codec::seal_into`], with the same bytes.
     ///
     /// # Errors
     ///
     /// Currently never returns an error.
     pub fn seal(&self, name: &str, plaintext: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let mut flags = EnvelopeFlags::empty();
-        let mut body: Vec<u8>;
-
-        match self.compression {
-            Some(level) => {
-                let packed = glz::compress(plaintext, level);
-                if packed.len() < plaintext.len() {
-                    flags = flags.union(EnvelopeFlags::COMPRESSED);
-                    body = packed;
-                } else {
-                    body = plaintext.to_vec();
-                }
-            }
-            None => body = plaintext.to_vec(),
-        }
-
-        let mut nonce = [0u8; 16];
-        if let Some(aes) = &self.aes {
-            flags = flags.union(EnvelopeFlags::ENCRYPTED);
-            nonce = self.next_nonce(name);
-            ctr::apply_keystream(aes, &nonce, &mut body);
-        }
-
-        Ok(envelope::assemble(
-            &self.mac_key,
-            name,
-            flags,
-            &nonce,
-            &body,
-        ))
+        let mut out = Vec::new();
+        self.seal_into(name, plaintext, &mut out)?;
+        Ok(out)
     }
 
     /// Seals `plaintext` into `out` (cleared first), reusing `out`'s
     /// allocation and a thread-local [`bufpool`] buffer for the
-    /// intermediate compress/encrypt body. Produces output byte-identical
-    /// to [`Codec::seal`] (for the same nonce-counter state); the hot
-    /// paths use this variant so steady-state sealing does not allocate.
+    /// intermediate compress/encrypt body, so steady-state sealing does
+    /// not allocate.
     ///
     /// # Errors
     ///
@@ -165,20 +138,16 @@ impl Codec {
         let mut flags = EnvelopeFlags::empty();
         let mut body = bufpool::take();
 
-        match self.compression {
-            Some(level) => {
-                glz::compress_into(plaintext, level, &mut body);
-                if body.len() < plaintext.len() {
-                    flags = flags.union(EnvelopeFlags::COMPRESSED);
-                } else {
-                    body.clear();
-                    body.extend_from_slice(plaintext);
-                }
-            }
-            None => {
+        if let Some(level) = self.compression {
+            glz::compress_into(plaintext, level, &mut body);
+            if body.len() < plaintext.len() {
+                flags = flags.union(EnvelopeFlags::COMPRESSED);
+            } else {
                 body.clear();
-                body.extend_from_slice(plaintext);
             }
+        }
+        if !flags.contains(EnvelopeFlags::COMPRESSED) {
+            body.extend_from_slice(plaintext);
         }
 
         let mut nonce = [0u8; 16];
@@ -188,12 +157,13 @@ impl Codec {
             ctr::apply_keystream(aes, &nonce, &mut body);
         }
 
-        envelope::assemble_into(&self.mac_key, name, flags, &nonce, &body, out);
+        envelope::assemble_into(&self.mac, name, flags, &nonce, &body, out);
         bufpool::recycle(body);
         Ok(())
     }
 
-    /// Opens a sealed object, returning the plaintext.
+    /// Opens a sealed object, returning the plaintext. The allocating
+    /// form of [`Codec::open_into`].
     ///
     /// # Errors
     ///
@@ -201,23 +171,14 @@ impl Codec {
     /// encrypted object without a configured password, or corrupt
     /// compressed data.
     pub fn open(&self, name: &str, sealed: &[u8]) -> Result<Vec<u8>, CodecError> {
-        let env = Envelope::parse(sealed)?;
-        env.verify(&self.mac_key, name)?;
-
-        let mut body = env.body.to_vec();
-        if env.flags.contains(EnvelopeFlags::ENCRYPTED) {
-            let aes = self.aes.as_ref().ok_or(CodecError::KeyMissing)?;
-            ctr::apply_keystream(aes, &env.nonce, &mut body);
-        }
-        if env.flags.contains(EnvelopeFlags::COMPRESSED) {
-            body = glz::decompress(&body)?;
-        }
-        Ok(body)
+        let mut out = Vec::new();
+        self.open_into(name, sealed, &mut out)?;
+        Ok(out)
     }
 
     /// Opens a sealed object into `out` (cleared first), reusing `out`'s
-    /// allocation and a pooled intermediate buffer. Produces the same
-    /// plaintext as [`Codec::open`].
+    /// allocation and, for an encrypted compressed body, a pooled buffer
+    /// to decrypt into.
     ///
     /// # Errors
     ///
@@ -230,33 +191,30 @@ impl Codec {
         out: &mut Vec<u8>,
     ) -> Result<(), CodecError> {
         let env = Envelope::parse(sealed)?;
-        env.verify(&self.mac_key, name)?;
-
-        if env.flags.contains(EnvelopeFlags::COMPRESSED) {
-            let mut body = bufpool::take();
-            body.extend_from_slice(env.body);
-            if env.flags.contains(EnvelopeFlags::ENCRYPTED) {
-                let aes = match self.aes.as_ref() {
-                    Some(aes) => aes,
-                    None => {
-                        bufpool::recycle(body);
-                        return Err(CodecError::KeyMissing);
-                    }
-                };
-                ctr::apply_keystream(aes, &env.nonce, &mut body);
-            }
-            let result = glz::decompress_into(&body, glz::DEFAULT_MAX_OUTPUT, out);
-            bufpool::recycle(body);
-            result
+        env.verify(&self.mac, name)?;
+        let aes = if env.flags.contains(EnvelopeFlags::ENCRYPTED) {
+            Some(self.aes.as_ref().ok_or(CodecError::KeyMissing)?)
         } else {
+            None
+        };
+
+        if !env.flags.contains(EnvelopeFlags::COMPRESSED) {
             out.clear();
             out.extend_from_slice(env.body);
-            if env.flags.contains(EnvelopeFlags::ENCRYPTED) {
-                let aes = self.aes.as_ref().ok_or(CodecError::KeyMissing)?;
+            if let Some(aes) = aes {
                 ctr::apply_keystream(aes, &env.nonce, out);
             }
-            Ok(())
+            return Ok(());
         }
+        let Some(aes) = aes else {
+            return glz::decompress_into(env.body, glz::DEFAULT_MAX_OUTPUT, out);
+        };
+        let mut body = bufpool::take();
+        body.extend_from_slice(env.body);
+        ctr::apply_keystream(aes, &env.nonce, &mut body);
+        let result = glz::decompress_into(&body, glz::DEFAULT_MAX_OUTPUT, out);
+        bufpool::recycle(body);
+        result
     }
 
     /// Verifies only the integrity of a sealed object without decoding
@@ -266,14 +224,14 @@ impl Codec {
     ///
     /// Same parse/MAC errors as [`Codec::open`].
     pub fn verify(&self, name: &str, sealed: &[u8]) -> Result<(), CodecError> {
-        Envelope::parse(sealed)?.verify(&self.mac_key, name)
+        Envelope::parse(sealed)?.verify(&self.mac, name)
     }
 
     /// Derives a unique per-object nonce from an internal counter and the
     /// object name; never repeats for the lifetime of the codec.
     fn next_nonce(&self, name: &str) -> [u8; 16] {
         let counter = self.nonce_counter.fetch_add(1, Ordering::Relaxed);
-        let mut mac = HmacSha1::new(&self.mac_key);
+        let mut mac = self.mac.clone();
         mac.update(b"ginja-nonce");
         mac.update(&counter.to_be_bytes());
         mac.update(name.as_bytes());
@@ -470,7 +428,7 @@ mod tests {
         let retagged = envelope::assemble(
             // Re-MAC the encrypted body under the plain codec's key to
             // isolate the KeyMissing path from MacMismatch.
-            &DerivedKeys::mac_only(MAC_DEFAULT),
+            &HmacSha1::new(&DerivedKeys::mac_only(MAC_DEFAULT)),
             "o",
             env.flags,
             &env.nonce,

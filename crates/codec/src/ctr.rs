@@ -24,24 +24,22 @@ use crate::aes::{Aes128, BLOCK_LEN};
 /// assert_eq!(&data, b"attack at dawn");
 /// ```
 pub fn apply_keystream(aes: &Aes128, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
-    let mut counter = *iv;
-    for chunk in data.chunks_mut(BLOCK_LEN) {
-        let mut keystream = counter;
-        aes.encrypt_block(&mut keystream);
-        for (d, k) in chunk.iter_mut().zip(keystream.iter()) {
-            *d ^= k;
-        }
-        increment_counter(&mut counter);
+    // The counter is the IV read as one big-endian integer, so the
+    // SP 800-38A increment — with its carries and its wrap at 2^128 — is
+    // a wrapping add. Whole blocks are XORed 16 bytes at a time.
+    let mut counter = u128::from_be_bytes(*iv);
+    let mut blocks = data.chunks_exact_mut(BLOCK_LEN);
+    for block in blocks.by_ref() {
+        let block: &mut [u8; BLOCK_LEN] = block.try_into().expect("chunks_exact yields 16");
+        let text = u128::from_be_bytes(*block) ^ aes.encrypt_u128(counter);
+        *block = text.to_be_bytes();
+        counter = counter.wrapping_add(1);
     }
-}
-
-/// Increments a 16-byte big-endian counter, wrapping on overflow.
-fn increment_counter(counter: &mut [u8; BLOCK_LEN]) {
-    for byte in counter.iter_mut().rev() {
-        let (v, overflow) = byte.overflowing_add(1);
-        *byte = v;
-        if !overflow {
-            break;
+    let tail = blocks.into_remainder();
+    if !tail.is_empty() {
+        let keystream = aes.encrypt_u128(counter).to_be_bytes();
+        for (d, k) in tail.iter_mut().zip(keystream) {
+            *d ^= k;
         }
     }
 }
@@ -49,6 +47,7 @@ fn increment_counter(counter: &mut [u8; BLOCK_LEN]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aes::oracle;
 
     fn from_hex(s: &str) -> Vec<u8> {
         (0..s.len())
@@ -104,17 +103,59 @@ mod tests {
         }
     }
 
-    #[test]
-    fn counter_increment_carries() {
-        let mut c = [0xffu8; 16];
-        increment_counter(&mut c);
-        assert_eq!(c, [0u8; 16]);
+    /// The keystream the byte-wise oracle gives for `blocks` blocks from
+    /// `iv`, incrementing the counter one byte at a time as SP 800-38A
+    /// spells it out.
+    fn oracle_keystream(key: &[u8; 16], iv: [u8; 16], blocks: usize) -> Vec<u8> {
+        let mut counter = iv;
+        let mut out = Vec::with_capacity(blocks * 16);
+        for _ in 0..blocks {
+            out.extend_from_slice(&oracle::encrypt(key, &counter));
+            for byte in counter.iter_mut().rev() {
+                let (v, carry) = byte.overflowing_add(1);
+                *byte = v;
+                if !carry {
+                    break;
+                }
+            }
+        }
+        out
+    }
 
-        let mut c = [0u8; 16];
-        c[15] = 0xff;
-        increment_counter(&mut c);
-        assert_eq!(c[15], 0);
-        assert_eq!(c[14], 1);
+    #[test]
+    fn keystream_matches_oracle_across_counter_carries() {
+        let key = [0x3cu8; 16];
+        let aes = Aes128::new(&key);
+        // Each IV but the first sits a few blocks below a carry: out of
+        // the low byte, out of the low 32 bits, out of the low 64 bits
+        // (into the high half of the u128), and past 2^128 back to zero.
+        for iv in [
+            0u128,
+            0x5a5a_5a5a_5a5a_5a5a_5a5a_5a5a_5a5a_5afe,
+            0x2222_2222_2222_2222_2222_2222_ffff_fffe,
+            0x1111_1111_1111_1111_ffff_ffff_ffff_fffd,
+            u128::MAX - 2,
+        ] {
+            let iv = iv.to_be_bytes();
+            for len in [1usize, 16, 17, 64, 100] {
+                let blocks = len.div_ceil(16);
+                let mut data = vec![0u8; len];
+                apply_keystream(&aes, &iv, &mut data);
+                let expect = oracle_keystream(&key, iv, blocks);
+                assert_eq!(data, expect[..len], "iv {} len {len}", hex(&iv));
+            }
+        }
+    }
+
+    #[test]
+    fn counter_wraps_at_2_pow_128() {
+        // The block after counter 0xff..ff is encrypted under counter 0.
+        let key = [9u8; 16];
+        let aes = Aes128::new(&key);
+        let mut data = [0u8; 32];
+        apply_keystream(&aes, &[0xffu8; 16], &mut data);
+        assert_eq!(data[..16], oracle::encrypt(&key, &[0xffu8; 16]));
+        assert_eq!(data[16..], oracle::encrypt(&key, &[0u8; 16]));
     }
 
     #[test]

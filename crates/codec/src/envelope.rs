@@ -111,13 +111,14 @@ impl<'a> Envelope<'a> {
         })
     }
 
-    /// Verifies the MAC under `mac_key` for the object named `name`.
+    /// Verifies the MAC under the keyed context `mac` for the object
+    /// named `name`.
     ///
     /// # Errors
     ///
     /// [`CodecError::MacMismatch`] on any difference.
-    pub fn verify(&self, mac_key: &[u8], name: &str) -> Result<(), CodecError> {
-        let expected = compute_tag(mac_key, name, self.flags, &self.nonce, self.body);
+    pub fn verify(&self, mac: &HmacSha1, name: &str) -> Result<(), CodecError> {
+        let expected = compute_tag(mac, name, self.flags, &self.nonce, self.body);
         if verify_tag(&expected, &self.tag) {
             Ok(())
         } else {
@@ -126,15 +127,17 @@ impl<'a> Envelope<'a> {
     }
 }
 
-/// Computes the envelope MAC for the given fields.
+/// Computes the envelope MAC for the given fields. `mac` is a keyed
+/// context ([`HmacSha1::new`] of the MAC key), cloned here so the key's
+/// pads are hashed once per key, not once per object.
 pub fn compute_tag(
-    mac_key: &[u8],
+    mac: &HmacSha1,
     name: &str,
     flags: EnvelopeFlags,
     nonce: &[u8; 16],
     body: &[u8],
 ) -> [u8; TAG_LEN] {
-    let mut mac = HmacSha1::new(mac_key);
+    let mut mac = mac.clone();
     mac.update(name.as_bytes());
     mac.update(&MAGIC);
     mac.update(&[flags.bits()]);
@@ -145,21 +148,21 @@ pub fn compute_tag(
 
 /// Assembles a complete envelope from its parts.
 pub fn assemble(
-    mac_key: &[u8],
+    mac: &HmacSha1,
     name: &str,
     flags: EnvelopeFlags,
     nonce: &[u8; 16],
     body: &[u8],
 ) -> Vec<u8> {
     let mut out = Vec::with_capacity(MIN_LEN + body.len());
-    assemble_into(mac_key, name, flags, nonce, body, &mut out);
+    assemble_into(mac, name, flags, nonce, body, &mut out);
     out
 }
 
 /// Assembles a complete envelope into `out` (cleared first), reusing its
 /// allocation. The zero-copy sibling of [`assemble`].
 pub fn assemble_into(
-    mac_key: &[u8],
+    mac: &HmacSha1,
     name: &str,
     flags: EnvelopeFlags,
     nonce: &[u8; 16],
@@ -172,7 +175,7 @@ pub fn assemble_into(
     out.push(flags.bits());
     out.extend_from_slice(nonce);
     out.extend_from_slice(body);
-    let tag = compute_tag(mac_key, name, flags, nonce, body);
+    let tag = compute_tag(mac, name, flags, nonce, body);
     out.extend_from_slice(&tag);
 }
 
@@ -180,13 +183,15 @@ pub fn assemble_into(
 mod tests {
     use super::*;
 
-    const KEY: &[u8] = b"test-mac-key";
+    fn key() -> HmacSha1 {
+        HmacSha1::new(b"test-mac-key")
+    }
 
     #[test]
     fn assemble_parse_verify_roundtrip() {
         let nonce = [9u8; 16];
         let data = assemble(
-            KEY,
+            &key(),
             "WAL/1_x_0",
             EnvelopeFlags::ENCRYPTED,
             &nonce,
@@ -196,18 +201,24 @@ mod tests {
         assert_eq!(env.flags, EnvelopeFlags::ENCRYPTED);
         assert_eq!(env.nonce, nonce);
         assert_eq!(env.body, b"payload");
-        env.verify(KEY, "WAL/1_x_0").unwrap();
+        env.verify(&key(), "WAL/1_x_0").unwrap();
     }
 
     #[test]
     fn assemble_into_matches_assemble_and_reuses_buffer() {
         let nonce = [7u8; 16];
-        let allocating = assemble(KEY, "WAL/3_x_0", EnvelopeFlags::COMPRESSED, &nonce, b"abc");
+        let allocating = assemble(
+            &key(),
+            "WAL/3_x_0",
+            EnvelopeFlags::COMPRESSED,
+            &nonce,
+            b"abc",
+        );
         let mut out = Vec::with_capacity(256);
         out.extend_from_slice(b"stale contents that must be cleared");
         let cap_before = out.capacity();
         assemble_into(
-            KEY,
+            &key(),
             "WAL/3_x_0",
             EnvelopeFlags::COMPRESSED,
             &nonce,
@@ -220,30 +231,48 @@ mod tests {
 
     #[test]
     fn empty_body_roundtrip() {
-        let data = assemble(KEY, "DB/0_dump_0", EnvelopeFlags::empty(), &[0u8; 16], b"");
+        let data = assemble(
+            &key(),
+            "DB/0_dump_0",
+            EnvelopeFlags::empty(),
+            &[0u8; 16],
+            b"",
+        );
         let env = Envelope::parse(&data).unwrap();
         assert_eq!(env.body, b"");
-        env.verify(KEY, "DB/0_dump_0").unwrap();
+        env.verify(&key(), "DB/0_dump_0").unwrap();
     }
 
     #[test]
     fn wrong_name_rejected() {
-        let data = assemble(KEY, "WAL/1_x_0", EnvelopeFlags::empty(), &[0u8; 16], b"p");
+        let data = assemble(
+            &key(),
+            "WAL/1_x_0",
+            EnvelopeFlags::empty(),
+            &[0u8; 16],
+            b"p",
+        );
         let env = Envelope::parse(&data).unwrap();
-        assert_eq!(env.verify(KEY, "WAL/2_x_0"), Err(CodecError::MacMismatch));
+        assert_eq!(
+            env.verify(&key(), "WAL/2_x_0"),
+            Err(CodecError::MacMismatch)
+        );
     }
 
     #[test]
     fn wrong_key_rejected() {
-        let data = assemble(KEY, "n", EnvelopeFlags::empty(), &[0u8; 16], b"p");
+        let data = assemble(&key(), "n", EnvelopeFlags::empty(), &[0u8; 16], b"p");
         let env = Envelope::parse(&data).unwrap();
-        assert_eq!(env.verify(b"other-key", "n"), Err(CodecError::MacMismatch));
+        assert_eq!(
+            env.verify(&HmacSha1::new(b"other-key"), "n"),
+            Err(CodecError::MacMismatch)
+        );
     }
 
     #[test]
     fn every_bit_flip_detected() {
         let data = assemble(
-            KEY,
+            &key(),
             "n",
             EnvelopeFlags::COMPRESSED,
             &[3u8; 16],
@@ -255,7 +284,7 @@ mod tests {
             match Envelope::parse(&bad) {
                 Ok(env) => {
                     assert_eq!(
-                        env.verify(KEY, "n"),
+                        env.verify(&key(), "n"),
                         Err(CodecError::MacMismatch),
                         "byte {i}"
                     )
@@ -273,7 +302,7 @@ mod tests {
 
     #[test]
     fn truncated_rejected() {
-        let data = assemble(KEY, "n", EnvelopeFlags::empty(), &[0u8; 16], b"");
+        let data = assemble(&key(), "n", EnvelopeFlags::empty(), &[0u8; 16], b"");
         assert_eq!(
             Envelope::parse(&data[..MIN_LEN - 1]),
             Err(CodecError::Truncated)
@@ -283,14 +312,14 @@ mod tests {
 
     #[test]
     fn bad_magic_rejected() {
-        let mut data = assemble(KEY, "n", EnvelopeFlags::empty(), &[0u8; 16], b"x");
+        let mut data = assemble(&key(), "n", EnvelopeFlags::empty(), &[0u8; 16], b"x");
         data[0] = b'X';
         assert_eq!(Envelope::parse(&data), Err(CodecError::BadMagic));
     }
 
     #[test]
     fn unknown_flags_rejected() {
-        let mut data = assemble(KEY, "n", EnvelopeFlags::empty(), &[0u8; 16], b"x");
+        let mut data = assemble(&key(), "n", EnvelopeFlags::empty(), &[0u8; 16], b"x");
         data[4] = 0x80;
         assert_eq!(Envelope::parse(&data), Err(CodecError::UnknownFlags(0x80)));
     }

@@ -62,10 +62,15 @@ impl Level {
     }
 }
 
+/// The 4 bytes at `pos`, as one word.
 #[inline]
-fn hash4(data: &[u8], pos: usize) -> usize {
-    let v = u32::from_le_bytes([data[pos], data[pos + 1], data[pos + 2], data[pos + 3]]);
-    (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
+fn load4(data: &[u8], pos: usize) -> u32 {
+    u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4-byte slice"))
+}
+
+#[inline]
+fn hash(word: u32) -> usize {
+    (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
 /// Chain index for the hash-chain matcher. `u32` halves the footprint of
@@ -183,7 +188,8 @@ fn compress_core<I: ChainIdx>(
     let mut literal_start = 0usize;
 
     while pos + MIN_MATCH <= data.len() {
-        let h = hash4(data, pos);
+        let word = load4(data, pos);
+        let h = hash(word);
         let mut candidate = head[h];
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
@@ -194,9 +200,19 @@ fn compress_core<I: ChainIdx>(
             let cand = candidate.to_usize();
             debug_assert!(cand < pos);
             let dist = pos - cand;
-            // Quick reject: the byte just past the current best must match
-            // for the candidate to beat it.
-            if best_len == 0 || data[cand + best_len] == data[pos + best_len] {
+            // Quick reject, without changing which candidate wins. With no
+            // match yet, a candidate whose first 4 bytes differ (a hash
+            // collision) can only give a match shorter than MIN_MATCH,
+            // which is never emitted, so it is skipped; it still spends
+            // a probe, so the same candidates are examined. Once a match
+            // is held, the byte just past it must agree for a candidate
+            // to beat it.
+            let viable = if best_len == 0 {
+                load4(data, cand) == word
+            } else {
+                data[cand + best_len] == data[pos + best_len]
+            };
+            if viable {
                 let len = match_length(data, cand, pos, max_len);
                 if len > best_len {
                     best_len = len;
@@ -223,7 +239,7 @@ fn compress_core<I: ChainIdx>(
                 .min(pos + 64)
                 .min(data.len().saturating_sub(MIN_MATCH - 1));
             while pos < index_until {
-                let h = hash4(data, pos);
+                let h = hash(load4(data, pos));
                 prev[pos] = head[h];
                 head[h] = I::from_usize(pos);
                 pos += 1;
@@ -357,12 +373,7 @@ pub fn decompress_into(
             if out.len() + len > original_len {
                 return Err(corrupt("match exceeds declared length"));
             }
-            let start = out.len() - dist;
-            // Overlapping copies are the RLE case; copy byte-wise.
-            for i in 0..len {
-                let byte = out[start + i];
-                out.push(byte);
-            }
+            copy_match(out, dist, len);
         }
         if out.len() > original_len {
             return Err(corrupt("output exceeds declared length"));
@@ -376,6 +387,23 @@ pub fn decompress_into(
         });
     }
     Ok(())
+}
+
+/// Appends `len` bytes copied from `dist` bytes back, with the meaning
+/// of a byte-at-a-time copy: when `dist < len` the source overlaps the
+/// bytes being written, and the output repeats its last `dist` bytes.
+/// Copies whole blocks: the periodic run starting at `start` may be
+/// copied from its own beginning up to its current end, so each block
+/// doubles what the next one can take. Callers guarantee
+/// `0 < dist <= out.len()`.
+fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
+    let start = out.len() - dist;
+    let mut remaining = len;
+    while remaining > 0 {
+        let block = remaining.min(out.len() - start);
+        out.extend_from_within(start..start + block);
+        remaining -= block;
+    }
 }
 
 /// Convenience: the ratio `original / compressed` for `data` at `level`.
@@ -637,6 +665,57 @@ mod tests {
             let cap = prefix / 2 + 1;
             let naive_capped = (0..cap).take_while(|&i| data[a + i] == data[b + i]).count();
             assert_eq!(match_length(&data, a, b, cap), naive_capped);
+        }
+    }
+
+    /// A stream of `prefix` literal bytes, then one match of `len` bytes
+    /// at distance `dist`, and what a byte-at-a-time decoder makes of it.
+    fn match_stream(prefix: &[u8], dist: usize, len: usize) -> (Vec<u8>, Vec<u8>) {
+        let mut expect = prefix.to_vec();
+        for _ in 0..len {
+            expect.push(expect[expect.len() - dist]);
+        }
+        let mut stream = Vec::new();
+        varint::write_u64(&mut stream, expect.len() as u64);
+        varint::write_u64(&mut stream, (prefix.len() as u64) << 1);
+        stream.extend_from_slice(prefix);
+        varint::write_u64(&mut stream, (((len - MIN_MATCH) as u64) << 1) | 1);
+        varint::write_u64(&mut stream, dist as u64);
+        (stream, expect)
+    }
+
+    #[test]
+    fn block_copy_matches_bytewise_reference() {
+        let prefix: Vec<u8> = (0..70_100u32).map(|i| (i * 131 % 251) as u8).collect();
+        for len in [
+            4usize, 5, 7, 8, 15, 16, 17, 33, 64, 100, 1000, 4099, 65_536, 70_000,
+        ] {
+            // Overlapping (period < len), exactly adjacent, and disjoint.
+            let mut dists = vec![1, 2, 3, 5, 8, 13, len - 1, len, len + 1, 2 * len + 7];
+            dists.retain(|&d| d <= prefix.len());
+            for dist in dists {
+                let (stream, expect) = match_stream(&prefix[..dist.max(3)], dist, len);
+                assert_eq!(
+                    decompress(&stream).unwrap(),
+                    expect,
+                    "dist {dist} len {len}"
+                );
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn block_copy_matches_bytewise_reference_random(
+            prefix in proptest::collection::vec(proptest::arbitrary::any::<u8>(), 1..300),
+            dist_frac in 0.0f64..1.0,
+            len in 4usize..2000,
+        ) {
+            let dist = 1 + ((prefix.len() - 1) as f64 * dist_frac) as usize;
+            let (stream, expect) = match_stream(&prefix, dist, len);
+            proptest::prop_assert_eq!(decompress(&stream).unwrap(), expect);
         }
     }
 

@@ -13,19 +13,36 @@ pub const TAG_LEN: usize = DIGEST_LEN;
 
 /// Incremental HMAC-SHA1 computation.
 ///
+/// A fresh context holds two SHA-1 midstates: the inner hash after the
+/// `key ⊕ ipad` block and the outer hash after the `key ⊕ opad` block.
+/// Keying costs those two compressions once; a caller that MACs many
+/// messages under one key builds the context once and clones it per
+/// message, so each tag costs only the message's blocks plus the one
+/// outer block.
+///
 /// ```rust
 /// use ginja_codec::hmac::HmacSha1;
 ///
-/// let mut mac = HmacSha1::new(b"key");
+/// let keyed = HmacSha1::new(b"key");
+/// let mut mac = keyed.clone();
 /// mac.update(b"The quick brown fox ");
 /// mac.update(b"jumps over the lazy dog");
 /// let tag = mac.finalize();
 /// assert_eq!(tag.len(), 20);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct HmacSha1 {
     inner: Sha1,
-    outer_key: [u8; BLOCK_LEN],
+    outer: Sha1,
+}
+
+impl std::fmt::Debug for HmacSha1 {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // The midstates are functions of the key alone: never print them.
+        f.debug_struct("HmacSha1")
+            .field("midstates", &"<redacted>")
+            .finish()
+    }
 }
 
 impl HmacSha1 {
@@ -49,10 +66,9 @@ impl HmacSha1 {
 
         let mut inner = Sha1::new();
         inner.update(&ipad);
-        HmacSha1 {
-            inner,
-            outer_key: opad,
-        }
+        let mut outer = Sha1::new();
+        outer.update(&opad);
+        HmacSha1 { inner, outer }
     }
 
     /// Feeds message bytes into the MAC.
@@ -63,8 +79,7 @@ impl HmacSha1 {
     /// Consumes the context and returns the 20-byte tag.
     pub fn finalize(self) -> [u8; TAG_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha1::new();
-        outer.update(&self.outer_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
     }
@@ -166,6 +181,22 @@ mod tests {
             mac.update(chunk);
         }
         assert_eq!(mac.finalize(), one_shot);
+    }
+
+    #[test]
+    fn cloned_keyed_context_matches_fresh_keying() {
+        let keyed = HmacSha1::new(b"Jefe");
+        for msg in [&b""[..], b"a", b"what do ya want for nothing?", &[7u8; 200]] {
+            let mut mac = keyed.clone();
+            mac.update(msg);
+            assert_eq!(mac.finalize(), hmac_sha1(b"Jefe", msg));
+        }
+    }
+
+    #[test]
+    fn debug_redacts_midstates() {
+        let dbg = format!("{:?}", HmacSha1::new(b"key"));
+        assert_eq!(dbg, r#"HmacSha1 { midstates: "<redacted>" }"#);
     }
 
     #[test]

@@ -27,15 +27,18 @@ pub const DEFAULT_ITERATIONS: u32 = 4096;
 /// ```
 pub fn pbkdf2_sha1(password: &[u8], salt: &[u8], iterations: u32, out: &mut [u8]) {
     assert!(iterations > 0, "pbkdf2 requires at least one iteration");
+    // Every PRF call is keyed with the password: key once, then each
+    // iteration clones the two midstates instead of re-hashing the pads.
+    let keyed = HmacSha1::new(password);
     for (block, chunk) in out.chunks_mut(DIGEST_LEN).enumerate() {
         let block_index = block as u32 + 1;
-        let mut mac = HmacSha1::new(password);
+        let mut mac = keyed.clone();
         mac.update(salt);
         mac.update(&block_index.to_be_bytes());
         let mut u = mac.finalize();
         let mut acc = u;
         for _ in 1..iterations {
-            let mut mac = HmacSha1::new(password);
+            let mut mac = keyed.clone();
             mac.update(&u);
             u = mac.finalize();
             for (a, b) in acc.iter_mut().zip(u.iter()) {

@@ -117,33 +117,44 @@ impl Sha1 {
             w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A82_7999),
-                20..=39 => (b ^ c ^ d, 0x6ED9_EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1B_BCDC),
-                _ => (b ^ c ^ d, 0xCA62_C1D6),
-            };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
+        // One loop per 20-round stage, so each stage's boolean function
+        // and constant are fixed in its loop body instead of chosen per
+        // round.
+        let mut s = self.state;
+        for &wi in &w[..20] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, d ^ (b & (c ^ d)), 0x5A82_7999, wi);
         }
-
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for &wi in &w[20..40] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, wi);
+        }
+        for &wi in &w[40..60] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, (b & c) | (d & (b | c)), 0x8F1B_BCDC, wi);
+        }
+        for &wi in &w[60..] {
+            let [_, b, c, d, _] = s;
+            round(&mut s, b ^ c ^ d, 0xCA62_C1D6, wi);
+        }
+        for (h, v) in self.state.iter_mut().zip(s) {
+            *h = h.wrapping_add(v);
+        }
     }
+}
+
+/// One SHA-1 round over the working variables `[a, b, c, d, e]`, given
+/// the stage's boolean function of `b, c, d` already evaluated as `f`.
+#[inline(always)]
+fn round(s: &mut [u32; 5], f: u32, k: u32, w: u32) {
+    let [a, b, c, d, e] = *s;
+    let temp = a
+        .rotate_left(5)
+        .wrapping_add(f)
+        .wrapping_add(e)
+        .wrapping_add(k)
+        .wrapping_add(w);
+    *s = [temp, a, b.rotate_left(30), c, d];
 }
 
 /// One-shot convenience: SHA-1 of `data`.

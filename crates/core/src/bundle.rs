@@ -21,9 +21,18 @@ pub struct FileRange {
 
 const MAGIC: [u8; 4] = *b"GDBB";
 
+/// The length of [`encode`]'s output, without encoding.
+pub fn encoded_len(entries: &[FileRange]) -> u64 {
+    let body: usize = entries
+        .iter()
+        .map(|e| 2 + e.path.len() + 8 + 4 + e.data.len())
+        .sum();
+    (MAGIC.len() + 4 + body) as u64
+}
+
 /// Serializes a bundle.
 pub fn encode(entries: &[FileRange]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(encoded_len(entries) as usize);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
     for entry in entries {
@@ -120,11 +129,13 @@ mod tests {
             entry("empty", 4, b""),
         ];
         assert_eq!(decode(&encode(&entries)).unwrap(), entries);
+        assert_eq!(encoded_len(&entries), encode(&entries).len() as u64);
     }
 
     #[test]
     fn roundtrip_empty_bundle() {
         assert!(decode(&encode(&[])).unwrap().is_empty());
+        assert_eq!(encoded_len(&[]), 8);
     }
 
     #[test]

@@ -809,7 +809,18 @@ impl Ginja {
             let ranges = std::mem::take(&mut accum.ranges);
             accum.in_checkpoint = false;
 
-            let cloud_db_size = self.shared.view.lock().total_db_size();
+            // The view counts a DB object only once it is durable, which
+            // lags this point by however long earlier jobs take to seal
+            // and PUT. Counting the checkpointer's pending jobs too makes
+            // the decision a function of the checkpoints, not of upload
+            // speed, and a dump still on its way supersedes the objects
+            // it will collect instead of triggering another.
+            let cloud_db_size = {
+                let view = self.shared.view.lock();
+                self.shared
+                    .ckpt_queue
+                    .projected_db_size(view.total_db_size(), self.shared.config.pitr.is_none())
+            };
             let local_db_size = self.local_db_size();
             let dump_due = local_db_size > 0
                 && cloud_db_size as f64 >= self.dump_threshold() * local_db_size as f64;
@@ -1668,6 +1679,7 @@ fn checkpointer_loop(shared: &Shared) {
                 // fault surfaces via `Exposure::fatal`.
                 shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
             }
+            shared.ckpt_queue.done();
             shared.pending_ckpt_jobs.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -1689,6 +1701,7 @@ fn checkpointer_loop(shared: &Shared) {
             for name in uploaded {
                 view.add_db_part(name);
             }
+            shared.ckpt_queue.done();
 
             // Point-in-time retention: keep the newest (keep_snapshots
             // + 1) dump chains and all WAL since the oldest retained

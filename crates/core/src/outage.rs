@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use ginja_cloud::BreakerState;
 use parking_lot::{Condvar, Mutex};
 
-use crate::bundle::FileRange;
+use crate::bundle::{self, FileRange};
 use crate::names::{DbObjectKind, WalObjectName};
 
 /// An upload job for one WAL object.
@@ -262,18 +262,30 @@ pub(crate) enum CkptPush {
 /// exactly the order the checkpointer's own ts-collision merge uses),
 /// the timestamp takes the max, and Dump-ness is sticky. This is the
 /// same merge recovery itself performs, just earlier and in RAM.
+///
+/// The queue also remembers the job the checkpointer popped until
+/// [`CkptQueue::done`], so [`CkptQueue::projected_db_size`] can count
+/// every DB object that is on its way to the cloud.
 pub(crate) struct CkptQueue {
-    inner: Mutex<RingInner<CkptJob>>,
+    inner: Mutex<CkptInner>,
     not_empty: Condvar,
     capacity: usize,
+}
+
+struct CkptInner {
+    items: VecDeque<CkptJob>,
+    closed: bool,
+    /// Kind and bundle size of the popped job not yet `done`.
+    in_flight: Option<(DbObjectKind, u64)>,
 }
 
 impl CkptQueue {
     pub(crate) fn new(capacity: usize) -> Self {
         CkptQueue {
-            inner: Mutex::new(RingInner {
+            inner: Mutex::new(CkptInner {
                 items: VecDeque::with_capacity(capacity.max(1)),
                 closed: false,
+                in_flight: None,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -302,11 +314,13 @@ impl CkptQueue {
         CkptPush::Queued
     }
 
-    /// Blocking pop: `None` only once closed *and* drained.
+    /// Blocking pop: `None` only once closed *and* drained. The job stays
+    /// in flight until [`CkptQueue::done`].
     pub(crate) fn pop(&self) -> Option<CkptJob> {
         let mut inner = self.inner.lock();
         loop {
             if let Some(job) = inner.items.pop_front() {
+                inner.in_flight = Some((job.kind, bundle::encoded_len(&job.entries)));
                 return Some(job);
             }
             if inner.closed {
@@ -314,6 +328,36 @@ impl CkptQueue {
             }
             self.not_empty.wait(&mut inner);
         }
+    }
+
+    /// The popped job has landed in the view (or never will). Call it
+    /// under the view lock, so a reader holding that lock sees the job
+    /// counted exactly once: here or in the view.
+    pub(crate) fn done(&self) {
+        self.inner.lock().in_flight = None;
+    }
+
+    /// The view's total DB size once the in-flight and every queued job
+    /// are durable: `durable` plus each job's bundle size, in queue
+    /// order. With `dumps_supersede` (no point-in-time retention) a dump
+    /// restarts the sum, as its garbage collection will.
+    pub(crate) fn projected_db_size(&self, durable: u64, dumps_supersede: bool) -> u64 {
+        let inner = self.inner.lock();
+        let queued = inner
+            .items
+            .iter()
+            .map(|job| (job.kind, bundle::encoded_len(&job.entries)));
+        inner
+            .in_flight
+            .into_iter()
+            .chain(queued)
+            .fold(durable, |total, (kind, size)| {
+                if dumps_supersede && kind == DbObjectKind::Dump {
+                    size
+                } else {
+                    total + size
+                }
+            })
     }
 
     pub(crate) fn close(&self) {
@@ -515,6 +559,29 @@ mod tests {
         assert_eq!(merged.kind, DbObjectKind::Dump);
         let tags: Vec<u8> = merged.entries.iter().map(|e| e.data[0]).collect();
         assert_eq!(tags, [2, 3, 4]);
+    }
+
+    #[test]
+    fn projected_db_size_counts_queued_and_in_flight_jobs() {
+        // Each `ckpt` bundle is 8 + 2 + 6 + 8 + 4 + 1 = 29 bytes.
+        let q = CkptQueue::new(4);
+        assert_eq!(q.projected_db_size(100, true), 100);
+        q.push(ckpt(1, DbObjectKind::Checkpoint, 1));
+        q.push(ckpt(2, DbObjectKind::Checkpoint, 2));
+        assert_eq!(q.projected_db_size(100, true), 158);
+
+        // Popped, the job still counts until the checkpointer is done.
+        q.pop().unwrap();
+        assert_eq!(q.projected_db_size(100, true), 158);
+        q.done();
+        assert_eq!(q.projected_db_size(129, true), 158);
+
+        // A queued dump supersedes what precedes it, unless retention
+        // keeps the older chains.
+        q.push(ckpt(3, DbObjectKind::Dump, 3));
+        q.push(ckpt(4, DbObjectKind::Checkpoint, 4));
+        assert_eq!(q.projected_db_size(129, true), 58);
+        assert_eq!(q.projected_db_size(129, false), 216);
     }
 
     #[test]

@@ -5,8 +5,8 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, UsageMeter};
-use ginja_core::{recover_into, recover_to_point, Ginja, GinjaConfig, PitrConfig};
+use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, StoreError, UsageMeter};
+use ginja_core::{recover_into, recover_to_point, Ginja, GinjaConfig, PitrConfig, DB_PREFIX};
 use ginja_db::{Database, DbProfile};
 use ginja_vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
@@ -288,6 +288,65 @@ fn dump_triggered_at_threshold_and_old_objects_deleted() {
     for i in 0..20 {
         assert_eq!(db.get(1, i).unwrap().unwrap(), val(29 * 100 + i));
     }
+}
+
+/// A store that holds every DB object PUT back: each checkpoint or dump
+/// is still on its way when the next checkpoint ends.
+struct SlowDbPuts(MemStore);
+
+impl ObjectStore for SlowDbPuts {
+    fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+        if name.starts_with(DB_PREFIX) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+        self.0.put(name, data)
+    }
+
+    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+        self.0.get(name)
+    }
+
+    fn delete(&self, name: &str) -> Result<(), StoreError> {
+        self.0.delete(name)
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+        self.0.list(prefix)
+    }
+}
+
+/// The dump rule counts the DB objects still queued or uploading, so
+/// the same writes decide the same dumps whatever the upload speed, and
+/// a dump in flight does not set off another behind it.
+#[test]
+fn dump_decisions_do_not_depend_on_upload_speed() {
+    let run = |cloud: Arc<dyn ObjectStore>| {
+        let profile = DbProfile::postgres_small().with_checkpoint_every(10);
+        let config = GinjaConfig::builder()
+            .batch(2)
+            .safety(50)
+            .batch_timeout(Duration::from_millis(10))
+            .dump_threshold(1.2)
+            .build()
+            .unwrap();
+        let (db, ginja, _local) = protect(&profile, cloud, config);
+        for round in 0..30u64 {
+            for i in 0..20 {
+                db.put(1, i, val(round * 100 + i)).unwrap();
+            }
+        }
+        assert!(ginja.sync(Duration::from_secs(30)));
+        let stats = ginja.stats();
+        ginja.shutdown();
+        (stats.checkpoints_seen, stats.dumps_uploaded)
+    };
+    let instant = run(Arc::new(MemStore::new()));
+    let slow = run(Arc::new(SlowDbPuts(MemStore::new())));
+    assert!(instant.1 > 1, "no threshold-triggered dump: {instant:?}");
+    assert_eq!(
+        slow, instant,
+        "(checkpoints, dumps) with slow DB PUTs vs instant ones"
+    );
 }
 
 #[test]
