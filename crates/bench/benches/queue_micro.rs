@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use ginja_core::agg;
 use ginja_core::queue::{CommitQueue, WalWrite};
 
@@ -30,6 +30,38 @@ fn bench_queue_cycle(c: &mut Criterion) {
     });
 }
 
+/// `mysql_mem`'s shape: B = 10, S = 100, TB = 100 ms, two DBMS threads
+/// putting 512 B log blocks while the aggregator takes and acks each
+/// batch. A producer forces a flush when done, as `Ginja::sync` does.
+fn bench_two_producers(c: &mut Criterion) {
+    const PER_PRODUCER: usize = 1000;
+    let block = write(0, 512);
+    let mut group = c.benchmark_group("queue_two_producers");
+    group.throughput(Throughput::Elements(2 * PER_PRODUCER as u64));
+    group.bench_function("b10_s100", |b| {
+        b.iter(|| {
+            let q = CommitQueue::new(10, 100, Duration::from_millis(100), Duration::from_secs(60));
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        for _ in 0..PER_PRODUCER {
+                            q.put(block.clone()).unwrap();
+                        }
+                        q.force_flush();
+                    });
+                }
+                let mut taken = 0;
+                while taken < 2 * PER_PRODUCER {
+                    let n = q.take_batch().unwrap().len();
+                    q.ack_front(n);
+                    taken += n;
+                }
+            });
+        })
+    });
+    group.finish();
+}
+
 fn bench_aggregate(c: &mut Criterion) {
     let sequential: Vec<WalWrite> = (0..100).map(|i| write(i, 8192)).collect();
     c.bench_function("aggregate_100x8k_overlapping", |b| {
@@ -51,6 +83,6 @@ fn bench_aggregate(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(30).measurement_time(std::time::Duration::from_secs(2)).warm_up_time(std::time::Duration::from_millis(500));
-    targets = bench_queue_cycle, bench_aggregate
+    targets = bench_queue_cycle, bench_two_producers, bench_aggregate
 }
 criterion_main!(benches);

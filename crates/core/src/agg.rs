@@ -200,14 +200,9 @@ pub struct SnapshotTotals {
     pub outages: u128,
     /// Sum of `gc_backlog_dropped`.
     pub gc_backlog_dropped: u128,
-    /// Sum of `ingest.put_parks` (producers that exhausted their spin
-    /// budget and slept on the Safety bound).
+    /// Sum of `ingest.put_parks` (producers that waited on the Safety
+    /// bound).
     pub ingest_put_parks: u128,
-    /// Sum of `ingest.credit_retries` (CAS retries on the admission
-    /// credit counter — the fleet's ingest-contention gauge).
-    pub ingest_credit_retries: u128,
-    /// Sum of `ingest.ack_wakeups` (targeted post-durability wakeups).
-    pub ingest_ack_wakeups: u128,
     /// Sum of `ingest.adaptive_seals` (partial batches sealed early for
     /// parked producers).
     pub ingest_adaptive_seals: u128,
@@ -268,8 +263,6 @@ impl SnapshotTotals {
         self.outages += u128::from(snap.outage.outages);
         self.gc_backlog_dropped += u128::from(snap.gc_backlog_dropped);
         self.ingest_put_parks += u128::from(snap.ingest.put_parks);
-        self.ingest_credit_retries += u128::from(snap.ingest.credit_retries);
-        self.ingest_ack_wakeups += u128::from(snap.ingest.ack_wakeups);
         self.ingest_adaptive_seals += u128::from(snap.ingest.adaptive_seals);
         self.standby_tail_cycles += u128::from(snap.standby.tail_cycles);
         self.standby_gets += u128::from(snap.standby.gets);
@@ -536,8 +529,6 @@ mod rollup_props {
             },
             ingest: IngestSnapshot {
                 put_parks: c,
-                credit_retries: d,
-                ack_wakeups: e,
                 adaptive_seals: f,
                 ..Default::default()
             },
@@ -606,8 +597,6 @@ mod rollup_props {
             prop_assert_eq!(totals.fanout_jobs, expect(&|v| v[7]));
             prop_assert_eq!(totals.spent_microusd, expect(&|v| v[7]));
             prop_assert_eq!(totals.ingest_put_parks, expect(&|v| v[2]));
-            prop_assert_eq!(totals.ingest_credit_retries, expect(&|v| v[3]));
-            prop_assert_eq!(totals.ingest_ack_wakeups, expect(&|v| v[4]));
             prop_assert_eq!(totals.ingest_adaptive_seals, expect(&|v| v[5]));
             prop_assert_eq!(totals.standby_tail_cycles, expect(&|v| v[6]));
             prop_assert_eq!(totals.standby_gets, expect(&|v| v[7]));

@@ -119,21 +119,14 @@ impl OutageConfig {
     }
 }
 
-/// Ingest fast-path tuning: how producers (DBMS threads blocked inside
-/// an intercepted WAL write) wait for commit-queue credit, and whether
-/// the aggregator may seal a partial batch early on their behalf (see
-/// `DESIGN.md` §16).
+/// Ingest tuning: whether the aggregator may seal a partial batch early
+/// on behalf of producers (DBMS threads blocked inside an intercepted
+/// WAL write; see `DESIGN.md` §16).
 ///
-/// These knobs shape *latency*, never *safety*: S and TS are enforced
-/// by the queue's credit counters regardless of what is set here.
+/// This shapes *latency*, never *safety*: the queue enforces S and TS
+/// regardless of what is set here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// How many spin iterations a producer burns waiting for the acked
-    /// watermark to advance before parking on a condvar. Spinning wins
-    /// when acks arrive within microseconds (local-SSD-fast stores);
-    /// parking wins when the cloud round-trip dominates. 0 parks
-    /// immediately.
-    pub spin: u32,
     /// Whether the aggregator seals a partial batch early when
     /// producers are parked against the Safety bound — trading B for
     /// latency inside the existing `KnobBounds` (S is never raised).
@@ -143,24 +136,8 @@ pub struct IngestConfig {
 impl Default for IngestConfig {
     fn default() -> Self {
         IngestConfig {
-            spin: 64,
             adaptive_seal: true,
         }
-    }
-}
-
-impl IngestConfig {
-    /// Validates invariants, returning a description of the first
-    /// violation.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.spin > 1 << 20 {
-            return Err("ingest.spin above 2^20 would burn a core per blocked producer".into());
-        }
-        Ok(())
     }
 }
 
@@ -228,8 +205,7 @@ pub struct GinjaConfig {
     /// Outage endurance: coalescing checkpoint queue and adaptive
     /// backpressure while the cloud is away.
     pub outage: OutageConfig,
-    /// Ingest fast-path tuning: producer spin budget and adaptive
-    /// partial-batch sealing.
+    /// Ingest tuning: adaptive partial-batch sealing.
     pub ingest: IngestConfig,
 }
 
@@ -283,7 +259,6 @@ impl GinjaConfig {
             budget.validate().map_err(GinjaError::Config)?;
         }
         self.outage.validate().map_err(GinjaError::Config)?;
-        self.ingest.validate().map_err(GinjaError::Config)?;
         Ok(())
     }
 }
@@ -427,8 +402,7 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Sets the ingest fast-path tuning (producer spin budget, adaptive
-    /// partial-batch sealing).
+    /// Sets the ingest tuning (adaptive partial-batch sealing).
     #[must_use]
     pub fn ingest(mut self, ingest: IngestConfig) -> Self {
         self.config.ingest = ingest;
@@ -494,7 +468,6 @@ mod tests {
             poll_interval: _,  // `ginja-cli outage`, tests/outage.rs
         } = outage;
         let IngestConfig {
-            spin: _,          // queue.rs parking tests
             adaptive_seal: _, // bench_e2e rig (`recover` turns it off)
         } = ingest;
     }
@@ -584,26 +557,15 @@ mod tests {
     #[test]
     fn ingest_carried_through_and_validated() {
         let c = GinjaConfig::builder().build().unwrap();
-        assert_eq!(c.ingest.spin, 64, "default spin budget");
         assert!(c.ingest.adaptive_seal, "adaptive sealing defaults on");
 
         let c = GinjaConfig::builder()
             .ingest(IngestConfig {
-                spin: 0,
                 adaptive_seal: false,
             })
             .build()
             .unwrap();
-        assert_eq!(c.ingest.spin, 0);
         assert!(!c.ingest.adaptive_seal);
-
-        assert!(GinjaConfig::builder()
-            .ingest(IngestConfig {
-                spin: (1 << 20) + 1,
-                ..IngestConfig::default()
-            })
-            .build()
-            .is_err());
     }
 
     #[test]

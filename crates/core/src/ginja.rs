@@ -553,8 +553,7 @@ impl Ginja {
         if let Some(standby) = self.shared.standby.lock().as_ref() {
             snap.standby = standby.snapshot();
         }
-        // Ingest fast-path histograms and contention counters live on
-        // the CommitQueue itself (recorded where the hot path runs).
+        // Ingest histograms and counters live on the CommitQueue itself.
         snap.ingest = self.shared.queue.ingest_snapshot();
         snap
     }

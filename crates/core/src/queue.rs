@@ -4,37 +4,19 @@
 //!
 //! * capacity is **S** — "any attempt to put an element into a full
 //!   CommitQueue will block";
-//! * the aggregator takes up to **B** elements *without removing them* —
-//!   elements leave the queue only when the Unlocker learns their batch
-//!   (and every earlier batch) is durable in the cloud;
-//! * **TS**: a put also blocks when the oldest unconfirmed element has
-//!   been waiting longer than the safety timeout;
+//! * the aggregator takes up to **B** elements *without removing them*;
+//!   they leave only through `ack_front`, which the `AckLedger` runs
+//!   once their batch (and every earlier one) is durable in the cloud;
+//! * **TS**: a put also blocks while the oldest unacked element is
+//!   older than the safety timeout;
 //! * **TB**: a partial batch is released once the batch timeout elapses
-//!   since the last synchronization ended.
+//!   since the last take or ack.
 //!
-//! # Implementation (the PR 9 ingest fast path, `DESIGN.md` §16)
-//!
-//! The queue is a fixed ring of exactly S slots with three monotonic
-//! sequence counters instead of a global mutex:
-//!
-//! * `tail` — the next ticket; producers claim a sequence number with a
-//!   CAS that doubles as the Safety credit check (`tail - acked < S`);
-//! * `read_pos` — the aggregator's cursor: items in `[acked, read_pos)`
-//!   have been handed out but not yet confirmed durable;
-//! * `acked` — the durability watermark the Unlocker publishes; items
-//!   leave the queue (and their slots recycle) only here.
-//!
-//! A producer that cannot get credit spins briefly, then parks on a
-//! condvar; `ack_front` issues at most one batched wakeup per
-//! acknowledgment — and none at all when nobody is parked — replacing
-//! the per-put `notify_all` broadcasts of the old mutex queue. The
-//! aggregator may also seal a partial batch early when producers are
-//! parked against Safety (adaptive group sealing), trading B for
-//! latency without ever touching S.
+//! One `Mutex<State>` and two condvars (`DESIGN.md` §16). `State::seal`
+//! is the one sealing rule: `take_batch` acts on it, and `put` consults
+//! it to wake the aggregator only when the aggregator must act.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -46,10 +28,8 @@ use crate::stats::{IngestSnapshot, LatencyHisto};
 /// One intercepted WAL write queued for upload.
 #[derive(Debug, Clone)]
 pub struct WalWrite {
-    /// WAL segment file path. `Arc<str>` so producers hand the queue a
-    /// refcount bump, not a per-record string allocation — the path is
-    /// shared with the [`WriteEvent`](ginja_vfs::WriteEvent) it came
-    /// from and with every clone the aggregator takes.
+    /// WAL segment file path, shared (a refcount bump, not a string
+    /// copy) with the [`WriteEvent`](ginja_vfs::WriteEvent) it came from.
     pub file: Arc<str>,
     /// Byte offset of the write.
     pub offset: u64,
@@ -65,18 +45,65 @@ pub struct PutOutcome {
     pub blocked_for: Duration,
 }
 
-/// One ring slot. The `stamp` carries the Vyukov-style sequence
-/// protocol: `seq` = free for the producer holding ticket `seq`,
-/// `seq + 1` = published (readable), `seq + S` = recycled for the next
-/// lap. The cell itself is only touched by the ticket holder (write),
-/// the single consumer (clone, before `read_pos` passes it) and the
-/// acker (drop, after `read_pos` passed it).
-struct Slot {
-    stamp: AtomicU64,
-    /// Enqueue time in nanoseconds since the queue's epoch, for the TS
-    /// head-age check and `oldest_pending_age`.
-    enqueued_nanos: AtomicU64,
-    write: UnsafeCell<MaybeUninit<WalWrite>>,
+/// Why `State::seal` released a batch, in precedence order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Seal {
+    Full,
+    Adaptive,
+    Flush,
+    Timeout,
+}
+
+/// Everything the queue's one mutex guards.
+struct State {
+    /// Unacked items, oldest first, with their enqueue time:
+    /// `items[..read]` were taken, `items[read..]` are unread.
+    items: VecDeque<(Instant, WalWrite)>,
+    read: usize,
+    /// The TB reference point: the last take or ack. Counting from the
+    /// take keeps pipelined uploads from sealing partials back-to-back.
+    tb_from: Instant,
+    force_flush: bool,
+    closed: bool,
+    producers_waiting: usize,
+    consumer_waiting: bool,
+    /// B and TB, retuned at runtime by the governor; B stays in `[1, S]`.
+    batch: usize,
+    batch_timeout: Duration,
+    adaptive_seal: bool,
+    /// Producer waits, and sealed batches by `Seal` trigger.
+    parks: u64,
+    seals: [u64; 4],
+}
+
+impl State {
+    fn unread(&self) -> usize {
+        self.items.len() - self.read
+    }
+
+    /// The sealing rule, stated once. Releases the first `n` unread items
+    /// (at most B) on the first trigger that holds, in order: B unread; a
+    /// producer waiting on Safety with adaptive sealing on; a forced flush
+    /// or close; TB elapsed since `tb_from`. Else returns the TB deadline
+    /// to wait for, or `None` once it has passed with nothing unread.
+    fn seal(&self, now: Instant) -> Result<(usize, Seal), Option<Instant>> {
+        let n = self.unread().min(self.batch);
+        let deadline = self.tb_from + self.batch_timeout;
+        let why = if n == 0 {
+            return Err((now < deadline).then_some(deadline));
+        } else if n == self.batch {
+            Seal::Full
+        } else if self.adaptive_seal && self.producers_waiting > 0 {
+            Seal::Adaptive
+        } else if self.force_flush || self.closed {
+            Seal::Flush
+        } else if now >= deadline {
+            Seal::Timeout
+        } else {
+            return Err(Some(deadline));
+        };
+        Ok((n, why))
+    }
 }
 
 /// See the module docs.
@@ -97,107 +124,23 @@ struct Slot {
 /// assert!(q.is_empty());
 /// ```
 pub struct CommitQueue {
-    /// Exactly S slots: the ring *is* the Safety bound.
-    slots: Box<[Slot]>,
-    /// Zero point for every relative timestamp held in atomics.
-    epoch: Instant,
-    /// Next ticket to hand out; claimed via CAS under the credit check.
-    tail: AtomicU64,
-    /// The consumer's cursor (next sequence `take_batch` will deliver).
-    read_pos: AtomicU64,
-    /// The durability watermark: sequences below it have left the queue.
-    acked: AtomicU64,
-    /// Nanoseconds (since `epoch`) when the last ack landed.
-    last_sync_end_nanos: AtomicU64,
-    /// Nanoseconds (since `epoch`) of the last take; the TB reference
-    /// point is the later of this and `last_sync_end_nanos`, so
-    /// pipelined uploads do not cause partial batches to be stripped
-    /// off back-to-back.
-    last_take_nanos: AtomicU64,
-    force_flush: AtomicBool,
-    closed: AtomicBool,
-    /// B — runtime-adjustable (the cost governor's backpressure hook),
-    /// always clamped to `[1, safety]`.
-    batch: AtomicUsize,
-    /// S — immutable for the queue's lifetime: the RPO bound is never
-    /// loosened at runtime, whatever the budget pressure.
-    safety: usize,
-    /// TB in nanoseconds — runtime-adjustable alongside B.
-    batch_timeout_ns: AtomicU64,
-    /// TS — immutable, like S.
-    safety_timeout: Duration,
-    ingest: IngestConfig,
-    /// Producers park here when blocked on Safety; the gate carries no
-    /// data (the counters above are the state), it only serializes the
-    /// park/wake handshake.
-    producer_gate: Mutex<()>,
+    state: Mutex<State>,
     not_full: Condvar,
-    producers_parked: AtomicUsize,
-    /// The aggregator parks here waiting for data or a TB deadline.
-    consumer_gate: Mutex<()>,
     readable: Condvar,
-    consumer_parked: AtomicBool,
-    /// Serializes `take_batch` callers (the pipeline has one aggregator,
-    /// but the old queue tolerated concurrent takes, so this must too).
-    take_gate: Mutex<()>,
-    /// Serializes `ack_front` callers (in the pipeline any uploader may
-    /// be one; the `AckLedger` decides their order).
-    ack_gate: Mutex<()>,
+    /// S and TS: immutable, so no budget pressure loosens the loss window.
+    safety: usize,
+    safety_timeout: Duration,
     put_histo: LatencyHisto,
     blocked_histo: LatencyHisto,
-    credit_retries: AtomicU64,
-    put_spins: AtomicU64,
-    put_parks: AtomicU64,
-    ack_wakeups: AtomicU64,
-    wakeups_suppressed: AtomicU64,
-    adaptive_seals: AtomicU64,
-    timeout_seals: AtomicU64,
-}
-
-// SAFETY: the `UnsafeCell` in each slot is the only non-Sync field. It
-// is governed by the stamp protocol documented on `Slot`: the producer
-// holding ticket `seq` has exclusive write access until it publishes
-// `stamp = seq + 1` (Release); the consumer only reads after observing
-// that stamp (Acquire) and before advancing `read_pos`; the acker only
-// drops values below `read_pos` (its Acquire load of `read_pos` chains
-// to the consumer's Release store, which chains to the producer's
-// publication). Slot reuse is safe because a ticket `t` is only handed
-// out once `acked > t - S`, i.e. after the previous occupant was
-// dropped and its stamp reset.
-unsafe impl Sync for CommitQueue {}
-
-impl std::fmt::Debug for CommitQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CommitQueue")
-            .field("len", &self.len())
-            .field("unread", &self.unread())
-            .field("batch", &self.batch())
-            .field("safety", &self.safety)
-            .field("closed", &self.closed.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl CommitQueue {
-    /// Creates a queue with the given B/S/TB/TS parameters and the
-    /// default ingest tuning.
-    pub fn new(
-        batch: usize,
-        safety: usize,
-        batch_timeout: Duration,
-        safety_timeout: Duration,
-    ) -> Self {
-        Self::with_ingest(
-            batch,
-            safety,
-            batch_timeout,
-            safety_timeout,
-            IngestConfig::default(),
-        )
+    /// Creates a queue with the given B/S/TB/TS and default ingest tuning.
+    pub fn new(batch: usize, safety: usize, tb: Duration, ts: Duration) -> Self {
+        Self::with_ingest(batch, safety, tb, ts, IngestConfig::default())
     }
 
-    /// Creates a queue with explicit ingest fast-path tuning (producer
-    /// spin budget, adaptive partial-batch sealing).
+    /// Creates a queue with explicit ingest tuning (adaptive sealing).
     pub fn with_ingest(
         batch: usize,
         safety: usize,
@@ -206,64 +149,38 @@ impl CommitQueue {
         ingest: IngestConfig,
     ) -> Self {
         assert!(batch >= 1 && safety >= batch, "validated by GinjaConfig");
-        let slots: Vec<Slot> = (0..safety)
-            .map(|i| Slot {
-                stamp: AtomicU64::new(i as u64),
-                enqueued_nanos: AtomicU64::new(0),
-                write: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
         CommitQueue {
-            slots: slots.into_boxed_slice(),
-            epoch: Instant::now(),
-            tail: AtomicU64::new(0),
-            read_pos: AtomicU64::new(0),
-            acked: AtomicU64::new(0),
-            last_sync_end_nanos: AtomicU64::new(0),
-            last_take_nanos: AtomicU64::new(0),
-            force_flush: AtomicBool::new(false),
-            closed: AtomicBool::new(false),
-            batch: AtomicUsize::new(batch),
-            safety,
-            batch_timeout_ns: AtomicU64::new(batch_timeout.as_nanos() as u64),
-            safety_timeout,
-            ingest,
-            producer_gate: Mutex::new(()),
+            state: Mutex::new(State {
+                items: VecDeque::with_capacity(safety),
+                read: 0,
+                tb_from: Instant::now(),
+                force_flush: false,
+                closed: false,
+                producers_waiting: 0,
+                consumer_waiting: false,
+                batch,
+                batch_timeout,
+                adaptive_seal: ingest.adaptive_seal,
+                parks: 0,
+                seals: [0; 4],
+            }),
             not_full: Condvar::new(),
-            producers_parked: AtomicUsize::new(0),
-            consumer_gate: Mutex::new(()),
             readable: Condvar::new(),
-            consumer_parked: AtomicBool::new(false),
-            take_gate: Mutex::new(()),
-            ack_gate: Mutex::new(()),
+            safety,
+            safety_timeout,
             put_histo: LatencyHisto::default(),
             blocked_histo: LatencyHisto::default(),
-            credit_retries: AtomicU64::new(0),
-            put_spins: AtomicU64::new(0),
-            put_parks: AtomicU64::new(0),
-            ack_wakeups: AtomicU64::new(0),
-            wakeups_suppressed: AtomicU64::new(0),
-            adaptive_seals: AtomicU64::new(0),
-            timeout_seals: AtomicU64::new(0),
         }
-    }
-
-    fn cap64(&self) -> u64 {
-        self.slots.len() as u64
-    }
-
-    fn now_nanos(&self) -> u64 {
-        self.epoch.elapsed().as_nanos() as u64
     }
 
     /// The batch size B currently in force.
     pub fn batch(&self) -> usize {
-        self.batch.load(Ordering::SeqCst)
+        self.state.lock().batch
     }
 
     /// The batch timeout TB currently in force.
     pub fn batch_timeout(&self) -> Duration {
-        Duration::from_nanos(self.batch_timeout_ns.load(Ordering::SeqCst))
+        self.state.lock().batch_timeout
     }
 
     /// The (immutable) safety bound S.
@@ -271,367 +188,133 @@ impl CommitQueue {
         self.safety
     }
 
-    /// Retunes B at runtime, clamped to `[1, S]`. Returns the value
-    /// actually applied. There is deliberately no `set_safety`: S and
-    /// TS bound the loss window and cannot be moved on a live queue.
+    /// Retunes B at runtime, clamped to `[1, S]`, and returns the value
+    /// applied. S and TS cannot be moved on a live queue.
     pub fn set_batch(&self, batch: usize) -> usize {
         let applied = batch.clamp(1, self.safety);
-        self.batch.store(applied, Ordering::SeqCst);
+        self.state.lock().batch = applied;
         // A smaller B may make already-queued items a full batch.
-        self.wake_consumer();
+        self.readable.notify_all();
         applied
     }
 
     /// Retunes TB at runtime. Returns the value actually applied.
     pub fn set_batch_timeout(&self, batch_timeout: Duration) -> Duration {
-        self.batch_timeout_ns
-            .store(batch_timeout.as_nanos() as u64, Ordering::SeqCst);
-        // Wake the aggregator so a sleeping take_batch re-reads TB.
-        self.wake_consumer();
+        self.state.lock().batch_timeout = batch_timeout;
+        self.readable.notify_all();
         batch_timeout
     }
 
-    /// Wakes a (possibly) parked aggregator. Locking the gate before
-    /// notifying pairs with the consumer's park sequence, so a wakeup
-    /// can never slip between its recheck and its wait.
-    fn wake_consumer(&self) {
-        let _gate = self.consumer_gate.lock();
-        self.readable.notify_all();
-    }
-
-    /// Whether the oldest unconfirmed item has exceeded TS at time
-    /// `now` (nanoseconds since `epoch` — callers on the put fast path
-    /// pass their entry timestamp instead of reading the clock again;
-    /// the nanoseconds of staleness only make the check conservative).
-    /// `acked` is the caller's current head view; transient races (the
-    /// head being acked or still unpublished while we look) only yield
-    /// a conservative answer that the caller's retry loop corrects.
-    fn head_expired(&self, acked: u64, tail: u64, now: u64) -> bool {
-        if acked >= tail {
-            return false;
-        }
-        let slot = &self.slots[(acked % self.cap64()) as usize];
-        if slot.stamp.load(Ordering::Acquire) != acked + 1 {
-            // Head ticket claimed but not yet published: age ~0.
-            return false;
-        }
-        let enqueued = slot.enqueued_nanos.load(Ordering::Relaxed);
-        now.saturating_sub(enqueued) >= self.safety_timeout.as_nanos() as u64
-    }
-
-    /// Claims the next ticket, enforcing S and TS. Returns the sequence
-    /// number and whether the caller was ever blocked; `None` when the
-    /// queue is closed.
-    fn acquire_seq(&self, start_nanos: u64) -> Option<(u64, bool)> {
+    /// Enqueues a write, blocking while S items are unacked or the oldest
+    /// is older than TS (both clear only when the head is acked). Returns
+    /// the time blocked, or `None` if closed (the write goes unprotected).
+    pub fn put(&self, write: WalWrite) -> Option<PutOutcome> {
+        let start = Instant::now();
         let mut blocked = false;
-        let mut spins_left = self.ingest.spin;
-        let mut spin_counted = false;
-        // On the fast path the caller's entry timestamp serves as "now"
-        // for the TS check — one less clock read per put. Every retry
-        // iteration refreshes it below.
-        let mut now = start_nanos;
-        loop {
-            if self.closed.load(Ordering::SeqCst) {
+        let mut st = self.state.lock();
+        let enqueued = loop {
+            let now = Instant::now();
+            if st.closed {
                 return None;
             }
-            // Credit check: load `acked` first. `acked` is monotonic, so
-            // a successful CAS on `tail` guarantees
-            // `tail - acked_real <= tail - acked_loaded < S` — the ring
-            // can never over-admit, whatever interleaving occurs.
-            let acked = self.acked.load(Ordering::Acquire);
-            let tail = self.tail.load(Ordering::Relaxed);
-            if tail.wrapping_sub(acked) < self.cap64() && !self.head_expired(acked, tail, now) {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail + 1,
-                    Ordering::AcqRel,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => return Some((tail, blocked)),
-                    Err(_) => {
-                        self.credit_retries.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                }
+            let head_expired = st.items.front().is_some_and(|(enqueued, _)| {
+                now.saturating_duration_since(*enqueued) >= self.safety_timeout
+            });
+            if st.items.len() < self.safety && !head_expired {
+                break now;
             }
-            // Blocked: wake the aggregator so pending data flushes, and
-            // wait for acknowledgments. Both conditions clear only when
-            // the head of the queue is acknowledged.
-            if !blocked {
-                blocked = true;
-                self.force_flush.store(true, Ordering::SeqCst);
-                self.wake_consumer();
+            // Blocked: what is pending must flush now.
+            blocked = true;
+            st.force_flush = true;
+            st.producers_waiting += 1;
+            st.parks += 1;
+            if st.consumer_waiting && st.seal(now).is_ok() {
+                self.readable.notify_one();
             }
-            if spins_left > 0 {
-                if !spin_counted {
-                    self.put_spins.fetch_add(1, Ordering::Relaxed);
-                    spin_counted = true;
-                }
-                spins_left -= 1;
-                std::hint::spin_loop();
-                now = self.now_nanos();
-                continue;
-            }
-            self.park_producer();
-            // Matches the old queue's 50 ms cadence: re-assert the flush
-            // after each bounded park, in case a concurrent drain
-            // cleared the flag while we stayed blocked.
-            self.force_flush.store(true, Ordering::SeqCst);
-            self.wake_consumer();
-            now = self.now_nanos();
+            self.not_full.wait(&mut st);
+            st.producers_waiting -= 1;
+        };
+        st.items.push_back((enqueued, write));
+        // Wake the aggregator only when it must act; otherwise it waits
+        // for a TB deadline that has not passed yet.
+        let wake = st.consumer_waiting && st.seal(enqueued).is_ok();
+        drop(st);
+        if wake {
+            self.readable.notify_one();
         }
-    }
-
-    /// Parks the calling producer until an ack (or close) wakes it, with
-    /// a bounded wait so a lost race can cost at most 50 ms.
-    fn park_producer(&self) {
-        self.put_parks.fetch_add(1, Ordering::Relaxed);
-        let mut gate = self.producer_gate.lock();
-        self.producers_parked.fetch_add(1, Ordering::SeqCst);
-        // Dekker handshake with `ack_front`: register as parked, fence,
-        // re-check the counters. Either the acker sees our registration
-        // (and wakes us), or we see its new watermark (and skip the
-        // wait) — a wakeup can never be lost between the two.
-        fence(Ordering::SeqCst);
-        let acked = self.acked.load(Ordering::SeqCst);
-        let tail = self.tail.load(Ordering::SeqCst);
-        let still_blocked = (tail.wrapping_sub(acked) >= self.cap64()
-            || self.head_expired(acked, tail, self.now_nanos()))
-            && !self.closed.load(Ordering::SeqCst);
-        if still_blocked {
-            self.not_full.wait_for(&mut gate, Duration::from_millis(50));
-        }
-        self.producers_parked.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Enqueues a write, blocking while the Safety conditions are
-    /// violated. Returns how long the caller was blocked, or `None` if
-    /// the queue is closed (protection disabled; the write proceeds
-    /// unprotected).
-    pub fn put(&self, write: WalWrite) -> Option<PutOutcome> {
-        let start_nanos = self.now_nanos();
-        let (seq, was_blocked) = self.acquire_seq(start_nanos)?;
-        let slot = &self.slots[(seq % self.cap64()) as usize];
-        debug_assert_eq!(
-            slot.stamp.load(Ordering::Acquire),
-            seq,
-            "credit admitted an occupied slot"
-        );
-        let now = self.now_nanos();
-        slot.enqueued_nanos.store(now, Ordering::Relaxed);
-        // SAFETY: the credit CAS made this thread the sole owner of the
-        // slot for ticket `seq` (see the `Sync` impl), and nothing reads
-        // the cell until the stamp publication below.
-        unsafe { (*slot.write.get()).write(write) };
-        slot.stamp.store(seq + 1, Ordering::Release);
-        // Dekker handshake with a parking aggregator: publish, fence,
-        // read the parked flag. Either we see the flag (and wake it), or
-        // its own fenced recheck sees our stamp. On the fast path — the
-        // aggregator busy, the queue moving — this is a single relaxed
-        // load and no lock.
-        fence(Ordering::SeqCst);
-        if self.consumer_parked.load(Ordering::Relaxed) {
-            self.wake_consumer();
-        }
-        let total = Duration::from_nanos(now.saturating_sub(start_nanos));
+        let total = enqueued.saturating_duration_since(start);
         self.put_histo.record(total);
-        let blocked_for = if was_blocked { total } else { Duration::ZERO };
-        if !blocked_for.is_zero() {
-            self.blocked_histo.record(blocked_for);
+        let blocked_for = if blocked { total } else { Duration::ZERO };
+        if blocked {
+            self.blocked_histo.record(total);
         }
         Some(PutOutcome { blocked_for })
     }
 
-    /// Number of contiguously published items starting at `from`,
-    /// capped at `limit`. Stops at the first unpublished slot, so a
-    /// producer mid-publication never creates gaps in FIFO order.
-    fn published(&self, from: u64, limit: usize) -> usize {
-        let mut n = 0usize;
-        while n < limit {
-            let seq = from + n as u64;
-            let slot = &self.slots[(seq % self.cap64()) as usize];
-            if slot.stamp.load(Ordering::Acquire) != seq + 1 {
-                break;
-            }
-            n += 1;
-        }
-        n
-    }
-
-    /// The TB reference point: the later of the last completed
-    /// synchronization and the last take.
-    fn tb_reference(&self) -> Instant {
-        let nanos = self
-            .last_sync_end_nanos
-            .load(Ordering::Relaxed)
-            .max(self.last_take_nanos.load(Ordering::Relaxed));
-        self.epoch + Duration::from_nanos(nanos)
-    }
-
-    /// Takes the next batch for upload *without removing it from the
-    /// queue*: up to B items, released early on TB expiry, forced flush,
-    /// adaptive sealing (producers parked against Safety), or shutdown.
-    /// Returns `None` only when closed and fully drained.
+    /// Takes the next batch *without removing it*, as soon as `State::seal`
+    /// releases one. Returns `None` only when closed and fully drained.
     pub fn take_batch(&self) -> Option<Vec<WalWrite>> {
-        let _serial = self.take_gate.lock();
+        let mut st = self.state.lock();
         loop {
-            let b = self.batch();
-            let read = self.read_pos.load(Ordering::Relaxed);
-            let avail = self.published(read, b);
-            if avail >= b {
-                return Some(self.take(read, b));
-            }
-            let closed = self.closed.load(Ordering::SeqCst);
-            if avail > 0 {
-                // Adaptive group sealing: a producer is parked against
-                // Safety, so every queued item is gating DBMS progress —
-                // seal the partial batch now instead of waiting for TB.
-                if self.ingest.adaptive_seal && self.producers_parked.load(Ordering::SeqCst) > 0 {
-                    self.adaptive_seals.fetch_add(1, Ordering::Relaxed);
-                    return Some(self.take(read, avail));
+            let now = Instant::now();
+            let deadline = match st.seal(now) {
+                Ok((n, why)) => {
+                    st.seals[why as usize] += 1;
+                    let taken = st.items.range(st.read..).take(n);
+                    let batch = taken.map(|(_, w)| w.clone()).collect();
+                    st.read += n;
+                    st.tb_from = now;
+                    // Drained: a forced flush is satisfied.
+                    st.force_flush &= st.unread() > 0;
+                    return Some(batch);
                 }
-                if self.force_flush.load(Ordering::SeqCst) || closed {
-                    return Some(self.take(read, avail));
-                }
-                // Partial batch: release when TB elapses since the last
-                // completed synchronization (or the last batch taken,
-                // whichever is later).
-                let deadline = self.tb_reference() + self.batch_timeout();
-                if Instant::now() >= deadline {
-                    self.timeout_seals.fetch_add(1, Ordering::Relaxed);
-                    return Some(self.take(read, avail));
-                }
-                self.park_consumer(read, avail, Some(deadline));
+                Err(_) if st.closed => return None,
+                Err(deadline) => deadline,
+            };
+            st.consumer_waiting = true;
+            if let Some(deadline) = deadline {
+                self.readable.wait_until(&mut st, deadline);
             } else {
-                if closed {
-                    return None;
-                }
-                self.park_consumer(read, 0, None);
+                self.readable.wait(&mut st);
             }
+            st.consumer_waiting = false;
         }
-    }
-
-    /// Parks the aggregator until data arrives, a flush is forced, a
-    /// knob changes, or the deadline passes. `seen` is the published
-    /// count the caller just observed; the post-registration recheck
-    /// pairs with producers' fenced `consumer_parked` load.
-    fn park_consumer(&self, read: u64, seen: usize, deadline: Option<Instant>) {
-        let mut gate = self.consumer_gate.lock();
-        self.consumer_parked.store(true, Ordering::SeqCst);
-        fence(Ordering::SeqCst);
-        let changed = self.published(read, seen + 1) > seen
-            || self.closed.load(Ordering::SeqCst)
-            || (seen > 0
-                && (self.force_flush.load(Ordering::SeqCst)
-                    || (self.ingest.adaptive_seal
-                        && self.producers_parked.load(Ordering::SeqCst) > 0)));
-        if !changed {
-            match deadline {
-                Some(d) => {
-                    self.readable.wait_until(&mut gate, d);
-                }
-                None => {
-                    self.readable
-                        .wait_for(&mut gate, Duration::from_millis(100));
-                }
-            }
-        }
-        self.consumer_parked.store(false, Ordering::SeqCst);
-    }
-
-    fn take(&self, read: u64, n: usize) -> Vec<WalWrite> {
-        self.last_take_nanos
-            .store(self.now_nanos(), Ordering::Relaxed);
-        let mut batch = Vec::with_capacity(n);
-        for i in 0..n as u64 {
-            let seq = read + i;
-            let slot = &self.slots[(seq % self.cap64()) as usize];
-            debug_assert_eq!(slot.stamp.load(Ordering::Acquire), seq + 1);
-            // SAFETY: `published` observed `stamp == seq + 1` with
-            // Acquire, so the producer's write happened-before this
-            // read; the value stays live until `ack_front` passes
-            // `read_pos`, which this consumer has not advanced yet.
-            batch.push(unsafe { (*slot.write.get()).assume_init_ref().clone() });
-        }
-        self.read_pos.store(read + n as u64, Ordering::Release);
-        if self.published(read + n as u64, 1) == 0 {
-            // Drained every published item: the forced flush is
-            // satisfied (the old queue cleared the flag at unread == 0;
-            // a still-blocked producer re-asserts it on its next park
-            // cycle, and adaptive sealing covers the window).
-            self.force_flush.store(false, Ordering::SeqCst);
-        }
-        batch
     }
 
     /// Acknowledges the `n` oldest items as durable in the cloud: they
-    /// leave the queue, producers unblock, and the TB reference point
-    /// resets (the Unlocker's role in §6). One epoch publication — a
-    /// single watermark store plus at most one batched wakeup — however
-    /// many items the batch carried.
+    /// leave the queue and producers unblock (the Unlocker's role in §6).
     pub fn ack_front(&self, n: usize) {
-        let _serial = self.ack_gate.lock();
-        let start = self.acked.load(Ordering::Relaxed);
-        let read = self.read_pos.load(Ordering::Acquire);
-        debug_assert!(start + n as u64 <= read, "acking unread items");
-        // Release-mode clamp: never drop a slot the consumer has not
-        // delivered (misuse then under-acks instead of corrupting).
-        let end = (start + n as u64).min(read);
-        for seq in start..end {
-            let slot = &self.slots[(seq % self.cap64()) as usize];
-            debug_assert_eq!(slot.stamp.load(Ordering::Acquire), seq + 1);
-            // SAFETY: `seq < read_pos` (Acquire above), so the consumer
-            // is done with the value; the producer's publication
-            // happened-before via the read_pos chain (see `Sync` impl).
-            unsafe { (*slot.write.get()).assume_init_drop() };
-            slot.stamp.store(seq + self.cap64(), Ordering::Release);
-        }
-        // The epoch watermark: producers observe one atomic, not a
-        // per-item handoff. Stamps were reset first, so any producer
-        // admitted by this store finds its slot already recycled.
-        self.acked.store(end, Ordering::SeqCst);
-        self.last_sync_end_nanos
-            .store(self.now_nanos(), Ordering::Relaxed);
-        // Targeted wakeup: pairs with `park_producer`'s fenced
-        // registration. No parked producers — the common, healthy case —
-        // means no lock and no broadcast at all.
-        fence(Ordering::SeqCst);
-        if self.producers_parked.load(Ordering::SeqCst) > 0 {
-            self.ack_wakeups.fetch_add(1, Ordering::Relaxed);
-            let _gate = self.producer_gate.lock();
+        let mut st = self.state.lock();
+        debug_assert!(n <= st.read, "acking unread items");
+        let n = n.min(st.read); // misuse under-acks, never drops unread items
+        st.read -= n;
+        st.tb_from = Instant::now();
+        if st.producers_waiting > 0 {
             self.not_full.notify_all();
-        } else {
-            self.wakeups_suppressed.fetch_add(1, Ordering::Relaxed);
         }
+        let acked: Vec<_> = st.items.drain(..n).collect();
+        // Free the payloads after unlocking, off the producers' path.
+        drop(st);
+        drop(acked);
     }
 
-    /// Requests an immediate flush of any pending items (used by
-    /// `Ginja::sync`).
+    /// Requests an immediate flush of any pending items (`Ginja::sync`).
     pub fn force_flush(&self) {
-        if self.unread() > 0 {
-            self.force_flush.store(true, Ordering::SeqCst);
-            self.wake_consumer();
-        }
+        let mut st = self.state.lock();
+        st.force_flush |= st.unread() > 0;
+        self.readable.notify_all();
     }
 
-    /// Closes the queue: producers stop blocking (and stop enqueuing);
-    /// the aggregator drains what remains and then sees `None`.
+    /// Closes: producers stop enqueuing; `take_batch` drains, then returns `None`.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        {
-            let _gate = self.producer_gate.lock();
-            self.not_full.notify_all();
-        }
-        self.wake_consumer();
+        self.state.lock().closed = true;
+        self.not_full.notify_all();
+        self.readable.notify_all();
     }
 
     /// Number of unacknowledged items.
     pub fn len(&self) -> usize {
-        // `acked` first: both counters are monotonic and acked <= tail,
-        // so this order can never observe a negative length.
-        let acked = self.acked.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
-        tail.wrapping_sub(acked) as usize
+        self.state.lock().items.len()
     }
 
     /// Whether no items are pending.
@@ -641,76 +324,23 @@ impl CommitQueue {
 
     /// Number of items not yet handed to the aggregator.
     pub fn unread(&self) -> usize {
-        let read = self.read_pos.load(Ordering::Acquire);
-        let tail = self.tail.load(Ordering::Acquire);
-        tail.wrapping_sub(read) as usize
+        self.state.lock().unread()
     }
 
-    /// Age of the oldest unacknowledged item — how long the most
-    /// exposed update has been waiting for cloud durability.
+    /// Age of the oldest unacknowledged item, the most exposed update.
     pub fn oldest_pending_age(&self) -> Option<Duration> {
-        // Seqlock-style read: the head slot may be acked and recycled
-        // under us, so re-check the watermark after reading the
-        // timestamp and retry on movement.
-        for _ in 0..8 {
-            let acked = self.acked.load(Ordering::Acquire);
-            let tail = self.tail.load(Ordering::Acquire);
-            if acked >= tail {
-                return None;
-            }
-            let slot = &self.slots[(acked % self.cap64()) as usize];
-            if slot.stamp.load(Ordering::Acquire) != acked + 1 {
-                // Claimed but unpublished head (a put in flight): that
-                // update is exposed, but its age is essentially zero.
-                if self.acked.load(Ordering::Acquire) == acked {
-                    return Some(Duration::ZERO);
-                }
-                continue;
-            }
-            let enqueued = slot.enqueued_nanos.load(Ordering::Relaxed);
-            if self.acked.load(Ordering::Acquire) != acked {
-                continue;
-            }
-            return Some(Duration::from_nanos(
-                self.now_nanos().saturating_sub(enqueued),
-            ));
-        }
-        // Monitoring-grade fallback under heavy churn: report presence
-        // with a conservative age; the next poll settles it.
-        Some(Duration::ZERO)
+        self.state.lock().items.front().map(|(t, _)| t.elapsed())
     }
 
-    /// A point-in-time copy of the ingest fast-path histograms and
-    /// contention counters (merged into `GinjaStatsSnapshot` by
-    /// `Ginja::stats`).
+    /// The ingest histograms and counters, for `Ginja::stats`.
     pub fn ingest_snapshot(&self) -> IngestSnapshot {
+        let st = self.state.lock();
         IngestSnapshot {
             put_latency: self.put_histo.snapshot(),
             blocked_latency: self.blocked_histo.snapshot(),
-            credit_retries: self.credit_retries.load(Ordering::Relaxed),
-            put_spins: self.put_spins.load(Ordering::Relaxed),
-            put_parks: self.put_parks.load(Ordering::Relaxed),
-            ack_wakeups: self.ack_wakeups.load(Ordering::Relaxed),
-            wakeups_suppressed: self.wakeups_suppressed.load(Ordering::Relaxed),
-            adaptive_seals: self.adaptive_seals.load(Ordering::Relaxed),
-            timeout_seals: self.timeout_seals.load(Ordering::Relaxed),
-        }
-    }
-}
-
-impl Drop for CommitQueue {
-    fn drop(&mut self) {
-        // Drop every published-but-unacked value. Claimed-but-never-
-        // published slots (stamp == seq) hold no initialized value.
-        let acked = *self.acked.get_mut();
-        let tail = *self.tail.get_mut();
-        let cap = self.slots.len() as u64;
-        for seq in acked..tail {
-            let slot = &mut self.slots[(seq % cap) as usize];
-            if *slot.stamp.get_mut() == seq + 1 {
-                // SAFETY: &mut self — no other thread can touch the cell.
-                unsafe { (*slot.write.get()).assume_init_drop() };
-            }
+            put_parks: st.parks,
+            adaptive_seals: st.seals[Seal::Adaptive as usize],
+            timeout_seals: st.seals[Seal::Timeout as usize],
         }
     }
 }
@@ -933,9 +563,8 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Executable spec pinned before the PR 9 fast-path rewrite: the
-    // exact `blocked_for` accounting and TB reference-point rules any
-    // replacement implementation must reproduce.
+    // Executable spec: the exact `blocked_for` accounting and TB
+    // reference-point rules any implementation must reproduce.
     // ------------------------------------------------------------------
 
     #[test]
@@ -1035,27 +664,95 @@ mod tests {
     }
 
     // ------------------------------------------------------------------
-    // Fast-path specifics: contention counters, targeted wakeups,
-    // adaptive sealing.
+    // The sealing rule as a table, waits and adaptive sealing.
     // ------------------------------------------------------------------
 
+    /// A state with `items` unacked items, none taken, everything
+    /// stamped at `t0`, B = `batch` and TB = 50 ms.
+    fn state(t0: Instant, batch: usize, items: u64) -> State {
+        State {
+            items: (0..items).map(|i| (t0, write(i))).collect(),
+            read: 0,
+            tb_from: t0,
+            force_flush: false,
+            closed: false,
+            producers_waiting: 0,
+            consumer_waiting: false,
+            batch,
+            batch_timeout: Duration::from_millis(50),
+            adaptive_seal: true,
+            parks: 0,
+            seals: [0; 4],
+        }
+    }
+
     #[test]
-    fn blocked_put_spins_then_parks() {
-        let q = Arc::new(queue(1, 1)); // default ingest: spin = 64
+    fn seal_rule_table() {
+        type Expect = Result<(usize, Seal), Option<u64>>;
+        type Row = (&'static str, usize, u64, fn(&mut State), u64, Expect);
+        let ms = Duration::from_millis;
+        // (case, B, items, tweak, now - t0 in ms, expected); a returned
+        // deadline is given in milliseconds after t0.
+        #[rustfmt::skip]
+        let rows: &[Row] = &[
+            ("B unread", 3, 3, |_| {}, 1, Ok((3, Seal::Full))),
+            ("more than B unread", 3, 7, |_| {}, 1, Ok((3, Seal::Full))),
+            ("taken items do not count", 3, 3, |s| s.read = 1, 1, Err(Some(50))),
+            ("B full outranks the rest", 2, 2,
+                |s| (s.producers_waiting, s.force_flush, s.closed) = (1, true, true),
+                60, Ok((2, Seal::Full))),
+            ("adaptive: producer waiting", 3, 2, |s| s.producers_waiting = 1, 1,
+                Ok((2, Seal::Adaptive))),
+            ("adaptive off: wait for TB", 3, 2,
+                |s| (s.producers_waiting, s.adaptive_seal) = (1, false), 1, Err(Some(50))),
+            ("adaptive outranks flush", 3, 2,
+                |s| (s.producers_waiting, s.force_flush) = (1, true), 1,
+                Ok((2, Seal::Adaptive))),
+            ("forced flush", 3, 2, |s| s.force_flush = true, 1, Ok((2, Seal::Flush))),
+            ("closed, partial batch", 3, 2, |s| s.closed = true, 1, Ok((2, Seal::Flush))),
+            ("closed, nothing unread", 3, 0, |s| s.closed = true, 60, Err(None)),
+            ("TB not expired", 3, 2, |_| {}, 49, Err(Some(50))),
+            ("TB expired", 3, 2, |_| {}, 50, Ok((2, Seal::Timeout))),
+            ("TB counts from the last take or ack", 3, 2,
+                |s| s.tb_from += Duration::from_millis(30), 60, Err(Some(80))),
+            ("nothing unread: wait to TB", 3, 0, |_| {}, 1, Err(Some(50))),
+            ("nothing unread, TB passed: no deadline", 3, 0, |_| {}, 60, Err(None)),
+            ("nothing unread, even forced", 3, 2,
+                |s| (s.read, s.force_flush, s.producers_waiting) = (2, true, 1), 60, Err(None)),
+        ];
+        let t0 = Instant::now();
+        for &(case, batch, items, tweak, now, expect) in rows {
+            let mut st = state(t0, batch, items);
+            tweak(&mut st);
+            let expect = expect.map_err(|d| d.map(|d| t0 + ms(d)));
+            assert_eq!(st.seal(t0 + ms(now)), expect, "{case}");
+        }
+
+        // B lowered by `set_batch` on a live queue turns queued items
+        // into a full batch.
+        let q = CommitQueue::new(10, 10, Duration::from_secs(60), Duration::from_secs(60));
+        for i in 0..3 {
+            q.put(write(i)).unwrap();
+        }
+        assert!(q.state.lock().seal(Instant::now()).is_err());
+        assert_eq!(q.set_batch(2), 2);
+        assert_eq!(q.state.lock().seal(Instant::now()), Ok((2, Seal::Full)));
+    }
+
+    #[test]
+    fn blocked_put_parks_until_ack() {
+        let q = Arc::new(queue(1, 1));
         q.put(write(1)).unwrap();
         let q2 = q.clone();
         let h = std::thread::spawn(move || q2.put(write(2)).unwrap());
         std::thread::sleep(Duration::from_millis(80));
+        assert!(!h.is_finished(), "put must wait at S = 1");
+        assert!(q.ingest_snapshot().put_parks >= 1, "the blocked put parked");
         assert_eq!(q.take_batch().unwrap().len(), 1);
-        q.ack_front(1);
-        h.join().unwrap();
+        q.ack_front(1); // the wakeup
+        let outcome = h.join().unwrap();
+        assert!(outcome.blocked_for >= Duration::from_millis(50));
         let snap = q.ingest_snapshot();
-        assert!(snap.put_spins >= 1, "blocked put must enter the spin phase");
-        assert!(
-            snap.put_parks >= 1,
-            "an 80ms stall must outlast the spin budget and park"
-        );
-        assert!(snap.ack_wakeups >= 1, "the ack found a parked producer");
         assert_eq!(snap.put_latency.count, 2);
         assert_eq!(
             snap.blocked_latency.count, 1,
@@ -1065,79 +762,54 @@ mod tests {
     }
 
     #[test]
-    fn uncontended_acks_suppress_wakeups() {
-        let q = queue(2, 10);
-        q.put(write(1)).unwrap();
-        q.put(write(2)).unwrap();
-        assert_eq!(q.take_batch().unwrap().len(), 2);
-        q.ack_front(2);
-        let snap = q.ingest_snapshot();
-        assert_eq!(snap.ack_wakeups, 0);
-        assert_eq!(
-            snap.wakeups_suppressed, 1,
-            "nobody parked: the old queue's broadcast is skipped entirely"
-        );
-        assert_eq!(snap.put_parks, 0);
-    }
-
-    #[test]
     fn adaptive_seal_releases_partial_for_parked_producer() {
         // A partial batch + a producer parked against Safety: the
         // aggregator must seal early (long before TB = 60 s) and count
-        // it. Retried a few times because the parked producer briefly
-        // unparks every 50 ms to re-check, which can race the take.
-        let mut sealed_adaptively = false;
-        for _ in 0..5 {
-            let q = Arc::new(CommitQueue::with_ingest(
-                3,
-                3,
-                Duration::from_secs(60),
-                Duration::from_secs(60),
-                IngestConfig {
-                    spin: 0,
-                    adaptive_seal: true,
-                },
-            ));
-            for i in 0..3 {
-                q.put(write(i)).unwrap();
-            }
-            assert_eq!(q.take_batch().unwrap().len(), 3);
-            q.ack_front(1);
-            q.put(write(3)).unwrap(); // fits: one credit freed
-            let q2 = q.clone();
-            let parked = std::thread::spawn(move || q2.put(write(4)).unwrap());
-            std::thread::sleep(Duration::from_millis(60));
-            let t = Instant::now();
-            let batch = q.take_batch().unwrap();
-            assert_eq!(batch.len(), 1, "only the new item is unread");
-            assert!(
-                t.elapsed() < Duration::from_secs(5),
-                "partial batch sealed early, not at TB"
-            );
-            q.ack_front(3);
-            parked.join().unwrap();
-            if q.ingest_snapshot().adaptive_seals >= 1 {
-                sealed_adaptively = true;
-                break;
-            }
-        }
-        assert!(
-            sealed_adaptively,
-            "adaptive sealing must fire for a parked producer"
-        );
-    }
-
-    #[test]
-    fn adaptive_seal_disabled_still_flushes_via_force_flush() {
-        // With adaptive sealing off, the pre-PR-9 behavior holds: the
-        // blocked producer's force-flush releases the partial batch.
+        // it, whether the producer parks before or during the take.
         let q = Arc::new(CommitQueue::with_ingest(
             3,
             3,
             Duration::from_secs(60),
             Duration::from_secs(60),
             IngestConfig {
-                spin: 0,
+                adaptive_seal: true,
+            },
+        ));
+        for i in 0..3 {
+            q.put(write(i)).unwrap();
+        }
+        assert_eq!(q.take_batch().unwrap().len(), 3);
+        q.ack_front(1);
+        q.put(write(3)).unwrap(); // fits: one credit freed
+        let q2 = q.clone();
+        let parked = std::thread::spawn(move || q2.put(write(4)).unwrap());
+        std::thread::sleep(Duration::from_millis(60));
+        let t = Instant::now();
+        let batch = q.take_batch().unwrap();
+        assert_eq!(batch.len(), 1, "only the new item is unread");
+        assert!(
+            t.elapsed() < Duration::from_secs(5),
+            "partial batch sealed early, not at TB"
+        );
+        q.ack_front(3);
+        parked.join().unwrap();
+        assert_eq!(
+            q.ingest_snapshot().adaptive_seals,
+            1,
+            "adaptive sealing must fire for a parked producer"
+        );
+    }
+
+    #[test]
+    fn adaptive_seal_disabled_still_flushes_via_force_flush() {
+        // With adaptive sealing off, the blocked producer's force-flush
+        // releases the partial batch.
+        let q = Arc::new(CommitQueue::with_ingest(
+            3,
+            3,
+            Duration::from_secs(60),
+            Duration::from_secs(60),
+            IngestConfig {
                 adaptive_seal: false,
             },
         ));

@@ -86,39 +86,25 @@ pub struct LatencySnapshot {
     pub p99: Duration,
 }
 
-/// A point-in-time view of the ingest fast path — the lock-free commit
-/// staging ring between intercepted WAL writes and the aggregator
-/// (`DESIGN.md` §16) — embedded in [`GinjaStatsSnapshot`].
+/// A point-in-time view of the commit queue between intercepted WAL
+/// writes and the aggregator (`DESIGN.md` §16), embedded in
+/// [`GinjaStatsSnapshot`].
 ///
 /// The latency histograms answer the paper's Figure 5 question ("how
 /// much latency does Ginja add to a synchronous WAL write?") directly:
 /// `put_latency` is the full cost of `CommitQueue::put`, and
 /// `blocked_latency` is the distribution of nonzero Safety stalls. The
-/// counters expose where contention actually lands: producer/producer
-/// collisions on the sequence counter (`credit_retries`), spins vs
-/// parks, and how many condvar broadcasts the epoch-batched ack scheme
-/// avoided (`wakeups_suppressed`).
+/// counters say how often producers waited and why partial batches
+/// sealed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IngestSnapshot {
-    /// Full `CommitQueue::put` latency (fast path and stalls together).
+    /// Full `CommitQueue::put` latency (stalls included).
     pub put_latency: LatencySnapshot,
     /// Nonzero Safety/TS stall durations (`PutOutcome::blocked_for`).
     pub blocked_latency: LatencySnapshot,
-    /// Failed CAS attempts on the ticket counter — producers racing
-    /// each other for a sequence number.
-    pub credit_retries: u64,
-    /// Puts that entered the spin phase (blocked, but still burning the
-    /// spin budget before touching a mutex).
-    pub put_spins: u64,
-    /// Park episodes: a producer gave up spinning and slept on the
-    /// not-full condvar (one put may park several times).
+    /// Park episodes: a producer blocked on Safety waited on the
+    /// not-full condvar (one put may wait several times).
     pub put_parks: u64,
-    /// `ack_front` calls that found producers parked and issued one
-    /// batched wakeup.
-    pub ack_wakeups: u64,
-    /// `ack_front` calls with nobody parked: the broadcast the old
-    /// mutex queue would have issued was skipped entirely.
-    pub wakeups_suppressed: u64,
     /// Partial batches the aggregator sealed early because producers
     /// were parked against Safety (adaptive group sealing).
     pub adaptive_seals: u64,
@@ -212,9 +198,8 @@ impl GinjaStats {
             archiver_exposed_updates: 0,
             crashfs: CrashFsSnapshot::default(),
             governor: GovernorSnapshot::default(),
-            // Ingest histograms/counters live on the CommitQueue itself
-            // (the hot path records where it runs); `Ginja::stats`
-            // merges them in.
+            // Ingest histograms/counters live on the CommitQueue itself;
+            // `Ginja::stats` merges them in.
             ingest: IngestSnapshot::default(),
             standby: StandbySnapshot::default(),
         }
@@ -595,8 +580,8 @@ pub struct GinjaStatsSnapshot {
     /// Outage-endurance state: policy state, upload-ring depth, outage
     /// count and duration.
     pub outage: OutageSnapshot,
-    /// Ingest fast-path state: put/blocked latency histograms and
-    /// staging-ring contention counters, merged in by `Ginja::stats`.
+    /// Commit-queue state: put/blocked latency histograms, parks and
+    /// seal counts, merged in by `Ginja::stats`.
     pub ingest: IngestSnapshot,
     /// Warm-standby counters (tail cycles, lag gauges, promotions),
     /// merged in by `Ginja::stats` when a standby is attached; zero

@@ -16,8 +16,9 @@ cargo test -q --test sentinel_chaos -- --nocapture
 # each survivor must recover locally, from the cloud, and via reboot.
 cargo run -q --release --bin ginja-cli -- crashtest --profile postgres --ops 6 --stride 3
 cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 6 --stride 3 --seed 7
-# Bench smoke (small time scale): the codec hot-path micro-bench.
+# Bench smoke (small time scale): the codec and commit-queue micro-benches.
 GINJA_BENCH_SCALE=0.02 cargo bench -q -p ginja-bench --bench codec_micro
+cargo bench -q -p ginja-bench --bench queue_micro
 # Budget-governor smoke: fixed B vs. governed under bursty TPC-C — the
 # governed run must land under its budget without touching the safety
 # bound, and its bucket must still recover (DESIGN.md §13).

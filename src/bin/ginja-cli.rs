@@ -703,12 +703,8 @@ fn fleet(args: &[String]) -> Result<(), String> {
         budget_usd,
     );
     println!(
-        "ingest:    {} park(s), {} credit retry(ies), {} targeted wakeup(s), \
-         {} adaptive seal(s) across the fleet",
-        snap.totals.ingest_put_parks,
-        snap.totals.ingest_credit_retries,
-        snap.totals.ingest_ack_wakeups,
-        snap.totals.ingest_adaptive_seals,
+        "ingest:    {} park(s), {} adaptive seal(s) across the fleet",
+        snap.totals.ingest_put_parks, snap.totals.ingest_adaptive_seals,
     );
 
     if anomalies > 0 {
@@ -897,19 +893,12 @@ fn outage(args: &[String]) -> Result<(), String> {
         fin.ingest.put_latency.p50, fin.ingest.put_latency.p99, fin.ingest.put_latency.count
     );
     println!(
-        "  ingest stalls:   {} blocked (p99 {:.1?}), {} spin(s), {} park(s)",
-        fin.ingest.blocked_latency.count,
-        fin.ingest.blocked_latency.p99,
-        fin.ingest.put_spins,
-        fin.ingest.put_parks
+        "  ingest stalls:   {} blocked (p99 {:.1?}), {} park(s)",
+        fin.ingest.blocked_latency.count, fin.ingest.blocked_latency.p99, fin.ingest.put_parks
     );
     println!(
-        "  ingest acks:     {} targeted wakeup(s), {} broadcast(s) suppressed",
-        fin.ingest.ack_wakeups, fin.ingest.wakeups_suppressed
-    );
-    println!(
-        "  ingest seals:    {} adaptive, {} by TB expiry ({} credit retry(ies))",
-        fin.ingest.adaptive_seals, fin.ingest.timeout_seals, fin.ingest.credit_retries
+        "  ingest seals:    {} adaptive, {} by TB expiry",
+        fin.ingest.adaptive_seals, fin.ingest.timeout_seals
     );
     if ginja.exposure().fatal {
         return Err("exposure still fatal after recovery".into());
