@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::aes::Aes128;
 use crate::bufpool;
 use crate::envelope::{self, Envelope, EnvelopeFlags};
-use crate::glz::{self, Level};
+use crate::glz;
 use crate::hmac::HmacSha1;
 use crate::kdf::DerivedKeys;
 use crate::{ctr, CodecError};
@@ -18,7 +18,7 @@ const MAC_DEFAULT: &str = "ginja-default-mac-key";
 /// options (§5.4 / §6): compression and password-derived encryption.
 #[derive(Debug, Clone)]
 pub struct CodecConfig {
-    compression: Option<Level>,
+    compression: bool,
     password: Option<String>,
     kdf_iterations: u32,
 }
@@ -33,17 +33,17 @@ impl CodecConfig {
     /// A configuration with no compression and no encryption.
     pub fn new() -> Self {
         CodecConfig {
-            compression: None,
+            compression: false,
             password: None,
             kdf_iterations: crate::kdf::DEFAULT_ITERATIONS,
         }
     }
 
-    /// Enables or disables GLZ compression at the fast level (the paper's
-    /// "ZLIB configured for fastest operation").
+    /// Enables or disables GLZ compression (the paper's "ZLIB
+    /// configured for fastest operation").
     #[must_use]
     pub fn compression(mut self, enabled: bool) -> Self {
-        self.compression = enabled.then_some(Level::Fast);
+        self.compression = enabled;
         self
     }
 
@@ -67,7 +67,7 @@ impl CodecConfig {
 /// A `Codec` is cheap to share (`&Codec` is `Send + Sync`) and is used
 /// concurrently by all of Ginja's uploader threads.
 pub struct Codec {
-    compression: Option<Level>,
+    compression: bool,
     aes: Option<Aes128>,
     /// HMAC-SHA1 keyed with the MAC key, cloned per tag and per nonce.
     mac: HmacSha1,
@@ -138,8 +138,8 @@ impl Codec {
         let mut flags = EnvelopeFlags::empty();
         let mut body = bufpool::take();
 
-        if let Some(level) = self.compression {
-            glz::compress_into(plaintext, level, &mut body);
+        if self.compression {
+            glz::compress_into(plaintext, &mut body);
             if body.len() < plaintext.len() {
                 flags = flags.union(EnvelopeFlags::COMPRESSED);
             } else {

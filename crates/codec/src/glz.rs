@@ -7,6 +7,26 @@
 //! raw (entropy-coding-free) token output, so it is fast and reaches
 //! ratios in the same range on page-structured database data.
 //!
+//! ## Matcher
+//!
+//! Like zlib, the matcher looks back at most [`WINDOW`] = 32 KiB. The
+//! hash chain is zlib's ring, `prev[pos & (WINDOW - 1)]`, and a chain
+//! walk stops at the first candidate a full window back. Without a
+//! window, a multi-megabyte checkpoint or dump object walks links back
+//! across the whole object, and every probe is a cache miss into a chain
+//! array of 4 bytes per input byte. With it, the probes stay within the
+//! last 32 KiB of input and matcher state is a fixed 256 KiB per thread
+//! (a 128 KiB head table and a 128 KiB ring), whatever the object size.
+//! 32 KiB is zlib's choice too: it holds four 8 KiB database pages, and
+//! near distances take shorter varints.
+//!
+//! Positions are stored as `u32` and distances taken with `wrapping_sub`.
+//! On an input of 4 GiB or more a stale link can therefore only name a
+//! position inside the window, whose bytes the matcher checks anyway.
+//!
+//! The decoder accepts any distance up to the output produced so far, so
+//! streams written with a wider look-back still open.
+//!
 //! ## Stream format
 //!
 //! ```text
@@ -21,7 +41,7 @@
 //! use ginja_codec::glz;
 //!
 //! let data = b"abcabcabcabcabcabc".to_vec();
-//! let packed = glz::compress(&data, glz::Level::Fast);
+//! let packed = glz::compress(&data);
 //! assert!(packed.len() < data.len());
 //! assert_eq!(glz::decompress(&packed).unwrap(), data);
 //! ```
@@ -37,30 +57,20 @@ pub const MIN_MATCH: usize = 4;
 /// multiple tokens.
 pub const MAX_MATCH: usize = 1 << 16;
 
+/// How far back the matcher looks: every emitted match distance is
+/// below this (zlib's 32 KiB).
+pub const WINDOW: usize = 1 << 15;
+
 const HASH_BITS: u32 = 15;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
-/// Effort level of the matcher (number of hash-chain probes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Level {
-    /// Few probes — the "ZLIB fastest" analogue the paper uses.
-    #[default]
-    Fast,
-    /// Moderate probes.
-    Default,
-    /// Many probes — best ratio, slowest.
-    Best,
-}
+/// Hash-chain candidates examined per position — the "ZLIB fastest"
+/// analogue the paper uses.
+const PROBES: usize = 8;
 
-impl Level {
-    fn probes(self) -> usize {
-        match self {
-            Level::Fast => 8,
-            Level::Default => 32,
-            Level::Best => 128,
-        }
-    }
-}
+/// A `head` entry no position has claimed yet: a full window behind
+/// position 0, so the first walk from any bucket stops at once.
+const EMPTY: u32 = 0u32.wrapping_sub(WINDOW as u32);
 
 /// The 4 bytes at `pos`, as one word.
 #[inline]
@@ -73,50 +83,9 @@ fn hash(word: u32) -> usize {
     (word.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
-/// Chain index for the hash-chain matcher. `u32` halves the footprint of
-/// the chain arrays and lets them live in a thread-local pool; `usize`
-/// is the fallback for inputs too large to index with 32 bits.
-trait ChainIdx: Copy {
-    const NONE: Self;
-    fn from_usize(v: usize) -> Self;
-    fn to_usize(self) -> usize;
-    fn is_none(self) -> bool;
-}
-
-impl ChainIdx for u32 {
-    const NONE: u32 = u32::MAX;
-    #[inline]
-    fn from_usize(v: usize) -> u32 {
-        v as u32
-    }
-    #[inline]
-    fn to_usize(self) -> usize {
-        self as usize
-    }
-    #[inline]
-    fn is_none(self) -> bool {
-        self == u32::MAX
-    }
-}
-
-impl ChainIdx for usize {
-    const NONE: usize = usize::MAX;
-    #[inline]
-    fn from_usize(v: usize) -> usize {
-        v
-    }
-    #[inline]
-    fn to_usize(self) -> usize {
-        self
-    }
-    #[inline]
-    fn is_none(self) -> bool {
-        self == usize::MAX
-    }
-}
-
 /// Reusable matcher state, kept per thread so steady-state sealing does
-/// not allocate two chain arrays per object.
+/// not allocate: `head` is the newest position per hash bucket, `prev`
+/// the ring of chain links.
 struct MatchState {
     head: Vec<u32>,
     prev: Vec<u32>,
@@ -135,55 +104,37 @@ thread_local! {
 ///
 /// Compression never fails; incompressible input grows by at most a few
 /// bytes per 2³² of input (the literal-run headers).
-pub fn compress(data: &[u8], level: Level) -> Vec<u8> {
+pub fn compress(data: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(data.len() / 2 + 16);
-    compress_into(data, level, &mut out);
+    compress_into(data, &mut out);
     out
 }
 
 /// Compresses `data` into `out` (cleared first), reusing both the output
-/// allocation and a thread-local pool of matcher chain arrays. The
-/// zero-copy sibling of [`compress`].
-pub fn compress_into(data: &[u8], level: Level, out: &mut Vec<u8>) {
+/// allocation and the thread-local matcher state. The zero-copy sibling
+/// of [`compress`].
+pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     out.clear();
     out.reserve(data.len() / 2 + 16);
     varint::write_u64(out, data.len() as u64);
     if data.is_empty() {
         return;
     }
-
-    if u32::try_from(data.len()).is_ok() {
-        MATCH_STATE.with(|state| {
-            let mut state = state.borrow_mut();
-            let MatchState { head, prev } = &mut *state;
-            // `head` must start clean — chains may only reach positions
-            // inserted during *this* call. `prev` needs no clearing:
-            // every entry is written before it becomes reachable through
-            // `head`, so stale contents from earlier calls are dead.
-            head.clear();
-            head.resize(HASH_SIZE, u32::NONE);
-            if prev.len() < data.len() {
-                prev.resize(data.len(), u32::NONE);
-            }
-            compress_core::<u32>(data, level, head, prev, out);
-        });
-    } else {
-        // Inputs ≥ 4 GiB (never produced by Ginja, whose objects are
-        // chunked at 20 MiB) fall back to allocating full-width chains.
-        let mut head = vec![usize::NONE; HASH_SIZE];
-        let mut prev = vec![usize::NONE; data.len()];
-        compress_core::<usize>(data, level, &mut head, &mut prev, out);
-    }
+    MATCH_STATE.with(|state| {
+        let mut state = state.borrow_mut();
+        let MatchState { head, prev } = &mut *state;
+        // `head` must start clean — chains may only reach positions
+        // inserted during *this* call. `prev` needs no clearing: a ring
+        // slot is written when its position is inserted, before any link
+        // can name it, so stale contents from earlier calls are dead.
+        head.clear();
+        head.resize(HASH_SIZE, EMPTY);
+        prev.resize(WINDOW, EMPTY);
+        compress_core(data, head, prev, out);
+    });
 }
 
-fn compress_core<I: ChainIdx>(
-    data: &[u8],
-    level: Level,
-    head: &mut [I],
-    prev: &mut [I],
-    out: &mut Vec<u8>,
-) {
-    let probes = level.probes();
+fn compress_core(data: &[u8], head: &mut [u32], prev: &mut [u32], out: &mut Vec<u8>) {
     let mut pos = 0usize;
     let mut literal_start = 0usize;
 
@@ -195,11 +146,15 @@ fn compress_core<I: ChainIdx>(
         let mut best_dist = 0usize;
         let max_len = (data.len() - pos).min(MAX_MATCH);
 
-        let mut remaining_probes = probes;
-        while !candidate.is_none() && remaining_probes > 0 {
-            let cand = candidate.to_usize();
-            debug_assert!(cand < pos);
-            let dist = pos - cand;
+        for _ in 0..PROBES {
+            // Links run strictly backwards, so the first one a window
+            // back (or `EMPTY`) ends the chain. Past 4 GiB a wrapped
+            // link may read as distance 0; that ends it too.
+            let dist = (pos as u32).wrapping_sub(candidate) as usize;
+            if dist == 0 || dist >= WINDOW {
+                break;
+            }
+            let cand = pos - dist;
             // Quick reject, without changing which candidate wins. With no
             // match yet, a candidate whose first 4 bytes differ (a hash
             // collision) can only give a match shorter than MIN_MATCH,
@@ -222,8 +177,7 @@ fn compress_core<I: ChainIdx>(
                     }
                 }
             }
-            candidate = prev[cand];
-            remaining_probes -= 1;
+            candidate = prev[cand & (WINDOW - 1)];
         }
 
         if best_len >= MIN_MATCH {
@@ -239,21 +193,25 @@ fn compress_core<I: ChainIdx>(
                 .min(pos + 64)
                 .min(data.len().saturating_sub(MIN_MATCH - 1));
             while pos < index_until {
-                let h = hash(load4(data, pos));
-                prev[pos] = head[h];
-                head[h] = I::from_usize(pos);
+                insert(head, prev, hash(load4(data, pos)), pos);
                 pos += 1;
             }
             pos = end;
             literal_start = pos;
         } else {
-            prev[pos] = head[h];
-            head[h] = I::from_usize(pos);
+            insert(head, prev, h, pos);
             pos += 1;
         }
     }
 
     flush_literals(out, &data[literal_start..]);
+}
+
+/// Makes `pos` the newest position of hash bucket `h`.
+#[inline]
+fn insert(head: &mut [u32], prev: &mut [u32], h: usize, pos: usize) {
+    prev[pos & (WINDOW - 1)] = head[h];
+    head[h] = pos as u32;
 }
 
 /// Longest common prefix of `data[a..]` and `data[b..]`, capped at
@@ -406,42 +364,40 @@ fn copy_match(out: &mut Vec<u8>, dist: usize, len: usize) {
     }
 }
 
-/// Convenience: the ratio `original / compressed` for `data` at `level`.
-pub fn ratio(data: &[u8], level: Level) -> f64 {
+/// Convenience: the ratio `original / compressed` for `data`.
+pub fn ratio(data: &[u8]) -> f64 {
     if data.is_empty() {
         return 1.0;
     }
-    data.len() as f64 / compress(data, level).len() as f64
+    data.len() as f64 / compress(data).len() as f64
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip(data: &[u8], level: Level) -> Vec<u8> {
-        let packed = compress(data, level);
+    fn roundtrip(data: &[u8]) -> Vec<u8> {
+        let packed = compress(data);
         decompress(&packed).unwrap()
     }
 
     #[test]
     fn empty_input() {
-        for level in [Level::Fast, Level::Default, Level::Best] {
-            assert_eq!(roundtrip(b"", level), b"");
-        }
+        assert_eq!(roundtrip(b""), b"");
     }
 
     #[test]
     fn short_inputs_below_min_match() {
         for len in 0..MIN_MATCH {
             let data = vec![b'x'; len];
-            assert_eq!(roundtrip(&data, Level::Fast), data);
+            assert_eq!(roundtrip(&data), data);
         }
     }
 
     #[test]
     fn all_same_byte_compresses_hard() {
         let data = vec![0u8; 100_000];
-        let packed = compress(&data, Level::Fast);
+        let packed = compress(&data);
         assert!(packed.len() < 200, "got {}", packed.len());
         assert_eq!(decompress(&packed).unwrap(), data);
     }
@@ -452,7 +408,7 @@ mod tests {
         for _ in 0..1000 {
             data.extend_from_slice(b"hello world, ");
         }
-        let packed = compress(&data, Level::Fast);
+        let packed = compress(&data);
         assert!(packed.len() < data.len() / 10);
         assert_eq!(decompress(&packed).unwrap(), data);
     }
@@ -469,7 +425,7 @@ mod tests {
                 state as u8
             })
             .collect();
-        let packed = compress(&data, Level::Fast);
+        let packed = compress(&data);
         assert!(packed.len() <= data.len() + data.len() / 100 + 16);
         assert_eq!(decompress(&packed).unwrap(), data);
     }
@@ -485,39 +441,42 @@ mod tests {
             data.extend_from_slice(&(i * 7919).to_le_bytes());
             data.extend_from_slice(&[0u8; 12]);
         }
-        let r = ratio(&data, Level::Fast);
+        let r = ratio(&data);
         assert!(r > 1.3, "ratio {r}");
-        assert_eq!(roundtrip(&data, Level::Fast), data);
+        assert_eq!(roundtrip(&data), data);
     }
 
     #[test]
-    fn levels_do_not_change_correctness() {
-        let mut data = Vec::new();
-        for i in 0..5_000u32 {
-            data.extend_from_slice(format!("row-{}-{}", i % 97, i % 13).as_bytes());
-        }
-        let fast = roundtrip(&data, Level::Fast);
-        let def = roundtrip(&data, Level::Default);
-        let best = roundtrip(&data, Level::Best);
-        assert_eq!(fast, data);
-        assert_eq!(def, data);
-        assert_eq!(best, data);
-        // Higher levels should not compress worse (tolerate tiny noise).
-        let s_fast = compress(&data, Level::Fast).len();
-        let s_best = compress(&data, Level::Best).len();
-        assert!(s_best <= s_fast + 64, "best {s_best} vs fast {s_fast}");
+    fn repeated_page_is_matched_within_window() {
+        // One pseudo-random 8 KiB page, 128 times over. Each copy is
+        // found 8 KiB back, but a match indexes only its first 64
+        // positions, so after every MAX_MATCH-long copy one page goes
+        // out as literals before matching resumes.
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let page: Vec<u8> = (0..8192)
+            .map(|_| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state as u8
+            })
+            .collect();
+        let data = page.repeat(128);
+        let packed = compress(&data);
+        assert!(packed.len() < data.len() / 8, "got {}", packed.len());
+        assert_eq!(decompress(&packed).unwrap(), data);
     }
 
     #[test]
     fn overlapping_match_rle_case() {
         // "aaaa..." forces dist=1 overlapping copies.
         let data = vec![b'a'; 4096];
-        assert_eq!(roundtrip(&data, Level::Fast), data);
+        assert_eq!(roundtrip(&data), data);
     }
 
     #[test]
     fn corrupt_streams_error_not_panic() {
-        let good = compress(b"hello hello hello hello", Level::Fast);
+        let good = compress(b"hello hello hello hello");
         // Truncations.
         for cut in 0..good.len() {
             let _ = decompress(&good[..cut]); // must not panic
@@ -560,7 +519,7 @@ mod tests {
     #[test]
     fn explicit_limit_enforced() {
         let data = vec![7u8; 4096];
-        let packed = compress(&data, Level::Fast);
+        let packed = compress(&data);
         assert!(matches!(
             decompress_with_limit(&packed, 1024),
             Err(CodecError::CorruptCompression(_))
@@ -617,13 +576,11 @@ mod tests {
         ];
         let mut packed = Vec::new();
         let mut unpacked = Vec::new();
-        for level in [Level::Fast, Level::Default, Level::Best] {
-            for data in &inputs {
-                compress_into(data, level, &mut packed);
-                assert_eq!(packed, compress(data, level));
-                decompress_into(&packed, DEFAULT_MAX_OUTPUT, &mut unpacked).unwrap();
-                assert_eq!(&unpacked, data);
-            }
+        for data in &inputs {
+            compress_into(data, &mut packed);
+            assert_eq!(packed, compress(data));
+            decompress_into(&packed, DEFAULT_MAX_OUTPUT, &mut unpacked).unwrap();
+            assert_eq!(&unpacked, data);
         }
     }
 
@@ -635,10 +592,10 @@ mod tests {
         let big: Vec<u8> = (0..100_000u32)
             .flat_map(|i| (i % 251).to_le_bytes())
             .collect();
-        assert_eq!(roundtrip(&big, Level::Fast), big);
+        assert_eq!(roundtrip(&big), big);
         for len in [1usize, 5, 100, 4096, 65_537] {
             let data: Vec<u8> = (0..len).map(|i| (i % 7) as u8).collect();
-            assert_eq!(roundtrip(&data, Level::Fast), data, "len {len}");
+            assert_eq!(roundtrip(&data), data, "len {len}");
         }
     }
 
@@ -725,6 +682,6 @@ mod tests {
         let mut data = vec![0u8; 10_000];
         data.extend_from_slice(b"tail-marker");
         data.extend_from_slice(&vec![0u8; 10_000]);
-        assert_eq!(roundtrip(&data, Level::Default), data);
+        assert_eq!(roundtrip(&data), data);
     }
 }

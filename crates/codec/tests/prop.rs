@@ -4,6 +4,24 @@
 use ginja_codec::{glz, varint, Codec, CodecConfig, CodecError};
 use proptest::prelude::*;
 
+/// The distance of every match token in a GLZ stream.
+fn match_distances(stream: &[u8]) -> Vec<usize> {
+    let (_, mut off) = varint::read_u64(stream).unwrap();
+    let mut dists = Vec::new();
+    while off < stream.len() {
+        let (v, n) = varint::read_u64(&stream[off..]).unwrap();
+        off += n;
+        if v & 1 == 0 {
+            off += (v >> 1) as usize;
+        } else {
+            let (dist, n) = varint::read_u64(&stream[off..]).unwrap();
+            off += n;
+            dists.push(dist as usize);
+        }
+    }
+    dists
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -28,10 +46,8 @@ proptest! {
 
     #[test]
     fn glz_roundtrip_arbitrary(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
-        for level in [glz::Level::Fast, glz::Level::Default, glz::Level::Best] {
-            let packed = glz::compress(&data, level);
-            prop_assert_eq!(glz::decompress(&packed).unwrap(), data.clone());
-        }
+        let packed = glz::compress(&data);
+        prop_assert_eq!(glz::decompress(&packed).unwrap(), data);
     }
 
     #[test]
@@ -44,7 +60,7 @@ proptest! {
         for _ in 0..repeats {
             data.extend_from_slice(&seed);
         }
-        let packed = glz::compress(&data, glz::Level::Fast);
+        let packed = glz::compress(&data);
         prop_assert_eq!(glz::decompress(&packed).unwrap(), data);
     }
 
@@ -96,12 +112,10 @@ proptest! {
     fn glz_into_variants_byte_identical(data in proptest::collection::vec(any::<u8>(), 0..4096)) {
         let mut packed = Vec::new();
         let mut unpacked = Vec::new();
-        for level in [glz::Level::Fast, glz::Level::Default, glz::Level::Best] {
-            glz::compress_into(&data, level, &mut packed);
-            prop_assert_eq!(&packed, &glz::compress(&data, level));
-            glz::decompress_into(&packed, glz::DEFAULT_MAX_OUTPUT, &mut unpacked).unwrap();
-            prop_assert_eq!(&unpacked, &data);
-        }
+        glz::compress_into(&data, &mut packed);
+        prop_assert_eq!(&packed, &glz::compress(&data));
+        glz::decompress_into(&packed, glz::DEFAULT_MAX_OUTPUT, &mut unpacked).unwrap();
+        prop_assert_eq!(&unpacked, &data);
     }
 
     #[test]
@@ -162,5 +176,27 @@ proptest! {
         let codec = Codec::plain();
         let sealed = codec.seal(&name_a, &data).unwrap();
         prop_assert_eq!(codec.open(&name_b, &sealed), Err(CodecError::MacMismatch));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// 1 MiB of 8 KiB pages drawn from a pool of up to eight: a page's
+    /// last copy may be anywhere from one to many windows back, and the
+    /// matcher must never reach past the window for it.
+    #[test]
+    fn glz_match_distances_stay_in_window(
+        pool in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 8192), 1..=8),
+        order in proptest::collection::vec(0usize..8, 128),
+    ) {
+        let data: Vec<u8> = order
+            .iter()
+            .flat_map(|&i| pool[i % pool.len()].iter().copied())
+            .collect();
+        let packed = glz::compress(&data);
+        let far = match_distances(&packed).into_iter().find(|&d| d == 0 || d >= glz::WINDOW);
+        prop_assert_eq!(far, None);
+        prop_assert_eq!(glz::decompress(&packed).unwrap(), data);
     }
 }
