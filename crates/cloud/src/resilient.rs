@@ -32,6 +32,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use crate::fault::unit_draw;
 use crate::usage::UsageLedger;
 use crate::{ObjectStore, StoreError};
 
@@ -350,19 +351,6 @@ impl ResilientStore {
         }
     }
 
-    /// Uniform draw in [0, 1), decorrelated across threads.
-    fn jitter_unit(&self) -> f64 {
-        let state = self
-            .jitter_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Backoff before attempt `attempt + 1` (0-based), honouring a
     /// backend pacing hint as the floor.
     fn backoff_delay(&self, attempt: u32, hint: Option<Duration>) -> Duration {
@@ -371,7 +359,7 @@ impl ResilientStore {
             .base_delay
             .saturating_mul(1u32 << attempt.min(20))
             .min(self.config.max_delay);
-        exp.mul_f64(self.jitter_unit())
+        exp.mul_f64(unit_draw(&self.jitter_state))
             .max(hint.unwrap_or(Duration::ZERO))
     }
 

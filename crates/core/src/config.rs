@@ -119,15 +119,15 @@ impl OutageConfig {
     }
 }
 
-/// Ingest tuning: whether the aggregator may seal a partial batch early
-/// on behalf of producers (DBMS threads blocked inside an intercepted
+/// Ingest tuning: whether an idle uploader may seal a partial batch
+/// early on behalf of producers (DBMS threads blocked inside an intercepted
 /// WAL write; see `DESIGN.md` §16).
 ///
 /// This shapes *latency*, never *safety*: the queue enforces S and TS
 /// regardless of what is set here.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IngestConfig {
-    /// Whether the aggregator seals a partial batch early when
+    /// Whether an idle uploader seals a partial batch early when
     /// producers are parked against the Safety bound — trading B for
     /// latency inside the existing `KnobBounds` (S is never raised).
     pub adaptive_seal: bool,

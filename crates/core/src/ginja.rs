@@ -3,15 +3,16 @@
 //! the Boot/Reboot initialization modes (Algorithm 1).
 //!
 //! The thread architecture mirrors §6 / Figure 3 of the paper —
-//! `uploaders + 3` threads per instance (DESIGN.md §2, "Thread model"):
+//! `uploaders + 2` threads per instance (DESIGN.md §2, "Thread model"),
+//! the paper's Aggregator running on whichever uploader is idle:
 //!
 //! ```text
 //! DBMS → InterceptFs → Ginja::on_write ─ WAL writes → CommitQueue
 //!                                      └ checkpoint writes → accumulator
-//! Aggregator:   CommitQueue --(B at a time, no removal)--> objects
-//! Uploader×n:   seal + PUT in parallel off the bounded ring; the one
-//!               closing the oldest open batch acks, in batch order,
-//!               through the AckLedger → CommitQueue.ack_front
+//! Uploader×n:   under the batch turn, take ≤ B (no removal) → aggregate
+//!               → one WAL ts per object → manifest; then seal + PUT each
+//!               object; the one closing the oldest open batch acks, in
+//!               batch order, through the AckLedger → CommitQueue.ack_front
 //! Checkpointer: DB objects (dump | incremental) → PUT → garbage collection
 //! Control:      outage policy, then cost governor, on one timer thread
 //! ```
@@ -33,10 +34,7 @@ use crate::bundle::{self, FileRange};
 use crate::config::GinjaConfig;
 use crate::fanout::FanoutHandle;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
-use crate::outage::{
-    CkptJob, CkptPush, CkptQueue, OutageObservation, OutagePolicy, OutageState, UploadJob,
-    UploadRing, UPLOAD_RING_JOBS,
-};
+use crate::outage::{CkptJob, CkptPush, CkptQueue, OutageObservation, OutagePolicy, OutageState};
 use crate::periodic::{PeriodicTask, StopSignal};
 use crate::queue::{CommitQueue, WalWrite};
 use crate::stats::{GinjaStats, GinjaStatsSnapshot, GovernorSnapshot, SentinelStats, StandbyStats};
@@ -135,10 +133,6 @@ struct Shared {
     /// Bounded, coalescing checkpoint queue (replaces the old unbounded
     /// channel, whose jobs each carry up to a whole database of pages).
     ckpt_queue: CkptQueue,
-    /// Bounded in-memory ring between the aggregator and the uploader
-    /// pool; a full ring blocks the aggregator, and through the commit
-    /// queue the DBMS at S.
-    upload_ring: UploadRing<UploadJob>,
     /// Uploads currently retrying: inside [`put_with_retry`] past their
     /// first failed attempt. The outage policy's pressure signal when
     /// the breaker is disabled.
@@ -147,7 +141,12 @@ struct Shared {
     /// (`OutageState::as_u64` encoding) by the control thread.
     outage_state_bits: AtomicU64,
     pending_ckpt_jobs: AtomicUsize,
-    batch_counter: AtomicU64,
+    /// The batch turn over the next batch id, held across take → WAL ts
+    /// → manifest (see [`uploader_loop`]); taken before, never while
+    /// holding, the view, ledger or queue lock. A `std` mutex: idle
+    /// uploaders wait on it a whole batch fill, and `parking_lot`'s
+    /// spin-and-yield before parking cost `mysql_mem` ~7 % CPU (2 vCPUs).
+    batch_turn: std::sync::Mutex<u64>,
     /// Latched by [`Ginja::shutdown`]; every back-off and the control
     /// thread's timer wait on it, so shutdown interrupts them at once.
     stop: Arc<StopSignal>,
@@ -261,50 +260,18 @@ impl Ginja {
             cloud.put(name, sealed).map_err(GinjaError::from)
         };
 
-        // Every local WAL segment in chunks of `BOOT_WAL_CHUNK`, sealed
-        // and PUT as one concurrent wave per file. In-order completion
-        // keeps `view` registration in timestamp order.
-        let chunk_size = config.max_object_size.min(BOOT_WAL_CHUNK);
-        let mut wal_files = fs.list(processor.wal_prefix())?;
-        wal_files.sort();
-        for file in wal_files {
-            let content = fs.read_all(&file)?;
-            let mut names = Vec::new();
-            let mut jobs = Vec::new();
-            for (i, chunk) in content.chunks(chunk_size).enumerate() {
-                let ts = view.alloc_wal_ts();
-                let name = WalObjectName {
-                    ts,
-                    file: file.clone(),
-                    offset: (i * chunk_size) as u64,
-                    len: chunk.len() as u64,
-                };
-                jobs.push(SealPut {
-                    name: name.to_name(),
-                    raw: chunk.to_vec(),
-                });
-                names.push(name);
-            }
-            if content.is_empty() {
-                // Preserve empty segments too (cheap, keeps boot simple).
-                let ts = view.alloc_wal_ts();
-                let name = WalObjectName {
-                    ts,
-                    file: file.clone(),
-                    offset: 0,
-                    len: 0,
-                };
-                jobs.push(SealPut {
-                    name: name.to_name(),
-                    raw: Vec::new(),
-                });
-                names.push(name);
-            }
-            seal_put_wave(&fanout, &codec, &stats, &direct_put, jobs, |idx, _, _| {
-                view.add_wal(names[idx].clone());
-                Ok(())
-            })?;
-        }
+        // Every local WAL segment: the resync pass against an empty
+        // view uploads each file whole.
+        resync_local_wal(
+            fs.as_ref(),
+            &cloud,
+            processor.as_ref(),
+            &config,
+            &codec,
+            &fanout,
+            &stats,
+            &mut view,
+        )?;
 
         // The initial dump, at the reserved timestamp 0 so every boot
         // WAL object (ts >= 1) is "newer than the dump" for recovery.
@@ -442,7 +409,6 @@ impl Ginja {
         let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
         let shared = Arc::new(Shared {
             ckpt_queue: CkptQueue::new(config.outage.ckpt_capacity),
-            upload_ring: UploadRing::new(UPLOAD_RING_JOBS),
             stalled_uploads: AtomicU64::new(0),
             outage_state_bits: AtomicU64::new(OutageState::Healthy.as_u64()),
             config,
@@ -457,7 +423,7 @@ impl Ginja {
             fanout,
             accum: Mutex::new(CkptAccum::default()),
             pending_ckpt_jobs: AtomicUsize::new(0),
-            batch_counter: AtomicU64::new(0),
+            batch_turn: std::sync::Mutex::new(0),
             stop: Arc::new(StopSignal::default()),
             threads: Mutex::new(Vec::new()),
             control: Mutex::new(None),
@@ -476,10 +442,9 @@ impl Ginja {
                 .spawn(move || stage(&shared))
                 .expect("spawn pipeline thread")
         };
-        let mut threads = vec![spawn("ginja-aggregator".into(), aggregator_loop)];
-        for i in 0..shared.config.uploaders {
-            threads.push(spawn(format!("ginja-uploader-{i}"), uploader_loop));
-        }
+        let mut threads: Vec<_> = (0..shared.config.uploaders)
+            .map(|i| spawn(format!("ginja-uploader-{i}"), uploader_loop))
+            .collect();
         threads.push(spawn("ginja-checkpointer".into(), checkpointer_loop));
         let mut control = Control::new(&shared.config);
         let ticked = shared.clone();
@@ -517,7 +482,6 @@ impl Ginja {
         self.shared.stop.stop();
         self.shared.queue.close();
         self.shared.ckpt_queue.close();
-        self.shared.upload_ring.close();
         let threads = std::mem::take(&mut *self.shared.threads.lock());
         for handle in threads {
             let _ = handle.join();
@@ -541,12 +505,9 @@ impl Ginja {
         snap.gc_backlog = self.shared.gc_backlog.lock().len() as u64;
         snap.fanout_waves = self.shared.fanout.waves();
         snap.fanout_jobs = self.shared.fanout.jobs();
-        // Outage gauges live on the ring; the counters were already
-        // filled from `GinjaStats` by `snapshot()`.
+        // The outage counters were already filled from `GinjaStats` by
+        // `snapshot()`.
         snap.outage.state = self.outage_state();
-        snap.outage.ring_len = self.shared.upload_ring.len() as u64;
-        snap.outage.ring_capacity = self.shared.upload_ring.capacity() as u64;
-        snap.outage.ring_bytes = self.shared.upload_ring.bytes();
         if let Some(sentinel) = self.shared.sentinel.lock().as_ref() {
             snap.sentinel = sentinel.snapshot();
         }
@@ -1044,22 +1005,25 @@ fn seal_put_wave(
     )
 }
 
-/// The Reboot resync pass: for each local WAL file, rebuild the cloud's
-/// image of it (its WAL objects applied in timestamp order) and upload
-/// a fresh WAL object for every byte range where the local durable
-/// content differs — content the DBMS acknowledged before the crash
-/// but Ginja never finished uploading, or a tail-block rewrite whose
-/// cloud copy is stale. A cloud object that cannot be fetched or opened
-/// counts as not covering its range, so the pass also heals WAL objects
-/// lost from the bucket.
+/// The resync pass, Boot's WAL upload and Reboot's heal: for each local
+/// WAL file, rebuild the cloud's image of it (its WAL objects applied in
+/// timestamp order) and upload a fresh WAL object for every byte range
+/// where the local durable content differs — at Reboot, content the
+/// DBMS acknowledged before the crash but Ginja never finished
+/// uploading, or a tail-block rewrite whose cloud copy is stale. A
+/// cloud object that cannot be fetched or opened counts as not covering
+/// its range, so the pass also heals WAL objects lost from the bucket.
+/// Runs are cut at `BOOT_WAL_CHUNK` and each file is one seal+PUT wave,
+/// registered in the view in timestamp order.
 ///
-/// One deliberate exception: when a file has cloud coverage, bytes
-/// *below* its lowest covered offset are skipped. Those ranges were
-/// garbage-collected after a checkpoint — their effects live in DB
-/// objects and recovery never replays them — so re-uploading would be
-/// pure cost. (WAL appends are forward-only, so GC'd ranges form a
-/// prefix; a file with no coverage at all is uploaded whole, since its
-/// records may exist nowhere else.)
+/// A file the cloud does not cover at all is uploaded whole — an empty
+/// one as a single 0-length object — since its records may exist
+/// nowhere else; against Boot's empty view that is every file. When a
+/// file has coverage, bytes *below* its lowest covered offset are
+/// skipped: those ranges were garbage-collected after a checkpoint —
+/// their effects live in DB objects and recovery never replays them —
+/// so re-uploading would be pure cost. (WAL appends are forward-only,
+/// so GC'd ranges form a prefix.)
 ///
 /// Returns `(objects uploaded, raw bytes uploaded)`.
 #[allow(clippy::too_many_arguments)]
@@ -1088,63 +1052,78 @@ fn resync_local_wal(
             .filter(|w| w.file == file)
             .cloned()
             .collect();
-        // Fetch + open the file's WAL objects as one concurrent wave;
-        // `run_collect` hands results back in input order, so the apply
-        // below still sees them oldest-timestamp-first.
-        let fetched: Vec<Option<Vec<u8>>> = exec.run_collect(names.clone(), |_, name| {
-            let get_start = Instant::now();
-            let opened = cloud
-                .get(&name.to_name())
-                .ok()
-                .and_then(|sealed| codec.open(&name.to_name(), &sealed).ok());
-            stats.get_histo.record(get_start.elapsed());
-            Ok::<_, GinjaError>(opened)
-        })?;
-        // The cloud's image of this file: later timestamps win, `None`
-        // marks bytes the cloud does not cover (an unreadable object
-        // leaves its range uncovered).
-        let mut image: Vec<Option<u8>> = vec![None; local.len()];
-        for (name, opened) in names.iter().zip(fetched) {
-            let Some(data) = opened else {
-                continue;
-            };
-            for (i, byte) in data.iter().enumerate() {
-                let pos = name.offset as usize + i;
-                if pos < image.len() {
-                    image[pos] = Some(*byte);
+        let runs = if names.is_empty() {
+            // Uncovered: the whole file; `max(1)` gives an empty one its
+            // single 0-length object.
+            (0..local.len().max(1))
+                .step_by(chunk_size)
+                .map(|start| start..local.len().min(start + chunk_size))
+                .collect()
+        } else {
+            // Fetch + open the file's WAL objects as one concurrent wave;
+            // `run_collect` hands results back in input order, so the apply
+            // below still sees them oldest-timestamp-first.
+            let fetched: Vec<Option<Vec<u8>>> = exec.run_collect(names.clone(), |_, name| {
+                let get_start = Instant::now();
+                let opened = cloud
+                    .get(&name.to_name())
+                    .ok()
+                    .and_then(|sealed| codec.open(&name.to_name(), &sealed).ok());
+                stats.get_histo.record(get_start.elapsed());
+                Ok::<_, GinjaError>(opened)
+            })?;
+            // The cloud's image of this file: later timestamps win, `None`
+            // marks bytes the cloud does not cover (an unreadable object
+            // leaves its range uncovered).
+            let mut image: Vec<Option<u8>> = vec![None; local.len()];
+            for (name, opened) in names.iter().zip(fetched) {
+                let Some(data) = opened else {
+                    continue;
+                };
+                for (i, byte) in data.iter().enumerate() {
+                    let pos = name.offset as usize + i;
+                    if pos < image.len() {
+                        image[pos] = Some(*byte);
+                    }
                 }
             }
-        }
-        let skip_below = names.iter().map(|n| n.offset as usize).min().unwrap_or(0);
+            let skip_below = names.iter().map(|n| n.offset as usize).min().unwrap_or(0);
 
-        // Collect every maximal differing run, chunked like Boot's
-        // images, then seal + PUT them as one wave.
-        let mut run_names = Vec::new();
-        let mut jobs = Vec::new();
-        let mut pos = skip_below;
-        while pos < local.len() {
-            if image[pos] == Some(local[pos]) {
-                pos += 1;
-                continue;
+            // Every maximal differing run, cut at `chunk_size`.
+            let mut runs = Vec::new();
+            let mut pos = skip_below;
+            while pos < local.len() {
+                if image[pos] == Some(local[pos]) {
+                    pos += 1;
+                    continue;
+                }
+                let start = pos;
+                while pos < local.len()
+                    && image[pos] != Some(local[pos])
+                    && pos - start < chunk_size
+                {
+                    pos += 1;
+                }
+                runs.push(start..pos);
             }
-            let start = pos;
-            while pos < local.len() && image[pos] != Some(local[pos]) && pos - start < chunk_size {
-                pos += 1;
-            }
-            let chunk = &local[start..pos];
-            let ts = view.alloc_wal_ts();
-            let name = WalObjectName {
-                ts,
-                file: file.clone(),
-                offset: start as u64,
-                len: chunk.len() as u64,
-            };
-            jobs.push(SealPut {
-                name: name.to_name(),
-                raw: chunk.to_vec(),
-            });
-            run_names.push(name);
-        }
+            runs
+        };
+        let (run_names, jobs): (Vec<_>, Vec<_>) = runs
+            .into_iter()
+            .map(|run| {
+                let name = WalObjectName {
+                    ts: view.alloc_wal_ts(),
+                    file: file.clone(),
+                    offset: run.start as u64,
+                    len: run.len() as u64,
+                };
+                let job = SealPut {
+                    name: name.to_name(),
+                    raw: local[run].to_vec(),
+                };
+                (name, job)
+            })
+            .unzip();
         seal_put_wave(exec, codec, stats, &direct_put, jobs, |idx, raw_len, _| {
             view.add_wal(run_names[idx].clone());
             objects += 1;
@@ -1451,59 +1430,15 @@ impl Control {
     }
 }
 
-/// Acknowledges `batch_id`'s durable object; the caller that closes the
-/// oldest open batch releases the DBMS, in batch order.
-fn complete_object(shared: &Shared, batch_id: u64) {
-    shared
-        .acks
-        .complete(batch_id, |items| shared.queue.ack_front(items));
-}
-
-fn aggregator_loop(shared: &Shared) {
-    while let Some(batch) = shared.queue.take_batch() {
-        let ranges = agg::aggregate(&batch, shared.config.max_object_size);
-        let batch_id = shared.batch_counter.fetch_add(1, Ordering::SeqCst);
-        shared.stats.batches_formed.fetch_add(1, Ordering::Relaxed);
-        // Manifest before the first job leaves: a completion can then
-        // never find its batch unknown.
-        shared
-            .acks
-            .manifest(batch_id, batch.len(), ranges.len(), |items| {
-                shared.queue.ack_front(items)
-            });
-        for range in ranges {
-            let ts = shared.view.lock().alloc_wal_ts();
-            let name = WalObjectName {
-                ts,
-                file: range.file,
-                offset: range.offset,
-                len: range.data.len() as u64,
-            };
-            // A full ring blocks here: the commit queue then fills to S
-            // and the DBMS blocks — the paper's one backlog bound.
-            let bytes = range.data.len();
-            let job = UploadJob {
-                batch_id,
-                name,
-                raw: range.data,
-            };
-            if !shared.upload_ring.push(job, bytes) {
-                return;
-            }
-        }
-    }
-    // Queue closed: the ring closes at shutdown, letting downstream drain.
-}
-
 /// The one WAL-object upload: seal, PUT until durable, account, recycle
 /// both buffers (they feed this thread's next `bufpool::take`, so the
 /// steady-state upload path stops allocating per object), and only then
 /// register the object in the view — so the view, and through it GC and
 /// recovery, never names an object that is not durable.
-fn upload_wal_job(shared: &Shared, job: UploadJob) -> Result<(), GinjaError> {
+fn upload_wal_object(shared: &Shared, wal: WalObjectName, raw: Vec<u8>) -> Result<(), GinjaError> {
     let stats = &shared.stats;
-    let name = job.name.to_name();
-    let sealed = seal_timed(&shared.codec, stats, &name, &job.raw)?;
+    let name = wal.to_name();
+    let sealed = seal_timed(&shared.codec, stats, &name, &raw)?;
     // Time-to-durable including the retries: that is what the queue
     // (and so the DBMS) actually waits on. `put_with_retry` itself
     // records nothing, so every object lands in the histogram once —
@@ -1521,44 +1456,72 @@ fn upload_wal_job(shared: &Shared, job: UploadJob) -> Result<(), GinjaError> {
     stats.wal_objects_uploaded.fetch_add(1, Ordering::Relaxed);
     stats
         .wal_bytes_raw
-        .fetch_add(job.raw.len() as u64, Ordering::Relaxed);
+        .fetch_add(raw.len() as u64, Ordering::Relaxed);
     stats
         .wal_bytes_sealed
         .fetch_add(sealed.len() as u64, Ordering::Relaxed);
     bufpool::recycle(sealed);
-    bufpool::recycle(job.raw);
-    shared.view.lock().add_wal(job.name);
+    bufpool::recycle(raw);
+    shared.view.lock().add_wal(wal);
     Ok(())
 }
 
-/// [`upload_wal_job`] as the uploader loop sees it. Returns `false`
-/// when this uploader must stop — on shutdown, or on a seal failure. A
-/// seal failure is a data-path corruption we must not paper over:
-/// skipping the object would ack a batch whose bytes never reached the
-/// cloud. The batch stays un-acked — the DBMS blocks at the Safety
-/// limit — and the fault surfaces via `Exposure::fatal` instead of as
-/// silent data loss.
-fn upload_until_durable(shared: &Shared, job: UploadJob) -> bool {
-    match upload_wal_job(shared, job) {
-        Ok(()) => true,
-        Err(GinjaError::ShutDown) => false,
-        Err(_) => {
-            shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
-}
-
-/// Figure 3's uploader: take the next job off the ring, upload it until
-/// durable, acknowledge. During an outage `put_with_retry` simply blocks
-/// here, so the backlog starts moving the moment the cloud answers.
+/// Figure 3's uploader, and the paper's Aggregator while idle: under the
+/// batch turn it takes the next batch, aggregates it, gives each object
+/// the next WAL ts and manifests the batch, so batch order = ts order =
+/// ack order however many uploaders race. Turn released, it uploads the
+/// objects in order. A partial batch is thus sealed only when an
+/// uploader is free to carry it; while all are busy the queue fills, up
+/// to S. During an outage `put_with_retry` simply blocks here.
+///
+/// A seal failure stops the uploader rather than ack a batch whose bytes
+/// never reached the cloud: the DBMS blocks at the Safety limit and the
+/// fault surfaces via `Exposure::fatal`, not as silent data loss.
 fn uploader_loop(shared: &Shared) {
-    while let Some(job) = shared.upload_ring.pop(|j| j.raw.len()) {
-        let batch_id = job.batch_id;
-        if !upload_until_durable(shared, job) {
-            return;
+    let ack = |items| shared.queue.ack_front(items);
+    loop {
+        let (batch_id, objects) = {
+            let mut turn = shared.batch_turn.lock().expect("batch turn poisoned");
+            let Some(batch) = shared.queue.take_batch() else {
+                return;
+            };
+            let ranges = agg::aggregate(&batch, shared.config.max_object_size);
+            let mut view = shared.view.lock();
+            let objects: Vec<_> = ranges
+                .into_iter()
+                .map(|range| {
+                    let ts = view.alloc_wal_ts();
+                    let len = range.data.len() as u64;
+                    (
+                        WalObjectName {
+                            ts,
+                            file: range.file,
+                            offset: range.offset,
+                            len,
+                        },
+                        range.data,
+                    )
+                })
+                .collect();
+            drop(view);
+            let batch_id = *turn;
+            *turn += 1;
+            shared.stats.batches_formed.fetch_add(1, Ordering::Relaxed);
+            shared
+                .acks
+                .manifest(batch_id, batch.len(), objects.len(), ack);
+            (batch_id, objects)
+        };
+        for (name, raw) in objects {
+            match upload_wal_object(shared, name, raw) {
+                Ok(()) => shared.acks.complete(batch_id, ack),
+                Err(GinjaError::ShutDown) => return,
+                Err(_) => {
+                    shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
+                    return;
+                }
+            }
         }
-        complete_object(shared, batch_id);
     }
 }
 

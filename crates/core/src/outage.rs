@@ -1,18 +1,16 @@
-//! Outage endurance: the bounded upload ring, the coalescing checkpoint
-//! queue, and the Healthy → Degraded → Enduring policy state machine.
+//! Outage endurance: the coalescing checkpoint queue and the Healthy →
+//! Degraded → Enduring policy state machine.
 //!
 //! The paper bounds what a cloud outage can pile up with one mechanism:
 //! "any attempt to put an element into a full CommitQueue will block"
 //! (§6), capacity S. A commit-queue slot is released only by
-//! `CommitQueue::ack_front`, after its object is durable, so everything
-//! downstream of the queue holds at most S un-acked updates' worth of
-//! WAL — and the DBMS's own WAL file is the durable copy, healed into
-//! the cloud by Reboot's resync pass (DESIGN.md §11, §15). The pieces
-//! here keep the stages behind the queue inside that bound:
+//! `CommitQueue::ack_front`, after its object is durable, and an
+//! uploader takes its next batch only once its last one is durable, so
+//! the commit queue *is* the backlog: at most S un-acked updates — and
+//! the DBMS's own WAL file is the durable copy, healed into the cloud by
+//! Reboot's resync pass (DESIGN.md §11, §15). The pieces here are what
+//! an outage needs besides that bound:
 //!
-//! * [`UploadRing`] — a bounded in-memory ring between the aggregator
-//!   and the uploaders. A full ring blocks the aggregator; the commit
-//!   queue then fills to S and the DBMS blocks (Figure 3's hand-off).
 //! * [`CkptQueue`] — a bounded checkpoint queue that *coalesces* under
 //!   pressure. Checkpoint jobs carry page images and are not bounded by
 //!   S, but they are mergeable by construction (the checkpointer
@@ -23,21 +21,13 @@
 //!   knobs: B/TB widened toward S, dumps and scrub paused).
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use ginja_cloud::BreakerState;
 use parking_lot::{Condvar, Mutex};
 
 use crate::bundle::{self, FileRange};
-use crate::names::{DbObjectKind, WalObjectName};
-
-/// An upload job for one WAL object.
-pub(crate) struct UploadJob {
-    pub(crate) batch_id: u64,
-    pub(crate) name: WalObjectName,
-    pub(crate) raw: Vec<u8>,
-}
+use crate::names::DbObjectKind;
 
 /// A checkpoint ready to become a DB object.
 pub(crate) struct CkptJob {
@@ -127,7 +117,7 @@ impl OutagePolicy {
     /// restart the episode at every cooldown, so an outage shorter on
     /// each leg than `enduring_after` could never be called one. The
     /// retry gauge covers instances whose breaker is disabled (fleet
-    /// tenants share the fleet store's). A full ring alone is
+    /// tenants share the fleet store's). A full commit queue alone is
     /// deliberately *not* pressure: a CPU- or width-bound burst on a
     /// healthy cloud fills it too, and treating every such burst as an
     /// outage would thrash the knobs on busy fleets. Pressure is
@@ -147,98 +137,6 @@ impl OutagePolicy {
             }
         };
         self.state
-    }
-}
-
-struct RingInner<T> {
-    items: VecDeque<T>,
-    closed: bool,
-}
-
-/// Capacity of the pipeline's [`UploadRing`], in jobs. A burst buffer,
-/// not a backlog: what bounds an outage is S (each job pins commit-queue
-/// slots until its object is durable), so this only has to keep the
-/// uploader pool fed.
-pub(crate) const UPLOAD_RING_JOBS: usize = 256;
-
-/// A bounded MPMC ring between the aggregator and the uploader pool —
-/// the replacement for the old unbounded upload channel. Capacity is in
-/// items; a parallel byte gauge tracks payload RAM for observability.
-pub(crate) struct UploadRing<T> {
-    inner: Mutex<RingInner<T>>,
-    /// Signalled when an item is pushed or the ring closes.
-    not_empty: Condvar,
-    /// Signalled when an item is popped or the ring closes.
-    not_full: Condvar,
-    capacity: usize,
-    bytes: AtomicU64,
-}
-
-impl<T> UploadRing<T> {
-    pub(crate) fn new(capacity: usize) -> Self {
-        UploadRing {
-            inner: Mutex::new(RingInner {
-                items: VecDeque::with_capacity(capacity.max(1)),
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            capacity: capacity.max(1),
-            bytes: AtomicU64::new(0),
-        }
-    }
-
-    /// Blocking push: waits for space. Returns `false` when the ring
-    /// closed before the item could be enqueued (the item is dropped —
-    /// only ever on shutdown, when protection has ended).
-    pub(crate) fn push(&self, item: T, bytes: usize) -> bool {
-        let mut inner = self.inner.lock();
-        while !inner.closed && inner.items.len() >= self.capacity {
-            self.not_full.wait(&mut inner);
-        }
-        if inner.closed {
-            return false;
-        }
-        inner.items.push_back(item);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Blocking pop: `None` only once the ring is closed *and*
-    /// drained, so shutdown never strands queued work.
-    pub(crate) fn pop(&self, bytes_of: impl Fn(&T) -> usize) -> Option<T> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(item) = inner.items.pop_front() {
-                self.bytes
-                    .fetch_sub(bytes_of(&item) as u64, Ordering::Relaxed);
-                self.not_full.notify_one();
-                return Some(item);
-            }
-            if inner.closed {
-                return None;
-            }
-            self.not_empty.wait(&mut inner);
-        }
-    }
-
-    pub(crate) fn close(&self) {
-        self.inner.lock().closed = true;
-        self.not_empty.notify_all();
-        self.not_full.notify_all();
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        self.inner.lock().items.len()
-    }
-
-    pub(crate) fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
-    }
-
-    pub(crate) fn capacity(&self) -> usize {
-        self.capacity
     }
 }
 
@@ -478,44 +376,6 @@ mod tests {
             assert_eq!(OutageState::from_u64(s.as_u64()), s);
         }
         assert_eq!(OutageState::from_u64(99), Healthy);
-    }
-
-    #[test]
-    fn ring_tracks_length_and_payload_bytes() {
-        let ring: UploadRing<u32> = UploadRing::new(2);
-        assert!(ring.push(1, 10));
-        assert!(ring.push(2, 20));
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.bytes(), 30);
-        assert_eq!(ring.pop(|_| 10), Some(1));
-        assert_eq!(ring.bytes(), 20);
-        assert!(ring.push(3, 30));
-        assert_eq!(ring.len(), 2);
-    }
-
-    #[test]
-    fn ring_blocking_push_waits_for_space() {
-        let ring: std::sync::Arc<UploadRing<u32>> = std::sync::Arc::new(UploadRing::new(1));
-        assert!(ring.push(1, 0));
-        let r = ring.clone();
-        let pusher = std::thread::spawn(move || r.push(2, 0));
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(!pusher.is_finished(), "push must block on a full ring");
-        assert_eq!(ring.pop(|_| 0), Some(1));
-        assert!(pusher.join().unwrap());
-        assert_eq!(ring.pop(|_| 0), Some(2));
-    }
-
-    #[test]
-    fn ring_close_drains_then_ends() {
-        let ring: UploadRing<u32> = UploadRing::new(4);
-        assert!(ring.push(1, 0));
-        assert!(ring.push(2, 0));
-        ring.close();
-        assert!(!ring.push(3, 0), "push after close is refused");
-        assert_eq!(ring.pop(|_| 0), Some(1));
-        assert_eq!(ring.pop(|_| 0), Some(2));
-        assert_eq!(ring.pop(|_| 0), None);
     }
 
     fn ckpt(ts: u64, kind: DbObjectKind, tag: u8) -> CkptJob {

@@ -4,9 +4,10 @@
 //!
 //! * capacity is **S** — "any attempt to put an element into a full
 //!   CommitQueue will block";
-//! * the aggregator takes up to **B** elements *without removing them*;
-//!   they leave only through `ack_front`, which the `AckLedger` runs
-//!   once their batch (and every earlier one) is durable in the cloud;
+//! * the consumer — the idle uploader holding the batch turn — takes up
+//!   to **B** elements *without removing them*; they leave only through
+//!   `ack_front`, which the `AckLedger` runs once their batch (and every
+//!   earlier one) is durable in the cloud;
 //! * **TS**: a put also blocks while the oldest unacked element is
 //!   older than the safety timeout;
 //! * **TB**: a partial batch is released once the batch timeout elapses
@@ -14,7 +15,9 @@
 //!
 //! One `Mutex<State>` and two condvars (`DESIGN.md` §16). `State::seal`
 //! is the one sealing rule: `take_batch` acts on it, and `put` consults
-//! it to wake the aggregator only when the aggregator must act.
+//! it to wake the consumer only when the consumer must act. A busy
+//! uploader is not waiting in `take_batch`, so nothing seals until one
+//! is idle.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -235,7 +238,7 @@ impl CommitQueue {
             st.producers_waiting -= 1;
         };
         st.items.push_back((enqueued, write));
-        // Wake the aggregator only when it must act; otherwise it waits
+        // Wake the consumer only when it must act; otherwise it waits
         // for a TB deadline that has not passed yet.
         let wake = st.consumer_waiting && st.seal(enqueued).is_ok();
         drop(st);
@@ -322,7 +325,7 @@ impl CommitQueue {
         self.len() == 0
     }
 
-    /// Number of items not yet handed to the aggregator.
+    /// Number of items not yet taken into a batch.
     pub fn unread(&self) -> usize {
         self.state.lock().unread()
     }

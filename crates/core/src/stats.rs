@@ -87,7 +87,7 @@ pub struct LatencySnapshot {
 }
 
 /// A point-in-time view of the commit queue between intercepted WAL
-/// writes and the aggregator (`DESIGN.md` §16), embedded in
+/// writes and the uploaders (`DESIGN.md` §16), embedded in
 /// [`GinjaStatsSnapshot`].
 ///
 /// The latency histograms answer the paper's Figure 5 question ("how
@@ -105,7 +105,7 @@ pub struct IngestSnapshot {
     /// Park episodes: a producer blocked on Safety waited on the
     /// not-full condvar (one put may wait several times).
     pub put_parks: u64,
-    /// Partial batches the aggregator sealed early because producers
+    /// Partial batches an idle uploader sealed early because producers
     /// were parked against Safety (adaptive group sealing).
     pub adaptive_seals: u64,
     /// Partial batches released by TB expiry.
@@ -176,8 +176,8 @@ impl GinjaStats {
             wal_resync_bytes: self.wal_resync_bytes.load(Ordering::Relaxed),
             pipeline_fatals: self.pipeline_fatals.load(Ordering::Relaxed),
             gc_backlog_dropped: self.gc_backlog_dropped.load(Ordering::Relaxed),
-            // Outage counters come from these atomics; the ring gauges
-            // and the live state are merged in by `Ginja::stats`.
+            // Outage counters come from these atomics; the live state is
+            // merged in by `Ginja::stats`.
             outage: OutageSnapshot {
                 ckpt_coalesced: self.ckpt_coalesced.load(Ordering::Relaxed),
                 outages: self.outages.load(Ordering::Relaxed),
@@ -491,7 +491,7 @@ pub struct GinjaStatsSnapshot {
     pub updates_blocked: u64,
     /// Total time the DBMS spent blocked on Safety.
     pub blocked_time: Duration,
-    /// Batches handed to the uploaders.
+    /// Batches the uploaders took from the commit queue.
     pub batches_formed: u64,
     /// WAL objects successfully uploaded.
     pub wal_objects_uploaded: u64,
@@ -577,8 +577,8 @@ pub struct GinjaStatsSnapshot {
     /// Live cost-governor state (budget, spend projection, governed
     /// knobs), merged in by `Ginja::stats`; default otherwise.
     pub governor: GovernorSnapshot,
-    /// Outage-endurance state: policy state, upload-ring depth, outage
-    /// count and duration.
+    /// Outage-endurance state: policy state, outage count and duration,
+    /// coalesced checkpoints.
     pub outage: OutageSnapshot,
     /// Commit-queue state: put/blocked latency histograms, parks and
     /// seal counts, merged in by `Ginja::stats`.
@@ -590,9 +590,9 @@ pub struct GinjaStatsSnapshot {
 }
 
 /// A point-in-time view of the outage-endurance subsystem, embedded in
-/// [`GinjaStatsSnapshot`]: the policy state, how deep the upload ring
-/// stands, and how long the pipeline has spent enduring outages. (The
-/// backlog itself is the commit queue: `Ginja::pending_updates`, ≤ S.)
+/// [`GinjaStatsSnapshot`]: the policy state and how long the pipeline
+/// has spent enduring outages. The backlog is the commit queue alone:
+/// `Ginja::pending_updates`, ≤ S.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OutageSnapshot {
     /// The outage policy's current state.
@@ -601,12 +601,6 @@ pub struct OutageSnapshot {
     pub outages: u64,
     /// Cumulative time spent in `Enduring`.
     pub outage_time: Duration,
-    /// Upload jobs currently queued in the in-memory ring (gauge).
-    pub ring_len: u64,
-    /// The ring's capacity, in jobs.
-    pub ring_capacity: u64,
-    /// Payload bytes currently held by the ring (gauge).
-    pub ring_bytes: u64,
     /// Checkpoint jobs absorbed into a queued one because the bounded
     /// checkpoint queue was at capacity.
     pub ckpt_coalesced: u64,

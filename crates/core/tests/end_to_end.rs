@@ -2,11 +2,15 @@
 //! interception, suffering a disaster, and being rebuilt from the cloud
 //! alone — the complete Algorithm 1/2/3 stack.
 
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::{Duration, Instant};
 
 use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, StoreError, UsageMeter};
-use ginja_core::{recover_into, recover_to_point, Ginja, GinjaConfig, PitrConfig, DB_PREFIX};
+use ginja_core::{
+    recover_into, recover_to_point, Ginja, GinjaConfig, IngestConfig, PitrConfig, WalObjectName,
+    DB_PREFIX, WAL_PREFIX,
+};
 use ginja_db::{Database, DbProfile};
 use ginja_vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
@@ -290,28 +294,35 @@ fn dump_triggered_at_threshold_and_old_objects_deleted() {
     }
 }
 
-/// A store that holds every DB object PUT back: each checkpoint or dump
-/// is still on its way when the next checkpoint ends.
-struct SlowDbPuts(MemStore);
+/// A store that calls `hook` with each object's name before its PUT.
+struct HookedPuts<F> {
+    inner: MemStore,
+    hook: F,
+}
 
-impl ObjectStore for SlowDbPuts {
+fn hooked<F: Fn(&str) + Send + Sync>(hook: F) -> Arc<HookedPuts<F>> {
+    Arc::new(HookedPuts {
+        inner: MemStore::new(),
+        hook,
+    })
+}
+
+impl<F: Fn(&str) + Send + Sync> ObjectStore for HookedPuts<F> {
     fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-        if name.starts_with(DB_PREFIX) {
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        self.0.put(name, data)
+        (self.hook)(name);
+        self.inner.put(name, data)
     }
 
     fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        self.0.get(name)
+        self.inner.get(name)
     }
 
     fn delete(&self, name: &str) -> Result<(), StoreError> {
-        self.0.delete(name)
+        self.inner.delete(name)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
-        self.0.list(prefix)
+        self.inner.list(prefix)
     }
 }
 
@@ -341,7 +352,13 @@ fn dump_decisions_do_not_depend_on_upload_speed() {
         (stats.checkpoints_seen, stats.dumps_uploaded)
     };
     let instant = run(Arc::new(MemStore::new()));
-    let slow = run(Arc::new(SlowDbPuts(MemStore::new())));
+    // Every DB object PUT held back: each checkpoint or dump is still on
+    // its way when the next checkpoint ends.
+    let slow = run(hooked(|name| {
+        if name.starts_with(DB_PREFIX) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }));
     assert!(instant.1 > 1, "no threshold-triggered dump: {instant:?}");
     assert_eq!(
         slow, instant,
@@ -603,4 +620,145 @@ fn no_loss_configuration_is_fully_synchronous() {
     for i in 0..10 {
         assert_eq!(db.get(1, i).unwrap().unwrap(), val(i));
     }
+}
+
+const SEGMENT: &str = "pg_xlog/000000010000000000000001";
+
+/// Boots Ginja over an empty PostgreSQL-shaped file system; returns it
+/// with that file system seen through the interception.
+fn protect_wal(
+    cloud: Arc<dyn ObjectStore>,
+    config: GinjaConfig,
+) -> (Ginja, Arc<MemFs>, InterceptFs<Arc<MemFs>>) {
+    let local = Arc::new(MemFs::new());
+    let processor = Arc::new(PostgresProcessor::new());
+    let ginja = Ginja::boot(local.clone(), cloud, processor, config).unwrap();
+    let fs = InterceptFs::new(local.clone(), Arc::new(ginja.clone()));
+    (ginja, local, fs)
+}
+
+/// The WAL objects in `cloud`, in timestamp order.
+fn wal_objects(cloud: &dyn ObjectStore) -> Vec<WalObjectName> {
+    let list = cloud.list(WAL_PREFIX).unwrap();
+    let mut names: Vec<_> = list
+        .iter()
+        .map(|n| WalObjectName::parse(n).unwrap())
+        .collect();
+    names.sort_by_key(|n| n.ts);
+    names
+}
+
+/// A partial batch is sealed only when an uploader is idle to take it:
+/// with both uploaders stuck in a PUT, the queue fills to S and parks
+/// the DBMS without a third batch being formed — no adaptive seal cuts
+/// one short — and once the PUTs land, every batch is a full B.
+#[test]
+fn a_batch_is_formed_only_when_an_uploader_is_idle() {
+    const B: u64 = 10;
+    const S: u64 = 100;
+    // WAL PUTs wait while the gate is shut; its counter counts them.
+    let gate = Arc::new((Mutex::new(false), Condvar::new(), AtomicUsize::new(0)));
+    let g = gate.clone();
+    let store = hooked(move |name| {
+        if name.starts_with(WAL_PREFIX) {
+            g.2.fetch_add(1, Ordering::SeqCst);
+            drop(g.1.wait_while(g.0.lock().unwrap(), |shut| *shut).unwrap());
+            g.2.fetch_sub(1, Ordering::SeqCst);
+        }
+    });
+    let shut = |closed: bool| {
+        *gate.0.lock().unwrap() = closed;
+        gate.1.notify_all();
+    };
+    let config = GinjaConfig::builder()
+        .batch(B as usize)
+        .safety(S as usize)
+        .batch_timeout(Duration::from_secs(60))
+        .safety_timeout(Duration::from_secs(60))
+        .uploaders(2)
+        .ingest(IngestConfig {
+            adaptive_seal: true,
+        })
+        .build()
+        .unwrap();
+    let (ginja, _local, fs) = protect_wal(store.clone(), config);
+    shut(true);
+
+    let writes = S + 2 * B;
+    let writer = std::thread::spawn(move || {
+        for i in 0..writes {
+            fs.write(SEGMENT, i * 8, &i.to_le_bytes(), true).unwrap();
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while gate.2.load(Ordering::SeqCst) < 2 || ginja.stats().ingest.put_parks == 0 {
+        assert!(Instant::now() < deadline, "{:?}", ginja.stats().ingest);
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // Time for a third batch to form, if anything would form one.
+    std::thread::sleep(Duration::from_millis(100));
+    let stats = ginja.stats();
+    assert_eq!(ginja.pending_updates(), S as usize);
+    assert_eq!(stats.batches_formed, 2, "formed while no uploader was idle");
+    assert_eq!(stats.ingest.adaptive_seals, 0);
+
+    shut(false);
+    writer.join().unwrap();
+    assert!(ginja.sync(Duration::from_secs(10)));
+    assert_eq!(ginja.stats().ingest.adaptive_seals, 0);
+    ginja.shutdown();
+    let lens: Vec<u64> = wal_objects(&store.inner).iter().map(|n| n.len).collect();
+    assert_eq!(
+        lens,
+        vec![B * 8; (writes / B) as usize],
+        "every batch a full B"
+    );
+}
+
+/// Four uploaders racing over a store that completes PUTs out of order
+/// (a seeded 0–3 ms wait each), while the DBMS rewrites its tail block
+/// record after record, so consecutive batches carry overlapping
+/// images of one block: WAL timestamps must still rise in batch order —
+/// else recovery would apply a stale tail block over a fresh one — and
+/// the recovered log must equal the local one byte for byte.
+#[test]
+fn wal_timestamps_follow_batch_order_across_racing_uploaders() {
+    const BLOCK: usize = 64;
+    let draws = AtomicU64::new(7);
+    let store = hooked(move |name| {
+        if name.starts_with(WAL_PREFIX) {
+            let draw = draws.fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
+            let micros = (draw.wrapping_mul(0xBF58_476D_1CE4_E5B9) >> 32) % 3000;
+            std::thread::sleep(Duration::from_micros(micros));
+        }
+    });
+    let config = GinjaConfig::builder()
+        .batch(2)
+        .safety(16)
+        .batch_timeout(Duration::from_millis(2))
+        .uploaders(4)
+        .build()
+        .unwrap();
+    let (ginja, local, fs) = protect_wal(store.clone(), config.clone());
+    let mut log = Vec::new();
+    for i in 0..300u64 {
+        log.extend_from_slice(&i.to_le_bytes());
+        let tail = (log.len() - 8) / BLOCK * BLOCK;
+        fs.write(SEGMENT, tail as u64, &log[tail..], true).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(30)));
+    ginja.shutdown();
+
+    let ends: Vec<u64> = wal_objects(&store.inner)
+        .iter()
+        .map(|n| n.offset + n.len)
+        .collect();
+    assert!(
+        ends.len() > 1 && ends.windows(2).all(|w| w[0] < w[1]),
+        "a later timestamp carries an older tail: {ends:?}"
+    );
+    let rebuilt = MemFs::new();
+    recover_into(&rebuilt, &store.inner, &config).unwrap();
+    assert_eq!(rebuilt.read_all(SEGMENT).unwrap(), log);
+    assert_eq!(local.read_all(SEGMENT).unwrap(), log);
 }

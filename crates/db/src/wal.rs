@@ -388,7 +388,10 @@ fn salvage_tail(fs: &dyn FileSystem, expected: u64, block_size: usize) -> Option
 }
 
 /// Scans the log forward from `start_block`, stopping at the first
-/// missing, torn, or stale block.
+/// missing, torn, or stale block, and after the first block with room
+/// for another fragment: the writer starts block N + 1 only once N is
+/// full, so a valid block after a partial one follows a stale copy of a
+/// tail rewrite, and replaying it would skip the rewrite's records.
 ///
 /// A block that fails to parse off disk is salvaged from the
 /// [`TAIL_JOURNAL_PATH`] doublewrite when the journal holds a valid
@@ -439,6 +442,7 @@ pub fn scan(
             },
         };
 
+        let tail = block_size - BLOCK_HEADER - payload.len() > FRAG_HEADER;
         // Parse fragments.
         let mut pos = 0usize;
         while pos + FRAG_HEADER <= payload.len() {
@@ -471,6 +475,9 @@ pub fn scan(
         resume_block = expected;
         resume_payload = payload;
         expected += 1;
+        if tail {
+            break;
+        }
     }
 
     // If no block was valid, resume fresh at the start block.
@@ -639,6 +646,28 @@ mod tests {
         let s = scan(&fs, &seg_space(), 512, 0).unwrap();
         assert!(s.records.len() < 20);
         assert_eq!(s.resume_block, 1); // last valid block
+    }
+
+    /// A stale copy of a rewritten tail block (the rewrite lost, the
+    /// blocks after it not) ends the scan: the records after it would
+    /// otherwise replay without the ones the rewrite carried.
+    #[test]
+    fn scan_stops_after_a_stale_tail_block() {
+        let fs = MemFs::new();
+        let mut w = WalWriter::new(seg_space(), 512);
+        w.append(&put(0, 0, 100));
+        w.flush(&fs).unwrap();
+        let (file, off) = seg_space().locate(0, 512);
+        let stale = fs.read(&file, off, 512).unwrap();
+        for i in 1..10 {
+            w.append(&put(i, i, 100));
+        }
+        w.flush(&fs).unwrap();
+        assert!(w.current_block() >= 2);
+        fs.write(&file, off, &stale, true).unwrap();
+        let s = scan(&fs, &seg_space(), 512, 0).unwrap();
+        assert_eq!(s.records, vec![put(0, 0, 100)]);
+        assert_eq!(s.resume_block, 0);
     }
 
     #[test]

@@ -100,16 +100,23 @@ impl Rule {
 
     /// Deterministic uniform draw in [0, 1).
     fn draw(&self) -> f64 {
-        let state = self
-            .draw_state
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::SeqCst)
-            .wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^= z >> 31;
-        (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        (splitmix64(&self.draw_state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
+}
+
+/// The crate's one splitmix64 step: advances `state` atomically and
+/// returns the mixed output — the same deterministic stream the cloud
+/// `FaultPlan` draws from, here for seeded fault rules and torn writes.
+/// `Relaxed` suffices: the state publishes no other data, and each
+/// `fetch_add` is one step of its modification order under any ordering.
+pub(crate) fn splitmix64(state: &AtomicU64) -> u64 {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut z = state
+        .fetch_add(GAMMA, Ordering::Relaxed)
+        .wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// What the plan decided for one intercepted operation.

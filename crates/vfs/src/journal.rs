@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
+use crate::fault::splitmix64;
 use crate::{FileSystem, FsError, MemFs};
 
 /// Default sector size for torn-write splitting: one legacy disk block.
@@ -75,16 +76,6 @@ fn apply_at(buf: &mut Vec<u8>, offset: u64, data: &[u8]) {
         buf.resize(end, 0);
     }
     buf[offset..end].copy_from_slice(data);
-}
-
-/// splitmix64 — the same deterministic stream the cloud `FaultPlan`
-/// uses for seeded probabilistic rules.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl JournaledFs {
@@ -139,12 +130,12 @@ impl JournaledFs {
     /// possibly all of them), in arrival order, and everything else
     /// vanishes. Deterministic in `seed`.
     pub fn power_cut_torn(&self, seed: u64) {
-        let mut state = seed ^ 0xD6E8_FEB8_6659_FD93;
+        let state = AtomicU64::new(seed ^ 0xD6E8_FEB8_6659_FD93);
         let mut files = self.files.write();
         for file in files.values_mut() {
             for write in std::mem::take(&mut file.volatile) {
                 let sectors = write.data.len().div_ceil(self.sector_size);
-                let kept_sectors = (splitmix64(&mut state) % (sectors as u64 + 1)) as usize;
+                let kept_sectors = (splitmix64(&state) % (sectors as u64 + 1)) as usize;
                 let kept = write.data.len().min(kept_sectors * self.sector_size);
                 if kept > 0 {
                     apply_at(&mut file.durable, write.offset, &write.data[..kept]);

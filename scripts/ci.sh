@@ -2,6 +2,9 @@
 # CI gate: formatting, lints, tests. Run from anywhere in the repo.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+# Dependencies are vendored (`vendor/`, patched in the root manifest):
+# every cargo call below must resolve them without a registry.
+export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings

@@ -851,10 +851,6 @@ fn outage(args: &[String]) -> Result<(), String> {
         ginja.pending_updates(),
         config.safety
     );
-    println!(
-        "  ring:            {} / {} slot(s)",
-        mid.outage.ring_len, mid.outage.ring_capacity
-    );
     println!("  ckpt coalesced:  {}", mid.outage.ckpt_coalesced);
     println!(
         "  knobs:           B {} -> {} (S stays {})",

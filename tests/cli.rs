@@ -1,6 +1,7 @@
 //! End-to-end test of the `ginja-cli` operator binary against a real
 //! directory-backed bucket.
 
+use std::path::{Path, PathBuf};
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
@@ -12,6 +13,24 @@ use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_ginja-cli"))
+}
+
+/// The first file under `dir` in name order. A WAL object's name nests
+/// it one directory down, and garbage collection leaves that directory
+/// behind empty.
+fn first_file(dir: &Path) -> Option<PathBuf> {
+    let mut entries: Vec<PathBuf> = std::fs::read_dir(dir)
+        .ok()?
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    entries.sort();
+    entries.into_iter().find_map(|path| {
+        if path.is_dir() {
+            first_file(&path)
+        } else {
+            Some(path)
+        }
+    })
 }
 
 fn run_ok(args: &[&str]) -> String {
@@ -100,22 +119,7 @@ fn cli_full_operator_flow() {
     assert!(out.contains("C_Total"), "{out}");
 
     // corrupt an object: verify must fail loudly.
-    let victim = std::fs::read_dir(bucket_dir.join("WAL"))
-        .ok()
-        .and_then(|mut entries| entries.next())
-        .and_then(|e| e.ok());
-    if let Some(entry) = victim {
-        // WAL/<ts>_... may be nested; find a file.
-        let path = if entry.path().is_dir() {
-            std::fs::read_dir(entry.path())
-                .unwrap()
-                .next()
-                .unwrap()
-                .unwrap()
-                .path()
-        } else {
-            entry.path()
-        };
+    if let Some(path) = first_file(&bucket_dir.join("WAL")) {
         let mut bytes = std::fs::read(&path).unwrap();
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xff;
