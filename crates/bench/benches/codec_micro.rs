@@ -2,7 +2,7 @@
 //! regression tracking; not a paper experiment).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use ginja_codec::{aes, bufpool, ctr, glz, hmac, sha1, Codec, CodecConfig};
+use ginja_codec::{aes, bufpool, ctr, glz, hmac, hw, sha1, Codec, CodecConfig};
 
 fn page_like_data(len: usize) -> Vec<u8> {
     let mut data = Vec::with_capacity(len);
@@ -19,6 +19,9 @@ fn page_like_data(len: usize) -> Vec<u8> {
 }
 
 fn bench_glz(c: &mut Criterion) {
+    // Which SHA-1 and AES kernels the CPU selected: every crypto figure
+    // below depends on it.
+    println!("codec kernels: {}", hw::kernels());
     let mut group = c.benchmark_group("glz");
     // 4 MiB is checkpoint- and dump-object sized: large enough that a
     // matcher whose state grows with its input runs out of cache.
@@ -112,6 +115,19 @@ fn bench_seal_open(c: &mut Criterion) {
             "    seal_into_{label}: {} pool misses over the whole run",
             m1 - m0
         );
+        if label == "plain" {
+            // A `mysql_mem`-sized object: MAC-only, where per-object
+            // costs (keyed-midstate clone, padding, envelope) show.
+            let small = &data[..4608];
+            group.throughput(Throughput::Bytes(small.len() as u64));
+            group.bench_function("seal_into_plain_4608", |b| {
+                b.iter(|| {
+                    codec.seal_into("WAL/1_seg_0", small, &mut out).unwrap();
+                    out.len()
+                })
+            });
+            group.throughput(Throughput::Bytes(data.len() as u64));
+        }
         let sealed = codec.seal("WAL/1_seg_0", &data).unwrap();
         group.bench_function(format!("open_{label}"), |b| {
             b.iter(|| codec.open("WAL/1_seg_0", &sealed).unwrap())

@@ -24,7 +24,9 @@
 //! in principle learn key bits from access timing. Ginja's threat model
 //! (§5.4) is confidentiality of data at rest in the cloud against the
 //! provider, not a local attacker on the database host, who could read
-//! the plaintext database anyway.
+//! the plaintext database anyway. On CPUs with AES-NI, CTR mode does not
+//! use these tables at all (see [`crate::hw`]): the `aesenc` rounds have
+//! no key-dependent memory accesses.
 
 /// AES-128 key length in bytes.
 pub const KEY_LEN: usize = 16;
@@ -126,6 +128,19 @@ impl Aes128 {
             w[i] = w[i - 4] ^ temp;
         }
         Aes128 { round_keys: w }
+    }
+
+    /// The 11 round keys, each as the 16 bytes XORed into the state
+    /// (FIPS-197 byte order), for the AES-NI kernel in [`crate::hw`].
+    pub(crate) fn round_key_bytes(&self) -> [[u8; BLOCK_LEN]; NR + 1] {
+        std::array::from_fn(|round| {
+            let words = &self.round_keys[4 * round..4 * round + 4];
+            let mut bytes = [0u8; BLOCK_LEN];
+            for (column, word) in bytes.chunks_exact_mut(4).zip(words) {
+                column.copy_from_slice(&word.to_be_bytes());
+            }
+            bytes
+        })
     }
 
     /// Encrypts one 16-byte block in place.

@@ -4,8 +4,12 @@
 //! `E_k(nonce ‖ counter)` and encryption and decryption are the same XOR.
 //! Ginja encrypts each cloud object under a fresh 16-byte nonce stored in
 //! the object envelope (see [`crate::envelope`]).
+//!
+//! The keystream comes from AES-NI when the CPU has it (see
+//! [`crate::hw`]) and from the portable T-table cipher otherwise.
 
 use crate::aes::{Aes128, BLOCK_LEN};
+use crate::hw::AesNi;
 
 /// Encrypts or decrypts `data` in place with AES-128-CTR.
 ///
@@ -26,8 +30,18 @@ use crate::aes::{Aes128, BLOCK_LEN};
 pub fn apply_keystream(aes: &Aes128, iv: &[u8; BLOCK_LEN], data: &mut [u8]) {
     // The counter is the IV read as one big-endian integer, so the
     // SP 800-38A increment — with its carries and its wrap at 2^128 — is
-    // a wrapping add. Whole blocks are XORed 16 bytes at a time.
-    let mut counter = u128::from_be_bytes(*iv);
+    // a wrapping add, in both kernels.
+    let counter = u128::from_be_bytes(*iv);
+    match AesNi::detect() {
+        Some(ni) => ni.apply_keystream(&aes.round_key_bytes(), counter, data),
+        None => apply_keystream_portable(aes, counter, data),
+    }
+}
+
+/// The portable CTR kernel, on the T-table cipher: the only one on CPUs
+/// without AES-NI, and the reference the hardware one is tested against.
+/// Whole blocks are XORed 16 bytes at a time.
+fn apply_keystream_portable(aes: &Aes128, mut counter: u128, data: &mut [u8]) {
     let mut blocks = data.chunks_exact_mut(BLOCK_LEN);
     for block in blocks.by_ref() {
         let block: &mut [u8; BLOCK_LEN] = block.try_into().expect("chunks_exact yields 16");

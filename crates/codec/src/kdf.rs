@@ -70,12 +70,15 @@ impl std::fmt::Debug for DerivedKeys {
 }
 
 impl Drop for DerivedKeys {
+    #[allow(unsafe_code)]
     fn drop(&mut self) {
         // Best-effort hygiene: clear key material before the memory is
         // reused. (volatile writes prevent the zeroing being optimized
         // away; the expanded AES round keys inside `Codec` live for the
         // process lifetime by design.)
         for byte in self.enc_key.iter_mut().chain(self.mac_key.iter_mut()) {
+            // SAFETY: `byte` is a live, aligned `&mut u8` into `self`; no
+            // CPU feature is involved.
             unsafe { std::ptr::write_volatile(byte, 0) };
         }
     }

@@ -4,6 +4,11 @@
 //! longer collision-resistant, but as the inner hash of HMAC (the use in
 //! this system) it remains a reasonable integrity primitive and is kept
 //! here for fidelity with the paper.
+//!
+//! Blocks are compressed with the x86_64 SHA extensions when the CPU has
+//! them (see [`crate::hw`]) and by the portable rounds below otherwise.
+
+use crate::hw::ShaNi;
 
 /// Size of a SHA-1 digest in bytes.
 pub const DIGEST_LEN: usize = 20;
@@ -56,6 +61,7 @@ impl Sha1 {
 
     /// Feeds `data` into the hash. May be called any number of times.
     pub fn update(&mut self, data: &[u8]) {
+        let ni = ShaNi::detect();
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut rest = data;
         if self.buf_len > 0 {
@@ -64,19 +70,14 @@ impl Sha1 {
             self.buf_len += take;
             rest = &rest[take..];
             if self.buf_len == BLOCK_LEN {
-                let block = self.buf;
-                self.process_block(&block);
+                compress(&mut self.state, &[self.buf], ni);
                 self.buf_len = 0;
             }
         }
         // Absorb whole blocks straight from the input — no intermediate
         // stack copy per block.
-        let mut blocks = rest.chunks_exact(BLOCK_LEN);
-        for block in blocks.by_ref() {
-            let block: &[u8; BLOCK_LEN] = block.try_into().expect("chunks_exact yields 64");
-            self.process_block(block);
-        }
-        let tail = blocks.remainder();
+        let (blocks, tail) = rest.as_chunks::<BLOCK_LEN>();
+        compress(&mut self.state, blocks, ni);
         if !tail.is_empty() {
             self.buf[..tail.len()].copy_from_slice(tail);
             self.buf_len = tail.len();
@@ -89,17 +90,17 @@ impl Sha1 {
         // Build the padding in place: 0x80, zeros, then the 64-bit
         // length — one block when the tail leaves >= 8 spare bytes after
         // the 0x80 marker, two otherwise.
-        let mut block = self.buf;
-        block[self.buf_len] = 0x80;
-        if self.buf_len + 1 > BLOCK_LEN - 8 {
-            block[self.buf_len + 1..].fill(0);
-            self.process_block(&block);
-            block.fill(0);
+        let mut blocks = [self.buf, [0u8; BLOCK_LEN]];
+        let flat = blocks.as_flattened_mut();
+        flat[self.buf_len] = 0x80;
+        flat[self.buf_len + 1..].fill(0);
+        let n = if self.buf_len + 1 > BLOCK_LEN - 8 {
+            2
         } else {
-            block[self.buf_len + 1..BLOCK_LEN - 8].fill(0);
-        }
-        block[BLOCK_LEN - 8..].copy_from_slice(&bit_len.to_be_bytes());
-        self.process_block(&block);
+            1
+        };
+        flat[n * BLOCK_LEN - 8..n * BLOCK_LEN].copy_from_slice(&bit_len.to_be_bytes());
+        compress(&mut self.state, &blocks[..n], ShaNi::detect());
 
         let mut out = [0u8; DIGEST_LEN];
         for (i, word) in self.state.iter().enumerate() {
@@ -107,39 +108,51 @@ impl Sha1 {
         }
         out
     }
+}
 
-    fn process_block(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
+/// Compresses `blocks` into `state`: with the SHA extensions when `ni`
+/// says the CPU has them, otherwise with [`compress_portable`].
+fn compress(state: &mut [u32; 5], blocks: &[[u8; BLOCK_LEN]], ni: Option<ShaNi>) {
+    match ni {
+        Some(ni) => ni.compress(state, blocks),
+        None => blocks.iter().for_each(|b| compress_portable(state, b)),
+    }
+}
 
-        // One loop per 20-round stage, so each stage's boolean function
-        // and constant are fixed in its loop body instead of chosen per
-        // round.
-        let mut s = self.state;
-        for &wi in &w[..20] {
-            let [_, b, c, d, _] = s;
-            round(&mut s, d ^ (b & (c ^ d)), 0x5A82_7999, wi);
-        }
-        for &wi in &w[20..40] {
-            let [_, b, c, d, _] = s;
-            round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, wi);
-        }
-        for &wi in &w[40..60] {
-            let [_, b, c, d, _] = s;
-            round(&mut s, (b & c) | (d & (b | c)), 0x8F1B_BCDC, wi);
-        }
-        for &wi in &w[60..] {
-            let [_, b, c, d, _] = s;
-            round(&mut s, b ^ c ^ d, 0xCA62_C1D6, wi);
-        }
-        for (h, v) in self.state.iter_mut().zip(s) {
-            *h = h.wrapping_add(v);
-        }
+/// The portable SHA-1 compression of one block: the only kernel on CPUs
+/// without the SHA extensions, and the reference the hardware one is
+/// tested against.
+pub(crate) fn compress_portable(state: &mut [u32; 5], block: &[u8; BLOCK_LEN]) {
+    let mut w = [0u32; 80];
+    for (i, chunk) in block.chunks_exact(4).enumerate() {
+        w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    }
+    for i in 16..80 {
+        w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+    }
+
+    // One loop per 20-round stage, so each stage's boolean function
+    // and constant are fixed in its loop body instead of chosen per
+    // round.
+    let mut s = *state;
+    for &wi in &w[..20] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, d ^ (b & (c ^ d)), 0x5A82_7999, wi);
+    }
+    for &wi in &w[20..40] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0x6ED9_EBA1, wi);
+    }
+    for &wi in &w[40..60] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, (b & c) | (d & (b | c)), 0x8F1B_BCDC, wi);
+    }
+    for &wi in &w[60..] {
+        let [_, b, c, d, _] = s;
+        round(&mut s, b ^ c ^ d, 0xCA62_C1D6, wi);
+    }
+    for (h, v) in state.iter_mut().zip(s) {
+        *h = h.wrapping_add(v);
     }
 }
 

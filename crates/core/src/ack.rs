@@ -1,9 +1,9 @@
 //! The in-order acknowledgement ledger — the paper's Unlocker (§6) as a
 //! data structure instead of a thread.
 //!
-//! The aggregator [`AckLedger::manifest`]s each batch before handing out
-//! its upload jobs; whichever thread makes one of the batch's objects
-//! durable calls [`AckLedger::complete`]. The caller that closes the
+//! The uploader holding the batch turn [`AckLedger::manifest`]s each
+//! batch before uploading it; whichever thread makes one of the batch's
+//! objects durable calls [`AckLedger::complete`]. The caller that closes the
 //! oldest open batch acknowledges it — and every later batch already
 //! complete behind it — while still holding the ledger lock, so
 //! acknowledgements reach the commit queue strictly in batch order no

@@ -105,10 +105,10 @@ pub fn apply(ranges: &mut BTreeMap<u64, Vec<u8>>, offset: u64, data: &[u8]) {
         merged_start = merged_start.min(*start);
         merged_end = merged_end.max(start + len);
     }
-    // Pooled merge buffer: under a steady WAL stream the aggregator
-    // thread re-merges the tail range every batch, so this buffer (and
-    // the superseded ranges recycled below) cycle through the
-    // thread-local pool instead of the allocator.
+    // Pooled merge buffer: under a steady WAL stream the uploader
+    // holding the batch turn re-merges the tail range every batch, so
+    // this buffer (and the superseded ranges recycled below) cycle
+    // through the thread-local pool instead of the allocator.
     let mut buf = bufpool::take();
     buf.resize((merged_end - merged_start) as usize, 0);
     for start in touching {

@@ -429,7 +429,8 @@ mod tests {
         let handle = std::thread::spawn(move || q2.put(write(2)).unwrap());
         std::thread::sleep(Duration::from_millis(60));
         assert!(!handle.is_finished(), "put must block on TS expiry");
-        // Blocking also force-flushes: the aggregator gets the partial batch.
+        // Blocking also force-flushes: the uploader holding the batch
+        // turn gets the partial batch.
         let batch = q.take_batch().unwrap();
         assert_eq!(batch.len(), 1);
         q.ack_front(1);
@@ -767,8 +768,9 @@ mod tests {
     #[test]
     fn adaptive_seal_releases_partial_for_parked_producer() {
         // A partial batch + a producer parked against Safety: the
-        // aggregator must seal early (long before TB = 60 s) and count
-        // it, whether the producer parks before or during the take.
+        // uploader holding the batch turn must seal early (long before
+        // TB = 60 s) and count it, whether the producer parks before or
+        // during the take.
         let q = Arc::new(CommitQueue::with_ingest(
             3,
             3,

@@ -7,6 +7,9 @@ cd "$(dirname "$0")/.."
 export CARGO_NET_OFFLINE=true
 
 cargo fmt --check
+# Also the unsafe gate: ginja-codec denies `unsafe_code` outside `hw` and
+# `kdf`'s zeroing, and every `unsafe` block must carry a `// SAFETY:` line
+# (`clippy::undocumented_unsafe_blocks`); ginja-core forbids `unsafe`.
 cargo clippy --workspace --all-targets -- -D warnings
 # `default-members` makes this the whole workspace: the facade's
 # integration tests plus every crate's unit tests and proptests.
