@@ -2,6 +2,7 @@
 //! aggregation (engineering regression tracking; not a paper
 //! experiment).
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,6 +78,21 @@ fn bench_aggregate(c: &mut Criterion) {
         .collect();
     c.bench_function("aggregate_100_disjoint", |b| {
         b.iter(|| agg::aggregate(&disjoint, 20 * 1024 * 1024))
+    });
+
+    // A checkpoint's data path: 1 000 ascending 8 KiB writes to every
+    // other page of 4 files, folded into one accumulator of per-file
+    // range maps. No write touches another, so each lands behind every
+    // earlier range of its file.
+    let page = vec![7u8; 8192];
+    c.bench_function("apply_checkpoint_1000_pages", |b| {
+        b.iter(|| {
+            let mut accum: [BTreeMap<u64, Vec<u8>>; 4] = Default::default();
+            for i in 0..1000u64 {
+                agg::apply(&mut accum[(i % 4) as usize], (i / 4) * 2 * 8192, &page);
+            }
+            accum
+        })
     });
 }
 

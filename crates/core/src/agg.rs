@@ -9,6 +9,7 @@
 //! (one cloud object).
 
 use std::collections::BTreeMap;
+use std::ops::Bound::{Excluded, Included};
 
 use ginja_codec::bufpool;
 
@@ -81,45 +82,52 @@ pub fn aggregate(writes: &[WalWrite], max_chunk: usize) -> Vec<AggregatedRange> 
 
 /// Applies one write into a per-file range map, merging every range it
 /// overlaps or touches.
+///
+/// The map's ranges stay sorted, disjoint and non-adjacent, so a write
+/// `[offset, end)` meets at most its predecessor (the last range
+/// starting at or before `offset`, if it reaches `offset`) and the
+/// ranges starting in `(offset, end]`. All of those but the last lie
+/// inside the write and are superseded whole; only the last one's bytes
+/// past `end` survive. The predecessor, when there is one, is
+/// overwritten and extended in place — the WAL tail page rewritten then
+/// grown, and a checkpoint's ascending page writes — so a write costs
+/// O(log n + k) for k touched ranges, plus the bytes it copies.
 pub fn apply(ranges: &mut BTreeMap<u64, Vec<u8>>, offset: u64, data: &[u8]) {
     let end = offset + data.len() as u64;
-    // Candidates: ranges starting at or before `end` whose own end
-    // reaches `offset` (overlap or adjacency).
-    let touching: Vec<u64> = ranges
-        .range(..=end)
-        .filter(|(start, v)| **start + v.len() as u64 >= offset)
+    let mut last_right: Option<(u64, Vec<u8>)> = None;
+    while let Some(start) = ranges
+        .range((Excluded(offset), Included(end)))
+        .next()
         .map(|(start, _)| *start)
-        .collect();
-
-    if touching.is_empty() {
-        let mut fresh = bufpool::take();
-        fresh.extend_from_slice(data);
-        ranges.insert(offset, fresh);
-        return;
+    {
+        let old = ranges.remove(&start).expect("range vanished");
+        if let Some((_, covered)) = last_right.replace((start, old)) {
+            bufpool::recycle(covered);
+        }
     }
+    let tail: &[u8] = match &last_right {
+        Some((start, old)) => old.get((end - start) as usize..).unwrap_or_default(),
+        None => &[],
+    };
 
-    let mut merged_start = offset;
-    let mut merged_end = end;
-    for start in &touching {
-        let len = ranges[start].len() as u64;
-        merged_start = merged_start.min(*start);
-        merged_end = merged_end.max(start + len);
+    match ranges.range_mut(..=offset).next_back() {
+        Some((start, buf)) if start + buf.len() as u64 >= offset => {
+            let at = (offset - start) as usize;
+            let overlap = (buf.len() - at).min(data.len());
+            buf[at..at + overlap].copy_from_slice(&data[..overlap]);
+            buf.extend_from_slice(&data[overlap..]);
+            buf.extend_from_slice(tail);
+        }
+        _ => {
+            let mut fresh = bufpool::take();
+            fresh.extend_from_slice(data);
+            fresh.extend_from_slice(tail);
+            ranges.insert(offset, fresh);
+        }
     }
-    // Pooled merge buffer: under a steady WAL stream the uploader
-    // holding the batch turn re-merges the tail range every batch, so
-    // this buffer (and the superseded ranges recycled below) cycle
-    // through the thread-local pool instead of the allocator.
-    let mut buf = bufpool::take();
-    buf.resize((merged_end - merged_start) as usize, 0);
-    for start in touching {
-        let old = ranges.remove(&start).expect("candidate vanished");
-        let at = (start - merged_start) as usize;
-        buf[at..at + old.len()].copy_from_slice(&old);
+    if let Some((_, old)) = last_right {
         bufpool::recycle(old);
     }
-    let at = (offset - merged_start) as usize;
-    buf[at..at + data.len()].copy_from_slice(data);
-    ranges.insert(merged_start, buf);
 }
 
 /// Exact fleet-wide totals over per-tenant [`GinjaStatsSnapshot`]s.
@@ -405,6 +413,25 @@ mod tests {
         assert_eq!(out[0].offset, 0);
         assert_eq!(out[1].offset, 4096);
         assert_eq!(out[2].offset, 8192);
+    }
+
+    #[test]
+    fn sequential_appends_extend_one_buffer_in_place() {
+        // A checkpoint's ascending page writes grow one range in place:
+        // its buffer moves only when the Vec reallocates, not per write.
+        let mut ranges = BTreeMap::new();
+        let page = [7u8; 8192];
+        let mut ptr = None;
+        let mut moves = 0;
+        for i in 0..4096u64 {
+            apply(&mut ranges, i * 8192, &page);
+            let now = ranges[&0].as_ptr();
+            moves += usize::from(ptr.is_some_and(|p| p != now));
+            ptr = Some(now);
+        }
+        assert_eq!(ranges.len(), 1);
+        assert_eq!(ranges[&0].len(), 4096 * 8192);
+        assert!(moves <= 32, "buffer moved {moves} times");
     }
 
     #[test]

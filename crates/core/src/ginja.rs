@@ -108,6 +108,20 @@ struct CkptAccum {
     ranges: std::collections::BTreeMap<String, std::collections::BTreeMap<u64, Vec<u8>>>,
 }
 
+impl CkptAccum {
+    /// Folds one page write into its file's ranges. The path becomes an
+    /// owned key only on the file's first write in a checkpoint.
+    fn apply(&mut self, event: &WriteEvent) {
+        match self.ranges.get_mut(&*event.path) {
+            Some(ranges) => agg::apply(ranges, event.offset, &event.data),
+            None => {
+                let ranges = self.ranges.entry(event.path.to_string()).or_default();
+                agg::apply(ranges, event.offset, &event.data);
+            }
+        }
+    }
+}
+
 struct Shared {
     config: GinjaConfig,
     codec: Codec,
@@ -748,8 +762,7 @@ impl Ginja {
             accum.in_checkpoint = true;
             accum.ts = self.shared.view.lock().watermark();
         }
-        let ranges = accum.ranges.entry(event.path.to_string()).or_default();
-        agg::apply(ranges, event.offset, &event.data);
+        accum.apply(event);
     }
 
     fn handle_control_write(&self, event: &WriteEvent) {
@@ -761,8 +774,7 @@ impl Ginja {
                 accum.in_checkpoint = true;
                 accum.ts = self.shared.view.lock().watermark();
             }
-            let ranges = accum.ranges.entry(event.path.to_string()).or_default();
-            agg::apply(ranges, event.offset, &event.data);
+            accum.apply(event);
 
             // Checkpoint end: decide dump vs incremental (Alg. 3 l. 8–16).
             let ts = accum.ts;

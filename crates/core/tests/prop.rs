@@ -170,3 +170,92 @@ proptest! {
         }
     }
 }
+
+/// Resolves one generated write shape against a file's current ranges
+/// (`(start, end)`, ascending) into an `(offset, len)`; shapes that need
+/// more ranges than the file has fall back to a random write.
+fn shape_write(shape: u8, ranges: &[(u64, u64)], cursor: &mut u64, a: u64, b: u64) -> (u64, u64) {
+    const SPAN: u64 = 64 * 1024;
+    const PAGE: u64 = 8192;
+    let pick = |k: u64| ranges[(k % ranges.len() as u64) as usize];
+    match shape {
+        // Sequential 8 KiB appends, wrapping at 64 KiB.
+        0 => {
+            let at = *cursor;
+            *cursor = (at + PAGE) % SPAN;
+            (at, PAGE)
+        }
+        // An overwrite inside a range.
+        1 if !ranges.is_empty() => {
+            let (start, end) = pick(a);
+            let offset = start + b % (end - start + 1);
+            (offset, (b >> 32) % (end - offset + 1))
+        }
+        // A write bridging two neighbouring ranges.
+        2 if ranges.len() >= 2 => {
+            let k = (a % (ranges.len() as u64 - 1)) as usize;
+            let (s1, e1) = ranges[k];
+            let (s2, e2) = ranges[k + 1];
+            let from = s1 + b % (e1 - s1 + 1);
+            let to = s2 + (b >> 32) % (e2 - s2 + 1);
+            (from, to - from)
+        }
+        // Adjacent on the left: ends exactly where a range starts.
+        3 if !ranges.is_empty() => {
+            let (start, _) = pick(a);
+            let len = (b % PAGE + 1).min(start);
+            (start - len, len)
+        }
+        // Adjacent on the right: starts exactly where a range ends.
+        4 if !ranges.is_empty() => (pick(a).1, b % PAGE + 1),
+        5 => (a % SPAN, 0),
+        _ => (a % SPAN, b % PAGE + 1),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn apply_matches_byte_map_model(
+        ops in proptest::collection::vec((0u8..7, 0usize..3, any::<u64>(), any::<u64>()), 1..80),
+    ) {
+        let mut maps: Vec<std::collections::BTreeMap<u64, Vec<u8>>> = vec![Default::default(); 3];
+        let mut model: Vec<Vec<Option<u8>>> = vec![Vec::new(); 3];
+        let mut cursors = [0u64; 3];
+        for (i, (shape, f, a, b)) in ops.into_iter().enumerate() {
+            let ranges: Vec<(u64, u64)> = maps[f]
+                .iter()
+                .map(|(start, v)| (*start, start + v.len() as u64))
+                .collect();
+            let (offset, len) = shape_write(shape, &ranges, &mut cursors[f], a, b);
+            let data: Vec<u8> = (0..len).map(|j| (i as u64 * 131 + j) as u8).collect();
+            agg::apply(&mut maps[f], offset, &data);
+
+            let end = (offset + len) as usize;
+            if model[f].len() < end {
+                model[f].resize(end, None);
+            }
+            for (at, byte) in (offset as usize..end).zip(&data) {
+                model[f][at] = Some(*byte);
+            }
+            // Sorted (the map's order), disjoint and non-adjacent.
+            let starts: Vec<(&u64, &Vec<u8>)> = maps[f].iter().collect();
+            for pair in starts.windows(2) {
+                prop_assert!(pair[0].0 + (pair[0].1.len() as u64) < *pair[1].0);
+            }
+        }
+        // The ranges hold exactly the bytes a naive replay wrote.
+        for (ranges, want) in maps.iter().zip(&model) {
+            let mut got = vec![None; want.len()];
+            for (start, bytes) in ranges {
+                let at = *start as usize;
+                prop_assert!(at + bytes.len() <= got.len());
+                for (slot, byte) in got[at..at + bytes.len()].iter_mut().zip(bytes) {
+                    *slot = Some(*byte);
+                }
+            }
+            prop_assert_eq!(&got, want);
+        }
+    }
+}

@@ -32,7 +32,7 @@ for spec in core/src/config.rs:GinjaConfig core/src/config.rs:OutageConfig \
 done
 printf '%-48s %7d\n' "pub config fields:" "$total"
 
-# `pub` fields of the metrics surface (ROADMAP item 8): the stats
+# `pub` fields of the metrics surface (ROADMAP item 10): the stats
 # snapshot, each snapshot nested in it, the fleet roll-up and `Exposure`.
 for spec in stats.rs:GinjaStatsSnapshot stats.rs:OutageSnapshot \
     stats.rs:IngestSnapshot stats.rs:SentinelSnapshot stats.rs:StandbySnapshot \
