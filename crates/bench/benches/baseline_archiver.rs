@@ -14,7 +14,7 @@ use ginja_bench::table::Table;
 use ginja_bench::timescale::{run_wall_duration, sim_minutes, time_scale};
 use ginja_cloud::{LatencyModel, LatencyStore, MemStore, ObjectStore};
 use ginja_core::archiver::{restore_archive, SegmentArchiver};
-use ginja_core::{recover_into, Ginja, GinjaConfig, GinjaStatsSnapshot};
+use ginja_core::{recover_into, Ginja, GinjaConfig};
 use ginja_db::{Database, DbProfile};
 use ginja_vfs::{FileSystem, InterceptFs, IoProcessor, MemFs, PostgresProcessor};
 
@@ -88,13 +88,10 @@ fn run_scenario(mechanism: &str, updates: u64) -> (u64, u64) {
             .unwrap();
     }
     if let Some(archiver) = &archiver_handle {
-        // The baseline's counters surface through the same snapshot the
-        // middleware reports from.
-        let mut snap = GinjaStatsSnapshot::default();
-        snap.merge_archiver(&archiver.stats());
+        let stats = archiver.stats();
         println!(
             "  [archiver] {} segment(s) archived, {} update(s) exposed in the unfinished segment",
-            snap.segments_archived, snap.archiver_exposed_updates
+            stats.segments_archived, stats.updates_since_last_archive
         );
     }
     // Disaster strikes mid-flight: no sync, no shutdown courtesy. (The

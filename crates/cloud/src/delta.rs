@@ -35,13 +35,6 @@ pub struct ListingDelta {
     pub total: usize,
 }
 
-impl ListingDelta {
-    /// Whether the bucket is unchanged since the previous poll.
-    pub fn is_unchanged(&self) -> bool {
-        self.added.is_empty() && self.removed.is_empty()
-    }
-}
-
 /// A stateful incremental lister over one prefix of an
 /// [`ObjectStore`]. See the module docs.
 #[derive(Debug, Clone, Default)]
@@ -180,7 +173,7 @@ mod tests {
         let mut lister = DeltaLister::new("");
         lister.poll(&store).unwrap();
         let delta = lister.poll(&store).unwrap();
-        assert!(delta.is_unchanged());
+        assert!(delta.added.is_empty() && delta.removed.is_empty());
         assert_eq!(delta.total, 1);
     }
 
@@ -226,7 +219,10 @@ mod tests {
         store.delete("a").unwrap();
         lister.note_delete("a");
         let delta = lister.poll(&store).unwrap();
-        assert!(delta.is_unchanged(), "{delta:?}");
+        assert!(
+            delta.added.is_empty() && delta.removed.is_empty(),
+            "{delta:?}"
+        );
     }
 
     #[test]

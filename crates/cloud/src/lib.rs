@@ -13,7 +13,9 @@
 //! * [`LatencyStore`] — wraps any store with a WAN latency model
 //!   (`base + bytes/bandwidth`, calibrated against the paper's Table 3).
 //! * [`FaultStore`] — programmable fault injection for crash-consistency
-//!   and disaster tests.
+//!   and disaster tests, scheduled by a [`FaultPlan`] over the one
+//!   fault-rule engine, [`FaultSchedule`] (the local-disk fault layer
+//!   in the `ginja` facade uses it too).
 //! * [`MeteredStore`] — operation/byte accounting feeding the §7 cost
 //!   model and the Table 3 experiment.
 //! * [`ReplicatedStore`] — cloud-of-clouds replication (the prototype
@@ -53,7 +55,7 @@ mod usage;
 pub use delta::{DeltaLister, ListingDelta};
 pub use dir::DirStore;
 pub use error::StoreError;
-pub use fault::{FaultKind, FaultPlan, FaultStore, OpKind};
+pub use fault::{FaultKind, FaultPlan, FaultSchedule, FaultStore, OpKind};
 pub use latency::{LatencyModel, LatencyStore};
 pub use mem::MemStore;
 pub use metered::MeteredStore;

@@ -92,9 +92,9 @@ pub use recovery::{
     RestorePointKind,
 };
 pub use stats::{
-    CrashFsSnapshot, GinjaStats, GinjaStatsSnapshot, GovernorSnapshot, IngestSnapshot,
-    LatencyHisto, LatencySnapshot, OutageSnapshot, SentinelSnapshot, SentinelStats,
-    StandbySnapshot, StandbyStats,
+    GinjaStats, GinjaStatsSnapshot, GovernorSnapshot, IngestSnapshot, LatencyHisto,
+    LatencySnapshot, OutageSnapshot, SentinelSnapshot, SentinelStats, StandbySnapshot,
+    StandbyStats,
 };
 pub use verify::{verify_backup, verify_backup_in_memory, VerifyReport};
 pub use view::{CloudView, DbEntry};

@@ -194,9 +194,6 @@ impl GinjaStats {
             breaker_fast_fails: 0,
             breaker_open_time: Duration::ZERO,
             sentinel: SentinelSnapshot::default(),
-            segments_archived: 0,
-            archiver_exposed_updates: 0,
-            crashfs: CrashFsSnapshot::default(),
             governor: GovernorSnapshot::default(),
             // Ingest histograms/counters live on the CommitQueue itself;
             // `Ginja::stats` merges them in.
@@ -564,16 +561,6 @@ pub struct GinjaStatsSnapshot {
     /// DR sentinel counters (scrub/repair/rehearsal), merged in by
     /// `Ginja::stats` when a sentinel is attached; zero otherwise.
     pub sentinel: SentinelSnapshot,
-    /// Completed WAL segments uploaded by the Continuous-Archiving
-    /// baseline (zero unless an archiver's stats were merged in via
-    /// [`GinjaStatsSnapshot::merge_archiver`]).
-    pub segments_archived: u64,
-    /// The archiver baseline's data-loss exposure: updates observed in
-    /// the never-archived current segment.
-    pub archiver_exposed_updates: u64,
-    /// Local-fault / crash-point exploration counters, merged in via
-    /// [`GinjaStatsSnapshot::merge_crashfs`]; zero otherwise.
-    pub crashfs: CrashFsSnapshot,
     /// Live cost-governor state (budget, spend projection, governed
     /// knobs), merged in by `Ginja::stats`; default otherwise.
     pub governor: GovernorSnapshot,
@@ -644,47 +631,7 @@ pub struct GovernorSnapshot {
     pub sentinel_pace_permille: u64,
 }
 
-/// Counters from the local-storage fault layer (`ginja-vfs`'s
-/// `VfsFaultPlan`) and the crash-point explorer, embedded in
-/// [`GinjaStatsSnapshot`] the same way sentinel counters are: one
-/// snapshot tells the whole robustness story — cloud faults survived,
-/// local faults injected, crash points explored.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CrashFsSnapshot {
-    /// Local file-system faults injected (EIO, ENOSPC, short writes,
-    /// lost fsyncs) across the run.
-    pub fs_faults_injected: u64,
-    /// Crash points explored by the harness (each one a full
-    /// power-cut → recover → verify cycle).
-    pub crash_points_explored: u64,
-    /// Crash recoveries that found a torn WAL tail block and salvaged
-    /// it from the doublewrite journal.
-    pub torn_tails_truncated: u64,
-}
-
 impl GinjaStatsSnapshot {
-    /// Merges the Continuous-Archiving baseline's counters into this
-    /// snapshot, so head-to-head comparisons (§9) read one struct for
-    /// both mechanisms.
-    pub fn merge_archiver(&mut self, archiver: &crate::archiver::ArchiverStats) {
-        self.segments_archived = archiver.segments_archived;
-        self.archiver_exposed_updates = archiver.updates_since_last_archive;
-    }
-
-    /// Merges local-fault / crash-point counters into this snapshot, so
-    /// a robustness run reports cloud and local fault handling through
-    /// one struct.
-    pub fn merge_crashfs(&mut self, crashfs: CrashFsSnapshot) {
-        self.crashfs = crashfs;
-    }
-
-    /// Mean sealed WAL object size, or 0 with no uploads.
-    pub fn avg_wal_object_size(&self) -> u64 {
-        self.wal_bytes_sealed
-            .checked_div(self.wal_objects_uploaded)
-            .unwrap_or(0)
-    }
-
     /// Compression+encryption ratio achieved on WAL data (raw/sealed).
     pub fn wal_seal_ratio(&self) -> f64 {
         if self.wal_bytes_sealed == 0 {
@@ -708,7 +655,6 @@ mod tests {
         stats.wal_bytes_raw.store(600, Ordering::Relaxed);
         let snap = stats.snapshot();
         assert_eq!(snap.updates_intercepted, 10);
-        assert_eq!(snap.avg_wal_object_size(), 150);
         assert!((snap.wal_seal_ratio() - 2.0).abs() < 1e-9);
     }
 
@@ -727,7 +673,6 @@ mod tests {
     #[test]
     fn empty_snapshot_ratios_are_neutral() {
         let snap = GinjaStats::default().snapshot();
-        assert_eq!(snap.avg_wal_object_size(), 0);
         assert!((snap.wal_seal_ratio() - 1.0).abs() < 1e-9);
     }
 
@@ -837,31 +782,5 @@ mod tests {
         assert_eq!(snap.get_latency.count, 1);
         assert_eq!(snap.pipeline_fatals, 1);
         assert!(snap.put_latency.mean >= snap.seal_latency.mean);
-    }
-
-    #[test]
-    fn crashfs_counters_merge_into_snapshot() {
-        let mut snap = GinjaStats::default().snapshot();
-        assert_eq!(snap.crashfs, CrashFsSnapshot::default());
-        snap.merge_crashfs(CrashFsSnapshot {
-            fs_faults_injected: 4,
-            crash_points_explored: 17,
-            torn_tails_truncated: 2,
-        });
-        assert_eq!(snap.crashfs.fs_faults_injected, 4);
-        assert_eq!(snap.crashfs.crash_points_explored, 17);
-        assert_eq!(snap.crashfs.torn_tails_truncated, 2);
-    }
-
-    #[test]
-    fn archiver_counters_merge_into_snapshot() {
-        let mut snap = GinjaStats::default().snapshot();
-        assert_eq!(snap.segments_archived, 0);
-        snap.merge_archiver(&crate::archiver::ArchiverStats {
-            segments_archived: 9,
-            updates_since_last_archive: 41,
-        });
-        assert_eq!(snap.segments_archived, 9);
-        assert_eq!(snap.archiver_exposed_updates, 41);
     }
 }

@@ -745,15 +745,6 @@ impl Database {
         self.inner.lock().catalog.iter().map(|m| m.id).collect()
     }
 
-    /// Number of live rows in `table`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::TableMissing`] if the table does not exist.
-    pub fn row_count(&self, table: u32) -> Result<u64, DbError> {
-        Ok(self.dump_table(table)?.len() as u64)
-    }
-
     /// All rows of `table`, sorted by key — for test verification.
     ///
     /// # Errors
@@ -1074,12 +1065,12 @@ mod tests {
         let db = fresh(DbProfile::postgres_small());
         db.create_table(9, 64).unwrap();
         assert_eq!(db.tables(), vec![1, 9]);
-        assert_eq!(db.row_count(1).unwrap(), 0);
+        assert_eq!(db.dump_table(1).unwrap().len(), 0);
         db.put(1, 3, val(3)).unwrap();
         db.put(1, 4, val(4)).unwrap();
         db.delete(1, 3).unwrap();
-        assert_eq!(db.row_count(1).unwrap(), 1);
-        assert!(matches!(db.row_count(7), Err(DbError::TableMissing(7))));
+        assert_eq!(db.dump_table(1).unwrap().len(), 1);
+        assert!(matches!(db.dump_table(7), Err(DbError::TableMissing(7))));
     }
 
     #[test]

@@ -30,11 +30,6 @@ impl Page {
         }
     }
 
-    /// Number of slots.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Number of occupied slots.
     pub fn used_count(&self) -> usize {
         self.slots.iter().filter(|s| s.is_some()).count()
@@ -166,7 +161,7 @@ mod tests {
         let p = Page::from_bytes(&vec![0u8; PAGE], SLOT).unwrap();
         assert_eq!(p.used_count(), 0);
         assert_eq!(p.lsn, 0);
-        assert_eq!(p.slot_count(), (PAGE - PAGE_HEADER) / SLOT);
+        assert_eq!(p.slots.len(), (PAGE - PAGE_HEADER) / SLOT);
     }
 
     #[test]

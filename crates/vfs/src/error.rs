@@ -19,10 +19,10 @@ pub enum FsError {
         len: u64,
     },
     /// The device is out of space (`ENOSPC` from [`crate::DirFs`], or an
-    /// injected fault from [`crate::FaultFs`]).
+    /// injected fault from the facade's `ginja::fault::FaultFs`).
     NoSpace(String),
     /// An underlying I/O error (from [`crate::DirFs`], or injected by
-    /// [`crate::FaultFs`]).
+    /// the facade's `ginja::fault::FaultFs`).
     Io(String),
 }
 

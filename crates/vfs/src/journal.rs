@@ -24,11 +24,25 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::RwLock;
 
-use crate::fault::splitmix64;
 use crate::{FileSystem, FsError, MemFs};
 
 /// Default sector size for torn-write splitting: one legacy disk block.
 pub const DEFAULT_SECTOR_SIZE: usize = 512;
+
+/// The crate's one splitmix64 step: advances `state` atomically and
+/// returns the mixed output — the seeded stream torn writebacks draw
+/// their kept sector counts from. `Relaxed` suffices: the state
+/// publishes no other data, and each `fetch_add` is one step of its
+/// modification order under any ordering.
+fn splitmix64(state: &AtomicU64) -> u64 {
+    const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+    let mut z = state
+        .fetch_add(GAMMA, Ordering::Relaxed)
+        .wrapping_add(GAMMA);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// One write that has reached the page cache but not the platter.
 #[derive(Debug, Clone)]
@@ -148,7 +162,7 @@ impl JournaledFs {
 
     /// Drops the un-synced writes of one file without persisting any of
     /// them — what ext4 does to dirty pages after a failed fsync (the
-    /// "fsync-failure with data loss" mode of the fault plan).
+    /// "fsync-failure with data loss" mode of `ginja::fault`).
     pub fn discard_volatile(&self, path: &str) {
         let mut files = self.files.write();
         if let Some(file) = files.get_mut(path) {

@@ -29,7 +29,6 @@ mod delay;
 mod dir;
 mod error;
 mod event;
-mod fault;
 mod fs;
 mod intercept;
 mod journal;
@@ -41,7 +40,6 @@ pub use delay::{precise_sleep, DelayFs};
 pub use dir::DirFs;
 pub use error::FsError;
 pub use event::{DbmsProcessor, IoClass};
-pub use fault::{FaultFs, FsFaultKind, FsOpKind, VfsFaultPlan};
 pub use fs::FileSystem;
 pub use intercept::{InterceptFs, IoProcessor, NullProcessor, WriteEvent};
 pub use journal::{JournaledFs, DEFAULT_SECTOR_SIZE};

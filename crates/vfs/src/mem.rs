@@ -26,11 +26,6 @@ impl MemFs {
         Self::default()
     }
 
-    /// Number of files.
-    pub fn file_count(&self) -> usize {
-        self.files.read().len()
-    }
-
     /// Sum of all file sizes.
     pub fn total_bytes(&self) -> u64 {
         self.files.read().values().map(|v| v.len() as u64).sum()
@@ -259,9 +254,9 @@ mod tests {
         fs.write("b", 0, b"2", false).unwrap();
         fs.delete("a").unwrap();
         fs.delete("a").unwrap(); // idempotent
-        assert_eq!(fs.file_count(), 1);
+        assert_eq!(fs.list("").unwrap().len(), 1);
         fs.wipe().unwrap();
-        assert_eq!(fs.file_count(), 0);
+        assert_eq!(fs.list("").unwrap().len(), 0);
     }
 
     #[test]

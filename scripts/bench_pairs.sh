@@ -39,9 +39,11 @@ other=".bench_build/$sha"
 if [ ! -x "$other/bench_e2e/target/release/bench_e2e" ]; then
     rm -rf "$other" && mkdir -p "$other"
     git archive "$sha" | tar -x -C "$other"
-    cargo build --release --offline --quiet --manifest-path "$other/bench_e2e/Cargo.toml"
+    cargo build --release --offline --locked --quiet --manifest-path "$other/bench_e2e/Cargo.toml"
 fi
-cargo build --release --offline --quiet --manifest-path bench_e2e/Cargo.toml
+# `--locked`: a dependency change fails here instead of silently
+# rewriting bench_e2e/Cargo.lock.
+cargo build --release --offline --locked --quiet --manifest-path bench_e2e/Cargo.toml
 
 out=".bench_build/pairs-$sha"
 rm -rf "$out" && mkdir -p "$out"

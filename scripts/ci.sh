@@ -61,8 +61,10 @@ GINJA_BENCH_SCALE=0.02 BENCH_PR10_OUT="$PWD/BENCH_PR10.json" \
 test -s BENCH_PR10.json
 # The benchmark is a package of its own outside the workspace: keep it
 # compiling against core and passing its own checks, so an internal
-# rename fails here and not at the next benchmark run.
-cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
-cargo run --release --offline --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke > /dev/null
+# rename fails here and not at the next benchmark run. `--locked` makes
+# its crate graph a tripwire: a dependency change in any crate it links
+# fails here instead of silently rewriting bench_e2e/Cargo.lock.
+cargo test -q --offline --locked --manifest-path bench_e2e/Cargo.toml
+cargo run --release --offline --locked --quiet --manifest-path bench_e2e/Cargo.toml -- --smoke > /dev/null
 # Size and option-surface figures, printed for the log (nothing gated).
 scripts/loc.sh

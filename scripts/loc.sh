@@ -36,7 +36,7 @@ printf '%-48s %7d\n' "pub config fields:" "$total"
 # snapshot, each snapshot nested in it, the fleet roll-up and `Exposure`.
 for spec in stats.rs:GinjaStatsSnapshot stats.rs:OutageSnapshot \
     stats.rs:IngestSnapshot stats.rs:SentinelSnapshot stats.rs:StandbySnapshot \
-    stats.rs:GovernorSnapshot stats.rs:CrashFsSnapshot stats.rs:LatencySnapshot \
+    stats.rs:GovernorSnapshot stats.rs:LatencySnapshot \
     agg.rs:SnapshotTotals ginja.rs:Exposure; do
     printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/core/src/${spec%%:*}" "${spec##*:}")"
 done

@@ -32,7 +32,7 @@
 //! window in RAM — the case where invariant 4 rests on the local WAL
 //! alone.
 //!
-//! Optionally one survivable I/O fault ([`ginja_vfs::FsFaultKind`]) is
+//! Optionally one survivable I/O fault ([`FsFaultKind`]) is
 //! injected at a chosen op index before the crash, so the sweep also
 //! covers "error, keep running, then die" histories — the schedule
 //! space the fsync-gate studies showed real databases get wrong.
@@ -42,10 +42,12 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, PrefixStore, RetryConfig};
-use ginja_core::{recover_into, CrashFsSnapshot, Ginja, GinjaConfig};
+use ginja_core::{recover_into, Ginja, GinjaConfig};
 use ginja_db::{Database, DbError, DbProfile, ProfileKind};
 use ginja_sentinel::scrub_bucket;
-use ginja_vfs::{FaultFs, FileSystem, FsFaultKind, InterceptFs, JournaledFs, VfsFaultPlan};
+use ginja_vfs::{FileSystem, InterceptFs, JournaledFs};
+
+use crate::fault::{FaultFs, FsFaultKind, VfsFaultPlan};
 
 /// The table every explorer workload runs against.
 const TABLE: u32 = 1;
@@ -186,16 +188,6 @@ impl CrashReport {
     /// Whether every explored crash point upheld all four invariants.
     pub fn is_clean(&self) -> bool {
         self.violations.is_empty()
-    }
-
-    /// The counters in the shape [`ginja_core::GinjaStatsSnapshot`]
-    /// carries (merge with `merge_crashfs`).
-    pub fn crashfs(&self) -> CrashFsSnapshot {
-        CrashFsSnapshot {
-            fs_faults_injected: self.fs_faults_injected,
-            crash_points_explored: self.explored,
-            torn_tails_truncated: self.torn_tails_truncated,
-        }
     }
 
     fn violate(&mut self, point: u64, mode: CrashMode, invariant: &'static str, detail: String) {
@@ -809,6 +801,5 @@ mod tests {
         assert!(report.explored > 0);
         let violations: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
         assert!(report.is_clean(), "{violations:#?}");
-        assert_eq!(report.crashfs().crash_points_explored, report.explored);
     }
 }

@@ -36,6 +36,15 @@
 //!   cloud-tail apply into a shadow directory and bounded-RTO
 //!   promotion.
 //!
+//! Two modules live in the facade itself:
+//!
+//! * [`crashpoint`] — the crash-point explorer: every mutating local
+//!   I/O of a seeded workload becomes a kill point, and each survivor
+//!   must recover locally, from the cloud, and via reboot.
+//! * [`fault`] — local-disk fault injection ([`fault::FaultFs`] and
+//!   its [`fault::VfsFaultPlan`]), the explorer's kill switch, on the
+//!   cloud crate's one fault-rule engine ([`cloud::FaultSchedule`]).
+//!
 //! ## Quickstart
 //!
 //! ```rust
@@ -80,6 +89,7 @@ pub use ginja_vfs as vfs;
 pub use ginja_workload as workload;
 
 pub mod crashpoint;
+pub mod fault;
 pub mod harness;
 
 pub use crashpoint::{explore, CrashMode, CrashReport, ExplorerConfig, Violation};

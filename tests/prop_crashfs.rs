@@ -6,7 +6,7 @@
 
 use ginja::crashpoint::{explore, ExplorerConfig};
 use ginja::db::ProfileKind;
-use ginja::vfs::FsFaultKind;
+use ginja::fault::FsFaultKind;
 use proptest::prelude::*;
 
 fn profile_strategy() -> impl Strategy<Value = ProfileKind> {
