@@ -142,6 +142,24 @@ fn bench_seal_open(c: &mut Criterion) {
             })
         });
     }
+    // The whole seal — compression, encryption and MAC — on an object
+    // the size of a large `pg_mem` WAL object: the layer `bench_e2e`'s
+    // `codec.seal_mbps` measures, where GLZ takes most of the time.
+    let big = page_like_data(256 * 1024);
+    let codec = Codec::new(
+        CodecConfig::new()
+            .compression(true)
+            .password("bench")
+            .kdf_iterations(16),
+    );
+    let mut out = Vec::new();
+    group.throughput(Throughput::Bytes(big.len() as u64));
+    group.bench_with_input(BenchmarkId::new("page_like", big.len()), &big, |b, big| {
+        b.iter(|| {
+            codec.seal_into("WAL/1_seg_0", big, &mut out).unwrap();
+            out.len()
+        })
+    });
     group.finish();
 }
 

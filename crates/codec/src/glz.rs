@@ -9,16 +9,34 @@
 //!
 //! ## Matcher
 //!
-//! Like zlib, the matcher looks back at most [`WINDOW`] = 32 KiB. The
-//! hash chain is zlib's ring, `prev[pos & (WINDOW - 1)]`, and a chain
-//! walk stops at the first candidate a full window back. Without a
-//! window, a multi-megabyte checkpoint or dump object walks links back
-//! across the whole object, and every probe is a cache miss into a chain
-//! array of 4 bytes per input byte. With it, the probes stay within the
-//! last 32 KiB of input and matcher state is a fixed 256 KiB per thread
-//! (a 128 KiB head table and a 128 KiB ring), whatever the object size.
-//! 32 KiB is zlib's choice too: it holds four 8 KiB database pages, and
-//! near distances take shorter varints.
+//! The matcher has the shape of zlib's fastest level, the setting the
+//! paper ran. It is greedy (no lazy evaluation), looks back at most
+//! [`WINDOW`] = 32 KiB, and per position:
+//!
+//! * hashes the next 4 bytes into a 17-bit head table;
+//! * walks at most 4 links of the hash chain, zlib's ring
+//!   `prev[pos & (WINDOW - 1)]`, stopping at the first candidate a full
+//!   window back;
+//! * stops the walk early once a match reaches 32 bytes (zlib's "nice
+//!   length");
+//! * after a match, indexes only its first 4 positions (zlib's
+//!   `max_insert_length`) and jumps past the rest.
+//!
+//! Without a window, a multi-megabyte checkpoint or dump object walks
+//! links back across the whole object, and every probe is a cache miss
+//! into a chain array of 4 bytes per input byte. With it, the probes stay
+//! within the last 32 KiB of input, and matcher state is a fixed 640 KiB
+//! per thread (a 512 KiB head table and a 128 KiB ring), whatever the
+//! object size. 32 KiB is zlib's choice too: it holds four 8 KiB database
+//! pages, and near distances take shorter varints.
+//!
+//! The tables are indexed by *absolute* position: each call starts a full
+//! window past the end of the previous call on the same thread. Every
+//! entry an earlier call left behind therefore reads as a window back and
+//! ends a walk exactly as an empty entry does, so the head table is not
+//! cleared per call and the output is a pure function of the input. The
+//! tables are refilled only when the running position would reach the
+//! `u32` range's top window, once per ~4 GiB compressed.
 //!
 //! Positions are stored as `u32` and distances taken with `wrapping_sub`.
 //! On an input of 4 GiB or more a stale link can therefore only name a
@@ -61,15 +79,24 @@ pub const MAX_MATCH: usize = 1 << 16;
 /// below this (zlib's 32 KiB).
 pub const WINDOW: usize = 1 << 15;
 
-const HASH_BITS: u32 = 15;
+const HASH_BITS: u32 = 17;
 const HASH_SIZE: usize = 1 << HASH_BITS;
 
-/// Hash-chain candidates examined per position — the "ZLIB fastest"
-/// analogue the paper uses.
-const PROBES: usize = 8;
+/// Hash-chain candidates examined per position: zlib level 1's
+/// `max_chain`.
+const PROBES: usize = 4;
 
-/// A `head` entry no position has claimed yet: a full window behind
-/// position 0, so the first walk from any bucket stops at once.
+/// A match this long ends the chain walk: longer ones are rare, and a
+/// further probe would seldom beat it by enough to pay for itself.
+const NICE_MATCH: usize = 32;
+
+/// Positions of a match indexed before jumping past it: zlib level 1's
+/// `max_insert_length`.
+const MATCH_INSERTS: usize = 4;
+
+/// A table entry no position has claimed yet: a full window behind
+/// every position a call uses (see [`MatchState::claim`]), so a walk
+/// reaching it stops at once.
 const EMPTY: u32 = 0u32.wrapping_sub(WINDOW as u32);
 
 /// The 4 bytes at `pos`, as one word.
@@ -84,11 +111,40 @@ fn hash(word: u32) -> usize {
 }
 
 /// Reusable matcher state, kept per thread so steady-state sealing does
-/// not allocate: `head` is the newest position per hash bucket, `prev`
-/// the ring of chain links.
+/// not allocate: `head` is the newest absolute position per hash bucket,
+/// `prev` the ring of chain links, and `next_base` the absolute position
+/// the next call's first byte takes.
 struct MatchState {
     head: Vec<u32>,
     prev: Vec<u32>,
+    next_base: u64,
+}
+
+impl MatchState {
+    /// Claims absolute positions `base..base + len` for one call and
+    /// returns `base`.
+    ///
+    /// Every position an earlier call stored is below
+    /// `base - WINDOW`, and `EMPTY` is at or above `base + len`, so for
+    /// any position of this call both read as a window or more back.
+    /// When the claim would cross `EMPTY`, the tables are refilled and
+    /// positions restart at 0, as on a fresh thread. `prev` needs no
+    /// refill for that argument — a ring slot is written when its
+    /// position is inserted, before any link can name it — but refilling
+    /// it too keeps even a ≥ 4 GiB input's output independent of history.
+    fn claim(&mut self, len: usize) -> u32 {
+        let mut base = self.next_base;
+        if self.head.len() != HASH_SIZE || base + len as u64 > u64::from(EMPTY) {
+            self.head.clear();
+            self.head.resize(HASH_SIZE, EMPTY);
+            self.prev.clear();
+            self.prev.resize(WINDOW, EMPTY);
+            base = 0;
+        }
+        self.next_base = base + len as u64 + WINDOW as u64;
+        // At most `EMPTY` after the check above.
+        base as u32
+    }
 }
 
 thread_local! {
@@ -96,6 +152,7 @@ thread_local! {
         std::cell::RefCell::new(MatchState {
             head: Vec::new(),
             prev: Vec::new(),
+            next_base: 0,
         })
     };
 }
@@ -122,35 +179,33 @@ pub fn compress_into(data: &[u8], out: &mut Vec<u8>) {
     }
     MATCH_STATE.with(|state| {
         let mut state = state.borrow_mut();
-        let MatchState { head, prev } = &mut *state;
-        // `head` must start clean — chains may only reach positions
-        // inserted during *this* call. `prev` needs no clearing: a ring
-        // slot is written when its position is inserted, before any link
-        // can name it, so stale contents from earlier calls are dead.
-        head.clear();
-        head.resize(HASH_SIZE, EMPTY);
-        prev.resize(WINDOW, EMPTY);
-        compress_core(data, head, prev, out);
+        let base = state.claim(data.len());
+        let MatchState { head, prev, .. } = &mut *state;
+        compress_core(data, base, head, prev, out);
     });
 }
 
-fn compress_core(data: &[u8], head: &mut [u32], prev: &mut [u32], out: &mut Vec<u8>) {
+/// Compresses `data`, whose first byte has absolute position `base`.
+fn compress_core(data: &[u8], base: u32, head: &mut [u32], prev: &mut [u32], out: &mut Vec<u8>) {
     let mut pos = 0usize;
     let mut literal_start = 0usize;
 
     while pos + MIN_MATCH <= data.len() {
         let word = load4(data, pos);
         let h = hash(word);
+        let here = base.wrapping_add(pos as u32);
         let mut candidate = head[h];
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         let max_len = (data.len() - pos).min(MAX_MATCH);
+        let nice_len = max_len.min(NICE_MATCH);
 
         for _ in 0..PROBES {
             // Links run strictly backwards, so the first one a window
-            // back (or `EMPTY`) ends the chain. Past 4 GiB a wrapped
-            // link may read as distance 0; that ends it too.
-            let dist = (pos as u32).wrapping_sub(candidate) as usize;
+            // back (or `EMPTY`, or left by an earlier call) ends the
+            // chain. Past 4 GiB a wrapped link may read as distance 0;
+            // that ends it too.
+            let dist = here.wrapping_sub(candidate) as usize;
             if dist == 0 || dist >= WINDOW {
                 break;
             }
@@ -172,12 +227,12 @@ fn compress_core(data: &[u8], head: &mut [u32], prev: &mut [u32], out: &mut Vec<
                 if len > best_len {
                     best_len = len;
                     best_dist = dist;
-                    if len == max_len {
+                    if len >= nice_len {
                         break;
                     }
                 }
             }
-            candidate = prev[cand & (WINDOW - 1)];
+            candidate = prev[candidate as usize & (WINDOW - 1)];
         }
 
         if best_len >= MIN_MATCH {
@@ -186,20 +241,21 @@ fn compress_core(data: &[u8], head: &mut [u32], prev: &mut [u32], out: &mut Vec<
             varint::write_u64(out, v);
             varint::write_u64(out, best_dist as u64);
 
-            // Index the skipped positions so later matches can refer into
-            // this region (cap the work for very long matches).
+            // Index the match's first few positions so later matches can
+            // refer into this region, then jump past the rest.
             let end = pos + best_len;
             let index_until = end
-                .min(pos + 64)
+                .min(pos + MATCH_INSERTS)
                 .min(data.len().saturating_sub(MIN_MATCH - 1));
             while pos < index_until {
-                insert(head, prev, hash(load4(data, pos)), pos);
+                let h = hash(load4(data, pos));
+                insert(head, prev, h, base.wrapping_add(pos as u32));
                 pos += 1;
             }
             pos = end;
             literal_start = pos;
         } else {
-            insert(head, prev, h, pos);
+            insert(head, prev, h, here);
             pos += 1;
         }
     }
@@ -207,11 +263,11 @@ fn compress_core(data: &[u8], head: &mut [u32], prev: &mut [u32], out: &mut Vec<
     flush_literals(out, &data[literal_start..]);
 }
 
-/// Makes `pos` the newest position of hash bucket `h`.
+/// Makes absolute position `at` the newest of hash bucket `h`.
 #[inline]
-fn insert(head: &mut [u32], prev: &mut [u32], h: usize, pos: usize) {
-    prev[pos & (WINDOW - 1)] = head[h];
-    head[h] = pos as u32;
+fn insert(head: &mut [u32], prev: &mut [u32], h: usize, at: u32) {
+    prev[at as usize & (WINDOW - 1)] = head[h];
+    head[h] = at;
 }
 
 /// Longest common prefix of `data[a..]` and `data[b..]`, capped at
@@ -449,9 +505,10 @@ mod tests {
     #[test]
     fn repeated_page_is_matched_within_window() {
         // One pseudo-random 8 KiB page, 128 times over. Each copy is
-        // found 8 KiB back, but a match indexes only its first 64
+        // found 8 KiB back, but a match indexes only its first 4
         // positions, so after every MAX_MATCH-long copy one page goes
-        // out as literals before matching resumes.
+        // out as literals before matching resumes: 1 MiB packs to
+        // 123 002 bytes (8.5×).
         let mut state = 0x9E37_79B9_7F4A_7C15u64;
         let page: Vec<u8> = (0..8192)
             .map(|_| {
@@ -586,9 +643,10 @@ mod tests {
 
     #[test]
     fn pooled_state_survives_shrinking_inputs() {
-        // The thread-local `prev` array is not cleared between calls; a
-        // big input followed by smaller ones must still round-trip (the
-        // stale entries are unreachable because `head` is reset).
+        // The thread-local tables are not cleared between calls; a big
+        // input followed by smaller ones must still round-trip (the
+        // stale entries read as a window back, because each call starts
+        // a window past the previous one's end).
         let big: Vec<u8> = (0..100_000u32)
             .flat_map(|i| (i % 251).to_le_bytes())
             .collect();
@@ -597,6 +655,102 @@ mod tests {
             let data: Vec<u8> = (0..len).map(|i| (i % 7) as u8).collect();
             assert_eq!(roundtrip(&data), data, "len {len}");
         }
+    }
+
+    /// Records of a few varying bytes and a repeating filler, so that
+    /// inputs cut from it share content and the matcher has work to do.
+    fn records(len: usize, seed: u32) -> Vec<u8> {
+        (0u32..)
+            .flat_map(|i| {
+                let key = (i.wrapping_mul(2_654_435_761) ^ seed) % 977;
+                let mut rec = key.to_le_bytes().to_vec();
+                rec.extend_from_slice(b"filler-of-a-row");
+                rec
+            })
+            .take(len)
+            .collect()
+    }
+
+    /// What `compress` gives on a thread that has compressed nothing
+    /// before.
+    fn compress_on_fresh_thread(data: &[u8]) -> Vec<u8> {
+        std::thread::scope(|s| s.spawn(|| compress(data)).join().unwrap())
+    }
+
+    #[test]
+    fn output_does_not_depend_on_earlier_calls() {
+        let big = records(300_000, 1);
+        let small: Vec<Vec<u8>> = (0..40)
+            .map(|i| records(100 + 97 * i, i as u32 % 3))
+            .collect();
+        let mut big_then_small = vec![&big];
+        big_then_small.extend(&small);
+        let mut small_then_big: Vec<&Vec<u8>> = small.iter().collect();
+        small_then_big.push(&big);
+        let many_small: Vec<&Vec<u8>> = small.iter().cycle().take(400).collect();
+        for order in [big_then_small, small_then_big, many_small] {
+            // Each order on a thread of its own, so it starts from the
+            // same state whatever ran before on the test thread.
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    for data in &order {
+                        assert_eq!(compress(data), compress_on_fresh_thread(data));
+                    }
+                })
+                .join()
+                .unwrap()
+            });
+        }
+    }
+
+    /// The absolute position this thread's next call starts at.
+    fn next_base() -> u64 {
+        MATCH_STATE.with(|state| state.borrow().next_base)
+    }
+
+    fn set_next_base(next: u64) {
+        MATCH_STATE.with(|state| state.borrow_mut().next_base = next);
+    }
+
+    /// The largest position this thread's head table holds, if any.
+    fn newest_head_entry() -> Option<u32> {
+        MATCH_STATE.with(|state| {
+            state
+                .borrow()
+                .head
+                .iter()
+                .copied()
+                .filter(|&at| at != EMPTY)
+                .max()
+        })
+    }
+
+    #[test]
+    fn tables_are_refilled_once_before_positions_wrap() {
+        let data = records(4096, 5);
+        let fresh = compress_on_fresh_thread(&data);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                compress(&records(200_000, 5));
+                // The last position just below `EMPTY`: the call fits, so
+                // positions run on and the tables keep their entries.
+                let top = u64::from(EMPTY) - data.len() as u64;
+                set_next_base(top);
+                assert_eq!(compress(&data), fresh);
+                assert_eq!(next_base(), top + (data.len() + WINDOW) as u64);
+                assert!(newest_head_entry() >= Some(top as u32));
+                // The next call would cross `EMPTY`: the tables are
+                // refilled and positions restart at 0, as on a fresh
+                // thread. No entry from before the refill survives it.
+                assert_eq!(compress(&data), fresh);
+                assert_eq!(next_base(), (data.len() + WINDOW) as u64);
+                assert!(newest_head_entry() < Some(data.len() as u32));
+                assert_eq!(compress(&data), fresh);
+                assert_eq!(next_base(), 2 * (data.len() + WINDOW) as u64);
+            })
+            .join()
+            .unwrap()
+        });
     }
 
     #[test]
@@ -678,7 +832,7 @@ mod tests {
 
     #[test]
     fn long_match_exceeding_index_cap() {
-        // A single repeat longer than the 64-byte indexing cap inside a match.
+        // A single repeat longer than the insert cap inside a match.
         let mut data = vec![0u8; 10_000];
         data.extend_from_slice(b"tail-marker");
         data.extend_from_slice(&vec![0u8; 10_000]);

@@ -84,7 +84,11 @@ pub struct ExplorerConfig {
     /// Which DBMS I/O profile the workload runs under.
     pub profile: ProfileKind,
     /// Seed for the workload, the torn-writeback draws, and any
-    /// probabilistic choice the sweep makes — same seed, same sweep.
+    /// probabilistic choice the sweep makes. The seed fixes the crash
+    /// points, the replays explored, the faults injected and every
+    /// invariant verdict. It does not fix
+    /// [`CrashReport::wal_resync_objects`], which depends on how far the
+    /// uploader threads got before each crash.
     pub seed: u64,
     /// Number of workload steps (puts/deletes/checkpoints).
     pub steps: usize,
@@ -178,7 +182,10 @@ pub struct CrashReport {
     /// Crash recoveries that salvaged a torn tail block from the
     /// doublewrite journal.
     pub torn_tails_truncated: u64,
-    /// WAL objects `Ginja::reboot` re-uploaded to heal the cloud.
+    /// WAL objects `Ginja::reboot` re-uploaded to heal the cloud. Not
+    /// fixed by [`ExplorerConfig::seed`]: what a reboot resyncs is what
+    /// the cloud lacked at the crash, and that depends on uploader
+    /// timing (one seed's sweep read 157, 184 and 139 across runs).
     pub wal_resync_objects: u64,
     /// Every invariant violation, in exploration order.
     pub violations: Vec<Violation>,
