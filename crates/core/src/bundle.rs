@@ -6,6 +6,8 @@
 //! with `writeLocally(file.name, file.offset, file.content)` exactly as
 //! in Algorithm 1.
 
+use std::collections::BTreeMap;
+
 use crate::GinjaError;
 
 /// One `(file, offset, content)` entry of a bundle.
@@ -103,9 +105,43 @@ pub fn chunk(bytes: Vec<u8>, cap: usize) -> Vec<Vec<u8>> {
     bytes.chunks(cap).map(|c| c.to_vec()).collect()
 }
 
-/// Reassembles chunks produced by [`chunk`].
-pub fn reassemble(parts: Vec<Vec<u8>>) -> Vec<u8> {
+/// Reassembles chunks produced by [`chunk`]. A lone part (every
+/// bundle under the object-size cap) is returned as is, not copied.
+pub fn reassemble(mut parts: Vec<Vec<u8>>) -> Vec<u8> {
+    if parts.len() == 1 {
+        return parts.pop().expect("one part");
+    }
     parts.concat()
+}
+
+/// Flattens per-file range maps (path → offset → bytes, as
+/// [`crate::agg::apply`] keeps them) into bundle entries, by path and
+/// then offset.
+pub(crate) fn from_ranges(ranges: BTreeMap<String, BTreeMap<u64, Vec<u8>>>) -> Vec<FileRange> {
+    ranges
+        .into_iter()
+        .flat_map(|(path, file_ranges)| {
+            file_ranges
+                .into_iter()
+                .map(move |(offset, data)| FileRange {
+                    path: path.clone(),
+                    offset,
+                    data,
+                })
+        })
+        .collect()
+}
+
+/// `newer`'s entries written over `older`'s, last writer wins per byte:
+/// the bundle whose apply gives the same image as applying `older` and
+/// then `newer`, with no byte carried twice.
+pub(crate) fn overlay(older: Vec<FileRange>, newer: Vec<FileRange>) -> Vec<FileRange> {
+    let mut ranges: BTreeMap<String, BTreeMap<u64, Vec<u8>>> = BTreeMap::new();
+    for entry in older.into_iter().chain(newer) {
+        let file = ranges.entry(entry.path).or_default();
+        crate::agg::apply(file, entry.offset, &entry.data);
+    }
+    from_ranges(ranges)
 }
 
 #[cfg(test)]
@@ -172,6 +208,17 @@ mod tests {
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.len() <= 4096));
         assert_eq!(reassemble(parts), bytes);
+    }
+
+    #[test]
+    fn overlay_keeps_the_last_writer_of_each_byte_once() {
+        let older = vec![entry("a", 0, b"aaaaaa"), entry("b", 4, b"bb")];
+        let newer = vec![entry("a", 4, b"AAAA"), entry("a", 1, b"X")];
+        let merged = overlay(older, newer);
+        assert_eq!(
+            merged,
+            vec![entry("a", 0, b"aXaaAAAA"), entry("b", 4, b"bb")]
+        );
     }
 
     #[test]

@@ -101,11 +101,54 @@ pub struct Exposure {
 }
 
 /// Checkpoint accumulation state (the paper's Algorithm 3 lines 1–16).
-#[derive(Default)]
 struct CkptAccum {
     in_checkpoint: bool,
     ts: u64,
     ranges: std::collections::BTreeMap<String, std::collections::BTreeMap<u64, Vec<u8>>>,
+    decided: DecidedDb,
+}
+
+/// What the dump rule counts (Algorithm 3 line 8): the bundle size of
+/// every DB object decided since the last dump decision — the dump and
+/// each checkpoint after it — one total per dump chain the bucket keeps
+/// (the newest, or the `keep_snapshots + 1` newest under PITR). Sizes
+/// are counted when decided, not when durable, so the rule is a
+/// function of the checkpoints alone: neither upload speed nor queue
+/// coalescing moves it.
+struct DecidedDb {
+    /// Per-chain totals, oldest first; at most `keep` of them.
+    chains: std::collections::VecDeque<u64>,
+    keep: usize,
+}
+
+impl DecidedDb {
+    /// The totals of the DB objects `view` holds, chain by chain.
+    fn from_view(view: &CloudView, keep: usize) -> Self {
+        let chains = std::collections::VecDeque::new();
+        let mut decided = DecidedDb { chains, keep };
+        for (_, entry) in view.db_entries() {
+            decided.record(entry.kind, entry.size);
+        }
+        decided
+    }
+
+    fn total(&self) -> u64 {
+        self.chains.iter().sum()
+    }
+
+    /// Counts one decided DB object: a dump starts a chain (and the
+    /// oldest retained one goes), a checkpoint adds to the newest.
+    fn record(&mut self, kind: DbObjectKind, size: u64) {
+        match (kind, self.chains.back_mut()) {
+            (DbObjectKind::Checkpoint, Some(chain)) => *chain += size,
+            _ => {
+                self.chains.push_back(size);
+                if self.chains.len() > self.keep {
+                    self.chains.pop_front();
+                }
+            }
+        }
+    }
 }
 
 impl CkptAccum {
@@ -421,6 +464,13 @@ impl Ginja {
             projected_microusd: AtomicU64::new(0),
         });
         let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
+        let chains_kept = config.pitr.map_or(1, |pitr| pitr.keep_snapshots + 1);
+        let accum = CkptAccum {
+            in_checkpoint: false,
+            ts: 0,
+            ranges: std::collections::BTreeMap::new(),
+            decided: DecidedDb::from_view(&view, chains_kept),
+        };
         let shared = Arc::new(Shared {
             ckpt_queue: CkptQueue::new(config.outage.ckpt_capacity),
             stalled_uploads: AtomicU64::new(0),
@@ -435,7 +485,7 @@ impl Ginja {
             acks: AckLedger::default(),
             stats,
             fanout,
-            accum: Mutex::new(CkptAccum::default()),
+            accum: Mutex::new(accum),
             pending_ckpt_jobs: AtomicUsize::new(0),
             batch_turn: std::sync::Mutex::new(0),
             stop: Arc::new(StopSignal::default()),
@@ -726,12 +776,17 @@ impl Ginja {
             return Err(GinjaError::ShutDown);
         }
         let entries = read_db_files(self.shared.fs.as_ref(), self.shared.processor.as_ref())?;
+        let mut accum = self.shared.accum.lock();
         let ts = self.shared.view.lock().watermark();
         let job = CkptJob {
             ts,
             kind: DbObjectKind::Dump,
             entries,
         };
+        accum
+            .decided
+            .record(job.kind, bundle::encoded_len(&job.entries));
+        drop(accum);
         self.shared
             .stats
             .dumps_uploaded
@@ -778,26 +833,18 @@ impl Ginja {
 
             // Checkpoint end: decide dump vs incremental (Alg. 3 l. 8–16).
             let ts = accum.ts;
-            let ranges = std::mem::take(&mut accum.ranges);
+            let ranges = bundle::from_ranges(std::mem::take(&mut accum.ranges));
             accum.in_checkpoint = false;
 
-            // The view counts a DB object only once it is durable, which
-            // lags this point by however long earlier jobs take to seal
-            // and PUT. Counting the checkpointer's pending jobs too makes
-            // the decision a function of the checkpoints, not of upload
-            // speed, and a dump still on its way supersedes the objects
-            // it will collect instead of triggering another.
-            let cloud_db_size = {
-                let view = self.shared.view.lock();
-                self.shared
-                    .ckpt_queue
-                    .projected_db_size(view.total_db_size(), self.shared.config.pitr.is_none())
-            };
             let local_db_size = self.local_db_size();
             let dump_due = local_db_size > 0
-                && cloud_db_size as f64 >= self.dump_threshold() * local_db_size as f64;
-
-            if dump_due {
+                && accum.decided.total() as f64 >= self.dump_threshold() * local_db_size as f64;
+            let checkpoint = |entries| CkptJob {
+                ts,
+                kind: DbObjectKind::Checkpoint,
+                entries,
+            };
+            let job = if dump_due {
                 // Full dump, read synchronously here: this blocks the
                 // DBMS's write path (not its commits in a multi-threaded
                 // DBMS), which is the paper's consistency argument for
@@ -805,32 +852,35 @@ impl Ginja {
                 // DB files while the dump object is being created").
                 match read_db_files(self.shared.fs.as_ref(), self.shared.processor.as_ref()) {
                     Ok(mut entries) => {
-                        // The dump must also carry the checkpoint's own
-                        // writes: for MySQL the checkpoint *control
-                        // block* lives inside `ib_logfile0` (a WAL file,
-                        // absent from the database files), and recovery
-                        // needs it after this dump's GC deletes the
-                        // checkpoint objects that used to carry it.
-                        entries.extend(ranges_to_entries(ranges));
+                        // The files just read already hold every page
+                        // this checkpoint wrote (`InterceptFs` writes
+                        // locally before it raises the event), so of its
+                        // ranges the dump carries only those outside the
+                        // database files: for MySQL the checkpoint
+                        // *control block* inside `ib_logfile0`, a WAL
+                        // file, which recovery needs after this dump's
+                        // GC deletes the checkpoint objects that used to
+                        // carry it.
+                        let processor = self.shared.processor.as_ref();
+                        let outside = ranges
+                            .into_iter()
+                            .filter(|r| !processor.is_db_file(&r.path));
+                        entries.extend(outside);
                         CkptJob {
                             ts,
                             kind: DbObjectKind::Dump,
                             entries,
                         }
                     }
-                    Err(_) => CkptJob {
-                        ts,
-                        kind: DbObjectKind::Checkpoint,
-                        entries: ranges_to_entries(ranges),
-                    },
+                    Err(_) => checkpoint(ranges),
                 }
             } else {
-                CkptJob {
-                    ts,
-                    kind: DbObjectKind::Checkpoint,
-                    entries: ranges_to_entries(ranges),
-                }
-            }
+                checkpoint(ranges)
+            };
+            accum
+                .decided
+                .record(job.kind, bundle::encoded_len(&job.entries));
+            job
         };
 
         self.shared
@@ -936,22 +986,6 @@ fn knob_bounds_for(config: &GinjaConfig) -> KnobBounds {
         max_dump_threshold: config.dump_threshold + 1.5,
         max_sentinel_pace: 16.0,
     }
-}
-
-fn ranges_to_entries(
-    ranges: std::collections::BTreeMap<String, std::collections::BTreeMap<u64, Vec<u8>>>,
-) -> Vec<FileRange> {
-    let mut entries = Vec::new();
-    for (path, file_ranges) in ranges {
-        for (offset, data) in file_ranges {
-            entries.push(FileRange {
-                path: path.clone(),
-                offset,
-                data,
-            });
-        }
-    }
-    entries
 }
 
 /// One object of a seal+PUT wave: the wire name plus raw payload.
@@ -1653,7 +1687,6 @@ fn checkpointer_loop(shared: &Shared) {
                 // fault surfaces via `Exposure::fatal`.
                 shared.stats.pipeline_fatals.fetch_add(1, Ordering::Relaxed);
             }
-            shared.ckpt_queue.done();
             shared.pending_ckpt_jobs.fetch_sub(1, Ordering::SeqCst);
             return;
         }
@@ -1675,7 +1708,6 @@ fn checkpointer_loop(shared: &Shared) {
             for name in uploaded {
                 view.add_db_part(name);
             }
-            shared.ckpt_queue.done();
 
             // Point-in-time retention: keep the newest (keep_snapshots
             // + 1) dump chains and all WAL since the oldest retained
@@ -1753,5 +1785,45 @@ fn checkpointer_loop(shared: &Shared) {
             }
         }
         shared.pending_ckpt_jobs.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use DbObjectKind::{Checkpoint, Dump};
+
+    fn part(ts: u64, kind: DbObjectKind, size: u64) -> DbObjectName {
+        let (part, parts) = (0, 1);
+        DbObjectName {
+            ts,
+            kind,
+            size,
+            part,
+            parts,
+        }
+    }
+
+    #[test]
+    fn decided_db_counts_each_retained_chain() {
+        let mut view = CloudView::new();
+        for (ts, kind, size) in [(0, Dump, 100), (3, Checkpoint, 10), (5, Dump, 90)] {
+            view.add_db_part(part(ts, kind, size));
+        }
+        view.add_db_part(part(7, Checkpoint, 20));
+
+        // Without PITR the newest chain is what the bucket keeps.
+        let mut newest = DecidedDb::from_view(&view, 1);
+        assert_eq!(newest.total(), 110);
+        newest.record(Checkpoint, 5);
+        assert_eq!(newest.total(), 115);
+        newest.record(Dump, 95);
+        assert_eq!(newest.total(), 95);
+
+        // PITR keeping one older chain: both count, the third goes.
+        let mut two = DecidedDb::from_view(&view, 2);
+        assert_eq!(two.total(), 220);
+        two.record(Dump, 95);
+        assert_eq!(two.total(), 205);
     }
 }

@@ -155,15 +155,11 @@ pub(crate) enum CkptPush {
 
 /// A bounded checkpoint queue — the replacement for the old unbounded
 /// checkpoint channel, whose jobs each carry up to a whole database of
-/// page images. At capacity the incoming job is merged into the newest
-/// queued one: entries concatenate (later entries win at apply time,
-/// exactly the order the checkpointer's own ts-collision merge uses),
-/// the timestamp takes the max, and Dump-ness is sticky. This is the
-/// same merge recovery itself performs, just earlier and in RAM.
-///
-/// The queue also remembers the job the checkpointer popped until
-/// [`CkptQueue::done`], so [`CkptQueue::projected_db_size`] can count
-/// every DB object that is on its way to the cloud.
+/// page images. At capacity the incoming job is written over the newest
+/// queued one ([`bundle::overlay`]: last writer wins per byte, each
+/// byte carried once), the timestamp takes the max, and Dump-ness is
+/// sticky. Applying the merged job gives the image that applying the
+/// two in order would.
 pub(crate) struct CkptQueue {
     inner: Mutex<CkptInner>,
     not_empty: Condvar,
@@ -173,8 +169,6 @@ pub(crate) struct CkptQueue {
 struct CkptInner {
     items: VecDeque<CkptJob>,
     closed: bool,
-    /// Kind and bundle size of the popped job not yet `done`.
-    in_flight: Option<(DbObjectKind, u64)>,
 }
 
 impl CkptQueue {
@@ -183,7 +177,6 @@ impl CkptQueue {
             inner: Mutex::new(CkptInner {
                 items: VecDeque::with_capacity(capacity.max(1)),
                 closed: false,
-                in_flight: None,
             }),
             not_empty: Condvar::new(),
             capacity: capacity.max(1),
@@ -200,7 +193,8 @@ impl CkptQueue {
                 .items
                 .back_mut()
                 .expect("capacity >= 1, so a full queue has a back");
-            newest.entries.extend(job.entries);
+            let older = std::mem::take(&mut newest.entries);
+            newest.entries = bundle::overlay(older, job.entries);
             newest.ts = newest.ts.max(job.ts);
             if job.kind == DbObjectKind::Dump {
                 newest.kind = DbObjectKind::Dump;
@@ -212,13 +206,11 @@ impl CkptQueue {
         CkptPush::Queued
     }
 
-    /// Blocking pop: `None` only once closed *and* drained. The job stays
-    /// in flight until [`CkptQueue::done`].
+    /// Blocking pop: `None` only once closed *and* drained.
     pub(crate) fn pop(&self) -> Option<CkptJob> {
         let mut inner = self.inner.lock();
         loop {
             if let Some(job) = inner.items.pop_front() {
-                inner.in_flight = Some((job.kind, bundle::encoded_len(&job.entries)));
                 return Some(job);
             }
             if inner.closed {
@@ -226,36 +218,6 @@ impl CkptQueue {
             }
             self.not_empty.wait(&mut inner);
         }
-    }
-
-    /// The popped job has landed in the view (or never will). Call it
-    /// under the view lock, so a reader holding that lock sees the job
-    /// counted exactly once: here or in the view.
-    pub(crate) fn done(&self) {
-        self.inner.lock().in_flight = None;
-    }
-
-    /// The view's total DB size once the in-flight and every queued job
-    /// are durable: `durable` plus each job's bundle size, in queue
-    /// order. With `dumps_supersede` (no point-in-time retention) a dump
-    /// restarts the sum, as its garbage collection will.
-    pub(crate) fn projected_db_size(&self, durable: u64, dumps_supersede: bool) -> u64 {
-        let inner = self.inner.lock();
-        let queued = inner
-            .items
-            .iter()
-            .map(|job| (job.kind, bundle::encoded_len(&job.entries)));
-        inner
-            .in_flight
-            .into_iter()
-            .chain(queued)
-            .fold(durable, |total, (kind, size)| {
-                if dumps_supersede && kind == DbObjectKind::Dump {
-                    size
-                } else {
-                    total + size
-                }
-            })
     }
 
     pub(crate) fn close(&self) {
@@ -378,34 +340,47 @@ mod tests {
         assert_eq!(OutageState::from_u64(99), Healthy);
     }
 
-    fn ckpt(ts: u64, kind: DbObjectKind, tag: u8) -> CkptJob {
-        CkptJob {
-            ts,
-            kind,
-            entries: vec![FileRange {
-                path: format!("file-{tag}"),
-                offset: 0,
-                data: vec![tag],
-            }],
+    fn ckpt(ts: u64, kind: DbObjectKind, ranges: &[(&str, u64, &[u8])]) -> CkptJob {
+        let entries = ranges
+            .iter()
+            .map(|&(path, offset, data)| FileRange {
+                path: path.into(),
+                offset,
+                data: data.to_vec(),
+            })
+            .collect();
+        CkptJob { ts, kind, entries }
+    }
+
+    /// Each written byte of `entries` applied in order, by (path, offset).
+    fn image<'a>(
+        entries: impl IntoIterator<Item = &'a FileRange>,
+    ) -> std::collections::BTreeMap<(String, u64), u8> {
+        let mut image = std::collections::BTreeMap::new();
+        for e in entries {
+            for (i, byte) in e.data.iter().enumerate() {
+                image.insert((e.path.clone(), e.offset + i as u64), *byte);
+            }
         }
+        image
     }
 
     #[test]
     fn ckpt_queue_coalesces_at_capacity() {
+        use DbObjectKind::{Checkpoint, Dump};
         let q = CkptQueue::new(2);
-        assert_eq!(
-            q.push(ckpt(1, DbObjectKind::Checkpoint, 1)),
-            CkptPush::Queued
-        );
-        assert_eq!(
-            q.push(ckpt(2, DbObjectKind::Checkpoint, 2)),
-            CkptPush::Queued
-        );
-        assert_eq!(q.push(ckpt(3, DbObjectKind::Dump, 3)), CkptPush::Coalesced);
-        assert_eq!(
-            q.push(ckpt(4, DbObjectKind::Checkpoint, 4)),
-            CkptPush::Coalesced
-        );
+        let jobs = [
+            ckpt(1, Checkpoint, &[("a", 0, b"1111")]),
+            ckpt(2, Checkpoint, &[("a", 2, b"2222"), ("b", 0, b"22")]),
+            ckpt(3, Dump, &[("a", 0, b"333"), ("c", 0, b"3")]),
+            ckpt(4, Checkpoint, &[("a", 5, b"44"), ("b", 1, b"44")]),
+        ];
+        // What applying the last three one after another writes.
+        let want = image(jobs[1..].iter().flat_map(|j| &j.entries));
+
+        let pushed: Vec<CkptPush> = jobs.into_iter().map(|job| q.push(job)).collect();
+        use CkptPush::{Coalesced, Queued};
+        assert_eq!(pushed, [Queued, Queued, Coalesced, Coalesced]);
         assert_eq!(q.len(), 2);
 
         let first = q.pop().unwrap();
@@ -413,44 +388,23 @@ mod tests {
         assert_eq!(first.entries.len(), 1);
 
         // The newest job absorbed both overflow jobs: max ts, sticky
-        // Dump, entries in arrival order (later wins at apply time).
+        // Dump, the same image, and no byte carried twice.
         let merged = q.pop().unwrap();
         assert_eq!(merged.ts, 4);
-        assert_eq!(merged.kind, DbObjectKind::Dump);
-        let tags: Vec<u8> = merged.entries.iter().map(|e| e.data[0]).collect();
-        assert_eq!(tags, [2, 3, 4]);
-    }
-
-    #[test]
-    fn projected_db_size_counts_queued_and_in_flight_jobs() {
-        // Each `ckpt` bundle is 8 + 2 + 6 + 8 + 4 + 1 = 29 bytes.
-        let q = CkptQueue::new(4);
-        assert_eq!(q.projected_db_size(100, true), 100);
-        q.push(ckpt(1, DbObjectKind::Checkpoint, 1));
-        q.push(ckpt(2, DbObjectKind::Checkpoint, 2));
-        assert_eq!(q.projected_db_size(100, true), 158);
-
-        // Popped, the job still counts until the checkpointer is done.
-        q.pop().unwrap();
-        assert_eq!(q.projected_db_size(100, true), 158);
-        q.done();
-        assert_eq!(q.projected_db_size(129, true), 158);
-
-        // A queued dump supersedes what precedes it, unless retention
-        // keeps the older chains.
-        q.push(ckpt(3, DbObjectKind::Dump, 3));
-        q.push(ckpt(4, DbObjectKind::Checkpoint, 4));
-        assert_eq!(q.projected_db_size(129, true), 58);
-        assert_eq!(q.projected_db_size(129, false), 216);
+        assert_eq!(merged.kind, Dump);
+        let got = image(&merged.entries);
+        assert_eq!(got, want);
+        let carried: usize = merged.entries.iter().map(|e| e.data.len()).sum();
+        assert_eq!(carried, got.len(), "a byte is carried twice");
     }
 
     #[test]
     fn ckpt_queue_close_drains_then_ends() {
         let q = CkptQueue::new(4);
-        q.push(ckpt(1, DbObjectKind::Checkpoint, 1));
+        q.push(ckpt(1, DbObjectKind::Checkpoint, &[("a", 0, b"1")]));
         q.close();
         assert_eq!(
-            q.push(ckpt(2, DbObjectKind::Checkpoint, 2)),
+            q.push(ckpt(2, DbObjectKind::Checkpoint, &[("a", 0, b"2")])),
             CkptPush::Closed
         );
         assert_eq!(q.pop().unwrap().ts, 1);

@@ -383,8 +383,8 @@ impl Default for StandbyStats {
 }
 
 impl StandbyStats {
-    /// Records one completed tail cycle: objects fetched and sealed
-    /// bytes downloaded by it.
+    /// Records one completed tail cycle: the GETs it issued and the
+    /// sealed bytes they downloaded.
     pub fn record_cycle(&self, gets: u64, bytes: u64) {
         self.tail_cycles.fetch_add(1, Ordering::Relaxed);
         self.gets.fetch_add(gets, Ordering::Relaxed);
@@ -452,8 +452,8 @@ pub struct StandbySnapshot {
     /// Completed tail cycles (each one LIST delta + the GETs it
     /// implied).
     pub tail_cycles: u64,
-    /// Objects fetched by the tail (the standby's GET count — the
-    /// spend the governor meters).
+    /// GETs the tail issued (the spend the governor meters; a WAL
+    /// object re-applied from the standby's cache is not one).
     pub gets: u64,
     /// Sealed bytes the tail downloaded.
     pub bytes_fetched: u64,

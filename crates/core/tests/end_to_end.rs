@@ -326,9 +326,13 @@ impl<F: Fn(&str) + Send + Sync> ObjectStore for HookedPuts<F> {
     }
 }
 
-/// The dump rule counts the DB objects still queued or uploading, so
-/// the same writes decide the same dumps whatever the upload speed, and
-/// a dump in flight does not set off another behind it.
+/// The dump rule counts the DB objects it decided, not the ones that
+/// are durable, so the same writes decide the same dumps whatever the
+/// upload speed, and a dump in flight does not set off another behind
+/// it. A dump carries the database once, so after one the rule waits
+/// for checkpoints to add up again instead of firing at the next one.
+/// Here every checkpoint rewrites the whole two-page database, so at a
+/// 1.2 threshold a dump follows every second checkpoint: 30 in 60.
 #[test]
 fn dump_decisions_do_not_depend_on_upload_speed() {
     let run = |cloud: Arc<dyn ObjectStore>| {
@@ -360,6 +364,12 @@ fn dump_decisions_do_not_depend_on_upload_speed() {
         }
     }));
     assert!(instant.1 > 1, "no threshold-triggered dump: {instant:?}");
+    // `dumps_uploaded` counts the boot dump too.
+    let (checkpoints, decided_dumps) = (instant.0, instant.1 - 1);
+    assert!(
+        2 * decided_dumps <= checkpoints,
+        "(checkpoints, dumps) {instant:?}: a dump on more than half the checkpoints"
+    );
     assert_eq!(
         slow, instant,
         "(checkpoints, dumps) with slow DB PUTs vs instant ones"

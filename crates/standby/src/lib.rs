@@ -24,7 +24,10 @@
 //! straggler part completing a checkpoint below the applied frontier,
 //! a WAL object older than the applied tail, a new dump generation)
 //! triggers a conservative rebase: wipe the shadow and cold-apply
-//! again. Resets are counted, never hidden.
+//! again. Resets are counted, never hidden. A rebase does not fetch
+//! the WAL again: the standby keeps the sealed WAL objects it has
+//! fetched (up to a fixed byte cap, each dropped when the bucket
+//! deletes it) and re-opens them, MAC and all, in the same cold order.
 //!
 //! The standby's cloud reads are real spend (§7: GETs are priced), so
 //! they are metered in the same [`ginja_cloud::UsageLedger`] the cost

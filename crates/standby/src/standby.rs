@@ -1,10 +1,11 @@
 //! The standby daemon: delta tail, incremental apply, promotion.
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, UsageLedger, UsageMeter};
+use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, StoreError, UsageLedger, UsageMeter};
 use ginja_codec::Codec;
 use ginja_core::{
     ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutHandle,
@@ -21,6 +22,10 @@ const MAX_PACE: f64 = 16.0;
 
 /// Window for the spend-rate observation fed to the projection.
 const SPEND_WINDOW: Duration = Duration::from_secs(60);
+
+/// Cap on the sealed WAL bytes a standby keeps for re-apply. Past it a
+/// fetched WAL object is not kept, and a rebase GETs it again.
+const WAL_CACHE_BYTES: usize = 64 << 20;
 
 /// Tuning for the standby tail. Validated by [`StandbyConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
@@ -83,9 +88,10 @@ pub struct TailReport {
     /// Whether this cycle wiped the shadow and cold-applied (first
     /// base, new dump generation, or an out-of-order straggler).
     pub rebased: bool,
-    /// Objects GETted this cycle.
+    /// GETs issued this cycle (a WAL object re-applied from the
+    /// standby's cache is not one).
     pub gets: u64,
-    /// Sealed bytes downloaded this cycle.
+    /// Sealed bytes those GETs downloaded.
     pub bytes_fetched: u64,
     /// Tracked-but-unapplied objects after this cycle (normally parts
     /// of a bundle still mid-upload).
@@ -140,6 +146,7 @@ pub struct Standby {
     pace_bits: AtomicU64,
     fenced: AtomicBool,
     state: Mutex<TailState>,
+    wal_cache: Mutex<WalCache>,
     task: Mutex<Option<PeriodicTask>>,
 }
 
@@ -242,6 +249,7 @@ impl Standby {
                 applied_ckpts: std::collections::BTreeSet::new(),
                 drained_at: Instant::now(),
             }),
+            wal_cache: Mutex::new(WalCache::default()),
             task: Mutex::new(None),
         })
     }
@@ -393,9 +401,12 @@ impl Standby {
             Ok(delta) => {
                 report.delta_added = delta.added.len();
                 report.delta_removed = delta.removed.len();
+                let mut cache = self.wal_cache.lock();
                 for name in &delta.removed {
                     state.view.remove_object(name);
+                    cache.evict(name);
                 }
+                drop(cache);
                 for name in &delta.added {
                     if name.starts_with(WAL_PREFIX) {
                         if let Ok(wal) = WalObjectName::parse(name) {
@@ -499,21 +510,17 @@ impl Standby {
         if wal.is_empty() && ckpts.is_empty() {
             return Ok(());
         }
-        let (wal_gets, ckpt_gets) = (
-            wal.len(),
-            ckpts.iter().map(|e| e.parts.len()).sum::<usize>(),
-        );
-        let before = state.progress.report().bytes_downloaded;
-        self.engine().apply_delta(wal, ckpts, &mut state.progress)?;
-        report.wal_applied += wal_gets as u64;
+        let wal_objects = wal.len() as u64;
+        let progress = &mut state.progress;
+        self.pass(report, |engine| engine.apply_delta(wal, ckpts, progress))?;
+        report.wal_applied += wal_objects;
         report.checkpoints_applied += ckpt_ts.len() as u64;
-        report.gets += (wal_gets + ckpt_gets) as u64;
-        report.bytes_fetched += state.progress.report().bytes_downloaded - before;
         state.applied_ckpts.extend(ckpt_ts);
         Ok(())
     }
 
-    /// Wipes the shadow and cold-applies the current view.
+    /// Wipes the shadow and cold-applies the current view; the WAL
+    /// objects already fetched come from the cache (see [`WalCache`]).
     fn rebase(&self, state: &mut TailState, report: &mut TailReport) -> Result<(), GinjaError> {
         if state.based {
             self.stats.record_reset();
@@ -525,8 +532,8 @@ impl Standby {
         state.applied_ckpts.clear();
         state.based = false;
 
-        self.engine()
-            .cold_apply(&state.view, u64::MAX, &mut state.progress)?;
+        let (view, progress) = (&state.view, &mut state.progress);
+        self.pass(report, |engine| engine.cold_apply(view, u64::MAX, progress))?;
 
         state.based = true;
         state.applied_ckpts = state
@@ -539,30 +546,33 @@ impl Standby {
         report.rebased = true;
         report.wal_applied += done.wal_objects_applied;
         report.checkpoints_applied += done.checkpoints_applied;
-        report.bytes_fetched += done.bytes_downloaded;
-        // GETs of the base: every WAL object plus every DB part that
-        // went into the dump and the applied checkpoints.
-        let dump_parts = state
-            .view
-            .db_entry(done.dump_ts)
-            .map_or(0, |e| e.parts.len() as u64);
-        let ckpt_parts: u64 = state
-            .applied_ckpts
-            .iter()
-            .filter_map(|ts| state.view.db_entry(*ts))
-            .map(|e| e.parts.len() as u64)
-            .sum();
-        report.gets += done.wal_objects_applied + dump_parts + ckpt_parts;
         Ok(())
     }
 
-    fn engine(&self) -> ApplyEngine<'_> {
-        ApplyEngine::new(
-            self.shadow.as_ref(),
-            self.cloud.as_ref(),
-            &self.codec,
-            &self.fanout,
-        )
+    /// One engine pass whose fetches go through the WAL cache; adds the
+    /// GETs it issued, and their bytes, to `report`. A pass that fails
+    /// to open an object empties the cache, so a copy that was corrupt
+    /// when fetched (and that a sentinel repair may since have
+    /// re-uploaded) is fetched again next time.
+    fn pass(
+        &self,
+        report: &mut TailReport,
+        run: impl FnOnce(&ApplyEngine<'_>) -> Result<(), GinjaError>,
+    ) -> Result<(), GinjaError> {
+        let fetcher = CachedFetch {
+            cloud: self.cloud.as_ref(),
+            cache: &self.wal_cache,
+            gets: AtomicU64::new(0),
+            bytes: AtomicU64::new(0),
+        };
+        let engine = ApplyEngine::new(self.shadow.as_ref(), &fetcher, &self.codec, &self.fanout);
+        let result = run(&engine);
+        report.gets += fetcher.gets.into_inner();
+        report.bytes_fetched += fetcher.bytes.into_inner();
+        if matches!(result, Err(GinjaError::Codec(_))) {
+            self.wal_cache.lock().clear();
+        }
+        result
     }
 
     /// Recomputes the lag gauges from the view against the applied
@@ -599,6 +609,74 @@ impl Standby {
         }
         self.pace_bits.store(pace.to_bits(), Ordering::Relaxed);
         self.stats.set_pace((pace * 1000.0).round() as u64);
+    }
+}
+
+/// The sealed WAL objects the standby has fetched, by name, so that a
+/// rebase re-applies them without a second GET. WAL names are never
+/// reused with other bytes, and each copy is opened (MAC verified)
+/// again on every apply. An entry goes when the listing reports its
+/// object deleted; the total is capped at [`WAL_CACHE_BYTES`].
+#[derive(Default)]
+struct WalCache {
+    objects: HashMap<String, Vec<u8>>,
+    bytes: usize,
+}
+
+impl WalCache {
+    fn insert(&mut self, name: &str, sealed: &[u8]) {
+        if self.bytes + sealed.len() > WAL_CACHE_BYTES || self.objects.contains_key(name) {
+            return;
+        }
+        self.bytes += sealed.len();
+        self.objects.insert(name.to_owned(), sealed.to_vec());
+    }
+
+    fn evict(&mut self, name: &str) {
+        if let Some(sealed) = self.objects.remove(name) {
+            self.bytes -= sealed.len();
+        }
+    }
+
+    fn clear(&mut self) {
+        *self = WalCache::default();
+    }
+}
+
+/// The bucket as one engine pass sees it: a WAL object the cache holds
+/// is served from there; anything else is a GET, counted, and a fetched
+/// WAL object is kept. Only `get` is used by the engine.
+struct CachedFetch<'a> {
+    cloud: &'a dyn ObjectStore,
+    cache: &'a Mutex<WalCache>,
+    gets: AtomicU64,
+    bytes: AtomicU64,
+}
+
+impl ObjectStore for CachedFetch<'_> {
+    fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+        self.cloud.put(name, data)
+    }
+
+    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+        if let Some(sealed) = self.cache.lock().objects.get(name) {
+            return Ok(sealed.clone());
+        }
+        let sealed = self.cloud.get(name)?;
+        self.gets.fetch_add(1, Ordering::Relaxed);
+        self.bytes.fetch_add(sealed.len() as u64, Ordering::Relaxed);
+        if name.starts_with(WAL_PREFIX) {
+            self.cache.lock().insert(name, &sealed);
+        }
+        Ok(sealed)
+    }
+
+    fn delete(&self, name: &str) -> Result<(), StoreError> {
+        self.cloud.delete(name)
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+        self.cloud.list(prefix)
     }
 }
 
@@ -768,6 +846,42 @@ mod tests {
         assert!(standby.promote().is_err());
     }
 
+    /// A bucket that records the name of every GET it serves.
+    struct GetLog {
+        bucket: Arc<MemStore>,
+        gets: parking_lot::Mutex<Vec<String>>,
+    }
+
+    impl GetLog {
+        fn new(bucket: &Arc<MemStore>) -> Arc<Self> {
+            let gets = parking_lot::Mutex::new(Vec::new());
+            Arc::new(GetLog {
+                bucket: bucket.clone(),
+                gets,
+            })
+        }
+
+        fn take(&self) -> Vec<String> {
+            std::mem::take(&mut self.gets.lock())
+        }
+    }
+
+    impl ObjectStore for GetLog {
+        fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+            self.bucket.put(name, data)
+        }
+        fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+            self.gets.lock().push(name.to_owned());
+            self.bucket.get(name)
+        }
+        fn delete(&self, name: &str) -> Result<(), StoreError> {
+            self.bucket.delete(name)
+        }
+        fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+            self.bucket.list(prefix)
+        }
+    }
+
     #[test]
     fn new_dump_generation_rebases() {
         let config = config();
@@ -781,15 +895,19 @@ mod tests {
             "base/1",
             b"old",
         );
+        seal_wal(bucket.as_ref(), &codec, 1, 0, b"w1");
+        seal_wal(bucket.as_ref(), &codec, 2, 2, b"w2");
+        let log = GetLog::new(&bucket);
         let shadow = Arc::new(MemFs::new());
         let standby = Standby::attach(
-            bucket.clone(),
+            log.clone(),
             shadow.clone(),
             config.clone(),
             StandbyConfig::default(),
         )
         .unwrap();
-        standby.run_cycle().unwrap();
+        assert_eq!(standby.run_cycle().unwrap().gets, 3);
+        assert_eq!(log.take().len(), 3);
 
         seal_db(
             bucket.as_ref(),
@@ -801,9 +919,28 @@ mod tests {
         );
         let report = standby.run_cycle().unwrap();
         assert!(report.rebased);
+        assert_eq!(report.wal_applied, 2);
+        // Only the new dump is fetched: both WAL objects come from the
+        // cache, and the counters say so.
+        let gets = log.take();
+        assert_eq!(gets.len(), 1, "{gets:?}");
+        assert!(gets[0].starts_with(DB_PREFIX), "{gets:?}");
+        assert_eq!(report.gets, 1);
+        assert_eq!(standby.snapshot().gets, 4);
         assert_eq!(standby.snapshot().resets, 1);
         assert_matches_cold(&bucket, &shadow, &config);
         assert_eq!(shadow.read_all("base/1").unwrap(), b"newer");
+
+        // Objects the listing reports deleted leave the cache: here the
+        // GC of the old dump and of WAL ts 1.
+        for name in bucket.list("").unwrap() {
+            let old_dump = DbObjectName::parse(&name).is_ok_and(|d| d.ts == 0);
+            if old_dump || WalObjectName::parse(&name).is_ok_and(|w| w.ts == 1) {
+                bucket.delete(&name).unwrap();
+            }
+        }
+        standby.run_cycle().unwrap();
+        assert_eq!(standby.wal_cache.lock().objects.len(), 1);
     }
 
     #[test]
@@ -826,6 +963,51 @@ mod tests {
         assert!(standby.run_cycle().unwrap().rebased);
         assert_eq!(shadow.read_all(log).unwrap(), b"HEAD-image");
         assert_matches_cold(&bucket, &shadow, &config);
+    }
+
+    #[test]
+    fn a_wal_straggler_rebases_without_fetching_applied_wal_again() {
+        let config = config();
+        let codec = Codec::new(config.codec.clone());
+        let bucket = Arc::new(MemStore::new());
+        let store = bucket.as_ref();
+        seal_db(store, &codec, 0, DbObjectKind::Dump, "base/1", b"AAAA");
+        seal_wal(store, &codec, 1, 0, b"w1");
+        seal_wal(store, &codec, 4, 4, b"w4");
+        let log = GetLog::new(&bucket);
+        let shadow = Arc::new(MemFs::new());
+        let tail = StandbyConfig::default();
+        let standby = Standby::attach(log.clone(), shadow.clone(), config.clone(), tail).unwrap();
+        standby.run_cycle().unwrap();
+        log.take();
+
+        // WAL ts 2 lands after ts 4 was applied: a straggler.
+        seal_wal(store, &codec, 2, 2, b"w2");
+        let report = standby.run_cycle().unwrap();
+        assert!(report.rebased);
+        assert_eq!(report.wal_applied, 3);
+        let straggler = bucket
+            .list("")
+            .unwrap()
+            .into_iter()
+            .filter(|n| WalObjectName::parse(n).is_ok_and(|w| w.ts == 2));
+        let mut want: Vec<String> = bucket.list(DB_PREFIX).unwrap();
+        want.extend(straggler);
+        assert_eq!(log.take(), want, "GETs of the rebase");
+        assert_eq!(report.gets, 2);
+        assert_matches_cold(&bucket, &shadow, &config);
+    }
+
+    #[test]
+    fn the_wal_cache_keeps_nothing_past_its_cap() {
+        let mut cache = WalCache::default();
+        cache.insert("a", b"12");
+        cache.bytes = WAL_CACHE_BYTES - 1;
+        cache.insert("b", b"12");
+        assert!(!cache.objects.contains_key("b"));
+        cache.bytes = 2;
+        cache.evict("a");
+        assert_eq!((cache.objects.len(), cache.bytes), (0, 0));
     }
 
     #[test]

@@ -16,6 +16,10 @@
 #   regressed     the change's median is worse by more than the bound
 #   within bound  otherwise
 #
+# Under each workload's table, every metric read "unresolved" or
+# "regressed" is listed seed by seed with both sides' values, so a
+# bimodal metric names the seeds of its slow mode.
+#
 # Two JSON lines (parent, change: medians + quartiles per metric per
 # workload) are written to .bench_build/pairs-<sha>.jsonl — the format
 # of BENCH_TRAJECTORY.jsonl.
@@ -102,6 +106,8 @@ for workload in workloads:
         continue
     for side in lines:
         lines[side][workload] = {}
+    done_seeds = [s for s, (p, c) in zip(seeds, runs) if p and c]
+    per_seed = []
     for metric in spec:
         name, lower = metric["name"], metric["better"] == "lower"
         p = [r[0]["metrics"][name]["value"] for r in done]
@@ -122,6 +128,12 @@ for workload in workloads:
             verdict = "within bound"
         print(f"| `{name}` | {pm:.4g} [{p1:.4g}, {p3:.4g}] | {cm:.4g} [{c1:.4g}, {c3:.4g}] "
               f"| {worse:+.1%} | {wins}/{len(done)} | {metric['bound']} | {verdict} |")
+        if verdict.startswith(("unresolved", "regressed")):
+            per_seed.append((name, p, c))
+    for name, p, c in per_seed:
+        print(f"\n`{name}` per seed (parent -> change):")
+        for seed, a, b in zip(done_seeds, p, c):
+            print(f"  seed {seed}: {a:.4g} -> {b:.4g}")
 
 with open(f"{out}.jsonl", "w") as f:
     for side, rev in (("parent", sha), ("change", here)):

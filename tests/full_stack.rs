@@ -2,13 +2,16 @@
 //! workload → mini-DBMS → interception → Ginja pipeline → simulated
 //! cloud → disaster → recovery → DBMS crash-replay → verification.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use ginja::cloud::{
     FaultPlan, FaultStore, MemStore, MeteredStore, ObjectStore, OpKind, RetryConfig, StoreError,
 };
-use ginja::core::{recover_into, verify_backup_in_memory, Ginja, GinjaConfig};
+use ginja::core::{
+    bundle, recover_into, verify_backup_in_memory, CloudView, DbObjectKind, Ginja, GinjaConfig,
+};
 use ginja::db::{Database, DbProfile, ProfileKind};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs};
 use ginja::workload::{probe_tpcc, tables, Tpcc, TpccScale};
@@ -80,6 +83,89 @@ fn tpcc_disaster_recovery_both_profiles() {
         // recovered database.
         let probe = probe_tpcc(&db).unwrap();
         assert!(probe.is_consistent(), "{kind:?}: {probe:?}");
+    }
+}
+
+/// A dump is the database files as they stood at its checkpoint's end,
+/// plus that checkpoint's writes outside them — nothing twice. After a
+/// TPC-C run that dumps on each profile, every DB object in the bucket
+/// carries each DB-file byte at most once, and the MySQL dump still
+/// holds InnoDB's checkpoint block in `ib_logfile0`. (A sync after each
+/// transaction keeps two checkpoints from sharing a timestamp: the
+/// checkpointer's merge of such a pair concatenates by design.)
+#[test]
+fn a_dump_carries_each_database_byte_once() {
+    for kind in [ProfileKind::Postgres, ProfileKind::MySql] {
+        let profile = profile_for(kind);
+        let local = Arc::new(MemFs::new());
+        let db = Database::create(local.clone(), profile.clone()).unwrap();
+        let mut tpcc = Tpcc::new(1, 17, TpccScale::tiny());
+        tpcc.create_schema(&db).unwrap();
+        tpcc.load(&db).unwrap();
+        drop(db);
+
+        let config = GinjaConfig {
+            dump_threshold: 1.01,
+            ..config()
+        };
+        let cloud = Arc::new(MemStore::new());
+        let processor = kind.processor();
+        let ginja = Ginja::boot(
+            local.clone(),
+            cloud.clone(),
+            processor.clone(),
+            config.clone(),
+        )
+        .unwrap();
+        let protected: Arc<dyn FileSystem> =
+            Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
+        let db = Database::open(protected, profile.clone()).unwrap();
+        for _ in 0..200 {
+            tpcc.run_transaction(&db).unwrap();
+            assert!(ginja.sync(Duration::from_secs(20)));
+        }
+        assert!(
+            ginja.stats().dumps_uploaded > 1,
+            "{kind:?}: no dump after boot"
+        );
+        ginja.shutdown();
+        drop(db);
+
+        let codec = ginja::codec::Codec::new(config.codec.clone());
+        let view = CloudView::from_listing(cloud.list("").unwrap()).unwrap();
+        let mut dumps = 0;
+        for (ts, entry) in view.db_entries() {
+            let parts = entry.parts.iter().map(|part| {
+                let name = part.to_name();
+                codec.open(&name, &cloud.get(&name).unwrap()).unwrap()
+            });
+            let ranges = bundle::decode(&bundle::reassemble(parts.collect())).unwrap();
+            let mut covered: BTreeMap<&str, Vec<(u64, u64)>> = BTreeMap::new();
+            for r in ranges.iter().filter(|r| processor.is_db_file(&r.path)) {
+                let end = r.offset + r.data.len() as u64;
+                covered.entry(&r.path).or_default().push((r.offset, end));
+            }
+            for (path, mut spans) in covered {
+                spans.sort_unstable();
+                for pair in spans.windows(2) {
+                    assert!(
+                        pair[0].1 <= pair[1].0,
+                        "{kind:?} {:?} at ts {ts}: {path} bytes {pair:?} carried twice",
+                        entry.kind
+                    );
+                }
+            }
+            if entry.kind == DbObjectKind::Dump && ts > 0 {
+                dumps += 1;
+                let log_block = ranges.iter().any(|r| r.path == "ib_logfile0");
+                assert_eq!(
+                    log_block,
+                    kind == ProfileKind::MySql,
+                    "{kind:?} dump at {ts}"
+                );
+            }
+        }
+        assert_eq!(dumps, 1, "{kind:?}: the bucket's dump is not a decided one");
     }
 }
 
