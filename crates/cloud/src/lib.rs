@@ -63,6 +63,4 @@ pub use prefix::PrefixStore;
 pub use replicated::ReplicatedStore;
 pub use resilient::{BreakerState, ResilienceSnapshot, ResilientStore, RetryConfig};
 pub use store::ObjectStore;
-pub use usage::{
-    CloudUsage, PutSample, UsageLedger, UsageMeter, UsageRates, DEFAULT_PUT_SAMPLE_CAPACITY,
-};
+pub use usage::{CloudUsage, PutSample, UsageLedger, UsageMeter, DEFAULT_PUT_SAMPLE_CAPACITY};

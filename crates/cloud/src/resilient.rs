@@ -268,7 +268,7 @@ pub struct ResilientStore {
     breaker: Arc<Breaker>,
     retries: Arc<AtomicU64>,
     /// Usage accounting shared with every layer that issues cloud ops
-    /// through this wrapper (the governor reads it).
+    /// through this wrapper (`Ginja::usage_ledger` hands it out).
     ledger: Arc<UsageLedger>,
     /// splitmix64 state for jitter draws.
     jitter_state: Arc<AtomicU64>,
@@ -639,7 +639,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_success_recloses_under_concurrent_load() {
-        // A fleet's worth of uploader threads all hit the store the
+        // A pool's worth of uploader threads all hit the store the
         // moment the cooldown elapses. The first caller through
         // `allow()` flips Open → HalfOpen; every concurrent caller is
         // then admitted as a probe (the transition serializes on the

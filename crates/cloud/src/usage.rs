@@ -6,7 +6,7 @@
 //! sentinel traffic was invisible to the §7 cost model. This module
 //! inverts that: a [`UsageLedger`] is a shared, thread-safe set of
 //! counters that *any* layer can record into, and [`UsageMeter`] is the
-//! one read API shared by benches, stats, and the cost governor.
+//! one read API shared by benches, stats and tooling.
 //!
 //! [`crate::MeteredStore`] and [`crate::ResilientStore`] both record into
 //! a ledger; the latter means every operation Ginja issues lands in a
@@ -68,29 +68,11 @@ impl CloudUsage {
     }
 }
 
-/// Windowed operation rates derived from successive ledger observations.
-///
-/// Produced by [`UsageLedger::observe_rates`]; the cost governor feeds
-/// these into its month-end spend projection.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct UsageRates {
-    /// Wall-clock span the rates were measured over.
-    pub span: Duration,
-    /// Successful PUTs per minute.
-    pub puts_per_min: f64,
-    /// Successful GETs per minute.
-    pub gets_per_min: f64,
-    /// Successful DELETEs per minute.
-    pub deletes_per_min: f64,
-    /// Uploaded bytes per minute.
-    pub upload_bytes_per_min: f64,
-}
-
 /// The single read API over metered cloud accounting.
 ///
 /// Implemented by [`UsageLedger`] itself, by [`crate::MeteredStore`]
 /// (which delegates to its ledger) and by [`crate::ResilientStore`], so
-/// benches, stats, and the governor all consume exactly one interface
+/// benches, stats and tooling all consume exactly one interface
 /// instead of reaching into concrete wrappers.
 pub trait UsageMeter {
     /// Current usage snapshot.
@@ -150,28 +132,11 @@ impl SampleRing {
     }
 }
 
-/// Monotonic counters sampled by the rate window.
-#[derive(Debug, Clone, Copy)]
-struct RateCounts {
-    puts: u64,
-    gets: u64,
-    deletes: u64,
-    bytes_uploaded: u64,
-}
-
-/// Ring of timestamped counter observations for windowed rates.
-#[derive(Debug)]
-struct RateWindow {
-    observations: VecDeque<(Instant, RateCounts)>,
-}
-
-const MAX_RATE_OBSERVATIONS: usize = 128;
-
 /// Shared, thread-safe cloud-usage accounting.
 ///
 /// Cheap atomic counters plus a name → size map (so live stored bytes
-/// work over any backend), a bounded [`PutSample`] ring, and a windowed
-/// rate tracker. Clone the `Arc` and hand it to every layer that issues
+/// work over any backend) and a bounded [`PutSample`] ring. Clone the
+/// `Arc` and hand it to every layer that issues
 /// cloud operations — all of them land in one ledger.
 ///
 /// ```rust
@@ -198,7 +163,6 @@ pub struct UsageLedger {
     peak_stored_bytes: AtomicU64,
     sizes: Mutex<HashMap<String, u64>>,
     ring: Mutex<SampleRing>,
-    window: Mutex<RateWindow>,
     epoch: Mutex<Instant>,
 }
 
@@ -228,9 +192,6 @@ impl UsageLedger {
             peak_stored_bytes: AtomicU64::new(0),
             sizes: Mutex::new(HashMap::new()),
             ring: Mutex::new(SampleRing::new(capacity.max(1))),
-            window: Mutex::new(RateWindow {
-                observations: VecDeque::new(),
-            }),
             epoch: Mutex::new(Instant::now()),
         }
     }
@@ -263,53 +224,6 @@ impl UsageLedger {
     /// Records one failed operation of any kind.
     pub fn record_failure(&self) {
         self.failures.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Takes a rate observation and returns the operation rates over
-    /// (roughly) the trailing `window`.
-    ///
-    /// Self-driving: each call records the current counters, so a
-    /// caller polling periodically (the governor) gets rates over its
-    /// own polling horizon with no background thread. Before a full
-    /// window has elapsed, rates since the epoch are returned.
-    pub fn observe_rates(&self, window: Duration) -> UsageRates {
-        let now = Instant::now();
-        let current = RateCounts {
-            puts: self.puts.load(Ordering::SeqCst),
-            gets: self.gets.load(Ordering::SeqCst),
-            deletes: self.deletes.load(Ordering::SeqCst),
-            bytes_uploaded: self.bytes_uploaded.load(Ordering::SeqCst),
-        };
-        let mut tracker = self.window.lock();
-        tracker.observations.push_back((now, current));
-        if tracker.observations.len() > MAX_RATE_OBSERVATIONS {
-            tracker.observations.pop_front();
-        }
-        // Keep exactly one anchor at-or-beyond the window boundary.
-        while tracker.observations.len() > 2
-            && now.duration_since(tracker.observations[1].0) >= window
-        {
-            tracker.observations.pop_front();
-        }
-        let (anchor_time, anchor) = tracker.observations[0];
-        let span = now.duration_since(anchor_time);
-        let span = if span.is_zero() {
-            // First observation: fall back to rates since the epoch.
-            now.duration_since(*self.epoch.lock())
-        } else {
-            span
-        };
-        let minutes = span.as_secs_f64() / 60.0;
-        if minutes <= 0.0 {
-            return UsageRates::default();
-        }
-        UsageRates {
-            span,
-            puts_per_min: (current.puts - anchor.puts) as f64 / minutes,
-            gets_per_min: (current.gets - anchor.gets) as f64 / minutes,
-            deletes_per_min: (current.deletes - anchor.deletes) as f64 / minutes,
-            upload_bytes_per_min: (current.bytes_uploaded - anchor.bytes_uploaded) as f64 / minutes,
-        }
     }
 
     fn update_stored(&self, name: &str, new_size: Option<u64>) {
@@ -365,7 +279,6 @@ impl UsageMeter for UsageLedger {
             ring.samples.clear();
             ring.dropped = 0;
         }
-        self.window.lock().observations.clear();
         *self.epoch.lock() = Instant::now();
         let stored = self.stored_bytes.load(Ordering::SeqCst);
         self.peak_stored_bytes.store(stored, Ordering::SeqCst);
@@ -435,28 +348,6 @@ mod tests {
     fn mean_latency_zero_when_empty() {
         let ledger = UsageLedger::new();
         assert_eq!(ledger.mean_put_latency(), Duration::ZERO);
-    }
-
-    #[test]
-    fn windowed_rates_reflect_traffic() {
-        let ledger = UsageLedger::new();
-        let window = Duration::from_millis(200);
-        ledger.observe_rates(window);
-        for i in 0..30 {
-            ledger.record_put(&format!("o{i}"), 1000, Duration::ZERO);
-        }
-        std::thread::sleep(Duration::from_millis(30));
-        let rates = ledger.observe_rates(window);
-        assert!(rates.puts_per_min > 0.0, "rates: {rates:?}");
-        assert!(rates.upload_bytes_per_min >= 1000.0 * rates.puts_per_min * 0.99);
-    }
-
-    #[test]
-    fn rates_zero_before_time_passes() {
-        let ledger = UsageLedger::new();
-        let rates = ledger.observe_rates(Duration::from_secs(60));
-        // No panic, rates finite.
-        assert!(rates.puts_per_min >= 0.0);
     }
 
     #[test]

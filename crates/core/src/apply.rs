@@ -24,7 +24,7 @@
 //! part is delivered, ahead of every WAL object; checkpoint parts are
 //! stashed as they arrive and applied after the wave, so an error on
 //! object *k* of the plan leaves no checkpoint and no WAL object after
-//! *k* applied. A pass is one wave ([`FanoutHandle::run_staged`]).
+//! *k* applied. A pass is one wave ([`FanoutExecutor::run_staged`]).
 //!
 //! The engine is deliberately transient: it borrows the file system,
 //! cloud, codec and fan-out handle for the duration of a pass, while
@@ -39,7 +39,7 @@ use ginja_codec::Codec;
 use ginja_vfs::FileSystem;
 
 use crate::bundle;
-use crate::fanout::FanoutHandle;
+use crate::fanout::FanoutExecutor;
 use crate::names::{DbObjectKind, WalObjectName};
 use crate::recovery::RecoveryReport;
 use crate::view::{CloudView, DbEntry};
@@ -104,7 +104,7 @@ pub struct ApplyEngine<'a> {
     fs: &'a dyn FileSystem,
     cloud: &'a dyn ObjectStore,
     codec: &'a Codec,
-    fanout: &'a FanoutHandle,
+    fanout: &'a FanoutExecutor,
 }
 
 impl<'a> ApplyEngine<'a> {
@@ -115,7 +115,7 @@ impl<'a> ApplyEngine<'a> {
         fs: &'a dyn FileSystem,
         cloud: &'a dyn ObjectStore,
         codec: &'a Codec,
-        fanout: &'a FanoutHandle,
+        fanout: &'a FanoutExecutor,
     ) -> Self {
         ApplyEngine {
             fs,
@@ -334,7 +334,7 @@ mod tests {
         let codec = codec();
         let cloud = MemStore::new();
         seal_db(&cloud, &codec, 0, Dump, &[("base/1", 0, b"AAAA")]);
-        let fanout = FanoutHandle::solo(2);
+        let fanout = FanoutExecutor::new(2);
         let inc_fs = MemFs::new();
         let engine = ApplyEngine::new(&inc_fs, &cloud, &codec, &fanout);
         let mut progress = ApplyProgress::new();
@@ -377,7 +377,7 @@ mod tests {
     #[test]
     fn cold_apply_without_dump_is_an_error() {
         let (codec, cloud, fs) = (codec(), MemStore::new(), MemFs::new());
-        let fanout = FanoutHandle::solo(2);
+        let fanout = FanoutExecutor::new(2);
         let engine = ApplyEngine::new(&fs, &cloud, &codec, &fanout);
         let err = engine
             .cold_apply(&CloudView::new(), u64::MAX, &mut ApplyProgress::new())
@@ -421,7 +421,7 @@ mod tests {
             &[("ib_logfile0", 0, b"CC"), ("ibdata1", 0, b"cc")],
         );
         let view = CloudView::from_listing(cloud.list("").unwrap()).unwrap();
-        let fanout = FanoutHandle::solo(4);
+        let fanout = FanoutExecutor::new(4);
         let log = Arc::new(WriteLog::default());
         let fs = InterceptFs::new(MemFs::new(), log.clone());
 

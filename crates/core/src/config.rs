@@ -2,7 +2,6 @@ use std::time::Duration;
 
 use ginja_cloud::RetryConfig;
 use ginja_codec::CodecConfig;
-use ginja_cost::BudgetConfig;
 
 use crate::GinjaError;
 
@@ -129,7 +128,7 @@ impl OutageConfig {
 pub struct IngestConfig {
     /// Whether an idle uploader seals a partial batch early when
     /// producers are parked against the Safety bound — trading B for
-    /// latency inside the existing `KnobBounds` (S is never raised).
+    /// latency under the Safety bound (S is never raised).
     pub adaptive_seal: bool,
 }
 
@@ -194,14 +193,6 @@ pub struct GinjaConfig {
     /// itself only carries the knobs; spawning the sentinel is the
     /// deployment's choice.
     pub sentinel: SentinelConfig,
-    /// Optional monthly spend budget. When set, Ginja runs the live
-    /// cost governor: real metered usage is projected to month-end
-    /// spend, and `batch`/`batch_timeout`/`dump_threshold`/sentinel
-    /// pacing are retuned at runtime to converge on the budget. The
-    /// configured `batch` becomes the governed floor; `safety` is the
-    /// hard ceiling the governor can never exceed (the RPO bound is
-    /// never loosened). `None` disables governing entirely.
-    pub budget: Option<BudgetConfig>,
     /// Outage endurance: coalescing checkpoint queue and adaptive
     /// backpressure while the cloud is away.
     pub outage: OutageConfig,
@@ -255,9 +246,6 @@ impl GinjaConfig {
         }
         self.retry.validate().map_err(GinjaError::Config)?;
         self.sentinel.validate().map_err(GinjaError::Config)?;
-        if let Some(budget) = &self.budget {
-            budget.validate().map_err(GinjaError::Config)?;
-        }
         self.outage.validate().map_err(GinjaError::Config)?;
         Ok(())
     }
@@ -292,7 +280,6 @@ impl GinjaConfigBuilder {
                 pitr: None,
                 retry: RetryConfig::default(),
                 sentinel: SentinelConfig::default(),
-                budget: None,
                 outage: OutageConfig::default(),
                 ingest: IngestConfig::default(),
             },
@@ -387,13 +374,6 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Enables the live cost governor against the given monthly budget.
-    #[must_use]
-    pub fn budget(mut self, budget: BudgetConfig) -> Self {
-        self.config.budget = Some(budget);
-        self
-    }
-
     /// Sets the outage-endurance policy (checkpoint-queue capacity,
     /// state-machine thresholds).
     #[must_use]
@@ -440,12 +420,11 @@ mod tests {
             uploaders: _,       // bench_e2e rig, crashpoint sweep
             recovery_fanout: _, // bench_e2e rig, fig7, crashpoint sweep
             max_object_size: _, // the paper's §5.2 parameter; no caller yet
-            dump_threshold: _,  // crashpoint sweep, the governor's knob
+            dump_threshold: _,  // crashpoint sweep, the outage policy's knob
             codec: _,           // bench_e2e rig, `ginja-cli`
             pitr: _,            // examples/point_in_time.rs
             retry,
             sentinel,
-            budget: _, // ablation_budget
             outage,
             ingest,
         } = GinjaConfig::builder().build().unwrap();
@@ -622,31 +601,6 @@ mod tests {
             .sentinel(zero_rehearsal)
             .build()
             .is_err());
-    }
-
-    #[test]
-    fn budget_carried_through_and_validated() {
-        let c = GinjaConfig::builder().build().unwrap();
-        assert!(c.budget.is_none(), "governing defaults off");
-
-        let c = GinjaConfig::builder()
-            .budget(BudgetConfig::new(1.0))
-            .build()
-            .unwrap();
-        let budget = c.budget.unwrap();
-        assert!((budget.monthly_usd - 1.0).abs() < 1e-9);
-        assert!((budget.target_usd() - 0.9).abs() < 1e-9, "10% headroom");
-
-        assert!(GinjaConfig::builder()
-            .budget(BudgetConfig::new(0.0))
-            .build()
-            .is_err());
-        let mut bad_headroom = BudgetConfig::new(1.0);
-        bad_headroom.headroom = 1.5;
-        assert!(GinjaConfig::builder().budget(bad_headroom).build().is_err());
-        let mut zero_month = BudgetConfig::new(1.0);
-        zero_month.month = Duration::ZERO;
-        assert!(GinjaConfig::builder().budget(zero_month).build().is_err());
     }
 
     #[test]

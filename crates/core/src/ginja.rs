@@ -14,7 +14,7 @@
 //!               object; the one closing the oldest open batch acks, in
 //!               batch order, through the AckLedger → CommitQueue.ack_front
 //! Checkpointer: DB objects (dump | incremental) → PUT → garbage collection
-//! Control:      outage policy, then cost governor, on one timer thread
+//! Control:      outage policy, on one timer thread
 //! ```
 
 use std::collections::BTreeSet;
@@ -22,9 +22,8 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{BreakerState, ObjectStore, ResilientStore, StoreError, UsageLedger, UsageMeter};
+use ginja_cloud::{BreakerState, ObjectStore, ResilientStore, StoreError, UsageLedger};
 use ginja_codec::Codec;
-use ginja_cost::governor::{self, GovernorAction, GovernorPolicy, KnobBounds, Knobs};
 use ginja_vfs::{DbmsProcessor, FileSystem, IoClass, IoProcessor, WriteEvent};
 use parking_lot::Mutex;
 
@@ -32,12 +31,14 @@ use crate::ack::AckLedger;
 use crate::agg;
 use crate::bundle::{self, FileRange};
 use crate::config::GinjaConfig;
-use crate::fanout::FanoutHandle;
+use crate::fanout::FanoutExecutor;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
-use crate::outage::{CkptJob, CkptPush, CkptQueue, OutageObservation, OutagePolicy, OutageState};
+use crate::outage::{
+    CkptJob, CkptPush, CkptQueue, Knobs, OutageObservation, OutagePolicy, OutageState,
+};
 use crate::periodic::{PeriodicTask, StopSignal};
 use crate::queue::{CommitQueue, WalWrite};
-use crate::stats::{GinjaStats, GinjaStatsSnapshot, GovernorSnapshot, SentinelStats, StandbyStats};
+use crate::stats::{GinjaStats, GinjaStatsSnapshot, SentinelStats, StandbyStats};
 use crate::view::CloudView;
 use crate::GinjaError;
 use ginja_codec::bufpool;
@@ -88,16 +89,6 @@ pub struct Exposure {
     /// `Degraded` (pressure seen, not yet an outage) or `Enduring`
     /// (sustained pressure — knobs escalated).
     pub outage: OutageState,
-    /// Month-end spend projection from the live cost governor, in
-    /// integer micro-dollars; zero when no budget is configured. The
-    /// cost dimension of exposure: what this month's protection is on
-    /// track to cost.
-    pub projected_spend_microusd: u64,
-    /// Whether the governor's projection exceeds the configured monthly
-    /// budget even with every knob escalated — spend, like data loss,
-    /// is something the operator must be able to see at a glance.
-    /// Always `false` without a budget.
-    pub over_budget: bool,
 }
 
 /// Checkpoint accumulation state (the paper's Algorithm 3 lines 1–16).
@@ -180,12 +171,10 @@ struct Shared {
     /// done by whichever uploader closes the oldest open batch).
     acks: AckLedger,
     stats: GinjaStats,
-    /// Lane-scoped handle to the fan-out executor for bulk transfer
-    /// waves (checkpoint part uploads, reboot resync, sentinel repair)
-    /// and — on a fair shared executor — for admitting every uploader
-    /// PUT. Solo (width = `config.recovery_fanout`) unless an executor
-    /// was injected via [`Ginja::boot_with`]/[`Ginja::reboot_with`].
-    fanout: FanoutHandle,
+    /// The fan-out executor (width `config.recovery_fanout`) for bulk
+    /// transfer waves: checkpoint part uploads, reboot resync, sentinel
+    /// repair.
+    fanout: Arc<FanoutExecutor>,
     accum: Mutex<CkptAccum>,
     /// Bounded, coalescing checkpoint queue (replaces the old unbounded
     /// channel, whose jobs each carry up to a whole database of pages).
@@ -222,24 +211,12 @@ struct Shared {
     standby: Mutex<Option<Arc<StandbyStats>>>,
     /// The dump threshold currently in force, as f64 bits: the
     /// checkpoint path reads it lock-free on every checkpoint end, and
-    /// the governor may raise it above `config.dump_threshold` (never
-    /// below) to defer dump cost.
+    /// the outage policy raises it above `config.dump_threshold` while
+    /// Enduring to defer dump uploads.
     dump_threshold_bits: AtomicU64,
     /// The sentinel pace multiplier (≥ 1.0) currently in force, as f64
     /// bits; an attached sentinel stretches its scrub cadence by it.
     sentinel_pace_bits: AtomicU64,
-    /// Live cost-governor state; `None` without a configured budget.
-    governor: Option<GovernorState>,
-}
-
-/// Published state of the cost governor (driven by the control thread).
-struct GovernorState {
-    policy: GovernorPolicy,
-    decisions: AtomicU64,
-    escalations: AtomicU64,
-    relaxations: AtomicU64,
-    spent_microusd: AtomicU64,
-    projected_microusd: AtomicU64,
 }
 
 /// The Ginja disaster-recovery middleware.
@@ -281,21 +258,8 @@ impl Ginja {
         processor: Arc<dyn DbmsProcessor>,
         config: GinjaConfig,
     ) -> Result<Self, GinjaError> {
-        let fanout = FanoutHandle::solo(config.recovery_fanout);
-        Self::boot_with(fs, cloud, processor, config, fanout)
-    }
-
-    /// [`Ginja::boot`] with an injected fan-out handle — the fleet
-    /// configuration, where many tenants share one fair executor and
-    /// each boots on its own scheduler lane.
-    pub fn boot_with(
-        fs: Arc<dyn FileSystem>,
-        cloud: Arc<dyn ObjectStore>,
-        processor: Arc<dyn DbmsProcessor>,
-        config: GinjaConfig,
-        fanout: FanoutHandle,
-    ) -> Result<Self, GinjaError> {
         config.validate()?;
+        let fanout = Arc::new(FanoutExecutor::new(config.recovery_fanout));
         // Wrap the cloud in the resilience layer *before* the first
         // operation: boot uploads (WAL segments + the initial dump) get
         // the same retry/breaker treatment as pipeline traffic.
@@ -390,20 +354,8 @@ impl Ginja {
         processor: Arc<dyn DbmsProcessor>,
         config: GinjaConfig,
     ) -> Result<Self, GinjaError> {
-        let fanout = FanoutHandle::solo(config.recovery_fanout);
-        Self::reboot_with(fs, cloud, processor, config, fanout)
-    }
-
-    /// [`Ginja::reboot`] with an injected fan-out handle (see
-    /// [`Ginja::boot_with`]).
-    pub fn reboot_with(
-        fs: Arc<dyn FileSystem>,
-        cloud: Arc<dyn ObjectStore>,
-        processor: Arc<dyn DbmsProcessor>,
-        config: GinjaConfig,
-        fanout: FanoutHandle,
-    ) -> Result<Self, GinjaError> {
         config.validate()?;
+        let fanout = Arc::new(FanoutExecutor::new(config.recovery_fanout));
         let cloud = Arc::new(ResilientStore::new(cloud, config.retry.clone()));
         let codec = Codec::new(config.codec.clone());
         let stats = GinjaStats::default();
@@ -439,7 +391,7 @@ impl Ginja {
         codec: Codec,
         view: CloudView,
         stats: GinjaStats,
-        fanout: FanoutHandle,
+        fanout: Arc<FanoutExecutor>,
     ) -> Self {
         let queue = CommitQueue::with_ingest(
             config.batch,
@@ -448,21 +400,6 @@ impl Ginja {
             config.safety_timeout,
             config.ingest,
         );
-        // Knob bounds for the cost governor: the operator's configured
-        // Batch is the baseline (floor), Safety the hard ceiling — B may
-        // rise to S under budget pressure but the RPO bound itself is
-        // never loosened. TB may stretch up to TS for the same reason:
-        // the Safety timeout already bounds how stale an unconfirmed
-        // update may get, so a longer batch timeout within it trades
-        // latency, not durability.
-        let governor = config.budget.clone().map(|budget| GovernorState {
-            policy: GovernorPolicy::new(budget, knob_bounds_for(&config)),
-            decisions: AtomicU64::new(0),
-            escalations: AtomicU64::new(0),
-            relaxations: AtomicU64::new(0),
-            spent_microusd: AtomicU64::new(0),
-            projected_microusd: AtomicU64::new(0),
-        });
         let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
         let chains_kept = config.pitr.map_or(1, |pitr| pitr.keep_snapshots + 1);
         let accum = CkptAccum {
@@ -496,7 +433,6 @@ impl Ginja {
             standby: Mutex::new(None),
             dump_threshold_bits,
             sentinel_pace_bits: AtomicU64::new(1.0f64.to_bits()),
-            governor,
         });
 
         let spawn = |name: String, stage: fn(&Shared)| {
@@ -515,7 +451,10 @@ impl Ginja {
         *shared.control.lock() = Some(PeriodicTask::spawn_on(
             shared.stop.clone(),
             "ginja-control",
-            move || Some(control.tick(&ticked)),
+            move || {
+                control.tick(&ticked);
+                Some(ticked.config.outage.poll_interval)
+            },
         ));
         *shared.threads.lock() = threads;
         Ginja { shared }
@@ -556,11 +495,9 @@ impl Ginja {
     }
 
     /// Statistics snapshot, with the resilience-layer counters (cloud
-    /// retries, breaker activity) and the cost-governor state
-    /// merged in.
+    /// retries, breaker activity) merged in.
     pub fn stats(&self) -> GinjaStatsSnapshot {
         let mut snap = self.shared.stats.snapshot();
-        snap.governor = self.governor_snapshot();
         let resilience = self.shared.cloud.snapshot();
         snap.cloud_retries = resilience.retries;
         snap.breaker_trips = resilience.breaker_trips;
@@ -599,14 +536,6 @@ impl Ginja {
     /// trade-off — `updates` is bounded by `S`, `oldest_age` by `TS`
     /// (plus one upload round-trip).
     pub fn exposure(&self) -> Exposure {
-        let (projected_spend_microusd, over_budget) = match &self.shared.governor {
-            Some(gov) => {
-                let projected = gov.projected_microusd.load(Ordering::Relaxed);
-                let budget = governor::to_microusd(gov.policy.budget.monthly_usd);
-                (projected, projected > budget)
-            }
-            None => (0, false),
-        };
         Exposure {
             updates: self.shared.queue.len(),
             pending_checkpoints: self.shared.pending_ckpt_jobs.load(Ordering::SeqCst),
@@ -620,89 +549,47 @@ impl Ginja {
                 .is_some_and(|s| s.is_degraded()),
             fatal: self.shared.stats.pipeline_fatals.load(Ordering::Relaxed) > 0,
             outage: self.outage_state(),
-            projected_spend_microusd,
-            over_budget,
         }
-    }
-
-    /// A point-in-time view of the cost governor: budget, live spend
-    /// projection, decision counts, and the knob settings currently in
-    /// force. The knob fields are filled even without a configured
-    /// budget (they then simply echo the static configuration).
-    pub fn governor_snapshot(&self) -> GovernorSnapshot {
-        let mut snap = GovernorSnapshot {
-            batch: self.shared.queue.batch() as u64,
-            batch_timeout_us: self.shared.queue.batch_timeout().as_micros() as u64,
-            dump_threshold_permille: (self.dump_threshold() * 1000.0).round() as u64,
-            sentinel_pace_permille: (self.sentinel_pace() * 1000.0).round() as u64,
-            ..GovernorSnapshot::default()
-        };
-        if let Some(gov) = &self.shared.governor {
-            snap.enabled = true;
-            snap.budget_microusd = governor::to_microusd(gov.policy.budget.monthly_usd);
-            snap.target_microusd = governor::to_microusd(gov.policy.budget.target_usd());
-            snap.spent_microusd = gov.spent_microusd.load(Ordering::Relaxed);
-            snap.projected_microusd = gov.projected_microusd.load(Ordering::Relaxed);
-            snap.decisions = gov.decisions.load(Ordering::Relaxed);
-            snap.escalations = gov.escalations.load(Ordering::Relaxed);
-            snap.relaxations = gov.relaxations.load(Ordering::Relaxed);
-        }
-        snap
     }
 
     /// The usage ledger every cloud operation of this instance lands
     /// in (boot uploads, batch uploads, checkpoint merges, GC, and —
-    /// through [`Ginja::resilient_cloud`] — sentinel traffic). This is
-    /// the governor's input; tooling can price it through
-    /// `ginja_cost::governor::project_spend`.
+    /// through [`Ginja::resilient_cloud`] — sentinel and standby
+    /// traffic).
     pub fn usage_ledger(&self) -> Arc<UsageLedger> {
         self.shared.cloud.ledger().clone()
     }
 
     /// The dump threshold currently in force: `config.dump_threshold`,
-    /// possibly raised (never lowered) by the cost governor to defer
-    /// dump uploads under budget pressure.
+    /// raised by the outage policy while Enduring to defer dump
+    /// uploads.
     pub fn dump_threshold(&self) -> f64 {
         f64::from_bits(self.shared.dump_threshold_bits.load(Ordering::Relaxed))
     }
 
     /// The sentinel pace multiplier currently in force (≥ 1.0; 1.0
-    /// without budget pressure).
+    /// unless the outage policy is Enduring).
     pub fn sentinel_pace(&self) -> f64 {
         f64::from_bits(self.shared.sentinel_pace_bits.load(Ordering::Relaxed))
     }
 
-    /// The tunable knobs currently in force — the cost governor's view
-    /// of the pipeline (live B/TB plus the governed dump threshold and
-    /// sentinel pace).
+    /// The knobs currently in force: the configured ones, or the
+    /// outage maxima (B = S, TB = max(TB, TS), dump threshold + 1.5,
+    /// sentinel pace 16) while the outage policy is Enduring.
     pub fn current_knobs(&self) -> Knobs {
-        current_knobs_of(&self.shared)
-    }
-
-    /// Applies a governor decision to the live pipeline: retunes B and
-    /// TB on the queue and stores the dump threshold and sentinel pace.
-    /// This is the one application path — the in-process governor and a
-    /// fleet-level arbiter both go through it — and it cannot loosen the
-    /// RPO bound: `CommitQueue::set_batch` hard-clamps B to `[1, S]`
-    /// whatever the caller asks for, and S/TS themselves have no setter.
-    pub fn apply_knobs(&self, knobs: &Knobs) {
-        apply_knobs_to(&self.shared, knobs);
-    }
-
-    /// The knob bounds a budget governor must respect for this instance:
-    /// the operator's configured Batch is the baseline (floor), Safety
-    /// the hard ceiling — B may rise to S under budget pressure but the
-    /// RPO bound itself is never loosened. TB may stretch up to TS for
-    /// the same reason.
-    pub fn knob_bounds(&self) -> KnobBounds {
-        knob_bounds_for(&self.shared.config)
+        Knobs {
+            batch: self.shared.queue.batch(),
+            batch_timeout: self.shared.queue.batch_timeout(),
+            dump_threshold: self.dump_threshold(),
+            sentinel_pace: self.sentinel_pace(),
+        }
     }
 
     /// The scrub interval an attached sentinel should honor right now:
-    /// `config.sentinel.scrub_interval` stretched by the governed pace.
+    /// `config.sentinel.scrub_interval` stretched by the sentinel pace.
     /// Re-verification GETs are pure cost with no durability impact,
-    /// so they are the first thing the governor slows down.
-    pub fn governed_scrub_interval(&self) -> Duration {
+    /// so an outage slows them down first.
+    pub fn scrub_interval(&self) -> Duration {
         self.shared
             .config
             .sentinel
@@ -737,13 +624,11 @@ impl Ginja {
         self.shared.cloud.clone()
     }
 
-    /// The fan-out handle for this instance's bulk transfer waves. The
+    /// The fan-out executor for this instance's bulk transfer waves. The
     /// checkpointer, reboot resync and sentinel repair all issue their
     /// waves through it, so the middleware's total out-of-band cloud
-    /// concurrency stays bounded by one knob — and, on a shared fair
-    /// executor, every wave and uploader PUT is billed to this
-    /// instance's scheduler lane.
-    pub fn fanout(&self) -> &FanoutHandle {
+    /// concurrency stays bounded by one knob.
+    pub fn fanout(&self) -> &Arc<FanoutExecutor> {
         &self.shared.fanout
     }
 
@@ -952,17 +837,10 @@ impl IoProcessor for Ginja {
     }
 }
 
-/// See [`Ginja::current_knobs`].
-fn current_knobs_of(shared: &Shared) -> Knobs {
-    Knobs {
-        batch: shared.queue.batch(),
-        batch_timeout: shared.queue.batch_timeout(),
-        dump_threshold: f64::from_bits(shared.dump_threshold_bits.load(Ordering::Relaxed)),
-        sentinel_pace: f64::from_bits(shared.sentinel_pace_bits.load(Ordering::Relaxed)),
-    }
-}
-
-/// See [`Ginja::apply_knobs`].
+/// Sets the knobs on the live pipeline: retunes B and TB on the queue
+/// and stores the dump threshold and sentinel pace. It cannot loosen
+/// the RPO bound: `CommitQueue::set_batch` hard-clamps B to `[1, S]`,
+/// and S/TS themselves have no setter.
 fn apply_knobs_to(shared: &Shared, knobs: &Knobs) {
     shared.queue.set_batch(knobs.batch);
     shared.queue.set_batch_timeout(knobs.batch_timeout);
@@ -972,20 +850,6 @@ fn apply_knobs_to(shared: &Shared, knobs: &Knobs) {
     shared
         .sentinel_pace_bits
         .store(knobs.sentinel_pace.to_bits(), Ordering::Relaxed);
-}
-
-/// The governor's tuning envelope for a configuration — see
-/// [`Ginja::knob_bounds`].
-fn knob_bounds_for(config: &GinjaConfig) -> KnobBounds {
-    KnobBounds {
-        min_batch: config.batch,
-        max_batch: config.safety,
-        min_batch_timeout: config.batch_timeout,
-        max_batch_timeout: config.safety_timeout.max(config.batch_timeout),
-        min_dump_threshold: config.dump_threshold,
-        max_dump_threshold: config.dump_threshold + 1.5,
-        max_sentinel_pace: 16.0,
-    }
 }
 
 /// One object of a seal+PUT wave: the wire name plus raw payload.
@@ -1028,7 +892,7 @@ fn seal_timed(
 /// marker only ever lands after every part at a lower index is durable.
 /// The first error aborts the wave.
 fn seal_put_wave(
-    exec: &FanoutHandle,
+    exec: &FanoutExecutor,
     codec: &Codec,
     stats: &GinjaStats,
     put: PutFn<'_>,
@@ -1079,7 +943,7 @@ fn resync_local_wal(
     processor: &dyn DbmsProcessor,
     config: &GinjaConfig,
     codec: &Codec,
-    exec: &FanoutHandle,
+    exec: &FanoutExecutor,
     stats: &GinjaStats,
     view: &mut CloudView,
 ) -> Result<(u64, u64), GinjaError> {
@@ -1210,30 +1074,14 @@ fn read_db_files(
 /// behavior (block, don't lose data) — but it paces itself by any
 /// `retry_after` hint the cloud attached to the error.
 ///
-/// When `gate` is given, each PUT *attempt* runs under one of its
-/// permits, released across the backoff wait — a caller stuck in a
-/// long outage never camps on shared executor capacity. Callers already
-/// inside a gated wave job pass `None` (a nested acquire could deadlock
-/// the gate).
-///
 /// From its first failure until it returns, the call counts in
 /// `shared.stalled_uploads` — the outage policy's view of "this
 /// instance's uploads are not getting through".
-fn put_with_retry(
-    shared: &Shared,
-    gate: Option<&FanoutHandle>,
-    name: &str,
-    sealed: &[u8],
-) -> Result<(), GinjaError> {
+fn put_with_retry(shared: &Shared, name: &str, sealed: &[u8]) -> Result<(), GinjaError> {
     let mut delay = Duration::from_millis(10);
     let mut stalled = false;
     let outcome = loop {
-        let attempt = || shared.cloud.put(name, sealed);
-        let result = match gate {
-            Some(gate) => gate.with_permit(attempt),
-            None => attempt(),
-        };
-        let err = match result {
+        let err = match shared.cloud.put(name, sealed) {
             Ok(()) => break Ok(()),
             Err(err) => err,
         };
@@ -1341,137 +1189,57 @@ fn backoff(delay: Duration, err: &StoreError) -> Duration {
     delay.max(err.retry_after().unwrap_or(Duration::ZERO))
 }
 
-/// The per-instance control thread's state: the outage policy and the
-/// cost governor share one timer and run in a fixed order — outage
-/// first — so the instance's own two knob writers never race.
+/// The per-instance control thread's state: the outage policy, the
+/// knobs' only writer.
 struct Control {
     policy: OutagePolicy,
-    /// The knobs in force when the outage began. `Some` exactly while
-    /// the outage policy holds the knobs at the envelope maxima.
-    baseline: Option<Knobs>,
-    last_outage_tick: Instant,
-    next_outage: Instant,
-    next_governor: Instant,
+    last_tick: Instant,
 }
 
 impl Control {
     fn new(config: &GinjaConfig) -> Self {
-        let now = Instant::now();
-        let budget_poll = config.budget.as_ref().map(|b| b.poll_interval);
         Control {
             policy: OutagePolicy::new(config.outage.enduring_after),
-            baseline: None,
-            last_outage_tick: now,
-            next_outage: now + config.outage.poll_interval,
-            next_governor: now + budget_poll.unwrap_or_default(),
+            last_tick: Instant::now(),
         }
-    }
-
-    /// Runs whichever step is due and returns the wait until the next
-    /// deadline.
-    fn tick(&mut self, shared: &Shared) -> Duration {
-        let now = Instant::now();
-        if now >= self.next_outage {
-            self.next_outage = now + shared.config.outage.poll_interval;
-            self.outage_step(shared, now);
-        }
-        let mut next = self.next_outage;
-        if let Some(gov) = &shared.governor {
-            if now >= self.next_governor {
-                self.next_governor = now + gov.policy.budget.poll_interval;
-                self.governor_step(shared, gov);
-            }
-            next = next.min(self.next_governor);
-        }
-        next.saturating_duration_since(Instant::now())
     }
 
     /// Feeds the breaker position and the retrying-uploads gauge to the
     /// [`OutagePolicy`] state machine, publishes the state for
     /// `exposure()`/`stats()`, counts outages and outage time, and
-    /// applies adaptive backpressure through the one-knob path.
-    fn outage_step(&mut self, shared: &Shared, now: Instant) {
+    /// escalates the knobs on entry to Enduring and restores them on
+    /// exit.
+    fn tick(&mut self, shared: &Shared) {
+        let now = Instant::now();
         let obs = OutageObservation {
             breaker: shared.cloud.breaker_state(),
             stalled_uploads: shared.stalled_uploads.load(Ordering::Relaxed),
         };
-        let prev = self.policy.state();
+        let was_enduring = self.policy.state() == OutageState::Enduring;
         let state = self.policy.tick(&obs, now);
         shared
             .outage_state_bits
             .store(state.as_u64(), Ordering::Relaxed);
 
-        let is_outage = state == OutageState::Enduring;
-        if is_outage && prev != OutageState::Enduring {
-            shared.stats.outages.fetch_add(1, Ordering::Relaxed);
-        }
-        let dt = now.duration_since(self.last_outage_tick);
-        self.last_outage_tick = now;
-        if is_outage {
+        let enduring = state == OutageState::Enduring;
+        let dt = now.duration_since(self.last_tick);
+        self.last_tick = now;
+        if enduring {
             shared
                 .stats
                 .outage_micros
                 .fetch_add(dt.as_micros() as u64, Ordering::Relaxed);
-            if self.baseline.is_none() {
-                self.baseline = Some(current_knobs_of(shared));
-            }
-            // Escalate to the tuning envelope's maxima — B/TB widened
-            // toward S (fewer, fuller PUTs once the cloud answers),
-            // dumps deferred, scrub paced down. S/TS are never touched:
-            // the RPO bound holds through the outage. Re-applied every
-            // poll so an outside `Ginja::apply_knobs` caller (a fleet
-            // arbiter) cannot unwind it while the outage lasts.
-            let bounds = knob_bounds_for(&shared.config);
-            apply_knobs_to(
-                shared,
-                &Knobs {
-                    batch: bounds.max_batch,
-                    batch_timeout: bounds.max_batch_timeout,
-                    dump_threshold: bounds.max_dump_threshold,
-                    sentinel_pace: bounds.max_sentinel_pace,
-                },
-            );
-        } else if let Some(knobs) = self.baseline.take() {
-            // Outage over: hand the pipeline back its pre-outage tuning.
-            apply_knobs_to(shared, &knobs);
         }
-    }
-
-    /// Prices the usage ledger, publishes the month-end projection and
-    /// — when it escapes the dead band — retunes the pipeline through
-    /// the runtime knobs. The queue's own clamp
-    /// (`CommitQueue::set_batch` caps at S) backstops the policy's
-    /// `KnobBounds`, so even a buggy policy cannot push B past the
-    /// safety bound.
-    fn governor_step(&self, shared: &Shared, gov: &GovernorState) {
-        let ledger = shared.cloud.ledger();
-        let budget = &gov.policy.budget;
-        let rates = ledger.observe_rates(budget.poll_interval);
-        let projection =
-            governor::project_spend(&ledger.usage(), Some(&rates), ledger.elapsed(), budget);
-        gov.spent_microusd.store(
-            governor::to_microusd(projection.spent_usd),
-            Ordering::Relaxed,
-        );
-        gov.projected_microusd.store(
-            governor::to_microusd(projection.projected_usd),
-            Ordering::Relaxed,
-        );
-        // Precedence: while the outage policy holds the knobs the
-        // governor only reports. A decision made from the forced maxima
-        // would be overwritten at the next outage poll and discarded
-        // with the baseline restore — and must not be counted.
-        if self.baseline.is_some() {
-            return;
-        }
-        let current = current_knobs_of(shared);
-        if let Some((next, action)) = gov.policy.decide(&current, &projection) {
-            apply_knobs_to(shared, &next);
-            gov.decisions.fetch_add(1, Ordering::Relaxed);
-            match action {
-                GovernorAction::Escalate => gov.escalations.fetch_add(1, Ordering::Relaxed),
-                GovernorAction::Relax => gov.relaxations.fetch_add(1, Ordering::Relaxed),
-            };
+        if enduring && !was_enduring {
+            shared.stats.outages.fetch_add(1, Ordering::Relaxed);
+            // Escalate — B/TB widened toward S (fewer, fuller PUTs once
+            // the cloud answers), dumps deferred, scrub paced down.
+            // S/TS are never touched: the RPO bound holds through the
+            // outage.
+            apply_knobs_to(shared, &Knobs::outage_maxima(&shared.config));
+        } else if was_enduring && !enduring {
+            // Outage over: hand the pipeline back its configured tuning.
+            apply_knobs_to(shared, &Knobs::baseline(&shared.config));
         }
     }
 }
@@ -1489,15 +1257,8 @@ fn upload_wal_object(shared: &Shared, wal: WalObjectName, raw: Vec<u8>) -> Resul
     // (and so the DBMS) actually waits on. `put_with_retry` itself
     // records nothing, so every object lands in the histogram once —
     // here or in `seal_put_wave`.
-    //
-    // On a shared executor the PUT competes through the tenant's lane
-    // against other tenants' waves, so a neighbor's bulk dump cannot
-    // crowd out this commit. The permit is acquired *per attempt*
-    // inside `put_with_retry` — a tenant whose prefix is down must not
-    // camp on shared permits across its backoff waits, or its outage
-    // would starve healthy neighbors of executor capacity.
     let put_start = Instant::now();
-    put_with_retry(shared, Some(&shared.fanout), &name, &sealed)?;
+    put_with_retry(shared, &name, &sealed)?;
     stats.put_histo.record(put_start.elapsed());
     stats.wal_objects_uploaded.fetch_add(1, Ordering::Relaxed);
     stats
@@ -1659,7 +1420,7 @@ fn checkpointer_loop(shared: &Shared) {
             });
             names.push(name);
         }
-        let retry_put = |name: &str, sealed: &[u8]| put_with_retry(shared, None, name, sealed);
+        let retry_put = |name: &str, sealed: &[u8]| put_with_retry(shared, name, sealed);
         let mut uploaded = Vec::new();
         let wave = seal_put_wave(
             &shared.fanout,

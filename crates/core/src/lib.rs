@@ -72,29 +72,26 @@ mod outage;
 mod periodic;
 mod stats;
 
-pub use agg::{rollup, SnapshotTotals};
 pub use apply::{ApplyEngine, ApplyProgress};
 pub use config::{
     GinjaConfig, GinjaConfigBuilder, IngestConfig, OutageConfig, PitrConfig, SentinelConfig,
 };
 pub use error::GinjaError;
-pub use fanout::{FanoutExecutor, FanoutHandle, LaneSnapshot};
+pub use fanout::FanoutExecutor;
 pub use ginja::{Exposure, Ginja};
 pub use ginja_cloud::{
     BreakerState, CloudUsage, ResilienceSnapshot, RetryConfig, UsageLedger, UsageMeter,
 };
-pub use ginja_cost::{BudgetConfig, KnobBounds, Knobs};
 pub use names::{DbObjectKind, DbObjectName, WalObjectName, DB_PREFIX, WAL_PREFIX};
-pub use outage::{OutageObservation, OutagePolicy, OutageState};
+pub use outage::{Knobs, OutageObservation, OutagePolicy, OutageState};
 pub use periodic::PeriodicTask;
 pub use recovery::{
     list_restore_points, recover_into, recover_to_point, RecoveryReport, RestorePoint,
     RestorePointKind,
 };
 pub use stats::{
-    GinjaStats, GinjaStatsSnapshot, GovernorSnapshot, IngestSnapshot, LatencyHisto,
-    LatencySnapshot, OutageSnapshot, SentinelSnapshot, SentinelStats, StandbySnapshot,
-    StandbyStats,
+    GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot, OutageSnapshot,
+    SentinelSnapshot, SentinelStats, StandbySnapshot, StandbyStats,
 };
 pub use verify::{verify_backup, verify_backup_in_memory, VerifyReport};
 pub use view::{CloudView, DbEntry};

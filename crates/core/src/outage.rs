@@ -17,8 +17,11 @@
 //!   already merges timestamp collisions), so at capacity the newest
 //!   queued job absorbs the incoming one.
 //! * [`OutagePolicy`] — the pure state machine deciding when the
-//!   pipeline is merely degraded or enduring a real outage (escalated
-//!   knobs: B/TB widened toward S, dumps and scrub paused).
+//!   pipeline is merely degraded or enduring a real outage.
+//! * [`Knobs`] — what an outage escalates: on entry to Enduring the
+//!   control thread sets them to [`Knobs::outage_maxima`] (B/TB widened
+//!   toward S, dumps deferred, scrub paced down), and on exit back to
+//!   [`Knobs::baseline`]. The outage policy is their only writer.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
@@ -27,7 +30,49 @@ use ginja_cloud::BreakerState;
 use parking_lot::{Condvar, Mutex};
 
 use crate::bundle::{self, FileRange};
+use crate::config::GinjaConfig;
 use crate::names::DbObjectKind;
+
+/// The pipeline knobs an outage escalates. Never includes
+/// `safety`/`safety_timeout`: escalation cannot loosen the RPO bound.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Knobs {
+    /// Batch size B: updates per cloud synchronization.
+    pub batch: usize,
+    /// TB: max age of a partial batch before it is flushed anyway.
+    pub batch_timeout: Duration,
+    /// Cloud-garbage ratio that triggers a fresh dump: raising it
+    /// defers dump uploads.
+    pub dump_threshold: f64,
+    /// Multiplier (≥ 1) on the sentinel scrub interval: raising it
+    /// slows background re-verification GETs.
+    pub sentinel_pace: f64,
+}
+
+impl Knobs {
+    /// The knobs as configured: what a healthy pipeline runs with.
+    pub(crate) fn baseline(config: &GinjaConfig) -> Self {
+        Knobs {
+            batch: config.batch,
+            batch_timeout: config.batch_timeout,
+            dump_threshold: config.dump_threshold,
+            sentinel_pace: 1.0,
+        }
+    }
+
+    /// The knobs while Enduring: B = S and TB = max(TB, TS) (fewer,
+    /// fuller PUTs once the cloud answers; S/TS already bound what may
+    /// be lost, so this trades latency, not durability), the dump
+    /// threshold raised by 1.5, the scrub paced 16× slower.
+    pub(crate) fn outage_maxima(config: &GinjaConfig) -> Self {
+        Knobs {
+            batch: config.safety,
+            batch_timeout: config.safety_timeout.max(config.batch_timeout),
+            dump_threshold: config.dump_threshold + 1.5,
+            sentinel_pace: 16.0,
+        }
+    }
+}
 
 /// A checkpoint ready to become a DB object.
 pub(crate) struct CkptJob {
@@ -48,7 +93,7 @@ pub enum OutageState {
     Degraded,
     /// A real outage: pressure has persisted past the configured
     /// threshold. Knobs are escalated — B/TB widened toward S, dumps
-    /// deferred, sentinel scrub paused.
+    /// deferred, sentinel scrub paced down.
     Enduring,
 }
 
@@ -116,11 +161,10 @@ impl OutagePolicy {
     /// has not answered a probe yet, and reading it as recovery would
     /// restart the episode at every cooldown, so an outage shorter on
     /// each leg than `enduring_after` could never be called one. The
-    /// retry gauge covers instances whose breaker is disabled (fleet
-    /// tenants share the fleet store's). A full commit queue alone is
-    /// deliberately *not* pressure: a CPU- or width-bound burst on a
-    /// healthy cloud fills it too, and treating every such burst as an
-    /// outage would thrash the knobs on busy fleets. Pressure is
+    /// retry gauge covers instances whose breaker is disabled. A full
+    /// commit queue alone is deliberately *not* pressure: a CPU- or
+    /// width-bound burst on a healthy cloud fills it too, and treating
+    /// every such burst as an outage would thrash the knobs. Pressure is
     /// `Degraded` until it has lasted `enduring_after`, `Enduring`
     /// from then on, and `Healthy` the moment it is gone.
     pub fn tick(&mut self, obs: &OutageObservation, now: Instant) -> OutageState {
@@ -303,8 +347,8 @@ mod tests {
         assert_eq!(outages, 1);
     }
 
-    /// Breaker disabled (a fleet tenant): uploads stuck retrying are
-    /// the only signal, and must be enough.
+    /// Breaker disabled: uploads stuck retrying are the only signal,
+    /// and must be enough.
     #[test]
     fn stalled_uploads_alone_reach_enduring() {
         let outages = run(&[

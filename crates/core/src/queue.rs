@@ -70,7 +70,7 @@ struct State {
     closed: bool,
     producers_waiting: usize,
     consumer_waiting: bool,
-    /// B and TB, retuned at runtime by the governor; B stays in `[1, S]`.
+    /// B and TB, retuned at runtime by the outage policy; B stays in `[1, S]`.
     batch: usize,
     batch_timeout: Duration,
     adaptive_seal: bool,
@@ -130,7 +130,7 @@ pub struct CommitQueue {
     state: Mutex<State>,
     not_full: Condvar,
     readable: Condvar,
-    /// S and TS: immutable, so no budget pressure loosens the loss window.
+    /// S and TS: immutable, so no knob escalation loosens the loss window.
     safety: usize,
     safety_timeout: Duration,
     put_histo: LatencyHisto,

@@ -39,7 +39,7 @@ use ginja_vfs::FileSystem;
 
 use crate::apply::{ApplyEngine, ApplyProgress};
 use crate::config::GinjaConfig;
-use crate::fanout::FanoutHandle;
+use crate::fanout::FanoutExecutor;
 use crate::view::CloudView;
 use crate::GinjaError;
 
@@ -93,7 +93,7 @@ pub fn recover_to_point(
     // Recovery is GET-latency bound (the paper's Figure 7): the apply
     // engine, shared with the continuous standby (`ginja-standby`),
     // keeps `recovery_fanout` GETs in flight while it applies.
-    let fanout = FanoutHandle::solo(config.recovery_fanout);
+    let fanout = FanoutExecutor::new(config.recovery_fanout);
     let names = cloud.list("")?;
     let view = CloudView::from_listing(&names)?;
     let engine = ApplyEngine::new(fs, cloud, &codec, &fanout);

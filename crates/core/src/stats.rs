@@ -194,7 +194,6 @@ impl GinjaStats {
             breaker_fast_fails: 0,
             breaker_open_time: Duration::ZERO,
             sentinel: SentinelSnapshot::default(),
-            governor: GovernorSnapshot::default(),
             // Ingest histograms/counters live on the CommitQueue itself;
             // `Ginja::stats` merges them in.
             ingest: IngestSnapshot::default(),
@@ -359,7 +358,6 @@ pub struct StandbyStats {
     lag_micros: AtomicU64,
     resets: AtomicU64,
     promotions: AtomicU64,
-    pace_permille: AtomicU64,
     promotion_histo: LatencyHisto,
 }
 
@@ -375,8 +373,6 @@ impl Default for StandbyStats {
             lag_micros: AtomicU64::new(0),
             resets: AtomicU64::new(0),
             promotions: AtomicU64::new(0),
-            // Nominal poll cadence until the governor says otherwise.
-            pace_permille: AtomicU64::new(1000),
             promotion_histo: LatencyHisto::default(),
         }
     }
@@ -420,12 +416,6 @@ impl StandbyStats {
         self.promotion_histo.record(rto);
     }
 
-    /// Sets the governed poll-pace multiplier, in permille (1000 =
-    /// nominal cadence, 4000 = polling 4x slower to protect a budget).
-    pub fn set_pace(&self, permille: u64) {
-        self.pace_permille.store(permille, Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the counters.
     pub fn snapshot(&self) -> StandbySnapshot {
         StandbySnapshot {
@@ -438,21 +428,19 @@ impl StandbyStats {
             lag: Duration::from_micros(self.lag_micros.load(Ordering::Relaxed)),
             resets: self.resets.load(Ordering::Relaxed),
             promotions: self.promotions.load(Ordering::Relaxed),
-            pace_permille: self.pace_permille.load(Ordering::Relaxed),
             promotion_latency: self.promotion_histo.snapshot(),
         }
     }
 }
 
 /// A point-in-time copy of [`StandbyStats`], embedded in
-/// [`GinjaStatsSnapshot`]. All-zero (including `pace_permille`) when no
-/// standby is attached.
+/// [`GinjaStatsSnapshot`]. All-zero when no standby is attached.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StandbySnapshot {
     /// Completed tail cycles (each one LIST delta + the GETs it
     /// implied).
     pub tail_cycles: u64,
-    /// GETs the tail issued (the spend the governor meters; a WAL
+    /// GETs the tail issued (metered in the instance's `UsageLedger`; a WAL
     /// object re-applied from the standby's cache is not one).
     pub gets: u64,
     /// Sealed bytes the tail downloaded.
@@ -471,9 +459,6 @@ pub struct StandbySnapshot {
     pub resets: u64,
     /// Promotions performed (normally 0 or 1; drills may add more).
     pub promotions: u64,
-    /// The governed poll-pace multiplier in force, in permille (1000 =
-    /// nominal; higher = polling slower to protect the budget).
-    pub pace_permille: u64,
     /// Distribution of promotion residual-replay times — the achieved
     /// RTO histogram the ablation reads.
     pub promotion_latency: LatencySnapshot,
@@ -561,9 +546,6 @@ pub struct GinjaStatsSnapshot {
     /// DR sentinel counters (scrub/repair/rehearsal), merged in by
     /// `Ginja::stats` when a sentinel is attached; zero otherwise.
     pub sentinel: SentinelSnapshot,
-    /// Live cost-governor state (budget, spend projection, governed
-    /// knobs), merged in by `Ginja::stats`; default otherwise.
-    pub governor: GovernorSnapshot,
     /// Outage-endurance state: policy state, outage count and duration,
     /// coalesced checkpoints.
     pub outage: OutageSnapshot,
@@ -591,44 +573,6 @@ pub struct OutageSnapshot {
     /// Checkpoint jobs absorbed into a queued one because the bounded
     /// checkpoint queue was at capacity.
     pub ckpt_coalesced: u64,
-}
-
-/// A point-in-time view of the live cost governor, embedded in
-/// [`GinjaStatsSnapshot`]. Money is integer micro-dollars and ratios
-/// are permille so the snapshot stays `Copy + Eq`. When no budget is
-/// configured (`GinjaConfig::budget == None`) the spend fields are zero
-/// and `enabled` is false, but the knob fields still report the live
-/// pipeline settings.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GovernorSnapshot {
-    /// Whether a budget is configured and the governor is running.
-    pub enabled: bool,
-    /// The configured monthly budget, in micro-dollars.
-    pub budget_microusd: u64,
-    /// The steering target (budget minus headroom), in micro-dollars.
-    pub target_microusd: u64,
-    /// Dollars spent so far this month, in micro-dollars (priced from
-    /// the live usage ledger at the governor's last poll).
-    pub spent_microusd: u64,
-    /// The month-end spend projection at the governor's last poll, in
-    /// micro-dollars.
-    pub projected_microusd: u64,
-    /// Knob adjustments the governor has applied.
-    pub decisions: u64,
-    /// Of those, spend-tightening escalations.
-    pub escalations: u64,
-    /// Of those, relaxations back towards the configured baseline.
-    pub relaxations: u64,
-    /// The batch size B currently in force (live, possibly governed).
-    pub batch: u64,
-    /// The batch timeout TB currently in force, in microseconds.
-    pub batch_timeout_us: u64,
-    /// The dump threshold currently in force, in permille (1500 = the
-    /// paper's 150 %).
-    pub dump_threshold_permille: u64,
-    /// The sentinel pace multiplier currently in force, in permille
-    /// (1000 = nominal cadence).
-    pub sentinel_pace_permille: u64,
 }
 
 impl GinjaStatsSnapshot {
@@ -704,14 +648,12 @@ mod tests {
     #[test]
     fn standby_stats_accumulate_and_snapshot() {
         let s = StandbyStats::default();
-        assert_eq!(s.snapshot().pace_permille, 1000, "nominal pace by default");
         s.record_cycle(3, 900);
         s.record_cycle(0, 0);
         s.record_error();
         s.set_lag(5, 4096, Duration::from_millis(250));
         s.record_reset();
         s.record_promotion(Duration::from_millis(12));
-        s.set_pace(2000);
         let snap = s.snapshot();
         assert_eq!(snap.tail_cycles, 2);
         assert_eq!(snap.gets, 3);
@@ -722,7 +664,6 @@ mod tests {
         assert_eq!(snap.lag, Duration::from_millis(250));
         assert_eq!(snap.resets, 1);
         assert_eq!(snap.promotions, 1);
-        assert_eq!(snap.pace_permille, 2000);
         assert_eq!(snap.promotion_latency.count, 1);
     }
 

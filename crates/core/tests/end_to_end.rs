@@ -134,6 +134,23 @@ fn put_latency_counts_every_put_once() {
 }
 
 #[test]
+fn pipeline_traffic_lands_in_one_ledger() {
+    let profile = DbProfile::postgres_small();
+    let (db, ginja, _local) = protect(&profile, Arc::new(MemStore::new()), fast_config());
+    for i in 0..50u64 {
+        db.put(1, i, b"v".to_vec()).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(10)));
+    let usage = ginja.usage_ledger().usage();
+    // Boot (WAL segments + dump) and the batch uploads all metered.
+    assert!(usage.puts > 0, "puts {}", usage.puts);
+    assert!(usage.bytes_uploaded > 0);
+    assert!(usage.stored_bytes > 0, "live objects tracked by size");
+    assert!(ginja.usage_ledger().mean_put_latency() > Duration::ZERO);
+    ginja.shutdown();
+}
+
+#[test]
 fn safety_blocks_dbms_during_outage_and_bounds_loss() {
     let profile = DbProfile::postgres_small();
     let plan = Arc::new(FaultPlan::new());

@@ -16,7 +16,7 @@ use crate::pricing::S3Pricing;
 pub(crate) const HOURS_PER_MONTH: f64 = 30.0 * 24.0;
 
 /// A monthly dollar budget against a price sheet — the unit of account
-/// for Figure 1 and the live cost governor.
+/// for Figure 1.
 ///
 /// ```rust
 /// use ginja_cost::{Budget, S3Pricing};

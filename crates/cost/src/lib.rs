@@ -12,12 +12,10 @@
 //! * the cost-vs-workload curves of Figure 4;
 //! * the real-application comparison of Table 2 (Ginja vs a
 //!   VM-based Pilot Light) — [`scenarios`];
-//! * the recovery cost of §7.3 — [`GinjaCostModel::recovery_cost`];
-//! * the **live cost governor** — [`governor`]: projects month-end
-//!   spend from real metered usage (a `ginja_cloud::UsageLedger`) and
-//!   adaptively retunes B / TB / dump cadence / sentinel pacing to hold
-//!   a [`governor::BudgetConfig`], without ever touching the safety
-//!   bound S.
+//! * the recovery cost of §7.3 — [`GinjaCostModel::recovery_cost`].
+//!
+//! The operator picks B and S offline from this model; nothing here
+//! retunes a running pipeline.
 //!
 //! ```rust
 //! use ginja_cost::{GinjaCostModel, S3Pricing};
@@ -30,12 +28,10 @@
 //! ```
 
 mod frontier;
-pub mod governor;
 mod model;
 mod pricing;
 pub mod scenarios;
 
 pub use frontier::Budget;
-pub use governor::{BudgetConfig, GovernorPolicy, KnobBounds, Knobs, SpendProjection};
 pub use model::{GinjaCostModel, SyncRate, MINUTES_PER_MONTH};
 pub use pricing::{Ec2Pricing, S3Pricing};

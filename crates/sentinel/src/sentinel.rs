@@ -99,8 +99,8 @@ impl Sentinel {
     }
 
     /// Starts the background thread: scrub-and-repair every
-    /// `sentinel.scrub_interval` (stretched by the cost governor's pace
-    /// multiplier when budget pressure demands it — scrub GETs are pure
+    /// `sentinel.scrub_interval` (stretched by the outage policy's pace
+    /// multiplier while the cloud is away — scrub GETs are pure
     /// re-verification cost, never durability), rehearse every
     /// `sentinel.rehearsal_interval`. Idempotent.
     pub fn spawn(self: &Arc<Self>) {
@@ -110,7 +110,7 @@ impl Sentinel {
         }
         let sentinel = self.clone();
         let rehearsal_interval = self.ginja.config().sentinel.rehearsal_interval;
-        let mut next_scrub = Instant::now() + self.ginja.governed_scrub_interval();
+        let mut next_scrub = Instant::now() + self.ginja.scrub_interval();
         let mut next_rehearsal = Instant::now() + rehearsal_interval;
         *slot = Some(PeriodicTask::spawn("ginja-sentinel", move || {
             let now = Instant::now();
@@ -118,10 +118,10 @@ impl Sentinel {
                 // A failed cycle (e.g. breaker open) is not fatal to
                 // the loop: the next interval retries against a
                 // hopefully-healthier cloud. The interval is re-read
-                // each cycle so a governor retune takes effect at the
-                // next scheduling decision.
+                // each cycle so an outage's pace change takes effect at
+                // the next scheduling decision.
                 let _ = sentinel.run_cycle();
-                next_scrub = Instant::now() + sentinel.ginja.governed_scrub_interval();
+                next_scrub = Instant::now() + sentinel.ginja.scrub_interval();
             }
             if now >= next_rehearsal {
                 let _ = sentinel.rehearse();

@@ -29,12 +29,10 @@
 //! fetched (up to a fixed byte cap, each dropped when the bucket
 //! deletes it) and re-opens them, MAC and all, in the same cold order.
 //!
-//! The standby's cloud reads are real spend (§7: GETs are priced), so
-//! they are metered in the same [`ginja_cloud::UsageLedger`] the cost
-//! governor watches; under budget pressure the tail stretches its poll
-//! interval (a *pace* multiplier, like the sentinel's scrub pace) —
-//! lag degrades gracefully, while the Safety bound `S` on the primary
-//! is never touched.
+//! The standby's cloud reads are real spend (§7: GETs are priced). A
+//! standby built with [`Standby::for_instance`] reads through the
+//! instance's own resilient store, so its GETs land in the same
+//! [`ginja_cloud::UsageLedger`] as the pipeline's traffic.
 //!
 //! ```rust
 //! use std::sync::Arc;

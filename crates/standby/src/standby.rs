@@ -5,23 +5,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, StoreError, UsageLedger, UsageMeter};
+use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, StoreError, UsageLedger};
 use ginja_codec::Codec;
 use ginja_core::{
-    ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutHandle,
+    ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutExecutor,
     Ginja, GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, StandbySnapshot, StandbyStats,
     WalObjectName, DB_PREFIX, WAL_PREFIX,
 };
-use ginja_cost::governor::project_spend;
-use ginja_cost::BudgetConfig;
 use ginja_vfs::FileSystem;
 use parking_lot::Mutex;
-
-/// Upper clamp on the budget-pressure pace multiplier.
-const MAX_PACE: f64 = 16.0;
-
-/// Window for the spend-rate observation fed to the projection.
-const SPEND_WINDOW: Duration = Duration::from_secs(60);
 
 /// Cap on the sealed WAL bytes a standby keeps for re-apply. Past it a
 /// fetched WAL object is not kept, and a rebase GETs it again.
@@ -30,16 +22,11 @@ const WAL_CACHE_BYTES: usize = 64 << 20;
 /// Tuning for the standby tail. Validated by [`StandbyConfig::validate`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StandbyConfig {
-    /// Nominal interval between tail polls; the cost governor may
-    /// stretch it (never below nominal) via the pace multiplier.
+    /// Interval between tail polls.
     pub poll_interval: Duration,
     /// GET fan-out width when the standby owns its executor
-    /// ([`Standby::attach`]); ignored when a shared handle is supplied.
+    /// ([`Standby::attach`]); ignored when an executor is supplied.
     pub fanout: usize,
-    /// Fair-share lane weight when tailing through a shared executor
-    /// ([`Standby::for_instance`]) — relative to the pipeline's upload
-    /// lanes, so catch-up GETs cannot starve live commit traffic.
-    pub lane_weight: f64,
 }
 
 impl Default for StandbyConfig {
@@ -47,7 +34,6 @@ impl Default for StandbyConfig {
         StandbyConfig {
             poll_interval: Duration::from_millis(500),
             fanout: 8,
-            lane_weight: 1.0,
         }
     }
 }
@@ -65,9 +51,6 @@ impl StandbyConfig {
         }
         if self.fanout == 0 {
             return Err("standby.fanout must be at least 1".into());
-        }
-        if !self.lane_weight.is_finite() || self.lane_weight <= 0.0 {
-            return Err("standby.lane_weight must be positive".into());
         }
         Ok(())
     }
@@ -139,11 +122,8 @@ pub struct Standby {
     config: GinjaConfig,
     tail: StandbyConfig,
     codec: Codec,
-    fanout: FanoutHandle,
-    budget: Option<BudgetConfig>,
-    started: Instant,
+    fanout: Arc<FanoutExecutor>,
     stats: Arc<StandbyStats>,
-    pace_bits: AtomicU64,
     fenced: AtomicBool,
     state: Mutex<TailState>,
     wal_cache: Mutex<WalCache>,
@@ -161,7 +141,7 @@ impl std::fmt::Debug for Standby {
 impl Standby {
     /// Attaches a standalone standby to `bucket` (the recovery-site
     /// deployment): its own [`ResilientStore`] with a fresh ledger and
-    /// its own solo GET executor of `tail.fanout` workers.
+    /// its own GET executor of `tail.fanout` workers.
     ///
     /// # Errors
     ///
@@ -175,20 +155,20 @@ impl Standby {
         tail.validate().map_err(GinjaError::Config)?;
         config.validate()?;
         let store = Arc::new(ResilientStore::new(bucket, config.retry.clone()));
-        let fanout = FanoutHandle::solo(tail.fanout);
+        let fanout = Arc::new(FanoutExecutor::new(tail.fanout));
         Ok(Self::build(store, fanout, shadow, config, tail))
     }
 
     /// Attaches a standby over a prebuilt [`ResilientStore`] and
-    /// fan-out handle — the fleet path, where many tenants share one
-    /// ledger, breaker and fair executor.
+    /// fan-out executor, so the caller can read the executor's wave
+    /// counters and the store's ledger.
     ///
     /// # Errors
     ///
     /// [`GinjaError::Config`] when `tail` or `config` is invalid.
     pub fn attach_with(
         store: Arc<ResilientStore>,
-        fanout: FanoutHandle,
+        fanout: Arc<FanoutExecutor>,
         shadow: Arc<dyn FileSystem>,
         config: GinjaConfig,
         tail: StandbyConfig,
@@ -199,9 +179,9 @@ impl Standby {
     }
 
     /// Attaches a standby beside a live [`Ginja`] instance: same
-    /// resilient store (shared circuit breaker *and* usage ledger — the
-    /// cost governor sees standby GETs as first-class spend), a
-    /// weighted lane on the pipeline's fan-out executor, and counters
+    /// resilient store (shared circuit breaker *and* usage ledger, so
+    /// [`Ginja::usage_ledger`] meters standby GETs beside the
+    /// pipeline's own), the pipeline's fan-out executor, and counters
     /// registered so [`Ginja::stats`] carries the lag gauges.
     ///
     /// # Errors
@@ -214,7 +194,7 @@ impl Standby {
     ) -> Result<Arc<Self>, GinjaError> {
         tail.validate().map_err(GinjaError::Config)?;
         let store = ginja.resilient_cloud();
-        let fanout = FanoutHandle::shared(ginja.fanout().executor().clone(), tail.lane_weight);
+        let fanout = ginja.fanout().clone();
         let standby = Self::build(store, fanout, shadow, ginja.config().clone(), tail);
         ginja.attach_standby(standby.stats.clone());
         Ok(standby)
@@ -222,13 +202,12 @@ impl Standby {
 
     fn build(
         cloud: Arc<ResilientStore>,
-        fanout: FanoutHandle,
+        fanout: Arc<FanoutExecutor>,
         shadow: Arc<dyn FileSystem>,
         config: GinjaConfig,
         tail: StandbyConfig,
     ) -> Arc<Self> {
         let codec = Codec::new(config.codec.clone());
-        let budget = config.budget.clone();
         Arc::new(Standby {
             cloud,
             shadow,
@@ -236,10 +215,7 @@ impl Standby {
             tail,
             codec,
             fanout,
-            budget,
-            started: Instant::now(),
             stats: Arc::new(StandbyStats::default()),
-            pace_bits: AtomicU64::new(1.0f64.to_bits()),
             fenced: AtomicBool::new(false),
             state: Mutex::new(TailState {
                 lister: DeltaLister::new(""),
@@ -260,14 +236,6 @@ impl Standby {
         self.stats.snapshot()
     }
 
-    /// The live counter handle, for registering with a [`Ginja`]
-    /// instance this standby was not built from (e.g. a fleet tenant:
-    /// `ginja.attach_standby(standby.counters())` merges the lag
-    /// gauges into that tenant's stats).
-    pub fn counters(&self) -> Arc<StandbyStats> {
-        self.stats.clone()
-    }
-
     /// The shadow file system the tail applies into (the bootable
     /// directory after [`Standby::promote`]).
     pub fn shadow(&self) -> Arc<dyn FileSystem> {
@@ -285,25 +253,13 @@ impl Standby {
         &self.config
     }
 
-    /// The pace multiplier currently stretching the poll interval
-    /// (≥ 1.0; 1.0 without budget pressure).
-    pub fn pace(&self) -> f64 {
-        f64::from_bits(self.pace_bits.load(Ordering::Relaxed))
-    }
-
-    /// The poll interval currently in force: nominal × pace.
-    pub fn poll_interval(&self) -> Duration {
-        self.tail.poll_interval.mul_f64(self.pace())
-    }
-
     /// Whether [`Standby::promote`] has fenced the tail.
     pub fn is_fenced(&self) -> bool {
         self.fenced.load(Ordering::SeqCst)
     }
 
     /// One tail cycle: poll the listing delta, fold it into the view,
-    /// apply whatever became applicable, refresh the lag gauges, and
-    /// let budget pressure retune the pace.
+    /// apply whatever became applicable, and refresh the lag gauges.
     ///
     /// # Errors
     ///
@@ -314,9 +270,7 @@ impl Standby {
             return Err(GinjaError::ShutDown);
         }
         let mut state = self.state.lock();
-        let report = self.cycle_locked(&mut state, false)?;
-        self.govern_pace();
-        Ok(report)
+        self.cycle_locked(&mut state, false)
     }
 
     /// Fences the tail and finishes the job: one final best-effort
@@ -358,11 +312,9 @@ impl Standby {
         })
     }
 
-    /// Starts the background tail thread (idempotent). The loop
-    /// re-reads [`Standby::poll_interval`] every cycle, so a governor
-    /// pace change takes effect at the next scheduling decision; a
-    /// failed cycle (outage, open breaker) is counted and retried at
-    /// the next interval.
+    /// Starts the background tail thread (idempotent), one cycle every
+    /// `tail.poll_interval`; a failed cycle (outage, open breaker) is
+    /// counted and retried at the next interval.
     pub fn spawn(self: &Arc<Self>) {
         let mut slot = self.task.lock();
         if slot.is_some() {
@@ -374,7 +326,7 @@ impl Standby {
                 return None;
             }
             let _ = standby.run_cycle();
-            Some(standby.poll_interval())
+            Some(standby.tail.poll_interval)
         }));
     }
 
@@ -586,29 +538,6 @@ impl Standby {
         let age = now.duration_since(state.drained_at);
         report.lag_objects = objects;
         self.stats.set_lag(objects, bytes, age);
-    }
-
-    /// Budget-pressure pace control, mirroring the primary's sentinel
-    /// pace: projected spend over target stretches the poll interval
-    /// multiplicatively; comfortable headroom relaxes it back toward
-    /// nominal. The Safety bound `S` is never touched — a standby can
-    /// only get *staler* under pressure, never let the primary lose
-    /// more.
-    fn govern_pace(&self) {
-        let Some(budget) = &self.budget else { return };
-        let ledger = self.cloud.ledger();
-        let usage = ledger.usage();
-        let rates = ledger.observe_rates(SPEND_WINDOW);
-        let projection = project_spend(&usage, Some(&rates), self.started.elapsed(), budget);
-        let target = budget.target_usd();
-        let mut pace = self.pace();
-        if projection.projected_usd > target {
-            pace = (pace * 1.5).min(MAX_PACE);
-        } else if projection.projected_usd < target * 0.7 {
-            pace = (pace / 1.5).max(1.0);
-        }
-        self.pace_bits.store(pace.to_bits(), Ordering::Relaxed);
-        self.stats.set_pace((pace * 1000.0).round() as u64);
     }
 }
 
@@ -1030,36 +959,6 @@ mod tests {
             !standby.is_fenced(),
             "failed promotion must release the fence"
         );
-    }
-
-    #[test]
-    fn budget_pressure_stretches_the_poll_interval() {
-        let mut config = config();
-        config.budget = Some(BudgetConfig::new(1e-6));
-        let codec = Codec::new(config.codec.clone());
-        let bucket = Arc::new(MemStore::new());
-        seal_db(
-            bucket.as_ref(),
-            &codec,
-            0,
-            DbObjectKind::Dump,
-            "base/1",
-            b"AAAA",
-        );
-        let standby = Standby::attach(
-            bucket.clone(),
-            Arc::new(MemFs::new()),
-            config,
-            StandbyConfig::default(),
-        )
-        .unwrap();
-        for ts in 1..6 {
-            seal_wal(bucket.as_ref(), &codec, ts, (ts - 1) * 2, b"ww");
-            standby.run_cycle().unwrap();
-        }
-        assert!(standby.pace() > 1.0, "pace = {}", standby.pace());
-        assert!(standby.poll_interval() > StandbyConfig::default().poll_interval);
-        assert!(standby.snapshot().pace_permille > 1000);
     }
 
     #[test]

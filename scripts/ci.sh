@@ -25,35 +25,18 @@ cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 6 --st
 # Bench smoke (small time scale): the codec and commit-queue micro-benches.
 GINJA_BENCH_SCALE=0.02 cargo bench -q -p ginja-bench --bench codec_micro
 cargo bench -q -p ginja-bench --bench queue_micro
-# Budget-governor smoke: fixed B vs. governed under bursty TPC-C — the
-# governed run must land under its budget without touching the safety
-# bound, and its bucket must still recover (DESIGN.md §13).
-# Output paths are absolute: cargo runs bench binaries with the
-# package directory (crates/bench) as cwd, not the repo root.
-GINJA_BENCH_SCALE=0.02 BENCH_PR6_OUT="$PWD/BENCH_PR6.json" \
-    cargo bench -q -p ginja-bench --bench ablation_budget
-test -s BENCH_PR6.json
-# The offline planning view of the same policy must run clean.
-cargo run -q --release --bin ginja-cli -- budget 1.0 10 1000 --batch 10 --safety 2000 > /dev/null
-# Fleet smoke: three TPC-C tenants over one bucket / executor / budget —
-# must attach, arbitrate, scrub clean, and recover every tenant with
-# zero acked loss and spend under budget (DESIGN.md §14).
-cargo run -q --release --bin ginja-cli -- fleet --tenants 3 --txns 30 | grep -q "fleet OK"
-# Fair-share ablation: eight tenants on one shared width-8 executor vs.
-# eight width-1 pools — worst-tenant p99 must stay within 2x best.
-GINJA_BENCH_SCALE=0.02 BENCH_PR7_OUT="$PWD/BENCH_PR7.json" \
-    cargo bench -q -p ginja-bench --bench ablation_fleet
-test -s BENCH_PR7.json
 # Outage-endurance smoke (DESIGN.md §15): the chaos suite (backlog
 # bounded by S with the DBMS blocked there, crash-mid-outage healed by
-# reboot resync, fleet neighbor isolation) and the operator drill.
+# reboot resync) and the operator drill.
 cargo test -q --test outage
 cargo run -q --release --bin ginja-cli -- outage --rows 120 | grep -q "outage drill PASSED"
 # Warm-standby smoke (DESIGN.md §17): the chaos acceptance suite
 # (outage-riding tail, mid-outage promotion bounded by S, promoted
 # shadow byte-equal to cold recovery), the operator drill, and the
 # cold-vs-promotion ablation, which asserts the >=3x RTO cut at the
-# largest database size.
+# largest database size. Output paths are absolute: cargo runs bench
+# binaries with the package directory (crates/bench) as cwd, not the
+# repo root.
 cargo test -q --test standby
 cargo run -q --release --bin ginja-cli -- standby --rows 80 --waves 4 --promote | grep -q "standby drill PASSED"
 GINJA_BENCH_SCALE=0.02 BENCH_PR10_OUT="$PWD/BENCH_PR10.json" \

@@ -33,10 +33,9 @@ done
 printf '%-48s %7d\n' "pub config fields:" "$total"
 
 # `pub` fields of the metrics surface (ROADMAP item 10): the stats
-# snapshot, each snapshot nested in it, the fleet roll-up and `Exposure`.
+# snapshot, each snapshot nested in it, and `Exposure`.
 for spec in stats.rs:GinjaStatsSnapshot stats.rs:OutageSnapshot \
     stats.rs:IngestSnapshot stats.rs:SentinelSnapshot stats.rs:StandbySnapshot \
-    stats.rs:GovernorSnapshot stats.rs:LatencySnapshot \
-    agg.rs:SnapshotTotals ginja.rs:Exposure; do
+    stats.rs:LatencySnapshot ginja.rs:Exposure; do
     printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/core/src/${spec%%:*}" "${spec##*:}")"
 done

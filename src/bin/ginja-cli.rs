@@ -10,30 +10,17 @@
 //! ginja-cli drill <bucket-dir> [--prefix <tenants/name/>] [--password <pw>]
 //! ginja-cli recover <bucket-dir> <target-dir> [--point <ts>] [--password <pw>]
 //! ginja-cli cost <db-gb> <updates-per-min> <batch>
-//! ginja-cli budget <monthly-usd> <db-gb> <updates-per-min> [--batch <B>] [--safety <S>] [--headroom <f>] [--steps <n>]
 //! ginja-cli crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn] [--prefix <p>]
-//! ginja-cli fleet [--tenants <n>] [--txns <n>] [--width <w>] [--budget <usd>] [--month-secs <s>]
 //! ginja-cli outage [--rows <n>]
 //! ginja-cli standby [--rows <n>] [--waves <n>] [--promote]
 //! ```
-//!
-//! `budget` is the offline view of the live cost governor (`DESIGN.md`
-//! §13): it simulates a governed month under a steady workload and
-//! prints the knob trajectory, next to the fixed-B §7.1 cost and the
-//! Figure 1 capacity frontier for the same budget.
 //!
 //! `crashtest` needs no bucket: it runs the CrashFs crash-point sweep
 //! (see `DESIGN.md` §11) against in-memory stores and exits non-zero if
 //! any crash point violates a durability invariant.
 //!
-//! `fleet` needs no bucket either: it spins up an in-process
-//! multi-tenant fleet (`DESIGN.md` §14) — N TPC-C tenants in one shared
-//! bucket behind one fair-share executor and one fleet budget — then
-//! proves every tenant scrubs clean and recovers from its own prefix
-//! with nothing acknowledged lost, and exits non-zero otherwise.
-//!
 //! `outage` is the outage endurance drill (`DESIGN.md` §15), also
-//! in-process: it cuts the cloud out from under a live pipeline, shows
+//! in-process and bucket-free: it cuts the cloud out from under a live pipeline, shows
 //! the outage policy escalating (Healthy → Degraded → Enduring) while
 //! the un-acked backlog stays within the Safety bound S, then restores
 //! the cloud and proves catch-up drains to a scrub-clean bucket with
@@ -48,7 +35,7 @@
 //! achieved RTO next to a cold recovery of the same bucket — exiting
 //! non-zero on any lost acknowledged update.
 //!
-//! On shared (multi-tenant) buckets, `--prefix tenants/<name>/` scopes
+//! On shared buckets, `--prefix tenants/<name>/` scopes
 //! `drill` and `crashtest` to one tenant's namespace: the scoped drill
 //! structurally cannot list, read, or delete a neighbor's objects.
 
@@ -71,14 +58,12 @@ fn main() -> ExitCode {
         Some("drill") => drill(&args[1..]),
         Some("recover") => recover(&args[1..]),
         Some("cost") => cost(&args[1..]),
-        Some("budget") => budget(&args[1..]),
         Some("crashtest") => crashtest(&args[1..]),
-        Some("fleet") => fleet(&args[1..]),
         Some("outage") => outage(&args[1..]),
         Some("standby") => standby(&args[1..]),
         _ => {
             eprintln!(
-                "usage: ginja-cli <status|restore-points|verify|drill|recover|cost|budget|crashtest|fleet|outage|standby> ..."
+                "usage: ginja-cli <status|restore-points|verify|drill|recover|cost|crashtest|outage|standby> ..."
             );
             eprintln!("  status <bucket-dir>");
             eprintln!("  restore-points <bucket-dir>");
@@ -87,13 +72,7 @@ fn main() -> ExitCode {
             eprintln!("  recover <bucket-dir> <target-dir> [--point <ts>] [--password <pw>]");
             eprintln!("  cost <db-gb> <updates-per-min> <batch>");
             eprintln!(
-                "  budget <monthly-usd> <db-gb> <updates-per-min> [--batch <B>] [--safety <S>] [--headroom <f>] [--steps <n>]"
-            );
-            eprintln!(
                 "  crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn] [--prefix <p>]"
-            );
-            eprintln!(
-                "  fleet [--tenants <n>] [--txns <n>] [--width <w>] [--budget <usd>] [--month-secs <s>]"
             );
             eprintln!("  outage [--rows <n>]");
             eprintln!("  standby [--rows <n>] [--waves <n>] [--promote]");
@@ -322,130 +301,6 @@ fn cost(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Plans a governed month offline: the same [`GovernorPolicy`] the live
-/// governor runs, stepped through a steady workload with the §7.1 cost
-/// terms — prints the knob trajectory, the fixed-B cost it beats, and
-/// where the deployment sits on the budget's capacity frontier.
-fn budget(args: &[String]) -> Result<(), String> {
-    use ginja::cost::governor::{
-        simulate_steady_month, BudgetConfig, GovernorAction, GovernorPolicy, KnobBounds,
-    };
-    use ginja::cost::Budget;
-    use std::time::Duration;
-
-    let parse = |i: usize, what: &str| -> Result<f64, String> {
-        args.get(i)
-            .ok_or(format!("missing {what}"))?
-            .parse::<f64>()
-            .map_err(|_| format!("bad {what}: {}", args[i]))
-    };
-    let monthly_usd = parse(0, "monthly-usd")?;
-    let db_gb = parse(1, "db-gb")?;
-    let updates = parse(2, "updates-per-min")?;
-    let parse_flag = |flag: &str, default: f64| -> Result<f64, String> {
-        match flag_value(args, flag) {
-            Some(raw) => raw.parse().map_err(|_| format!("bad {flag} value: {raw}")),
-            None => Ok(default),
-        }
-    };
-    let batch = parse_flag("--batch", 100.0)? as usize;
-    let safety = parse_flag("--safety", 1000.0)? as usize;
-    let headroom = parse_flag("--headroom", 0.1)?;
-    let steps = parse_flag("--steps", 64.0)? as usize;
-    if batch == 0 || safety < batch {
-        return Err("need 1 <= batch <= safety".into());
-    }
-
-    let mut config = BudgetConfig::new(monthly_usd);
-    config.headroom = headroom;
-    config.validate().map_err(|e| e.to_string())?;
-    let target = config.target_usd();
-    let pricing = config.pricing;
-    let bounds = KnobBounds {
-        min_batch: batch,
-        max_batch: safety,
-        min_batch_timeout: Duration::from_secs(1),
-        max_batch_timeout: Duration::from_secs(5),
-        min_dump_threshold: 1.5,
-        max_dump_threshold: 3.0,
-        max_sentinel_pace: 16.0,
-    };
-    let policy = GovernorPolicy::new(config, bounds);
-
-    println!("Ginja budget plan (S3 May-2017 prices)");
-    println!(
-        "  budget:           ${monthly_usd:.2}/month (target ${target:.2} after {:.0}% headroom)",
-        headroom * 100.0
-    );
-    println!("  database size:    {db_gb} GB");
-    println!("  workload:         {updates} updates/minute");
-    println!("  baseline B/S:     {batch}/{safety}");
-    println!();
-
-    let mut fixed = ginja::cost::GinjaCostModel::paper_fig4(updates, batch as u64);
-    fixed.db_size_gb = db_gb;
-    fixed.pricing = pricing;
-    let fixed_total = fixed.total();
-    println!(
-        "fixed B={batch} month-end (§7.1):  ${fixed_total:.3}  [{}]",
-        if fixed_total <= monthly_usd {
-            "under budget"
-        } else {
-            "OVER BUDGET"
-        }
-    );
-
-    let sim = simulate_steady_month(db_gb, updates, &policy, steps);
-    println!("\ngoverned month ({steps} steps):");
-    println!("  month%   B      spent$    projected$  action");
-    for point in &sim.trajectory {
-        let action = match point.action {
-            Some(GovernorAction::Escalate) => "escalate",
-            Some(GovernorAction::Relax) => "relax",
-            None => continue, // print only the steps where the governor moved
-        };
-        println!(
-            "  {:>5.1}  {:>5}  {:>8.3}  {:>10.3}  {action}",
-            point.at_fraction * 100.0,
-            point.batch,
-            point.spent_usd,
-            point.projected_usd,
-        );
-    }
-    let moves = sim.trajectory.iter().filter(|p| p.action.is_some()).count();
-    if moves == 0 {
-        println!("  (no knob movement: baseline already fits the target)");
-    }
-    println!(
-        "  month-end: ${:.3} with B={} — {}",
-        sim.final_usd,
-        sim.final_knobs.batch,
-        if sim.final_usd <= monthly_usd {
-            "within budget"
-        } else {
-            "cannot fit: raise the budget, raise S, or shrink the workload"
-        }
-    );
-
-    println!("\ncapacity frontier at ${monthly_usd:.2}/month (Figure 1):");
-    let per_hour = updates * 60.0 / batch as f64;
-    let budget = Budget::with_pricing(monthly_usd, pricing);
-    println!("  syncs/hour   max DB size");
-    for (rate, size) in budget.frontier([25.0, 50.0, 100.0, 150.0, 200.0, 250.0]) {
-        println!("  {rate:>10.0}   {size:>8.1} GB");
-    }
-    println!(
-        "  this deployment: {per_hour:.0} syncs/hour at baseline B → max {:.1} GB ({db_gb} GB {})",
-        budget.max_db_size_gb(per_hour),
-        if db_gb <= budget.max_db_size_gb(per_hour) {
-            "fits"
-        } else {
-            "does not fit at baseline B — the governor will escalate"
-        }
-    );
-    Ok(())
-}
-
 /// Runs the CrashFs crash-point sweep against in-memory stores: every
 /// mutating local I/O of a seeded workload becomes a kill point, and
 /// each surviving state must crash-recover locally, disaster-recover
@@ -503,223 +358,6 @@ fn crashtest(args: &[String]) -> Result<(), String> {
         ));
     }
     println!("crashtest PASSED — every explored crash point recovered");
-    Ok(())
-}
-
-/// Spins up an in-process multi-tenant fleet: N TPC-C tenants over one
-/// shared in-memory bucket, one fair-share executor, and one fleet
-/// budget ($1/tenant/month by default, the paper's price point). After
-/// the run, every tenant must scrub clean and recover from its own
-/// `tenants/<name>/` prefix with nothing acknowledged lost, and the
-/// fleet's projected spend must sit inside the budget — exits non-zero
-/// otherwise. CI smoke-tests the fleet subsystem through this command.
-fn fleet(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
-    use std::time::Duration;
-
-    use ginja::cloud::MemStore;
-    use ginja::core::recover_into;
-    use ginja::cost::BudgetConfig;
-    use ginja::db::{Database, DbProfile};
-    use ginja::fleet::{Fleet, FleetConfig, TenantSpec};
-    use ginja::vfs::MemFs;
-    use ginja::workload::{probe_tpcc, Tpcc, TpccScale};
-
-    /// Table each tenant writes a final marker row into — proof after
-    /// recovery that the very last acknowledged update survived.
-    const MARKER_TABLE: u32 = 77;
-
-    let parse_num = |flag: &str, default: u64| -> Result<u64, String> {
-        match flag_value(args, flag) {
-            Some(raw) => raw.parse().map_err(|_| format!("bad {flag} value: {raw}")),
-            None => Ok(default),
-        }
-    };
-    let tenants = parse_num("--tenants", 3)? as usize;
-    let txns = parse_num("--txns", 30)?;
-    let width = parse_num("--width", 8)?.max(1) as usize;
-    if tenants == 0 {
-        return Err("need at least one tenant".into());
-    }
-    let budget_usd = match flag_value(args, "--budget") {
-        Some(raw) => raw
-            .parse::<f64>()
-            .map_err(|_| format!("bad --budget value: {raw}"))?,
-        None => tenants as f64, // one dollar per tenant per month
-    };
-    // A seconds-long "month": the projection math is scale-free in
-    // month length, so a short month exercises the same arbitration a
-    // 30-day one would without extrapolating a 2-second run 10^6-fold.
-    let month = Duration::from_secs(parse_num("--month-secs", 60)?.max(1));
-
-    let fleet = Fleet::new(
-        Arc::new(MemStore::new()),
-        FleetConfig {
-            width,
-            budget: Some(BudgetConfig {
-                month,
-                ..BudgetConfig::new(budget_usd)
-            }),
-            ..FleetConfig::default()
-        },
-    );
-    let config = GinjaConfig::builder()
-        .batch(4)
-        .safety(32)
-        .batch_timeout(Duration::from_millis(10))
-        .build()
-        .map_err(|e| e.to_string())?;
-    for i in 0..tenants {
-        fleet
-            .attach(TenantSpec::new(
-                format!("t{i}"),
-                DbProfile::postgres_small(),
-                config.clone(),
-            ))
-            .map_err(|e| e.to_string())?;
-    }
-    println!("fleet: {tenants} tenant(s), executor width {width}, budget ${budget_usd:.2}/month");
-
-    // Drive every tenant concurrently; arbitrate the budget meanwhile.
-    let workers: Vec<_> = fleet
-        .tenants()
-        .into_iter()
-        .enumerate()
-        .map(|(i, tenant)| {
-            std::thread::spawn(move || -> Result<(), String> {
-                let mut tpcc = Tpcc::new(1, 0xF1EE7 ^ i as u64, TpccScale::tiny());
-                tpcc.create_schema(tenant.db()).map_err(|e| e.to_string())?;
-                tpcc.load(tenant.db()).map_err(|e| e.to_string())?;
-                for _ in 0..txns {
-                    tpcc.run_transaction(tenant.db())
-                        .map_err(|e| e.to_string())?;
-                }
-                tenant
-                    .db()
-                    .create_table(MARKER_TABLE, 64)
-                    .map_err(|e| e.to_string())?;
-                tenant
-                    .db()
-                    .put(MARKER_TABLE, 0, tenant.name().as_bytes().to_vec())
-                    .map_err(|e| e.to_string())
-            })
-        })
-        .collect();
-    while workers.iter().any(|w| !w.is_finished()) {
-        fleet.governor_pass();
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    for worker in workers {
-        worker.join().map_err(|_| "tenant worker panicked")??;
-    }
-    if !fleet.sync_all(Duration::from_secs(60)) {
-        return Err("a tenant pipeline failed to drain".into());
-    }
-    fleet.governor_pass();
-
-    // One full sentinel rotation, then a per-tenant recovery check.
-    let mut anomalies = 0;
-    for _ in 0..tenants {
-        if let Some((name, report)) = fleet.scrub_next().map_err(|e| e.to_string())? {
-            if !report.is_clean() {
-                eprintln!(
-                    "tenant {name}: {} scrub anomaly(ies)",
-                    report.anomalies.len()
-                );
-                anomalies += report.anomalies.len();
-            }
-        }
-    }
-    let mut lost = 0;
-    for tenant in fleet.tenants() {
-        let target = Arc::new(MemFs::new());
-        recover_into(target.as_ref(), &tenant.store(), &config).map_err(|e| e.to_string())?;
-        let db = Database::open(target, DbProfile::postgres_small()).map_err(|e| e.to_string())?;
-        let marker = db.get(MARKER_TABLE, 0).map_err(|e| e.to_string())?;
-        if marker.as_deref() != Some(tenant.name().as_bytes()) {
-            eprintln!("tenant {}: final acked marker lost", tenant.name());
-            lost += 1;
-        }
-        let probe = probe_tpcc(&db).map_err(|e| e.to_string())?;
-        if !probe.is_consistent() {
-            eprintln!(
-                "tenant {}: recovered state inconsistent: {probe:?}",
-                tenant.name()
-            );
-            lost += 1;
-        }
-    }
-
-    let snap = fleet.snapshot();
-    fleet.shutdown();
-    println!(
-        "\n{:<8} {:>6} {:>4} {:>8} {:>6} {:>8} {:>10} {:>10} {:>10} {:>4} {:>9} {:>5} {:>5}",
-        "tenant",
-        "weight",
-        "lane",
-        "updates",
-        "waves",
-        "granted",
-        "spent $",
-        "proj $",
-        "budget $",
-        "esc",
-        "put p99",
-        "parks",
-        "seals"
-    );
-    for t in &snap.tenants {
-        let (waves, granted) = t
-            .scheduler
-            .map(|l| (l.waves, l.granted))
-            .unwrap_or_default();
-        println!(
-            "{:<8} {:>6.1} {:>4} {:>8} {:>6} {:>8} {:>10.6} {:>10.6} {:>10.6} {:>4} {:>9.1?} {:>5} {:>5}",
-            t.name,
-            t.weight,
-            t.lane,
-            t.stats.updates_intercepted,
-            waves,
-            granted,
-            t.spent_microusd as f64 / 1e6,
-            t.projected_microusd as f64 / 1e6,
-            t.sub_budget_microusd as f64 / 1e6,
-            t.escalations,
-            t.stats.ingest.put_latency.p99,
-            t.stats.ingest.put_parks,
-            t.stats.ingest.adaptive_seals,
-        );
-    }
-    println!(
-        "\naggregate: {} updates, {} WAL + {} DB objects, max in-flight {}/{}, \
-         spent ${:.6}, projected ${:.6} of ${:.2}",
-        snap.totals.updates_intercepted,
-        snap.totals.wal_objects_uploaded,
-        snap.totals.db_objects_uploaded,
-        snap.max_in_flight,
-        snap.width,
-        snap.spent_microusd as f64 / 1e6,
-        snap.projected_microusd as f64 / 1e6,
-        budget_usd,
-    );
-    println!(
-        "ingest:    {} park(s), {} adaptive seal(s) across the fleet",
-        snap.totals.ingest_put_parks, snap.totals.ingest_adaptive_seals,
-    );
-
-    if anomalies > 0 {
-        return Err(format!("{anomalies} scrub anomaly(ies) across the fleet"));
-    }
-    if lost > 0 {
-        return Err(format!("{lost} tenant(s) lost acknowledged updates"));
-    }
-    if snap.over_budget {
-        return Err("fleet projected spend exceeds the budget".into());
-    }
-    if !snap.healthy() {
-        return Err("fleet snapshot reports unhealthy tenants".into());
-    }
-    println!("\nfleet OK — {tenants} tenant(s) protected, zero acked loss, spend under budget");
     Ok(())
 }
 
@@ -945,7 +583,7 @@ fn standby(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use ginja::cloud::MemStore;
+    use ginja::cloud::{MemStore, UsageMeter as _};
     use ginja::core::{recover_into, Ginja};
     use ginja::db::{Database, DbProfile};
     use ginja::standby::{Standby, StandbyConfig};
@@ -991,12 +629,13 @@ fn standby(args: &[String]) -> Result<(), String> {
     // one breaker) and tails into its own shadow directory.
     let standby = Standby::for_instance(&ginja, Arc::new(MemFs::new()), StandbyConfig::default())
         .map_err(|e| e.to_string())?;
+    let gets_before = ginja.usage_ledger().usage().gets;
 
     println!(
         "standby drill:     {rows} row(s) across {waves} wave(s), S = {}",
         config.safety
     );
-    println!("wave    delta  gets     bytes  lag-objs  lag-bytes  pace");
+    println!("wave    delta  gets     bytes  lag-objs  lag-bytes");
     let per_wave = rows.div_ceil(waves);
     let mut written = 0u64;
     for wave in 0..waves {
@@ -1012,13 +651,8 @@ fn standby(args: &[String]) -> Result<(), String> {
         let report = standby.run_cycle().map_err(|e| e.to_string())?;
         let snap = standby.snapshot();
         println!(
-            "{wave:>4}  {:>7}  {:>4}  {:>8}  {:>8}  {:>9}  {:.2}x",
-            report.delta_added,
-            report.gets,
-            report.bytes_fetched,
-            snap.lag_objects,
-            snap.lag_bytes,
-            snap.pace_permille as f64 / 1000.0
+            "{wave:>4}  {:>7}  {:>4}  {:>8}  {:>8}  {:>9}",
+            report.delta_added, report.gets, report.bytes_fetched, snap.lag_objects, snap.lag_bytes
         );
     }
     let idle = standby.run_cycle().map_err(|e| e.to_string())?;
@@ -1028,6 +662,14 @@ fn standby(args: &[String]) -> Result<(), String> {
     let snap = standby.snapshot();
     if snap.lag_objects != 0 {
         return Err(format!("tail never drained: {snap:?}"));
+    }
+    // The tail's GETs are spend on the instance's own bill.
+    let metered = ginja.usage_ledger().usage().gets - gets_before;
+    if metered < snap.gets {
+        return Err(format!(
+            "standby GETs unmetered: {} issued, {metered} in the instance's ledger",
+            snap.gets
+        ));
     }
     println!(
         "tail drained:      {} cycle(s), {} GET(s), {} byte(s), {} reset(s)",

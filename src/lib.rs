@@ -29,9 +29,6 @@
 //! * [`cost`] (`ginja-cost`) — the §7 monetary cost model.
 //! * [`sentinel`] (`ginja-sentinel`) — the DR sentinel: continuous cloud
 //!   scrubbing, restore rehearsal, and self-healing repair.
-//! * [`fleet`] (`ginja-fleet`) — the multi-tenant fleet manager:
-//!   fair-share upload scheduling and budget arbitration across many
-//!   protected databases sharing one bucket.
 //! * [`standby`] (`ginja-standby`) — the warm standby: continuous
 //!   cloud-tail apply into a shadow directory and bounded-RTO
 //!   promotion.
@@ -82,7 +79,6 @@ pub use ginja_codec as codec;
 pub use ginja_core as core;
 pub use ginja_cost as cost;
 pub use ginja_db as db;
-pub use ginja_fleet as fleet;
 pub use ginja_sentinel as sentinel;
 pub use ginja_standby as standby;
 pub use ginja_vfs as vfs;

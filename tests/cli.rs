@@ -251,21 +251,6 @@ fn cli_drill_prefix_never_touches_a_neighbor() {
 }
 
 #[test]
-fn cli_fleet_smoke() {
-    let out = run_ok(&["fleet", "--tenants", "2", "--txns", "5", "--width", "4"]);
-    assert!(out.contains("fleet OK"), "{out}");
-    assert!(out.contains("aggregate:"), "{out}");
-
-    // Zero tenants is a usage error.
-    assert!(!cli()
-        .args(["fleet", "--tenants", "0"])
-        .output()
-        .unwrap()
-        .status
-        .success());
-}
-
-#[test]
 fn cli_crashtest_sweeps_clean() {
     // Bucket-less: the sweep runs against in-memory stores. Keep it
     // small — each replay is a full boot → crash → recover cycle.

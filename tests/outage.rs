@@ -4,19 +4,15 @@
 //! its states, survive a crash with that backlog un-uploaded (Reboot's
 //! resync heals it from the local WAL), and — once the cloud answers
 //! again — catch up to a scrub-clean bucket with zero acknowledged
-//! loss. Plus the fleet variant: one tenant's outage must not drag its
-//! neighbor's commit latency down.
+//! loss.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja::cloud::{
-    FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, PrefixStore, RetryConfig,
-};
+use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
 use ginja::core::{recover_into, Ginja, GinjaConfig, OutageConfig, OutageState, SentinelConfig};
 use ginja::db::{Database, DbProfile};
-use ginja::fleet::{Fleet, FleetConfig, TenantSpec};
 use ginja::sentinel::Sentinel;
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 use ginja::workload::{probe_tpcc, Tpcc, TpccScale};
@@ -340,151 +336,4 @@ fn crash_mid_outage_is_healed_by_reboot_resync() {
             "row {seq} lost across the crash"
         );
     }
-}
-
-/// Fleet isolation: one tenant enduring a cloud outage (its uploads
-/// all fail, its backlog grows toward S) must not wreck its neighbor's
-/// commit latency — the retry traffic competes through fair scheduler
-/// lanes, so the neighbor's p99 stays within 2× its own
-/// baseline (plus a small absolute floor for scheduler jitter on a
-/// loaded CI box). The fleet roll-up must show exactly one tenant
-/// enduring.
-#[test]
-fn fleet_outage_leaves_neighbor_latency_intact() {
-    const N: usize = 200;
-    let mem = Arc::new(MemStore::new());
-    let plan = Arc::new(FaultPlan::new());
-    let fleet = Fleet::new(
-        Arc::new(FaultStore::new(mem.clone(), plan.clone())),
-        FleetConfig {
-            width: 4,
-            // Fast in-layer retries, breaker OFF: the fleet-wide
-            // breaker is shared, so one tenant's dead prefix tripping
-            // it would fail-fast every neighbor's ops — the opposite
-            // of what this test wants to observe.
-            retry: RetryConfig {
-                max_attempts: 2,
-                base_delay: Duration::from_millis(1),
-                max_delay: Duration::from_millis(2),
-                breaker_threshold: 0,
-                ..RetryConfig::default()
-            },
-            ..FleetConfig::default()
-        },
-    );
-    let config = GinjaConfig::builder()
-        .batch(2)
-        .safety(400)
-        .batch_timeout(Duration::from_millis(5))
-        .safety_timeout(Duration::from_secs(60))
-        .outage(OutageConfig {
-            // Fleet tenants have their in-layer breaker disabled (the
-            // fleet store owns resilience), so Enduring is reached
-            // through uploads that *stay* stuck retrying: long enough
-            // that a stray retry on t1's healthy prefix never sustains
-            // it, short enough that t0's stuck uploads do within the
-            // wait budget.
-            enduring_after: Duration::from_secs(1),
-            poll_interval: Duration::from_millis(5),
-            ..OutageConfig::default()
-        })
-        .build()
-        .unwrap();
-    for name in ["t0", "t1"] {
-        fleet
-            .attach(TenantSpec::new(
-                name,
-                DbProfile::postgres_small().with_checkpoint_every(100_000),
-                config.clone(),
-            ))
-            .unwrap();
-    }
-    let tenants = fleet.tenants();
-    let (t0, t1) = (&tenants[0], &tenants[1]);
-    t0.db().create_table(MARKER_TABLE, 64).unwrap();
-    t1.db().create_table(MARKER_TABLE, 64).unwrap();
-    assert!(fleet.sync_all(Duration::from_secs(30)));
-
-    let p99_of = |lat: &mut Vec<Duration>| -> Duration {
-        lat.sort();
-        lat[lat.len() * 99 / 100]
-    };
-
-    // Baseline: both tenants healthy, measure t1's put latency.
-    let mut base = Vec::with_capacity(N);
-    for seq in 0..N as u64 {
-        let t = Instant::now();
-        t1.db()
-            .put(MARKER_TABLE, seq, format!("t1-b{seq}").into_bytes())
-            .unwrap();
-        base.push(t.elapsed());
-    }
-    let p99_base = p99_of(&mut base);
-    assert!(fleet.sync_all(Duration::from_secs(30)));
-
-    // t0's cloud goes away (its prefix only); its uploads stall and
-    // its policy endures while t1 keeps committing.
-    plan.fail_matching(OpKind::Put, "tenants/t0/", 1_000_000);
-    for seq in 0..60u64 {
-        t0.db()
-            .put(MARKER_TABLE, 1000 + seq, format!("t0-o{seq}").into_bytes())
-            .unwrap();
-    }
-    assert!(
-        wait_for(Duration::from_secs(20), || {
-            t0.ginja().exposure().outage == OutageState::Enduring
-        }),
-        "t0 never endured: {:?}",
-        t0.ginja().stats().outage
-    );
-
-    let mut degraded = Vec::with_capacity(N);
-    for seq in 0..N as u64 {
-        let t = Instant::now();
-        t1.db()
-            .put(MARKER_TABLE, 2000 + seq, format!("t1-o{seq}").into_bytes())
-            .unwrap();
-        degraded.push(t.elapsed());
-    }
-    let p99_degraded = p99_of(&mut degraded);
-    assert!(
-        p99_degraded <= p99_base * 2 + Duration::from_millis(5),
-        "neighbor p99 collapsed under t0's outage: {p99_degraded:?} vs baseline {p99_base:?}"
-    );
-
-    // The roll-up sees exactly one tenant enduring.
-    let snap = fleet.snapshot();
-    assert_eq!(snap.totals.enduring_tenants, 1, "{:?}", snap.totals);
-    assert!(snap.totals.outages >= 1);
-    let t1_state = snap.tenant("t1").unwrap().stats.outage.state;
-    assert!(
-        matches!(t1_state, OutageState::Healthy | OutageState::Degraded),
-        "the outage must not leak to the neighbor: t1 is {t1_state:?}"
-    );
-
-    // Cloud back: everything drains; both tenants recover losslessly.
-    plan.clear();
-    assert!(
-        fleet.sync_all(Duration::from_secs(60)),
-        "fleet catch-up must drain"
-    );
-
-    for tenant in &tenants {
-        let view = PrefixStore::new(
-            mem.clone() as Arc<dyn ObjectStore>,
-            tenant.prefix().to_string(),
-        );
-        let target = Arc::new(MemFs::new());
-        recover_into(target.as_ref(), &view, &config).unwrap();
-        let db = Database::open(target, DbProfile::postgres_small()).unwrap();
-        let rows = db.dump_table(MARKER_TABLE).unwrap();
-        let written = if tenant.name() == "t0" { 60 } else { 2 * N };
-        assert_eq!(
-            rows.len(),
-            written,
-            "tenant {} lost acked rows after catch-up",
-            tenant.name()
-        );
-    }
-    fleet.shutdown();
 }

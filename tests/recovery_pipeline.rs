@@ -13,7 +13,7 @@ use ginja::cloud::{MemStore, ObjectStore, ResilientStore, StoreError};
 use ginja::codec::Codec;
 use ginja::core::{
     bundle, recover_into, recover_to_point, ApplyEngine, ApplyProgress, CloudView, DbObjectKind,
-    DbObjectName, FanoutHandle, GinjaConfig, WalObjectName, DB_PREFIX,
+    DbObjectName, FanoutExecutor, GinjaConfig, WalObjectName, DB_PREFIX,
 };
 use ginja::standby::{Standby, StandbyConfig};
 use ginja::vfs::{FileSystem, InterceptFs, IoProcessor, MemFs, WriteEvent};
@@ -385,7 +385,7 @@ fn a_cold_recovery_and_each_fetching_standby_cycle_are_one_wave() {
     let config = config(4);
     let codec = Codec::new(config.codec.clone());
 
-    let fanout = FanoutHandle::solo(4);
+    let fanout = FanoutExecutor::new(4);
     let fs = MemFs::new();
     let view = CloudView::from_listing(store.list("").unwrap()).unwrap();
     ApplyEngine::new(&fs, &store, &codec, &fanout)
@@ -394,7 +394,7 @@ fn a_cold_recovery_and_each_fetching_standby_cycle_are_one_wave() {
     assert_eq!(fanout.waves(), 1);
 
     let store = Arc::new(store);
-    let fanout = FanoutHandle::solo(4);
+    let fanout = Arc::new(FanoutExecutor::new(4));
     let resilient = Arc::new(ResilientStore::new(store.clone(), config.retry.clone()));
     let standby = Standby::attach_with(
         resilient,

@@ -1,16 +1,15 @@
 //! The thread model of DESIGN.md §2, pinned from the outside: an
-//! instance runs exactly `uploaders + 2` threads with or without a
-//! budget; the outage policy outranks the cost governor on the knobs;
-//! and `shutdown()` interrupts every timer and retry back-off instead of
-//! waiting it out.
+//! instance runs exactly `uploaders + 2` threads; the control thread's
+//! outage policy holds the knobs at the outage maxima while Enduring
+//! and restores the configured ones after catch-up; and `shutdown()`
+//! interrupts every timer and retry back-off instead of waiting it out.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
 use ginja::core::{
-    BudgetConfig, Ginja, GinjaConfig, GinjaConfigBuilder, Knobs, OutageConfig, OutageState,
-    SentinelConfig,
+    Ginja, GinjaConfig, GinjaConfigBuilder, Knobs, OutageConfig, OutageState, SentinelConfig,
 };
 use ginja::db::{Database, DbProfile};
 use ginja::sentinel::Sentinel;
@@ -94,43 +93,30 @@ fn ginja_threads() -> Vec<String> {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn an_instance_runs_uploaders_plus_two_threads_with_or_without_a_budget() {
+fn an_instance_runs_uploaders_plus_two_threads() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    for budget in [None, Some(BudgetConfig::new(1.0))] {
-        let mut config = builder();
-        if let Some(budget) = budget.clone() {
-            config = config.budget(budget);
-        }
-        let (db, ginja, _plan, _bucket) = protect(config.build().unwrap());
-        db.put(TABLE, 1, b"row".to_vec()).unwrap();
-        assert!(ginja.sync(Duration::from_secs(10)));
-        // Three uploaders, checkpointer, control. A spawned thread takes
-        // its name when it first runs, and `sync` needs only one of them.
-        wait_for(Duration::from_secs(5), || ginja_threads().len() == 5);
-        let running = ginja_threads();
-        assert_eq!(running.len(), 5, "budget {budget:?}: {running:?}");
-        ginja.shutdown();
-        // `join` returns when a thread has finished; the kernel unlinks
-        // its `/proc` entry a moment later.
-        assert!(
-            wait_for(Duration::from_secs(5), || ginja_threads().is_empty()),
-            "left running: {:?}",
-            ginja_threads()
-        );
-    }
+    let (db, ginja, _plan, _bucket) = protect(builder().build().unwrap());
+    db.put(TABLE, 1, b"row".to_vec()).unwrap();
+    assert!(ginja.sync(Duration::from_secs(10)));
+    // Three uploaders, checkpointer, control. A spawned thread takes its
+    // name when it first runs, and `sync` needs only one of them.
+    wait_for(Duration::from_secs(5), || ginja_threads().len() == 5);
+    let running = ginja_threads();
+    assert_eq!(running.len(), 5, "{running:?}");
+    ginja.shutdown();
+    // `join` returns when a thread has finished; the kernel unlinks its
+    // `/proc` entry a moment later.
+    assert!(
+        wait_for(Duration::from_secs(5), || ginja_threads().is_empty()),
+        "left running: {:?}",
+        ginja_threads()
+    );
 }
 
 #[test]
-fn outage_policy_outranks_the_governor_on_the_knobs() {
+fn an_outage_holds_the_knobs_at_the_maxima_until_catch_up() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    // A budget no burst can project past, so the governor never
-    // escalates and wants to *relax* any knob it finds above the
-    // baseline — which, left to itself, it would do to the maxima the
-    // outage policy forces.
-    let mut budget = BudgetConfig::new(1e9);
-    budget.poll_interval = Duration::from_millis(3);
     let config = builder()
-        .budget(budget)
         .outage(OutageConfig {
             enduring_after: Duration::from_millis(20),
             poll_interval: Duration::from_millis(3),
@@ -138,16 +124,22 @@ fn outage_policy_outranks_the_governor_on_the_knobs() {
         })
         .build()
         .unwrap();
-    let (db, ginja, plan, _bucket) = protect(config);
-    let baseline = ginja.current_knobs();
-    let bounds = ginja.knob_bounds();
-    let maxima = Knobs {
-        batch: bounds.max_batch,
-        batch_timeout: bounds.max_batch_timeout,
-        dump_threshold: bounds.max_dump_threshold,
-        sentinel_pace: bounds.max_sentinel_pace,
+    // The configured knobs, and the outage maxima the configuration
+    // implies: B = S, TB = max(TB, TS), dump threshold + 1.5, pace 16.
+    let baseline = Knobs {
+        batch: 2,
+        batch_timeout: Duration::from_millis(5),
+        dump_threshold: config.dump_threshold,
+        sentinel_pace: 1.0,
     };
-    assert_ne!(baseline, maxima);
+    let maxima = Knobs {
+        batch: 64,
+        batch_timeout: LONG,
+        dump_threshold: config.dump_threshold + 1.5,
+        sentinel_pace: 16.0,
+    };
+    let (db, ginja, plan, _bucket) = protect(config);
+    assert_eq!(ginja.current_knobs(), baseline);
 
     db.put(TABLE, 0, b"healthy".to_vec()).unwrap();
     assert!(ginja.sync(Duration::from_secs(10)));
@@ -162,7 +154,7 @@ fn outage_policy_outranks_the_governor_on_the_knobs() {
         ginja.current_knobs(),
         ginja.outage_state()
     );
-    // Dozens of governor polls pass; none may move or count anything.
+    // Dozens of outage polls pass; the knobs stay where entry put them.
     let hold = Instant::now() + Duration::from_millis(150);
     while Instant::now() < hold {
         assert_eq!(ginja.current_knobs(), maxima, "knobs moved mid-outage");
@@ -178,17 +170,7 @@ fn outage_policy_outranks_the_governor_on_the_knobs() {
         "baseline not restored: {:?}",
         ginja.current_knobs()
     );
-    let governor = ginja.stats().governor;
-    assert!(governor.enabled && governor.spent_microusd > 0);
-    assert_eq!(
-        (
-            governor.decisions,
-            governor.escalations,
-            governor.relaxations
-        ),
-        (0, 0, 0),
-        "the governor counted decisions the outage policy overrode"
-    );
+    assert_eq!(ginja.stats().outage.outages, 1);
     ginja.shutdown();
 }
 
@@ -196,11 +178,8 @@ fn outage_policy_outranks_the_governor_on_the_knobs() {
 fn shutdown_interrupts_long_timers_and_retry_backoffs() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let prompt = Duration::from_millis(250);
-    let mut budget = BudgetConfig::new(1.0);
-    budget.poll_interval = LONG;
     let config = builder()
         .uploaders(1)
-        .budget(budget)
         .outage(OutageConfig {
             poll_interval: LONG,
             ..OutageConfig::default()
