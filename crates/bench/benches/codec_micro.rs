@@ -70,7 +70,7 @@ fn bench_crypto(c: &mut Criterion) {
 }
 
 /// Key derivation at the default PBKDF2 count: what every recovery,
-/// standby attach and sentinel rehearsal pays before its first open.
+/// standby attach and offline audit pays before its first open.
 fn bench_kdf(c: &mut Criterion) {
     let mut group = c.benchmark_group("kdf");
     group.bench_function("codec_new_pbkdf2_4096", |b| {

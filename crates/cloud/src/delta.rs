@@ -1,15 +1,13 @@
 //! Incremental bucket listing: one LIST per poll, a *delta* out.
 //!
-//! Two consumers watch a Ginja bucket continuously: the DR sentinel's
-//! scrubber and the warm standby's tail. Both used to rebuild a full
-//! name set from every LIST and re-walk the whole bucket each cycle —
-//! O(bucket) allocation and downstream work per poll even when nothing
-//! changed. [`DeltaLister`] keeps the previously seen name set as its
-//! watermark and hands back only what changed since the last poll
-//! ([`ListingDelta::added`] / [`ListingDelta::removed`]), so steady
-//! state costs one LIST plus O(delta) processing, and the cached
-//! [`DeltaLister::seen`] set replaces the per-cycle rebuild for
-//! membership checks.
+//! The warm standby's tail watches a Ginja bucket continuously. It used
+//! to rebuild a full name set from every LIST and re-walk the whole
+//! bucket each cycle — O(bucket) allocation and downstream work per
+//! poll even when nothing changed. [`DeltaLister`] keeps the previously
+//! seen name set as its watermark and hands back only what changed
+//! since the last poll ([`ListingDelta::added`] /
+//! [`ListingDelta::removed`]), so steady state costs one LIST plus
+//! O(delta) processing.
 //!
 //! The helper deliberately stays at the [`ObjectStore`] four-verb
 //! level: LIST itself is still a full enumeration (the paper's §5
@@ -51,11 +49,6 @@ impl DeltaLister {
             prefix: prefix.into(),
             seen: BTreeSet::new(),
         }
-    }
-
-    /// The prefix this lister watches.
-    pub fn prefix(&self) -> &str {
-        &self.prefix
     }
 
     /// Issues one LIST and returns what changed since the previous
@@ -106,46 +99,6 @@ impl DeltaLister {
             total: self.seen.len(),
         })
     }
-
-    /// The cached name set as of the last poll — the full-listing view
-    /// consumers used to rebuild per cycle.
-    pub fn seen(&self) -> &BTreeSet<String> {
-        &self.seen
-    }
-
-    /// Whether `name` was present at the last poll.
-    pub fn contains(&self, name: &str) -> bool {
-        self.seen.contains(name)
-    }
-
-    /// Names cached from the last poll.
-    pub fn len(&self) -> usize {
-        self.seen.len()
-    }
-
-    /// Whether no names are cached.
-    pub fn is_empty(&self) -> bool {
-        self.seen.is_empty()
-    }
-
-    /// Notes a PUT this consumer itself performed (e.g. a sentinel
-    /// repair re-upload), so the next poll does not re-report it as
-    /// added.
-    pub fn note_put(&mut self, name: &str) {
-        self.seen.insert(name.to_string());
-    }
-
-    /// Notes a DELETE this consumer itself performed (e.g. an orphan
-    /// sweep), so the next poll does not re-report it as removed.
-    pub fn note_delete(&mut self, name: &str) {
-        self.seen.remove(name);
-    }
-
-    /// Forgets everything: the next poll reports the whole bucket as
-    /// added again.
-    pub fn reset(&mut self) {
-        self.seen.clear();
-    }
 }
 
 #[cfg(test)]
@@ -163,7 +116,6 @@ mod tests {
         assert_eq!(delta.added, vec!["DB/0_dump_2", "WAL/1_f_0_2"]);
         assert!(delta.removed.is_empty());
         assert_eq!(delta.total, 2);
-        assert_eq!(lister.len(), 2);
     }
 
     #[test]
@@ -191,8 +143,9 @@ mod tests {
         assert_eq!(delta.added, vec!["c"]);
         assert_eq!(delta.removed, vec!["a"]);
         assert_eq!(delta.total, 2);
-        assert!(lister.contains("b") && lister.contains("c"));
-        assert!(!lister.contains("a"));
+        // The cached set moved with the delta: nothing is re-reported.
+        let steady = lister.poll(&store).unwrap();
+        assert!(steady.added.is_empty() && steady.removed.is_empty());
     }
 
     #[test]
@@ -204,36 +157,5 @@ mod tests {
         let delta = lister.poll(&store).unwrap();
         assert_eq!(delta.added, vec!["WAL/1_f_0_2"]);
         assert_eq!(delta.total, 1);
-    }
-
-    #[test]
-    fn own_writes_noted_are_not_re_reported() {
-        let store = MemStore::new();
-        store.put("a", b"1").unwrap();
-        let mut lister = DeltaLister::new("");
-        lister.poll(&store).unwrap();
-
-        // The consumer itself repairs one object and sweeps another.
-        store.put("b", b"2").unwrap();
-        lister.note_put("b");
-        store.delete("a").unwrap();
-        lister.note_delete("a");
-        let delta = lister.poll(&store).unwrap();
-        assert!(
-            delta.added.is_empty() && delta.removed.is_empty(),
-            "{delta:?}"
-        );
-    }
-
-    #[test]
-    fn reset_replays_the_bucket() {
-        let store = MemStore::new();
-        store.put("a", b"1").unwrap();
-        let mut lister = DeltaLister::new("");
-        lister.poll(&store).unwrap();
-        lister.reset();
-        assert!(lister.is_empty());
-        let delta = lister.poll(&store).unwrap();
-        assert_eq!(delta.added, vec!["a"]);
     }
 }

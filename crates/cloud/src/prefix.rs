@@ -15,7 +15,7 @@ use crate::{ObjectStore, StoreError};
 ///   so listings come back in the tenant's own namespace.
 ///
 /// The isolation guarantee is structural: no tenant-relative name can
-/// reach an object outside the prefix, so an offline scrub, a rehearsal
+/// reach an object outside the prefix, so an offline scrub, a restore
 /// drill, or a full detach-and-purge on one tenant can never touch a
 /// neighbor's objects.
 ///

@@ -3,7 +3,7 @@
 //! Historically every consumer that wanted cloud-op accounting had to
 //! reach into the concrete [`crate::MeteredStore`] wrapper — which the
 //! live pipeline never used, so boot, uploader, checkpointer, GC and
-//! sentinel traffic was invisible to the §7 cost model. This module
+//! standby traffic was invisible to the §7 cost model. This module
 //! inverts that: a [`UsageLedger`] is a shared, thread-safe set of
 //! counters that *any* layer can record into, and [`UsageMeter`] is the
 //! one read API shared by benches, stats and tooling.

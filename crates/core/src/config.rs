@@ -16,56 +16,6 @@ pub struct PitrConfig {
     pub keep_snapshots: usize,
 }
 
-/// Configuration of the DR sentinel — the background subsystem that
-/// continuously audits the cloud state behind a live deployment
-/// (scrubbing), rehearses recovery (measuring achieved RTO/RPO), and
-/// repairs anomalies it can heal from local state.
-///
-/// A DR system whose backups can silently rot is worse than no DR at
-/// all: nothing in the paper's algorithms ever re-checks that the
-/// objects uploaded yesterday are still present and uncorrupted today.
-/// The sentinel closes that gap.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SentinelConfig {
-    /// How often the scrubber audits the bucket (list + classify).
-    pub scrub_interval: Duration,
-    /// Number of object payloads MAC-verified per scrub cycle, walked
-    /// round-robin so every object is eventually covered; 0 verifies
-    /// every object every cycle (thorough, GET-heavy).
-    pub scrub_sample: usize,
-    /// How often a restore rehearsal runs (full recovery into a scratch
-    /// file system, measuring achieved RTO and RPO).
-    pub rehearsal_interval: Duration,
-}
-
-impl Default for SentinelConfig {
-    fn default() -> Self {
-        SentinelConfig {
-            scrub_interval: Duration::from_secs(60),
-            scrub_sample: 64,
-            rehearsal_interval: Duration::from_secs(3600),
-        }
-    }
-}
-
-impl SentinelConfig {
-    /// Validates invariants, returning a description of the first
-    /// violation.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.scrub_interval.is_zero() {
-            return Err("sentinel.scrub_interval must be nonzero".into());
-        }
-        if self.rehearsal_interval.is_zero() {
-            return Err("sentinel.rehearsal_interval must be nonzero".into());
-        }
-        Ok(())
-    }
-}
-
 /// Outage-endurance policy: the coalescing checkpoint queue and the
 /// Healthy → Degraded → Enduring state machine (see `DESIGN.md` §15).
 ///
@@ -73,8 +23,8 @@ impl SentinelConfig {
 /// queue, bounded by `safety`, with the DBMS blocked at the bound.
 /// These knobs cover the rest of a prolonged outage: checkpoint jobs
 /// (not bounded by S) coalesce past `ckpt_capacity`, and the state
-/// machine widens B/TB toward S (and pauses dumps and scrub) once
-/// upload pressure has lasted `enduring_after`.
+/// machine widens B/TB toward S (and defers dumps) once upload pressure
+/// has lasted `enduring_after`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutageConfig {
     /// Checkpoint queue capacity, in jobs. Beyond it, an incoming
@@ -168,10 +118,10 @@ pub struct GinjaConfig {
     /// its environment, §8).
     pub uploaders: usize,
     /// Fan-out width for bulk cloud transfers outside the steady-state
-    /// uploader pool: recovery GETs, checkpoint/dump part uploads,
-    /// reboot resync and sentinel repair waves. 1 means fully serial
-    /// (the pre-fan-out behaviour); larger values cut RTO roughly by
-    /// this factor on latency-bound stores.
+    /// uploader pool: recovery GETs, checkpoint/dump part uploads and
+    /// reboot resync waves. 1 means fully serial (the pre-fan-out
+    /// behaviour); larger values cut RTO roughly by this factor on
+    /// latency-bound stores.
     pub recovery_fanout: usize,
     /// Maximum size of a single cloud object; larger payloads are split
     /// (§5.2 footnote: 20 MB default, "to optimize the upload latency").
@@ -188,11 +138,6 @@ pub struct GinjaConfig {
     /// Ginja issues (boot uploads, batch uploads, checkpoint merges,
     /// garbage collection) goes through this policy.
     pub retry: RetryConfig,
-    /// DR sentinel policy: continuous scrubbing, restore rehearsal and
-    /// self-healing repair (see `ginja-sentinel`). The middleware
-    /// itself only carries the knobs; spawning the sentinel is the
-    /// deployment's choice.
-    pub sentinel: SentinelConfig,
     /// Outage endurance: coalescing checkpoint queue and adaptive
     /// backpressure while the cloud is away.
     pub outage: OutageConfig,
@@ -245,7 +190,6 @@ impl GinjaConfig {
             ));
         }
         self.retry.validate().map_err(GinjaError::Config)?;
-        self.sentinel.validate().map_err(GinjaError::Config)?;
         self.outage.validate().map_err(GinjaError::Config)?;
         Ok(())
     }
@@ -279,7 +223,6 @@ impl GinjaConfigBuilder {
                 codec: CodecConfig::new(),
                 pitr: None,
                 retry: RetryConfig::default(),
-                sentinel: SentinelConfig::default(),
                 outage: OutageConfig::default(),
                 ingest: IngestConfig::default(),
             },
@@ -322,7 +265,7 @@ impl GinjaConfigBuilder {
     }
 
     /// Sets the fan-out width for recovery GETs, checkpoint part
-    /// uploads, reboot resync and sentinel repair (1 = serial).
+    /// uploads and reboot resync (1 = serial).
     #[must_use]
     pub fn recovery_fanout(mut self, n: usize) -> Self {
         self.config.recovery_fanout = n;
@@ -366,14 +309,6 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Sets the DR sentinel policy (scrub cadence, rehearsal cadence,
-    /// repair behaviour).
-    #[must_use]
-    pub fn sentinel(mut self, sentinel: SentinelConfig) -> Self {
-        self.config.sentinel = sentinel;
-        self
-    }
-
     /// Sets the outage-endurance policy (checkpoint-queue capacity,
     /// state-machine thresholds).
     #[must_use]
@@ -407,7 +342,7 @@ mod tests {
     /// The option surface, pinned at compile time. The rule (DESIGN.md
     /// §4): an option exists only if something outside its own
     /// validation test sets it. Every pattern below is exhaustive — no
-    /// `..` — so adding a field to any of the five structs breaks this
+    /// `..` — so adding a field to any of the four structs breaks this
     /// test, and the fix is to name, next to the new binding, the caller
     /// that sets it.
     #[test]
@@ -424,7 +359,6 @@ mod tests {
             codec: _,           // bench_e2e rig, `ginja-cli`
             pitr: _,            // examples/point_in_time.rs
             retry,
-            sentinel,
             outage,
             ingest,
         } = GinjaConfig::builder().build().unwrap();
@@ -436,11 +370,6 @@ mod tests {
             breaker_cooldown: _,  // `ginja-cli outage`, tests/outage.rs
             breaker_probes: _,    // `ginja-cli outage`, tests/outage.rs
         } = retry;
-        let SentinelConfig {
-            scrub_interval: _,     // sentinel/tests/live.rs, tests/thread_model.rs
-            scrub_sample: _,       // `ginja-cli outage`, examples/dr_drill.rs
-            rehearsal_interval: _, // sentinel/tests/live.rs, tests/thread_model.rs
-        } = sentinel;
         let OutageConfig {
             ckpt_capacity: _,  // `ginja-cli outage`, tests/outage.rs
             enduring_after: _, // `ginja-cli outage`, tests/outage.rs
@@ -573,34 +502,6 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(c.retry.max_attempts, 9);
-    }
-
-    #[test]
-    fn sentinel_policy_carried_through_and_validated() {
-        let c = GinjaConfig::builder()
-            .sentinel(SentinelConfig {
-                scrub_interval: Duration::from_secs(5),
-                scrub_sample: 0,
-                ..SentinelConfig::default()
-            })
-            .build()
-            .unwrap();
-        assert_eq!(c.sentinel.scrub_interval, Duration::from_secs(5));
-        assert_eq!(c.sentinel.scrub_sample, 0);
-
-        let zero_scrub = SentinelConfig {
-            scrub_interval: Duration::ZERO,
-            ..SentinelConfig::default()
-        };
-        assert!(GinjaConfig::builder().sentinel(zero_scrub).build().is_err());
-        let zero_rehearsal = SentinelConfig {
-            rehearsal_interval: Duration::ZERO,
-            ..SentinelConfig::default()
-        };
-        assert!(GinjaConfig::builder()
-            .sentinel(zero_rehearsal)
-            .build()
-            .is_err());
     }
 
     #[test]

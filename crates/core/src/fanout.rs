@@ -4,8 +4,8 @@
 //! module generalises: a fixed number of worker threads drain a queue of
 //! independent jobs while a single consumer restores order. `FanoutExecutor`
 //! packages that shape so the checkpointer, recovery, reboot resync, the
-//! archiver and the sentinel repair path can all share it instead of each
-//! growing a private thread pool.
+//! archiver and the standby can all share it instead of each growing a
+//! private thread pool.
 //!
 //! Three guarantees matter to every caller:
 //!

@@ -38,7 +38,7 @@ use crate::outage::{
 };
 use crate::periodic::{PeriodicTask, StopSignal};
 use crate::queue::{CommitQueue, WalWrite};
-use crate::stats::{GinjaStats, GinjaStatsSnapshot, SentinelStats, StandbyStats};
+use crate::stats::{GinjaStats, GinjaStatsSnapshot, StandbyStats};
 use crate::view::CloudView;
 use crate::GinjaError;
 use ginja_codec::bufpool;
@@ -46,7 +46,8 @@ use ginja_codec::bufpool;
 /// Deferred-GC backlog cap: beyond this many distinct garbage names the
 /// oldest leak-retry candidates win and newcomers are dropped (counted
 /// in `gc_backlog_dropped`). A dropped name is a bounded cost leak, not
-/// a correctness problem — the sentinel's orphan sweep deletes it later.
+/// a correctness problem: Reboot's LIST re-adopts the name and the next
+/// checkpoint's GC deletes it.
 const GC_BACKLOG_CAP: usize = 4096;
 
 /// Largest WAL object Boot and Reboot's resync cut a local log file
@@ -74,11 +75,6 @@ pub struct Exposure {
     /// failing persistently: exposure is growing toward the Safety
     /// limit, at which point the DBMS blocks rather than lose updates.
     pub breaker: BreakerState,
-    /// Set by an attached DR sentinel when it found damage in the cloud
-    /// it could not repair: recovery from the current cloud state may
-    /// lose data, so the operator must intervene. Always `false` when
-    /// no sentinel is attached.
-    pub degraded: bool,
     /// Set when a pipeline stage hit a fatal data-path error (e.g. a
     /// seal failure) and stopped. The queue will no longer drain: the
     /// DBMS blocks at the Safety limit until the operator intervenes.
@@ -172,8 +168,7 @@ struct Shared {
     acks: AckLedger,
     stats: GinjaStats,
     /// The fan-out executor (width `config.recovery_fanout`) for bulk
-    /// transfer waves: checkpoint part uploads, reboot resync, sentinel
-    /// repair.
+    /// transfer waves: checkpoint part uploads, reboot resync.
     fanout: Arc<FanoutExecutor>,
     accum: Mutex<CkptAccum>,
     /// Bounded, coalescing checkpoint queue (replaces the old unbounded
@@ -201,11 +196,9 @@ struct Shared {
     /// Garbage objects whose delete exhausted its retry budget; retried
     /// at the next checkpoint's GC pass instead of leaking forever.
     /// Deduplicated and capped at [`GC_BACKLOG_CAP`] — overflow is
-    /// dropped (counted) for the sentinel's orphan sweep to collect.
+    /// dropped (counted); Reboot's LIST re-adopts a dropped name and
+    /// the next checkpoint's GC deletes it.
     gc_backlog: Mutex<BTreeSet<String>>,
-    /// Counters of an attached DR sentinel (`ginja-sentinel` crate),
-    /// merged into [`Ginja::stats`] and [`Ginja::exposure`].
-    sentinel: Mutex<Option<Arc<SentinelStats>>>,
     /// Counters of an attached warm standby (`ginja-standby` crate),
     /// merged into [`Ginja::stats`].
     standby: Mutex<Option<Arc<StandbyStats>>>,
@@ -214,9 +207,6 @@ struct Shared {
     /// the outage policy raises it above `config.dump_threshold` while
     /// Enduring to defer dump uploads.
     dump_threshold_bits: AtomicU64,
-    /// The sentinel pace multiplier (≥ 1.0) currently in force, as f64
-    /// bits; an attached sentinel stretches its scrub cadence by it.
-    sentinel_pace_bits: AtomicU64,
 }
 
 /// The Ginja disaster-recovery middleware.
@@ -429,10 +419,8 @@ impl Ginja {
             threads: Mutex::new(Vec::new()),
             control: Mutex::new(None),
             gc_backlog: Mutex::new(BTreeSet::new()),
-            sentinel: Mutex::new(None),
             standby: Mutex::new(None),
             dump_threshold_bits,
-            sentinel_pace_bits: AtomicU64::new(1.0f64.to_bits()),
         });
 
         let spawn = |name: String, stage: fn(&Shared)| {
@@ -509,9 +497,6 @@ impl Ginja {
         // The outage counters were already filled from `GinjaStats` by
         // `snapshot()`.
         snap.outage.state = self.outage_state();
-        if let Some(sentinel) = self.shared.sentinel.lock().as_ref() {
-            snap.sentinel = sentinel.snapshot();
-        }
         if let Some(standby) = self.shared.standby.lock().as_ref() {
             snap.standby = standby.snapshot();
         }
@@ -541,12 +526,6 @@ impl Ginja {
             pending_checkpoints: self.shared.pending_ckpt_jobs.load(Ordering::SeqCst),
             oldest_age: self.shared.queue.oldest_pending_age(),
             breaker: self.shared.cloud.breaker_state(),
-            degraded: self
-                .shared
-                .sentinel
-                .lock()
-                .as_ref()
-                .is_some_and(|s| s.is_degraded()),
             fatal: self.shared.stats.pipeline_fatals.load(Ordering::Relaxed) > 0,
             outage: self.outage_state(),
         }
@@ -554,8 +533,7 @@ impl Ginja {
 
     /// The usage ledger every cloud operation of this instance lands
     /// in (boot uploads, batch uploads, checkpoint merges, GC, and —
-    /// through [`Ginja::resilient_cloud`] — sentinel and standby
-    /// traffic).
+    /// through [`Ginja::resilient_cloud`] — standby traffic).
     pub fn usage_ledger(&self) -> Arc<UsageLedger> {
         self.shared.cloud.ledger().clone()
     }
@@ -567,46 +545,20 @@ impl Ginja {
         f64::from_bits(self.shared.dump_threshold_bits.load(Ordering::Relaxed))
     }
 
-    /// The sentinel pace multiplier currently in force (≥ 1.0; 1.0
-    /// unless the outage policy is Enduring).
-    pub fn sentinel_pace(&self) -> f64 {
-        f64::from_bits(self.shared.sentinel_pace_bits.load(Ordering::Relaxed))
-    }
-
     /// The knobs currently in force: the configured ones, or the
-    /// outage maxima (B = S, TB = max(TB, TS), dump threshold + 1.5,
-    /// sentinel pace 16) while the outage policy is Enduring.
+    /// outage maxima (B = S, TB = max(TB, TS), dump threshold + 1.5)
+    /// while the outage policy is Enduring.
     pub fn current_knobs(&self) -> Knobs {
         Knobs {
             batch: self.shared.queue.batch(),
             batch_timeout: self.shared.queue.batch_timeout(),
             dump_threshold: self.dump_threshold(),
-            sentinel_pace: self.sentinel_pace(),
         }
-    }
-
-    /// The scrub interval an attached sentinel should honor right now:
-    /// `config.sentinel.scrub_interval` stretched by the sentinel pace.
-    /// Re-verification GETs are pure cost with no durability impact,
-    /// so an outage slows them down first.
-    pub fn scrub_interval(&self) -> Duration {
-        self.shared
-            .config
-            .sentinel
-            .scrub_interval
-            .mul_f64(self.sentinel_pace())
     }
 
     /// A copy of the current cloud view (tests and tooling).
     pub fn view(&self) -> CloudView {
         self.shared.view.lock().clone()
-    }
-
-    /// Registers a DR sentinel's counters with this instance: its
-    /// snapshot is merged into [`Ginja::stats`], and its degraded flag
-    /// surfaces in [`Ginja::exposure`]. Replaces any previous sentinel.
-    pub fn attach_sentinel(&self, stats: Arc<SentinelStats>) {
-        *self.shared.sentinel.lock() = Some(stats);
     }
 
     /// Registers a warm standby's counters with this instance: its
@@ -617,83 +569,25 @@ impl Ginja {
         *self.shared.standby.lock() = Some(stats);
     }
 
-    /// The resilient cloud handle the pipeline itself uses. A sentinel
-    /// repairs through this handle so its uploads share the same retry
-    /// policy and circuit breaker as regular traffic.
+    /// The resilient cloud handle the pipeline itself uses. A standby
+    /// attached to this instance reads through it, so its GETs share
+    /// the same retry policy, circuit breaker and usage ledger as
+    /// regular traffic.
     pub fn resilient_cloud(&self) -> Arc<ResilientStore> {
         self.shared.cloud.clone()
     }
 
     /// The fan-out executor for this instance's bulk transfer waves. The
-    /// checkpointer, reboot resync and sentinel repair all issue their
-    /// waves through it, so the middleware's total out-of-band cloud
-    /// concurrency stays bounded by one knob.
+    /// checkpointer and reboot resync both issue their waves through it,
+    /// so the middleware's total out-of-band cloud concurrency stays
+    /// bounded by one knob.
     pub fn fanout(&self) -> &Arc<FanoutExecutor> {
         &self.shared.fanout
-    }
-
-    /// The local file system the protected DBMS writes to (the source
-    /// of truth a sentinel repairs from).
-    pub fn local_fs(&self) -> Arc<dyn FileSystem> {
-        self.shared.fs.clone()
     }
 
     /// The configuration this instance was created with.
     pub fn config(&self) -> &GinjaConfig {
         &self.shared.config
-    }
-
-    /// Requests an out-of-band full dump of the database files, queued
-    /// through the regular checkpointer. The resulting DB object
-    /// supersedes (and garbage-collects) every older DB object — this
-    /// is how a sentinel heals a corrupt or missing checkpoint/dump it
-    /// cannot reconstruct object-by-object.
-    ///
-    /// Returns once the job is queued; use [`Ginja::sync`] to wait for
-    /// durability.
-    ///
-    /// # Errors
-    ///
-    /// [`GinjaError::ShutDown`] if the pipeline has stopped; file-system
-    /// errors reading the database files propagate.
-    pub fn request_dump(&self) -> Result<(), GinjaError> {
-        if self.shared.stop.is_stopped() {
-            return Err(GinjaError::ShutDown);
-        }
-        let entries = read_db_files(self.shared.fs.as_ref(), self.shared.processor.as_ref())?;
-        let mut accum = self.shared.accum.lock();
-        let ts = self.shared.view.lock().watermark();
-        let job = CkptJob {
-            ts,
-            kind: DbObjectKind::Dump,
-            entries,
-        };
-        accum
-            .decided
-            .record(job.kind, bundle::encoded_len(&job.entries));
-        drop(accum);
-        self.shared
-            .stats
-            .dumps_uploaded
-            .fetch_add(1, Ordering::Relaxed);
-        self.shared.pending_ckpt_jobs.fetch_add(1, Ordering::SeqCst);
-        match self.shared.ckpt_queue.push(job) {
-            CkptPush::Queued => Ok(()),
-            CkptPush::Coalesced => {
-                // Absorbed into a queued job: two logical checkpoints
-                // complete as one, so this one's pending count goes.
-                self.shared
-                    .stats
-                    .ckpt_coalesced
-                    .fetch_add(1, Ordering::Relaxed);
-                self.shared.pending_ckpt_jobs.fetch_sub(1, Ordering::SeqCst);
-                Ok(())
-            }
-            CkptPush::Closed => {
-                self.shared.pending_ckpt_jobs.fetch_sub(1, Ordering::SeqCst);
-                Err(GinjaError::ShutDown)
-            }
-        }
     }
 
     fn handle_data_write(&self, event: &WriteEvent) {
@@ -838,18 +732,15 @@ impl IoProcessor for Ginja {
 }
 
 /// Sets the knobs on the live pipeline: retunes B and TB on the queue
-/// and stores the dump threshold and sentinel pace. It cannot loosen
-/// the RPO bound: `CommitQueue::set_batch` hard-clamps B to `[1, S]`,
-/// and S/TS themselves have no setter.
+/// and stores the dump threshold. It cannot loosen the RPO bound:
+/// `CommitQueue::set_batch` hard-clamps B to `[1, S]`, and S/TS
+/// themselves have no setter.
 fn apply_knobs_to(shared: &Shared, knobs: &Knobs) {
     shared.queue.set_batch(knobs.batch);
     shared.queue.set_batch_timeout(knobs.batch_timeout);
     shared
         .dump_threshold_bits
         .store(knobs.dump_threshold.to_bits(), Ordering::Relaxed);
-    shared
-        .sentinel_pace_bits
-        .store(knobs.sentinel_pace.to_bits(), Ordering::Relaxed);
 }
 
 /// One object of a seal+PUT wave: the wire name plus raw payload.
@@ -1233,9 +1124,8 @@ impl Control {
         if enduring && !was_enduring {
             shared.stats.outages.fetch_add(1, Ordering::Relaxed);
             // Escalate — B/TB widened toward S (fewer, fuller PUTs once
-            // the cloud answers), dumps deferred, scrub paced down.
-            // S/TS are never touched: the RPO bound holds through the
-            // outage.
+            // the cloud answers), dumps deferred. S/TS are never
+            // touched: the RPO bound holds through the outage.
             apply_knobs_to(shared, &Knobs::outage_maxima(&shared.config));
         } else if was_enduring && !enduring {
             // Outage over: hand the pipeline back its configured tuning.
@@ -1528,8 +1418,9 @@ fn checkpointer_loop(shared: &Shared) {
         if !deferred.is_empty() {
             // Re-queue deduplicated (a name can be deferred repeatedly
             // during an outage) and capped: past GC_BACKLOG_CAP the
-            // newcomer is dropped and counted — a bounded cost leak the
-            // sentinel's orphan sweep collects, never unbounded RAM.
+            // newcomer is dropped and counted — a bounded cost leak,
+            // never unbounded RAM: Reboot's LIST re-adopts the name and
+            // the next checkpoint's GC deletes it.
             let mut gc_backlog = shared.gc_backlog.lock();
             for name in deferred {
                 if gc_backlog.contains(&name) {

@@ -51,7 +51,8 @@
 //! The module map follows the paper: [`queue`] is the `CommitQueue` of
 //! §6, [`agg`] the update aggregation of Algorithm 2, [`names`]/[`view`]
 //! the data model of §5.2, [`recovery`] Algorithm 1's Recovery mode,
-//! [`verify`] the backup-verification procedure of §5.4.
+//! [`verify`] the backup-verification procedure of §5.4, and [`scrub`]
+//! the offline audit that classifies what in a bucket is damaged.
 
 pub mod agg;
 pub mod apply;
@@ -61,6 +62,7 @@ pub mod fanout;
 pub mod names;
 pub mod queue;
 pub mod recovery;
+pub mod scrub;
 pub mod verify;
 pub mod view;
 
@@ -73,9 +75,7 @@ mod periodic;
 mod stats;
 
 pub use apply::{ApplyEngine, ApplyProgress};
-pub use config::{
-    GinjaConfig, GinjaConfigBuilder, IngestConfig, OutageConfig, PitrConfig, SentinelConfig,
-};
+pub use config::{GinjaConfig, GinjaConfigBuilder, IngestConfig, OutageConfig, PitrConfig};
 pub use error::GinjaError;
 pub use fanout::FanoutExecutor;
 pub use ginja::{Exposure, Ginja};
@@ -89,9 +89,10 @@ pub use recovery::{
     list_restore_points, recover_into, recover_to_point, RecoveryReport, RestorePoint,
     RestorePointKind,
 };
+pub use scrub::{scrub_bucket, Anomaly, AnomalyKind, ScrubReport};
 pub use stats::{
     GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot, OutageSnapshot,
-    SentinelSnapshot, SentinelStats, StandbySnapshot, StandbyStats,
+    StandbySnapshot, StandbyStats,
 };
 pub use verify::{verify_backup, verify_backup_in_memory, VerifyReport};
 pub use view::{CloudView, DbEntry};

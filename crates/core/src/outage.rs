@@ -20,7 +20,7 @@
 //!   pipeline is merely degraded or enduring a real outage.
 //! * [`Knobs`] — what an outage escalates: on entry to Enduring the
 //!   control thread sets them to [`Knobs::outage_maxima`] (B/TB widened
-//!   toward S, dumps deferred, scrub paced down), and on exit back to
+//!   toward S, dumps deferred), and on exit back to
 //!   [`Knobs::baseline`]. The outage policy is their only writer.
 
 use std::collections::VecDeque;
@@ -44,9 +44,6 @@ pub struct Knobs {
     /// Cloud-garbage ratio that triggers a fresh dump: raising it
     /// defers dump uploads.
     pub dump_threshold: f64,
-    /// Multiplier (≥ 1) on the sentinel scrub interval: raising it
-    /// slows background re-verification GETs.
-    pub sentinel_pace: f64,
 }
 
 impl Knobs {
@@ -56,20 +53,18 @@ impl Knobs {
             batch: config.batch,
             batch_timeout: config.batch_timeout,
             dump_threshold: config.dump_threshold,
-            sentinel_pace: 1.0,
         }
     }
 
     /// The knobs while Enduring: B = S and TB = max(TB, TS) (fewer,
     /// fuller PUTs once the cloud answers; S/TS already bound what may
-    /// be lost, so this trades latency, not durability), the dump
-    /// threshold raised by 1.5, the scrub paced 16× slower.
+    /// be lost, so this trades latency, not durability) and the dump
+    /// threshold raised by 1.5.
     pub(crate) fn outage_maxima(config: &GinjaConfig) -> Self {
         Knobs {
             batch: config.safety,
             batch_timeout: config.safety_timeout.max(config.batch_timeout),
             dump_threshold: config.dump_threshold + 1.5,
-            sentinel_pace: 16.0,
         }
     }
 }
@@ -93,7 +88,7 @@ pub enum OutageState {
     Degraded,
     /// A real outage: pressure has persisted past the configured
     /// threshold. Knobs are escalated — B/TB widened toward S, dumps
-    /// deferred, sentinel scrub paced down.
+    /// deferred.
     Enduring,
 }
 

@@ -1,8 +1,7 @@
 //! One periodic-task helper for every timer-driven daemon: the control
-//! tick of a [`crate::Ginja`] instance, the sentinel's scrub/rehearsal
-//! loop and the standby's tail loop. A task is a named thread calling a
-//! `tick` closure; each call returns how long to wait before the next
-//! one (`None` ends the task). The wait is a `Condvar` wait on the
+//! tick of a [`crate::Ginja`] instance and the standby's tail loop. A
+//! task is a named thread calling a `tick` closure; each call returns
+//! how long to wait before the next one (`None` ends the task). The wait is a `Condvar` wait on the
 //! task's stop signal, so a shutdown interrupts it at once whatever the
 //! interval — no short-sleep polling.
 

@@ -1,7 +1,7 @@
 //! Runtime statistics of the middleware — blocking time, uploads,
 //! object sizes. These counters feed the Table 3/4 experiments.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::outage::OutageState;
@@ -193,7 +193,6 @@ impl GinjaStats {
             breaker_trips: 0,
             breaker_fast_fails: 0,
             breaker_open_time: Duration::ZERO,
-            sentinel: SentinelSnapshot::default(),
             // Ingest histograms/counters live on the CommitQueue itself;
             // `Ginja::stats` merges them in.
             ingest: IngestSnapshot::default(),
@@ -202,151 +201,13 @@ impl GinjaStats {
     }
 }
 
-/// Shared atomic counters updated by the DR sentinel (`ginja-sentinel`).
-///
-/// The sentinel lives in its own crate (it orchestrates scrub, rehearsal
-/// and repair *around* the middleware), but its counters belong next to
-/// the pipeline's: a deployment reads one [`GinjaStatsSnapshot`] and
-/// sees uploads, retries, breaker activity *and* backup health together.
-/// Create one, hand it to [`crate::Ginja::attach_sentinel`], and update
-/// it through these methods.
-#[derive(Debug, Default)]
-pub struct SentinelStats {
-    objects_scrubbed: AtomicU64,
-    scrub_cycles: AtomicU64,
-    anomalies_missing: AtomicU64,
-    anomalies_corrupt: AtomicU64,
-    anomalies_orphan: AtomicU64,
-    repairs_uploaded: AtomicU64,
-    orphans_deleted: AtomicU64,
-    repairs_failed: AtomicU64,
-    rehearsals: AtomicU64,
-    rehearsal_failures: AtomicU64,
-    last_rto_micros: AtomicU64,
-    last_rpo_updates: AtomicU64,
-    last_rpo_within_bound: AtomicBool,
-    degraded: AtomicBool,
-}
-
-impl SentinelStats {
-    /// Records one finished scrub cycle and its classified anomalies.
-    pub fn record_scrub(&self, objects: u64, missing: u64, corrupt: u64, orphan: u64) {
-        self.scrub_cycles.fetch_add(1, Ordering::Relaxed);
-        self.objects_scrubbed.fetch_add(objects, Ordering::Relaxed);
-        self.anomalies_missing.fetch_add(missing, Ordering::Relaxed);
-        self.anomalies_corrupt.fetch_add(corrupt, Ordering::Relaxed);
-        self.anomalies_orphan.fetch_add(orphan, Ordering::Relaxed);
-    }
-
-    /// Records one repair pass: objects re-uploaded, orphans swept, and
-    /// repairs that could not be completed.
-    pub fn record_repair(&self, uploaded: u64, orphans_deleted: u64, failed: u64) {
-        self.repairs_uploaded.fetch_add(uploaded, Ordering::Relaxed);
-        self.orphans_deleted
-            .fetch_add(orphans_deleted, Ordering::Relaxed);
-        self.repairs_failed.fetch_add(failed, Ordering::Relaxed);
-    }
-
-    /// Records one restore rehearsal: the measured RTO (wall-clock
-    /// restore time), the achieved RPO in updates (committed updates
-    /// that the cloud could not yet restore), whether that RPO was
-    /// within the configured Safety bound, and whether the rehearsal
-    /// passed overall.
-    pub fn record_rehearsal(&self, rto: Duration, rpo_updates: u64, within_bound: bool, ok: bool) {
-        self.rehearsals.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            self.rehearsal_failures.fetch_add(1, Ordering::Relaxed);
-        }
-        self.last_rto_micros
-            .store(rto.as_micros() as u64, Ordering::Relaxed);
-        self.last_rpo_updates.store(rpo_updates, Ordering::Relaxed);
-        self.last_rpo_within_bound
-            .store(within_bound, Ordering::Relaxed);
-    }
-
-    /// Raises or clears the degraded-mode flag (repair impossible /
-    /// rehearsal failing); surfaced through `Ginja::exposure`.
-    pub fn set_degraded(&self, degraded: bool) {
-        self.degraded.store(degraded, Ordering::SeqCst);
-    }
-
-    /// Whether the sentinel currently considers the backup degraded.
-    pub fn is_degraded(&self) -> bool {
-        self.degraded.load(Ordering::SeqCst)
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> SentinelSnapshot {
-        SentinelSnapshot {
-            objects_scrubbed: self.objects_scrubbed.load(Ordering::Relaxed),
-            scrub_cycles: self.scrub_cycles.load(Ordering::Relaxed),
-            anomalies_missing: self.anomalies_missing.load(Ordering::Relaxed),
-            anomalies_corrupt: self.anomalies_corrupt.load(Ordering::Relaxed),
-            anomalies_orphan: self.anomalies_orphan.load(Ordering::Relaxed),
-            repairs_uploaded: self.repairs_uploaded.load(Ordering::Relaxed),
-            orphans_deleted: self.orphans_deleted.load(Ordering::Relaxed),
-            repairs_failed: self.repairs_failed.load(Ordering::Relaxed),
-            rehearsals: self.rehearsals.load(Ordering::Relaxed),
-            rehearsal_failures: self.rehearsal_failures.load(Ordering::Relaxed),
-            last_rto: Duration::from_micros(self.last_rto_micros.load(Ordering::Relaxed)),
-            last_rpo_updates: self.last_rpo_updates.load(Ordering::Relaxed),
-            last_rpo_within_bound: self.last_rpo_within_bound.load(Ordering::Relaxed),
-            degraded: self.degraded.load(Ordering::SeqCst),
-        }
-    }
-}
-
-/// A point-in-time copy of [`SentinelStats`], embedded in
-/// [`GinjaStatsSnapshot`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SentinelSnapshot {
-    /// Objects examined by the scrubber (listing entries classified).
-    pub objects_scrubbed: u64,
-    /// Completed scrub cycles.
-    pub scrub_cycles: u64,
-    /// Anomalies classified as *missing* (tracked by the live view but
-    /// absent from the bucket — e.g. deleted by an external actor).
-    pub anomalies_missing: u64,
-    /// Anomalies classified as *corrupt* (payload failed its MAC/CRC
-    /// envelope check).
-    pub anomalies_corrupt: u64,
-    /// Anomalies classified as *orphan* (present in the bucket but not
-    /// tracked — e.g. garbage left behind by a failed GC DELETE).
-    pub anomalies_orphan: u64,
-    /// Missing/corrupt objects healed by re-uploading from local state
-    /// (plus forced re-dumps for unhealable DB objects).
-    pub repairs_uploaded: u64,
-    /// Confirmed orphans deleted by the sweep.
-    pub orphans_deleted: u64,
-    /// Repairs that could not be completed (local bytes gone, cloud
-    /// refusing writes); the degraded flag rises with these.
-    pub repairs_failed: u64,
-    /// Restore rehearsals run.
-    pub rehearsals: u64,
-    /// Rehearsals that failed (corrupt objects, rebuild failure, RPO
-    /// out of bound).
-    pub rehearsal_failures: u64,
-    /// Wall-clock restore time of the most recent rehearsal — the
-    /// *achieved* RTO, measured, not assumed.
-    pub last_rto: Duration,
-    /// Committed updates the cloud could not restore at the most recent
-    /// rehearsal — the *achieved* RPO, to check against `S`.
-    pub last_rpo_updates: u64,
-    /// Whether the most recent rehearsal's RPO was within the
-    /// configured Safety bound.
-    pub last_rpo_within_bound: bool,
-    /// Whether the sentinel currently flags the backup as degraded.
-    pub degraded: bool,
-}
-
 /// Shared atomic counters updated by a warm standby (`ginja-standby`).
 ///
-/// Like [`SentinelStats`], the standby lives in its own crate but its
-/// counters belong next to the pipeline's: hand one to
-/// [`crate::Ginja::attach_standby`] (or read it standalone on the
-/// recovery site) and one [`GinjaStatsSnapshot`] tells the whole DR
-/// story — uploads, backup health, *and* how far behind the warm
-/// shadow currently is.
+/// The standby lives in its own crate but its counters belong next to
+/// the pipeline's: hand one to [`crate::Ginja::attach_standby`] (or
+/// read it standalone on the recovery site) and one
+/// [`GinjaStatsSnapshot`] tells the whole DR story — uploads *and* how
+/// far behind the warm shadow currently is.
 #[derive(Debug)]
 pub struct StandbyStats {
     tail_cycles: AtomicU64,
@@ -502,8 +363,9 @@ pub struct GinjaStatsSnapshot {
     /// (a gauge, not a counter).
     pub gc_backlog: u64,
     /// Garbage names dropped because the deferred-delete backlog was at
-    /// its cap — each one a bounded cost leak left to the sentinel's
-    /// orphan sweep, never unbounded RAM growth.
+    /// its cap — each one a bounded cost leak, never unbounded RAM
+    /// growth: Reboot's LIST re-adopts the name and the next
+    /// checkpoint's GC deletes it.
     pub gc_backlog_dropped: u64,
     /// Upload attempts that failed and were retried.
     pub upload_retries: u64,
@@ -529,7 +391,7 @@ pub struct GinjaStatsSnapshot {
     /// Cloud GET latency as observed by checkpoint merges and resync.
     pub get_latency: LatencySnapshot,
     /// Fan-out waves executed by the shared executor (checkpoint part
-    /// uploads, resync, sentinel repair).
+    /// uploads, reboot resync).
     pub fanout_waves: u64,
     /// Total jobs those waves carried.
     pub fanout_jobs: u64,
@@ -543,9 +405,6 @@ pub struct GinjaStatsSnapshot {
     /// Cumulative time the circuit breaker spent open — stalls during
     /// these windows are attributable to cloud faults, not Ginja.
     pub breaker_open_time: Duration,
-    /// DR sentinel counters (scrub/repair/rehearsal), merged in by
-    /// `Ginja::stats` when a sentinel is attached; zero otherwise.
-    pub sentinel: SentinelSnapshot,
     /// Outage-endurance state: policy state, outage count and duration,
     /// coalesced checkpoints.
     pub outage: OutageSnapshot,
@@ -621,31 +480,6 @@ mod tests {
     }
 
     #[test]
-    fn sentinel_stats_accumulate_and_snapshot() {
-        let s = SentinelStats::default();
-        s.record_scrub(10, 1, 2, 3);
-        s.record_scrub(5, 0, 0, 1);
-        s.record_repair(3, 4, 1);
-        s.record_rehearsal(Duration::from_millis(40), 7, true, true);
-        s.set_degraded(true);
-        let snap = s.snapshot();
-        assert_eq!(snap.objects_scrubbed, 15);
-        assert_eq!(snap.scrub_cycles, 2);
-        assert_eq!(snap.anomalies_missing, 1);
-        assert_eq!(snap.anomalies_corrupt, 2);
-        assert_eq!(snap.anomalies_orphan, 4);
-        assert_eq!(snap.repairs_uploaded, 3);
-        assert_eq!(snap.orphans_deleted, 4);
-        assert_eq!(snap.repairs_failed, 1);
-        assert_eq!(snap.rehearsals, 1);
-        assert_eq!(snap.rehearsal_failures, 0);
-        assert_eq!(snap.last_rto, Duration::from_millis(40));
-        assert_eq!(snap.last_rpo_updates, 7);
-        assert!(snap.last_rpo_within_bound);
-        assert!(snap.degraded && s.is_degraded());
-    }
-
-    #[test]
     fn standby_stats_accumulate_and_snapshot() {
         let s = StandbyStats::default();
         s.record_cycle(3, 900);
@@ -665,15 +499,6 @@ mod tests {
         assert_eq!(snap.resets, 1);
         assert_eq!(snap.promotions, 1);
         assert_eq!(snap.promotion_latency.count, 1);
-    }
-
-    #[test]
-    fn failed_rehearsal_counted() {
-        let s = SentinelStats::default();
-        s.record_rehearsal(Duration::from_millis(1), 0, false, false);
-        let snap = s.snapshot();
-        assert_eq!(snap.rehearsal_failures, 1);
-        assert!(!snap.last_rpo_within_bound);
     }
 
     #[test]

@@ -6,7 +6,9 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, StoreError, UsageMeter};
+use ginja_cloud::{
+    FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, RetryConfig, StoreError, UsageMeter,
+};
 use ginja_core::{
     recover_into, recover_to_point, Ginja, GinjaConfig, IngestConfig, PitrConfig, WalObjectName,
     DB_PREFIX, WAL_PREFIX,
@@ -434,6 +436,64 @@ fn reboot_mode_resumes_protection() {
     for i in 0..20 {
         assert_eq!(db.get(1, i).unwrap().unwrap(), val(i));
     }
+}
+
+/// Reboot wraps its cloud in exactly one `ResilientStore`, the one whose
+/// counters `stats()` and `usage_ledger()` read. Under a second layer
+/// the inner one would absorb the injected fault, so the outer one
+/// (the only one those reads see) would report no retry at all, and
+/// retries would compound to `max_attempts`² per operation.
+#[test]
+fn reboot_wraps_its_cloud_in_one_resilience_layer() {
+    let profile = DbProfile::postgres_small();
+    let mem = Arc::new(MemStore::new());
+    let config = GinjaConfig::builder()
+        .batch(1)
+        .safety(64)
+        .batch_timeout(Duration::from_millis(20))
+        .retry(RetryConfig {
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_millis(2),
+            breaker_threshold: 0,
+            ..RetryConfig::default()
+        })
+        .build()
+        .unwrap();
+    let (db, ginja, local) = protect(&profile, mem.clone(), config.clone());
+    db.put(1, 0, val(0)).unwrap();
+    assert!(ginja.sync(Duration::from_secs(10)));
+    ginja.shutdown();
+    drop(db);
+
+    let plan = Arc::new(FaultPlan::new());
+    let cloud = Arc::new(FaultStore::new(mem.clone(), plan.clone()));
+    let ginja = Ginja::reboot(
+        local.clone(),
+        cloud,
+        Arc::new(PostgresProcessor::new()),
+        config,
+    )
+    .unwrap();
+    let intercepted: Arc<dyn FileSystem> =
+        Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    let db = Database::open(intercepted, profile).unwrap();
+    let before: std::collections::BTreeSet<String> = mem.list("").unwrap().into_iter().collect();
+    let puts_before = ginja.usage_ledger().usage().puts;
+
+    plan.fail_next(OpKind::Put, 1);
+    db.put(1, 1, val(1)).unwrap();
+    assert!(ginja.sync(Duration::from_secs(10)));
+
+    assert_eq!(ginja.stats().cloud_retries, 1);
+    let gained = mem
+        .list("")
+        .unwrap()
+        .into_iter()
+        .filter(|name| !before.contains(name))
+        .count() as u64;
+    assert!(gained > 0, "the commit must reach the bucket");
+    assert_eq!(ginja.usage_ledger().usage().puts - puts_before, gained);
+    ginja.shutdown();
 }
 
 #[test]

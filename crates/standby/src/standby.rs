@@ -376,7 +376,7 @@ impl Standby {
                         }
                     }
                     // Anything else in the bucket is not Ginja's
-                    // (the sentinel calls it an orphan); ignore it.
+                    // (`scrub_bucket` calls it an orphan); ignore it.
                 }
             }
             Err(err) => {
@@ -504,8 +504,8 @@ impl Standby {
     /// One engine pass whose fetches go through the WAL cache; adds the
     /// GETs it issued, and their bytes, to `report`. A pass that fails
     /// to open an object empties the cache, so a copy that was corrupt
-    /// when fetched (and that a sentinel repair may since have
-    /// re-uploaded) is fetched again next time.
+    /// when fetched is fetched again next time rather than failing
+    /// every later pass from the cache.
     fn pass(
         &self,
         report: &mut TailReport,

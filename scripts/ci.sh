@@ -14,9 +14,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 # `default-members` makes this the whole workspace: the facade's
 # integration tests plus every crate's unit tests and proptests.
 cargo test -q
-# The DR-sentinel acceptance scenario, run on its own so a chaos
-# regression is unmissable in the log.
-cargo test -q --test sentinel_chaos -- --nocapture
 # A bounded CrashFs crash-point sweep over both DBMS profiles: every
 # third mutating local I/O becomes a kill point (clean + torn), and
 # each survivor must recover locally, from the cloud, and via reboot.

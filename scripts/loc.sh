@@ -24,8 +24,7 @@ fields() { # <file> <struct>
 }
 total=0
 for spec in core/src/config.rs:GinjaConfig core/src/config.rs:OutageConfig \
-    core/src/config.rs:SentinelConfig core/src/config.rs:IngestConfig \
-    cloud/src/resilient.rs:RetryConfig; do
+    core/src/config.rs:IngestConfig cloud/src/resilient.rs:RetryConfig; do
     n=$(fields "crates/${spec%%:*}" "${spec##*:}")
     printf '  %-18s %6d\n' "${spec##*:}" "$n"
     total=$((total + n))
@@ -35,7 +34,7 @@ printf '%-48s %7d\n' "pub config fields:" "$total"
 # `pub` fields of the metrics surface (ROADMAP item 10): the stats
 # snapshot, each snapshot nested in it, and `Exposure`.
 for spec in stats.rs:GinjaStatsSnapshot stats.rs:OutageSnapshot \
-    stats.rs:IngestSnapshot stats.rs:SentinelSnapshot stats.rs:StandbySnapshot \
+    stats.rs:IngestSnapshot stats.rs:StandbySnapshot \
     stats.rs:LatencySnapshot ginja.rs:Exposure; do
     printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/core/src/${spec%%:*}" "${spec##*:}")"
 done

@@ -15,6 +15,12 @@
 //! ginja-cli standby [--rows <n>] [--waves <n>] [--promote]
 //! ```
 //!
+//! `verify` and `drill` are the offline audits of `ginja-core` (`DESIGN.md`
+//! §10): `verify` MAC-checks every object and rebuilds the database into
+//! scratch memory; `drill` first runs `scrub_bucket`, which classifies
+//! every damaged or foreign object, then the same rebuild, and reports
+//! its wall-clock time as the achieved RTO.
+//!
 //! `crashtest` needs no bucket: it runs the CrashFs crash-point sweep
 //! (see `DESIGN.md` §11) against in-memory stores and exits non-zero if
 //! any crash point violates a durability invariant.
@@ -23,8 +29,8 @@
 //! in-process and bucket-free: it cuts the cloud out from under a live pipeline, shows
 //! the outage policy escalating (Healthy → Degraded → Enduring) while
 //! the un-acked backlog stays within the Safety bound S, then restores
-//! the cloud and proves catch-up drains to a scrub-clean bucket with
-//! zero acknowledged loss — exiting non-zero otherwise.
+//! the cloud and proves catch-up drains to a bucket the offline scrub
+//! finds clean, with zero acknowledged loss — exiting non-zero otherwise.
 //!
 //! `standby` is the warm-standby drill (`DESIGN.md` §17), in-process
 //! too: it protects a database, attaches a continuous cloud-tail
@@ -200,13 +206,16 @@ fn verify(args: &[String]) -> Result<(), String> {
 
 /// A one-shot disaster-recovery drill: scrub the bucket (every payload
 /// envelope-verified, anomalies classified), then rehearse a full
-/// restore into scratch memory and report the achieved RTO. With
+/// restore into scratch memory and report the achieved RTO (the
+/// wall-clock time of that verify-and-rebuild pass). With
 /// `--prefix`, both stages run against one tenant's scoped view of a
 /// shared bucket — the neighbors' objects are structurally unreachable.
 fn drill(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
+    use std::time::Instant;
 
     use ginja::cloud::PrefixStore;
+    use ginja::core::{scrub_bucket, verify_backup_in_memory};
 
     let mut store: Arc<dyn ObjectStore> = Arc::new(open_bucket(args, 0)?);
     if let Some(prefix) = prefix_from(args) {
@@ -215,8 +224,7 @@ fn drill(args: &[String]) -> Result<(), String> {
     }
     let config = config_from(args)?;
 
-    let scrub =
-        ginja::sentinel::scrub_bucket(store.as_ref(), &config).map_err(|e| e.to_string())?;
+    let scrub = scrub_bucket(store.as_ref(), &config).map_err(|e| e.to_string())?;
     println!("objects listed:    {}", scrub.objects_listed);
     println!("payloads verified: {}", scrub.payloads_verified);
     if !scrub.is_clean() {
@@ -226,9 +234,11 @@ fn drill(args: &[String]) -> Result<(), String> {
         }
     }
 
-    let (rehearsal, _scratch) =
-        ginja::sentinel::rehearse_bucket(store.as_ref(), &config).map_err(|e| e.to_string())?;
-    match &rehearsal.verify.recovery {
+    let start = Instant::now();
+    let (restore, _scratch) =
+        verify_backup_in_memory(store.as_ref(), &config).map_err(|e| e.to_string())?;
+    let rto = start.elapsed();
+    match &restore.recovery {
         Some(recovery) => println!(
             "rehearsal rebuild: dump ts {}, {} checkpoint(s), {} WAL object(s), {} file(s)",
             recovery.dump_ts,
@@ -238,12 +248,12 @@ fn drill(args: &[String]) -> Result<(), String> {
         ),
         None => println!("rehearsal rebuild: FAILED (no usable dump)"),
     }
-    println!("achieved RTO:      {:?}", rehearsal.rto);
+    println!("achieved RTO:      {rto:?}");
 
     if !scrub.is_clean() {
         return Err(format!("{} anomaly(ies) found", scrub.anomalies.len()));
     }
-    if !rehearsal.restorable() {
+    if !restore.is_ok() {
         return Err("bucket is not restorable".into());
     }
     println!("drill PASSED — bucket is clean and restorable");
@@ -374,9 +384,8 @@ fn outage(args: &[String]) -> Result<(), String> {
     use std::time::{Duration, Instant};
 
     use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-    use ginja::core::{recover_into, Ginja, OutageConfig, OutageState, SentinelConfig};
+    use ginja::core::{recover_into, scrub_bucket, Ginja, OutageConfig, OutageState};
     use ginja::db::{Database, DbProfile};
-    use ginja::sentinel::Sentinel;
     use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
     /// Table the drill writes its rows into.
@@ -425,10 +434,6 @@ fn outage(args: &[String]) -> Result<(), String> {
             breaker_threshold: 2,
             breaker_cooldown: Duration::from_millis(50),
             breaker_probes: 1,
-        })
-        .sentinel(SentinelConfig {
-            scrub_sample: 0, // verify every payload
-            ..SentinelConfig::default()
         })
         .outage(OutageConfig {
             ckpt_capacity: 2,
@@ -540,18 +545,16 @@ fn outage(args: &[String]) -> Result<(), String> {
 
     // The bucket the outage left behind must be scrub-clean, and a
     // disaster recovery from it must see every acknowledged row.
-    let cycle = Sentinel::new(&ginja)
-        .run_cycle()
-        .map_err(|e| e.to_string())?;
-    if !cycle.scrub.is_clean() {
+    let scrub = scrub_bucket(mem.as_ref(), &config).map_err(|e| e.to_string())?;
+    if !scrub.is_clean() {
         return Err(format!(
             "dirty bucket after catch-up: {:?}",
-            cycle.scrub.anomalies
+            scrub.anomalies
         ));
     }
     println!(
         "scrub:             clean ({} object(s) verified)",
-        cycle.scrub.objects_listed
+        scrub.payloads_verified
     );
     if !ginja.sync(Duration::from_secs(30)) {
         return Err("final sync failed".into());

@@ -19,7 +19,7 @@
 //!    contiguous prefix of the acknowledged history, losing at most
 //!    Safety `S` acknowledged steps (§5.1's headline guarantee).
 //! 3. **Scrub clean** — the bucket the crash left behind passes the
-//!    offline [`ginja_sentinel::scrub_bucket`] audit: no corrupt,
+//!    offline [`ginja_core::scrub_bucket`] audit: no corrupt,
 //!    orphaned, or missing objects.
 //! 4. **Reboot resync** — `Ginja::reboot` over the crash-recovered
 //!    local state resynchronizes the cloud (the ≤ `S` updates the cloud
@@ -42,9 +42,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, PrefixStore, RetryConfig};
-use ginja_core::{recover_into, Ginja, GinjaConfig};
+use ginja_core::{recover_into, scrub_bucket, Ginja, GinjaConfig};
 use ginja_db::{Database, DbError, DbProfile, ProfileKind};
-use ginja_sentinel::scrub_bucket;
 use ginja_vfs::{FileSystem, InterceptFs, JournaledFs};
 
 use crate::fault::{FaultFs, FsFaultKind, VfsFaultPlan};

@@ -17,7 +17,8 @@
 //! The facade crate re-exports the workspace members:
 //!
 //! * [`core`] (`ginja-core`) — the middleware itself: commit pipeline,
-//!   checkpoints, garbage collection, boot/reboot/recovery.
+//!   checkpoints, garbage collection, boot/reboot/recovery, and the
+//!   offline audits (`verify_backup`, `scrub_bucket`).
 //! * [`db`] (`ginja-db`) — a miniature WAL-based DBMS with PostgreSQL and
 //!   MySQL/InnoDB I/O profiles, used as the protected system.
 //! * [`vfs`] (`ginja-vfs`) — the file-system interception layer (the
@@ -27,8 +28,6 @@
 //! * [`codec`] (`ginja-codec`) — compression, AES-128-CTR, HMAC-SHA1.
 //! * [`workload`] (`ginja-workload`) — TPC-C-style and synthetic drivers.
 //! * [`cost`] (`ginja-cost`) — the §7 monetary cost model.
-//! * [`sentinel`] (`ginja-sentinel`) — the DR sentinel: continuous cloud
-//!   scrubbing, restore rehearsal, and self-healing repair.
 //! * [`standby`] (`ginja-standby`) — the warm standby: continuous
 //!   cloud-tail apply into a shadow directory and bounded-RTO
 //!   promotion.
@@ -79,7 +78,6 @@ pub use ginja_codec as codec;
 pub use ginja_core as core;
 pub use ginja_cost as cost;
 pub use ginja_db as db;
-pub use ginja_sentinel as sentinel;
 pub use ginja_standby as standby;
 pub use ginja_vfs as vfs;
 pub use ginja_workload as workload;

@@ -235,7 +235,7 @@ fn chaos_retry_policy_reduces_blocking_under_transient_faults() {
 /// newest DB object, so the post-GC checkpoint lands *on* its
 /// predecessor's timestamp and must merge with it.
 ///
-/// Second, that merge silently degraded: it starts by GETting the old
+/// Second, that merge silently degraded. It starts by GETting the old
 /// generation's parts, and the old code skipped the merge on the first
 /// GET failure (e.g. breaker open during an outage), uploading a
 /// non-superset object at the same timestamp. If that object was the

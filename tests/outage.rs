@@ -11,9 +11,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-use ginja::core::{recover_into, Ginja, GinjaConfig, OutageConfig, OutageState, SentinelConfig};
+use ginja::core::{recover_into, scrub_bucket, Ginja, GinjaConfig, OutageConfig, OutageState};
 use ginja::db::{Database, DbProfile};
-use ginja::sentinel::Sentinel;
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 use ginja::workload::{probe_tpcc, Tpcc, TpccScale};
 
@@ -74,10 +73,6 @@ fn outage_endures_with_bounded_ram_and_lossless_catchup() {
         .batch_timeout(Duration::from_millis(5))
         .safety_timeout(Duration::from_secs(60))
         .retry(fast_breaker())
-        .sentinel(SentinelConfig {
-            scrub_sample: 0, // verify every payload
-            ..SentinelConfig::default()
-        })
         .outage(OutageConfig {
             ckpt_capacity: 2,
             enduring_after: Duration::from_millis(50),
@@ -218,12 +213,11 @@ fn outage_endures_with_bounded_ram_and_lossless_catchup() {
     assert!(!ginja.exposure().fatal, "endurance is not an error");
 
     // The bucket the outage left behind is scrub-clean.
-    let sentinel = Sentinel::new(&ginja);
-    let cycle = sentinel.run_cycle().unwrap();
+    let scrub = scrub_bucket(mem.as_ref(), &config).unwrap();
     assert!(
-        cycle.scrub.is_clean(),
+        scrub.is_clean(),
         "dirty bucket after catch-up: {:?}",
-        cycle.scrub.anomalies
+        scrub.anomalies
     );
 
     assert!(ginja.sync(Duration::from_secs(30)));

@@ -8,11 +8,8 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-use ginja::core::{
-    Ginja, GinjaConfig, GinjaConfigBuilder, Knobs, OutageConfig, OutageState, SentinelConfig,
-};
+use ginja::core::{Ginja, GinjaConfig, GinjaConfigBuilder, Knobs, OutageConfig, OutageState};
 use ginja::db::{Database, DbProfile};
-use ginja::sentinel::Sentinel;
 use ginja::standby::{Standby, StandbyConfig};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
@@ -125,18 +122,16 @@ fn an_outage_holds_the_knobs_at_the_maxima_until_catch_up() {
         .build()
         .unwrap();
     // The configured knobs, and the outage maxima the configuration
-    // implies: B = S, TB = max(TB, TS), dump threshold + 1.5, pace 16.
+    // implies: B = S, TB = max(TB, TS), dump threshold + 1.5.
     let baseline = Knobs {
         batch: 2,
         batch_timeout: Duration::from_millis(5),
         dump_threshold: config.dump_threshold,
-        sentinel_pace: 1.0,
     };
     let maxima = Knobs {
         batch: 64,
         batch_timeout: LONG,
         dump_threshold: config.dump_threshold + 1.5,
-        sentinel_pace: 16.0,
     };
     let (db, ginja, plan, _bucket) = protect(config);
     assert_eq!(ginja.current_knobs(), baseline);
@@ -184,16 +179,9 @@ fn shutdown_interrupts_long_timers_and_retry_backoffs() {
             poll_interval: LONG,
             ..OutageConfig::default()
         })
-        .sentinel(SentinelConfig {
-            scrub_interval: LONG,
-            rehearsal_interval: LONG,
-            ..SentinelConfig::default()
-        })
         .build()
         .unwrap();
     let (db, ginja, plan, bucket) = protect(config.clone());
-    let sentinel = Sentinel::new(&ginja);
-    sentinel.spawn();
     let standby = Standby::attach(
         Arc::new(FaultStore::new(bucket, plan.clone())),
         Arc::new(MemFs::new()),
@@ -219,7 +207,6 @@ fn shutdown_interrupts_long_timers_and_retry_backoffs() {
 
     for (what, stop) in [
         ("standby", &(|| standby.shutdown()) as &dyn Fn()),
-        ("sentinel", &|| sentinel.shutdown()),
         ("ginja", &|| ginja.shutdown()),
     ] {
         let start = Instant::now();
