@@ -16,15 +16,14 @@ pub struct PitrConfig {
     pub keep_snapshots: usize,
 }
 
-/// Outage-endurance policy: the coalescing checkpoint queue and the
-/// Healthy → Degraded → Enduring state machine (see `DESIGN.md` §15).
+/// Outage endurance: the coalescing checkpoint queue (see `DESIGN.md`
+/// §15).
 ///
 /// The un-acked WAL backlog needs no knob here: it lives in the commit
-/// queue, bounded by `safety`, with the DBMS blocked at the bound.
-/// These knobs cover the rest of a prolonged outage: checkpoint jobs
-/// (not bounded by S) coalesce past `ckpt_capacity`, and the state
-/// machine widens B/TB toward S (and defers dumps) once upload pressure
-/// has lasted `enduring_after`.
+/// queue, bounded by `safety`, with the DBMS blocked at the bound. An
+/// outage changes no other setting: B, TB and the dump threshold stay
+/// as configured. What is left is checkpoint jobs, which S does not
+/// bound: past `ckpt_capacity` they coalesce.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OutageConfig {
     /// Checkpoint queue capacity, in jobs. Beyond it, an incoming
@@ -33,20 +32,11 @@ pub struct OutageConfig {
     /// bounded at `ckpt_capacity` jobs no matter how long the cloud is
     /// gone.
     pub ckpt_capacity: usize,
-    /// How long sustained pressure (breaker not closed, or an upload
-    /// retrying) lasts before Degraded escalates to Enduring.
-    pub enduring_after: Duration,
-    /// Outage-policy poll interval.
-    pub poll_interval: Duration,
 }
 
 impl Default for OutageConfig {
     fn default() -> Self {
-        OutageConfig {
-            ckpt_capacity: 8,
-            enduring_after: Duration::from_secs(30),
-            poll_interval: Duration::from_millis(50),
-        }
+        OutageConfig { ckpt_capacity: 8 }
     }
 }
 
@@ -60,9 +50,6 @@ impl OutageConfig {
     pub fn validate(&self) -> Result<(), String> {
         if self.ckpt_capacity == 0 {
             return Err("outage.ckpt_capacity must be at least 1".into());
-        }
-        if self.poll_interval.is_zero() {
-            return Err("outage.poll_interval must be nonzero".into());
         }
         Ok(())
     }
@@ -127,7 +114,8 @@ pub struct GinjaConfig {
     /// (§5.2 footnote: 20 MB default, "to optimize the upload latency").
     pub max_object_size: usize,
     /// Upload a full dump when the DB objects in the cloud reach this
-    /// multiple of the local database size (§5.3: 150 %).
+    /// multiple of the local database size (§5.3: 150 %). Fixed for the
+    /// instance's life, like B and TB: an outage does not move it.
     pub dump_threshold: f64,
     /// Object protection: compression / encryption / MAC settings.
     pub codec: CodecConfig,
@@ -138,8 +126,7 @@ pub struct GinjaConfig {
     /// Ginja issues (boot uploads, batch uploads, checkpoint merges,
     /// garbage collection) goes through this policy.
     pub retry: RetryConfig,
-    /// Outage endurance: coalescing checkpoint queue and adaptive
-    /// backpressure while the cloud is away.
+    /// Outage endurance: the coalescing checkpoint queue's capacity.
     pub outage: OutageConfig,
     /// Ingest tuning: adaptive partial-batch sealing.
     pub ingest: IngestConfig,
@@ -309,8 +296,7 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Sets the outage-endurance policy (checkpoint-queue capacity,
-    /// state-machine thresholds).
+    /// Sets the outage endurance (checkpoint-queue capacity).
     #[must_use]
     pub fn outage(mut self, outage: OutageConfig) -> Self {
         self.config.outage = outage;
@@ -355,7 +341,7 @@ mod tests {
             uploaders: _,       // bench_e2e rig, crashpoint sweep
             recovery_fanout: _, // bench_e2e rig, fig7, crashpoint sweep
             max_object_size: _, // the paper's §5.2 parameter; no caller yet
-            dump_threshold: _,  // crashpoint sweep, the outage policy's knob
+            dump_threshold: _,  // crashpoint sweep
             codec: _,           // bench_e2e rig, `ginja-cli`
             pitr: _,            // examples/point_in_time.rs
             retry,
@@ -371,9 +357,7 @@ mod tests {
             breaker_probes: _,    // `ginja-cli outage`, tests/outage.rs
         } = retry;
         let OutageConfig {
-            ckpt_capacity: _,  // `ginja-cli outage`, tests/outage.rs
-            enduring_after: _, // `ginja-cli outage`, tests/outage.rs
-            poll_interval: _,  // `ginja-cli outage`, tests/outage.rs
+            ckpt_capacity: _, // `ginja-cli outage`, tests/outage.rs
         } = outage;
         let IngestConfig {
             adaptive_seal: _, // bench_e2e rig (`recover` turns it off)
@@ -438,28 +422,13 @@ mod tests {
         assert_eq!(c.outage.ckpt_capacity, 8, "default checkpoint capacity");
 
         let c = GinjaConfig::builder()
-            .outage(OutageConfig {
-                ckpt_capacity: 2,
-                enduring_after: Duration::from_millis(50),
-                ..OutageConfig::default()
-            })
+            .outage(OutageConfig { ckpt_capacity: 2 })
             .build()
             .unwrap();
         assert_eq!(c.outage.ckpt_capacity, 2);
-        assert_eq!(c.outage.enduring_after, Duration::from_millis(50));
 
-        for bad in [
-            OutageConfig {
-                ckpt_capacity: 0,
-                ..OutageConfig::default()
-            },
-            OutageConfig {
-                poll_interval: Duration::ZERO,
-                ..OutageConfig::default()
-            },
-        ] {
-            assert!(GinjaConfig::builder().outage(bad).build().is_err());
-        }
+        let bad = OutageConfig { ckpt_capacity: 0 };
+        assert!(GinjaConfig::builder().outage(bad).build().is_err());
     }
 
     #[test]

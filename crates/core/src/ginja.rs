@@ -3,7 +3,7 @@
 //! the Boot/Reboot initialization modes (Algorithm 1).
 //!
 //! The thread architecture mirrors §6 / Figure 3 of the paper —
-//! `uploaders + 2` threads per instance (DESIGN.md §2, "Thread model"),
+//! `uploaders + 1` threads per instance (DESIGN.md §2, "Thread model"),
 //! the paper's Aggregator running on whichever uploader is idle:
 //!
 //! ```text
@@ -14,11 +14,10 @@
 //!               object; the one closing the oldest open batch acks, in
 //!               batch order, through the AckLedger → CommitQueue.ack_front
 //! Checkpointer: DB objects (dump | incremental) → PUT → garbage collection
-//! Control:      outage policy, on one timer thread
 //! ```
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,10 +32,8 @@ use crate::bundle::{self, FileRange};
 use crate::config::GinjaConfig;
 use crate::fanout::FanoutExecutor;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
-use crate::outage::{
-    CkptJob, CkptPush, CkptQueue, Knobs, OutageObservation, OutagePolicy, OutageState,
-};
-use crate::periodic::{PeriodicTask, StopSignal};
+use crate::outage::{CkptJob, CkptPush, CkptQueue};
+use crate::periodic::StopSignal;
 use crate::queue::{CommitQueue, WalWrite};
 use crate::stats::{GinjaStats, GinjaStatsSnapshot, StandbyStats};
 use crate::view::CloudView;
@@ -81,10 +78,6 @@ pub struct Exposure {
     /// An outage is *not* fatal — the same block lifts by itself when
     /// the cloud answers again.
     pub fatal: bool,
-    /// Where the pipeline stands relative to a cloud outage: `Healthy`,
-    /// `Degraded` (pressure seen, not yet an outage) or `Enduring`
-    /// (sustained pressure — knobs escalated).
-    pub outage: OutageState,
 }
 
 /// Checkpoint accumulation state (the paper's Algorithm 3 lines 1–16).
@@ -174,13 +167,6 @@ struct Shared {
     /// Bounded, coalescing checkpoint queue (replaces the old unbounded
     /// channel, whose jobs each carry up to a whole database of pages).
     ckpt_queue: CkptQueue,
-    /// Uploads currently retrying: inside [`put_with_retry`] past their
-    /// first failed attempt. The outage policy's pressure signal when
-    /// the breaker is disabled.
-    stalled_uploads: AtomicU64,
-    /// The outage policy's current state, published lock-free
-    /// (`OutageState::as_u64` encoding) by the control thread.
-    outage_state_bits: AtomicU64,
     pending_ckpt_jobs: AtomicUsize,
     /// The batch turn over the next batch id, held across take → WAL ts
     /// → manifest (see [`uploader_loop`]); taken before, never while
@@ -188,11 +174,10 @@ struct Shared {
     /// uploaders wait on it a whole batch fill, and `parking_lot`'s
     /// spin-and-yield before parking cost `mysql_mem` ~7 % CPU (2 vCPUs).
     batch_turn: std::sync::Mutex<u64>,
-    /// Latched by [`Ginja::shutdown`]; every back-off and the control
-    /// thread's timer wait on it, so shutdown interrupts them at once.
-    stop: Arc<StopSignal>,
+    /// Latched by [`Ginja::shutdown`]; every retry back-off waits on
+    /// it, so shutdown interrupts them at once.
+    stop: StopSignal,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    control: Mutex<Option<PeriodicTask>>,
     /// Garbage objects whose delete exhausted its retry budget; retried
     /// at the next checkpoint's GC pass instead of leaking forever.
     /// Deduplicated and capped at [`GC_BACKLOG_CAP`] — overflow is
@@ -202,11 +187,6 @@ struct Shared {
     /// Counters of an attached warm standby (`ginja-standby` crate),
     /// merged into [`Ginja::stats`].
     standby: Mutex<Option<Arc<StandbyStats>>>,
-    /// The dump threshold currently in force, as f64 bits: the
-    /// checkpoint path reads it lock-free on every checkpoint end, and
-    /// the outage policy raises it above `config.dump_threshold` while
-    /// Enduring to defer dump uploads.
-    dump_threshold_bits: AtomicU64,
 }
 
 /// The Ginja disaster-recovery middleware.
@@ -390,7 +370,6 @@ impl Ginja {
             config.safety_timeout,
             config.ingest,
         );
-        let dump_threshold_bits = AtomicU64::new(config.dump_threshold.to_bits());
         let chains_kept = config.pitr.map_or(1, |pitr| pitr.keep_snapshots + 1);
         let accum = CkptAccum {
             in_checkpoint: false,
@@ -400,8 +379,6 @@ impl Ginja {
         };
         let shared = Arc::new(Shared {
             ckpt_queue: CkptQueue::new(config.outage.ckpt_capacity),
-            stalled_uploads: AtomicU64::new(0),
-            outage_state_bits: AtomicU64::new(OutageState::Healthy.as_u64()),
             config,
             codec,
             cloud,
@@ -415,12 +392,10 @@ impl Ginja {
             accum: Mutex::new(accum),
             pending_ckpt_jobs: AtomicUsize::new(0),
             batch_turn: std::sync::Mutex::new(0),
-            stop: Arc::new(StopSignal::default()),
+            stop: StopSignal::default(),
             threads: Mutex::new(Vec::new()),
-            control: Mutex::new(None),
             gc_backlog: Mutex::new(BTreeSet::new()),
             standby: Mutex::new(None),
-            dump_threshold_bits,
         });
 
         let spawn = |name: String, stage: fn(&Shared)| {
@@ -434,16 +409,6 @@ impl Ginja {
             .map(|i| spawn(format!("ginja-uploader-{i}"), uploader_loop))
             .collect();
         threads.push(spawn("ginja-checkpointer".into(), checkpointer_loop));
-        let mut control = Control::new(&shared.config);
-        let ticked = shared.clone();
-        *shared.control.lock() = Some(PeriodicTask::spawn_on(
-            shared.stop.clone(),
-            "ginja-control",
-            move || {
-                control.tick(&ticked);
-                Some(ticked.config.outage.poll_interval)
-            },
-        ));
         *shared.threads.lock() = threads;
         Ginja { shared }
     }
@@ -477,9 +442,6 @@ impl Ginja {
         for handle in threads {
             let _ = handle.join();
         }
-        if let Some(control) = self.shared.control.lock().take() {
-            control.shutdown();
-        }
     }
 
     /// Statistics snapshot, with the resilience-layer counters (cloud
@@ -494,21 +456,12 @@ impl Ginja {
         snap.gc_backlog = self.shared.gc_backlog.lock().len() as u64;
         snap.fanout_waves = self.shared.fanout.waves();
         snap.fanout_jobs = self.shared.fanout.jobs();
-        // The outage counters were already filled from `GinjaStats` by
-        // `snapshot()`.
-        snap.outage.state = self.outage_state();
         if let Some(standby) = self.shared.standby.lock().as_ref() {
             snap.standby = standby.snapshot();
         }
         // Ingest histograms and counters live on the CommitQueue itself.
         snap.ingest = self.shared.queue.ingest_snapshot();
         snap
-    }
-
-    /// The outage policy's current state (published by the control
-    /// thread, refreshed every `outage.poll_interval`).
-    pub fn outage_state(&self) -> OutageState {
-        OutageState::from_u64(self.shared.outage_state_bits.load(Ordering::Relaxed))
     }
 
     /// Number of updates currently unconfirmed by the cloud.
@@ -527,7 +480,6 @@ impl Ginja {
             oldest_age: self.shared.queue.oldest_pending_age(),
             breaker: self.shared.cloud.breaker_state(),
             fatal: self.shared.stats.pipeline_fatals.load(Ordering::Relaxed) > 0,
-            outage: self.outage_state(),
         }
     }
 
@@ -536,24 +488,6 @@ impl Ginja {
     /// through [`Ginja::resilient_cloud`] — standby traffic).
     pub fn usage_ledger(&self) -> Arc<UsageLedger> {
         self.shared.cloud.ledger().clone()
-    }
-
-    /// The dump threshold currently in force: `config.dump_threshold`,
-    /// raised by the outage policy while Enduring to defer dump
-    /// uploads.
-    pub fn dump_threshold(&self) -> f64 {
-        f64::from_bits(self.shared.dump_threshold_bits.load(Ordering::Relaxed))
-    }
-
-    /// The knobs currently in force: the configured ones, or the
-    /// outage maxima (B = S, TB = max(TB, TS), dump threshold + 1.5)
-    /// while the outage policy is Enduring.
-    pub fn current_knobs(&self) -> Knobs {
-        Knobs {
-            batch: self.shared.queue.batch(),
-            batch_timeout: self.shared.queue.batch_timeout(),
-            dump_threshold: self.dump_threshold(),
-        }
     }
 
     /// A copy of the current cloud view (tests and tooling).
@@ -617,7 +551,8 @@ impl Ginja {
 
             let local_db_size = self.local_db_size();
             let dump_due = local_db_size > 0
-                && accum.decided.total() as f64 >= self.dump_threshold() * local_db_size as f64;
+                && accum.decided.total() as f64
+                    >= self.shared.config.dump_threshold * local_db_size as f64;
             let checkpoint = |entries| CkptJob {
                 ts,
                 kind: DbObjectKind::Checkpoint,
@@ -729,18 +664,6 @@ impl IoProcessor for Ginja {
             IoClass::Other => {}
         }
     }
-}
-
-/// Sets the knobs on the live pipeline: retunes B and TB on the queue
-/// and stores the dump threshold. It cannot loosen the RPO bound:
-/// `CommitQueue::set_batch` hard-clamps B to `[1, S]`, and S/TS
-/// themselves have no setter.
-fn apply_knobs_to(shared: &Shared, knobs: &Knobs) {
-    shared.queue.set_batch(knobs.batch);
-    shared.queue.set_batch_timeout(knobs.batch_timeout);
-    shared
-        .dump_threshold_bits
-        .store(knobs.dump_threshold.to_bits(), Ordering::Relaxed);
 }
 
 /// One object of a seal+PUT wave: the wire name plus raw payload.
@@ -964,34 +887,21 @@ fn read_db_files(
 /// DBMS at the Safety limit forever, which is exactly the intended
 /// behavior (block, don't lose data) — but it paces itself by any
 /// `retry_after` hint the cloud attached to the error.
-///
-/// From its first failure until it returns, the call counts in
-/// `shared.stalled_uploads` — the outage policy's view of "this
-/// instance's uploads are not getting through".
 fn put_with_retry(shared: &Shared, name: &str, sealed: &[u8]) -> Result<(), GinjaError> {
     let mut delay = Duration::from_millis(10);
-    let mut stalled = false;
-    let outcome = loop {
+    loop {
         let err = match shared.cloud.put(name, sealed) {
-            Ok(()) => break Ok(()),
+            Ok(()) => return Ok(()),
             Err(err) => err,
         };
         shared.stats.upload_retries.fetch_add(1, Ordering::Relaxed);
-        if !stalled {
-            stalled = true;
-            shared.stalled_uploads.fetch_add(1, Ordering::Relaxed);
-        }
         // A throttling cloud told us when to come back: honor it as a
         // floor so we never hammer a provider that asked for pacing.
         if shared.stop.wait(backoff(delay, &err)) {
-            break Err(GinjaError::ShutDown);
+            return Err(GinjaError::ShutDown);
         }
         delay = (delay * 2).min(Duration::from_secs(1));
-    };
-    if stalled {
-        shared.stalled_uploads.fetch_sub(1, Ordering::Relaxed);
     }
-    outcome
 }
 
 /// Outcome of fetching one part of an existing DB object for a
@@ -1078,60 +988,6 @@ fn delete_with_retry(shared: &Shared, name: &str) -> bool {
 /// attached to `err`.
 fn backoff(delay: Duration, err: &StoreError) -> Duration {
     delay.max(err.retry_after().unwrap_or(Duration::ZERO))
-}
-
-/// The per-instance control thread's state: the outage policy, the
-/// knobs' only writer.
-struct Control {
-    policy: OutagePolicy,
-    last_tick: Instant,
-}
-
-impl Control {
-    fn new(config: &GinjaConfig) -> Self {
-        Control {
-            policy: OutagePolicy::new(config.outage.enduring_after),
-            last_tick: Instant::now(),
-        }
-    }
-
-    /// Feeds the breaker position and the retrying-uploads gauge to the
-    /// [`OutagePolicy`] state machine, publishes the state for
-    /// `exposure()`/`stats()`, counts outages and outage time, and
-    /// escalates the knobs on entry to Enduring and restores them on
-    /// exit.
-    fn tick(&mut self, shared: &Shared) {
-        let now = Instant::now();
-        let obs = OutageObservation {
-            breaker: shared.cloud.breaker_state(),
-            stalled_uploads: shared.stalled_uploads.load(Ordering::Relaxed),
-        };
-        let was_enduring = self.policy.state() == OutageState::Enduring;
-        let state = self.policy.tick(&obs, now);
-        shared
-            .outage_state_bits
-            .store(state.as_u64(), Ordering::Relaxed);
-
-        let enduring = state == OutageState::Enduring;
-        let dt = now.duration_since(self.last_tick);
-        self.last_tick = now;
-        if enduring {
-            shared
-                .stats
-                .outage_micros
-                .fetch_add(dt.as_micros() as u64, Ordering::Relaxed);
-        }
-        if enduring && !was_enduring {
-            shared.stats.outages.fetch_add(1, Ordering::Relaxed);
-            // Escalate — B/TB widened toward S (fewer, fuller PUTs once
-            // the cloud answers), dumps deferred. S/TS are never
-            // touched: the RPO bound holds through the outage.
-            apply_knobs_to(shared, &Knobs::outage_maxima(&shared.config));
-        } else if was_enduring && !enduring {
-            // Outage over: hand the pipeline back its configured tuning.
-            apply_knobs_to(shared, &Knobs::baseline(&shared.config));
-        }
-    }
 }
 
 /// The one WAL-object upload: seal, PUT until durable, account, recycle

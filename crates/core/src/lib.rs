@@ -83,7 +83,6 @@ pub use ginja_cloud::{
     BreakerState, CloudUsage, ResilienceSnapshot, RetryConfig, UsageLedger, UsageMeter,
 };
 pub use names::{DbObjectKind, DbObjectName, WalObjectName, DB_PREFIX, WAL_PREFIX};
-pub use outage::{Knobs, OutageObservation, OutagePolicy, OutageState};
 pub use periodic::PeriodicTask;
 pub use recovery::{
     list_restore_points, recover_into, recover_to_point, RecoveryReport, RestorePoint,
@@ -91,8 +90,8 @@ pub use recovery::{
 };
 pub use scrub::{scrub_bucket, Anomaly, AnomalyKind, ScrubReport};
 pub use stats::{
-    GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot, OutageSnapshot,
-    StandbySnapshot, StandbyStats,
+    GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot, StandbySnapshot,
+    StandbyStats,
 };
 pub use verify::{verify_backup, verify_backup_in_memory, VerifyReport};
 pub use view::{CloudView, DbEntry};

@@ -1,9 +1,9 @@
-//! One periodic-task helper for every timer-driven daemon: the control
-//! tick of a [`crate::Ginja`] instance and the standby's tail loop. A
+//! The periodic-task helper for timer-driven daemons (the standby's tail
+//! loop), and the stop signal the pipeline's retry back-offs wait on. A
 //! task is a named thread calling a `tick` closure; each call returns
-//! how long to wait before the next one (`None` ends the task). The wait is a `Condvar` wait on the
-//! task's stop signal, so a shutdown interrupts it at once whatever the
-//! interval — no short-sleep polling.
+//! how long to wait before the next one (`None` ends the task). The wait
+//! is a `Condvar` wait on the task's stop signal, so a shutdown
+//! interrupts it at once whatever the interval — no short-sleep polling.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -60,17 +60,8 @@ impl PeriodicTask {
     /// Spawns thread `name`. `tick` is called at once and then again
     /// after each duration it returns, until it returns `None` or the
     /// task is shut down.
-    pub fn spawn(name: &str, tick: impl FnMut() -> Option<Duration> + Send + 'static) -> Self {
-        Self::spawn_on(Arc::new(StopSignal::default()), name, tick)
-    }
-
-    /// [`PeriodicTask::spawn`] on a caller-owned stop signal, so other
-    /// waits (the pipeline's retry back-offs) end with the same stop.
-    pub(crate) fn spawn_on(
-        stop: Arc<StopSignal>,
-        name: &str,
-        mut tick: impl FnMut() -> Option<Duration> + Send + 'static,
-    ) -> Self {
+    pub fn spawn(name: &str, mut tick: impl FnMut() -> Option<Duration> + Send + 'static) -> Self {
+        let stop = Arc::new(StopSignal::default());
         let signal = stop.clone();
         let thread = std::thread::Builder::new()
             .name(name.into())

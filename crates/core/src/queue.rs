@@ -70,7 +70,7 @@ struct State {
     closed: bool,
     producers_waiting: usize,
     consumer_waiting: bool,
-    /// B and TB, retuned at runtime by the outage policy; B stays in `[1, S]`.
+    /// B and TB, fixed at construction.
     batch: usize,
     batch_timeout: Duration,
     adaptive_seal: bool,
@@ -130,7 +130,7 @@ pub struct CommitQueue {
     state: Mutex<State>,
     not_full: Condvar,
     readable: Condvar,
-    /// S and TS: immutable, so no knob escalation loosens the loss window.
+    /// S and TS.
     safety: usize,
     safety_timeout: Duration,
     put_histo: LatencyHisto,
@@ -174,38 +174,6 @@ impl CommitQueue {
             put_histo: LatencyHisto::default(),
             blocked_histo: LatencyHisto::default(),
         }
-    }
-
-    /// The batch size B currently in force.
-    pub fn batch(&self) -> usize {
-        self.state.lock().batch
-    }
-
-    /// The batch timeout TB currently in force.
-    pub fn batch_timeout(&self) -> Duration {
-        self.state.lock().batch_timeout
-    }
-
-    /// The (immutable) safety bound S.
-    pub fn safety(&self) -> usize {
-        self.safety
-    }
-
-    /// Retunes B at runtime, clamped to `[1, S]`, and returns the value
-    /// applied. S and TS cannot be moved on a live queue.
-    pub fn set_batch(&self, batch: usize) -> usize {
-        let applied = batch.clamp(1, self.safety);
-        self.state.lock().batch = applied;
-        // A smaller B may make already-queued items a full batch.
-        self.readable.notify_all();
-        applied
-    }
-
-    /// Retunes TB at runtime. Returns the value actually applied.
-    pub fn set_batch_timeout(&self, batch_timeout: Duration) -> Duration {
-        self.state.lock().batch_timeout = batch_timeout;
-        self.readable.notify_all();
-        batch_timeout
     }
 
     /// Enqueues a write, blocking while S items are unacked or the oldest
@@ -529,43 +497,6 @@ mod tests {
         assert_eq!(offsets, vec![0, 10, 20, 30, 40, 50]);
     }
 
-    #[test]
-    fn set_batch_retunes_live_queue_and_clamps_to_safety() {
-        let q = queue(2, 10);
-        assert_eq!(q.batch(), 2);
-        // Raising B changes what a take returns.
-        assert_eq!(q.set_batch(5), 5);
-        for i in 0..5 {
-            q.put(write(i)).unwrap();
-        }
-        assert_eq!(q.take_batch().unwrap().len(), 5);
-        q.ack_front(5);
-        // B can never exceed S, and never drop below 1.
-        assert_eq!(q.set_batch(100), 10);
-        assert_eq!(q.batch(), 10);
-        assert_eq!(q.set_batch(0), 1);
-        assert_eq!(q.safety(), 10, "S is immutable");
-    }
-
-    #[test]
-    fn set_batch_timeout_wakes_sleeping_aggregator() {
-        let q = Arc::new(CommitQueue::new(
-            100,
-            1000,
-            Duration::from_secs(60), // TB so long the partial batch would wait forever
-            Duration::from_secs(60),
-        ));
-        q.put(write(1)).unwrap();
-        let q2 = q.clone();
-        let consumer = std::thread::spawn(move || q2.take_batch());
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(!consumer.is_finished(), "partial batch held by long TB");
-        q.set_batch_timeout(Duration::from_millis(1));
-        let batch = consumer.join().unwrap().unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(q.batch_timeout(), Duration::from_millis(1));
-    }
-
     // ------------------------------------------------------------------
     // Executable spec: the exact `blocked_for` accounting and TB
     // reference-point rules any implementation must reproduce.
@@ -731,16 +662,6 @@ mod tests {
             let expect = expect.map_err(|d| d.map(|d| t0 + ms(d)));
             assert_eq!(st.seal(t0 + ms(now)), expect, "{case}");
         }
-
-        // B lowered by `set_batch` on a live queue turns queued items
-        // into a full batch.
-        let q = CommitQueue::new(10, 10, Duration::from_secs(60), Duration::from_secs(60));
-        for i in 0..3 {
-            q.put(write(i)).unwrap();
-        }
-        assert!(q.state.lock().seal(Instant::now()).is_err());
-        assert_eq!(q.set_batch(2), 2);
-        assert_eq!(q.state.lock().seal(Instant::now()), Ok((2, Seal::Full)));
     }
 
     #[test]

@@ -4,8 +4,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use crate::outage::OutageState;
-
 /// A lock-free latency histogram with power-of-two microsecond buckets.
 ///
 /// Bucket `b` holds samples whose microsecond value has bit-width `b`
@@ -136,8 +134,6 @@ pub struct GinjaStats {
     pub(crate) pipeline_fatals: AtomicU64,
     pub(crate) gc_backlog_dropped: AtomicU64,
     pub(crate) ckpt_coalesced: AtomicU64,
-    pub(crate) outages: AtomicU64,
-    pub(crate) outage_micros: AtomicU64,
     pub(crate) seal_histo: LatencyHisto,
     pub(crate) put_histo: LatencyHisto,
     pub(crate) get_histo: LatencyHisto,
@@ -176,14 +172,7 @@ impl GinjaStats {
             wal_resync_bytes: self.wal_resync_bytes.load(Ordering::Relaxed),
             pipeline_fatals: self.pipeline_fatals.load(Ordering::Relaxed),
             gc_backlog_dropped: self.gc_backlog_dropped.load(Ordering::Relaxed),
-            // Outage counters come from these atomics; the live state is
-            // merged in by `Ginja::stats`.
-            outage: OutageSnapshot {
-                ckpt_coalesced: self.ckpt_coalesced.load(Ordering::Relaxed),
-                outages: self.outages.load(Ordering::Relaxed),
-                outage_time: Duration::from_micros(self.outage_micros.load(Ordering::Relaxed)),
-                ..OutageSnapshot::default()
-            },
+            ckpt_coalesced: self.ckpt_coalesced.load(Ordering::Relaxed),
             seal_latency: self.seal_histo.snapshot(),
             put_latency: self.put_histo.snapshot(),
             get_latency: self.get_histo.snapshot(),
@@ -405,9 +394,9 @@ pub struct GinjaStatsSnapshot {
     /// Cumulative time the circuit breaker spent open — stalls during
     /// these windows are attributable to cloud faults, not Ginja.
     pub breaker_open_time: Duration,
-    /// Outage-endurance state: policy state, outage count and duration,
-    /// coalesced checkpoints.
-    pub outage: OutageSnapshot,
+    /// Checkpoint jobs absorbed into a queued one because the bounded
+    /// checkpoint queue was at capacity.
+    pub ckpt_coalesced: u64,
     /// Commit-queue state: put/blocked latency histograms, parks and
     /// seal counts, merged in by `Ginja::stats`.
     pub ingest: IngestSnapshot,
@@ -415,23 +404,6 @@ pub struct GinjaStatsSnapshot {
     /// merged in by `Ginja::stats` when a standby is attached; zero
     /// otherwise.
     pub standby: StandbySnapshot,
-}
-
-/// A point-in-time view of the outage-endurance subsystem, embedded in
-/// [`GinjaStatsSnapshot`]: the policy state and how long the pipeline
-/// has spent enduring outages. The backlog is the commit queue alone:
-/// `Ginja::pending_updates`, ≤ S.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct OutageSnapshot {
-    /// The outage policy's current state.
-    pub state: OutageState,
-    /// Outage episodes entered (transitions into `Enduring`).
-    pub outages: u64,
-    /// Cumulative time spent in `Enduring`.
-    pub outage_time: Duration,
-    /// Checkpoint jobs absorbed into a queued one because the bounded
-    /// checkpoint queue was at capacity.
-    pub ckpt_coalesced: u64,
 }
 
 impl GinjaStatsSnapshot {

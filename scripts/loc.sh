@@ -33,7 +33,7 @@ printf '%-48s %7d\n' "pub config fields:" "$total"
 
 # `pub` fields of the metrics surface (ROADMAP item 10): the stats
 # snapshot, each snapshot nested in it, and `Exposure`.
-for spec in stats.rs:GinjaStatsSnapshot stats.rs:OutageSnapshot \
+for spec in stats.rs:GinjaStatsSnapshot \
     stats.rs:IngestSnapshot stats.rs:StandbySnapshot \
     stats.rs:LatencySnapshot ginja.rs:Exposure; do
     printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/core/src/${spec%%:*}" "${spec##*:}")"

@@ -26,11 +26,12 @@
 //! any crash point violates a durability invariant.
 //!
 //! `outage` is the outage endurance drill (`DESIGN.md` §15), also
-//! in-process and bucket-free: it cuts the cloud out from under a live pipeline, shows
-//! the outage policy escalating (Healthy → Degraded → Enduring) while
-//! the un-acked backlog stays within the Safety bound S, then restores
-//! the cloud and proves catch-up drains to a bucket the offline scrub
-//! finds clean, with zero acknowledged loss — exiting non-zero otherwise.
+//! in-process and bucket-free: it cuts the cloud out from under a live
+//! pipeline, shows the breaker tripping and queued checkpoints
+//! coalescing while the un-acked backlog stays within the Safety bound
+//! S, then restores the cloud and proves catch-up drains to a bucket the
+//! offline scrub finds clean, with zero acknowledged loss — exiting
+//! non-zero otherwise.
 //!
 //! `standby` is the warm-standby drill (`DESIGN.md` §17), in-process
 //! too: it protects a database, attaches a continuous cloud-tail
@@ -373,9 +374,9 @@ fn crashtest(args: &[String]) -> Result<(), String> {
 
 /// The outage endurance drill: boots a solo pipeline over an
 /// in-process bucket, takes the cloud away mid-traffic, and narrates
-/// the outage subsystem doing its job — the policy escalating to
-/// `Enduring`, the backlog holding within S, checkpoints coalescing,
-/// B widening toward S — then restores the cloud and verifies catch-up
+/// the outage endurance doing its job — the breaker tripping, the
+/// backlog holding within S, checkpoints coalescing — then restores
+/// the cloud and verifies catch-up
 /// ends with a scrub-clean bucket and a lossless recovery. Exits
 /// non-zero if any of that fails. CI smoke-tests the outage subsystem
 /// through this command.
@@ -384,7 +385,7 @@ fn outage(args: &[String]) -> Result<(), String> {
     use std::time::{Duration, Instant};
 
     use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-    use ginja::core::{recover_into, scrub_bucket, Ginja, OutageConfig, OutageState};
+    use ginja::core::{recover_into, scrub_bucket, Ginja, OutageConfig};
     use ginja::db::{Database, DbProfile};
     use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
@@ -425,8 +426,7 @@ fn outage(args: &[String]) -> Result<(), String> {
         .batch_timeout(Duration::from_millis(5))
         .safety_timeout(Duration::from_secs(60))
         // A real outage compressed to milliseconds: the breaker opens
-        // within a few failed attempts and the policy only measures
-        // time through `enduring_after`, scaled down to match.
+        // within a few failed attempts and probes every 50 ms.
         .retry(RetryConfig {
             max_attempts: 2,
             base_delay: Duration::from_millis(1),
@@ -435,11 +435,7 @@ fn outage(args: &[String]) -> Result<(), String> {
             breaker_cooldown: Duration::from_millis(50),
             breaker_probes: 1,
         })
-        .outage(OutageConfig {
-            ckpt_capacity: 2,
-            enduring_after: Duration::from_millis(50),
-            poll_interval: Duration::from_millis(5),
-        })
+        .outage(OutageConfig { ckpt_capacity: 2 })
         .build()
         .map_err(|e| e.to_string())?;
     let ginja = Ginja::boot(
@@ -462,8 +458,8 @@ fn outage(args: &[String]) -> Result<(), String> {
         return Err("healthy phase failed to drain".into());
     }
     println!(
-        "healthy phase:     {healthy_rows} row(s) uploaded, state {:?}",
-        ginja.stats().outage.state
+        "healthy phase:     {healthy_rows} row(s) uploaded, breaker {:?}",
+        ginja.exposure().breaker
     );
 
     // The outage: every cloud op fails from here on, commits keep
@@ -480,52 +476,48 @@ fn outage(args: &[String]) -> Result<(), String> {
     }
 
     let mut backlog_bound_held = true;
-    let escalated = wait_for(
+    let endured = wait_for(
         Duration::from_secs(30),
         Box::new(|| {
             backlog_bound_held &= ginja.pending_updates() <= config.safety;
-            ginja.stats().outage.state == OutageState::Enduring
+            let stats = ginja.stats();
+            stats.ckpt_coalesced >= 1 && stats.breaker_trips >= 1
         }),
     );
     let mid = ginja.stats();
-    println!("under outage:      state {:?}", mid.outage.state);
+    println!(
+        "under outage:      breaker {:?}, {} trip(s)",
+        ginja.exposure().breaker,
+        mid.breaker_trips
+    );
     println!(
         "  backlog:         {} un-acked update(s) of S = {} (bound held: {backlog_bound_held})",
         ginja.pending_updates(),
         config.safety
     );
-    println!("  ckpt coalesced:  {}", mid.outage.ckpt_coalesced);
-    println!(
-        "  knobs:           B {} -> {} (S stays {})",
-        config.batch,
-        ginja.current_knobs().batch,
-        config.safety
-    );
-    if !escalated {
-        return Err(format!("policy never escalated: {:?}", mid.outage));
+    println!("  ckpt coalesced:  {}", mid.ckpt_coalesced);
+    if !endured {
+        return Err(format!(
+            "no breaker trip or checkpoint coalescing under the outage: {} trip(s), {} coalesced",
+            mid.breaker_trips, mid.ckpt_coalesced
+        ));
     }
     if !backlog_bound_held {
         return Err("un-acked backlog exceeded S during the outage".into());
     }
 
-    // The cloud returns: the uploaders' retries get through, the queue
-    // drains, the policy walks back to Healthy, and the knobs restore.
+    // The cloud returns: the uploaders' retries get through and the
+    // queue drains.
     plan.restore();
     println!("cloud restored:    catch-up draining...");
     if !ginja.sync(Duration::from_secs(120)) {
         return Err("catch-up failed to drain after the cloud returned".into());
     }
-    if !wait_for(
-        Duration::from_secs(15),
-        Box::new(|| ginja.exposure().outage == OutageState::Healthy),
-    ) {
-        return Err(format!("policy stuck at {:?}", ginja.exposure().outage));
-    }
     let fin = ginja.stats();
-    println!("after catch-up:    state {:?}", fin.outage.state);
+    println!("after catch-up:    breaker {:?}", ginja.exposure().breaker);
     println!(
-        "  outage time:     {:.1?} across {} outage(s)",
-        fin.outage.outage_time, fin.outage.outages
+        "  breaker open:    {:.1?} across {} trip(s)",
+        fin.breaker_open_time, fin.breaker_trips
     );
     println!(
         "  ingest put:      p50 {:.1?} / p99 {:.1?} over {} put(s)",

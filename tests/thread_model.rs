@@ -1,14 +1,12 @@
 //! The thread model of DESIGN.md §2, pinned from the outside: an
-//! instance runs exactly `uploaders + 2` threads; the control thread's
-//! outage policy holds the knobs at the outage maxima while Enduring
-//! and restores the configured ones after catch-up; and `shutdown()`
+//! instance runs exactly `uploaders + 1` threads, and `shutdown()`
 //! interrupts every timer and retry back-off instead of waiting it out.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-use ginja::core::{Ginja, GinjaConfig, GinjaConfigBuilder, Knobs, OutageConfig, OutageState};
+use ginja::core::{Ginja, GinjaConfig, GinjaConfigBuilder};
 use ginja::db::{Database, DbProfile};
 use ginja::standby::{Standby, StandbyConfig};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
@@ -90,16 +88,16 @@ fn ginja_threads() -> Vec<String> {
 
 #[cfg(target_os = "linux")]
 #[test]
-fn an_instance_runs_uploaders_plus_two_threads() {
+fn an_instance_runs_uploaders_plus_one_threads() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let (db, ginja, _plan, _bucket) = protect(builder().build().unwrap());
     db.put(TABLE, 1, b"row".to_vec()).unwrap();
     assert!(ginja.sync(Duration::from_secs(10)));
-    // Three uploaders, checkpointer, control. A spawned thread takes its
+    // Three uploaders and the checkpointer. A spawned thread takes its
     // name when it first runs, and `sync` needs only one of them.
-    wait_for(Duration::from_secs(5), || ginja_threads().len() == 5);
+    wait_for(Duration::from_secs(5), || ginja_threads().len() == 4);
     let running = ginja_threads();
-    assert_eq!(running.len(), 5, "{running:?}");
+    assert_eq!(running.len(), 4, "{running:?}");
     ginja.shutdown();
     // `join` returns when a thread has finished; the kernel unlinks its
     // `/proc` entry a moment later.
@@ -111,76 +109,10 @@ fn an_instance_runs_uploaders_plus_two_threads() {
 }
 
 #[test]
-fn an_outage_holds_the_knobs_at_the_maxima_until_catch_up() {
-    let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
-    let config = builder()
-        .outage(OutageConfig {
-            enduring_after: Duration::from_millis(20),
-            poll_interval: Duration::from_millis(3),
-            ..OutageConfig::default()
-        })
-        .build()
-        .unwrap();
-    // The configured knobs, and the outage maxima the configuration
-    // implies: B = S, TB = max(TB, TS), dump threshold + 1.5.
-    let baseline = Knobs {
-        batch: 2,
-        batch_timeout: Duration::from_millis(5),
-        dump_threshold: config.dump_threshold,
-    };
-    let maxima = Knobs {
-        batch: 64,
-        batch_timeout: LONG,
-        dump_threshold: config.dump_threshold + 1.5,
-    };
-    let (db, ginja, plan, _bucket) = protect(config);
-    assert_eq!(ginja.current_knobs(), baseline);
-
-    db.put(TABLE, 0, b"healthy".to_vec()).unwrap();
-    assert!(ginja.sync(Duration::from_secs(10)));
-
-    plan.outage();
-    for key in 1..=20u64 {
-        db.put(TABLE, key, b"during the outage".to_vec()).unwrap();
-    }
-    assert!(
-        wait_for(Duration::from_secs(20), || ginja.current_knobs() == maxima),
-        "outage never took the knobs: {:?} in {:?}",
-        ginja.current_knobs(),
-        ginja.outage_state()
-    );
-    // Dozens of outage polls pass; the knobs stay where entry put them.
-    let hold = Instant::now() + Duration::from_millis(150);
-    while Instant::now() < hold {
-        assert_eq!(ginja.current_knobs(), maxima, "knobs moved mid-outage");
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    assert_eq!(ginja.outage_state(), OutageState::Enduring);
-
-    plan.restore();
-    assert!(ginja.sync(Duration::from_secs(30)), "catch-up must drain");
-    assert!(
-        wait_for(Duration::from_secs(10), || ginja.current_knobs()
-            == baseline),
-        "baseline not restored: {:?}",
-        ginja.current_knobs()
-    );
-    assert_eq!(ginja.stats().outage.outages, 1);
-    ginja.shutdown();
-}
-
-#[test]
 fn shutdown_interrupts_long_timers_and_retry_backoffs() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let prompt = Duration::from_millis(250);
-    let config = builder()
-        .uploaders(1)
-        .outage(OutageConfig {
-            poll_interval: LONG,
-            ..OutageConfig::default()
-        })
-        .build()
-        .unwrap();
+    let config = builder().uploaders(1).build().unwrap();
     let (db, ginja, plan, bucket) = protect(config.clone());
     let standby = Standby::attach(
         Arc::new(FaultStore::new(bucket, plan.clone())),
