@@ -61,6 +61,6 @@ pub use mem::MemStore;
 pub use metered::MeteredStore;
 pub use prefix::PrefixStore;
 pub use replicated::ReplicatedStore;
-pub use resilient::{BreakerState, ResilienceSnapshot, ResilientStore, RetryConfig};
+pub use resilient::{ResilientStore, RetryConfig};
 pub use store::ObjectStore;
 pub use usage::{CloudUsage, PutSample, UsageLedger, UsageMeter, DEFAULT_PUT_SAMPLE_CAPACITY};

@@ -37,28 +37,12 @@ proptest! {
                 max_attempts: 300,
                 base_delay: Duration::from_micros(5),
                 max_delay: Duration::from_micros(100),
-                breaker_threshold: 4,
-                breaker_cooldown: Duration::from_micros(200),
-                breaker_probes: 1,
             },
         );
         let mut expected = std::collections::BTreeMap::new();
         for (name, data) in &objects {
-            // An open breaker fails fast (non-retryable) and leaves
-            // pacing to the caller, so mirror ginja-core's outer safety
-            // loop: retry until durable, sleeping past the cooldown so
-            // the breaker can half-open and probe.
-            let mut tries = 0u32;
-            loop {
-                match store.put(name, data) {
-                    Ok(()) => break,
-                    Err(_) => {
-                        tries += 1;
-                        prop_assert!(tries < 1_000, "put of {name} never completed");
-                        std::thread::sleep(Duration::from_micros(250));
-                    }
-                }
-            }
+            // No outer loop: the retry layer alone absorbs every fault.
+            prop_assert!(store.put(name, data).is_ok(), "put of {} surfaced a fault", name);
             expected.insert(name.clone(), data.clone());
         }
         for (name, data) in &expected {
@@ -66,7 +50,7 @@ proptest! {
         }
         if p > 0.0 && plan.injected_count() > 0 {
             // Every injected fault that hit a put was retried away.
-            prop_assert!(store.snapshot().retries > 0);
+            prop_assert!(store.retries() > 0);
         }
     }
 }

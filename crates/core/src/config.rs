@@ -16,45 +16,6 @@ pub struct PitrConfig {
     pub keep_snapshots: usize,
 }
 
-/// Outage endurance: the coalescing checkpoint queue (see `DESIGN.md`
-/// §15).
-///
-/// The un-acked WAL backlog needs no knob here: it lives in the commit
-/// queue, bounded by `safety`, with the DBMS blocked at the bound. An
-/// outage changes no other setting: B, TB and the dump threshold stay
-/// as configured. What is left is checkpoint jobs, which S does not
-/// bound: past `ckpt_capacity` they coalesce.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OutageConfig {
-    /// Checkpoint queue capacity, in jobs. Beyond it, an incoming
-    /// checkpoint *coalesces* into the newest queued one (checkpoint
-    /// jobs are mergeable by construction), so checkpoint RAM stays
-    /// bounded at `ckpt_capacity` jobs no matter how long the cloud is
-    /// gone.
-    pub ckpt_capacity: usize,
-}
-
-impl Default for OutageConfig {
-    fn default() -> Self {
-        OutageConfig { ckpt_capacity: 8 }
-    }
-}
-
-impl OutageConfig {
-    /// Validates invariants, returning a description of the first
-    /// violation.
-    ///
-    /// # Errors
-    ///
-    /// A human-readable description of the violated constraint.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.ckpt_capacity == 0 {
-            return Err("outage.ckpt_capacity must be at least 1".into());
-        }
-        Ok(())
-    }
-}
-
 /// Ingest tuning: whether an idle uploader may seal a partial batch
 /// early on behalf of producers (DBMS threads blocked inside an intercepted
 /// WAL write; see `DESIGN.md` §16).
@@ -121,13 +82,10 @@ pub struct GinjaConfig {
     pub codec: CodecConfig,
     /// Optional point-in-time-recovery retention.
     pub pitr: Option<PitrConfig>,
-    /// Cloud-path resilience policy: retry with backoff and circuit
-    /// breaking. Every cloud operation
-    /// Ginja issues (boot uploads, batch uploads, checkpoint merges,
-    /// garbage collection) goes through this policy.
+    /// Cloud-path resilience policy: retry with jittered backoff.
+    /// Every cloud operation Ginja issues (boot uploads, batch uploads,
+    /// checkpoint merges, garbage collection) goes through this policy.
     pub retry: RetryConfig,
-    /// Outage endurance: the coalescing checkpoint queue's capacity.
-    pub outage: OutageConfig,
     /// Ingest tuning: adaptive partial-batch sealing.
     pub ingest: IngestConfig,
 }
@@ -177,7 +135,6 @@ impl GinjaConfig {
             ));
         }
         self.retry.validate().map_err(GinjaError::Config)?;
-        self.outage.validate().map_err(GinjaError::Config)?;
         Ok(())
     }
 }
@@ -210,7 +167,6 @@ impl GinjaConfigBuilder {
                 codec: CodecConfig::new(),
                 pitr: None,
                 retry: RetryConfig::default(),
-                outage: OutageConfig::default(),
                 ingest: IngestConfig::default(),
             },
         }
@@ -287,19 +243,11 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Sets the cloud-path resilience policy (retry/backoff, circuit
-    /// breaker). Use [`RetryConfig::disabled`] to make every
+    /// Sets the cloud-path resilience policy (retry with backoff). Use [`RetryConfig::disabled`] to make every
     /// cloud failure surface immediately (ablation studies only).
     #[must_use]
     pub fn retry(mut self, retry: RetryConfig) -> Self {
         self.config.retry = retry;
-        self
-    }
-
-    /// Sets the outage endurance (checkpoint-queue capacity).
-    #[must_use]
-    pub fn outage(mut self, outage: OutageConfig) -> Self {
-        self.config.outage = outage;
         self
     }
 
@@ -328,7 +276,7 @@ mod tests {
     /// The option surface, pinned at compile time. The rule (DESIGN.md
     /// §4): an option exists only if something outside its own
     /// validation test sets it. Every pattern below is exhaustive — no
-    /// `..` — so adding a field to any of the four structs breaks this
+    /// `..` — so adding a field to any of the three structs breaks this
     /// test, and the fix is to name, next to the new binding, the caller
     /// that sets it.
     #[test]
@@ -345,20 +293,13 @@ mod tests {
             codec: _,           // bench_e2e rig, `ginja-cli`
             pitr: _,            // examples/point_in_time.rs
             retry,
-            outage,
             ingest,
         } = GinjaConfig::builder().build().unwrap();
         let RetryConfig {
-            max_attempts: _,      // `ginja-cli outage`, tests/outage.rs
-            base_delay: _,        // `ginja-cli outage`, tests/outage.rs
-            max_delay: _,         // `ginja-cli outage`, tests/outage.rs
-            breaker_threshold: _, // `ginja-cli outage`, tests/outage.rs
-            breaker_cooldown: _,  // `ginja-cli outage`, tests/outage.rs
-            breaker_probes: _,    // `ginja-cli outage`, tests/outage.rs
+            max_attempts: _, // `ginja-cli outage`, tests/outage.rs
+            base_delay: _,   // `ginja-cli outage`, tests/outage.rs
+            max_delay: _,    // `ginja-cli outage`, tests/outage.rs
         } = retry;
-        let OutageConfig {
-            ckpt_capacity: _, // `ginja-cli outage`, tests/outage.rs
-        } = outage;
         let IngestConfig {
             adaptive_seal: _, // bench_e2e rig (`recover` turns it off)
         } = ingest;
@@ -414,21 +355,6 @@ mod tests {
     #[test]
     fn tiny_object_size_rejected() {
         assert!(GinjaConfig::builder().max_object_size(100).build().is_err());
-    }
-
-    #[test]
-    fn outage_carried_through_and_validated() {
-        let c = GinjaConfig::builder().build().unwrap();
-        assert_eq!(c.outage.ckpt_capacity, 8, "default checkpoint capacity");
-
-        let c = GinjaConfig::builder()
-            .outage(OutageConfig { ckpt_capacity: 2 })
-            .build()
-            .unwrap();
-        assert_eq!(c.outage.ckpt_capacity, 2);
-
-        let bad = OutageConfig { ckpt_capacity: 0 };
-        assert!(GinjaConfig::builder().outage(bad).build().is_err());
     }
 
     #[test]

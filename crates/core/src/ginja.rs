@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{BreakerState, ObjectStore, ResilientStore, StoreError, UsageLedger};
+use ginja_cloud::{ObjectStore, ResilientStore, StoreError, UsageLedger};
 use ginja_codec::Codec;
 use ginja_vfs::{DbmsProcessor, FileSystem, IoClass, IoProcessor, WriteEvent};
 use parking_lot::Mutex;
@@ -47,6 +47,11 @@ use ginja_codec::bufpool;
 /// checkpoint's GC deletes it.
 const GC_BACKLOG_CAP: usize = 4096;
 
+/// Checkpoint jobs queued for upload before the next one coalesces
+/// into the newest (see [`CkptQueue`]): checkpoint RAM stays bounded
+/// at this many jobs however long the cloud is gone.
+const CKPT_QUEUE_CAPACITY: usize = 8;
+
 /// Largest WAL object Boot and Reboot's resync cut a local log file
 /// into (or `max_object_size`, if smaller). An object is collectable
 /// only whole, and a region the DBMS never rewrites — InnoDB's 2 kB
@@ -68,10 +73,6 @@ pub struct Exposure {
     pub pending_checkpoints: usize,
     /// Age of the oldest unconfirmed update (≈ the time-based RPO).
     pub oldest_age: Option<Duration>,
-    /// State of the cloud circuit breaker. `Open` means the cloud is
-    /// failing persistently: exposure is growing toward the Safety
-    /// limit, at which point the DBMS blocks rather than lose updates.
-    pub breaker: BreakerState,
     /// Set when a pipeline stage hit a fatal data-path error (e.g. a
     /// seal failure) and stopped. The queue will no longer drain: the
     /// DBMS blocks at the Safety limit until the operator intervenes.
@@ -148,9 +149,9 @@ impl CkptAccum {
 struct Shared {
     config: GinjaConfig,
     codec: Codec,
-    /// The cloud behind the resilience layer (retry/backoff, circuit
-    /// breaker). Every pipeline thread goes through
-    /// this handle, so `config.retry` governs all cloud traffic.
+    /// The cloud behind the resilience layer (retry with backoff).
+    /// Every pipeline thread goes through this handle, so
+    /// `config.retry` governs all cloud traffic.
     cloud: Arc<ResilientStore>,
     fs: Arc<dyn FileSystem>,
     processor: Arc<dyn DbmsProcessor>,
@@ -232,7 +233,7 @@ impl Ginja {
         let fanout = Arc::new(FanoutExecutor::new(config.recovery_fanout));
         // Wrap the cloud in the resilience layer *before* the first
         // operation: boot uploads (WAL segments + the initial dump) get
-        // the same retry/breaker treatment as pipeline traffic.
+        // the same retry treatment as pipeline traffic.
         let cloud = Arc::new(ResilientStore::new(cloud, config.retry.clone()));
         // A Boot into a bucket that already holds Ginja objects would
         // interleave two protection histories (timestamp collisions,
@@ -378,7 +379,7 @@ impl Ginja {
             decided: DecidedDb::from_view(&view, chains_kept),
         };
         let shared = Arc::new(Shared {
-            ckpt_queue: CkptQueue::new(config.outage.ckpt_capacity),
+            ckpt_queue: CkptQueue::new(CKPT_QUEUE_CAPACITY),
             config,
             codec,
             cloud,
@@ -444,15 +445,11 @@ impl Ginja {
         }
     }
 
-    /// Statistics snapshot, with the resilience-layer counters (cloud
-    /// retries, breaker activity) merged in.
+    /// Statistics snapshot, with the resilience layer's retry counter
+    /// merged in.
     pub fn stats(&self) -> GinjaStatsSnapshot {
         let mut snap = self.shared.stats.snapshot();
-        let resilience = self.shared.cloud.snapshot();
-        snap.cloud_retries = resilience.retries;
-        snap.breaker_trips = resilience.breaker_trips;
-        snap.breaker_fast_fails = resilience.breaker_fast_fails;
-        snap.breaker_open_time = resilience.breaker_open_time;
+        snap.cloud_retries = self.shared.cloud.retries();
         snap.gc_backlog = self.shared.gc_backlog.lock().len() as u64;
         snap.fanout_waves = self.shared.fanout.waves();
         snap.fanout_jobs = self.shared.fanout.jobs();
@@ -478,7 +475,6 @@ impl Ginja {
             updates: self.shared.queue.len(),
             pending_checkpoints: self.shared.pending_ckpt_jobs.load(Ordering::SeqCst),
             oldest_age: self.shared.queue.oldest_pending_age(),
-            breaker: self.shared.cloud.breaker_state(),
             fatal: self.shared.stats.pipeline_fatals.load(Ordering::Relaxed) > 0,
         }
     }
@@ -505,8 +501,7 @@ impl Ginja {
 
     /// The resilient cloud handle the pipeline itself uses. A standby
     /// attached to this instance reads through it, so its GETs share
-    /// the same retry policy, circuit breaker and usage ledger as
-    /// regular traffic.
+    /// the same retry policy and usage ledger as regular traffic.
     pub fn resilient_cloud(&self) -> Arc<ResilientStore> {
         self.shared.cloud.clone()
     }
@@ -880,13 +875,14 @@ fn read_db_files(
 /// shutdown ([`GinjaError::ShutDown`] — the object is not durable).
 ///
 /// This is the outer *safety* loop: the [`ResilientStore`] underneath
-/// already retries transient faults with jittered backoff and a circuit
-/// breaker, so each failure seen here means a whole in-layer retry
-/// budget was exhausted (or the breaker is open). The loop never gives
-/// up on its own — a WAL object that is never uploaded would block the
-/// DBMS at the Safety limit forever, which is exactly the intended
-/// behavior (block, don't lose data) — but it paces itself by any
-/// `retry_after` hint the cloud attached to the error.
+/// already retries transient faults with jittered backoff, so each
+/// failure seen here means a whole in-layer retry budget was exhausted,
+/// or a non-retryable error that says nothing about the object (an
+/// `Unavailable { retryable: false }`, say) came back. The loop never
+/// gives up on its own — a WAL object that is never uploaded would
+/// block the DBMS at the Safety limit forever, which is exactly the
+/// intended behavior (block, don't lose data) — but it paces itself by
+/// any `retry_after` hint the cloud attached to the error.
 fn put_with_retry(shared: &Shared, name: &str, sealed: &[u8]) -> Result<(), GinjaError> {
     let mut delay = Duration::from_millis(10);
     loop {
@@ -939,9 +935,9 @@ fn get_part_with_retry(shared: &Shared, name: &str) -> PartFetch {
         };
         // Only proof that the part is gone or damaged makes the old
         // generation unusable. Everything else is retried — including
-        // errors classified non-retryable, such as the resilience
-        // layer's "circuit breaker open" fast-fail, which says nothing
-        // about the object (`put_with_retry` retries those too).
+        // errors classified non-retryable that say nothing about the
+        // object, such as an `Unavailable { retryable: false }` from a
+        // backend that is down (`put_with_retry` retries those too).
         if matches!(err, StoreError::NotFound(_) | StoreError::Corrupt(_)) {
             return PartFetch::Unusable;
         }
@@ -957,11 +953,11 @@ fn get_part_with_retry(shared: &Shared, name: &str) -> PartFetch {
 /// [`StoreError::NotFound`]) or at shutdown, when the backlog would
 /// never drain anyway. Everything else defers the delete to the next
 /// checkpoint's GC pass: a retryable error that outlasts the budget,
-/// and at once an error classified non-retryable — such as the
-/// resilience layer's "circuit breaker open" fast-fail, which says
-/// nothing about the object (the rule of [`get_part_with_retry`]) and
-/// which re-issuing now cannot get past. The object has already left
-/// the view, so treating such an error as "done" would orphan it.
+/// and at once a non-retryable error that says nothing about the
+/// object — such as an `Unavailable { retryable: false }` (the rule of
+/// [`get_part_with_retry`]) — which re-issuing now cannot get past.
+/// The object has already left the view, so treating such an error as
+/// "done" would orphan it.
 fn delete_with_retry(shared: &Shared, name: &str) -> bool {
     for attempt in 0..3 {
         let err = match shared.cloud.delete(name) {
@@ -1091,8 +1087,9 @@ fn checkpointer_loop(shared: &Shared) {
         // resulting non-superset can out-size (and so outrank) the old
         // object while lacking the only durable image of some of its
         // pages, whose WAL a later GC deletes — silent page-level row
-        // loss. (Observed in the wild as the chaos_short_postgres
-        // flake: an open circuit breaker fail-fasted the merge GETs.)
+        // loss. (Observed as the chaos_short_postgres flake: the merge
+        // GETs met a non-retryable error that said nothing about the
+        // object.)
         // Transient errors are retried as stubbornly as put_with_retry;
         // a generation that is provably unusable (gone or undecodable —
         // recovery could not use it either) is instead replaced

@@ -75,13 +75,11 @@ mod periodic;
 mod stats;
 
 pub use apply::{ApplyEngine, ApplyProgress};
-pub use config::{GinjaConfig, GinjaConfigBuilder, IngestConfig, OutageConfig, PitrConfig};
+pub use config::{GinjaConfig, GinjaConfigBuilder, IngestConfig, PitrConfig};
 pub use error::GinjaError;
 pub use fanout::FanoutExecutor;
 pub use ginja::{Exposure, Ginja};
-pub use ginja_cloud::{
-    BreakerState, CloudUsage, ResilienceSnapshot, RetryConfig, UsageLedger, UsageMeter,
-};
+pub use ginja_cloud::{CloudUsage, RetryConfig, UsageLedger, UsageMeter};
 pub use names::{DbObjectKind, DbObjectName, WalObjectName, DB_PREFIX, WAL_PREFIX};
 pub use periodic::PeriodicTask;
 pub use recovery::{

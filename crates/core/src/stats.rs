@@ -179,9 +179,6 @@ impl GinjaStats {
             fanout_waves: 0,
             fanout_jobs: 0,
             cloud_retries: 0,
-            breaker_trips: 0,
-            breaker_fast_fails: 0,
-            breaker_open_time: Duration::ZERO,
             // Ingest histograms/counters live on the CommitQueue itself;
             // `Ginja::stats` merges them in.
             ingest: IngestSnapshot::default(),
@@ -237,7 +234,7 @@ impl StandbyStats {
         self.bytes_fetched.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Records one failed tail cycle (cloud unreachable, breaker open).
+    /// Records one failed tail cycle (cloud unreachable).
     pub fn record_error(&self) {
         self.tail_errors.fetch_add(1, Ordering::Relaxed);
     }
@@ -295,8 +292,8 @@ pub struct StandbySnapshot {
     pub gets: u64,
     /// Sealed bytes the tail downloaded.
     pub bytes_fetched: u64,
-    /// Tail cycles that failed outright (cloud unreachable, circuit
-    /// breaker open) — lag grows across these.
+    /// Tail cycles that failed outright (cloud unreachable) — lag
+    /// grows across these.
     pub tail_errors: u64,
     /// Objects in the bucket the shadow has not absorbed yet (gauge).
     pub lag_objects: u64,
@@ -343,10 +340,9 @@ pub struct GinjaStatsSnapshot {
     pub dumps_uploaded: u64,
     /// Cloud DELETE operations issued by garbage collection.
     pub gc_deletes: u64,
-    /// GC DELETEs that exhausted their retry budget, or failed with an
-    /// error that says nothing about the object (an open breaker's
-    /// fast-fail), and were deferred to the next checkpoint's
-    /// garbage-collection pass.
+    /// GC DELETEs that exhausted their retry budget, or failed with a
+    /// non-retryable error that says nothing about the object, and
+    /// were deferred to the next checkpoint's garbage-collection pass.
     pub gc_deletes_deferred: u64,
     /// Deferred GC DELETEs currently waiting for the next checkpoint
     /// (a gauge, not a counter).
@@ -387,13 +383,6 @@ pub struct GinjaStatsSnapshot {
     /// Retries issued *inside* the resilience layer (backoff + jitter),
     /// across every cloud operation. Zero with retries disabled.
     pub cloud_retries: u64,
-    /// Circuit-breaker closed → open transitions.
-    pub breaker_trips: u64,
-    /// Operations the open breaker rejected without reaching the cloud.
-    pub breaker_fast_fails: u64,
-    /// Cumulative time the circuit breaker spent open — stalls during
-    /// these windows are attributable to cloud faults, not Ginja.
-    pub breaker_open_time: Duration,
     /// Checkpoint jobs absorbed into a queued one because the bounded
     /// checkpoint queue was at capacity.
     pub ckpt_coalesced: u64,

@@ -203,15 +203,15 @@ fn empty_database_boot_and_recover() {
     ));
 }
 
-/// A bucket whose first GET of a DB object fails the way the resilience
-/// layer's open circuit breaker does: classified non-retryable, though
-/// the object itself is intact.
-struct BreakerBlip {
+/// A bucket whose first GET of a DB object fails with a non-retryable
+/// `Unavailable` that says nothing about the object: the object itself
+/// is intact.
+struct FatalFirstDbGet {
     inner: MemStore,
     blipped: std::sync::atomic::AtomicBool,
 }
 
-impl ObjectStore for BreakerBlip {
+impl ObjectStore for FatalFirstDbGet {
     fn put(&self, name: &str, data: &[u8]) -> Result<(), ginja_cloud::StoreError> {
         self.inner.put(name, data)
     }
@@ -219,7 +219,7 @@ impl ObjectStore for BreakerBlip {
     fn get(&self, name: &str) -> Result<Vec<u8>, ginja_cloud::StoreError> {
         let first = !self.blipped.swap(true, std::sync::atomic::Ordering::SeqCst);
         if first && name.starts_with("DB/") {
-            return Err(ginja_cloud::StoreError::fatal("circuit breaker open"));
+            return Err(ginja_cloud::StoreError::fatal("backend unavailable"));
         }
         self.inner.get(name)
     }
@@ -249,7 +249,7 @@ fn collision_merge_survives_a_non_retryable_get_failure() {
     let db = Database::create(local.clone(), profile.clone()).unwrap();
     db.create_table(1, 64).unwrap();
     drop(db);
-    let cloud = Arc::new(BreakerBlip {
+    let cloud = Arc::new(FatalFirstDbGet {
         inner: MemStore::new(),
         blipped: std::sync::atomic::AtomicBool::new(false),
     });
@@ -294,12 +294,12 @@ fn collision_merge_survives_a_non_retryable_get_failure() {
 }
 
 #[test]
-fn gc_deletes_under_an_open_breaker_are_deferred_not_dropped() {
+fn gc_deletes_failing_non_retryably_are_deferred_not_dropped() {
     use ginja_cloud::{FaultPlan, FaultStore, OpKind, RetryConfig};
 
-    // DELETEs start failing; the breaker trips on them and fast-fails
-    // the rest of the GC pass with a non-retryable error. Each of those
-    // objects has already left the view, so "done" would orphan it.
+    // Every DELETE of the GC pass fails with a non-retryable error that
+    // says nothing about the object. Each of those objects has already
+    // left the view, so "done" would orphan it.
     let config = GinjaConfig::builder()
         .batch(4)
         .safety(64)
@@ -308,9 +308,6 @@ fn gc_deletes_under_an_open_breaker_are_deferred_not_dropped() {
             max_attempts: 2,
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(2),
-            breaker_threshold: 3,
-            breaker_cooldown: Duration::from_millis(300),
-            breaker_probes: 1,
         })
         .build()
         .unwrap();
@@ -350,16 +347,11 @@ fn gc_deletes_under_an_open_breaker_are_deferred_not_dropped() {
         db.put(1, key, vec![key as u8; 48]).unwrap();
     }
     assert!(ginja.sync(Duration::from_secs(20)));
-    plan.fail_matching(OpKind::Delete, "WAL/", usize::MAX);
+    plan.fail_fatally(OpKind::Delete, usize::MAX);
     db.checkpoint().unwrap();
     assert!(ginja.sync(Duration::from_secs(20)));
 
     let stats = ginja.stats();
-    assert!(
-        stats.breaker_trips >= 1,
-        "the DELETE failures open the breaker"
-    );
-    assert!(stats.breaker_fast_fails > 0);
     assert_eq!(stats.gc_deletes, 0);
     assert!(stats.gc_deletes_deferred > 1);
     assert_eq!(

@@ -454,7 +454,6 @@ fn reboot_wraps_its_cloud_in_one_resilience_layer() {
         .retry(RetryConfig {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(2),
-            breaker_threshold: 0,
             ..RetryConfig::default()
         })
         .build()

@@ -179,7 +179,7 @@ impl Standby {
     }
 
     /// Attaches a standby beside a live [`Ginja`] instance: same
-    /// resilient store (shared circuit breaker *and* usage ledger, so
+    /// resilient store (shared retry policy *and* usage ledger, so
     /// [`Ginja::usage_ledger`] meters standby GETs beside the
     /// pipeline's own), the pipeline's fan-out executor, and counters
     /// registered so [`Ginja::stats`] carries the lag gauges.
@@ -263,7 +263,7 @@ impl Standby {
     ///
     /// # Errors
     ///
-    /// Cloud failures (including breaker fast-fails) propagate after
+    /// Cloud failures (once the retry policy gives up) propagate after
     /// being counted; [`GinjaError::ShutDown`] once fenced.
     pub fn run_cycle(&self) -> Result<TailReport, GinjaError> {
         if self.is_fenced() {
@@ -313,7 +313,7 @@ impl Standby {
     }
 
     /// Starts the background tail thread (idempotent), one cycle every
-    /// `tail.poll_interval`; a failed cycle (outage, open breaker) is
+    /// `tail.poll_interval`; a failed cycle (an outage, say) is
     /// counted and retried at the next interval.
     pub fn spawn(self: &Arc<Self>) {
         let mut slot = self.task.lock();

@@ -23,7 +23,7 @@ fields() { # <file> <struct>
     awk -v s="pub struct $2 {" '$0 == s {on = 1; next} on && /^}/ {exit} on && /^    pub / {n++} END {print n + 0}' "$1"
 }
 total=0
-for spec in core/src/config.rs:GinjaConfig core/src/config.rs:OutageConfig \
+for spec in core/src/config.rs:GinjaConfig \
     core/src/config.rs:IngestConfig cloud/src/resilient.rs:RetryConfig; do
     n=$(fields "crates/${spec%%:*}" "${spec##*:}")
     printf '  %-18s %6d\n' "${spec##*:}" "$n"

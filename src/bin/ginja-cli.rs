@@ -27,9 +27,9 @@
 //!
 //! `outage` is the outage endurance drill (`DESIGN.md` §15), also
 //! in-process and bucket-free: it cuts the cloud out from under a live
-//! pipeline, shows the breaker tripping and queued checkpoints
-//! coalescing while the un-acked backlog stays within the Safety bound
-//! S, then restores the cloud and proves catch-up drains to a bucket the
+//! pipeline, shows queued checkpoints coalescing and the un-acked
+//! backlog filling to the Safety bound S, where the writer blocks, then
+//! restores the cloud and proves the retries drain it to a bucket the
 //! offline scrub finds clean, with zero acknowledged loss — exiting
 //! non-zero otherwise.
 //!
@@ -374,23 +374,27 @@ fn crashtest(args: &[String]) -> Result<(), String> {
 
 /// The outage endurance drill: boots a solo pipeline over an
 /// in-process bucket, takes the cloud away mid-traffic, and narrates
-/// the outage endurance doing its job — the breaker tripping, the
-/// backlog holding within S, checkpoints coalescing — then restores
-/// the cloud and verifies catch-up
-/// ends with a scrub-clean bucket and a lossless recovery. Exits
-/// non-zero if any of that fails. CI smoke-tests the outage subsystem
-/// through this command.
+/// the paper's one outage mechanism doing its job — a burst of
+/// checkpoints coalescing, the un-acked backlog filling to S and the
+/// writer blocking there — then restores the cloud and verifies
+/// catch-up ends with a scrub-clean bucket and a lossless recovery.
+/// `--rows` sets the rows written (a quarter before the outage, the
+/// rest by the writer that blocks at S). Exits non-zero if any of that
+/// fails. CI smoke-tests outage endurance through this command.
 fn outage(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
     use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-    use ginja::core::{recover_into, scrub_bucket, Ginja, OutageConfig};
+    use ginja::core::{recover_into, scrub_bucket, Ginja};
     use ginja::db::{Database, DbProfile};
     use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 
     /// Table the drill writes its rows into.
     const TABLE: u32 = 42;
+    /// Checkpoints issued under the outage: more than the checkpoint
+    /// queue holds (8, plus the one uploading), so some coalesce.
+    const CKPT_BURST: usize = 12;
 
     let parse_num = |flag: &str, default: u64| -> Result<u64, String> {
         match flag_value(args, flag) {
@@ -422,20 +426,18 @@ fn outage(args: &[String]) -> Result<(), String> {
     let cloud = Arc::new(FaultStore::new(mem.clone(), plan.clone()));
     let config = GinjaConfig::builder()
         .batch(2)
-        .safety((rows as usize) * 2 + 64)
+        // Below the updates the outage phase writes (at least one per
+        // row, plus the checkpoint burst) once `--rows` passes 80.
+        .safety((rows as usize / 2).max(32))
         .batch_timeout(Duration::from_millis(5))
         .safety_timeout(Duration::from_secs(60))
-        // A real outage compressed to milliseconds: the breaker opens
-        // within a few failed attempts and probes every 50 ms.
+        // A real outage compressed to milliseconds: two quick attempts
+        // per operation, then the pipeline's own loop paces the retries.
         .retry(RetryConfig {
             max_attempts: 2,
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(2),
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(50),
-            breaker_probes: 1,
         })
-        .outage(OutageConfig { ckpt_capacity: 2 })
         .build()
         .map_err(|e| e.to_string())?;
     let ginja = Ginja::boot(
@@ -446,7 +448,7 @@ fn outage(args: &[String]) -> Result<(), String> {
     )
     .map_err(|e| e.to_string())?;
     let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
-    let db = Database::open(fs, profile.clone()).map_err(|e| e.to_string())?;
+    let db = Arc::new(Database::open(fs, profile.clone()).map_err(|e| e.to_string())?);
 
     // Healthy phase: a slice of the rows lands in the cloud normally.
     let healthy_rows = rows / 4;
@@ -457,23 +459,30 @@ fn outage(args: &[String]) -> Result<(), String> {
     if !ginja.sync(Duration::from_secs(30)) {
         return Err("healthy phase failed to drain".into());
     }
-    println!(
-        "healthy phase:     {healthy_rows} row(s) uploaded, breaker {:?}",
-        ginja.exposure().breaker
-    );
+    println!("healthy phase:     {healthy_rows} row(s) uploaded");
 
-    // The outage: every cloud op fails from here on, commits keep
-    // coming, and a burst of checkpoints overflows the coalescing
-    // queue on purpose.
+    // The outage: every cloud op fails from here on. A writer thread
+    // issues a burst of checkpoints that overflows the coalescing queue
+    // on purpose, then keeps committing until it blocks at S (or runs
+    // out of rows).
     plan.outage();
-    println!("cloud outage:      injected (every op fails)");
-    for seq in healthy_rows..rows {
-        db.put(TABLE, seq, format!("enduring-{seq}").into_bytes())
-            .map_err(|e| e.to_string())?;
-    }
-    for _ in 0..4 {
-        db.checkpoint().map_err(|e| e.to_string())?;
-    }
+    println!(
+        "cloud outage:      injected (every op fails), S = {}",
+        config.safety
+    );
+    let writer = {
+        let db = db.clone();
+        std::thread::spawn(move || -> Result<(), String> {
+            for _ in 0..CKPT_BURST {
+                db.checkpoint().map_err(|e| e.to_string())?;
+            }
+            for seq in healthy_rows..rows {
+                db.put(TABLE, seq, format!("enduring-{seq}").into_bytes())
+                    .map_err(|e| e.to_string())?;
+            }
+            Ok(())
+        })
+    };
 
     let mut backlog_bound_held = true;
     let endured = wait_for(
@@ -481,43 +490,60 @@ fn outage(args: &[String]) -> Result<(), String> {
         Box::new(|| {
             backlog_bound_held &= ginja.pending_updates() <= config.safety;
             let stats = ginja.stats();
-            stats.ckpt_coalesced >= 1 && stats.breaker_trips >= 1
+            let writer_settled = stats.ingest.put_parks > 0 || writer.is_finished();
+            stats.ckpt_coalesced >= 1 && writer_settled
         }),
     );
     let mid = ginja.stats();
+    let parked = !writer.is_finished();
     println!(
-        "under outage:      breaker {:?}, {} trip(s)",
-        ginja.exposure().breaker,
-        mid.breaker_trips
-    );
-    println!(
-        "  backlog:         {} un-acked update(s) of S = {} (bound held: {backlog_bound_held})",
+        "under outage:      {} un-acked update(s) of S = {} (bound held: {backlog_bound_held})",
         ginja.pending_updates(),
         config.safety
     );
+    println!(
+        "  writer:          {}",
+        if parked {
+            "blocked at S"
+        } else {
+            "finished below S"
+        }
+    );
     println!("  ckpt coalesced:  {}", mid.ckpt_coalesced);
+    println!(
+        "  retries:         {} upload, {} in-layer",
+        mid.upload_retries, mid.cloud_retries
+    );
     if !endured {
         return Err(format!(
-            "no breaker trip or checkpoint coalescing under the outage: {} trip(s), {} coalesced",
-            mid.breaker_trips, mid.ckpt_coalesced
+            "no checkpoint coalescing, or the writer neither blocked nor finished, under the outage: {} coalesced, {} park(s)",
+            mid.ckpt_coalesced, mid.ingest.put_parks
         ));
     }
     if !backlog_bound_held {
         return Err("un-acked backlog exceeded S during the outage".into());
     }
 
-    // The cloud returns: the uploaders' retries get through and the
-    // queue drains.
+    // The cloud returns: the uploaders' retries get through, the writer
+    // unblocks, and the queue drains.
     plan.restore();
     println!("cloud restored:    catch-up draining...");
+    writer.join().map_err(|_| "writer panicked".to_string())??;
     if !ginja.sync(Duration::from_secs(120)) {
         return Err("catch-up failed to drain after the cloud returned".into());
     }
     let fin = ginja.stats();
-    println!("after catch-up:    breaker {:?}", ginja.exposure().breaker);
     println!(
-        "  breaker open:    {:.1?} across {} trip(s)",
-        fin.breaker_open_time, fin.breaker_trips
+        "after catch-up:    {} un-acked update(s)",
+        ginja.pending_updates()
+    );
+    println!(
+        "  blocked:         {} update(s), {:.1?} in all",
+        fin.updates_blocked, fin.blocked_time
+    );
+    println!(
+        "  retries:         {} upload, {} in-layer",
+        fin.upload_retries, fin.cloud_retries
     );
     println!(
         "  ingest put:      p50 {:.1?} / p99 {:.1?} over {} put(s)",
@@ -620,8 +646,8 @@ fn standby(args: &[String]) -> Result<(), String> {
     let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
     let db = Database::open(fs, profile.clone()).map_err(|e| e.to_string())?;
 
-    // The standby shares the instance's resilient store (one ledger,
-    // one breaker) and tails into its own shadow directory.
+    // The standby shares the instance's resilient store (one retry
+    // policy, one ledger) and tails into its own shadow directory.
     let standby = Standby::for_instance(&ginja, Arc::new(MemFs::new()), StandbyConfig::default())
         .map_err(|e| e.to_string())?;
     let gets_before = ginja.usage_ledger().usage().gets;

@@ -376,7 +376,7 @@ fn mysql_bucket_stays_bounded_by_the_log_across_wraps() {
         .safety(SAFETY)
         .batch_timeout(Duration::from_millis(20))
         .safety_timeout(Duration::from_secs(30))
-        // One attempt per cloud call, no breaker: the DELETE faults
+        // One attempt per cloud call: the DELETE faults
         // below then cost the checkpointer no back-off time.
         .retry(RetryConfig::disabled())
         .build()

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, RetryConfig};
-use ginja::core::{recover_into, scrub_bucket, Ginja, GinjaConfig, OutageConfig};
+use ginja::core::{recover_into, scrub_bucket, Ginja, GinjaConfig};
 use ginja::db::{Database, DbProfile};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
 use ginja::workload::{probe_tpcc, Tpcc, TpccScale};
@@ -27,20 +27,23 @@ fn wait_for(timeout: Duration, mut probe: impl FnMut() -> bool) -> bool {
     probe()
 }
 
-/// A retry policy whose breaker opens within a few failures and probes
-/// every 50 ms: a real outage compressed from hours to milliseconds.
-fn fast_breaker() -> RetryConfig {
+/// A retry policy that gives up on an operation within milliseconds,
+/// leaving the pacing to the pipeline's own loop: a real outage
+/// compressed from hours to milliseconds.
+fn fast_retry() -> RetryConfig {
     RetryConfig {
         max_attempts: 2,
         base_delay: Duration::from_millis(1),
         max_delay: Duration::from_millis(2),
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(50),
-        breaker_probes: 1,
     }
 }
 
 const MARKER_TABLE: u32 = 77;
+
+/// Checkpoints issued under the outage: more than the checkpoint queue
+/// holds (8, plus the one the checkpointer is uploading), so the last
+/// ones must coalesce.
+const CKPT_BURST: u64 = 12;
 
 /// The headline endurance scenario: TPC-C traffic, then the cloud goes
 /// away entirely for a (simulated) long outage while commits keep
@@ -69,8 +72,7 @@ fn outage_endures_with_bounded_ram_and_lossless_catchup() {
         .safety(SAFETY)
         .batch_timeout(Duration::from_millis(5))
         .safety_timeout(Duration::from_secs(60))
-        .retry(fast_breaker())
-        .outage(OutageConfig { ckpt_capacity: 2 })
+        .retry(fast_retry())
         .build()
         .unwrap();
     let ginja = Ginja::boot(
@@ -110,7 +112,7 @@ fn outage_endures_with_bounded_ram_and_lossless_catchup() {
     for _ in 0..4 {
         tpcc.run_transaction(&db).unwrap();
     }
-    for round in 0..4u64 {
+    for round in 0..CKPT_BURST {
         db.put(MARKER_TABLE, 200 + round, b"ckpt-bait".to_vec())
             .unwrap();
         db.checkpoint().unwrap();
@@ -224,7 +226,7 @@ fn crash_mid_outage_is_healed_by_reboot_resync() {
         .safety(10_000)
         .batch_timeout(Duration::from_millis(2))
         .safety_timeout(Duration::from_secs(60))
-        .retry(fast_breaker())
+        .retry(fast_retry())
         .build()
         .unwrap();
     let ginja = Ginja::boot(
@@ -278,6 +280,76 @@ fn crash_mid_outage_is_healed_by_reboot_resync() {
             db.get(TABLE, seq).unwrap(),
             Some(format!("crash-{seq}").into_bytes()),
             "row {seq} lost across the crash"
+        );
+    }
+}
+
+/// With the default retry policy, catch-up starts within one back-off
+/// of the cloud answering again: the uploaders' in-layer sleeps are at
+/// most 160 ms each (attempt index ≤ 4 at six attempts) and the
+/// pipeline's own loop waits at most 1 s, so a backlog of a few dozen
+/// updates drains well inside 3 s of `restore()`. Nothing holds the
+/// pipeline off a cloud that answers.
+#[test]
+fn catch_up_begins_within_one_backoff_of_the_cloud_returning() {
+    const TABLE: u32 = 11;
+    let profile = DbProfile::postgres_small().with_checkpoint_every(100_000);
+    let local = Arc::new(MemFs::new());
+    let db = Database::create(local.clone(), profile.clone()).unwrap();
+    db.create_table(TABLE, 64).unwrap();
+    drop(db);
+
+    let mem = Arc::new(MemStore::new());
+    let plan = Arc::new(FaultPlan::new());
+    let cloud = Arc::new(FaultStore::new(mem.clone(), plan.clone()));
+    let config = GinjaConfig::builder()
+        .batch(2)
+        .safety(1_000)
+        .batch_timeout(Duration::from_millis(5))
+        .safety_timeout(Duration::from_secs(60))
+        .retry(RetryConfig::default())
+        .build()
+        .unwrap();
+    let ginja = Ginja::boot(
+        local.clone(),
+        cloud,
+        Arc::new(PostgresProcessor::new()),
+        config.clone(),
+    )
+    .unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    let db = Database::open(fs, profile.clone()).unwrap();
+
+    plan.outage();
+    for seq in 0..20u64 {
+        db.put(TABLE, seq, format!("r{seq}").into_bytes()).unwrap();
+    }
+    assert!(
+        wait_for(Duration::from_secs(60), || plan.injected_count() >= 16),
+        "the uploaders never kept retrying: {} injected",
+        plan.injected_count()
+    );
+    assert!(ginja.pending_updates() > 0);
+
+    plan.restore();
+    let restored = Instant::now();
+    assert!(
+        ginja.sync(Duration::from_secs(3)),
+        "catch-up had not drained {:?} after the cloud returned: {:?}",
+        restored.elapsed(),
+        ginja.exposure()
+    );
+    ginja.shutdown();
+    drop(db);
+
+    let rebuilt = Arc::new(MemFs::new());
+    recover_into(rebuilt.as_ref(), mem.as_ref(), &config).unwrap();
+    let db = Database::open(rebuilt, profile).unwrap();
+    for seq in 0..20u64 {
+        assert_eq!(
+            db.get(TABLE, seq).unwrap(),
+            Some(format!("r{seq}").into_bytes()),
+            "row {seq} lost across the outage"
         );
     }
 }

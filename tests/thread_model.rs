@@ -30,15 +30,12 @@ fn wait_for(timeout: Duration, mut probe: impl FnMut() -> bool) -> bool {
     probe()
 }
 
-/// A retry policy whose breaker opens within a few failures.
-fn fast_breaker() -> RetryConfig {
+/// A retry policy that gives up on an operation within milliseconds.
+fn fast_retry() -> RetryConfig {
     RetryConfig {
         max_attempts: 2,
         base_delay: Duration::from_millis(1),
         max_delay: Duration::from_millis(2),
-        breaker_threshold: 2,
-        breaker_cooldown: Duration::from_millis(50),
-        breaker_probes: 1,
     }
 }
 
@@ -49,7 +46,7 @@ fn builder() -> GinjaConfigBuilder {
         .batch_timeout(Duration::from_millis(5))
         .safety_timeout(LONG)
         .uploaders(3)
-        .retry(fast_breaker())
+        .retry(fast_retry())
 }
 
 /// A protected database over a cloud whose faults `plan` controls.
@@ -108,42 +105,51 @@ fn an_instance_runs_uploaders_plus_one_threads() {
     );
 }
 
+/// Under the fast policy and under the default one alike: the
+/// default's in-layer back-off sleeps are not interruptible, but each
+/// is at most 160 ms and the shutdown lands in the pipeline's own
+/// (interruptible) wait.
 #[test]
 fn shutdown_interrupts_long_timers_and_retry_backoffs() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let prompt = Duration::from_millis(250);
-    let config = builder().uploaders(1).build().unwrap();
-    let (db, ginja, plan, bucket) = protect(config.clone());
-    let standby = Standby::attach(
-        Arc::new(FaultStore::new(bucket, plan.clone())),
-        Arc::new(MemFs::new()),
-        config,
-        StandbyConfig {
-            poll_interval: LONG,
-            ..StandbyConfig::default()
-        },
-    )
-    .unwrap();
-    standby.spawn();
+    for retry in [fast_retry(), RetryConfig::default()] {
+        let config = builder().uploaders(1).retry(retry.clone()).build().unwrap();
+        let (db, ginja, plan, bucket) = protect(config.clone());
+        let standby = Standby::attach(
+            Arc::new(FaultStore::new(bucket, plan.clone())),
+            Arc::new(MemFs::new()),
+            config,
+            StandbyConfig {
+                poll_interval: LONG,
+                ..StandbyConfig::default()
+            },
+        )
+        .unwrap();
+        standby.spawn();
 
-    // Every PUT fails from here on; let the uploader's back-off grow
-    // to its longest waits (10 ms doubling: seven failures in, the next
-    // wait is 640 ms, then the 1 s cap).
-    plan.outage();
-    for key in 0..6u64 {
-        db.put(TABLE, key, b"stuck".to_vec()).unwrap();
-    }
-    assert!(wait_for(Duration::from_secs(20), || {
-        ginja.stats().upload_retries >= 7
-    }));
+        // Every PUT fails from here on; let the uploader's back-off
+        // grow to its longest waits (10 ms doubling: seven failures in,
+        // the next wait is 640 ms, then the 1 s cap).
+        plan.outage();
+        for key in 0..6u64 {
+            db.put(TABLE, key, b"stuck".to_vec()).unwrap();
+        }
+        assert!(wait_for(Duration::from_secs(30), || {
+            ginja.stats().upload_retries >= 7
+        }));
 
-    for (what, stop) in [
-        ("standby", &(|| standby.shutdown()) as &dyn Fn()),
-        ("ginja", &|| ginja.shutdown()),
-    ] {
-        let start = Instant::now();
-        stop();
-        let took = start.elapsed();
-        assert!(took < prompt, "{what} shutdown took {took:?}");
+        for (what, stop) in [
+            ("standby", &(|| standby.shutdown()) as &dyn Fn()),
+            ("ginja", &|| ginja.shutdown()),
+        ] {
+            let start = Instant::now();
+            stop();
+            let took = start.elapsed();
+            assert!(
+                took < prompt,
+                "{what} shutdown took {took:?} under {retry:?}"
+            );
+        }
     }
 }
