@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 use ginja_bench::table::{fmt, Table};
 use ginja_bench::timescale::{time_scale, to_sim_duration};
 use ginja_cloud::{LatencyModel, LatencyStore, MemStore, ObjectStore};
-use ginja_core::{recover_into, Ginja, GinjaConfig, UsageMeter as _};
+use ginja_core::{recover_into, Ginja, GinjaConfig};
 use ginja_db::{Database, DbProfile};
 use ginja_standby::{Standby, StandbyConfig};
 use ginja_vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};

@@ -19,9 +19,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja_cloud::{
-    CloudUsage, LatencyModel, LatencyStore, MemStore, MeteredStore, ObjectStore, UsageMeter,
-};
+use ginja_cloud::{CloudUsage, LatencyModel, LatencyStore, MemStore, ObjectStore, UsageLedger};
 use ginja_core::{Ginja, GinjaConfig, GinjaStatsSnapshot};
 use ginja_db::{Database, DbProfile, IoDelay, ProfileKind};
 use ginja_vfs::{DelayFs, FileSystem, InterceptFs, MemFs, NullProcessor};
@@ -172,10 +170,9 @@ pub fn template(kind: ProfileKind, warehouses: u64, scale: TpccScale, seed: u64)
 
 /// One experiment instance.
 ///
-/// Benches read cloud usage through [`ProtectedRig::meter`] — the
-/// [`UsageMeter`] trait — rather than reaching into the concrete store
-/// stack; the layering under the meter (latency model, backing store)
-/// is the rig's own business.
+/// Benches read cloud usage through [`ProtectedRig::meter`], the
+/// middleware's own [`UsageLedger`]; the layering under it (latency
+/// model, backing store) is the rig's own business.
 pub struct ProtectedRig {
     /// The (possibly protected) database.
     pub db: Arc<Database>,
@@ -183,7 +180,11 @@ pub struct ProtectedRig {
     pub ginja: Option<Ginja>,
     /// The local file system under the database.
     pub local: Arc<MemFs>,
-    store: Arc<MeteredStore<LatencyStore<MemStore>>>,
+    /// The raw bucket beneath the latency layer.
+    bucket: Arc<MemStore>,
+    /// The middleware's ledger (a fresh, untouched one for the
+    /// unprotected baselines).
+    ledger: Arc<UsageLedger>,
     options: RigOptions,
 }
 
@@ -192,10 +193,7 @@ impl ProtectedRig {
     pub fn build(template: &MemFs, options: RigOptions) -> Self {
         let scale = time_scale();
         let local = Arc::new(template.fork());
-        let store = Arc::new(MeteredStore::new(LatencyStore::new(
-            MemStore::new(),
-            options.latency.clone().scaled(scale),
-        )));
+        let bucket = Arc::new(MemStore::new());
         let profile = run_profile(options.kind);
         let fuse_cost = match options.kind {
             ProfileKind::Postgres => PG_FUSE_OP_SIM,
@@ -214,7 +212,10 @@ impl ProtectedRig {
             ),
             BaselineKind::Ginja => {
                 let processor = options.kind.processor();
-                let cloud: Arc<dyn ObjectStore> = store.clone();
+                let cloud = Arc::new(LatencyStore::new(
+                    bucket.clone(),
+                    options.latency.clone().scaled(scale),
+                ));
                 let ginja = Ginja::boot(local.clone(), cloud, processor, options.config.clone())
                     .expect("ginja boot");
                 let fs = Arc::new(InterceptFs::new(
@@ -226,27 +227,31 @@ impl ProtectedRig {
         };
 
         let db = Arc::new(Database::open(db_fs, profile).expect("open db"));
+        let ledger = ginja
+            .as_ref()
+            .map_or_else(|| Arc::new(UsageLedger::new()), Ginja::usage_ledger);
         ProtectedRig {
             db,
             ginja,
             local,
-            store,
+            bucket,
+            ledger,
             options,
         }
     }
 
-    /// The usage meter in front of the rig's cloud: counters, put
-    /// samples, windowed rates — everything a bench needs, without the
-    /// concrete store stack.
-    pub fn meter(&self) -> Arc<dyn UsageMeter + Send + Sync> {
-        self.store.clone()
+    /// The ledger metering the rig's cloud: counters, put samples,
+    /// windowed rates — everything a bench needs, without the concrete
+    /// store stack.
+    pub fn meter(&self) -> Arc<UsageLedger> {
+        self.ledger.clone()
     }
 
     /// A point-in-time copy of the raw objects beneath the metering and
     /// latency layers, for recovery benches that re-model latency over
     /// the same bucket contents.
     pub fn snapshot_objects(&self) -> MemStore {
-        let raw = self.store.inner().inner();
+        let raw = &self.bucket;
         let copy = MemStore::new();
         for name in raw.list("").expect("list bucket") {
             copy.put(&name, &raw.get(&name).expect("get object"))
@@ -259,7 +264,7 @@ impl ProtectedRig {
     /// count and returns the throughput report.
     pub fn run(&self, duration: Duration) -> RunReport {
         // Don't meter the boot uploads into the run's numbers.
-        self.store.reset_counters();
+        self.ledger.reset_counters();
         run_tpcc(
             &self.db,
             self.options.warehouses,
@@ -279,7 +284,7 @@ impl ProtectedRig {
             g.shutdown();
             stats
         });
-        (stats, self.store.usage())
+        (stats, self.ledger.usage())
     }
 
     /// The rig's options.

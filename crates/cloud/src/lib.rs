@@ -16,8 +16,10 @@
 //!   and disaster tests, scheduled by a [`FaultPlan`] over the one
 //!   fault-rule engine, [`FaultSchedule`] (the local-disk fault layer
 //!   in the `ginja` facade uses it too).
-//! * [`MeteredStore`] — operation/byte accounting feeding the §7 cost
-//!   model and the Table 3 experiment.
+//! * [`ResilientStore`] — the one retry loop (bounded or durable, see
+//!   [`GiveUp`]) and the one metering layer: every operation lands in
+//!   a [`UsageLedger`] feeding the §7 cost model and the Table 3
+//!   experiment.
 //! * [`ReplicatedStore`] — cloud-of-clouds replication (the prototype
 //!   "supports the replication of objects in multiple clouds, for
 //!   tolerating provider-scale failures", §6).
@@ -45,7 +47,6 @@ mod error;
 mod fault;
 mod latency;
 mod mem;
-mod metered;
 mod prefix;
 mod replicated;
 mod resilient;
@@ -58,9 +59,8 @@ pub use error::StoreError;
 pub use fault::{FaultKind, FaultPlan, FaultSchedule, FaultStore, OpKind};
 pub use latency::{LatencyModel, LatencyStore};
 pub use mem::MemStore;
-pub use metered::MeteredStore;
 pub use prefix::PrefixStore;
 pub use replicated::ReplicatedStore;
-pub use resilient::{ResilientStore, RetryConfig};
+pub use resilient::{GiveUp, ResilientStore, RetryConfig, Retrying, StopSignal};
 pub use store::ObjectStore;
-pub use usage::{CloudUsage, PutSample, UsageLedger, UsageMeter, DEFAULT_PUT_SAMPLE_CAPACITY};
+pub use usage::{CloudUsage, PutSample, UsageLedger};

@@ -1,27 +1,37 @@
-//! Retry with backoff for every cloud operation.
+//! The one retry loop for every cloud operation.
 //!
 //! Ginja's safety guarantee (paper §4, Algorithm 2) only holds if
 //! uploads eventually complete: when the cloud stalls, the DBMS blocks
 //! at the Safety limit, so every transient `put` failure that is not
 //! absorbed here becomes application downtime. [`ResilientStore`]
-//! wraps any [`ObjectStore`] with one policy, driven by a
-//! [`RetryConfig`]: each [retryable](StoreError::is_retryable) failure
-//! is retried up to `max_attempts` times, sleeping a uniformly random
-//! duration in `[0, min(base_delay · 2^attempt, max_delay)]` between
-//! attempts (full jitter avoids retry synchronization across the
-//! uploader pool). Backend pacing hints ([`StoreError::retry_after`])
-//! are honoured as a minimum delay.
+//! wraps any [`ObjectStore`] and is the only code that re-issues a
+//! failed store operation. Every operation runs one loop on one
+//! schedule, driven by a [`RetryConfig`]: between attempts it waits a
+//! uniformly random duration in `[0, min(base_delay · 2^attempt,
+//! max_delay)]` (full jitter avoids retry synchronization across the
+//! uploader pool), with a backend pacing hint
+//! ([`StoreError::retry_after`]) as the floor.
 //!
-//! A longer outage is not this layer's business: once an operation's
-//! attempts are spent the error surfaces, the caller's own loop
-//! (`put_with_retry` in ginja-core) tries again, and the commit queue
-//! fills to S and blocks the DBMS until the cloud answers (paper §6).
-//! The layer also meters every operation into a [`UsageLedger`];
+//! The caller picks the rest ([`ResilientStore::retrying`]): its
+//! [`StopSignal`], on which the back-offs wait so that a shutdown ends
+//! them at once, and one of two give-up rules ([`GiveUp`]):
+//!
+//! * [`GiveUp::Bounded`]: `max_attempts` attempts, retryable errors
+//!   only. The [`ObjectStore`] impl runs it (boot and reboot uploads,
+//!   reboot's LIST), and so do the standby and GC deletes.
+//! * [`GiveUp::Durable`]: until success or shutdown. The uploaders' and
+//!   the checkpointer's PUTs and the collision-merge GETs run it. A
+//!   long outage is then the Safety limit's business: the commit queue
+//!   fills to S and blocks the DBMS until the cloud answers (paper §6).
+//!
+//! The layer also meters every operation into one [`UsageLedger`];
 //! [`ResilientStore::retries`] counts the attempts it re-issued.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+use parking_lot::{Condvar, Mutex};
 
 use crate::fault::unit_draw;
 use crate::usage::UsageLedger;
@@ -31,7 +41,8 @@ use crate::{ObjectStore, StoreError};
 /// (S3-class latency); tests shrink the delays by orders of magnitude.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RetryConfig {
-    /// Total attempts per operation (1 = no retries). Must be ≥ 1.
+    /// Attempts per [bounded](GiveUp::Bounded) operation (1 = no
+    /// retries). Must be ≥ 1.
     pub max_attempts: u32,
     /// Backoff before the second attempt; doubles per attempt.
     pub base_delay: Duration,
@@ -50,8 +61,8 @@ impl Default for RetryConfig {
 }
 
 impl RetryConfig {
-    /// No retries: the wrapper becomes a metered pass-through (used as
-    /// the ablation baseline).
+    /// Bounded operations are not retried (the ablation baseline);
+    /// durable ones still retry until success or shutdown.
     pub fn disabled() -> Self {
         RetryConfig {
             max_attempts: 1,
@@ -75,8 +86,72 @@ impl RetryConfig {
     }
 }
 
-/// An [`ObjectStore`] decorator adding retry with backoff (see the
-/// module docs for the policy details).
+/// When [`ResilientStore`]'s loop stops re-issuing a failed operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum GiveUp {
+    /// After `max_attempts` attempts, and at once on an error that is
+    /// not [retryable](StoreError::is_retryable).
+    Bounded,
+    /// Never on its own: every error is retried until success or
+    /// shutdown, except [`StoreError::NotFound`] and
+    /// [`StoreError::Corrupt`], which prove the object gone or damaged
+    /// (a PUT meets neither).
+    Durable,
+}
+
+/// A latched stop flag that threads can both poll (one atomic load) and
+/// sleep on (interruptible by [`StopSignal::stop`]).
+#[derive(Debug, Default)]
+pub struct StopSignal {
+    stopped: AtomicBool,
+    gate: Mutex<()>,
+    wake: Condvar,
+}
+
+/// The signal of an operation no caller can stop: the
+/// [`ObjectStore`] impl's.
+static UNSTOPPED: StopSignal = StopSignal::new();
+
+impl StopSignal {
+    /// A signal that is not stopped.
+    pub const fn new() -> Self {
+        StopSignal {
+            stopped: AtomicBool::new(false),
+            gate: Mutex::new(()),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Whether [`StopSignal::stop`] was called.
+    pub fn is_stopped(&self) -> bool {
+        self.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Latches the flag and wakes every waiter. The flag is stored
+    /// under `gate`, so a waiter that checked it under the same lock
+    /// cannot miss the notification.
+    pub fn stop(&self) {
+        let _gate = self.gate.lock();
+        self.stopped.store(true, Ordering::SeqCst);
+        self.wake.notify_all();
+    }
+
+    /// Sleeps up to `timeout`; returns whether the signal is stopped
+    /// (immediately when it already is).
+    pub fn wait(&self, timeout: Duration) -> bool {
+        let deadline = Instant::now() + timeout;
+        let mut gate = self.gate.lock();
+        while !self.is_stopped() {
+            if self.wake.wait_until(&mut gate, deadline).timed_out() {
+                break;
+            }
+        }
+        self.is_stopped()
+    }
+}
+
+/// An [`ObjectStore`] decorator adding retry with backoff and usage
+/// metering (see the module docs).
 ///
 /// Cloning is cheap and shares all state, so one wrapper can serve
 /// Ginja's whole uploader pool and report pooled statistics.
@@ -85,8 +160,8 @@ pub struct ResilientStore {
     inner: Arc<dyn ObjectStore>,
     config: Arc<RetryConfig>,
     retries: Arc<AtomicU64>,
-    /// Usage accounting shared with every layer that issues cloud ops
-    /// through this wrapper (`Ginja::usage_ledger` hands it out).
+    /// Usage accounting shared with every clone (`Ginja::usage_ledger`
+    /// hands it out).
     ledger: Arc<UsageLedger>,
     /// splitmix64 state for jitter draws.
     jitter_state: Arc<AtomicU64>,
@@ -101,7 +176,7 @@ impl std::fmt::Debug for ResilientStore {
 }
 
 impl ResilientStore {
-    /// Wraps `inner` with the given policy.
+    /// Wraps `inner` with the given policy and a fresh ledger.
     ///
     /// # Panics
     ///
@@ -109,20 +184,6 @@ impl ResilientStore {
     /// last line of defence; `GinjaConfig::validate` rejects bad
     /// configs with a proper error first).
     pub fn new(inner: Arc<dyn ObjectStore>, config: RetryConfig) -> Self {
-        ResilientStore::with_ledger(inner, config, Arc::new(UsageLedger::new()))
-    }
-
-    /// Wraps `inner` with the given policy, recording every operation
-    /// into an existing shared `ledger`.
-    ///
-    /// # Panics
-    ///
-    /// Same validation as [`ResilientStore::new`].
-    pub fn with_ledger(
-        inner: Arc<dyn ObjectStore>,
-        config: RetryConfig,
-        ledger: Arc<UsageLedger>,
-    ) -> Self {
         if let Err(why) = config.validate() {
             panic!("invalid RetryConfig: {why}");
         }
@@ -130,19 +191,9 @@ impl ResilientStore {
             inner,
             config: Arc::new(config),
             retries: Arc::new(AtomicU64::new(0)),
-            ledger,
+            ledger: Arc::new(UsageLedger::new()),
             jitter_state: Arc::new(AtomicU64::new(0x5DEE_CE66_D1CE_4E5B)),
         }
-    }
-
-    /// The active policy.
-    pub fn config(&self) -> &RetryConfig {
-        &self.config
-    }
-
-    /// The wrapped store.
-    pub fn inner(&self) -> &Arc<dyn ObjectStore> {
-        &self.inner
     }
 
     /// The usage ledger every operation through this wrapper lands in.
@@ -151,14 +202,26 @@ impl ResilientStore {
     }
 
     /// Retry attempts issued so far (beyond each operation's first
-    /// attempt). Cheap; safe to poll.
+    /// attempt), under either rule. Cheap; safe to poll.
     pub fn retries(&self) -> u64 {
         self.retries.load(Ordering::Relaxed)
     }
 
+    /// This store under `give_up`, its back-offs cut short by `stop`
+    /// (the failed attempt's error is returned then). The
+    /// [`ObjectStore`] impl is `retrying(GiveUp::Bounded, <a signal
+    /// nothing stops>)`.
+    pub fn retrying<'a>(&'a self, give_up: GiveUp, stop: &'a StopSignal) -> Retrying<'a> {
+        Retrying {
+            store: self,
+            give_up,
+            stop,
+        }
+    }
+
     /// Backoff before attempt `attempt + 1` (0-based), honouring a
     /// backend pacing hint as the floor.
-    fn backoff_delay(&self, attempt: u32, hint: Option<Duration>) -> Duration {
+    fn retry_delay(&self, attempt: u32, hint: Option<Duration>) -> Duration {
         let exp = self
             .config
             .base_delay
@@ -168,108 +231,113 @@ impl ResilientStore {
             .max(hint.unwrap_or(Duration::ZERO))
     }
 
-    /// The retry loop shared by all four operations.
+    /// The retry loop: the one place a failed store operation is
+    /// re-issued.
     fn run<T>(
         &self,
+        give_up: GiveUp,
+        stop: &StopSignal,
         mut operation: impl FnMut() -> Result<T, StoreError>,
     ) -> Result<T, StoreError> {
         let mut attempt: u32 = 0;
         loop {
-            match operation() {
+            let err = match operation() {
                 Ok(value) => return Ok(value),
-                Err(e) if e.is_retryable() && attempt + 1 < self.config.max_attempts => {
-                    self.retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(self.backoff_delay(attempt, e.retry_after()));
-                    attempt += 1;
-                }
-                Err(e) => return Err(e),
+                Err(err) => err,
+            };
+            let retry = match give_up {
+                GiveUp::Bounded => err.is_retryable() && attempt + 1 < self.config.max_attempts,
+                GiveUp::Durable => !matches!(err, StoreError::NotFound(_) | StoreError::Corrupt(_)),
+            };
+            if !retry {
+                return Err(err);
             }
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            if stop.wait(self.retry_delay(attempt, err.retry_after())) {
+                return Err(err);
+            }
+            attempt = attempt.saturating_add(1);
         }
+    }
+}
+
+/// A [`ResilientStore`] under one give-up rule and stop signal (see
+/// [`ResilientStore::retrying`]): each operation runs the retry loop,
+/// then lands in the ledger — a success as itself, an operation the
+/// loop gave up on as one failure.
+pub struct Retrying<'a> {
+    store: &'a ResilientStore,
+    give_up: GiveUp,
+    stop: &'a StopSignal,
+}
+
+impl Retrying<'_> {
+    fn run<T>(
+        &self,
+        operation: impl FnMut() -> Result<T, StoreError>,
+        record: impl FnOnce(&UsageLedger, &T),
+    ) -> Result<T, StoreError> {
+        let result = self.store.run(self.give_up, self.stop, operation);
+        match &result {
+            Ok(value) => record(&self.store.ledger, value),
+            Err(_) => self.store.ledger.record_failure(),
+        }
+        result
+    }
+}
+
+impl ObjectStore for Retrying<'_> {
+    fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
+        let started = Instant::now();
+        self.run(
+            || self.store.inner.put(name, data),
+            |ledger, ()| ledger.record_put(name, data.len() as u64, started.elapsed()),
+        )
+    }
+
+    fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
+        self.run(
+            || self.store.inner.get(name),
+            |ledger, data| ledger.record_get(data.len() as u64),
+        )
+    }
+
+    fn delete(&self, name: &str) -> Result<(), StoreError> {
+        self.run(
+            || self.store.inner.delete(name),
+            |ledger, ()| ledger.record_delete(name),
+        )
+    }
+
+    fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
+        self.run(
+            || self.store.inner.list(prefix),
+            |ledger, _| ledger.record_list(),
+        )
     }
 }
 
 impl ObjectStore for ResilientStore {
     fn put(&self, name: &str, data: &[u8]) -> Result<(), StoreError> {
-        let started = Instant::now();
-        match self.run(|| self.inner.put(name, data)) {
-            Ok(()) => {
-                self.ledger
-                    .record_put(name, data.len() as u64, started.elapsed());
-                Ok(())
-            }
-            Err(e) => {
-                self.ledger.record_failure();
-                Err(e)
-            }
-        }
+        self.retrying(GiveUp::Bounded, &UNSTOPPED).put(name, data)
     }
 
     fn get(&self, name: &str) -> Result<Vec<u8>, StoreError> {
-        match self.run(|| self.inner.get(name)) {
-            Ok(data) => {
-                self.ledger.record_get(data.len() as u64);
-                Ok(data)
-            }
-            Err(e) => {
-                self.ledger.record_failure();
-                Err(e)
-            }
-        }
+        self.retrying(GiveUp::Bounded, &UNSTOPPED).get(name)
     }
 
     fn delete(&self, name: &str) -> Result<(), StoreError> {
-        match self.run(|| self.inner.delete(name)) {
-            Ok(()) => {
-                self.ledger.record_delete(name);
-                Ok(())
-            }
-            Err(e) => {
-                self.ledger.record_failure();
-                Err(e)
-            }
-        }
+        self.retrying(GiveUp::Bounded, &UNSTOPPED).delete(name)
     }
 
     fn list(&self, prefix: &str) -> Result<Vec<String>, StoreError> {
-        match self.run(|| self.inner.list(prefix)) {
-            Ok(names) => {
-                self.ledger.record_list();
-                Ok(names)
-            }
-            Err(e) => {
-                self.ledger.record_failure();
-                Err(e)
-            }
-        }
-    }
-}
-
-impl crate::usage::UsageMeter for ResilientStore {
-    fn usage(&self) -> crate::usage::CloudUsage {
-        self.ledger.usage()
-    }
-
-    fn put_samples(&self) -> Vec<crate::usage::PutSample> {
-        self.ledger.put_samples()
-    }
-
-    fn dropped_put_samples(&self) -> u64 {
-        self.ledger.dropped_put_samples()
-    }
-
-    fn reset_counters(&self) {
-        self.ledger.reset_counters()
-    }
-
-    fn elapsed(&self) -> Duration {
-        self.ledger.elapsed()
+        self.retrying(GiveUp::Bounded, &UNSTOPPED).list(prefix)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::usage::UsageMeter;
     use crate::{FaultPlan, FaultStore, MemStore, OpKind};
 
     /// Fast test policy: microsecond-scale delays.
@@ -330,6 +398,10 @@ mod tests {
     fn does_not_retry_not_found() {
         let (store, plan) = faulty_store(fast_config(5));
         assert!(matches!(store.get("missing"), Err(StoreError::NotFound(_))));
+        // Nor under the durable rule: it proves the object gone.
+        let never = StopSignal::new();
+        let durable = store.retrying(GiveUp::Durable, &never).get("missing");
+        assert!(matches!(durable, Err(StoreError::NotFound(_))));
         assert_eq!(plan.injected_count(), 0);
         assert_eq!(store.retries(), 0);
     }
@@ -359,18 +431,18 @@ mod tests {
     }
 
     #[test]
-    fn backoff_is_capped_and_jittered() {
+    fn retry_delay_is_capped_and_jittered() {
         let (store, _plan) = faulty_store(RetryConfig {
             base_delay: Duration::from_millis(1),
             max_delay: Duration::from_millis(4),
             ..fast_config(3)
         });
         for attempt in 0..32 {
-            let delay = store.backoff_delay(attempt, None);
+            let delay = store.retry_delay(attempt, None);
             assert!(delay <= Duration::from_millis(4));
         }
         // The pacing hint is a floor even over the cap.
-        let hinted = store.backoff_delay(0, Some(Duration::from_millis(50)));
+        let hinted = store.retry_delay(0, Some(Duration::from_millis(50)));
         assert!(hinted >= Duration::from_millis(50));
     }
 
@@ -405,9 +477,10 @@ mod tests {
         // layer's business; billing counts the logical operation).
         plan.fail_next(OpKind::Put, 2);
         store.put("b", b"xy").unwrap();
-        let u = store.usage();
+        let u = store.ledger().usage();
         assert_eq!(u.puts, 2);
         assert_eq!(u.gets, 1);
+        assert_eq!(u.bytes_downloaded, 5);
         assert_eq!(u.lists, 1);
         assert_eq!(u.deletes, 1);
         assert_eq!(u.bytes_uploaded, 7);
@@ -416,8 +489,9 @@ mod tests {
         // An exhausted put is a ledger failure.
         plan.fail_next(OpKind::Put, usize::MAX);
         assert!(store.put("c", b"z").is_err());
-        assert_eq!(store.usage().failures, 1);
-        assert_eq!(store.put_samples().len(), 2);
+        assert_eq!(store.ledger().usage().failures, 1);
+        assert_eq!(store.ledger().usage().puts, 2);
+        assert_eq!(store.ledger().put_samples().len(), 2);
     }
 
     #[test]
@@ -438,6 +512,54 @@ mod tests {
             handle.join().unwrap();
         }
         assert!(store.retries() > 0);
-        assert_eq!(store.inner().list("").unwrap().len(), 200);
+        assert_eq!(store.list("").unwrap().len(), 200);
+        assert_eq!(
+            store.ledger().usage().puts,
+            200,
+            "one ledger for all clones"
+        );
+    }
+
+    #[test]
+    fn durable_operations_outlast_max_attempts() {
+        let (store, plan) = faulty_store(fast_config(2));
+        plan.fail_next(OpKind::Put, 5);
+        let never = StopSignal::new();
+        let durable = store.retrying(GiveUp::Durable, &never);
+        durable.put("a", b"1").unwrap();
+        assert_eq!(store.retries(), 5, "one retry per failed attempt");
+        // Errors a bounded operation surfaces at once are retried too.
+        plan.fail_fatally(OpKind::Get, 3);
+        assert_eq!(durable.get("a").unwrap(), b"1");
+        assert_eq!(store.retries(), 8);
+        assert_eq!(store.ledger().usage().failures, 0);
+    }
+
+    #[test]
+    fn stop_cuts_a_durable_backoff_short() {
+        let (store, plan) = faulty_store(RetryConfig {
+            max_attempts: 2,
+            base_delay: Duration::from_secs(30),
+            max_delay: Duration::from_secs(60),
+        });
+        plan.outage();
+        let stop = Arc::new(StopSignal::new());
+        let stopper = {
+            let stop = stop.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(20));
+                stop.stop();
+            })
+        };
+        let started = Instant::now();
+        let durable = store.retrying(GiveUp::Durable, &stop);
+        let err = durable.put("a", b"1").unwrap_err();
+        stopper.join().unwrap();
+        assert!(err.is_retryable(), "the attempt's own error: {err:?}");
+        assert!(started.elapsed() < Duration::from_secs(5));
+        // A stopped signal still lets the first attempt through.
+        plan.restore();
+        durable.put("b", b"1").unwrap();
+        assert_eq!(store.ledger().usage().failures, 1);
     }
 }

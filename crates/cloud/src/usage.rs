@@ -1,29 +1,17 @@
-//! The unified usage-metering surface: [`UsageMeter`] + [`UsageLedger`].
+//! Cloud-usage accounting: the [`UsageLedger`].
 //!
-//! Historically every consumer that wanted cloud-op accounting had to
-//! reach into the concrete [`crate::MeteredStore`] wrapper — which the
-//! live pipeline never used, so boot, uploader, checkpointer, GC and
-//! standby traffic was invisible to the §7 cost model. This module
-//! inverts that: a [`UsageLedger`] is a shared, thread-safe set of
-//! counters that *any* layer can record into, and [`UsageMeter`] is the
-//! one read API shared by benches, stats and tooling.
-//!
-//! [`crate::MeteredStore`] and [`crate::ResilientStore`] both record into
-//! a ledger; the latter means every operation Ginja issues lands in a
-//! single ledger without extra decorators.
+//! A ledger is a shared, thread-safe set of counters that the one
+//! metering layer, [`crate::ResilientStore`], records every operation
+//! into: boot, uploader, checkpointer, GC and standby traffic all land
+//! in a single ledger, which feeds the §7 cost model, the Table 3
+//! experiment, stats and tooling. Readers call the ledger directly
+//! (`Ginja::usage_ledger`, [`crate::ResilientStore::ledger`]).
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
-
-/// Default capacity of the PUT-sample ring kept by a [`UsageLedger`].
-///
-/// Bounded so a month-long run cannot grow the buffer without limit;
-/// once full, the oldest sample is evicted and
-/// [`UsageMeter::dropped_put_samples`] is incremented.
-pub const DEFAULT_PUT_SAMPLE_CAPACITY: usize = 8192;
 
 /// One recorded PUT: payload size and observed end-to-end latency.
 ///
@@ -61,51 +49,6 @@ pub struct CloudUsage {
     pub peak_stored_bytes: u64,
 }
 
-impl CloudUsage {
-    /// Average uploaded object size, or 0 when nothing was uploaded.
-    pub fn avg_put_size(&self) -> u64 {
-        self.bytes_uploaded.checked_div(self.puts).unwrap_or(0)
-    }
-}
-
-/// The single read API over metered cloud accounting.
-///
-/// Implemented by [`UsageLedger`] itself, by [`crate::MeteredStore`]
-/// (which delegates to its ledger) and by [`crate::ResilientStore`], so
-/// benches, stats and tooling all consume exactly one interface
-/// instead of reaching into concrete wrappers.
-pub trait UsageMeter {
-    /// Current usage snapshot.
-    fn usage(&self) -> CloudUsage;
-
-    /// The retained PUT samples (most recent first-in order, cloned).
-    ///
-    /// The ring is bounded; consult [`UsageMeter::dropped_put_samples`]
-    /// for how many older samples were evicted.
-    fn put_samples(&self) -> Vec<PutSample>;
-
-    /// How many PUT samples were evicted because the ring was full.
-    fn dropped_put_samples(&self) -> u64;
-
-    /// Mean PUT latency over the retained samples, or zero when empty.
-    fn mean_put_latency(&self) -> Duration {
-        let samples = self.put_samples();
-        if samples.is_empty() {
-            return Duration::ZERO;
-        }
-        let total: Duration = samples.iter().map(|s| s.latency).sum();
-        total / samples.len() as u32
-    }
-
-    /// Resets counters, samples, and the measurement epoch
-    /// (stored-size tracking is kept, as the objects remain in the
-    /// backend).
-    fn reset_counters(&self);
-
-    /// Wall-clock time since the ledger was created or last reset.
-    fn elapsed(&self) -> Duration;
-}
-
 /// Bounded ring of PUT samples with an eviction counter.
 #[derive(Debug)]
 struct SampleRing {
@@ -141,7 +84,7 @@ impl SampleRing {
 ///
 /// ```rust
 /// use std::sync::Arc;
-/// use ginja_cloud::{UsageLedger, UsageMeter};
+/// use ginja_cloud::UsageLedger;
 /// use std::time::Duration;
 ///
 /// let ledger = Arc::new(UsageLedger::new());
@@ -173,9 +116,12 @@ impl Default for UsageLedger {
 }
 
 impl UsageLedger {
-    /// A fresh ledger with the default PUT-sample capacity.
+    /// A fresh ledger retaining the 8 192 most recent PUT samples:
+    /// bounded so a month-long run cannot grow the ring without limit;
+    /// once full, the oldest sample is evicted and counted
+    /// ([`UsageLedger::dropped_put_samples`]).
     pub fn new() -> Self {
-        UsageLedger::with_sample_capacity(DEFAULT_PUT_SAMPLE_CAPACITY)
+        UsageLedger::with_sample_capacity(8192)
     }
 
     /// A fresh ledger retaining at most `capacity` PUT samples.
@@ -226,25 +172,8 @@ impl UsageLedger {
         self.failures.fetch_add(1, Ordering::SeqCst);
     }
 
-    fn update_stored(&self, name: &str, new_size: Option<u64>) {
-        let mut sizes = self.sizes.lock();
-        let old = match new_size {
-            Some(size) => sizes.insert(name.to_string(), size),
-            None => sizes.remove(name),
-        };
-        let old = old.unwrap_or(0);
-        let new = new_size.unwrap_or(0);
-        let stored = if new >= old {
-            self.stored_bytes.fetch_add(new - old, Ordering::SeqCst) + (new - old)
-        } else {
-            self.stored_bytes.fetch_sub(old - new, Ordering::SeqCst) - (old - new)
-        };
-        self.peak_stored_bytes.fetch_max(stored, Ordering::SeqCst);
-    }
-}
-
-impl UsageMeter for UsageLedger {
-    fn usage(&self) -> CloudUsage {
+    /// Current usage snapshot.
+    pub fn usage(&self) -> CloudUsage {
         CloudUsage {
             puts: self.puts.load(Ordering::SeqCst),
             gets: self.gets.load(Ordering::SeqCst),
@@ -258,15 +187,32 @@ impl UsageMeter for UsageLedger {
         }
     }
 
-    fn put_samples(&self) -> Vec<PutSample> {
+    /// The retained PUT samples, oldest first (cloned). The ring is
+    /// bounded; [`UsageLedger::dropped_put_samples`] counts the older
+    /// samples it evicted.
+    pub fn put_samples(&self) -> Vec<PutSample> {
         self.ring.lock().samples.iter().copied().collect()
     }
 
-    fn dropped_put_samples(&self) -> u64 {
+    /// How many PUT samples were evicted because the ring was full.
+    pub fn dropped_put_samples(&self) -> u64 {
         self.ring.lock().dropped
     }
 
-    fn reset_counters(&self) {
+    /// Mean PUT latency over the retained samples, or zero when empty.
+    pub fn mean_put_latency(&self) -> Duration {
+        let samples = self.put_samples();
+        if samples.is_empty() {
+            return Duration::ZERO;
+        }
+        let total: Duration = samples.iter().map(|s| s.latency).sum();
+        total / samples.len() as u32
+    }
+
+    /// Resets counters, samples, and the measurement epoch
+    /// (stored-size tracking is kept, as the objects remain in the
+    /// backend).
+    pub fn reset_counters(&self) {
         self.puts.store(0, Ordering::SeqCst);
         self.gets.store(0, Ordering::SeqCst);
         self.deletes.store(0, Ordering::SeqCst);
@@ -284,8 +230,25 @@ impl UsageMeter for UsageLedger {
         self.peak_stored_bytes.store(stored, Ordering::SeqCst);
     }
 
-    fn elapsed(&self) -> Duration {
+    /// Wall-clock time since the ledger was created or last reset.
+    pub fn elapsed(&self) -> Duration {
         self.epoch.lock().elapsed()
+    }
+
+    fn update_stored(&self, name: &str, new_size: Option<u64>) {
+        let mut sizes = self.sizes.lock();
+        let old = match new_size {
+            Some(size) => sizes.insert(name.to_string(), size),
+            None => sizes.remove(name),
+        };
+        let old = old.unwrap_or(0);
+        let new = new_size.unwrap_or(0);
+        let stored = if new >= old {
+            self.stored_bytes.fetch_add(new - old, Ordering::SeqCst) + (new - old)
+        } else {
+            self.stored_bytes.fetch_sub(old - new, Ordering::SeqCst) - (old - new)
+        };
+        self.peak_stored_bytes.fetch_max(stored, Ordering::SeqCst);
     }
 }
 
@@ -370,5 +333,26 @@ mod tests {
         assert_eq!(u.puts, 200);
         assert_eq!(u.bytes_uploaded, 2000);
         assert_eq!(u.stored_bytes, 2000);
+    }
+
+    #[test]
+    fn stored_bytes_follow_puts_and_deletes() {
+        let ledger = UsageLedger::new();
+        ledger.record_put("a", 100, Duration::ZERO);
+        assert_eq!(ledger.usage().stored_bytes, 100);
+        ledger.record_put("a", 40, Duration::ZERO); // overwrite shrinks
+        assert_eq!(ledger.usage().stored_bytes, 40);
+        ledger.record_put("b", 60, Duration::ZERO);
+        assert_eq!(ledger.usage().stored_bytes, 100);
+        ledger.record_delete("a");
+        assert_eq!(ledger.usage().stored_bytes, 60);
+        assert_eq!(ledger.usage().peak_stored_bytes, 100);
+    }
+
+    #[test]
+    fn delete_missing_does_not_underflow() {
+        let ledger = UsageLedger::new();
+        ledger.record_delete("never-existed");
+        assert_eq!(ledger.usage().stored_bytes, 0);
     }
 }

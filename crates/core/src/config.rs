@@ -243,8 +243,10 @@ impl GinjaConfigBuilder {
         self
     }
 
-    /// Sets the cloud-path resilience policy (retry with backoff). Use [`RetryConfig::disabled`] to make every
-    /// cloud failure surface immediately (ablation studies only).
+    /// Sets the cloud-path resilience policy (retry with backoff). Use
+    /// [`RetryConfig::disabled`] to make every bounded cloud operation
+    /// surface its first failure (ablation studies only); pipeline
+    /// writes still never give up.
     #[must_use]
     pub fn retry(mut self, retry: RetryConfig) -> Self {
         self.config.retry = retry;

@@ -21,7 +21,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{ObjectStore, ResilientStore, StoreError, UsageLedger};
+use ginja_cloud::{GiveUp, ObjectStore, ResilientStore, StopSignal, StoreError, UsageLedger};
 use ginja_codec::Codec;
 use ginja_vfs::{DbmsProcessor, FileSystem, IoClass, IoProcessor, WriteEvent};
 use parking_lot::Mutex;
@@ -33,7 +33,6 @@ use crate::config::GinjaConfig;
 use crate::fanout::FanoutExecutor;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
 use crate::outage::{CkptJob, CkptPush, CkptQueue};
-use crate::periodic::StopSignal;
 use crate::queue::{CommitQueue, WalWrite};
 use crate::stats::{GinjaStats, GinjaStatsSnapshot, StandbyStats};
 use crate::view::CloudView;
@@ -175,12 +174,12 @@ struct Shared {
     /// uploaders wait on it a whole batch fill, and `parking_lot`'s
     /// spin-and-yield before parking cost `mysql_mem` ~7 % CPU (2 vCPUs).
     batch_turn: std::sync::Mutex<u64>,
-    /// Latched by [`Ginja::shutdown`]; every retry back-off waits on
-    /// it, so shutdown interrupts them at once.
+    /// Latched by [`Ginja::shutdown`]; every retry back-off a pipeline
+    /// thread sleeps waits on it, so shutdown interrupts them at once.
     stop: StopSignal,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
-    /// Garbage objects whose delete exhausted its retry budget; retried
-    /// at the next checkpoint's GC pass instead of leaking forever.
+    /// Garbage objects whose bounded delete failed; retried at the next
+    /// checkpoint's GC pass instead of leaking forever.
     /// Deduplicated and capped at [`GC_BACKLOG_CAP`] — overflow is
     /// dropped (counted); Reboot's LIST re-adopts a dropped name and
     /// the next checkpoint's GC deletes it.
@@ -871,33 +870,23 @@ fn read_db_files(
     Ok(entries)
 }
 
-/// Uploads with unbounded retry (exponential backoff); gives up only on
-/// shutdown ([`GinjaError::ShutDown`] — the object is not durable).
-///
-/// This is the outer *safety* loop: the [`ResilientStore`] underneath
-/// already retries transient faults with jittered backoff, so each
-/// failure seen here means a whole in-layer retry budget was exhausted,
-/// or a non-retryable error that says nothing about the object (an
-/// `Unavailable { retryable: false }`, say) came back. The loop never
-/// gives up on its own — a WAL object that is never uploaded would
-/// block the DBMS at the Safety limit forever, which is exactly the
-/// intended behavior (block, don't lose data) — but it paces itself by
-/// any `retry_after` hint the cloud attached to the error.
-fn put_with_retry(shared: &Shared, name: &str, sealed: &[u8]) -> Result<(), GinjaError> {
-    let mut delay = Duration::from_millis(10);
-    loop {
-        let err = match shared.cloud.put(name, sealed) {
-            Ok(()) => return Ok(()),
-            Err(err) => err,
-        };
-        shared.stats.upload_retries.fetch_add(1, Ordering::Relaxed);
-        // A throttling cloud told us when to come back: honor it as a
-        // floor so we never hammer a provider that asked for pacing.
-        if shared.stop.wait(backoff(delay, &err)) {
-            return Err(GinjaError::ShutDown);
-        }
-        delay = (delay * 2).min(Duration::from_secs(1));
-    }
+/// A durable PUT ([`GiveUp::Durable`]): returns once the object is
+/// durable, or with [`GinjaError::ShutDown`] once shutdown stopped its
+/// retries. It never gives up on its own: a WAL object that is never
+/// uploaded blocks the DBMS at the Safety limit, which is exactly the
+/// intended behavior (block, don't lose data).
+fn put_durable(shared: &Shared, name: &str, sealed: &[u8]) -> Result<(), GinjaError> {
+    shared
+        .cloud
+        .retrying(GiveUp::Durable, &shared.stop)
+        .put(name, sealed)
+        .map_err(|err| {
+            if shared.stop.is_stopped() {
+                GinjaError::ShutDown
+            } else {
+                err.into()
+            }
+        })
 }
 
 /// Outcome of fetching one part of an existing DB object for a
@@ -912,78 +901,32 @@ enum PartFetch {
     Shutdown,
 }
 
-/// Fetches one DB-object part with unbounded retry, exactly as
-/// stubborn as [`put_with_retry`]. Giving up on a transient error here
-/// is not an option: a skipped collision merge uploads a non-superset
-/// object at the same timestamp, which can outrank the old generation
-/// at recovery while lacking the only image of some of its pages
-/// (silent data loss).
-fn get_part_with_retry(shared: &Shared, name: &str) -> PartFetch {
-    let mut delay = Duration::from_millis(10);
+/// Fetches one DB-object part with a durable GET, as stubborn as
+/// [`put_durable`]. Giving up on a transient error here is not an
+/// option: a skipped collision merge uploads a non-superset object at
+/// the same timestamp, which can outrank the old generation at recovery
+/// while lacking the only image of some of its pages (silent data
+/// loss). Only proof that the part is gone or damaged makes the old
+/// generation unusable.
+fn fetch_part(shared: &Shared, name: &str) -> PartFetch {
     let start = Instant::now();
-    loop {
-        let err = match shared.cloud.get(name) {
-            Ok(sealed) => {
-                shared.stats.get_histo.record(start.elapsed());
-                return match shared.codec.open(name, &sealed) {
-                    Ok(raw) => PartFetch::Bytes(raw),
-                    // Tampered or corrupt: unusable for recovery too.
-                    Err(_) => PartFetch::Unusable,
-                };
+    match shared
+        .cloud
+        .retrying(GiveUp::Durable, &shared.stop)
+        .get(name)
+    {
+        Ok(sealed) => {
+            shared.stats.get_histo.record(start.elapsed());
+            match shared.codec.open(name, &sealed) {
+                Ok(raw) => PartFetch::Bytes(raw),
+                // Tampered or corrupt: unusable for recovery too.
+                Err(_) => PartFetch::Unusable,
             }
-            Err(err) => err,
-        };
-        // Only proof that the part is gone or damaged makes the old
-        // generation unusable. Everything else is retried — including
-        // errors classified non-retryable that say nothing about the
-        // object, such as an `Unavailable { retryable: false }` from a
-        // backend that is down (`put_with_retry` retries those too).
-        if matches!(err, StoreError::NotFound(_) | StoreError::Corrupt(_)) {
-            return PartFetch::Unusable;
         }
-        if shared.stop.wait(backoff(delay, &err)) {
-            return PartFetch::Shutdown;
-        }
-        delay = (delay * 2).min(Duration::from_secs(1));
+        Err(StoreError::NotFound(_) | StoreError::Corrupt(_)) => PartFetch::Unusable,
+        // A durable GET returns any other error only at shutdown.
+        Err(_) => PartFetch::Shutdown,
     }
-}
-
-/// Deletes a garbage object with a small bounded retry budget. Returns
-/// `true` only on proof that the object is gone (deleted, or
-/// [`StoreError::NotFound`]) or at shutdown, when the backlog would
-/// never drain anyway. Everything else defers the delete to the next
-/// checkpoint's GC pass: a retryable error that outlasts the budget,
-/// and at once a non-retryable error that says nothing about the
-/// object — such as an `Unavailable { retryable: false }` (the rule of
-/// [`get_part_with_retry`]) — which re-issuing now cannot get past.
-/// The object has already left the view, so treating such an error as
-/// "done" would orphan it.
-fn delete_with_retry(shared: &Shared, name: &str) -> bool {
-    for attempt in 0..3 {
-        let err = match shared.cloud.delete(name) {
-            Ok(()) => {
-                shared.stats.gc_deletes.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            Err(err) => err,
-        };
-        if matches!(err, StoreError::NotFound(_)) || shared.stop.is_stopped() {
-            return true;
-        }
-        if !err.is_retryable() || attempt == 2 {
-            return false;
-        }
-        if shared.stop.wait(backoff(Duration::from_millis(20), &err)) {
-            return true;
-        }
-    }
-    false
-}
-
-/// A retry back-off: `delay`, stretched to any pacing hint the cloud
-/// attached to `err`.
-fn backoff(delay: Duration, err: &StoreError) -> Duration {
-    delay.max(err.retry_after().unwrap_or(Duration::ZERO))
 }
 
 /// The one WAL-object upload: seal, PUT until durable, account, recycle
@@ -996,11 +939,11 @@ fn upload_wal_object(shared: &Shared, wal: WalObjectName, raw: Vec<u8>) -> Resul
     let name = wal.to_name();
     let sealed = seal_timed(&shared.codec, stats, &name, &raw)?;
     // Time-to-durable including the retries: that is what the queue
-    // (and so the DBMS) actually waits on. `put_with_retry` itself
-    // records nothing, so every object lands in the histogram once —
-    // here or in `seal_put_wave`.
+    // (and so the DBMS) actually waits on. `put_durable` itself records
+    // nothing, so every object lands in the histogram once — here or
+    // in `seal_put_wave`.
     let put_start = Instant::now();
-    put_with_retry(shared, &name, &sealed)?;
+    put_durable(shared, &name, &sealed)?;
     stats.put_histo.record(put_start.elapsed());
     stats.wal_objects_uploaded.fetch_add(1, Ordering::Relaxed);
     stats
@@ -1021,7 +964,7 @@ fn upload_wal_object(shared: &Shared, wal: WalObjectName, raw: Vec<u8>) -> Resul
 /// ack order however many uploaders race. Turn released, it uploads the
 /// objects in order. A partial batch is thus sealed only when an
 /// uploader is free to carry it; while all are busy the queue fills, up
-/// to S. During an outage `put_with_retry` simply blocks here.
+/// to S. During an outage `put_durable` simply blocks here.
 ///
 /// A seal failure stops the uploader rather than ack a batch whose bytes
 /// never reached the cloud: the DBMS blocks at the Safety limit and the
@@ -1090,7 +1033,7 @@ fn checkpointer_loop(shared: &Shared) {
         // loss. (Observed as the chaos_short_postgres flake: the merge
         // GETs met a non-retryable error that said nothing about the
         // object.)
-        // Transient errors are retried as stubbornly as put_with_retry;
+        // Transient errors are retried as stubbornly as put_durable;
         // a generation that is provably unusable (gone or undecodable —
         // recovery could not use it either) is instead replaced
         // outright: removed from the view and deleted, so it can never
@@ -1102,7 +1045,7 @@ fn checkpointer_loop(shared: &Shared) {
             let fetched = shared
                 .fanout
                 .run_collect(part_names, |_, name| {
-                    Ok::<_, GinjaError>(get_part_with_retry(shared, &name))
+                    Ok::<_, GinjaError>(fetch_part(shared, &name))
                 })
                 .unwrap_or_default();
             if fetched.iter().any(|f| matches!(f, PartFetch::Shutdown)) {
@@ -1163,13 +1106,13 @@ fn checkpointer_loop(shared: &Shared) {
             });
             names.push(name);
         }
-        let retry_put = |name: &str, sealed: &[u8]| put_with_retry(shared, name, sealed);
+        let durable_put = |name: &str, sealed: &[u8]| put_durable(shared, name, sealed);
         let mut uploaded = Vec::new();
         let wave = seal_put_wave(
             &shared.fanout,
             &shared.codec,
             &shared.stats,
-            &retry_put,
+            &durable_put,
             jobs,
             |idx, _, sealed_len| {
                 shared
@@ -1251,16 +1194,29 @@ fn checkpointer_loop(shared: &Shared) {
         // GC pass: retry earlier deferred deletes first (a persistently
         // failed delete is a cost leak, never a correctness problem —
         // but "forever" is not an acceptable leak duration), then the
-        // garbage this checkpoint produced. Whatever still fails is
-        // deferred to the next checkpoint.
+        // garbage this checkpoint produced. Each is one bounded delete;
+        // only proof that the object is gone (deleted, or `NotFound`)
+        // or shutdown, when the backlog would never drain anyway,
+        // settles it. Everything else is deferred to the next
+        // checkpoint — the object has already left the view, so
+        // treating an error as "done" would orphan it.
         let backlog: BTreeSet<String> = std::mem::take(&mut *shared.gc_backlog.lock());
+        let gc = shared.cloud.retrying(GiveUp::Bounded, &shared.stop);
         let mut deferred = Vec::new();
         for name in backlog
             .iter()
             .chain(wal_garbage.iter())
             .chain(db_garbage.iter())
         {
-            if !delete_with_retry(shared, name) {
+            let settled = match gc.delete(name) {
+                Ok(()) => {
+                    shared.stats.gc_deletes.fetch_add(1, Ordering::Relaxed);
+                    true
+                }
+                Err(StoreError::NotFound(_)) => true,
+                Err(_) => shared.stop.is_stopped(),
+            };
+            if !settled {
                 shared
                     .stats
                     .gc_deletes_deferred

@@ -79,7 +79,7 @@ pub use config::{GinjaConfig, GinjaConfigBuilder, IngestConfig, PitrConfig};
 pub use error::GinjaError;
 pub use fanout::FanoutExecutor;
 pub use ginja::{Exposure, Ginja};
-pub use ginja_cloud::{CloudUsage, RetryConfig, UsageLedger, UsageMeter};
+pub use ginja_cloud::{CloudUsage, RetryConfig, UsageLedger};
 pub use names::{DbObjectKind, DbObjectName, WalObjectName, DB_PREFIX, WAL_PREFIX};
 pub use periodic::PeriodicTask;
 pub use recovery::{

@@ -127,7 +127,6 @@ pub struct GinjaStats {
     pub(crate) dumps_uploaded: AtomicU64,
     pub(crate) gc_deletes: AtomicU64,
     pub(crate) gc_deletes_deferred: AtomicU64,
-    pub(crate) upload_retries: AtomicU64,
     pub(crate) seal_micros: AtomicU64,
     pub(crate) wal_resync_objects: AtomicU64,
     pub(crate) wal_resync_bytes: AtomicU64,
@@ -166,7 +165,6 @@ impl GinjaStats {
             gc_deletes: self.gc_deletes.load(Ordering::Relaxed),
             gc_deletes_deferred: self.gc_deletes_deferred.load(Ordering::Relaxed),
             gc_backlog: 0,
-            upload_retries: self.upload_retries.load(Ordering::Relaxed),
             seal_time: Duration::from_micros(self.seal_micros.load(Ordering::Relaxed)),
             wal_resync_objects: self.wal_resync_objects.load(Ordering::Relaxed),
             wal_resync_bytes: self.wal_resync_bytes.load(Ordering::Relaxed),
@@ -352,8 +350,6 @@ pub struct GinjaStatsSnapshot {
     /// growth: Reboot's LIST re-adopts the name and the next
     /// checkpoint's GC deletes it.
     pub gc_backlog_dropped: u64,
-    /// Upload attempts that failed and were retried.
-    pub upload_retries: u64,
     /// CPU-ish time spent sealing objects (compression + encryption +
     /// MAC) — the codec contribution to Table 4's CPU overhead.
     pub seal_time: Duration,
@@ -380,8 +376,9 @@ pub struct GinjaStatsSnapshot {
     pub fanout_waves: u64,
     /// Total jobs those waves carried.
     pub fanout_jobs: u64,
-    /// Retries issued *inside* the resilience layer (backoff + jitter),
-    /// across every cloud operation. Zero with retries disabled.
+    /// Store operations re-issued by the resilience layer's one retry
+    /// loop (one per failed attempt it retried), across every cloud
+    /// operation, bounded and durable alike.
     pub cloud_retries: u64,
     /// Checkpoint jobs absorbed into a queued one because the bounded
     /// checkpoint queue was at capacity.

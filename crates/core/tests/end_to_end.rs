@@ -6,9 +6,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{
-    FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, RetryConfig, StoreError, UsageMeter,
-};
+use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, RetryConfig, StoreError};
 use ginja_core::{
     recover_into, recover_to_point, Ginja, GinjaConfig, IngestConfig, PitrConfig, WalObjectName,
     DB_PREFIX, WAL_PREFIX,
@@ -203,7 +201,7 @@ fn safety_blocks_dbms_during_outage_and_bounds_loss() {
     plan.restore();
     let committed = writer.join().unwrap();
     assert_eq!(committed, 60);
-    assert!(ginja.stats().upload_retries > 0);
+    assert!(ginja.stats().cloud_retries > 0);
     assert!(ginja.stats().updates_blocked > 0);
     assert!(ginja.stats().blocked_time > Duration::from_millis(100));
     assert!(ginja.sync(Duration::from_secs(10)));
@@ -439,10 +437,12 @@ fn reboot_mode_resumes_protection() {
 }
 
 /// Reboot wraps its cloud in exactly one `ResilientStore`, the one whose
-/// counters `stats()` and `usage_ledger()` read. Under a second layer
-/// the inner one would absorb the injected fault, so the outer one
-/// (the only one those reads see) would report no retry at all, and
-/// retries would compound to `max_attempts`² per operation.
+/// counters `stats()` and `usage_ledger()` read, and that layer's loop
+/// is the only one retrying. Under a second layer the inner one would
+/// absorb the injected fault, so the outer one (the only one those
+/// reads see) would report no retry at all; under an outer loop around
+/// the layer, a PUT failing more often than one bounded operation's
+/// `max_attempts` would count one retry short.
 #[test]
 fn reboot_wraps_its_cloud_in_one_resilience_layer() {
     let profile = DbProfile::postgres_small();
@@ -458,6 +458,7 @@ fn reboot_wraps_its_cloud_in_one_resilience_layer() {
         })
         .build()
         .unwrap();
+    let max_attempts = config.retry.max_attempts as usize;
     let (db, ginja, local) = protect(&profile, mem.clone(), config.clone());
     db.put(1, 0, val(0)).unwrap();
     assert!(ginja.sync(Duration::from_secs(10)));
@@ -476,22 +477,33 @@ fn reboot_wraps_its_cloud_in_one_resilience_layer() {
     let intercepted: Arc<dyn FileSystem> =
         Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
     let db = Database::open(intercepted, profile).unwrap();
-    let before: std::collections::BTreeSet<String> = mem.list("").unwrap().into_iter().collect();
-    let puts_before = ginja.usage_ledger().usage().puts;
 
-    plan.fail_next(OpKind::Put, 1);
-    db.put(1, 1, val(1)).unwrap();
-    assert!(ginja.sync(Duration::from_secs(10)));
+    // One retry per failed attempt, in one counter: for a single
+    // failure, and for more failures than a bounded operation attempts.
+    for (key, failures) in [(1u64, 1usize), (2, max_attempts + 2)] {
+        let before: std::collections::BTreeSet<String> =
+            mem.list("").unwrap().into_iter().collect();
+        let puts_before = ginja.usage_ledger().usage().puts;
+        let retries_before = ginja.stats().cloud_retries;
 
-    assert_eq!(ginja.stats().cloud_retries, 1);
-    let gained = mem
-        .list("")
-        .unwrap()
-        .into_iter()
-        .filter(|name| !before.contains(name))
-        .count() as u64;
-    assert!(gained > 0, "the commit must reach the bucket");
-    assert_eq!(ginja.usage_ledger().usage().puts - puts_before, gained);
+        plan.fail_next(OpKind::Put, failures);
+        db.put(1, key, val(key)).unwrap();
+        assert!(ginja.sync(Duration::from_secs(10)));
+
+        assert_eq!(
+            ginja.stats().cloud_retries - retries_before,
+            failures as u64,
+            "retries after {failures} failed PUT attempt(s)"
+        );
+        let gained = mem
+            .list("")
+            .unwrap()
+            .into_iter()
+            .filter(|name| !before.contains(name))
+            .count() as u64;
+        assert!(gained > 0, "the commit must reach the bucket");
+        assert_eq!(ginja.usage_ledger().usage().puts - puts_before, gained);
+    }
     ginja.shutdown();
 }
 
@@ -587,14 +599,13 @@ fn transient_put_failures_are_retried_transparently() {
         db.put(1, i, val(i)).unwrap();
     }
     assert!(ginja.sync(Duration::from_secs(10)));
-    // The resilience layer absorbs the injected transient faults before
-    // the outer safety loop ever sees them.
+    // The resilience layer absorbs the injected transient faults, one
+    // retry each.
     let stats = ginja.stats();
     assert!(
         stats.cloud_retries >= 5,
-        "expected >= 5 in-layer retries, got {} (outer: {})",
-        stats.cloud_retries,
-        stats.upload_retries
+        "expected >= 5 retries, got {}",
+        stats.cloud_retries
     );
     ginja.shutdown();
 }

@@ -5,7 +5,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use ginja_cloud::{DeltaLister, ObjectStore, ResilientStore, StoreError, UsageLedger};
+use ginja_cloud::{
+    DeltaLister, GiveUp, ObjectStore, ResilientStore, StopSignal, StoreError, UsageLedger,
+};
 use ginja_codec::Codec;
 use ginja_core::{
     ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutExecutor,
@@ -270,7 +272,7 @@ impl Standby {
             return Err(GinjaError::ShutDown);
         }
         let mut state = self.state.lock();
-        self.cycle_locked(&mut state, false)
+        self.cycle_locked(&mut state, false, &StopSignal::new())
     }
 
     /// Fences the tail and finishes the job: one final best-effort
@@ -293,7 +295,9 @@ impl Standby {
         }
         let start = Instant::now();
         let mut state = self.state.lock();
-        let caught_up = self.cycle_locked(&mut state, true).is_ok();
+        let caught_up = self
+            .cycle_locked(&mut state, true, &StopSignal::new())
+            .is_ok();
         if !state.based {
             self.fenced.store(false, Ordering::SeqCst);
             return Err(GinjaError::Recovery(
@@ -321,11 +325,11 @@ impl Standby {
             return;
         }
         let standby = self.clone();
-        *slot = Some(PeriodicTask::spawn("ginja-standby", move || {
+        *slot = Some(PeriodicTask::spawn("ginja-standby", move |stop| {
             if standby.is_fenced() {
                 return None;
             }
-            let _ = standby.run_cycle();
+            let _ = standby.cycle_locked(&mut standby.state.lock(), false, stop);
             Some(standby.tail.poll_interval)
         }));
     }
@@ -340,16 +344,19 @@ impl Standby {
     }
 
     /// The cycle body, under the state lock. `best_effort` (promotion)
-    /// pushes past poll/apply failures instead of propagating them.
+    /// pushes past poll/apply failures instead of propagating them;
+    /// `stop` cuts the bounded retries' back-offs short.
     fn cycle_locked(
         &self,
         state: &mut TailState,
         best_effort: bool,
+        stop: &StopSignal,
     ) -> Result<TailReport, GinjaError> {
         let mut report = TailReport::default();
         let mut straggler = false;
+        let cloud = self.cloud.retrying(GiveUp::Bounded, stop);
 
-        match state.lister.poll(self.cloud.as_ref()) {
+        match state.lister.poll(&cloud) {
             Ok(delta) => {
                 report.delta_added = delta.added.len();
                 report.delta_removed = delta.removed.len();
@@ -389,7 +396,7 @@ impl Standby {
             }
         }
 
-        match self.apply_locked(state, straggler, &mut report) {
+        match self.apply_locked(&cloud, state, straggler, &mut report) {
             Ok(()) => {}
             Err(err) => {
                 self.stats.record_error();
@@ -410,6 +417,7 @@ impl Standby {
     /// cold-recovery order.
     fn apply_locked(
         &self,
+        cloud: &dyn ObjectStore,
         state: &mut TailState,
         straggler: bool,
         report: &mut TailReport,
@@ -441,7 +449,7 @@ impl Standby {
                 // dump); keep waiting — the lag gauges say everything.
                 return Ok(());
             }
-            return self.rebase(state, report);
+            return self.rebase(cloud, state, report);
         }
 
         // Incremental, as one pipeline pass: new WAL in timestamp order,
@@ -464,7 +472,9 @@ impl Standby {
         }
         let wal_objects = wal.len() as u64;
         let progress = &mut state.progress;
-        self.pass(report, |engine| engine.apply_delta(wal, ckpts, progress))?;
+        self.pass(cloud, report, |engine| {
+            engine.apply_delta(wal, ckpts, progress)
+        })?;
         report.wal_applied += wal_objects;
         report.checkpoints_applied += ckpt_ts.len() as u64;
         state.applied_ckpts.extend(ckpt_ts);
@@ -473,7 +483,12 @@ impl Standby {
 
     /// Wipes the shadow and cold-applies the current view; the WAL
     /// objects already fetched come from the cache (see [`WalCache`]).
-    fn rebase(&self, state: &mut TailState, report: &mut TailReport) -> Result<(), GinjaError> {
+    fn rebase(
+        &self,
+        cloud: &dyn ObjectStore,
+        state: &mut TailState,
+        report: &mut TailReport,
+    ) -> Result<(), GinjaError> {
         if state.based {
             self.stats.record_reset();
         }
@@ -485,7 +500,9 @@ impl Standby {
         state.based = false;
 
         let (view, progress) = (&state.view, &mut state.progress);
-        self.pass(report, |engine| engine.cold_apply(view, u64::MAX, progress))?;
+        self.pass(cloud, report, |engine| {
+            engine.cold_apply(view, u64::MAX, progress)
+        })?;
 
         state.based = true;
         state.applied_ckpts = state
@@ -508,11 +525,12 @@ impl Standby {
     /// every later pass from the cache.
     fn pass(
         &self,
+        cloud: &dyn ObjectStore,
         report: &mut TailReport,
         run: impl FnOnce(&ApplyEngine<'_>) -> Result<(), GinjaError>,
     ) -> Result<(), GinjaError> {
         let fetcher = CachedFetch {
-            cloud: self.cloud.as_ref(),
+            cloud,
             cache: &self.wal_cache,
             gets: AtomicU64::new(0),
             bytes: AtomicU64::new(0),

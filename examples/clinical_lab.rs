@@ -14,7 +14,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja::cloud::{MemStore, MeteredStore, UsageMeter};
+use ginja::cloud::MemStore;
 use ginja::core::{Ginja, GinjaConfig};
 use ginja::cost::scenarios::laboratory;
 use ginja::cost::{Ec2Pricing, S3Pricing};
@@ -45,17 +45,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .safety(60)
         .batch_timeout(Duration::from_millis(100))
         .build()?;
-    let metered = Arc::new(MeteredStore::new(MemStore::new()));
     let ginja = Ginja::boot(
         local.clone(),
-        metered.clone(),
+        Arc::new(MemStore::new()),
         Arc::new(PostgresProcessor::new()),
         config,
     )?;
     let protected: Arc<dyn FileSystem> =
         Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
     let db = Database::open(protected, DbProfile::postgres_small())?;
-    metered.reset_counters();
+    let ledger = ginja.usage_ledger();
+    ledger.reset_counters();
 
     // Simulate one working day of updates: 6/minute over 8 hours =
     // 2 880 updates, with an hourly checkpoint.
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         db.checkpoint()?;
     }
     ginja.sync(Duration::from_secs(30));
-    let usage = metered.usage();
+    let usage = ledger.usage();
     ginja.shutdown();
     println!(
         "• one simulated working day: {} updates → {} PUTs, {:.1} MB uploaded, {:.1} MB stored",

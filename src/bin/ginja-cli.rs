@@ -510,10 +510,7 @@ fn outage(args: &[String]) -> Result<(), String> {
         }
     );
     println!("  ckpt coalesced:  {}", mid.ckpt_coalesced);
-    println!(
-        "  retries:         {} upload, {} in-layer",
-        mid.upload_retries, mid.cloud_retries
-    );
+    println!("  retries:         {}", mid.cloud_retries);
     if !endured {
         return Err(format!(
             "no checkpoint coalescing, or the writer neither blocked nor finished, under the outage: {} coalesced, {} park(s)",
@@ -541,10 +538,7 @@ fn outage(args: &[String]) -> Result<(), String> {
         "  blocked:         {} update(s), {:.1?} in all",
         fin.updates_blocked, fin.blocked_time
     );
-    println!(
-        "  retries:         {} upload, {} in-layer",
-        fin.upload_retries, fin.cloud_retries
-    );
+    println!("  retries:         {}", fin.cloud_retries);
     println!(
         "  ingest put:      p50 {:.1?} / p99 {:.1?} over {} put(s)",
         fin.ingest.put_latency.p50, fin.ingest.put_latency.p99, fin.ingest.put_latency.count
@@ -604,7 +598,7 @@ fn standby(args: &[String]) -> Result<(), String> {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    use ginja::cloud::{MemStore, UsageMeter as _};
+    use ginja::cloud::MemStore;
     use ginja::core::{recover_into, Ginja};
     use ginja::db::{Database, DbProfile};
     use ginja::standby::{Standby, StandbyConfig};

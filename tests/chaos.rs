@@ -108,9 +108,8 @@ fn chaos_soak() {
 
 /// Runs a fixed TPC-C workload against a cloud whose `put`s fail
 /// transiently with probability `p`, under the given retry policy.
-/// Returns the final stats and the recovered-vs-reference comparison
-/// outcome (recovery must always be lossless — that part is asserted
-/// here, not returned).
+/// Returns the final stats; recovery must always be lossless, and that
+/// part is asserted here.
 fn run_with_put_faults(p: f64, seed: u64, retry: RetryConfig) -> GinjaStatsSnapshot {
     let profile = DbProfile::postgres_small().with_checkpoint_every(40);
     let local = Arc::new(MemFs::new());
@@ -172,43 +171,24 @@ fn run_with_put_faults(p: f64, seed: u64, retry: RetryConfig) -> GinjaStatsSnaps
     stats
 }
 
-/// The headline resilience ablation (the ISSUE's acceptance criterion):
-/// with 20 % transient put failures a TPC-C run completes with zero
-/// lost updates and a nonzero in-layer retry count — and the very same
-/// run with retries disabled still loses nothing, but measurably blocks
-/// the DBMS for longer, because every fault then costs a trip through
-/// the outer safety loop's much coarser backoff.
+/// With 20 % transient PUT failures a TPC-C run completes with zero
+/// lost updates and a consistent TPC-C probe, the faults absorbed by
+/// the one retry loop, under a fast policy and the default one alike.
 #[test]
-fn chaos_retry_policy_reduces_blocking_under_transient_faults() {
+fn chaos_transient_put_faults_are_retried_losslessly() {
     let seed = 0xC4405;
-    // In-layer policy: fast jittered backoff.
-    let enabled = RetryConfig {
+    let fast = RetryConfig {
         max_attempts: 12,
         base_delay: Duration::from_micros(500),
         max_delay: Duration::from_millis(5),
     };
-    let with_retries = run_with_put_faults(0.2, seed, enabled);
-    let without_retries = run_with_put_faults(0.2, seed, RetryConfig::disabled());
-
-    // The resilient run absorbed faults in-layer...
-    assert!(
-        with_retries.cloud_retries > 0,
-        "20% fault rate must force in-layer retries: {with_retries:?}"
-    );
-    // ...the ablated run could not, by construction...
-    assert_eq!(without_retries.cloud_retries, 0);
-    assert!(
-        without_retries.upload_retries > 0,
-        "disabled retries must surface faults to the outer loop: {without_retries:?}"
-    );
-    // ...and paying the outer loop's coarse backoff for every fault
-    // blocks the DBMS measurably longer.
-    assert!(
-        without_retries.blocked_time > with_retries.blocked_time,
-        "expected retries to shrink blocked time: {:?} (with) vs {:?} (without)",
-        with_retries.blocked_time,
-        without_retries.blocked_time
-    );
+    for retry in [fast, RetryConfig::default()] {
+        let stats = run_with_put_faults(0.2, seed, retry.clone());
+        assert!(
+            stats.cloud_retries > 0,
+            "20% fault rate must force retries under {retry:?}: {stats:?}"
+        );
+    }
 }
 
 /// Regression pin for the `chaos_short_postgres` flake (deterministic
@@ -263,8 +243,9 @@ fn chaos_checkpoint_ts_collision_merge_survives_get_faults() {
     let cloud = Arc::new(FaultStore::new(mem.clone(), plan.clone()));
     // Large Batch + long batch timeout: WAL objects form only when
     // sync() force-flushes, so both manual checkpoints below capture
-    // the same WAL frontier timestamp. Retries are disabled so the
-    // injected GET faults reach the checkpointer's merge directly.
+    // the same WAL frontier timestamp. Bounded retries are disabled;
+    // the merge's GETs are durable and must outlast the injected faults
+    // all the same.
     let config = GinjaConfig::builder()
         .batch(100)
         .safety(1000)

@@ -6,9 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja::cloud::{
-    FaultPlan, FaultStore, MemStore, MeteredStore, ObjectStore, OpKind, RetryConfig, StoreError,
-};
+use ginja::cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, RetryConfig, StoreError};
 use ginja::core::{
     bundle, recover_into, verify_backup_in_memory, CloudView, DbObjectKind, Ginja, GinjaConfig,
 };
@@ -44,7 +42,7 @@ fn tpcc_disaster_recovery_both_profiles() {
         tpcc.load(&db).unwrap();
         drop(db);
 
-        let cloud = Arc::new(MeteredStore::new(MemStore::new()));
+        let cloud = Arc::new(MemStore::new());
         let ginja = Ginja::boot(local.clone(), cloud.clone(), kind.processor(), config()).unwrap();
         let protected: Arc<dyn FileSystem> =
             Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
@@ -376,7 +374,7 @@ fn mysql_bucket_stays_bounded_by_the_log_across_wraps() {
         .safety(SAFETY)
         .batch_timeout(Duration::from_millis(20))
         .safety_timeout(Duration::from_secs(30))
-        // One attempt per cloud call: the DELETE faults
+        // One attempt per bounded cloud call: the DELETE faults
         // below then cost the checkpointer no back-off time.
         .retry(RetryConfig::disabled())
         .build()

@@ -285,11 +285,12 @@ fn crash_mid_outage_is_healed_by_reboot_resync() {
 }
 
 /// With the default retry policy, catch-up starts within one back-off
-/// of the cloud answering again: the uploaders' in-layer sleeps are at
-/// most 160 ms each (attempt index ≤ 4 at six attempts) and the
-/// pipeline's own loop waits at most 1 s, so a backlog of a few dozen
-/// updates drains well inside 3 s of `restore()`. Nothing holds the
-/// pipeline off a cloud that answers.
+/// of the cloud answering again: an uploader's durable PUT sleeps at
+/// most `max_delay` (2 s) between attempts, and sixteen failures into
+/// the outage, spread over the uploaders, its waits are still far
+/// shorter, so a backlog of a few dozen updates drains
+/// well inside 3 s of `restore()`. Nothing holds the pipeline off a
+/// cloud that answers.
 #[test]
 fn catch_up_begins_within_one_backoff_of_the_cloud_returning() {
     const TABLE: u32 = 11;

@@ -105,15 +105,27 @@ fn an_instance_runs_uploaders_plus_one_threads() {
     );
 }
 
-/// Under the fast policy and under the default one alike: the
-/// default's in-layer back-off sleeps are not interruptible, but each
-/// is at most 160 ms and the shutdown lands in the pipeline's own
-/// (interruptible) wait.
+/// Under the fast policy, the default one and one whose back-offs are
+/// long: every back-off a Ginja thread sleeps waits on its stop signal,
+/// so shutdown cuts it short whatever the policy.
 #[test]
 fn shutdown_interrupts_long_timers_and_retry_backoffs() {
     let _serial = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
     let prompt = Duration::from_millis(250);
-    for retry in [fast_retry(), RetryConfig::default()] {
+    let long_backoffs = RetryConfig {
+        max_attempts: 6,
+        base_delay: Duration::from_millis(200),
+        max_delay: Duration::from_secs(2),
+    };
+    // Retries to wait for before shutting down: the fast and default
+    // policies grow their back-off to its longest waits (10 ms doubling
+    // under the default: seven failures in, the next wait is up to
+    // 1.28 s); the long one is mid back-off from its first failure.
+    for (retry, retries) in [
+        (fast_retry(), 7),
+        (RetryConfig::default(), 7),
+        (long_backoffs, 1),
+    ] {
         let config = builder().uploaders(1).retry(retry.clone()).build().unwrap();
         let (db, ginja, plan, bucket) = protect(config.clone());
         let standby = Standby::attach(
@@ -128,15 +140,13 @@ fn shutdown_interrupts_long_timers_and_retry_backoffs() {
         .unwrap();
         standby.spawn();
 
-        // Every PUT fails from here on; let the uploader's back-off
-        // grow to its longest waits (10 ms doubling: seven failures in,
-        // the next wait is 640 ms, then the 1 s cap).
+        // Every PUT fails from here on.
         plan.outage();
         for key in 0..6u64 {
             db.put(TABLE, key, b"stuck".to_vec()).unwrap();
         }
         assert!(wait_for(Duration::from_secs(30), || {
-            ginja.stats().upload_retries >= 7
+            ginja.stats().cloud_retries >= retries
         }));
 
         for (what, stop) in [
