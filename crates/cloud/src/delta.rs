@@ -33,22 +33,18 @@ pub struct ListingDelta {
     pub total: usize,
 }
 
-/// A stateful incremental lister over one prefix of an
-/// [`ObjectStore`]. See the module docs.
+/// A stateful incremental lister over a whole [`ObjectStore`]. See
+/// the module docs.
 #[derive(Debug, Clone, Default)]
 pub struct DeltaLister {
-    prefix: String,
     seen: BTreeSet<String>,
 }
 
 impl DeltaLister {
-    /// A lister over `prefix` (`""` for the whole bucket) whose first
-    /// poll reports everything as added.
-    pub fn new(prefix: impl Into<String>) -> Self {
-        DeltaLister {
-            prefix: prefix.into(),
-            seen: BTreeSet::new(),
-        }
+    /// A lister over the whole bucket whose first poll reports
+    /// everything as added.
+    pub fn new() -> Self {
+        DeltaLister::default()
     }
 
     /// Issues one LIST and returns what changed since the previous
@@ -61,7 +57,7 @@ impl DeltaLister {
     /// untouched on error, so the next successful poll reports the
     /// union of both windows' changes.
     pub fn poll(&mut self, store: &dyn ObjectStore) -> Result<ListingDelta, StoreError> {
-        let names = store.list(&self.prefix)?;
+        let names = store.list("")?;
         // Both sides are sorted (ObjectStore lists lexicographically;
         // `seen` is a BTreeSet), so one merge walk finds the delta.
         let mut added = Vec::new();
@@ -111,7 +107,7 @@ mod tests {
         let store = MemStore::new();
         store.put("WAL/1_f_0_2", b"aa").unwrap();
         store.put("DB/0_dump_2", b"bb").unwrap();
-        let mut lister = DeltaLister::new("");
+        let mut lister = DeltaLister::new();
         let delta = lister.poll(&store).unwrap();
         assert_eq!(delta.added, vec!["DB/0_dump_2", "WAL/1_f_0_2"]);
         assert!(delta.removed.is_empty());
@@ -122,7 +118,7 @@ mod tests {
     fn steady_state_is_empty_delta() {
         let store = MemStore::new();
         store.put("a", b"1").unwrap();
-        let mut lister = DeltaLister::new("");
+        let mut lister = DeltaLister::new();
         lister.poll(&store).unwrap();
         let delta = lister.poll(&store).unwrap();
         assert!(delta.added.is_empty() && delta.removed.is_empty());
@@ -134,7 +130,7 @@ mod tests {
         let store = MemStore::new();
         store.put("a", b"1").unwrap();
         store.put("b", b"2").unwrap();
-        let mut lister = DeltaLister::new("");
+        let mut lister = DeltaLister::new();
         lister.poll(&store).unwrap();
 
         store.delete("a").unwrap();
@@ -146,16 +142,5 @@ mod tests {
         // The cached set moved with the delta: nothing is re-reported.
         let steady = lister.poll(&store).unwrap();
         assert!(steady.added.is_empty() && steady.removed.is_empty());
-    }
-
-    #[test]
-    fn prefix_restricts_the_window() {
-        let store = MemStore::new();
-        store.put("WAL/1_f_0_2", b"aa").unwrap();
-        store.put("DB/0_dump_2", b"bb").unwrap();
-        let mut lister = DeltaLister::new("WAL/");
-        let delta = lister.poll(&store).unwrap();
-        assert_eq!(delta.added, vec!["WAL/1_f_0_2"]);
-        assert_eq!(delta.total, 1);
     }
 }

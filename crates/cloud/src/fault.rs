@@ -174,20 +174,25 @@ impl<Op: Copy + PartialEq, Action: Copy> FaultSchedule<Op, Action> {
 }
 
 /// The crate's one splitmix64 step: advances `state` atomically and
-/// maps the mixed output to a uniform draw in [0, 1). The stream is a
-/// function of the state's seed alone — fault rules draw from it per
-/// seed, the resilience layer's backoff jitter per store. `Relaxed`
-/// suffices: the state publishes no other data, and each `fetch_add`
-/// is one step of its modification order under any ordering.
-pub(crate) fn unit_draw(state: &AtomicU64) -> f64 {
+/// returns the mixed output. The stream is a function of the state's
+/// seed alone — fault rules draw from it per seed, the resilience
+/// layer's backoff jitter per store, and each new store its seed from
+/// one process-wide stream. `Relaxed` suffices: the state publishes no
+/// other data, and each `fetch_add` is one step of its modification
+/// order under any ordering.
+pub(crate) fn splitmix64(state: &AtomicU64) -> u64 {
     const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
     let mut z = state
         .fetch_add(GAMMA, Ordering::Relaxed)
         .wrapping_add(GAMMA);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    (z >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+    z ^ (z >> 31)
+}
+
+/// One [`splitmix64`] step mapped to a uniform draw in [0, 1).
+pub(crate) fn unit_draw(state: &AtomicU64) -> f64 {
+    (splitmix64(state) >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// A programmable schedule of failures shared with a [`FaultStore`].

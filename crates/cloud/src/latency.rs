@@ -119,11 +119,6 @@ impl LatencyModel {
         self.scale(self.put_base, bytes as f64 / self.upload_bandwidth)
     }
 
-    /// Deterministic GET latency for `bytes`, after scaling.
-    pub fn get_latency(&self, bytes: usize) -> Duration {
-        self.scale(self.get_base, bytes as f64 / self.download_bandwidth)
-    }
-
     fn scale(&self, base: Duration, transfer_secs: f64) -> Duration {
         let total = base.as_secs_f64()
             + if transfer_secs.is_finite() {
@@ -197,11 +192,10 @@ impl<S: ObjectStore> ObjectStore for LatencyStore<S> {
         // transfer cost for the bytes actually returned.
         self.sleep(self.model.get_base.mul_f64(self.model.time_scale));
         let data = self.inner.get(name)?;
-        let transfer = self
-            .model
-            .get_latency(data.len())
-            .saturating_sub(self.model.get_base.mul_f64(self.model.time_scale));
-        self.sleep(transfer);
+        self.sleep(self.model.scale(
+            Duration::ZERO,
+            data.len() as f64 / self.model.download_bandwidth,
+        ));
         Ok(data)
     }
 

@@ -47,7 +47,6 @@ mod error;
 mod fault;
 mod latency;
 mod mem;
-mod prefix;
 mod replicated;
 mod resilient;
 mod store;
@@ -59,7 +58,6 @@ pub use error::StoreError;
 pub use fault::{FaultKind, FaultPlan, FaultSchedule, FaultStore, OpKind};
 pub use latency::{LatencyModel, LatencyStore};
 pub use mem::MemStore;
-pub use prefix::PrefixStore;
 pub use replicated::ReplicatedStore;
 pub use resilient::{GiveUp, ResilientStore, RetryConfig, Retrying, StopSignal};
 pub use store::ObjectStore;

@@ -33,7 +33,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::{Condvar, Mutex};
 
-use crate::fault::unit_draw;
+use crate::fault::{splitmix64, unit_draw};
 use crate::usage::UsageLedger;
 use crate::{ObjectStore, StoreError};
 
@@ -150,6 +150,11 @@ impl StopSignal {
     }
 }
 
+/// The process-wide splitmix64 stream each new [`ResilientStore`] draws
+/// its jitter seed from, so stores that share a provider and start
+/// together do not retry in lockstep.
+static JITTER_SEEDS: AtomicU64 = AtomicU64::new(0x5DEE_CE66_D1CE_4E5B);
+
 /// An [`ObjectStore`] decorator adding retry with backoff and usage
 /// metering (see the module docs).
 ///
@@ -163,7 +168,8 @@ pub struct ResilientStore {
     /// Usage accounting shared with every clone (`Ginja::usage_ledger`
     /// hands it out).
     ledger: Arc<UsageLedger>,
-    /// splitmix64 state for jitter draws.
+    /// splitmix64 state for jitter draws, seeded per store from
+    /// [`JITTER_SEEDS`].
     jitter_state: Arc<AtomicU64>,
 }
 
@@ -192,7 +198,9 @@ impl ResilientStore {
             config: Arc::new(config),
             retries: Arc::new(AtomicU64::new(0)),
             ledger: Arc::new(UsageLedger::new()),
-            jitter_state: Arc::new(AtomicU64::new(0x5DEE_CE66_D1CE_4E5B)),
+            // A mixed draw, not the raw state: two seeds one gamma
+            // apart would give the same stream shifted by one draw.
+            jitter_state: Arc::new(AtomicU64::new(splitmix64(&JITTER_SEEDS))),
         }
     }
 
@@ -444,6 +452,21 @@ mod tests {
         // The pacing hint is a floor even over the cap.
         let hinted = store.retry_delay(0, Some(Duration::from_millis(50)));
         assert!(hinted >= Duration::from_millis(50));
+    }
+
+    #[test]
+    fn fresh_stores_draw_different_backoffs() {
+        let config = RetryConfig {
+            base_delay: Duration::from_millis(1),
+            max_delay: Duration::from_secs(1),
+            ..fast_config(3)
+        };
+        let draws = |store: &ResilientStore| -> Vec<Duration> {
+            (0..8).map(|_| store.retry_delay(5, None)).collect()
+        };
+        let (a, _) = faulty_store(config.clone());
+        let (b, _) = faulty_store(config);
+        assert_ne!(draws(&a), draws(&b));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 
@@ -106,7 +106,6 @@ pub struct UsageLedger {
     peak_stored_bytes: AtomicU64,
     sizes: Mutex<HashMap<String, u64>>,
     ring: Mutex<SampleRing>,
-    epoch: Mutex<Instant>,
 }
 
 impl Default for UsageLedger {
@@ -138,7 +137,6 @@ impl UsageLedger {
             peak_stored_bytes: AtomicU64::new(0),
             sizes: Mutex::new(HashMap::new()),
             ring: Mutex::new(SampleRing::new(capacity.max(1))),
-            epoch: Mutex::new(Instant::now()),
         }
     }
 
@@ -209,9 +207,8 @@ impl UsageLedger {
         total / samples.len() as u32
     }
 
-    /// Resets counters, samples, and the measurement epoch
-    /// (stored-size tracking is kept, as the objects remain in the
-    /// backend).
+    /// Resets counters and samples (stored-size tracking is kept, as
+    /// the objects remain in the backend).
     pub fn reset_counters(&self) {
         self.puts.store(0, Ordering::SeqCst);
         self.gets.store(0, Ordering::SeqCst);
@@ -225,14 +222,8 @@ impl UsageLedger {
             ring.samples.clear();
             ring.dropped = 0;
         }
-        *self.epoch.lock() = Instant::now();
         let stored = self.stored_bytes.load(Ordering::SeqCst);
         self.peak_stored_bytes.store(stored, Ordering::SeqCst);
-    }
-
-    /// Wall-clock time since the ledger was created or last reset.
-    pub fn elapsed(&self) -> Duration {
-        self.epoch.lock().elapsed()
     }
 
     fn update_stored(&self, name: &str, new_size: Option<u64>) {
@@ -292,7 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_clears_drops_and_epoch() {
+    fn reset_clears_counters_and_drops() {
         let ledger = UsageLedger::with_sample_capacity(2);
         ledger.record_put("a", 1, Duration::ZERO);
         ledger.record_put("b", 1, Duration::ZERO);
@@ -304,7 +295,6 @@ mod tests {
         assert_eq!(ledger.usage().puts, 0);
         // Stored bytes survive a reset: the objects are still there.
         assert_eq!(ledger.usage().stored_bytes, 3);
-        assert!(ledger.elapsed() < Duration::from_secs(1));
     }
 
     #[test]

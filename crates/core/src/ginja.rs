@@ -34,7 +34,7 @@ use crate::fanout::FanoutExecutor;
 use crate::names::{DbObjectKind, DbObjectName, WalObjectName};
 use crate::outage::{CkptJob, CkptPush, CkptQueue};
 use crate::queue::{CommitQueue, WalWrite};
-use crate::stats::{GinjaStats, GinjaStatsSnapshot, StandbyStats};
+use crate::stats::{GinjaStats, GinjaStatsSnapshot};
 use crate::view::CloudView;
 use crate::GinjaError;
 use ginja_codec::bufpool;
@@ -184,9 +184,6 @@ struct Shared {
     /// dropped (counted); Reboot's LIST re-adopts a dropped name and
     /// the next checkpoint's GC deletes it.
     gc_backlog: Mutex<BTreeSet<String>>,
-    /// Counters of an attached warm standby (`ginja-standby` crate),
-    /// merged into [`Ginja::stats`].
-    standby: Mutex<Option<Arc<StandbyStats>>>,
 }
 
 /// The Ginja disaster-recovery middleware.
@@ -287,7 +284,7 @@ impl Ginja {
             });
             names.push(name);
         }
-        seal_put_wave(&fanout, &codec, &stats, &direct_put, jobs, |idx, _, _| {
+        seal_put_wave(&fanout, &codec, &stats, &direct_put, jobs, |idx, _| {
             view.add_db_part(names[idx].clone());
             Ok(())
         })?;
@@ -331,7 +328,7 @@ impl Ginja {
         let stats = GinjaStats::default();
         let mut view = CloudView::from_listing(cloud.list("")?)?;
 
-        let (resync_objects, resync_bytes) = resync_local_wal(
+        let resync_objects = resync_local_wal(
             fs.as_ref(),
             &cloud,
             processor.as_ref(),
@@ -344,9 +341,6 @@ impl Ginja {
         stats
             .wal_resync_objects
             .fetch_add(resync_objects, Ordering::Relaxed);
-        stats
-            .wal_resync_bytes
-            .fetch_add(resync_bytes, Ordering::Relaxed);
         Ok(Self::assemble(
             fs, cloud, processor, config, codec, view, stats, fanout,
         ))
@@ -395,7 +389,6 @@ impl Ginja {
             stop: StopSignal::default(),
             threads: Mutex::new(Vec::new()),
             gc_backlog: Mutex::new(BTreeSet::new()),
-            standby: Mutex::new(None),
         });
 
         let spawn = |name: String, stage: fn(&Shared)| {
@@ -450,11 +443,6 @@ impl Ginja {
         let mut snap = self.shared.stats.snapshot();
         snap.cloud_retries = self.shared.cloud.retries();
         snap.gc_backlog = self.shared.gc_backlog.lock().len() as u64;
-        snap.fanout_waves = self.shared.fanout.waves();
-        snap.fanout_jobs = self.shared.fanout.jobs();
-        if let Some(standby) = self.shared.standby.lock().as_ref() {
-            snap.standby = standby.snapshot();
-        }
         // Ingest histograms and counters live on the CommitQueue itself.
         snap.ingest = self.shared.queue.ingest_snapshot();
         snap
@@ -488,14 +476,6 @@ impl Ginja {
     /// A copy of the current cloud view (tests and tooling).
     pub fn view(&self) -> CloudView {
         self.shared.view.lock().clone()
-    }
-
-    /// Registers a warm standby's counters with this instance: its
-    /// snapshot (tail cycles, lag gauges, promotions) is merged into
-    /// [`Ginja::stats`], so one snapshot reports the pipeline and the
-    /// shadow tracking it. Replaces any previous standby.
-    pub fn attach_standby(&self, stats: Arc<StandbyStats>) {
-        *self.shared.standby.lock() = Some(stats);
     }
 
     /// The resilient cloud handle the pipeline itself uses. A standby
@@ -695,7 +675,7 @@ fn seal_timed(
 ///
 /// Workers run seal (pooled buffers, timed into `stats.seal_histo`) and
 /// the PUT (timed into `stats.put_histo`) concurrently; `on_durable` is
-/// called with `(index, raw_len, sealed_len)` strictly in input order,
+/// called with `(index, sealed_len)` strictly in input order,
 /// so callers may register objects in the view — and a checkpoint-end
 /// marker only ever lands after every part at a lower index is durable.
 /// The first error aborts the wave.
@@ -705,21 +685,20 @@ fn seal_put_wave(
     stats: &GinjaStats,
     put: PutFn<'_>,
     jobs: Vec<SealPut>,
-    mut on_durable: impl FnMut(usize, u64, u64) -> Result<(), GinjaError>,
+    on_durable: impl FnMut(usize, u64) -> Result<(), GinjaError>,
 ) -> Result<(), GinjaError> {
     exec.run_ordered(
         jobs,
         |_, job| {
-            let raw_len = job.raw.len() as u64;
             let sealed = seal_timed(codec, stats, &job.name, &job.raw)?;
             let put_start = Instant::now();
             put(&job.name, &sealed)?;
             stats.put_histo.record(put_start.elapsed());
             let sealed_len = sealed.len() as u64;
             bufpool::recycle(sealed);
-            Ok((raw_len, sealed_len))
+            Ok(sealed_len)
         },
-        |idx, (raw_len, sealed_len)| on_durable(idx, raw_len, sealed_len),
+        on_durable,
     )
 }
 
@@ -743,7 +722,7 @@ fn seal_put_wave(
 /// so re-uploading would be pure cost. (WAL appends are forward-only,
 /// so GC'd ranges form a prefix.)
 ///
-/// Returns `(objects uploaded, raw bytes uploaded)`.
+/// Returns the number of objects uploaded.
 #[allow(clippy::too_many_arguments)]
 fn resync_local_wal(
     fs: &dyn FileSystem,
@@ -754,12 +733,11 @@ fn resync_local_wal(
     exec: &FanoutExecutor,
     stats: &GinjaStats,
     view: &mut CloudView,
-) -> Result<(u64, u64), GinjaError> {
+) -> Result<u64, GinjaError> {
     let chunk_size = config.max_object_size.min(BOOT_WAL_CHUNK);
     let mut wal_files = fs.list(processor.wal_prefix())?;
     wal_files.sort();
     let mut objects = 0u64;
-    let mut bytes = 0u64;
     let direct_put = |name: &str, sealed: &[u8]| -> Result<(), GinjaError> {
         cloud.put(name, sealed).map_err(GinjaError::from)
     };
@@ -782,12 +760,10 @@ fn resync_local_wal(
             // `run_collect` hands results back in input order, so the apply
             // below still sees them oldest-timestamp-first.
             let fetched: Vec<Option<Vec<u8>>> = exec.run_collect(names.clone(), |_, name| {
-                let get_start = Instant::now();
                 let opened = cloud
                     .get(&name.to_name())
                     .ok()
                     .and_then(|sealed| codec.open(&name.to_name(), &sealed).ok());
-                stats.get_histo.record(get_start.elapsed());
                 Ok::<_, GinjaError>(opened)
             })?;
             // The cloud's image of this file: later timestamps win, `None`
@@ -842,14 +818,13 @@ fn resync_local_wal(
                 (name, job)
             })
             .unzip();
-        seal_put_wave(exec, codec, stats, &direct_put, jobs, |idx, raw_len, _| {
+        seal_put_wave(exec, codec, stats, &direct_put, jobs, |idx, _| {
             view.add_wal(run_names[idx].clone());
             objects += 1;
-            bytes += raw_len;
             Ok(())
         })?;
     }
-    Ok((objects, bytes))
+    Ok(objects)
 }
 
 fn read_db_files(
@@ -909,20 +884,16 @@ enum PartFetch {
 /// loss). Only proof that the part is gone or damaged makes the old
 /// generation unusable.
 fn fetch_part(shared: &Shared, name: &str) -> PartFetch {
-    let start = Instant::now();
     match shared
         .cloud
         .retrying(GiveUp::Durable, &shared.stop)
         .get(name)
     {
-        Ok(sealed) => {
-            shared.stats.get_histo.record(start.elapsed());
-            match shared.codec.open(name, &sealed) {
-                Ok(raw) => PartFetch::Bytes(raw),
-                // Tampered or corrupt: unusable for recovery too.
-                Err(_) => PartFetch::Unusable,
-            }
-        }
+        Ok(sealed) => match shared.codec.open(name, &sealed) {
+            Ok(raw) => PartFetch::Bytes(raw),
+            // Tampered or corrupt: unusable for recovery too.
+            Err(_) => PartFetch::Unusable,
+        },
         Err(StoreError::NotFound(_) | StoreError::Corrupt(_)) => PartFetch::Unusable,
         // A durable GET returns any other error only at shutdown.
         Err(_) => PartFetch::Shutdown,
@@ -1078,10 +1049,6 @@ fn checkpointer_loop(shared: &Shared) {
 
         let bytes = bundle::encode(&job.entries);
         let total = bytes.len() as u64;
-        shared
-            .stats
-            .db_bytes_raw
-            .fetch_add(total, Ordering::Relaxed);
         let parts = bundle::chunk(bytes, shared.config.max_object_size);
         let n = parts.len() as u32;
         // Seal + PUT the parts as one concurrent wave. In-order durable
@@ -1114,7 +1081,7 @@ fn checkpointer_loop(shared: &Shared) {
             &shared.stats,
             &durable_put,
             jobs,
-            |idx, _, sealed_len| {
+            |idx, sealed_len| {
                 shared
                     .stats
                     .db_objects_uploaded

@@ -87,9 +87,6 @@ pub use recovery::{
     RestorePointKind,
 };
 pub use scrub::{scrub_bucket, Anomaly, AnomalyKind, ScrubReport};
-pub use stats::{
-    GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot, StandbySnapshot,
-    StandbyStats,
-};
+pub use stats::{GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot};
 pub use verify::{verify_backup, verify_backup_in_memory, VerifyReport};
 pub use view::{CloudView, DbEntry};

@@ -9,7 +9,7 @@ use std::time::Duration;
 /// Bucket `b` holds samples whose microsecond value has bit-width `b`
 /// (bucket 0 is exactly 0 µs, bucket 1 is 1 µs, bucket 2 is 2–3 µs, …),
 /// so recording is a `bit_width` plus one relaxed `fetch_add` — cheap
-/// enough to sit on the seal/PUT/GET hot paths it instruments.
+/// enough to sit on the seal and PUT hot paths it instruments.
 #[derive(Debug)]
 pub struct LatencyHisto {
     buckets: [AtomicU64; 64],
@@ -121,7 +121,6 @@ pub struct GinjaStats {
     pub(crate) wal_bytes_raw: AtomicU64,
     pub(crate) wal_bytes_sealed: AtomicU64,
     pub(crate) db_objects_uploaded: AtomicU64,
-    pub(crate) db_bytes_raw: AtomicU64,
     pub(crate) db_bytes_sealed: AtomicU64,
     pub(crate) checkpoints_seen: AtomicU64,
     pub(crate) dumps_uploaded: AtomicU64,
@@ -129,13 +128,11 @@ pub struct GinjaStats {
     pub(crate) gc_deletes_deferred: AtomicU64,
     pub(crate) seal_micros: AtomicU64,
     pub(crate) wal_resync_objects: AtomicU64,
-    pub(crate) wal_resync_bytes: AtomicU64,
     pub(crate) pipeline_fatals: AtomicU64,
     pub(crate) gc_backlog_dropped: AtomicU64,
     pub(crate) ckpt_coalesced: AtomicU64,
     pub(crate) seal_histo: LatencyHisto,
     pub(crate) put_histo: LatencyHisto,
-    pub(crate) get_histo: LatencyHisto,
 }
 
 impl GinjaStats {
@@ -158,7 +155,6 @@ impl GinjaStats {
             wal_bytes_raw: self.wal_bytes_raw.load(Ordering::Relaxed),
             wal_bytes_sealed: self.wal_bytes_sealed.load(Ordering::Relaxed),
             db_objects_uploaded: self.db_objects_uploaded.load(Ordering::Relaxed),
-            db_bytes_raw: self.db_bytes_raw.load(Ordering::Relaxed),
             db_bytes_sealed: self.db_bytes_sealed.load(Ordering::Relaxed),
             checkpoints_seen: self.checkpoints_seen.load(Ordering::Relaxed),
             dumps_uploaded: self.dumps_uploaded.load(Ordering::Relaxed),
@@ -167,146 +163,17 @@ impl GinjaStats {
             gc_backlog: 0,
             seal_time: Duration::from_micros(self.seal_micros.load(Ordering::Relaxed)),
             wal_resync_objects: self.wal_resync_objects.load(Ordering::Relaxed),
-            wal_resync_bytes: self.wal_resync_bytes.load(Ordering::Relaxed),
             pipeline_fatals: self.pipeline_fatals.load(Ordering::Relaxed),
             gc_backlog_dropped: self.gc_backlog_dropped.load(Ordering::Relaxed),
             ckpt_coalesced: self.ckpt_coalesced.load(Ordering::Relaxed),
             seal_latency: self.seal_histo.snapshot(),
             put_latency: self.put_histo.snapshot(),
-            get_latency: self.get_histo.snapshot(),
-            fanout_waves: 0,
-            fanout_jobs: 0,
             cloud_retries: 0,
             // Ingest histograms/counters live on the CommitQueue itself;
             // `Ginja::stats` merges them in.
             ingest: IngestSnapshot::default(),
-            standby: StandbySnapshot::default(),
         }
     }
-}
-
-/// Shared atomic counters updated by a warm standby (`ginja-standby`).
-///
-/// The standby lives in its own crate but its counters belong next to
-/// the pipeline's: hand one to [`crate::Ginja::attach_standby`] (or
-/// read it standalone on the recovery site) and one
-/// [`GinjaStatsSnapshot`] tells the whole DR story — uploads *and* how
-/// far behind the warm shadow currently is.
-#[derive(Debug)]
-pub struct StandbyStats {
-    tail_cycles: AtomicU64,
-    gets: AtomicU64,
-    bytes_fetched: AtomicU64,
-    tail_errors: AtomicU64,
-    lag_objects: AtomicU64,
-    lag_bytes: AtomicU64,
-    lag_micros: AtomicU64,
-    resets: AtomicU64,
-    promotions: AtomicU64,
-    promotion_histo: LatencyHisto,
-}
-
-impl Default for StandbyStats {
-    fn default() -> Self {
-        StandbyStats {
-            tail_cycles: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-            bytes_fetched: AtomicU64::new(0),
-            tail_errors: AtomicU64::new(0),
-            lag_objects: AtomicU64::new(0),
-            lag_bytes: AtomicU64::new(0),
-            lag_micros: AtomicU64::new(0),
-            resets: AtomicU64::new(0),
-            promotions: AtomicU64::new(0),
-            promotion_histo: LatencyHisto::default(),
-        }
-    }
-}
-
-impl StandbyStats {
-    /// Records one completed tail cycle: the GETs it issued and the
-    /// sealed bytes they downloaded.
-    pub fn record_cycle(&self, gets: u64, bytes: u64) {
-        self.tail_cycles.fetch_add(1, Ordering::Relaxed);
-        self.gets.fetch_add(gets, Ordering::Relaxed);
-        self.bytes_fetched.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    /// Records one failed tail cycle (cloud unreachable).
-    pub fn record_error(&self) {
-        self.tail_errors.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Sets the lag gauges: objects and bytes in the bucket the shadow
-    /// has not absorbed yet, and how stale the shadow is in wall time.
-    pub fn set_lag(&self, objects: u64, bytes: u64, age: Duration) {
-        self.lag_objects.store(objects, Ordering::Relaxed);
-        self.lag_bytes.store(bytes, Ordering::Relaxed);
-        self.lag_micros.store(
-            age.as_micros().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    /// Records one shadow reset (a new dump generation forced a full
-    /// re-apply).
-    pub fn record_reset(&self) {
-        self.resets.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one promotion and its wall-clock residual-replay time —
-    /// the *achieved* RTO of the standby path.
-    pub fn record_promotion(&self, rto: Duration) {
-        self.promotions.fetch_add(1, Ordering::Relaxed);
-        self.promotion_histo.record(rto);
-    }
-
-    /// A point-in-time copy of the counters.
-    pub fn snapshot(&self) -> StandbySnapshot {
-        StandbySnapshot {
-            tail_cycles: self.tail_cycles.load(Ordering::Relaxed),
-            gets: self.gets.load(Ordering::Relaxed),
-            bytes_fetched: self.bytes_fetched.load(Ordering::Relaxed),
-            tail_errors: self.tail_errors.load(Ordering::Relaxed),
-            lag_objects: self.lag_objects.load(Ordering::Relaxed),
-            lag_bytes: self.lag_bytes.load(Ordering::Relaxed),
-            lag: Duration::from_micros(self.lag_micros.load(Ordering::Relaxed)),
-            resets: self.resets.load(Ordering::Relaxed),
-            promotions: self.promotions.load(Ordering::Relaxed),
-            promotion_latency: self.promotion_histo.snapshot(),
-        }
-    }
-}
-
-/// A point-in-time copy of [`StandbyStats`], embedded in
-/// [`GinjaStatsSnapshot`]. All-zero when no standby is attached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StandbySnapshot {
-    /// Completed tail cycles (each one LIST delta + the GETs it
-    /// implied).
-    pub tail_cycles: u64,
-    /// GETs the tail issued (metered in the instance's `UsageLedger`; a WAL
-    /// object re-applied from the standby's cache is not one).
-    pub gets: u64,
-    /// Sealed bytes the tail downloaded.
-    pub bytes_fetched: u64,
-    /// Tail cycles that failed outright (cloud unreachable) — lag
-    /// grows across these.
-    pub tail_errors: u64,
-    /// Objects in the bucket the shadow has not absorbed yet (gauge).
-    pub lag_objects: u64,
-    /// Bytes those unabsorbed objects carry (gauge).
-    pub lag_bytes: u64,
-    /// Wall-clock staleness of the shadow: how long the tail has been
-    /// behind the bucket (gauge; zero when fully drained).
-    pub lag: Duration,
-    /// Shadow resets forced by a new dump generation.
-    pub resets: u64,
-    /// Promotions performed (normally 0 or 1; drills may add more).
-    pub promotions: u64,
-    /// Distribution of promotion residual-replay times — the achieved
-    /// RTO histogram the ablation reads.
-    pub promotion_latency: LatencySnapshot,
 }
 
 /// A point-in-time copy of [`GinjaStats`].
@@ -328,8 +195,6 @@ pub struct GinjaStatsSnapshot {
     pub wal_bytes_sealed: u64,
     /// DB object parts successfully uploaded.
     pub db_objects_uploaded: u64,
-    /// Raw DB bundle bytes.
-    pub db_bytes_raw: u64,
     /// Sealed DB bytes uploaded.
     pub db_bytes_sealed: u64,
     /// DBMS checkpoints observed (begin→end pairs).
@@ -357,8 +222,6 @@ pub struct GinjaStatsSnapshot {
     /// WAL content the cloud was missing after a crash — see
     /// `Ginja::reboot`).
     pub wal_resync_objects: u64,
-    /// Raw bytes those resync objects carried.
-    pub wal_resync_bytes: u64,
     /// Fatal pipeline errors: failures on the data path (e.g. a seal
     /// error in an uploader) that stop the stage rather than being
     /// silently dropped. Any nonzero value means the pipeline is no
@@ -369,13 +232,6 @@ pub struct GinjaStatsSnapshot {
     /// Cloud PUT latency as observed by the pipeline (through the
     /// resilience layer, so retries are included).
     pub put_latency: LatencySnapshot,
-    /// Cloud GET latency as observed by checkpoint merges and resync.
-    pub get_latency: LatencySnapshot,
-    /// Fan-out waves executed by the shared executor (checkpoint part
-    /// uploads, reboot resync).
-    pub fanout_waves: u64,
-    /// Total jobs those waves carried.
-    pub fanout_jobs: u64,
     /// Store operations re-issued by the resilience layer's one retry
     /// loop (one per failed attempt it retried), across every cloud
     /// operation, bounded and durable alike.
@@ -386,10 +242,6 @@ pub struct GinjaStatsSnapshot {
     /// Commit-queue state: put/blocked latency histograms, parks and
     /// seal counts, merged in by `Ginja::stats`.
     pub ingest: IngestSnapshot,
-    /// Warm-standby counters (tail cycles, lag gauges, promotions),
-    /// merged in by `Ginja::stats` when a standby is attached; zero
-    /// otherwise.
-    pub standby: StandbySnapshot,
 }
 
 impl GinjaStatsSnapshot {
@@ -438,28 +290,6 @@ mod tests {
     }
 
     #[test]
-    fn standby_stats_accumulate_and_snapshot() {
-        let s = StandbyStats::default();
-        s.record_cycle(3, 900);
-        s.record_cycle(0, 0);
-        s.record_error();
-        s.set_lag(5, 4096, Duration::from_millis(250));
-        s.record_reset();
-        s.record_promotion(Duration::from_millis(12));
-        let snap = s.snapshot();
-        assert_eq!(snap.tail_cycles, 2);
-        assert_eq!(snap.gets, 3);
-        assert_eq!(snap.bytes_fetched, 900);
-        assert_eq!(snap.tail_errors, 1);
-        assert_eq!(snap.lag_objects, 5);
-        assert_eq!(snap.lag_bytes, 4096);
-        assert_eq!(snap.lag, Duration::from_millis(250));
-        assert_eq!(snap.resets, 1);
-        assert_eq!(snap.promotions, 1);
-        assert_eq!(snap.promotion_latency.count, 1);
-    }
-
-    #[test]
     fn latency_histo_quantiles() {
         let h = LatencyHisto::default();
         assert_eq!(h.snapshot(), LatencySnapshot::default());
@@ -498,12 +328,10 @@ mod tests {
         let stats = GinjaStats::default();
         stats.seal_histo.record(Duration::from_micros(10));
         stats.put_histo.record(Duration::from_millis(30));
-        stats.get_histo.record(Duration::from_millis(20));
         stats.pipeline_fatals.store(1, Ordering::Relaxed);
         let snap = stats.snapshot();
         assert_eq!(snap.seal_latency.count, 1);
         assert_eq!(snap.put_latency.count, 1);
-        assert_eq!(snap.get_latency.count, 1);
         assert_eq!(snap.pipeline_fatals, 1);
         assert!(snap.put_latency.mean >= snap.seal_latency.mean);
     }

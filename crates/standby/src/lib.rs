@@ -30,9 +30,10 @@
 //! deletes it) and re-opens them, MAC and all, in the same cold order.
 //!
 //! The standby's cloud reads are real spend (§7: GETs are priced). A
-//! standby built with [`Standby::for_instance`] reads through the
-//! instance's own resilient store, so its GETs land in the same
-//! [`ginja_cloud::UsageLedger`] as the pipeline's traffic.
+//! standby built with [`Standby::attach_with`] over a live instance's
+//! resilient store (`Ginja::resilient_cloud`) reads through it, so its
+//! GETs land in the same [`ginja_cloud::UsageLedger`] as the pipeline's
+//! traffic. Its counters stay its own: [`Standby::snapshot`].
 //!
 //! ```rust
 //! use std::sync::Arc;
@@ -54,5 +55,7 @@
 //! ```
 
 mod standby;
+mod stats;
 
 pub use standby::{PromotionReport, Standby, StandbyConfig, TailReport};
+pub use stats::StandbySnapshot;

@@ -11,11 +11,12 @@ use ginja_cloud::{
 use ginja_codec::Codec;
 use ginja_core::{
     ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutExecutor,
-    Ginja, GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, StandbySnapshot, StandbyStats,
-    WalObjectName, DB_PREFIX, WAL_PREFIX,
+    GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, WalObjectName, DB_PREFIX, WAL_PREFIX,
 };
 use ginja_vfs::FileSystem;
 use parking_lot::Mutex;
+
+use crate::stats::{StandbySnapshot, StandbyStats};
 
 /// Cap on the sealed WAL bytes a standby keeps for re-apply. Past it a
 /// fetched WAL object is not kept, and a rebase GETs it again.
@@ -125,7 +126,7 @@ pub struct Standby {
     tail: StandbyConfig,
     codec: Codec,
     fanout: Arc<FanoutExecutor>,
-    stats: Arc<StandbyStats>,
+    stats: StandbyStats,
     fenced: AtomicBool,
     state: Mutex<TailState>,
     wal_cache: Mutex<WalCache>,
@@ -163,7 +164,9 @@ impl Standby {
 
     /// Attaches a standby over a prebuilt [`ResilientStore`] and
     /// fan-out executor, so the caller can read the executor's wave
-    /// counters and the store's ledger.
+    /// counters and the store's ledger. Beside a live instance, pass
+    /// its `Ginja::resilient_cloud` and `Ginja::fanout`: the standby's
+    /// GETs then share the pipeline's retry policy and usage ledger.
     ///
     /// # Errors
     ///
@@ -178,28 +181,6 @@ impl Standby {
         tail.validate().map_err(GinjaError::Config)?;
         config.validate()?;
         Ok(Self::build(store, fanout, shadow, config, tail))
-    }
-
-    /// Attaches a standby beside a live [`Ginja`] instance: same
-    /// resilient store (shared retry policy *and* usage ledger, so
-    /// [`Ginja::usage_ledger`] meters standby GETs beside the
-    /// pipeline's own), the pipeline's fan-out executor, and counters
-    /// registered so [`Ginja::stats`] carries the lag gauges.
-    ///
-    /// # Errors
-    ///
-    /// [`GinjaError::Config`] when `tail` is invalid.
-    pub fn for_instance(
-        ginja: &Ginja,
-        shadow: Arc<dyn FileSystem>,
-        tail: StandbyConfig,
-    ) -> Result<Arc<Self>, GinjaError> {
-        tail.validate().map_err(GinjaError::Config)?;
-        let store = ginja.resilient_cloud();
-        let fanout = ginja.fanout().clone();
-        let standby = Self::build(store, fanout, shadow, ginja.config().clone(), tail);
-        ginja.attach_standby(standby.stats.clone());
-        Ok(standby)
     }
 
     fn build(
@@ -217,10 +198,10 @@ impl Standby {
             tail,
             codec,
             fanout,
-            stats: Arc::new(StandbyStats::default()),
+            stats: StandbyStats::default(),
             fenced: AtomicBool::new(false),
             state: Mutex::new(TailState {
-                lister: DeltaLister::new(""),
+                lister: DeltaLister::new(),
                 view: CloudView::new(),
                 progress: ApplyProgress::new(),
                 based: false,
@@ -232,8 +213,7 @@ impl Standby {
         })
     }
 
-    /// The standby's counters (shared with an attached [`Ginja`]
-    /// when created via [`Standby::for_instance`]).
+    /// The standby's counters.
     pub fn snapshot(&self) -> StandbySnapshot {
         self.stats.snapshot()
     }

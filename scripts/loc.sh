@@ -32,9 +32,10 @@ done
 printf '%-48s %7d\n' "pub config fields:" "$total"
 
 # `pub` fields of the metrics surface (ROADMAP item 10): the stats
-# snapshot, each snapshot nested in it, and `Exposure`.
-for spec in stats.rs:GinjaStatsSnapshot \
-    stats.rs:IngestSnapshot stats.rs:StandbySnapshot \
-    stats.rs:LatencySnapshot ginja.rs:Exposure; do
-    printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/core/src/${spec%%:*}" "${spec##*:}")"
+# snapshot, each snapshot nested in it, `Exposure`, and the standby's
+# own snapshot.
+for spec in core/src/stats.rs:GinjaStatsSnapshot \
+    core/src/stats.rs:IngestSnapshot core/src/stats.rs:LatencySnapshot \
+    core/src/ginja.rs:Exposure standby/src/stats.rs:StandbySnapshot; do
+    printf '  %-18s %6d\n' "${spec##*:}" "$(fields "crates/${spec%%:*}" "${spec##*:}")"
 done

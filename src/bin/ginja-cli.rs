@@ -7,10 +7,10 @@
 //! ginja-cli status <bucket-dir>
 //! ginja-cli restore-points <bucket-dir>
 //! ginja-cli verify <bucket-dir> [--password <pw>]
-//! ginja-cli drill <bucket-dir> [--prefix <tenants/name/>] [--password <pw>]
+//! ginja-cli drill <bucket-dir> [--password <pw>]
 //! ginja-cli recover <bucket-dir> <target-dir> [--point <ts>] [--password <pw>]
 //! ginja-cli cost <db-gb> <updates-per-min> <batch>
-//! ginja-cli crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn] [--prefix <p>]
+//! ginja-cli crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn]
 //! ginja-cli outage [--rows <n>]
 //! ginja-cli standby [--rows <n>] [--waves <n>] [--promote]
 //! ```
@@ -41,10 +41,6 @@
 //! achieved RPO (updates lost, against the Safety bound `S`) and the
 //! achieved RTO next to a cold recovery of the same bucket — exiting
 //! non-zero on any lost acknowledged update.
-//!
-//! On shared buckets, `--prefix tenants/<name>/` scopes
-//! `drill` and `crashtest` to one tenant's namespace: the scoped drill
-//! structurally cannot list, read, or delete a neighbor's objects.
 
 use std::process::ExitCode;
 
@@ -75,11 +71,11 @@ fn main() -> ExitCode {
             eprintln!("  status <bucket-dir>");
             eprintln!("  restore-points <bucket-dir>");
             eprintln!("  verify <bucket-dir> [--password <pw>]");
-            eprintln!("  drill <bucket-dir> [--prefix <tenants/name/>] [--password <pw>]");
+            eprintln!("  drill <bucket-dir> [--password <pw>]");
             eprintln!("  recover <bucket-dir> <target-dir> [--point <ts>] [--password <pw>]");
             eprintln!("  cost <db-gb> <updates-per-min> <batch>");
             eprintln!(
-                "  crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn] [--prefix <p>]"
+                "  crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn]"
             );
             eprintln!("  outage [--rows <n>]");
             eprintln!("  standby [--rows <n>] [--waves <n>] [--promote]");
@@ -100,14 +96,6 @@ fn flag_value(args: &[String], flag: &str) -> Option<String> {
         .position(|a| a == flag)
         .and_then(|i| args.get(i + 1))
         .cloned()
-}
-
-/// `--prefix`, normalized to end in `/` (the `tenants/<name>/`
-/// convention); `None` when absent or explicitly empty (whole bucket).
-fn prefix_from(args: &[String]) -> Option<String> {
-    flag_value(args, "--prefix")
-        .filter(|p| !p.is_empty())
-        .map(|p| if p.ends_with('/') { p } else { format!("{p}/") })
 }
 
 fn config_from(args: &[String]) -> Result<GinjaConfig, String> {
@@ -208,24 +196,16 @@ fn verify(args: &[String]) -> Result<(), String> {
 /// A one-shot disaster-recovery drill: scrub the bucket (every payload
 /// envelope-verified, anomalies classified), then rehearse a full
 /// restore into scratch memory and report the achieved RTO (the
-/// wall-clock time of that verify-and-rebuild pass). With
-/// `--prefix`, both stages run against one tenant's scoped view of a
-/// shared bucket — the neighbors' objects are structurally unreachable.
+/// wall-clock time of that verify-and-rebuild pass).
 fn drill(args: &[String]) -> Result<(), String> {
-    use std::sync::Arc;
     use std::time::Instant;
 
-    use ginja::cloud::PrefixStore;
     use ginja::core::{scrub_bucket, verify_backup_in_memory};
 
-    let mut store: Arc<dyn ObjectStore> = Arc::new(open_bucket(args, 0)?);
-    if let Some(prefix) = prefix_from(args) {
-        println!("tenant prefix:     {prefix}");
-        store = Arc::new(PrefixStore::new(store, prefix));
-    }
+    let store = open_bucket(args, 0)?;
     let config = config_from(args)?;
 
-    let scrub = scrub_bucket(store.as_ref(), &config).map_err(|e| e.to_string())?;
+    let scrub = scrub_bucket(&store, &config).map_err(|e| e.to_string())?;
     println!("objects listed:    {}", scrub.objects_listed);
     println!("payloads verified: {}", scrub.payloads_verified);
     if !scrub.is_clean() {
@@ -237,7 +217,7 @@ fn drill(args: &[String]) -> Result<(), String> {
 
     let start = Instant::now();
     let (restore, _scratch) =
-        verify_backup_in_memory(store.as_ref(), &config).map_err(|e| e.to_string())?;
+        verify_backup_in_memory(&store, &config).map_err(|e| e.to_string())?;
     let rto = start.elapsed();
     match &restore.recovery {
         Some(recovery) => println!(
@@ -336,10 +316,6 @@ fn crashtest(args: &[String]) -> Result<(), String> {
     cfg.steps = parse_num("--ops", cfg.steps as u64)? as usize;
     cfg.stride = parse_num("--stride", cfg.stride as u64)?.max(1) as usize;
     cfg.torn = !args.iter().any(|a| a == "--no-torn");
-    if let Some(prefix) = prefix_from(args) {
-        println!("tenant prefix:     {prefix}");
-        cfg.prefix = prefix;
-    }
 
     let report = explore(&cfg);
     println!(
@@ -641,9 +617,16 @@ fn standby(args: &[String]) -> Result<(), String> {
     let db = Database::open(fs, profile.clone()).map_err(|e| e.to_string())?;
 
     // The standby shares the instance's resilient store (one retry
-    // policy, one ledger) and tails into its own shadow directory.
-    let standby = Standby::for_instance(&ginja, Arc::new(MemFs::new()), StandbyConfig::default())
-        .map_err(|e| e.to_string())?;
+    // policy, one ledger) and fan-out executor, and tails into its own
+    // shadow directory.
+    let standby = Standby::attach_with(
+        ginja.resilient_cloud(),
+        ginja.fanout().clone(),
+        Arc::new(MemFs::new()),
+        config.clone(),
+        StandbyConfig::default(),
+    )
+    .map_err(|e| e.to_string())?;
     let gets_before = ginja.usage_ledger().usage().gets;
 
     println!(

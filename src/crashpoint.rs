@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, PrefixStore, RetryConfig};
+use ginja_cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, RetryConfig};
 use ginja_core::{recover_into, scrub_bucket, Ginja, GinjaConfig};
 use ginja_db::{Database, DbError, DbProfile, ProfileKind};
 use ginja_vfs::{FileSystem, InterceptFs, JournaledFs};
@@ -116,11 +116,6 @@ pub struct ExplorerConfig {
     /// would — so [`explore`] insists that the dark steps plus the
     /// crashing one fit in `safety` at two WAL writes each.
     pub dark_steps: usize,
-    /// Tenant prefix the sweep runs under (empty = the whole bucket).
-    /// When set, the middleware, every recovery, and every scrub go
-    /// through a [`PrefixStore`] view — the sweep then also proves the
-    /// crash invariants hold for a tenant of a shared bucket.
-    pub prefix: String,
 }
 
 impl ExplorerConfig {
@@ -138,7 +133,6 @@ impl ExplorerConfig {
             fault: None,
             recovery_fanout: 1,
             dark_steps: 0,
-            prefix: String::new(),
         }
     }
 }
@@ -294,8 +288,8 @@ fn profile_for(kind: ProfileKind) -> DbProfile {
 struct Stack {
     journal: Arc<JournaledFs>,
     vplan: Arc<VfsFaultPlan>,
-    /// Fault-free view of the surviving bucket contents, scoped to
-    /// `ExplorerConfig::prefix` — what recoveries and scrubs read.
+    /// Fault-free view of the surviving bucket contents — what
+    /// recoveries and scrubs read.
     view: Arc<dyn ObjectStore>,
     cplan: Arc<FaultPlan>,
     ginja: Ginja,
@@ -337,18 +331,9 @@ fn build_stack(cfg: &ExplorerConfig) -> Stack {
 
     let mem = Arc::new(MemStore::new());
     let cplan = Arc::new(FaultPlan::new());
-    let faulted: Arc<dyn ObjectStore> = Arc::new(FaultStore::new(mem.clone(), cplan.clone()));
-    let (cloud, view): (Arc<dyn ObjectStore>, Arc<dyn ObjectStore>) = if cfg.prefix.is_empty() {
-        (faulted, mem)
-    } else {
-        (
-            Arc::new(PrefixStore::new(faulted, cfg.prefix.clone())),
-            Arc::new(PrefixStore::new(mem, cfg.prefix.clone())),
-        )
-    };
     let ginja = Ginja::boot(
         journal.clone() as Arc<dyn FileSystem>,
-        cloud,
+        Arc::new(FaultStore::new(mem.clone(), cplan.clone())),
         cfg.profile.processor(),
         config.clone(),
     )
@@ -361,7 +346,7 @@ fn build_stack(cfg: &ExplorerConfig) -> Stack {
     Stack {
         journal,
         vplan,
-        view,
+        view: mem,
         cplan,
         ginja,
         db_fs,
@@ -775,25 +760,6 @@ mod tests {
         assert_eq!(census.step_of(census.step_starts[0]), Some(0));
         assert_eq!(census.step_of(census.step_starts[2] - 1), Some(1));
         assert_eq!(census.step_of(points - 1), Some(cfg.steps - 1));
-    }
-
-    #[test]
-    fn prefixed_sweep_upholds_the_tenant_invariants() {
-        // The same sweep through a `tenants/<name>/` view: every
-        // invariant must survive the namespace translation, which is
-        // what lets `ginja-cli crashtest --prefix` certify one tenant
-        // of a shared bucket.
-        let cfg = ExplorerConfig {
-            steps: 4,
-            stride: 9,
-            torn: false,
-            prefix: "tenants/crash-a/".into(),
-            ..ExplorerConfig::new(ProfileKind::Postgres)
-        };
-        let report = explore(&cfg);
-        assert!(report.explored > 0);
-        let violations: Vec<String> = report.violations.iter().map(|v| v.to_string()).collect();
-        assert!(report.is_clean(), "{violations:#?}");
     }
 
     #[test]

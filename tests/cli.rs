@@ -6,7 +6,7 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ginja::cloud::{DirStore, PrefixStore};
+use ginja::cloud::DirStore;
 use ginja::core::{Ginja, GinjaConfig};
 use ginja::db::{Database, DbProfile};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, PostgresProcessor};
@@ -31,6 +31,24 @@ fn first_file(dir: &Path) -> Option<PathBuf> {
             Some(path)
         }
     })
+}
+
+/// Byte-exact recursive inventory of a directory tree, for asserting
+/// that a drill never writes, deletes, or truncates an object.
+fn dir_inventory(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
+    fn walk(dir: &Path, out: &mut std::collections::BTreeMap<String, Vec<u8>>) {
+        for entry in std::fs::read_dir(dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else {
+                out.insert(path.display().to_string(), std::fs::read(&path).unwrap());
+            }
+        }
+    }
+    let mut out = std::collections::BTreeMap::new();
+    walk(dir, &mut out);
+    out
 }
 
 fn run_ok(args: &[&str]) -> String {
@@ -97,10 +115,25 @@ fn cli_full_operator_flow() {
     let out = run_ok(&["verify", bucket]);
     assert!(out.contains("backup verification PASSED"), "{out}");
 
-    // drill: one-shot scrub + restore rehearsal
+    // drill: one-shot scrub + restore rehearsal. Its scrub lists every
+    // object, and it leaves the bucket byte-identical.
+    let pristine = dir_inventory(&bucket_dir);
     let out = run_ok(&["drill", bucket]);
     assert!(out.contains("drill PASSED"), "{out}");
     assert!(out.contains("achieved RTO"), "{out}");
+    let listed: usize = out
+        .lines()
+        .find_map(|l| l.strip_prefix("objects listed:"))
+        .expect("scrub count line")
+        .trim()
+        .parse()
+        .unwrap();
+    assert_eq!(listed, pristine.len(), "{out}");
+    assert_eq!(
+        dir_inventory(&bucket_dir),
+        pristine,
+        "drill changed the bucket"
+    );
 
     // recover, then reopen the database over the restored directory.
     let out = run_ok(&["recover", bucket, target_dir.to_str().unwrap()]);
@@ -140,133 +173,13 @@ fn cli_full_operator_flow() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Byte-exact recursive inventory of a directory tree, for asserting
-/// that a drill on one tenant never writes, deletes, or truncates a
-/// neighbor's objects.
-fn dir_inventory(dir: &std::path::Path) -> std::collections::BTreeMap<String, Vec<u8>> {
-    fn walk(dir: &std::path::Path, out: &mut std::collections::BTreeMap<String, Vec<u8>>) {
-        for entry in std::fs::read_dir(dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path.is_dir() {
-                walk(&path, out);
-            } else {
-                out.insert(path.display().to_string(), std::fs::read(&path).unwrap());
-            }
-        }
-    }
-    let mut out = std::collections::BTreeMap::new();
-    walk(dir, &mut out);
-    out
-}
-
-/// Regression test for tenant-scoped drills: a drill on tenant A must
-/// never list, read, delete, or otherwise disturb tenant B's objects in
-/// the shared bucket — even when B is wholly corrupt.
-#[test]
-fn cli_drill_prefix_never_touches_a_neighbor() {
-    let base = std::env::temp_dir().join(format!("ginja-cli-prefix-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&base);
-    let bucket_dir = base.join("bucket");
-
-    // Two tenants populate one bucket under disjoint prefixes.
-    for name in ["a", "b"] {
-        let local = Arc::new(MemFs::new());
-        let db = Database::create(local.clone(), DbProfile::postgres_small()).unwrap();
-        db.create_table(1, 64).unwrap();
-        drop(db);
-        let store: Arc<dyn ginja::cloud::ObjectStore> =
-            Arc::new(DirStore::open(&bucket_dir).unwrap());
-        let cloud = Arc::new(PrefixStore::new(store, format!("tenants/{name}/")));
-        let config = GinjaConfig::builder()
-            .batch(2)
-            .safety(16)
-            .batch_timeout(Duration::from_millis(10))
-            .build()
-            .unwrap();
-        let ginja = Ginja::boot(
-            local.clone(),
-            cloud,
-            Arc::new(PostgresProcessor::new()),
-            config,
-        )
-        .unwrap();
-        let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
-        let db = Database::open(fs, DbProfile::postgres_small()).unwrap();
-        for i in 0..12u64 {
-            db.put(1, i, format!("{name}-row-{i}").into_bytes())
-                .unwrap();
-        }
-        assert!(ginja.sync(Duration::from_secs(20)));
-        ginja.shutdown();
-    }
-    let bucket = bucket_dir.to_str().unwrap();
-    let a_dir = bucket_dir.join("tenants").join("a");
-    let b_dir = bucket_dir.join("tenants").join("b");
-    let b_pristine = dir_inventory(&b_dir);
-
-    // Scoped drill on A passes, and its scrub lists exactly A's
-    // objects — B's are structurally invisible.
-    let out = run_ok(&["drill", bucket, "--prefix", "tenants/a/"]);
-    assert!(out.contains("drill PASSED"), "{out}");
-    let listed: usize = out
-        .lines()
-        .find_map(|l| l.strip_prefix("objects listed:"))
-        .expect("scrub count line")
-        .trim()
-        .parse()
-        .unwrap();
-    assert_eq!(listed, dir_inventory(&a_dir).len(), "{out}");
-    assert_eq!(dir_inventory(&b_dir), b_pristine, "drill on A disturbed B");
-
-    // Corrupt every object B owns. A's drill cannot even read them, so
-    // it must still pass; B's own drill must fail loudly.
-    for (path, bytes) in &b_pristine {
-        let mut mangled = bytes.clone();
-        match mangled.len() {
-            0 => mangled.push(0xff),
-            n => mangled[n / 2] ^= 0xff,
-        }
-        std::fs::write(path, mangled).unwrap();
-    }
-    let b_corrupt = dir_inventory(&b_dir);
-    // No trailing slash: the CLI normalizes the prefix.
-    let out = run_ok(&["drill", bucket, "--prefix", "tenants/a"]);
-    assert!(out.contains("drill PASSED"), "{out}");
-    assert!(
-        !cli()
-            .args(["drill", bucket, "--prefix", "tenants/b/"])
-            .output()
-            .unwrap()
-            .status
-            .success(),
-        "drill on the corrupted tenant must fail"
-    );
-    assert_eq!(
-        dir_inventory(&b_dir),
-        b_corrupt,
-        "drills must never repair or delete a neighbor's objects"
-    );
-
-    let _ = std::fs::remove_dir_all(&base);
-}
-
 #[test]
 fn cli_crashtest_sweeps_clean() {
     // Bucket-less: the sweep runs against in-memory stores. Keep it
     // small — each replay is a full boot → crash → recover cycle.
-    let out = run_ok(&[
-        "crashtest",
-        "--ops",
-        "3",
-        "--stride",
-        "6",
-        "--no-torn",
-        "--prefix",
-        "tenants/a/",
-    ]);
+    let out = run_ok(&["crashtest", "--ops", "3", "--stride", "6", "--no-torn"]);
     assert!(out.contains("crashtest PASSED"), "{out}");
     assert!(out.contains("crash points:"), "{out}");
-    assert!(out.contains("tenant prefix:"), "{out}");
 
     let out = run_ok(&[
         "crashtest",
