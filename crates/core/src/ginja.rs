@@ -991,12 +991,12 @@ fn uploader_loop(shared: &Shared) {
 fn checkpointer_loop(shared: &Shared) {
     while let Some(mut job) = shared.ckpt_queue.pop() {
         // Timestamp collision (two checkpoints with no commits between
-        // them): merge with the existing DB object at this ts so the
-        // view keeps one entry per timestamp.
+        // them): merge with the DB object that counts at this ts, and
+        // delete every generation there once the merge is durable.
         //
-        // The generation rule the view and recovery share — same ts,
-        // larger size wins — is only sound because the later upload is
-        // a strict superset of the earlier one. A failed merge fetch
+        // The generation order every reader of the view shares — same
+        // ts, larger size wins — is only sound because the later upload
+        // is a strict superset of the earlier one. A failed merge fetch
         // must therefore NOT silently degrade to "skip the merge": the
         // resulting non-superset can out-size (and so outrank) the old
         // object while lacking the only durable image of some of its
@@ -1010,7 +1010,6 @@ fn checkpointer_loop(shared: &Shared) {
         // outright: removed from the view and deleted, so it can never
         // outrank this upload.
         let existing = shared.view.lock().db_entry(job.ts).cloned();
-        let mut replaced_parts = Vec::new();
         if let Some(entry) = existing {
             let part_names: Vec<String> = entry.parts.iter().map(|p| p.to_name()).collect();
             let fetched = shared
@@ -1043,8 +1042,6 @@ fn checkpointer_loop(shared: &Shared) {
                 // An unreassemblable bundle is unusable garbage: fall
                 // through and replace it.
             }
-            // Merged or replaced, the old generation is superseded.
-            replaced_parts = entry.parts.iter().map(|p| p.to_name()).collect();
         }
 
         let bytes = bundle::encode(&job.entries);
@@ -1109,16 +1106,20 @@ fn checkpointer_loop(shared: &Shared) {
         // garbage (Algorithm 3 lines 22–29). Order matters — WAL objects
         // are deleted only after the covering DB object is durable.
         let uploaded_names: Vec<String> = uploaded.iter().map(|n| n.to_name()).collect();
-        let merged = !replaced_parts.is_empty();
-        // A merge can reproduce an identical name (same ts/kind/size):
-        // that object was just overwritten in place — never delete it.
-        replaced_parts.retain(|name| !uploaded_names.contains(name));
 
         let (wal_garbage, db_garbage) = {
             let mut view = shared.view.lock();
-            if merged {
-                view.remove_db_at(job.ts);
-            }
+            // Merged or replaced, every generation at this ts is
+            // superseded, a loser left by an aborted upload or a failed
+            // DELETE included. A merge can reproduce an identical name
+            // (same ts/kind/size): that object was just overwritten in
+            // place — never delete it.
+            let mut db_garbage: Vec<String> = view
+                .remove_db_at(job.ts)
+                .iter()
+                .map(|p| p.to_name())
+                .filter(|name| !uploaded_names.contains(name))
+                .collect();
             for name in uploaded {
                 view.add_db_part(name);
             }
@@ -1150,7 +1151,6 @@ fn checkpointer_loop(shared: &Shared) {
             };
             let wal_garbage: Vec<String> = wal_garbage.iter().map(|w| w.to_name()).collect();
 
-            let mut db_garbage: Vec<String> = replaced_parts;
             if job.kind == DbObjectKind::Dump {
                 let cutoff = pitr_floor.unwrap_or(job.ts);
                 db_garbage.extend(view.remove_db_before(cutoff).iter().map(|d| d.to_name()));

@@ -51,8 +51,9 @@
 //! The module map follows the paper: [`queue`] is the `CommitQueue` of
 //! §6, [`agg`] the update aggregation of Algorithm 2, [`names`]/[`view`]
 //! the data model of §5.2, [`recovery`] Algorithm 1's Recovery mode,
-//! [`verify`] the backup-verification procedure of §5.4, and [`scrub`]
-//! the offline audit that classifies what in a bucket is damaged.
+//! and [`scrub`] the offline audit that classifies what in a bucket is
+//! damaged — with [`recover_into`] into scratch, the backup
+//! verification of §5.4.
 
 pub mod agg;
 pub mod apply;
@@ -63,7 +64,6 @@ pub mod names;
 pub mod queue;
 pub mod recovery;
 pub mod scrub;
-pub mod verify;
 pub mod view;
 
 mod ack;
@@ -88,5 +88,4 @@ pub use recovery::{
 };
 pub use scrub::{scrub_bucket, Anomaly, AnomalyKind, ScrubReport};
 pub use stats::{GinjaStats, GinjaStatsSnapshot, IngestSnapshot, LatencyHisto, LatencySnapshot};
-pub use verify::{verify_backup, verify_backup_in_memory, VerifyReport};
-pub use view::{CloudView, DbEntry};
+pub use view::{CloudView, DbEntry, Listed};

@@ -132,10 +132,7 @@ pub enum RestorePointKind {
 /// Cloud listing and name-parsing errors propagate.
 pub fn list_restore_points(cloud: &dyn ObjectStore) -> Result<Vec<RestorePoint>, GinjaError> {
     let view = CloudView::from_listing(cloud.list("")?)?;
-    let Some((oldest_dump, _)) = view
-        .db_entries()
-        .find(|(_, e)| e.kind == crate::names::DbObjectKind::Dump && e.is_complete())
-    else {
+    let Some(&oldest_dump) = view.dump_timestamps().first() else {
         return Ok(Vec::new());
     };
     let mut points = Vec::new();

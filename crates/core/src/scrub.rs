@@ -2,14 +2,19 @@
 //! validate object envelopes, and classify what is wrong.
 //!
 //! [`scrub_bucket`] audits a bucket from nothing but its listing — what
-//! `ginja-cli drill` runs against a bucket with no live middleware, and
-//! what the crash-point sweep checks after every simulated crash.
-//! Missing WAL objects are inferred from timestamp gaps in the chain
-//! above the newest complete DB object; incomplete multi-part DB
-//! objects and unparseable (foreign) names are flagged directly.
+//! `ginja-cli verify` runs against a bucket with no live middleware,
+//! and what the crash-point sweep checks after every simulated crash.
+//! It is validation 1 of §5.4's backup verification (every object
+//! MAC-verified); [`crate::recover_into`] into scratch is validation 2
+//! and the caller's probe over the rebuilt database validation 3.
 //!
-//! Where [`crate::verify_backup`] answers "does this bucket restore?",
-//! a scrub answers "what in this bucket is damaged or foreign?" — it
+//! The inventory is a [`CloudView`], read by the view's one generation
+//! order. Missing WAL objects are inferred from timestamp gaps in the
+//! chain above the newest complete DB object; an incomplete DB object
+//! that counts at its timestamp is missing a part; superseded
+//! generations and foreign names are orphans.
+//!
+//! A scrub answers "what in this bucket is damaged or foreign?" — it
 //! classifies every object and never stops at the first failure. What
 //! it cannot see: a missing *tail* WAL object (the newest ones) leaves
 //! no gap, and holes at or below the newest complete DB object are
@@ -19,7 +24,6 @@ use ginja_cloud::ObjectStore;
 use ginja_codec::Codec;
 
 use crate::config::GinjaConfig;
-use crate::names::{DbObjectName, WalObjectName};
 use crate::view::CloudView;
 use crate::GinjaError;
 
@@ -29,15 +33,16 @@ pub enum AnomalyKind {
     /// A WAL object that should exist is absent from the bucket: a gap
     /// in the contiguous chain above the newest complete DB object.
     MissingWal,
-    /// A DB object is unusable: a part of a multi-part dump/checkpoint
-    /// is absent.
+    /// A DB object is unusable: a part of the multi-part dump or
+    /// checkpoint that counts at its timestamp is absent.
     MissingDb,
     /// The object exists but its payload fails envelope verification
     /// (HMAC/CRC mismatch: bit rot, truncation, or tampering).
     Corrupt,
     /// An object in the bucket that the inventory does not account for
-    /// — typically garbage a failed GC DELETE left behind, or a
-    /// foreign object in the wrong bucket.
+    /// — a generation another one supersedes (garbage a failed DELETE
+    /// or an aborted upload left behind), or a foreign object in the
+    /// wrong bucket.
     Orphan,
 }
 
@@ -89,7 +94,7 @@ impl ScrubReport {
 /// Audits a bucket from its listing alone — no live middleware, no
 /// local state. Every payload is downloaded and envelope-verified
 /// (there is no pipeline to compete with for bandwidth). Used by
-/// `ginja-cli drill`, its outage drill and the crash-point sweep.
+/// `ginja-cli verify`, the outage drill and the crash-point sweep.
 ///
 /// # Errors
 ///
@@ -106,18 +111,9 @@ pub fn scrub_bucket(
     let names = cloud.list("")?;
     report.objects_listed = names.len();
     for name in &names {
-        // A name that parses joins the inventory; anything else is a
+        // A name the view files joins the inventory; anything else is a
         // foreign object — an orphan by definition.
-        let parsed = if name.starts_with("WAL/") {
-            WalObjectName::parse(name).map(|w| view.add_wal(w)).is_ok()
-        } else if name.starts_with("DB/") {
-            DbObjectName::parse(name)
-                .map(|d| view.add_db_part(d))
-                .is_ok()
-        } else {
-            false
-        };
-        if !parsed {
+        if view.insert_name(name).is_err() {
             report.anomalies.push(Anomaly {
                 kind: AnomalyKind::Orphan,
                 name: name.clone(),
@@ -172,15 +168,18 @@ pub fn scrub_bucket(
         }
     }
 
-    // Incomplete multi-part DB objects: a part upload or a partial GC
-    // delete died halfway.
-    for (_, entry) in view.db_entries().filter(|(_, e)| !e.is_complete()) {
-        let name = entry.parts.first().map(|p| p.to_name()).unwrap_or_default();
-        report.anomalies.push(Anomaly {
-            kind: AnomalyKind::MissingDb,
-            name,
-        });
-    }
+    // Incomplete multi-part DB objects (a part upload or a partial GC
+    // delete died halfway, and no complete generation shares the ts),
+    // then the generations another one supersedes.
+    let missing = view.db_entries().filter(|(_, e)| !e.is_complete());
+    let missing = missing.map(|(_, e)| (AnomalyKind::MissingDb, &e.parts[0]));
+    let superseded = view.superseded_parts().map(|p| (AnomalyKind::Orphan, p));
+    report
+        .anomalies
+        .extend(missing.chain(superseded).map(|(kind, part)| Anomaly {
+            kind,
+            name: part.to_name(),
+        }));
 
     Ok(report)
 }
@@ -188,7 +187,7 @@ pub fn scrub_bucket(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::names::DbObjectKind;
+    use crate::names::WalObjectName;
     use ginja_cloud::MemStore;
 
     fn config() -> GinjaConfig {
@@ -263,14 +262,7 @@ mod tests {
         // dump stays at ts 0. The hole above the dump but at/below the
         // checkpoint is legitimate GC, not loss.
         put_sealed(&cloud, &config, "DB/0_dump_10", b"0123456789");
-        let ckpt = DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Checkpoint,
-            size: 8,
-            part: 0,
-            parts: 1,
-        };
-        put_sealed(&cloud, &config, &ckpt.to_name(), b"pagedata");
+        put_sealed(&cloud, &config, "DB/4_checkpoint_8", b"pagedata");
         put_sealed(&cloud, &config, &wal_name(5), b"record-e");
         put_sealed(&cloud, &config, &wal_name(6), b"record-f");
         let report = scrub_bucket(&cloud, &config).unwrap();
@@ -282,14 +274,7 @@ mod tests {
         let cloud = MemStore::new();
         let config = config();
         put_sealed(&cloud, &config, "DB/0_dump_10", b"0123456789");
-        let ckpt = DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Checkpoint,
-            size: 8,
-            part: 0,
-            parts: 1,
-        };
-        put_sealed(&cloud, &config, &ckpt.to_name(), b"pagedata");
+        put_sealed(&cloud, &config, "DB/4_checkpoint_8", b"pagedata");
         put_sealed(&cloud, &config, &wal_name(5), b"record-e");
         put_sealed(&cloud, &config, &wal_name(7), b"record-g");
         let report = scrub_bucket(&cloud, &config).unwrap();
@@ -305,14 +290,7 @@ mod tests {
         // anything — GC runs only after the upload completes — so it
         // must not raise the gap horizon.
         put_sealed(&cloud, &config, "DB/0_dump_10", b"0123456789");
-        let half = DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Checkpoint,
-            size: 16,
-            part: 0,
-            parts: 2,
-        };
-        put_sealed(&cloud, &config, &half.to_name(), b"half-the");
+        put_sealed(&cloud, &config, "DB/4_checkpoint_16_0_2", b"half-the");
         put_sealed(&cloud, &config, &wal_name(1), b"record-a");
         put_sealed(&cloud, &config, &wal_name(3), b"record-c");
         let report = scrub_bucket(&cloud, &config).unwrap();
@@ -347,20 +325,64 @@ mod tests {
     }
 
     #[test]
+    fn superseded_generations_are_orphans_and_the_complete_winner_the_horizon() {
+        let cloud = MemStore::new();
+        let config = config();
+        put_sealed(&cloud, &config, "DB/0_dump_10", b"0123456789");
+        // At ts 4: the checkpoint that counts, the smaller generation a
+        // merge's failed DELETE left, and one part of a larger one
+        // whose upload was aborted.
+        for name in [
+            "DB/4_checkpoint_16",
+            "DB/4_checkpoint_8",
+            "DB/4_checkpoint_32_0_2",
+        ] {
+            put_sealed(&cloud, &config, name, b"pagedata");
+        }
+        // The checkpoint collected WAL 1–4; a hole above it is loss.
+        put_sealed(&cloud, &config, &wal_name(5), b"record-e");
+        put_sealed(&cloud, &config, &wal_name(7), b"record-g");
+
+        let report = scrub_bucket(&cloud, &config).unwrap();
+        let found: Vec<_> = report
+            .anomalies
+            .iter()
+            .map(|a| (a.kind, a.name.as_str()))
+            .collect();
+        let want = [
+            (AnomalyKind::MissingWal, "WAL/6_(gap)"),
+            (AnomalyKind::Orphan, "DB/4_checkpoint_32_0_2"),
+            (AnomalyKind::Orphan, "DB/4_checkpoint_8"),
+        ];
+        assert_eq!(found, want);
+        assert_eq!(report.payloads_verified, 6);
+    }
+
+    #[test]
+    fn wrong_password_flags_everything() {
+        let cloud = MemStore::new();
+        let password = |pw: &str| {
+            let codec = ginja_codec::CodecConfig::new()
+                .password(pw)
+                .kdf_iterations(2);
+            GinjaConfig::builder().codec(codec).build().unwrap()
+        };
+        put_sealed(&cloud, &password("right"), "DB/0_dump_10", b"0123456789");
+        put_sealed(&cloud, &password("right"), &wal_name(1), b"record-a");
+        let report = scrub_bucket(&cloud, &password("wrong")).unwrap();
+        assert_eq!(report.count(AnomalyKind::Corrupt), 2);
+        assert_eq!(report.anomalies.len(), 2);
+    }
+
+    #[test]
     fn incomplete_multipart_dump_is_missing_db() {
         let cloud = MemStore::new();
         let config = config();
         put_sealed(&cloud, &config, "DB/0_dump_10", b"0123456789");
-        let part = DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Dump,
-            size: 16,
-            part: 0,
-            parts: 2,
-        };
-        put_sealed(&cloud, &config, &part.to_name(), b"half-the");
+        let part = "DB/4_dump_16_0_2";
+        put_sealed(&cloud, &config, part, b"half-the");
         let report = scrub_bucket(&cloud, &config).unwrap();
         assert_eq!(report.count(AnomalyKind::MissingDb), 1);
-        assert_eq!(report.anomalies[0].name, part.to_name());
+        assert_eq!(report.anomalies[0].name, part);
     }
 }

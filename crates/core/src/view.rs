@@ -35,7 +35,35 @@ impl DbEntry {
     }
 }
 
+/// What [`CloudView::insert_name`] filed a listed name as.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Listed {
+    /// A WAL object with this timestamp.
+    Wal(u64),
+    /// A part of a DB object generation.
+    Db,
+}
+
 /// The client-side inventory of cloud objects.
+///
+/// # Generations
+///
+/// Several DB object *generations* can share a timestamp: a checkpoint
+/// colliding with its predecessor's watermark uploads a merged superset
+/// and then deletes the object it replaces, a DELETE can fail, and an
+/// upload can die part-way. The view keeps every generation, its parts
+/// grouped by `(ts, kind, size)`, and one order picks the one that
+/// counts at a timestamp — what every accessor returns there, for
+/// Reboot, recovery, the standby and the scrub alike:
+///
+/// 1. complete before incomplete (a partial generation can never be
+///    applied, and the complete one's covering WAL may be collected);
+/// 2. dump before checkpoint;
+/// 3. larger before smaller (a merge is a strict superset of what it
+///    replaces).
+///
+/// The other generations are garbage: [`CloudView::superseded_parts`]
+/// names them, and removing a timestamp removes all of them.
 ///
 /// ```rust
 /// use ginja_core::CloudView;
@@ -43,20 +71,33 @@ impl DbEntry {
 /// # fn main() -> Result<(), ginja_core::GinjaError> {
 /// let view = CloudView::from_listing([
 ///     "DB/0_dump_1000",
+///     "DB/2_checkpoint_300",
+///     "DB/2_checkpoint_500_0_2", // one part of an aborted merge upload
 ///     "WAL/1_pg_xlog/0001_0_8192",
 ///     "WAL/2_pg_xlog/0001_8192_8192",
 /// ])?;
 /// assert_eq!(view.last_wal_ts(), 2);
 /// assert_eq!(view.most_recent_dump().unwrap().0, 0);
-/// assert_eq!(view.contiguous_wal_after(0).len(), 2);
+/// assert_eq!(view.db_entry(2).unwrap().size, 300);
+/// assert_eq!(view.superseded_parts().count(), 1);
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CloudView {
     wal: BTreeMap<u64, WalObjectName>,
-    db: BTreeMap<u64, DbEntry>,
+    /// Every generation at each occupied timestamp (never empty).
+    db: BTreeMap<u64, Vec<DbEntry>>,
     next_wal_ts: u64,
+}
+
+/// The generation that counts among those sharing a timestamp — the
+/// one order of [`CloudView`]'s "Generations" section.
+fn winner(generations: &[DbEntry]) -> &DbEntry {
+    generations
+        .iter()
+        .max_by_key(|g| (g.is_complete(), g.kind == DbObjectKind::Dump, g.size))
+        .expect("an occupied timestamp holds a generation")
 }
 
 impl CloudView {
@@ -72,65 +113,43 @@ impl CloudView {
     }
 
     /// Rebuilds a view from a cloud listing (Reboot/Recovery modes,
-    /// Algorithm 1). Unknown names are rejected — a foreign object in
-    /// the bucket is a configuration error worth surfacing.
-    ///
-    /// Colliding generations (several DB objects sharing a timestamp)
-    /// are resolved with the benefit of the *whole* listing, and
-    /// completeness comes first: an aborted merge upload can leave a
-    /// partial generation in the bucket that outranks the registered
-    /// one on kind/size alone, yet can never be applied — letting it
-    /// win would evict the complete generation that recovery actually
-    /// needs (and whose covering WAL is already collected). The online
-    /// [`CloudView::add_db_part`] path keeps its kind/size rule: there
-    /// the checkpointer registers a generation only after every part
-    /// is durable.
+    /// Algorithm 1): [`CloudView::insert_name`] over every name.
     ///
     /// # Errors
     ///
-    /// [`GinjaError::BadObjectName`] for unparseable names.
+    /// [`GinjaError::BadObjectName`] for a name that is not Ginja's — a
+    /// foreign object in the bucket is a configuration error worth
+    /// surfacing.
     pub fn from_listing<I, S>(names: I) -> Result<Self, GinjaError>
     where
         I: IntoIterator<Item = S>,
         S: AsRef<str>,
     {
         let mut view = CloudView::new();
-        let mut generations: BTreeMap<u64, Vec<DbEntry>> = BTreeMap::new();
         for name in names {
-            let name = name.as_ref();
-            if name.starts_with(crate::names::WAL_PREFIX) {
-                view.add_wal(WalObjectName::parse(name)?);
-            } else if name.starts_with(crate::names::DB_PREFIX) {
-                let part = DbObjectName::parse(name)?;
-                let gens = generations.entry(part.ts).or_default();
-                match gens
-                    .iter_mut()
-                    .find(|g| g.kind == part.kind && g.size == part.size)
-                {
-                    Some(gen) => {
-                        if !gen.parts.iter().any(|p| p.part == part.part) {
-                            gen.parts.push(part);
-                            gen.parts.sort_by_key(|p| p.part);
-                        }
-                    }
-                    None => gens.push(DbEntry {
-                        kind: part.kind,
-                        size: part.size,
-                        parts: vec![part],
-                    }),
-                }
-            } else {
-                return Err(GinjaError::BadObjectName(name.to_string()));
-            }
-        }
-        for (ts, gens) in generations {
-            let winner = gens
-                .into_iter()
-                .max_by_key(|g| (g.is_complete(), g.kind == DbObjectKind::Dump, g.size))
-                .expect("at least one generation per occupied timestamp");
-            view.db.insert(ts, winner);
+            view.insert_name(name.as_ref())?;
         }
         Ok(view)
+    }
+
+    /// Files one listed object name: a WAL object, or a DB object part
+    /// into its generation.
+    ///
+    /// # Errors
+    ///
+    /// [`GinjaError::BadObjectName`] for a name that is neither.
+    pub fn insert_name(&mut self, name: &str) -> Result<Listed, GinjaError> {
+        if name.starts_with(crate::names::WAL_PREFIX) {
+            let wal = WalObjectName::parse(name)?;
+            let ts = wal.ts;
+            self.add_wal(wal);
+            Ok(Listed::Wal(ts))
+        } else if name.starts_with(crate::names::DB_PREFIX) {
+            self.add_db_part(DbObjectName::parse(name)?);
+            Ok(Listed::Db)
+        } else {
+            Err(GinjaError::BadObjectName(name.to_string()))
+        }
     }
 
     /// Allocates the next WAL timestamp (strictly increasing).
@@ -146,50 +165,24 @@ impl CloudView {
         self.wal.insert(name.ts, name);
     }
 
-    /// Records one DB object part as durable.
-    ///
-    /// Multiple *generations* of DB objects can share a timestamp: when
-    /// two checkpoints collide on a watermark, the later upload merges
-    /// the earlier one's entries (a strict superset) and the earlier
-    /// object becomes garbage — which survives in the cloud if its
-    /// DELETE fails. Generations are therefore totally ordered (a dump
-    /// supersedes a checkpoint; within a kind, larger supersedes
-    /// smaller), and the view keeps only the winning generation.
+    /// Records one DB object part as durable, in its generation.
     pub fn add_db_part(&mut self, name: DbObjectName) {
-        match self.db.entry(name.ts) {
-            std::collections::btree_map::Entry::Vacant(slot) => {
-                slot.insert(DbEntry {
-                    kind: name.kind,
-                    size: name.size,
-                    parts: vec![name],
-                });
-            }
-            std::collections::btree_map::Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                if entry.kind == name.kind && entry.size == name.size {
-                    // Another part of the same generation.
-                    if !entry.parts.iter().any(|p| p.part == name.part) {
-                        entry.parts.push(name);
-                        entry.parts.sort_by_key(|p| p.part);
-                    }
-                    return;
+        let generations = self.db.entry(name.ts).or_default();
+        match generations
+            .iter_mut()
+            .find(|g| g.kind == name.kind && g.size == name.size)
+        {
+            Some(generation) => {
+                if !generation.parts.iter().any(|p| p.part == name.part) {
+                    generation.parts.push(name);
+                    generation.parts.sort_by_key(|p| p.part);
                 }
-                let new_wins = match (name.kind, entry.kind) {
-                    (DbObjectKind::Dump, DbObjectKind::Checkpoint) => true,
-                    (DbObjectKind::Checkpoint, DbObjectKind::Dump) => false,
-                    _ => name.size > entry.size,
-                };
-                if new_wins {
-                    *entry = DbEntry {
-                        kind: name.kind,
-                        size: name.size,
-                        parts: vec![name],
-                    };
-                }
-                // A losing generation is stale garbage: not tracked (its
-                // cloud object lingers until a later dump GC misses it —
-                // a bounded cost leak, never a correctness issue).
             }
+            None => generations.push(DbEntry {
+                kind: name.kind,
+                size: name.size,
+                parts: vec![name],
+            }),
         }
     }
 
@@ -219,16 +212,16 @@ impl CloudView {
         self.wal.len()
     }
 
-    /// Number of tracked DB objects (entries, not parts).
+    /// Number of timestamps that hold a DB object.
     pub fn db_count(&self) -> usize {
         self.db.len()
     }
 
-    /// Total uncompressed size of all DB objects —
+    /// Total uncompressed size of the DB objects that count —
     /// `cloudView.getTotalDBSize()` in Algorithm 3 (drives the 150 %
     /// dump rule).
     pub fn total_db_size(&self) -> u64 {
-        self.db.values().map(|e| e.size).sum()
+        self.db_entries().map(|(_, e)| e.size).sum()
     }
 
     /// Total raw size of all live WAL objects (cost accounting).
@@ -238,39 +231,17 @@ impl CloudView {
 
     /// The most recent complete dump, if any.
     pub fn most_recent_dump(&self) -> Option<(u64, &DbEntry)> {
-        self.db
-            .iter()
-            .rev()
-            .find(|(_, e)| e.kind == DbObjectKind::Dump && e.is_complete())
-            .map(|(ts, e)| (*ts, e))
+        self.db_entries()
+            .rfind(|(_, e)| e.kind == DbObjectKind::Dump && e.is_complete())
     }
 
     /// Complete incremental checkpoints with `ts > after`, ascending.
     pub fn checkpoints_after(&self, after: u64) -> Vec<(u64, &DbEntry)> {
         self.db
             .range(after + 1..)
+            .map(|(ts, generations)| (*ts, winner(generations)))
             .filter(|(_, e)| e.kind == DbObjectKind::Checkpoint && e.is_complete())
-            .map(|(ts, e)| (*ts, e))
             .collect()
-    }
-
-    /// WAL objects with consecutive timestamps starting at `after + 1` —
-    /// the paper's §5.3 gap-free prefix. Recovery no longer requires
-    /// contiguity (see `recovery`'s module docs), but the prefix remains
-    /// a useful diagnostic: its length is the number of objects whose
-    /// durability is beyond doubt from names alone.
-    #[allow(clippy::explicit_counter_loop)]
-    pub fn contiguous_wal_after(&self, after: u64) -> Vec<&WalObjectName> {
-        let mut out = Vec::new();
-        let mut expected = after + 1;
-        for (ts, name) in self.wal.range(after + 1..) {
-            if *ts != expected {
-                break;
-            }
-            out.push(name);
-            expected += 1;
-        }
-        out
     }
 
     /// Removes (and returns) all WAL objects with `ts <= upto` — the
@@ -334,36 +305,56 @@ impl CloudView {
             .collect()
     }
 
-    /// Removes (and returns the part names of) all DB objects with
-    /// `ts < before` — Algorithm 3 lines 26–29 (after a dump upload).
+    /// Removes (and returns the part names of) every generation of
+    /// every DB object with `ts < before` — Algorithm 3 lines 26–29
+    /// (after a dump upload).
     pub fn remove_db_before(&mut self, before: u64) -> Vec<DbObjectName> {
         let keep = self.db.split_off(&before);
         let removed = std::mem::replace(&mut self.db, keep);
-        removed.into_values().flat_map(|e| e.parts).collect()
+        removed
+            .into_values()
+            .flatten()
+            .flat_map(|e| e.parts)
+            .collect()
     }
 
     /// Timestamps of all complete dumps, ascending (PITR bookkeeping).
     pub fn dump_timestamps(&self) -> Vec<u64> {
-        self.db
-            .iter()
+        self.db_entries()
             .filter(|(_, e)| e.kind == DbObjectKind::Dump && e.is_complete())
-            .map(|(ts, _)| *ts)
+            .map(|(ts, _)| ts)
             .collect()
     }
 
-    /// All DB entries, ascending by ts.
+    /// The DB object that counts at each occupied timestamp, ascending
+    /// by ts.
     pub fn db_entries(&self) -> impl DoubleEndedIterator<Item = (u64, &DbEntry)> {
-        self.db.iter().map(|(ts, e)| (*ts, e))
+        self.db.iter().map(|(ts, g)| (*ts, winner(g)))
     }
 
-    /// The DB entry at exactly `ts`, if any.
+    /// The DB object that counts at exactly `ts`, if any.
     pub fn db_entry(&self, ts: u64) -> Option<&DbEntry> {
-        self.db.get(&ts)
+        self.db.get(&ts).map(|g| winner(g))
     }
 
-    /// Removes the DB entry at exactly `ts`, returning its part names.
+    /// The parts of every generation that does not count at its
+    /// timestamp: garbage a merge's failed DELETE or an aborted upload
+    /// left behind.
+    pub fn superseded_parts(&self) -> impl Iterator<Item = &DbObjectName> {
+        self.db.values().flat_map(|generations| {
+            let won = winner(generations);
+            generations
+                .iter()
+                .filter(move |g| (g.kind, g.size) != (won.kind, won.size))
+                .flat_map(|g| &g.parts)
+        })
+    }
+
+    /// Removes every generation at exactly `ts`, returning their part
+    /// names.
     pub fn remove_db_at(&mut self, ts: u64) -> Vec<DbObjectName> {
-        self.db.remove(&ts).map(|e| e.parts).unwrap_or_default()
+        let generations = self.db.remove(&ts).unwrap_or_default();
+        generations.into_iter().flat_map(|e| e.parts).collect()
     }
 
     /// Removes a single object *by its cloud name* — the standby's
@@ -386,13 +377,20 @@ impl CloudView {
         let Ok(parsed) = DbObjectName::parse(name) else {
             return false;
         };
-        let Some(entry) = self.db.get_mut(&parsed.ts) else {
+        let Some(generations) = self.db.get_mut(&parsed.ts) else {
             return false;
         };
-        let before = entry.parts.len();
-        entry.parts.retain(|p| *p != parsed);
-        let removed = entry.parts.len() != before;
-        if entry.parts.is_empty() {
+        let Some(generation) = generations
+            .iter_mut()
+            .find(|g| g.kind == parsed.kind && g.size == parsed.size)
+        else {
+            return false;
+        };
+        let before = generation.parts.len();
+        generation.parts.retain(|p| *p != parsed);
+        let removed = generation.parts.len() != before;
+        generations.retain(|g| !g.parts.is_empty());
+        if generations.is_empty() {
             self.db.remove(&parsed.ts);
         }
         removed
@@ -446,14 +444,8 @@ mod tests {
         }
     }
 
-    fn db(ts: u64, kind: DbObjectKind, size: u64) -> DbObjectName {
-        DbObjectName {
-            ts,
-            kind,
-            size,
-            part: 0,
-            parts: 1,
-        }
+    fn part(name: &str) -> DbObjectName {
+        DbObjectName::parse(name).unwrap()
     }
 
     #[test]
@@ -473,7 +465,7 @@ mod tests {
     #[test]
     fn watermark_tracks_wal_while_wal_exists() {
         let mut v = CloudView::new();
-        v.add_db_part(db(3, DbObjectKind::Dump, 100));
+        v.add_db_part(part("DB/3_dump_100"));
         v.add_wal(wal(7));
         assert_eq!(v.watermark(), 7);
     }
@@ -485,9 +477,9 @@ mod tests {
         // next checkpoint would be stamped *before* the dump and
         // recovery (`checkpoints_after`) would never apply it.
         let mut v = CloudView::new();
-        v.add_db_part(db(3, DbObjectKind::Dump, 100));
+        v.add_db_part(part("DB/3_dump_100"));
         v.add_wal(wal(4));
-        v.add_db_part(db(4, DbObjectKind::Checkpoint, 50));
+        v.add_db_part(part("DB/4_checkpoint_50"));
         v.remove_wal_up_to(4);
         assert_eq!(v.last_wal_ts(), 0);
         assert_eq!(v.watermark(), 4);
@@ -520,27 +512,6 @@ mod tests {
     }
 
     #[test]
-    fn contiguous_wal_stops_at_gap() {
-        let mut v = CloudView::new();
-        for ts in [1, 2, 3, 5, 6] {
-            v.add_wal(wal(ts));
-        }
-        let got: Vec<u64> = v.contiguous_wal_after(0).iter().map(|w| w.ts).collect();
-        assert_eq!(got, vec![1, 2, 3]);
-        let got: Vec<u64> = v.contiguous_wal_after(4).iter().map(|w| w.ts).collect();
-        assert_eq!(got, vec![5, 6]);
-        assert!(v.contiguous_wal_after(10).is_empty());
-    }
-
-    #[test]
-    fn contiguous_requires_immediate_successor() {
-        let mut v = CloudView::new();
-        v.add_wal(wal(5));
-        // After ts 2, the first existing object is 5: a gap → nothing.
-        assert!(v.contiguous_wal_after(2).is_empty());
-    }
-
-    #[test]
     fn gc_wal_up_to() {
         let mut v = CloudView::new();
         for ts in 1..=10 {
@@ -549,15 +520,15 @@ mod tests {
         let removed = v.remove_wal_up_to(4);
         assert_eq!(removed.len(), 4);
         assert_eq!(v.wal_count(), 6);
-        assert_eq!(v.contiguous_wal_after(4).len(), 6);
+        assert_eq!(v.wal_entries().next().unwrap().ts, 5);
     }
 
     #[test]
     fn gc_db_before() {
         let mut v = CloudView::new();
-        v.add_db_part(db(0, DbObjectKind::Dump, 100));
-        v.add_db_part(db(3, DbObjectKind::Checkpoint, 10));
-        v.add_db_part(db(7, DbObjectKind::Dump, 120));
+        v.add_db_part(part("DB/0_dump_100"));
+        v.add_db_part(part("DB/3_checkpoint_10"));
+        v.add_db_part(part("DB/7_dump_120"));
         let removed = v.remove_db_before(7);
         assert_eq!(removed.len(), 2);
         assert_eq!(v.db_count(), 1);
@@ -567,9 +538,9 @@ mod tests {
     #[test]
     fn checkpoints_after_filters_and_sorts() {
         let mut v = CloudView::new();
-        v.add_db_part(db(0, DbObjectKind::Dump, 100));
-        v.add_db_part(db(2, DbObjectKind::Checkpoint, 10));
-        v.add_db_part(db(5, DbObjectKind::Checkpoint, 20));
+        v.add_db_part(part("DB/0_dump_100"));
+        v.add_db_part(part("DB/2_checkpoint_10"));
+        v.add_db_part(part("DB/5_checkpoint_20"));
         let got: Vec<u64> = v.checkpoints_after(0).iter().map(|(ts, _)| *ts).collect();
         assert_eq!(got, vec![2, 5]);
         let got: Vec<u64> = v.checkpoints_after(2).iter().map(|(ts, _)| *ts).collect();
@@ -580,28 +551,10 @@ mod tests {
     fn incomplete_multi_part_objects_not_used() {
         let mut v = CloudView::new();
         // A 3-part dump with only 2 parts present must not be chosen.
-        v.add_db_part(DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Dump,
-            size: 100,
-            part: 0,
-            parts: 3,
-        });
-        v.add_db_part(DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Dump,
-            size: 100,
-            part: 2,
-            parts: 3,
-        });
+        v.add_db_part(part("DB/4_dump_100_0_3"));
+        v.add_db_part(part("DB/4_dump_100_2_3"));
         assert!(v.most_recent_dump().is_none());
-        v.add_db_part(DbObjectName {
-            ts: 4,
-            kind: DbObjectKind::Dump,
-            size: 100,
-            part: 1,
-            parts: 3,
-        });
+        v.add_db_part(part("DB/4_dump_100_1_3"));
         assert_eq!(v.most_recent_dump().unwrap().0, 4);
     }
 
@@ -628,20 +581,8 @@ mod tests {
     fn remove_object_by_name() {
         let mut v = CloudView::new();
         v.add_wal(wal_range(1, "log", 0, 100));
-        v.add_db_part(DbObjectName {
-            ts: 2,
-            kind: DbObjectKind::Checkpoint,
-            size: 10,
-            part: 0,
-            parts: 2,
-        });
-        v.add_db_part(DbObjectName {
-            ts: 2,
-            kind: DbObjectKind::Checkpoint,
-            size: 10,
-            part: 1,
-            parts: 2,
-        });
+        v.add_db_part(part("DB/2_checkpoint_10_0_2"));
+        v.add_db_part(part("DB/2_checkpoint_10_1_2"));
 
         // Unknown / unparseable names are quietly ignored.
         assert!(!v.remove_object("WAL/9_log_0_100"));
@@ -815,161 +756,103 @@ mod tests {
         assert_eq!(removed[0].ts, 1);
     }
 
+    /// The generation that counts at ts 5 when `names` are listed, in
+    /// either order.
+    fn winner_of(names: [&str; 2]) -> DbEntry {
+        let forward = CloudView::from_listing(names).unwrap();
+        let backward = CloudView::from_listing([names[1], names[0]]).unwrap();
+        assert_eq!(forward.db_entry(5), backward.db_entry(5));
+        forward.db_entry(5).unwrap().clone()
+    }
+
     #[test]
     fn colliding_generations_keep_the_superset() {
         // Two generations at ts 5 (a merge whose replaced object's
-        // DELETE failed): the larger checkpoint must win, in any
-        // listing order.
-        let old_gen = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 100,
-            part: 0,
-            parts: 1,
-        };
-        let new_gen = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 260,
-            part: 0,
-            parts: 1,
-        };
-        for order in [[&old_gen, &new_gen], [&new_gen, &old_gen]] {
-            let mut v = CloudView::new();
-            for part in order {
-                v.add_db_part(part.clone());
-            }
-            let entry = v.db_entry(5).unwrap();
-            assert_eq!(entry.size, 260);
-            assert!(entry.is_complete());
-        }
+        // DELETE failed): the larger checkpoint must win.
+        let entry = winner_of(["DB/5_checkpoint_100", "DB/5_checkpoint_260"]);
+        assert_eq!(entry.size, 260);
+        assert!(entry.is_complete());
     }
 
     #[test]
     fn listing_prefers_complete_generation_over_larger_partial() {
         // An aborted merge upload left a partial (but larger) generation
-        // at ts 5 next to the registered complete one. From a listing,
-        // the complete generation must win: the partial one can never be
-        // applied, and the complete one's covering WAL is already gone.
-        let complete = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 100,
-            part: 0,
-            parts: 1,
-        };
-        let partial = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 260,
-            part: 0,
-            parts: 2, // part 1 of 2 never made it
-        };
-        for order in [
-            [complete.to_name(), partial.to_name()],
-            [partial.to_name(), complete.to_name()],
-        ] {
-            let v = CloudView::from_listing(&order).unwrap();
-            let entry = v.db_entry(5).unwrap();
-            assert_eq!(entry.size, 100, "partial generation won: {entry:?}");
-            assert!(entry.is_complete());
-            assert_eq!(v.checkpoints_after(0).len(), 1);
-        }
+        // at ts 5 next to the registered complete one. The complete
+        // generation must win: the partial one can never be applied,
+        // and the complete one's covering WAL is already gone.
+        let entry = winner_of(["DB/5_checkpoint_100", "DB/5_checkpoint_260_0_2"]);
+        assert_eq!(entry.size, 100, "partial generation won: {entry:?}");
     }
 
     #[test]
     fn listing_still_prefers_size_between_complete_generations() {
-        // Both generations complete (a replaced object's DELETE failed):
-        // the kind/size order still decides, exactly as online.
-        let old_gen = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 100,
-            part: 0,
-            parts: 1,
-        };
-        let new_gen = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 260,
-            part: 0,
-            parts: 1,
-        };
-        let v = CloudView::from_listing([old_gen.to_name(), new_gen.to_name()]).unwrap();
-        assert_eq!(v.db_entry(5).unwrap().size, 260);
+        // Both generations complete and both dumps: size decides.
+        let entry = winner_of(["DB/5_dump_100", "DB/5_dump_260"]);
+        assert_eq!(entry.size, 260);
     }
 
     #[test]
     fn listing_prefers_complete_checkpoint_over_partial_dump() {
         // Even the kind rule yields to completeness: a dump that never
         // finished uploading is garbage, not a base image.
-        let ckpt = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 300,
-            part: 0,
-            parts: 1,
-        };
-        let partial_dump = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Dump,
-            size: 900,
-            part: 0,
-            parts: 3,
-        };
-        let v = CloudView::from_listing([ckpt.to_name(), partial_dump.to_name()]).unwrap();
-        let entry = v.db_entry(5).unwrap();
+        let entry = winner_of(["DB/5_checkpoint_300", "DB/5_dump_900_0_3"]);
         assert_eq!(entry.kind, DbObjectKind::Checkpoint);
-        assert!(entry.is_complete());
     }
 
     #[test]
     fn dump_generation_beats_checkpoint() {
-        let ckpt = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Checkpoint,
-            size: 999,
-            part: 0,
-            parts: 1,
-        };
-        let dump = DbObjectName {
-            ts: 5,
-            kind: DbObjectKind::Dump,
-            size: 500,
-            part: 0,
-            parts: 1,
-        };
-        for order in [[&ckpt, &dump], [&dump, &ckpt]] {
-            let mut v = CloudView::new();
-            for part in order {
-                v.add_db_part(part.clone());
-            }
-            assert_eq!(v.db_entry(5).unwrap().kind, DbObjectKind::Dump);
-            assert_eq!(v.db_entry(5).unwrap().size, 500);
-        }
+        let entry = winner_of(["DB/5_checkpoint_999", "DB/5_dump_500"]);
+        assert_eq!((entry.kind, entry.size), (DbObjectKind::Dump, 500));
     }
 
     #[test]
     fn duplicate_part_ignored() {
-        let part = DbObjectName {
-            ts: 2,
-            kind: DbObjectKind::Dump,
-            size: 10,
-            part: 0,
-            parts: 2,
-        };
         let mut v = CloudView::new();
-        v.add_db_part(part.clone());
-        v.add_db_part(part.clone());
+        v.add_db_part(part("DB/2_dump_10_0_2"));
+        v.add_db_part(part("DB/2_dump_10_0_2"));
         assert_eq!(v.db_entry(2).unwrap().parts.len(), 1);
+    }
+
+    #[test]
+    fn superseded_generations_are_named_and_leave_with_their_timestamp() {
+        let mut v = CloudView::from_listing([
+            "DB/0_dump_100",
+            "DB/0_dump_90_0_2", // aborted upload
+            "DB/5_checkpoint_100",
+            "DB/5_checkpoint_260", // a merge whose DELETE of 100 failed
+            "DB/5_checkpoint_400_0_2",
+        ])
+        .unwrap();
+        assert_eq!(v.db_entry(5).unwrap().size, 260);
+        assert_eq!(v.total_db_size(), 360);
+        let mut superseded: Vec<String> = v.superseded_parts().map(|p| p.to_name()).collect();
+        superseded.sort();
+        assert_eq!(
+            superseded,
+            [
+                "DB/0_dump_90_0_2",
+                "DB/5_checkpoint_100",
+                "DB/5_checkpoint_400_0_2"
+            ]
+        );
+
+        // Deleting the winner lets the next generation in the order count.
+        assert!(v.remove_object("DB/5_checkpoint_260"));
+        assert_eq!(v.db_entry(5).unwrap().size, 100);
+        assert!(!v.remove_object("DB/5_checkpoint_260"), "already gone");
+
+        // A timestamp leaves the view with every generation it holds.
+        assert_eq!(v.remove_db_at(5).len(), 2);
+        assert_eq!(v.remove_db_before(1).len(), 2);
+        assert_eq!((v.db_count(), v.superseded_parts().count()), (0, 0));
     }
 
     #[test]
     fn dump_timestamps_ascending() {
         let mut v = CloudView::new();
-        v.add_db_part(db(0, DbObjectKind::Dump, 1));
-        v.add_db_part(db(9, DbObjectKind::Dump, 1));
-        v.add_db_part(db(4, DbObjectKind::Checkpoint, 1));
+        v.add_db_part(part("DB/0_dump_1"));
+        v.add_db_part(part("DB/9_dump_1"));
+        v.add_db_part(part("DB/4_checkpoint_1"));
         assert_eq!(v.dump_timestamps(), vec![0, 9]);
     }
 }

@@ -372,3 +372,39 @@ fn gc_deletes_failing_non_retryably_are_deferred_not_dropped() {
     assert_eq!(untracked(&ginja), 0, "no orphan is left in the bucket");
     ginja.shutdown();
 }
+
+#[test]
+fn reboot_collects_an_aborted_generation_by_the_next_dump() {
+    let mut config = config();
+    config.dump_threshold = 1.01;
+    let (db, ginja, cloud) = protect(config.clone());
+    ginja.shutdown();
+    drop(db);
+
+    // One part of a larger dump beside the boot dump: an upload that
+    // died with the process.
+    let aborted = "DB/0_dump_999999_0_2";
+    cloud.put(aborted, b"half-uploaded garbage").unwrap();
+
+    // Restore, reboot over the restored files, and write to a dump.
+    let local = Arc::new(MemFs::new());
+    recover_into(local.as_ref(), cloud.as_ref(), &config).unwrap();
+    let processor = Arc::new(PostgresProcessor::new());
+    let ginja = Ginja::reboot(local.clone(), cloud.clone(), processor, config).unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    let db = Database::open(fs, DbProfile::postgres_small()).unwrap();
+    for round in 0..50u8 {
+        if ginja.stats().dumps_uploaded > 0 {
+            break;
+        }
+        for key in 0..20u64 {
+            db.put(1, key, vec![round; 48]).unwrap();
+        }
+        db.checkpoint().unwrap();
+        assert!(ginja.sync(Duration::from_secs(20)));
+    }
+    assert!(ginja.stats().dumps_uploaded > 0, "no dump was taken");
+    let listed = cloud.list("").unwrap();
+    assert!(!listed.iter().any(|n| n == aborted), "{listed:?}");
+    ginja.shutdown();
+}

@@ -1,6 +1,6 @@
 //! The standby daemon: delta tail, incremental apply, promotion.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -10,8 +10,8 @@ use ginja_cloud::{
 };
 use ginja_codec::Codec;
 use ginja_core::{
-    ApplyEngine, ApplyProgress, CloudView, DbEntry, DbObjectKind, DbObjectName, FanoutExecutor,
-    GinjaConfig, GinjaError, PeriodicTask, RecoveryReport, WalObjectName, DB_PREFIX, WAL_PREFIX,
+    ApplyEngine, ApplyProgress, CloudView, DbEntry, FanoutExecutor, GinjaConfig, GinjaError,
+    Listed, PeriodicTask, RecoveryReport, WalObjectName, WAL_PREFIX,
 };
 use ginja_vfs::FileSystem;
 use parking_lot::Mutex;
@@ -112,8 +112,9 @@ struct TailState {
     progress: ApplyProgress,
     /// Whether a cold base has been applied to the shadow yet.
     based: bool,
-    /// Timestamps of incremental checkpoints applied since the base.
-    applied_ckpts: std::collections::BTreeSet<u64>,
+    /// The DB generations the shadow holds, ts → size: the base dump
+    /// and the incremental checkpoints applied over it.
+    applied: BTreeMap<u64, u64>,
     /// Last instant at which the shadow had nothing left to apply.
     drained_at: Instant,
 }
@@ -205,7 +206,7 @@ impl Standby {
                 view: CloudView::new(),
                 progress: ApplyProgress::new(),
                 based: false,
-                applied_ckpts: std::collections::BTreeSet::new(),
+                applied: BTreeMap::new(),
                 drained_at: Instant::now(),
             }),
             wal_cache: Mutex::new(WalCache::default()),
@@ -346,24 +347,15 @@ impl Standby {
                     cache.evict(name);
                 }
                 drop(cache);
+                let applied = state.progress.max_wal_ts().max(state.progress.dump_ts());
                 for name in &delta.added {
-                    if name.starts_with(WAL_PREFIX) {
-                        if let Ok(wal) = WalObjectName::parse(name) {
-                            // Cold order puts it before objects already
-                            // applied: older WAL, or the dump's re-apply.
-                            let applied = state.progress.max_wal_ts().max(state.progress.dump_ts());
-                            if state.based && wal.ts <= applied {
-                                straggler = true;
-                            }
-                            state.view.add_wal(wal);
-                        }
-                    } else if name.starts_with(DB_PREFIX) {
-                        if let Ok(db) = DbObjectName::parse(name) {
-                            state.view.add_db_part(db);
-                        }
-                    }
-                    // Anything else in the bucket is not Ginja's
+                    // Anything the view rejects is not Ginja's
                     // (`scrub_bucket` calls it an orphan); ignore it.
+                    if let Ok(Listed::Wal(ts)) = state.view.insert_name(name) {
+                        // Cold order puts it before objects already
+                        // applied: older WAL, or the dump's re-apply.
+                        straggler |= state.based && ts <= applied;
+                    }
                 }
             }
             Err(err) => {
@@ -402,28 +394,28 @@ impl Standby {
         straggler: bool,
         report: &mut TailReport,
     ) -> Result<(), GinjaError> {
-        // A dump generation newer than our base supersedes the shadow;
-        // a straggler below the applied frontier would apply out of
-        // cold order. Both rebase: correctness first, resets counted.
-        let newest_dump = state
-            .view
-            .db_entries()
-            .rfind(|(_, e)| e.kind == DbObjectKind::Dump && e.is_complete())
-            .map(|(ts, _)| ts);
-        let needs_base = !state.based;
+        // A dump newer than our base supersedes the shadow; a straggler
+        // below the applied frontier would apply out of cold order, and
+        // so would a different generation counting at an applied ts (a
+        // merge's superset). All rebase: correctness first, resets
+        // counted.
+        let newest_dump = state.view.most_recent_dump().map(|(ts, _)| ts);
         let new_generation =
             state.based && newest_dump.is_some_and(|ts| ts != state.progress.dump_ts());
-        let ckpt_straggler = state.based
-            && state
-                .view
-                .checkpoints_after(state.progress.dump_ts())
-                .iter()
-                .any(|(ts, _)| {
-                    !state.applied_ckpts.contains(ts)
-                        && state.applied_ckpts.last().is_some_and(|max| ts < max)
-                });
+        let newest_applied = state.applied.keys().next_back();
+        let ckpt_straggler = state
+            .view
+            .checkpoints_after(state.progress.dump_ts())
+            .iter()
+            .any(|(ts, _)| {
+                !state.applied.contains_key(ts) && newest_applied.is_some_and(|max| ts < max)
+            });
+        let winner_changed = state
+            .applied
+            .iter()
+            .any(|(ts, size)| state.view.db_entry(*ts).map(|e| e.size) != Some(*size));
 
-        if needs_base || new_generation || straggler || ckpt_straggler {
+        if !state.based || new_generation || straggler || ckpt_straggler || winner_changed {
             if newest_dump.is_none() {
                 // Nothing restorable yet (a bucket with no complete
                 // dump); keep waiting — the lag gauges say everything.
@@ -441,11 +433,12 @@ impl Standby {
             .wal_entries()
             .filter(|w| w.ts > frontier)
             .collect();
-        let (ckpt_ts, ckpts): (Vec<u64>, Vec<&DbEntry>) = state
+        let (ckpt_ids, ckpts): (Vec<(u64, u64)>, Vec<&DbEntry>) = state
             .view
             .checkpoints_after(state.progress.dump_ts())
             .into_iter()
-            .filter(|(ts, _)| !state.applied_ckpts.contains(ts))
+            .filter(|(ts, _)| !state.applied.contains_key(ts))
+            .map(|(ts, e)| ((ts, e.size), e))
             .unzip();
         if wal.is_empty() && ckpts.is_empty() {
             return Ok(());
@@ -456,8 +449,8 @@ impl Standby {
             engine.apply_delta(wal, ckpts, progress)
         })?;
         report.wal_applied += wal_objects;
-        report.checkpoints_applied += ckpt_ts.len() as u64;
-        state.applied_ckpts.extend(ckpt_ts);
+        report.checkpoints_applied += ckpt_ids.len() as u64;
+        state.applied.extend(ckpt_ids);
         Ok(())
     }
 
@@ -476,7 +469,7 @@ impl Standby {
             self.shadow.delete(&file)?;
         }
         state.progress = ApplyProgress::new();
-        state.applied_ckpts.clear();
+        state.applied.clear();
         state.based = false;
 
         let (view, progress) = (&state.view, &mut state.progress);
@@ -485,11 +478,12 @@ impl Standby {
         })?;
 
         state.based = true;
-        state.applied_ckpts = state
-            .view
-            .checkpoints_after(state.progress.dump_ts())
-            .iter()
-            .map(|(ts, _)| *ts)
+        let view = &state.view;
+        state.applied = view
+            .most_recent_dump()
+            .into_iter()
+            .chain(view.checkpoints_after(state.progress.dump_ts()))
+            .map(|(ts, e)| (ts, e.size))
             .collect();
         let done = state.progress.report();
         report.rebased = true;
@@ -630,7 +624,7 @@ fn pending(state: &TailState) -> (u64, u64) {
         }
     }
     for (ts, entry) in state.view.db_entries() {
-        if ts <= state.progress.dump_ts() || state.applied_ckpts.contains(&ts) {
+        if ts < state.progress.dump_ts() || state.applied.get(&ts) == Some(&entry.size) {
             continue;
         }
         // A complete unapplied entry (a dump generation or checkpoint
@@ -650,7 +644,7 @@ fn pending(state: &TailState) -> (u64, u64) {
 mod tests {
     use super::*;
     use ginja_cloud::MemStore;
-    use ginja_core::bundle;
+    use ginja_core::{bundle, DbObjectKind, DbObjectName, DB_PREFIX};
     use ginja_vfs::MemFs;
 
     fn config() -> GinjaConfig {
@@ -861,8 +855,7 @@ mod tests {
         // Objects the listing reports deleted leave the cache: here the
         // GC of the old dump and of WAL ts 1.
         for name in bucket.list("").unwrap() {
-            let old_dump = DbObjectName::parse(&name).is_ok_and(|d| d.ts == 0);
-            if old_dump || WalObjectName::parse(&name).is_ok_and(|w| w.ts == 1) {
+            if name.starts_with("DB/0_") || name.starts_with("WAL/1_") {
                 bucket.delete(&name).unwrap();
             }
         }
@@ -913,16 +906,59 @@ mod tests {
         let report = standby.run_cycle().unwrap();
         assert!(report.rebased);
         assert_eq!(report.wal_applied, 3);
-        let straggler = bucket
-            .list("")
-            .unwrap()
-            .into_iter()
-            .filter(|n| WalObjectName::parse(n).is_ok_and(|w| w.ts == 2));
         let mut want: Vec<String> = bucket.list(DB_PREFIX).unwrap();
-        want.extend(straggler);
+        want.extend(bucket.list("WAL/2_").unwrap());
         assert_eq!(log.take(), want, "GETs of the rebase");
         assert_eq!(report.gets, 2);
         assert_matches_cold(&bucket, &shadow, &config);
+    }
+
+    /// A dump, a WAL object and a checkpoint at ts 1 over `base/1`,
+    /// and a standby that has applied them.
+    fn tail_with_a_checkpoint(extra: &[&str]) -> (Arc<MemStore>, Arc<MemFs>, Arc<Standby>) {
+        let codec = Codec::new(config().codec);
+        let bucket = Arc::new(MemStore::new());
+        let store = bucket.as_ref();
+        seal_db(store, &codec, 0, DbObjectKind::Dump, "base/1", b"AAAA");
+        seal_wal(store, &codec, 1, 0, b"w1");
+        seal_db(store, &codec, 1, DbObjectKind::Checkpoint, "base/1", b"BB");
+        for name in extra {
+            store
+                .put(name, &codec.seal(name, b"part").unwrap())
+                .unwrap();
+        }
+        let shadow = Arc::new(MemFs::new());
+        let tail = StandbyConfig::default();
+        let standby = Standby::attach(bucket.clone(), shadow.clone(), config(), tail).unwrap();
+        let report = standby.run_cycle().unwrap();
+        assert_eq!((report.checkpoints_applied, report.lag_objects), (1, 0));
+        (bucket, shadow, standby)
+    }
+
+    #[test]
+    fn a_merged_generation_at_an_applied_timestamp_rebases() {
+        let (bucket, shadow, standby) = tail_with_a_checkpoint(&[]);
+        // A second checkpoint with no commit between collides at ts 1:
+        // the merged generation lands, then the old one goes.
+        let (codec, ckpt) = (Codec::new(config().codec), DbObjectKind::Checkpoint);
+        let old = bucket.list(DB_PREFIX).unwrap().pop().unwrap();
+        seal_db(bucket.as_ref(), &codec, 1, ckpt, "base/1", b"BBCC");
+        bucket.delete(&old).unwrap();
+        let report = standby.run_cycle().unwrap();
+        assert!(report.rebased);
+        assert_eq!(report.lag_objects, 0);
+        standby.promote().unwrap();
+        assert_eq!(shadow.read_all("base/1").unwrap(), b"BBCC");
+        assert_matches_cold(&bucket, &shadow, &config());
+    }
+
+    #[test]
+    fn an_aborted_larger_generation_does_not_hide_the_complete_one() {
+        // One part of a larger merge whose upload died.
+        let (bucket, shadow, standby) = tail_with_a_checkpoint(&["DB/1_checkpoint_4096_0_2"]);
+        standby.promote().unwrap();
+        assert_eq!(shadow.read_all("base/1").unwrap(), b"BBAA");
+        assert_matches_cold(&bucket, &shadow, &config());
     }
 
     #[test]

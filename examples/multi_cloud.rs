@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, ReplicatedStore};
-use ginja::core::{recover_into, verify_backup_in_memory, Ginja, GinjaConfig};
+use ginja::core::{recover_into, scrub_bucket, Ginja, GinjaConfig};
 use ginja::db::{Database, DbProfile};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs, MySqlProcessor};
 
@@ -70,11 +70,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Disaster + total loss of provider 1. Recover from provider 2 alone.
     aws.clear();
     println!("• DISASTER, and provider 1's bucket was wiped too");
-    let (report, _) = verify_backup_in_memory(azure.as_ref(), &config)?;
+    let scrub = scrub_bucket(azure.as_ref(), &config)?;
     println!(
-        "• provider 2 backup verification: {} objects OK, corrupt: {}",
-        report.objects_verified,
-        report.corrupt_objects.len()
+        "• provider 2 backup scrub: {} objects verified, anomalies: {}",
+        scrub.payloads_verified,
+        scrub.anomalies.len()
     );
 
     let rebuilt = Arc::new(MemFs::new());

@@ -1,25 +1,16 @@
 //! `ginja-cli` — operator tooling over a Ginja cloud bucket.
 //!
 //! The bucket is addressed as a directory (use an rclone/NFS mount for
-//! a real cloud bucket):
+//! a real cloud bucket). `COMMANDS` lists every subcommand with its
+//! usage and declares the flags it takes: an unknown flag, or a value
+//! flag with no value, exits with status 2 and the usage of them all
+//! (`ginja-cli` alone prints it too).
 //!
-//! ```text
-//! ginja-cli status <bucket-dir>
-//! ginja-cli restore-points <bucket-dir>
-//! ginja-cli verify <bucket-dir> [--password <pw>]
-//! ginja-cli drill <bucket-dir> [--password <pw>]
-//! ginja-cli recover <bucket-dir> <target-dir> [--point <ts>] [--password <pw>]
-//! ginja-cli cost <db-gb> <updates-per-min> <batch>
-//! ginja-cli crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn]
-//! ginja-cli outage [--rows <n>]
-//! ginja-cli standby [--rows <n>] [--waves <n>] [--promote]
-//! ```
-//!
-//! `verify` and `drill` are the offline audits of `ginja-core` (`DESIGN.md`
-//! §10): `verify` MAC-checks every object and rebuilds the database into
-//! scratch memory; `drill` first runs `scrub_bucket`, which classifies
-//! every damaged or foreign object, then the same rebuild, and reports
-//! its wall-clock time as the achieved RTO.
+//! `verify` is the backup verification of `DESIGN.md` §10: it runs
+//! `scrub_bucket`, which MAC-verifies every object and classifies
+//! every damaged or foreign one, then, on a clean scrub, rebuilds the
+//! database into scratch memory and reports that rebuild's wall-clock
+//! time as the achieved RTO.
 //!
 //! `crashtest` needs no bucket: it runs the CrashFs crash-point sweep
 //! (see `DESIGN.md` §11) against in-memory stores and exits non-zero if
@@ -47,48 +38,79 @@ use std::process::ExitCode;
 use ginja::cloud::{DirStore, ObjectStore};
 use ginja::codec::CodecConfig;
 use ginja::core::{
-    list_restore_points, recover_to_point, verify_backup, CloudView, GinjaConfig, RestorePointKind,
+    list_restore_points, recover_to_point, CloudView, GinjaConfig, RestorePointKind,
 };
 use ginja::cost::GinjaCostModel;
 use ginja::vfs::DirFs;
 
+/// A subcommand: name, usage, the flags followed by a value, the flags
+/// that stand alone, and its body.
+type Command = (&'static str, &'static str, Flags, Flags, Run);
+type Flags = &'static [&'static str];
+type Run = fn(&[String]) -> Result<(), String>;
+
+#[rustfmt::skip]
+const COMMANDS: &[Command] = &[
+    ("status", "<bucket-dir>", &[], &[], status),
+    ("restore-points", "<bucket-dir>", &[], &[], restore_points),
+    ("verify", "<bucket-dir> [--password <pw>]", &["--password"], &[], verify),
+    ("recover", "<bucket-dir> <target-dir> [--point <ts>] [--password <pw>]",
+        &["--point", "--password"], &[], recover),
+    ("cost", "<db-gb> <updates-per-min> <batch>", &[], &[], cost),
+    ("crashtest", "[--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn]",
+        &["--profile", "--seed", "--ops", "--stride"], &["--no-torn"], crashtest),
+    ("outage", "[--rows <n>]", &["--rows"], &[], outage),
+    ("standby", "[--rows <n>] [--waves <n>] [--promote]", &["--rows", "--waves"], &["--promote"], standby),
+];
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("status") => status(&args[1..]),
-        Some("restore-points") => restore_points(&args[1..]),
-        Some("verify") => verify(&args[1..]),
-        Some("drill") => drill(&args[1..]),
-        Some("recover") => recover(&args[1..]),
-        Some("cost") => cost(&args[1..]),
-        Some("crashtest") => crashtest(&args[1..]),
-        Some("outage") => outage(&args[1..]),
-        Some("standby") => standby(&args[1..]),
-        _ => {
-            eprintln!(
-                "usage: ginja-cli <status|restore-points|verify|drill|recover|cost|crashtest|outage|standby> ..."
-            );
-            eprintln!("  status <bucket-dir>");
-            eprintln!("  restore-points <bucket-dir>");
-            eprintln!("  verify <bucket-dir> [--password <pw>]");
-            eprintln!("  drill <bucket-dir> [--password <pw>]");
-            eprintln!("  recover <bucket-dir> <target-dir> [--point <ts>] [--password <pw>]");
-            eprintln!("  cost <db-gb> <updates-per-min> <batch>");
-            eprintln!(
-                "  crashtest [--profile <postgres|mysql>] [--seed <n>] [--ops <n>] [--stride <n>] [--no-torn]"
-            );
-            eprintln!("  outage [--rows <n>]");
-            eprintln!("  standby [--rows <n>] [--waves <n>] [--promote]");
+    let command = COMMANDS
+        .iter()
+        .find(|c| Some(c.0) == args.first().map(String::as_str));
+    let checked = match command {
+        Some(&(_, _, values, switches, run)) => {
+            check_flags(&args[1..], values, switches).map(|()| run)
+        }
+        None => Err(args
+            .first()
+            .map_or(String::new(), |c| format!("unknown command: {c}"))),
+    };
+    let run = match checked {
+        Ok(run) => run,
+        Err(message) => {
+            if !message.is_empty() {
+                eprintln!("error: {message}");
+            }
+            let names: Vec<&str> = COMMANDS.iter().map(|c| c.0).collect();
+            eprintln!("usage: ginja-cli <{}> ...", names.join("|"));
+            for (name, usage, ..) in COMMANDS {
+                eprintln!("  {name} {usage}");
+            }
             return ExitCode::from(2);
         }
     };
-    match result {
+    match run(&args[1..]) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("error: {message}");
             ExitCode::FAILURE
         }
     }
+}
+
+/// Checks a subcommand's arguments against its declared flags: any
+/// other `--flag`, or a value flag with nothing after it, is an error.
+fn check_flags(args: &[String], values: &[&str], switches: &[&str]) -> Result<(), String> {
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if values.contains(&arg.as_str()) {
+            args.next().ok_or(format!("{arg} needs a value"))?;
+        } else if arg.starts_with("--") && !switches.contains(&arg.as_str()) {
+            return Err(format!("unknown flag {arg}"));
+        }
+    }
+    Ok(())
 }
 
 fn flag_value(args: &[String], flag: &str) -> Option<String> {
@@ -162,50 +184,19 @@ fn restore_points(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Backup verification (§5.4): scrub the bucket — every object
+/// listed, MAC-verified and classified (validation 1) — then, when it
+/// is clean, rebuild the database into scratch memory (validation 2)
+/// and report the rebuild's wall-clock time as the achieved RTO.
+/// Starting the DBMS over the rebuilt files is validation 3.
 fn verify(args: &[String]) -> Result<(), String> {
-    let bucket = open_bucket(args, 0)?;
-    let config = config_from(args)?;
-    let scratch = ginja::vfs::MemFs::new();
-    let report = verify_backup(&bucket, &config, &scratch).map_err(|e| e.to_string())?;
-    println!("objects verified:  {}", report.objects_verified);
-    println!("bytes downloaded:  {}", report.bytes_downloaded);
-    if !report.corrupt_objects.is_empty() {
-        println!("CORRUPT OBJECTS:");
-        for name in &report.corrupt_objects {
-            println!("  {name}");
-        }
-        return Err(format!(
-            "{} corrupt object(s)",
-            report.corrupt_objects.len()
-        ));
-    }
-    match report.recovery {
-        Some(recovery) => println!(
-            "rebuild OK:        dump ts {}, {} checkpoint(s), {} WAL object(s), {} file(s)",
-            recovery.dump_ts,
-            recovery.checkpoints_applied,
-            recovery.wal_objects_applied,
-            recovery.files_written
-        ),
-        None => return Err("no dump to rebuild from".into()),
-    }
-    println!("backup verification PASSED");
-    Ok(())
-}
-
-/// A one-shot disaster-recovery drill: scrub the bucket (every payload
-/// envelope-verified, anomalies classified), then rehearse a full
-/// restore into scratch memory and report the achieved RTO (the
-/// wall-clock time of that verify-and-rebuild pass).
-fn drill(args: &[String]) -> Result<(), String> {
     use std::time::Instant;
 
-    use ginja::core::{scrub_bucket, verify_backup_in_memory};
+    use ginja::core::{recover_into, scrub_bucket};
 
-    let store = open_bucket(args, 0)?;
+    let bucket = open_bucket(args, 0)?;
     let config = config_from(args)?;
-
-    let scrub = scrub_bucket(&store, &config).map_err(|e| e.to_string())?;
+    let scrub = scrub_bucket(&bucket, &config).map_err(|e| e.to_string())?;
     println!("objects listed:    {}", scrub.objects_listed);
     println!("payloads verified: {}", scrub.payloads_verified);
     if !scrub.is_clean() {
@@ -213,31 +204,21 @@ fn drill(args: &[String]) -> Result<(), String> {
         for anomaly in &scrub.anomalies {
             println!("  {:<12} {}", anomaly.kind.to_string(), anomaly.name);
         }
+        return Err(format!("{} anomaly(ies) found", scrub.anomalies.len()));
     }
 
     let start = Instant::now();
-    let (restore, _scratch) =
-        verify_backup_in_memory(&store, &config).map_err(|e| e.to_string())?;
-    let rto = start.elapsed();
-    match &restore.recovery {
-        Some(recovery) => println!(
-            "rehearsal rebuild: dump ts {}, {} checkpoint(s), {} WAL object(s), {} file(s)",
-            recovery.dump_ts,
-            recovery.checkpoints_applied,
-            recovery.wal_objects_applied,
-            recovery.files_written
-        ),
-        None => println!("rehearsal rebuild: FAILED (no usable dump)"),
-    }
-    println!("achieved RTO:      {rto:?}");
-
-    if !scrub.is_clean() {
-        return Err(format!("{} anomaly(ies) found", scrub.anomalies.len()));
-    }
-    if !restore.is_ok() {
-        return Err("bucket is not restorable".into());
-    }
-    println!("drill PASSED — bucket is clean and restorable");
+    let scratch = ginja::vfs::MemFs::new();
+    let recovery = recover_into(&scratch, &bucket, &config).map_err(|e| e.to_string())?;
+    println!(
+        "rebuild OK:        dump ts {}, {} checkpoint(s), {} WAL object(s), {} file(s)",
+        recovery.dump_ts,
+        recovery.checkpoints_applied,
+        recovery.wal_objects_applied,
+        recovery.files_written
+    );
+    println!("achieved RTO:      {:?}", start.elapsed());
+    println!("backup verification PASSED");
     Ok(())
 }
 

@@ -18,7 +18,7 @@
 //!
 //! * [`core`] (`ginja-core`) — the middleware itself: commit pipeline,
 //!   checkpoints, garbage collection, boot/reboot/recovery, and the
-//!   offline audits (`verify_backup`, `scrub_bucket`).
+//!   offline audit (`scrub_bucket`, then `recover_into` into scratch).
 //! * [`db`] (`ginja-db`) — a miniature WAL-based DBMS with PostgreSQL and
 //!   MySQL/InnoDB I/O profiles, used as the protected system.
 //! * [`vfs`] (`ginja-vfs`) — the file-system interception layer (the

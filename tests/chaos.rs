@@ -350,8 +350,8 @@ fn chaos_checkpoint_ts_collision_merge_survives_get_faults() {
 /// on kind/size alone — yet can never be applied, because recovery
 /// skips incomplete entries. A listing-rebuilt view that let it win
 /// would evict the complete generation recovery actually needs, whose
-/// covering WAL is long GC'd: silent loss. `CloudView::from_listing`
-/// now resolves colliding generations completeness-first.
+/// covering WAL is long GC'd: silent loss. `CloudView`'s one
+/// generation order puts completeness first.
 ///
 /// The partial generation is planted directly (one fabricated part
 /// name next to the real checkpoint), making the scenario exact and

@@ -34,7 +34,7 @@ fn first_file(dir: &Path) -> Option<PathBuf> {
 }
 
 /// Byte-exact recursive inventory of a directory tree, for asserting
-/// that a drill never writes, deletes, or truncates an object.
+/// that an audit never writes, deletes, or truncates an object.
 fn dir_inventory(dir: &Path) -> std::collections::BTreeMap<String, Vec<u8>> {
     fn walk(dir: &Path, out: &mut std::collections::BTreeMap<String, Vec<u8>>) {
         for entry in std::fs::read_dir(dir).unwrap() {
@@ -111,15 +111,12 @@ fn cli_full_operator_flow() {
     assert!(out.lines().count() >= 2, "{out}");
     assert!(out.contains("dump"), "{out}");
 
-    // verify
+    // verify: a scrub, then a timed rebuild into scratch. Its scrub
+    // lists every object, and it leaves the bucket byte-identical.
+    let pristine = dir_inventory(&bucket_dir);
     let out = run_ok(&["verify", bucket]);
     assert!(out.contains("backup verification PASSED"), "{out}");
-
-    // drill: one-shot scrub + restore rehearsal. Its scrub lists every
-    // object, and it leaves the bucket byte-identical.
-    let pristine = dir_inventory(&bucket_dir);
-    let out = run_ok(&["drill", bucket]);
-    assert!(out.contains("drill PASSED"), "{out}");
+    assert!(out.contains("rebuild OK"), "{out}");
     assert!(out.contains("achieved RTO"), "{out}");
     let listed: usize = out
         .lines()
@@ -132,7 +129,7 @@ fn cli_full_operator_flow() {
     assert_eq!(
         dir_inventory(&bucket_dir),
         pristine,
-        "drill changed the bucket"
+        "verify changed the bucket"
     );
 
     // recover, then reopen the database over the restored directory.
@@ -159,16 +156,27 @@ fn cli_full_operator_flow() {
         std::fs::write(&path, bytes).unwrap();
         let output = cli().args(["verify", bucket]).output().unwrap();
         assert!(!output.status.success(), "verify must fail on corruption");
-        let output = cli().args(["drill", bucket]).output().unwrap();
-        assert!(!output.status.success(), "drill must fail on corruption");
+        let out = String::from_utf8_lossy(&output.stdout);
+        assert!(out.contains("corrupt"), "verify must classify it: {out}");
         assert!(
-            String::from_utf8_lossy(&output.stdout).contains("corrupt"),
-            "drill must classify the corruption"
+            !out.contains("rebuild OK"),
+            "no rebuild from a dirty bucket"
         );
     }
 
-    // bad usage exits nonzero.
-    assert!(!cli().args(["bogus"]).output().unwrap().status.success());
+    // bad usage exits 2 with the usage: an unknown command, a flag the
+    // subcommand does not declare, a value flag with no value.
+    for args in [
+        &["bogus"][..],
+        &["crashtest", "--prefix", "x"],
+        &["cost", "10", "100", "100", "--bogus-flag"],
+        &["recover", bucket, "--point"],
+    ] {
+        let output = cli().args(args).output().unwrap();
+        assert_eq!(output.status.code(), Some(2), "{args:?}");
+        let err = String::from_utf8_lossy(&output.stderr);
+        assert!(err.contains("usage: ginja-cli"), "{args:?}: {err}");
+    }
 
     let _ = std::fs::remove_dir_all(&base);
 }
@@ -201,4 +209,20 @@ fn cli_crashtest_sweeps_clean() {
         .unwrap()
         .status
         .success());
+}
+
+#[test]
+fn cli_runs_every_ci_command_line() {
+    // Every `ginja-cli` line of the CI script, as the script runs it.
+    let ci = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/scripts/ci.sh"))
+        .expect("read scripts/ci.sh");
+    let lines: Vec<Vec<&str>> = ci
+        .lines()
+        .filter_map(|line| line.split_once("--bin ginja-cli -- "))
+        .map(|(_, rest)| rest.split('|').next().unwrap().split_whitespace().collect())
+        .collect();
+    assert!(lines.len() >= 4, "{lines:?}");
+    for args in lines {
+        run_ok(&args);
+    }
 }

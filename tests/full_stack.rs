@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use ginja::cloud::{FaultPlan, FaultStore, MemStore, ObjectStore, OpKind, RetryConfig, StoreError};
 use ginja::core::{
-    bundle, recover_into, verify_backup_in_memory, CloudView, DbObjectKind, Ginja, GinjaConfig,
+    bundle, recover_into, scrub_bucket, AnomalyKind, CloudView, DbObjectKind, Ginja, GinjaConfig,
 };
 use ginja::db::{Database, DbProfile, ProfileKind};
 use ginja::vfs::{FileSystem, InterceptFs, MemFs};
@@ -249,9 +249,10 @@ fn backup_verification_catches_cloud_corruption() {
     ginja.shutdown();
     drop(db);
 
-    // Clean backup verifies.
-    let (report, _) = verify_backup_in_memory(cloud.as_ref(), &config()).unwrap();
-    assert!(report.is_ok());
+    // Clean backup scrubs clean and rebuilds.
+    let scrub = scrub_bucket(cloud.as_ref(), &config()).unwrap();
+    assert!(scrub.is_clean(), "{:?}", scrub.anomalies);
+    recover_into(&MemFs::new(), cloud.as_ref(), &config()).unwrap();
 
     // Bit-rot in one object is detected by name.
     let victim = cloud.list("WAL/").unwrap().pop().unwrap();
@@ -259,9 +260,9 @@ fn backup_verification_catches_cloud_corruption() {
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     cloud.put(&victim, &bytes).unwrap();
-    let (report, _) = verify_backup_in_memory(cloud.as_ref(), &config()).unwrap();
-    assert!(!report.is_ok());
-    assert_eq!(report.corrupt_objects, vec![victim]);
+    let found = scrub_bucket(cloud.as_ref(), &config()).unwrap().anomalies;
+    assert_eq!((found.len(), found[0].kind), (1, AnomalyKind::Corrupt));
+    assert_eq!(found[0].name, victim);
 }
 
 #[test]

@@ -48,7 +48,8 @@ fn put_wal(store: &MemStore, codec: &Codec, ts: u64, file: &str, offset: u64, da
     store.put(&name, &codec.seal(&name, data).unwrap()).unwrap();
 }
 
-/// Seals a bundle as a DB entry cut into parts of at most `cap` bytes.
+/// Seals a bundle as a DB entry cut into parts of at most `cap` bytes;
+/// returns the part names.
 fn put_db(
     store: &MemStore,
     codec: &Codec,
@@ -56,11 +57,12 @@ fn put_db(
     kind: DbObjectKind,
     ranges: &[bundle::FileRange],
     cap: usize,
-) {
+) -> Vec<String> {
     let encoded = bundle::encode(ranges);
     let size = encoded.len() as u64;
     let parts = bundle::chunk(encoded, cap);
     let n = parts.len() as u32;
+    let mut names = Vec::new();
     for (part, data) in parts.iter().enumerate() {
         let name = DbObjectName {
             ts,
@@ -71,7 +73,9 @@ fn put_db(
         }
         .to_name();
         store.put(&name, &codec.seal(&name, data).unwrap()).unwrap();
+        names.push(name);
     }
+    names
 }
 
 fn range(path: String, offset: u64, data: Vec<u8>) -> bundle::FileRange {
@@ -139,6 +143,40 @@ fn build_bucket(seed: u64, pre_wal: u64, post_wal: u64, ckpts: u64) -> (MemStore
         put_db(&store, &codec, ts, DbObjectKind::Checkpoint, &ranges, 40);
     }
     (store, dump_ts)
+}
+
+/// Adds what colliding checkpoints can leave beside the DB object at
+/// `ts`: the superset generation a merge uploads (`merge`), and the
+/// first part of a still larger one whose upload died (`abort`).
+/// Returns the names of the generation the merge supersedes, and of
+/// the merged one.
+fn collide(store: &MemStore, seed: u64, ts: u64, merge: bool, abort: bool) -> [Vec<String>; 2] {
+    let rng = &mut StdRng::seed_from_u64(seed);
+    let codec = Codec::new(config(1).codec);
+    let view = CloudView::from_listing(store.list("").unwrap()).unwrap();
+    let old = view.db_entry(ts).unwrap();
+    let old_names: Vec<String> = old.parts.iter().map(DbObjectName::to_name).collect();
+    let opened = old_names
+        .iter()
+        .map(|name| codec.open(name, &store.get(name).unwrap()).unwrap())
+        .collect();
+    let mut ranges = bundle::decode(&bundle::reassemble(opened)).unwrap();
+    let mut grow = |ranges: &mut Vec<bundle::FileRange>| {
+        let (file, offset) = (rng.gen_range(0..4), rng.gen_range(0..60));
+        ranges.push(range(format!("base/{file}"), offset, bytes(rng, 24)));
+    };
+    grow(&mut ranges);
+    let mut merged = Default::default();
+    if merge {
+        merged = [old_names, put_db(store, &codec, ts, old.kind, &ranges, 40)];
+    }
+    if abort {
+        grow(&mut ranges);
+        for lost in &put_db(store, &codec, ts, old.kind, &ranges, 40)[1..] {
+            store.delete(lost).unwrap();
+        }
+    }
+    merged
 }
 
 fn files(fs: &dyn FileSystem) -> BTreeMap<String, Vec<u8>> {
@@ -280,8 +318,13 @@ proptest! {
         post_wal in 1u64..14,
         ckpts in 0u64..4,
         cycles in 1u64..5,
+        merge in any::<bool>(),
+        abort in any::<bool>(),
     ) {
         let (store, dump_ts) = build_bucket(seed, pre_wal, post_wal, ckpts);
+        // The collision lands on the first checkpoint, or on the dump.
+        let first_db = if ckpts > 0 { dump_ts + 1 } else { dump_ts };
+        let [superseded, merged] = collide(&store, seed, first_db, merge, abort);
         let rng = &mut StdRng::seed_from_u64(seed ^ 0x5eed);
         let middle = dump_ts + rng.gen_range(0..=post_wal);
         for point in [u64::MAX, middle] {
@@ -302,14 +345,28 @@ proptest! {
         let tail = StandbyConfig { fanout: 4, ..StandbyConfig::default() };
         let standby = Standby::attach(live.clone(), shadow.clone(), config(4), tail).unwrap();
         let names = store.list("").unwrap();
-        let arrival: Vec<u64> = names.iter().map(|_| rng.gen_range(0..cycles)).collect();
-        for cycle in 0..cycles {
-            for (name, _) in names.iter().zip(&arrival).filter(|(_, at)| **at == cycle) {
+        let mut arrival: BTreeMap<&String, u64> =
+            names.iter().map(|name| (name, rng.gen_range(0..cycles))).collect();
+        // A merge lands after the generation it supersedes, as late as
+        // the final poll, and deletes that one once it is whole.
+        if let Some(&after) = superseded.iter().map(|name| &arrival[name]).max() {
+            for name in &merged {
+                arrival.insert(name, rng.gen_range(after..=cycles));
+            }
+        }
+        let merged_at = merged.iter().map(|name| arrival[name]).max();
+        let polls = (0..=cycles).map(|cycle| {
+            for (name, _) in arrival.iter().filter(|(_, at)| **at == cycle) {
                 live.put(name, &store.get(name).unwrap()).unwrap();
             }
-            standby.run_cycle().unwrap();
-        }
-        let last = standby.run_cycle().unwrap();
+            if merged_at == Some(cycle) {
+                for name in &superseded {
+                    live.delete(name).unwrap();
+                }
+            }
+            standby.run_cycle().unwrap()
+        });
+        let last = polls.last().unwrap();
         prop_assert_eq!(last.lag_objects, 0);
         let cold = MemFs::new();
         recover_into(&cold, &store, &config(1)).unwrap();
