@@ -83,6 +83,10 @@ pub struct Exposure {
 /// Checkpoint accumulation state (the paper's Algorithm 3 lines 1–16).
 struct CkptAccum {
     in_checkpoint: bool,
+    /// The next checkpoint is a dump whatever the dump rule says: set by
+    /// Reboot, whose local database files may hold pages no DB object
+    /// carries.
+    dump_next: bool,
     ts: u64,
     ranges: std::collections::BTreeMap<String, std::collections::BTreeMap<u64, Vec<u8>>>,
     decided: DecidedDb,
@@ -302,15 +306,25 @@ impl Ginja {
     /// from a LIST and start the pipeline.
     ///
     /// The paper's Reboot assumes a clean stop ("the cloud is already
-    /// synchronized"). After a *crash* that assumption is false: the
-    /// local durable WAL may hold up to Safety-S acknowledged updates
-    /// the cloud never received, and the cloud's copy of a rewritten
-    /// tail block may be stale. Reboot therefore resyncs first — it
-    /// compares the local WAL files against the cloud's reconstruction
-    /// of them and uploads fresh WAL objects for every range that
-    /// differs, so a disaster after the reboot loses nothing that was
-    /// locally durable before it. The pass is a no-op after a clean
-    /// stop.
+    /// synchronized"). After a *crash* that assumption is false twice
+    /// over, and Reboot heals both, so a disaster after the reboot loses
+    /// nothing that was locally durable before it:
+    ///
+    /// * The local durable WAL may hold up to Safety-S acknowledged
+    ///   updates the cloud never received, and the cloud's copy of a
+    ///   rewritten tail block may be stale. Reboot resyncs first — it
+    ///   compares the local WAL files against the cloud's reconstruction
+    ///   of them and uploads fresh WAL objects for every log range that
+    ///   differs. The pass is a no-op after a clean stop.
+    /// * The local database files may be ahead of the cloud's DB
+    ///   objects: the crash can cut a checkpoint between its page
+    ///   flushes and its upload, and the pipeline's record of those
+    ///   pages dies with the process. The pages are clean now, so no
+    ///   later checkpoint would carry them. The resync therefore leaves
+    ///   each WAL file's header ([`DbmsProcessor::wal_header_len`]) alone
+    ///   — a checkpoint end reaches the cloud only in a DB object, with
+    ///   the pages it vouches for — and the first checkpoint after the
+    ///   reboot is a dump, whatever the dump rule says.
     ///
     /// # Errors
     ///
@@ -341,9 +355,10 @@ impl Ginja {
         stats
             .wal_resync_objects
             .fetch_add(resync_objects, Ordering::Relaxed);
-        Ok(Self::assemble(
-            fs, cloud, processor, config, codec, view, stats, fanout,
-        ))
+
+        let ginja = Self::assemble(fs, cloud, processor, config, codec, view, stats, fanout);
+        ginja.shared.accum.lock().dump_next = true;
+        Ok(ginja)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -367,6 +382,7 @@ impl Ginja {
         let chains_kept = config.pitr.map_or(1, |pitr| pitr.keep_snapshots + 1);
         let accum = CkptAccum {
             in_checkpoint: false,
+            dump_next: false,
             ts: 0,
             ranges: std::collections::BTreeMap::new(),
             decided: DecidedDb::from_view(&view, chains_kept),
@@ -524,9 +540,10 @@ impl Ginja {
             accum.in_checkpoint = false;
 
             let local_db_size = self.local_db_size();
-            let dump_due = local_db_size > 0
-                && accum.decided.total() as f64
-                    >= self.shared.config.dump_threshold * local_db_size as f64;
+            let dump_due = accum.dump_next
+                || local_db_size > 0
+                    && accum.decided.total() as f64
+                        >= self.shared.config.dump_threshold * local_db_size as f64;
             let checkpoint = |entries| CkptJob {
                 ts,
                 kind: DbObjectKind::Checkpoint,
@@ -554,6 +571,7 @@ impl Ginja {
                             .into_iter()
                             .filter(|r| !processor.is_db_file(&r.path));
                         entries.extend(outside);
+                        accum.dump_next = false;
                         CkptJob {
                             ts,
                             kind: DbObjectKind::Dump,
@@ -715,12 +733,15 @@ fn seal_put_wave(
 ///
 /// A file the cloud does not cover at all is uploaded whole — an empty
 /// one as a single 0-length object — since its records may exist
-/// nowhere else; against Boot's empty view that is every file. When a
-/// file has coverage, bytes *below* its lowest covered offset are
-/// skipped: those ranges were garbage-collected after a checkpoint —
-/// their effects live in DB objects and recovery never replays them —
-/// so re-uploading would be pure cost. (WAL appends are forward-only,
-/// so GC'd ranges form a prefix.)
+/// nowhere else; against Boot's empty view that is every file, headers
+/// included (Boot's dump has none). When a file has coverage, bytes
+/// *below* its lowest covered offset are skipped: those ranges were
+/// garbage-collected after a checkpoint — their effects live in DB
+/// objects and recovery never replays them — so re-uploading would be
+/// pure cost. (WAL appends are forward-only, so GC'd ranges form a
+/// prefix.) So is the file's header ([`DbmsProcessor::wal_header_len`]):
+/// the control state there moves with checkpoints, which ship it in DB
+/// objects together with the pages it vouches for.
 ///
 /// Returns the number of objects uploaded.
 #[allow(clippy::too_many_arguments)]
@@ -782,10 +803,12 @@ fn resync_local_wal(
                 }
             }
             let skip_below = names.iter().map(|n| n.offset as usize).min().unwrap_or(0);
+            let header = processor.wal_header_len(&file) as usize;
 
-            // Every maximal differing run, cut at `chunk_size`.
+            // Every maximal differing run past the header, cut at
+            // `chunk_size`.
             let mut runs = Vec::new();
-            let mut pos = skip_below;
+            let mut pos = skip_below.max(header);
             while pos < local.len() {
                 if image[pos] == Some(local[pos]) {
                     pos += 1;

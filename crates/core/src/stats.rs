@@ -4,23 +4,25 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// A lock-free latency histogram with power-of-two microsecond buckets.
+/// A lock-free latency histogram with power-of-two nanosecond buckets.
 ///
-/// Bucket `b` holds samples whose microsecond value has bit-width `b`
-/// (bucket 0 is exactly 0 µs, bucket 1 is 1 µs, bucket 2 is 2–3 µs, …),
-/// so recording is a `bit_width` plus one relaxed `fetch_add` — cheap
-/// enough to sit on the seal and PUT hot paths it instruments.
+/// Bucket `b` holds samples whose nanosecond value has bit-width `b`
+/// (bucket 0 is exactly 0 ns, bucket 1 is 1 ns, bucket 2 is 2–3 ns, …,
+/// bucket 63 everything from 2^62 ns, about 146 years, up), so
+/// recording is a `bit_width` plus one relaxed `fetch_add` — cheap
+/// enough to sit on the seal and PUT hot paths it instruments, and fine
+/// enough for the sub-microsecond `CommitQueue::put`.
 #[derive(Debug)]
 pub struct LatencyHisto {
     buckets: [AtomicU64; 64],
-    total_micros: AtomicU64,
+    total_nanos: AtomicU64,
 }
 
 impl Default for LatencyHisto {
     fn default() -> Self {
         LatencyHisto {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            total_micros: AtomicU64::new(0),
+            total_nanos: AtomicU64::new(0),
         }
     }
 }
@@ -28,10 +30,10 @@ impl Default for LatencyHisto {
 impl LatencyHisto {
     /// Records one sample.
     pub fn record(&self, latency: Duration) {
-        let micros = latency.as_micros().min(u128::from(u64::MAX)) as u64;
-        let bucket = (u64::BITS - micros.leading_zeros()) as usize;
+        let nanos = latency.as_nanos().min(u128::from(u64::MAX >> 1)) as u64;
+        let bucket = (u64::BITS - nanos.leading_zeros()) as usize;
         self.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.total_micros.fetch_add(micros, Ordering::Relaxed);
+        self.total_nanos.fetch_add(nanos, Ordering::Relaxed);
     }
 
     /// A point-in-time summary (count, mean, p50, p99).
@@ -55,14 +57,14 @@ impl LatencyHisto {
                 seen += c;
                 if seen >= rank {
                     let lower = if b == 0 { 0u64 } else { 1u64 << (b - 1) };
-                    return Duration::from_micros(lower);
+                    return Duration::from_nanos(lower);
                 }
             }
             Duration::ZERO
         };
         LatencySnapshot {
             count,
-            mean: Duration::from_micros(self.total_micros.load(Ordering::Relaxed) / count),
+            mean: Duration::from_nanos(self.total_nanos.load(Ordering::Relaxed) / count),
             p50: quantile(0.50),
             p99: quantile(0.99),
         }
@@ -303,24 +305,39 @@ mod tests {
         }
         let snap = h.snapshot();
         assert_eq!(snap.count, 110);
-        // 100 µs has bit-width 7 -> bucket lower bound 64 µs.
-        assert_eq!(snap.p50, Duration::from_micros(64));
-        // 80 000 µs has bit-width 17 -> bucket lower bound 65 536 µs.
-        assert_eq!(snap.p99, Duration::from_micros(65_536));
+        // 100 000 ns has bit-width 17 -> bucket lower bound 65 536 ns.
+        assert_eq!(snap.p50, Duration::from_nanos(65_536));
+        // 80 000 000 ns has bit-width 27 -> bucket lower bound 2^26 ns.
+        assert_eq!(snap.p99, Duration::from_nanos(1 << 26));
         let mean = snap.mean.as_micros() as u64;
         let expect = (100 * 100 + 10 * 80_000) / 110;
         assert!(mean.abs_diff(expect) <= 1, "mean {mean} µs");
     }
 
     #[test]
-    fn latency_histo_zero_and_one_micro_are_exact() {
+    fn latency_histo_zero_and_one_nano_are_exact() {
         let h = LatencyHisto::default();
         h.record(Duration::ZERO);
-        h.record(Duration::from_micros(1));
+        h.record(Duration::from_nanos(1));
         let snap = h.snapshot();
         assert_eq!(snap.count, 2);
         assert_eq!(snap.p50, Duration::ZERO);
-        assert_eq!(snap.p99, Duration::from_micros(1));
+        assert_eq!(snap.p99, Duration::from_nanos(1));
+    }
+
+    #[test]
+    fn latency_histo_resolves_sub_microsecond_puts() {
+        // The `CommitQueue::put` band: a microsecond-bucketed histogram
+        // read these as 0; nanosecond buckets keep them apart.
+        let h = LatencyHisto::default();
+        for _ in 0..99 {
+            h.record(Duration::from_nanos(300));
+        }
+        h.record(Duration::from_nanos(900));
+        h.record(Duration::MAX);
+        let snap = h.snapshot();
+        assert_eq!(snap.p50, Duration::from_nanos(256));
+        assert_eq!(snap.p99, Duration::from_nanos(512));
     }
 
     #[test]

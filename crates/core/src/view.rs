@@ -165,8 +165,13 @@ impl CloudView {
         self.wal.insert(name.ts, name);
     }
 
-    /// Records one DB object part as durable, in its generation.
+    /// Records one DB object part as durable, in its generation. WAL
+    /// timestamps are allocated above it: a DB object claims the
+    /// timestamp of the last WAL object before it, so one allocated at
+    /// or below it would sort before a checkpoint it follows — which a
+    /// listing whose WAL objects the GC emptied would otherwise allow.
     pub fn add_db_part(&mut self, name: DbObjectName) {
+        self.next_wal_ts = self.next_wal_ts.max(name.ts + 1);
         let generations = self.db.entry(name.ts).or_default();
         match generations
             .iter_mut()
@@ -455,6 +460,14 @@ mod tests {
         assert_eq!(v.alloc_wal_ts(), 2);
         v.add_wal(wal(10));
         assert_eq!(v.alloc_wal_ts(), 11);
+    }
+
+    #[test]
+    fn ts_allocation_stays_above_db_objects_whose_wal_was_collected() {
+        let v = CloudView::from_listing(["DB/0_dump_100", "DB/40_checkpoint_10"]).unwrap();
+        assert_eq!(v.clone().alloc_wal_ts(), 41);
+        let v = CloudView::from_listing(["DB/0_dump_100", "WAL/7_seg0_0_10"]).unwrap();
+        assert_eq!(v.clone().alloc_wal_ts(), 8);
     }
 
     #[test]

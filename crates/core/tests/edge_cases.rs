@@ -408,3 +408,57 @@ fn reboot_collects_an_aborted_generation_by_the_next_dump() {
     assert!(!listed.iter().any(|n| n == aborted), "{listed:?}");
     ginja.shutdown();
 }
+
+/// A crash that cuts a checkpoint between its page flushes and its
+/// upload leaves pages only the local disk holds, clean and so never
+/// flushed again. The first checkpoint after Reboot is a dump, so the
+/// GC of that checkpoint cannot take the only other copy of their rows.
+#[test]
+fn pages_of_a_checkpoint_the_crash_cut_reach_the_cloud_after_reboot() {
+    // A page-sized row per key: each row is a page of its own and most
+    // of a log block, so the checkpoint's redo point passes its record.
+    let row = |key: u64| vec![key as u8; 4000];
+    let local = Arc::new(MemFs::new());
+    let profile = DbProfile::postgres_small();
+    let db = Database::create(local.clone(), profile.clone()).unwrap();
+    db.create_table(1, 4096).unwrap();
+    drop(db);
+    let plan = Arc::new(ginja_cloud::FaultPlan::new());
+    let cloud = Arc::new(ginja_cloud::FaultStore::new(MemStore::new(), plan.clone()));
+    let processor = Arc::new(PostgresProcessor::new());
+    let ginja = Ginja::boot(local.clone(), cloud.clone(), processor.clone(), config()).unwrap();
+    let fs: Arc<dyn FileSystem> =
+        Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
+    let db = Database::open(fs, profile.clone()).unwrap();
+    for key in 0..20 {
+        db.put(1, key, row(key)).unwrap();
+    }
+    assert!(ginja.sync(Duration::from_secs(20)));
+    plan.outage();
+    db.checkpoint().unwrap();
+    ginja.shutdown();
+    drop(db);
+    plan.restore();
+    assert_eq!(
+        ginja.stats().db_objects_uploaded,
+        0,
+        "the checkpoint was cut"
+    );
+
+    let ginja = Ginja::reboot(local.clone(), cloud.clone(), processor, config()).unwrap();
+    let fs: Arc<dyn FileSystem> = Arc::new(InterceptFs::new(local, Arc::new(ginja.clone())));
+    let db = Database::open(fs, profile.clone()).unwrap();
+    db.put(1, 20, row(20)).unwrap();
+    db.checkpoint().unwrap();
+    assert!(ginja.sync(Duration::from_secs(20)));
+    assert_eq!(ginja.stats().dumps_uploaded, 1);
+    assert!(ginja.stats().gc_deletes > 0, "the checkpoint collected WAL");
+    ginja.shutdown();
+
+    let rebuilt = Arc::new(MemFs::new());
+    recover_into(rebuilt.as_ref(), cloud.as_ref(), &config()).unwrap();
+    let db = Database::open(rebuilt, profile).unwrap();
+    for key in 0..=20 {
+        assert_eq!(db.get(1, key).unwrap(), Some(row(key)), "key {key}");
+    }
+}

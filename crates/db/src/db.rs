@@ -4,8 +4,10 @@
 //! WAL-based transactional store whose *on-disk behaviour* matches what
 //! Ginja needs to observe from PostgreSQL or MySQL/InnoDB (§4):
 //!
-//! * committing writes WAL blocks synchronously (one intercepted
-//!   "update" per block write);
+//! * committing writes the transaction's WAL blocks with one
+//!   synchronous write per contiguous run of blocks — one intercepted
+//!   "update" per log flush, unless the flush crosses a log-file
+//!   boundary;
 //! * table pages stay in the buffer pool until a checkpoint flushes
 //!   them (periodic/full for PostgreSQL, fuzzy batches for InnoDB);
 //! * a control record concludes every checkpoint and is where crash
@@ -36,8 +38,9 @@ pub struct DbStats {
     pub commits: u64,
     /// WAL records written (including commit markers).
     pub records_written: u64,
-    /// Synchronous WAL block writes issued.
-    pub wal_block_writes: u64,
+    /// Synchronous WAL writes issued: one per run of contiguous blocks a
+    /// log flush wrote ([`WalWriter::writes`]), not one per block.
+    pub wal_writes: u64,
     /// Full checkpoints completed.
     pub checkpoints: u64,
     /// Fuzzy checkpoint steps completed (MySQL profile).
@@ -525,8 +528,7 @@ impl Database {
             op: WalOp::Commit,
         });
 
-        let writes = inner.wal.flush(self.fs.as_ref())?;
-        inner.stats.wal_block_writes += writes as u64;
+        inner.wal.flush(self.fs.as_ref())?;
         self.profile.io_delay.delay_commit_flush();
 
         // Apply to the buffer pool.
@@ -707,7 +709,7 @@ impl Database {
     pub fn stats(&self) -> DbStats {
         let inner = self.inner.lock();
         let mut stats = inner.stats;
-        stats.wal_block_writes = inner.wal.blocks_written();
+        stats.wal_writes = inner.wal.writes();
         stats
     }
 
@@ -791,7 +793,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ginja_vfs::MemFs;
+    use ginja_vfs::{InterceptFs, IoProcessor, MemFs, WriteEvent};
 
     fn fresh(profile: DbProfile) -> Database {
         let db = Database::create(Arc::new(MemFs::new()), profile).unwrap();
@@ -839,7 +841,7 @@ mod tests {
         let db = fresh(DbProfile::postgres_small());
         db.begin().commit().unwrap();
         assert_eq!(db.stats().commits, 0);
-        assert_eq!(db.stats().wal_block_writes, 0);
+        assert_eq!(db.stats().wal_writes, 0);
     }
 
     #[test]
@@ -855,12 +857,12 @@ mod tests {
     #[test]
     fn oversized_value_rejected_before_logging() {
         let db = fresh(DbProfile::postgres_small());
-        let blocks_before = db.stats().wal_block_writes;
+        let writes_before = db.stats().wal_writes;
         assert!(matches!(
             db.put(1, 1, vec![0u8; 100]),
             Err(DbError::ValueTooLarge { .. })
         ));
-        assert_eq!(db.stats().wal_block_writes, blocks_before);
+        assert_eq!(db.stats().wal_writes, writes_before);
     }
 
     #[test]
@@ -1056,7 +1058,7 @@ mod tests {
         db.put(1, 2, val(2)).unwrap();
         let s = db.stats();
         assert_eq!(s.commits, 2);
-        assert!(s.wal_block_writes >= 2);
+        assert!(s.wal_writes >= 2);
         assert!(s.records_written >= 4);
     }
 
@@ -1079,6 +1081,139 @@ mod tests {
         let cap = 64 - crate::table::SLOT_OVERHEAD;
         db.put(1, 1, vec![7u8; cap]).unwrap();
         assert_eq!(db.get(1, 1).unwrap().unwrap().len(), cap);
+    }
+
+    /// Every write an [`InterceptFs`] saw, in order.
+    #[derive(Default)]
+    struct Writes(Mutex<Vec<WriteEvent>>);
+
+    impl IoProcessor for Writes {
+        fn on_write(&self, event: &WriteEvent) {
+            self.0.lock().push(event.clone());
+        }
+    }
+
+    fn copy_of(fs: &dyn FileSystem) -> MemFs {
+        let copy = MemFs::new();
+        for path in fs.list("").unwrap() {
+            copy.create(&path).unwrap();
+            copy.write(&path, 0, &fs.read_all(&path).unwrap(), true)
+                .unwrap();
+        }
+        copy
+    }
+
+    fn rows_of(fs: MemFs, profile: &DbProfile) -> Vec<(u64, Vec<u8>)> {
+        Database::open(Arc::new(fs), profile.clone())
+            .unwrap()
+            .dump_table(1)
+            .unwrap()
+    }
+
+    /// Commits small transactions until the log tail is a partial block
+    /// `tail` that is already on disk, and returns the disk image.
+    fn log_with_tail_at(profile: &DbProfile, tail: u64) -> MemFs {
+        let fs = Arc::new(MemFs::new());
+        let db = Database::create(fs.clone(), profile.clone()).unwrap();
+        let value_len = profile.wal_block_size / 5;
+        db.create_table(1, value_len + crate::table::SLOT_OVERHEAD)
+            .unwrap();
+        let mut i = 0;
+        while db.inner.lock().wal.current_block() < tail {
+            db.put(1, i % 40, vec![i as u8; value_len]).unwrap();
+            i += 1;
+        }
+        copy_of(fs.as_ref())
+    }
+
+    /// Commits one transaction of `puts` rows, a fifth of a log block
+    /// each, over a copy of `disk`. Returns the copy, the writes the
+    /// commit issued and the log tail after it.
+    fn commit_rows(disk: &MemFs, profile: &DbProfile, puts: u64) -> (MemFs, Vec<WriteEvent>, u64) {
+        let writes = Arc::new(Writes::default());
+        let fs = Arc::new(InterceptFs::new(copy_of(disk), writes.clone()));
+        let db = Database::open(fs.clone(), profile.clone()).unwrap();
+        let value_len = profile.wal_block_size / 5;
+        let mut txn = db.begin();
+        for i in 0..puts {
+            txn.put(1, 100 + i, vec![0xA0 + i as u8; value_len]);
+        }
+        txn.commit().unwrap();
+        let tail = db.inner.lock().wal.current_block();
+        let events = writes.0.lock().clone();
+        (copy_of(fs.as_ref()), events, tail)
+    }
+
+    /// Tears a five-block coalesced log flush after every sector of
+    /// every write it issues — the sector-prefix tear of
+    /// `JournaledFs::power_cut_torn`, enumerated — and checks that crash
+    /// recovery finds exactly the commits acknowledged before the flush,
+    /// plus the flush's own commit only once all of its runs landed.
+    /// `tail` places the flush: block 2 keeps it in one log file, the
+    /// last block of the first file (a PostgreSQL segment end, InnoDB's
+    /// `ib_logfile0` → `ib_logfile1` wrap) cuts it in two runs.
+    fn tear_every_sector(profile: &DbProfile, tail: u64) {
+        let before = log_with_tail_at(profile, tail);
+        let acked = rows_of(copy_of(&before), profile);
+
+        // The smallest transaction whose flush spans five blocks: the
+        // partial tail on disk (rewritten in place), three full blocks
+        // and a new partial tail.
+        let (flushed, writes) = (1..)
+            .map(|puts| commit_rows(&before, profile, puts))
+            .find_map(|(fs, writes, end)| (end == tail + 4).then_some((fs, writes)))
+            .unwrap();
+        let committed = rows_of(flushed, profile);
+        assert_ne!(committed, acked);
+
+        let (journal, runs) = writes.split_first().unwrap();
+        assert_eq!(&*journal.path, wal::TAIL_JOURNAL_PATH, "{profile:?}");
+        let block = profile.wal_block_size;
+        let run_blocks: Vec<usize> = runs.iter().map(|run| run.len() / block).collect();
+        let space = Database::log_space(profile);
+        if space.locate(tail + 1, block).0 == space.locate(tail, block).0 {
+            assert_eq!(run_blocks, [5], "{profile:?}");
+        } else {
+            assert_eq!(run_blocks, [1, 4], "{profile:?}");
+        }
+
+        let sector = ginja_vfs::DEFAULT_SECTOR_SIZE;
+        for (torn, write) in writes.iter().enumerate() {
+            for kept in 0..=write.len().div_ceil(sector) {
+                let crashed = copy_of(&before);
+                for landed in &writes[..torn] {
+                    crashed
+                        .write(&landed.path, landed.offset, &landed.data, true)
+                        .unwrap();
+                }
+                let prefix = &write.data[..write.len().min(kept * sector)];
+                crashed
+                    .write(&write.path, write.offset, prefix, true)
+                    .unwrap();
+                let landed = torn == writes.len() - 1 && prefix.len() == write.len();
+                let expected = if landed { &committed } else { &acked };
+                assert_eq!(
+                    &rows_of(crashed, profile),
+                    expected,
+                    "{:?}: write {torn} of {} torn after {kept} sectors",
+                    profile.kind,
+                    writes.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn torn_coalesced_flush_recovers_the_acknowledged_prefix() {
+        for profile in [DbProfile::postgres_small(), DbProfile::mysql_small()] {
+            tear_every_sector(&profile, 2);
+            let space = Database::log_space(&profile);
+            let block = profile.wal_block_size;
+            let last_of_first_file = (0..)
+                .find(|&no| space.locate(no + 1, block).0 != space.locate(0, block).0)
+                .unwrap();
+            tear_every_sector(&profile, last_of_first_file);
+        }
     }
 
     #[test]

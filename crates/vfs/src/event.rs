@@ -58,6 +58,17 @@ pub trait DbmsProcessor: Send + Sync {
         false
     }
 
+    /// Length of the head of WAL file `path` that holds no log records:
+    /// every write there classifies as [`IoClass::ControlFile`] or
+    /// [`IoClass::Other`], never as [`IoClass::WalAppend`] (InnoDB keeps
+    /// its file header and checkpoint blocks in the first 2 kB of
+    /// `ib_logfile0`). Reboot's WAL resync leaves this range to DB
+    /// objects, which carry it with the pages it vouches for. Defaults
+    /// to 0.
+    fn wal_header_len(&self, _path: &str) -> u64 {
+        0
+    }
+
     /// Short human-readable name ("postgres", "mysql").
     fn name(&self) -> &str;
 }

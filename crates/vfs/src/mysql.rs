@@ -85,6 +85,14 @@ impl DbmsProcessor for MySqlProcessor {
         path.starts_with("ibdata") || path.ends_with(".ibd") || path.ends_with(".frm")
     }
 
+    fn wal_header_len(&self, path: &str) -> u64 {
+        if *path == *self.first_log {
+            LOG_RECORDS_START
+        } else {
+            0
+        }
+    }
+
     fn name(&self) -> &str {
         "mysql"
     }
@@ -154,6 +162,21 @@ mod tests {
         assert_eq!(
             p.classify(&event("ib_logfile0", 1024, 512, true)),
             IoClass::Other
+        );
+    }
+
+    #[test]
+    fn wal_header_is_the_head_that_never_classifies_as_wal() {
+        let p = MySqlProcessor::new();
+        assert_eq!(p.wal_header_len("ib_logfile0"), LOG_RECORDS_START);
+        assert_eq!(p.wal_header_len("ib_logfile1"), 0);
+        for offset in (0..LOG_RECORDS_START).step_by(512) {
+            let class = p.classify(&event("ib_logfile0", offset, 512, true));
+            assert_ne!(class, IoClass::WalAppend, "offset {offset}");
+        }
+        assert_eq!(
+            p.classify(&event("ib_logfile0", LOG_RECORDS_START, 512, true)),
+            IoClass::WalAppend
         );
     }
 

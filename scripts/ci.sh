@@ -19,6 +19,15 @@ cargo test -q
 # each survivor must recover locally, from the cloud, and via reboot.
 cargo run -q --release --bin ginja-cli -- crashtest --profile postgres --ops 6 --stride 3
 cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 6 --stride 3 --seed 7
+# Deeper exhaustive sweeps (every crash point of a 24-step workload,
+# under a second each): they reach the reboot after a crash that cut a
+# checkpoint between its page flushes and its upload.
+cargo run -q --release --bin ginja-cli -- crashtest --profile postgres --ops 24 --stride 1 --seed 1
+cargo run -q --release --bin ginja-cli -- crashtest --profile postgres --ops 24 --stride 1 --seed 2
+cargo run -q --release --bin ginja-cli -- crashtest --profile postgres --ops 24 --stride 1 --seed 3
+cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 24 --stride 1 --seed 1
+cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 24 --stride 1 --seed 2
+cargo run -q --release --bin ginja-cli -- crashtest --profile mysql --ops 24 --stride 1 --seed 3
 # Bench smoke (small time scale): the codec and commit-queue micro-benches.
 GINJA_BENCH_SCALE=0.02 cargo bench -q -p ginja-bench --bench codec_micro
 cargo bench -q -p ginja-bench --bench queue_micro

@@ -131,13 +131,32 @@ fn config_from(args: &[String]) -> Result<GinjaConfig, String> {
         .map_err(|e| e.to_string())
 }
 
-fn open_bucket(args: &[String], index: usize) -> Result<DirStore, String> {
-    let path = args.get(index).ok_or("missing bucket directory argument")?;
+/// The positional arguments, in order: every argument but the flags,
+/// each value flag skipped together with its value. `check_flags` has
+/// already refused any flag the subcommand does not declare.
+fn positionals(args: &[String]) -> Vec<&str> {
+    let takes_value = |arg: &str| COMMANDS.iter().any(|c| c.2.contains(&arg));
+    let mut out = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if takes_value(arg) {
+            args.next();
+        } else if !arg.starts_with("--") {
+            out.push(arg.as_str());
+        }
+    }
+    out
+}
+
+fn open_bucket(args: &[String]) -> Result<DirStore, String> {
+    let path = *positionals(args)
+        .first()
+        .ok_or("missing bucket directory argument")?;
     DirStore::open(path).map_err(|e| e.to_string())
 }
 
 fn status(args: &[String]) -> Result<(), String> {
-    let bucket = open_bucket(args, 0)?;
+    let bucket = open_bucket(args)?;
     let names = bucket.list("").map_err(|e| e.to_string())?;
     let view = CloudView::from_listing(&names).map_err(|e| e.to_string())?;
     println!("bucket:            {}", bucket.root().display());
@@ -167,7 +186,7 @@ fn status(args: &[String]) -> Result<(), String> {
 }
 
 fn restore_points(args: &[String]) -> Result<(), String> {
-    let bucket = open_bucket(args, 0)?;
+    let bucket = open_bucket(args)?;
     let points = list_restore_points(&bucket).map_err(|e| e.to_string())?;
     if points.is_empty() {
         println!("no restorable points (no complete dump in the bucket)");
@@ -194,7 +213,7 @@ fn verify(args: &[String]) -> Result<(), String> {
 
     use ginja::core::{recover_into, scrub_bucket};
 
-    let bucket = open_bucket(args, 0)?;
+    let bucket = open_bucket(args)?;
     let config = config_from(args)?;
     let scrub = scrub_bucket(&bucket, &config).map_err(|e| e.to_string())?;
     println!("objects listed:    {}", scrub.objects_listed);
@@ -223,8 +242,10 @@ fn verify(args: &[String]) -> Result<(), String> {
 }
 
 fn recover(args: &[String]) -> Result<(), String> {
-    let bucket = open_bucket(args, 0)?;
-    let target_path = args.get(1).ok_or("missing target directory argument")?;
+    let bucket = open_bucket(args)?;
+    let target_path = *positionals(args)
+        .get(1)
+        .ok_or("missing target directory argument")?;
     let point = match flag_value(args, "--point") {
         Some(raw) => raw
             .parse::<u64>()
@@ -247,11 +268,10 @@ fn recover(args: &[String]) -> Result<(), String> {
 }
 
 fn cost(args: &[String]) -> Result<(), String> {
+    let positionals = positionals(args);
     let parse = |i: usize, what: &str| -> Result<f64, String> {
-        args.get(i)
-            .ok_or(format!("missing {what}"))?
-            .parse::<f64>()
-            .map_err(|_| format!("bad {what}: {}", args[i]))
+        let raw = positionals.get(i).ok_or(format!("missing {what}"))?;
+        raw.parse::<f64>().map_err(|_| format!("bad {what}: {raw}"))
     };
     let db_gb = parse(0, "db-gb")?;
     let updates = parse(1, "updates-per-min")?;

@@ -17,7 +17,8 @@
 //!    else may differ).
 //! 2. **Cloud prefix** — disaster recovery from the cloud yields a
 //!    contiguous prefix of the acknowledged history, losing at most
-//!    Safety `S` acknowledged steps (§5.1's headline guarantee).
+//!    Safety `S` acknowledged row steps (§5.1's headline guarantee: S
+//!    bounds updates, and a checkpoint step logs none).
 //! 3. **Scrub clean** — the bucket the crash left behind passes the
 //!    offline [`ginja_core::scrub_bucket`] audit: no corrupt,
 //!    orphaned, or missing objects. The one orphan a crash may leave
@@ -573,13 +574,15 @@ fn run_crash_point(
                         len
                     ),
                 ),
-                Some(k) if len - k > cfg.safety => report.violate(
-                    point,
-                    mode,
-                    "cloud-prefix",
-                    format!("lost {} acked steps with S = {}", len - k, cfg.safety),
-                ),
-                Some(_) => {}
+                Some(k) => {
+                    // S bounds un-acked updates, and a checkpoint step
+                    // logs none: only the row steps lost count.
+                    let lost = acked[k..].iter().filter(|e| e.is_some()).count();
+                    if lost > cfg.safety {
+                        let what = format!("lost {lost} acked row steps with S = {}", cfg.safety);
+                        report.violate(point, mode, "cloud-prefix", what);
+                    }
+                }
             }
         }
     }

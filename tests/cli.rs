@@ -144,6 +144,31 @@ fn cli_full_operator_flow() {
         );
     }
 
+    // A value flag may come before the positional arguments: it is
+    // skipped with its value, never taken for the bucket or the target.
+    let flag_first = base.join("flag-first");
+    let out = run_ok(&[
+        "recover",
+        "--point",
+        "999999",
+        bucket,
+        flag_first.to_str().unwrap(),
+    ]);
+    assert!(out.contains("recovered into"), "{out}");
+    assert!(flag_first.join("global/pg_control").exists(), "{out}");
+    let output = cli()
+        .current_dir(&base)
+        .args(["verify", "--password", "pw", bucket])
+        .output()
+        .unwrap();
+    let out = String::from_utf8_lossy(&output.stdout);
+    assert!(
+        out.contains(&format!("objects listed:    {}", pristine.len())),
+        "{out}"
+    );
+    assert!(!base.join("--password").exists());
+    assert!(!base.join("pw").exists());
+
     // cost (pure model, no bucket)
     let out = run_ok(&["cost", "10", "100", "100"]);
     assert!(out.contains("C_Total"), "{out}");

@@ -493,13 +493,22 @@ fn mysql_bucket_stays_bounded_by_the_log_across_wraps() {
 
     // DELETEs now fail. GC keeps deciding what is dead, the deletes
     // pile up in the in-memory backlog, and a crash loses the backlog.
+    // Step until GC has deferred at least 100 deletes: how many steps
+    // that takes follows from how many WAL objects a step makes.
     plan.fail_fatally(OpKind::Delete, usize::MAX);
-    for _ in 0..300 {
-        step(&db);
+    let failing_from = steps.get();
+    while ginja.stats().gc_backlog < 100 {
+        assert!(
+            steps.get() - failing_from < 3000,
+            "only {} deletes were deferred",
+            ginja.stats().gc_backlog
+        );
+        for _ in 0..50 {
+            step(&db);
+        }
+        assert!(ginja.sync(Duration::from_secs(30)));
     }
-    assert!(ginja.sync(Duration::from_secs(30)));
     let orphaned = ginja.stats().gc_backlog;
-    assert!(orphaned > 100, "only {orphaned} deletes were deferred");
     ginja.shutdown();
     drop(db);
     plan.clear();
@@ -510,8 +519,7 @@ fn mysql_bucket_stays_bounded_by_the_log_across_wraps() {
     // Reboot lists the garbage back into its view; the first
     // checkpoint's sweep finds it dead again and deletes it.
     let ginja = Ginja::reboot(local.clone(), cloud.clone(), processor, config.clone()).unwrap();
-    // (Plus a few objects of its own: resync re-uploads the header
-    // bytes the checkpoints rewrote, which reach the cloud in DB objects.)
+    // (Plus any log range the resync finds the cloud lacks.)
     assert!(ginja.view().wal_count() >= before);
     let protected: Arc<dyn FileSystem> =
         Arc::new(InterceptFs::new(local.clone(), Arc::new(ginja.clone())));
