@@ -1,8 +1,8 @@
 //! Hardware SHA-1 and AES-128-CTR kernels (x86_64 SHA and AES-NI
 //! extensions), chosen by the CPU at run time.
 //!
-//! [`crate::sha1`] and [`crate::ctr`] ask [`ShaNi::detect`] and
-//! [`AesNi::detect`] once per `update` / `apply_keystream` call and hand
+//! [`crate::sha1`] and [`crate::ctr`] ask `ShaNi::detect` and
+//! `AesNi::detect` once per `update` / `apply_keystream` call and hand
 //! the kernel every whole block of that call; on a CPU without the
 //! extensions (or off x86_64) the detection returns `None` and the
 //! portable kernels run. Nothing else picks a path. Both kernels compute

@@ -290,7 +290,7 @@ mod tests {
             safety_timeout: _,  // bench_e2e rig, `ginja-cli outage`
             uploaders: _,       // bench_e2e rig, crashpoint sweep
             recovery_fanout: _, // bench_e2e rig, fig7, crashpoint sweep
-            max_object_size: _, // the paper's §5.2 parameter; no caller yet
+            max_object_size: _, // the paper's §5.2 parameter; tests/object_shapes.rs
             dump_threshold: _,  // crashpoint sweep
             codec: _,           // bench_e2e rig, `ginja-cli`
             pitr: _,            // examples/point_in_time.rs

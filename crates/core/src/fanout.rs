@@ -1,6 +1,6 @@
 //! A bounded fan-out executor for the seal/PUT/GET hot paths.
 //!
-//! The uploader pool in `ginja.rs` already established the discipline this
+//! The uploader pool in `upload.rs` already established the discipline this
 //! module generalises: a fixed number of worker threads drain a queue of
 //! independent jobs while a single consumer restores order. `FanoutExecutor`
 //! packages that shape so the checkpointer, recovery, reboot resync, the

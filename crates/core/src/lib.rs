@@ -53,7 +53,9 @@
 //! the data model of §5.2, [`recovery`] Algorithm 1's Recovery mode,
 //! and [`scrub`] the offline audit that classifies what in a bucket is
 //! damaged — with [`recover_into`] into scratch, the backup
-//! verification of §5.4.
+//! verification of §5.4. [`Ginja`] itself is split by stage into
+//! private modules around its shared state (`ginja`): `startup`
+//! (Algorithm 1), `upload` (Algorithm 2) and `checkpoint` (Algorithm 3).
 
 pub mod agg;
 pub mod apply;
@@ -67,12 +69,14 @@ pub mod scrub;
 pub mod view;
 
 mod ack;
+mod checkpoint;
 mod config;
 mod error;
 mod ginja;
-mod outage;
 mod periodic;
+mod startup;
 mod stats;
+mod upload;
 
 pub use apply::{ApplyEngine, ApplyProgress};
 pub use config::{GinjaConfig, GinjaConfigBuilder, IngestConfig, PitrConfig};

@@ -11,6 +11,9 @@ cargo fmt --check
 # `kdf`'s zeroing, and every `unsafe` block must carry a `// SAFETY:` line
 # (`clippy::undocumented_unsafe_blocks`); ginja-core forbids `unsafe`.
 cargo clippy --workspace --all-targets -- -D warnings
+# The docs build clean: an intra-doc link to an item that moved, was
+# renamed or is private fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 # `default-members` makes this the whole workspace: the facade's
 # integration tests plus every crate's unit tests and proptests.
 cargo test -q

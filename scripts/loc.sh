@@ -11,6 +11,13 @@ printf '%-48s %7d\n' "rust lines, crates/ + src/:" "$(lines crates src)"
 printf '%-48s %7d\n' "rust lines, crates/ + src/ + tests/ + examples/:" "$(lines crates src tests examples)"
 for crate in crates/*/; do
     printf '  %-18s %6d\n' "$crate" "$(lines "$crate")"
+    if [ "$crate" = crates/core/ ]; then
+        # ginja-core's pipeline, one module per stage (ROADMAP item 3
+        # wants `ginja.rs` under 700 lines).
+        for stage in ginja startup upload checkpoint; do
+            printf '    %-16s %6d\n' "$stage.rs" "$(wc -l <"crates/core/src/$stage.rs")"
+        done
+    fi
 done
 printf '  %-18s %6d\n' src/ "$(lines src)"
 printf '  %-18s %6d\n' tests/ "$(lines tests)"
